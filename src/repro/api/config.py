@@ -12,6 +12,9 @@ Randomness is configured by ``seed`` plus the ``streams`` scheme:
   :class:`numpy.random.SeedSequence`.  Runs are statistically
   independent *and* order-independent, which is what allows
   ``Session.sample(n, workers=k)`` to parallelize reproducibly.
+  World ``i``'s stream is :func:`world_rng` of the root entropy and
+  ``i`` wherever it is built - one process, a shard worker or a
+  stream's resampler.
 * ``"shared"`` - one sequential generator shared by all runs, the
   historical scheme.  The legacy shims and the CLI use it so that
   seeded outputs stay bit-identical with earlier releases.
@@ -20,6 +23,8 @@ Randomness is configured by ``seed`` plus the ``streams`` scheme:
 from __future__ import annotations
 
 import dataclasses
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +61,62 @@ STREAMS = ("spawn", "shared")
 #: the translated program, ``"spawn"`` streams, sequential chase, no
 #: trace recording, no worker threads, and a batch-safe policy.
 BACKENDS = ("auto", "scalar", "batched")
+
+
+def world_rng(entropy: int, world: int) -> np.random.Generator:
+    """World ``world``'s generator under the root ``entropy``.
+
+    ``SeedSequence(entropy, spawn_key=(world,))`` is exactly the
+    ``world``-th child ``SeedSequence(entropy).spawn(...)`` produces
+    (numpy derives a child from its root's entropy and its spawn key
+    alone), so any one world's stream can be built on its own, in any
+    process, without spawning its siblings.
+    """
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy, spawn_key=(world,)))
+
+
+class WorldRngs(Sequence):
+    """The per-world generators of an ``n``-world batch, built on use.
+
+    World ``i``'s generator is built the first time index ``i`` is
+    read and memoized, so a repeated read returns the same, already
+    advanced generator and a batch whose worlds never leave the
+    vectorized path builds none.  With a root ``entropy`` world ``i``
+    gets :func:`world_rng`; with a ``parent`` Generator the first read
+    spawns all ``n`` children at once (``parent.spawn(n)``) - the
+    parent's spawn counter only advances by spawning, and only a batch
+    that reads a world may advance it.
+    """
+
+    def __init__(self, n: int, entropy: int | None = None,
+                 parent: np.random.Generator | None = None):
+        self._n = n
+        self.entropy = entropy
+        self._parent = parent
+        self._built: dict[int, np.random.Generator] = {}
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[world]
+                    for world in range(*index.indices(self._n))]
+        world = operator.index(index)
+        if world < 0:
+            world += self._n
+        if not 0 <= world < self._n:
+            raise IndexError(
+                f"world {index} outside a batch of {self._n}")
+        rng = self._built.get(world)
+        if rng is None:
+            if self._parent is not None:
+                self._built = dict(enumerate(self._parent.spawn(self._n)))
+            else:
+                self._built[world] = world_rng(self.entropy, world)
+            rng = self._built[world]
+        return rng
 
 
 @dataclass(frozen=True)
@@ -197,23 +258,30 @@ class ChaseConfig:
             return self.seed
         return np.random.default_rng(self.seed)
 
-    def spawn_rngs(self, n: int) -> list[np.random.Generator]:
+    def spawn_rngs(self, n: int) -> Sequence[np.random.Generator]:
         """Per-run generators for an ``n``-run batch.
 
         Under ``"shared"`` the same generator is handed to every run
         (the batch consumes it sequentially, matching the legacy
         draw-for-draw).  Under ``"spawn"`` each run gets an
-        independent :class:`~numpy.random.SeedSequence` child stream;
-        with a Generator seed the children advance its spawn state, so
-        consecutive batches differ (as they would sharing a stream).
+        independent :class:`~numpy.random.SeedSequence` child stream,
+        as a lazy, memoized :class:`WorldRngs`: run ``i``'s generator
+        is built the first time it is read, so callers that touch only
+        a few runs (the batched backend's scalar-fallback worlds) pay
+        only for those.  An int or None seed fixes the root entropy
+        now (recorded as ``.entropy``; None draws it fresh) and builds
+        each child on its own with :func:`world_rng`, bit-identical to
+        ``SeedSequence(seed).spawn(n)``.  A Generator seed spawns its
+        ``n`` children all at once on the first read (numpy >= 1.25)
+        and so advances its spawn state, making consecutive batches
+        differ (as they would sharing a stream).
         """
         if self.streams == "shared":
             rng = self.base_rng()
             return [rng] * n
         if isinstance(self.seed, np.random.Generator):
-            return list(self.seed.spawn(n))    # numpy >= 1.25
-        root = np.random.SeedSequence(self.seed)
-        return [np.random.default_rng(child) for child in root.spawn(n)]
+            return WorldRngs(n, parent=self.seed)
+        return WorldRngs(n, np.random.SeedSequence(self.seed).entropy)
 
 
 #: The all-defaults configuration used when callers specify nothing.

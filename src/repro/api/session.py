@@ -531,12 +531,11 @@ class Session:
         visible = self.compiled.visible_relations
         start = time.perf_counter()
         batch_rng = cfg.base_rng()
-        if cfg.streams == "shared":
-            def world_rngs():
-                return [batch_rng] * n
-        else:
-            def world_rngs():
-                return cfg.spawn_rngs(n)
+        # Under "shared" streams fallback worlds continue the batch's
+        # own generator; spawn_rngs would hand them a fresh copy of it
+        # for an int seed, restarting the stream.
+        world_rngs = [batch_rng] * n if cfg.streams == "shared" \
+            else cfg.spawn_rngs(n)
         outcome = batched.run_batch(n, batch_rng, world_rngs,
                                     cfg.policy or DEFAULT_POLICY,
                                     cfg.max_steps,
@@ -871,14 +870,10 @@ class Session:
         visible = self.compiled.visible_relations
         start = time.perf_counter()
         log_weights = np.zeros(n)
-        batch_rng = cfg.base_rng()
-
-        def world_rngs():
-            return cfg.spawn_rngs(n)
-
         try:
             outcome = batched.run_batch(
-                n, batch_rng, world_rngs, cfg.policy or DEFAULT_POLICY,
+                n, cfg.base_rng(), cfg.spawn_rngs(n),
+                cfg.policy or DEFAULT_POLICY,
                 cfg.max_steps, min_group=1, regions=plan.regions,
                 log_weights=log_weights)
         except DistributionError as err:

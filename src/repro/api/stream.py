@@ -45,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.api.config import ChaseConfig
+from repro.api.config import ChaseConfig, world_rng
 from repro.api.results import InferenceResult
 from repro.core.observe import Observation, _observation_index
 from repro.core.policies import DEFAULT_POLICY
@@ -127,12 +127,13 @@ class StreamingPosterior:
         self._visible = session.compiled.visible_relations
         self._n = n
         self._max_window = max_window
-        # Fixed entropy for the resampling streams: spawn keys n, n+1,
-        # ... are collision-free with the per-world sampling streams
-        # (spawn keys 0..n-1 of the same root).
-        self._entropy = np.random.SeedSequence(cfg.seed).entropy
+        world_rngs = cfg.spawn_rngs(n)
+        # The resampling streams are worlds n, n+1, ... of the same
+        # root as the per-world sampling streams (worlds 0..n-1), so
+        # they never collide - also under a fresh (None) seed.
+        self._entropy = world_rngs.entropy
         outcome = batched.run_batch(
-            n, cfg.base_rng(), lambda: cfg.spawn_rngs(n),
+            n, cfg.base_rng(), world_rngs,
             cfg.policy or DEFAULT_POLICY, cfg.max_steps,
             cfg.batch_min_group)
         if outcome is None:
@@ -392,9 +393,10 @@ class StreamingPosterior:
         over the normalized weights.  Weights reset to one; evidence
         applied before the resample can no longer be retracted (its
         contribution is baked into the counts).  The resampling
-        generator is the ``spawn_key=(n + resamples,)`` child of the
-        stream's seed, so results are reproducible and never collide
-        with the per-world sampling streams.
+        generator is world ``n + resamples`` of the stream's root
+        entropy (:func:`~repro.api.config.world_rng`), so results are
+        reproducible and never collide with the per-world sampling
+        streams.
         """
         w = self.weights
         total = float(w.sum())
@@ -404,9 +406,7 @@ class StreamingPosterior:
                 "zero likelihood under the program; nothing to "
                 "resample")
         size = self.n_alive
-        rng = np.random.default_rng(np.random.SeedSequence(
-            self._entropy,
-            spawn_key=(self._n + self._resamples,)))
+        rng = world_rng(self._entropy, self._n + self._resamples)
         positions = (rng.random() + np.arange(size)) / size
         bounds = np.cumsum(w / total)
         bounds[-1] = 1.0  # guard the float tail

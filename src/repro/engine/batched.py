@@ -618,9 +618,11 @@ class BatchedChase:
                   log_weights=None) -> BatchOutcome | None:
         """Sample ``size`` chase runs; None declines (budget too tight).
 
-        ``world_rngs`` is a zero-argument callable producing the
-        per-world generators used by scalar-fallback worlds only
-        (lazy: fully batched runs never touch it).  ``min_group`` is
+        ``world_rngs`` is a sequence of ``size`` per-world generators,
+        indexed only for the worlds that finish on the scalar engine
+        (fully batched worlds never read theirs) - hand it a lazy one,
+        :meth:`repro.api.config.ChaseConfig.spawn_rngs`, so that only
+        those worlds' generators are ever built.  ``min_group`` is
         the smallest signature group continued vectorized; smaller
         groups finish on the scalar engine.  ``pool`` enables
         cross-group draw pooling: within a round, all signature groups'
@@ -685,7 +687,7 @@ class BatchedChase:
                     f"world: got {len(rngs)} for batch size {size}")
             min_group = 1
         else:
-            rngs = None
+            rngs = world_rngs
         diagnostics = {"n_split": 0, "n_firings": len(layer),
                        "n_rounds": 0, "n_groups": 0,
                        "n_group_rounds": 0, "n_draw_calls": 0,
@@ -760,8 +762,6 @@ class BatchedChase:
                         # silently changing the guided proposal law -
                         # decline the whole batch instead.
                         return None
-                    if rngs is None:
-                        rngs = world_rngs()
                     for position in positions:
                         world = int(task.members[position])
                         run = self._fallback(task.engine, task.shared,

@@ -2,12 +2,11 @@
 
 A *shard plan* partitions an ``n``-world batch into contiguous shards,
 each carrying only ``(start, size)`` plus the plan's root entropy: the
-per-world RNG streams are reconstructed inside the workers as
-``SeedSequence(entropy, spawn_key=(world,))`` - exactly the children
-``SeedSequence(seed).spawn(n)`` would produce (numpy derives a child
-from its parent's entropy and its spawn key alone), so world ``i``
-draws from the same stream no matter which shard, process, or machine
-executes it.
+per-world RNG streams are reconstructed inside the workers by
+:func:`repro.api.config.world_rng`, the one function that derives
+world ``i``'s stream from a root entropy everywhere (single-process
+``ChaseConfig.spawn_rngs`` included), so world ``i`` draws from the
+same stream no matter which shard, process, or machine executes it.
 
 Combined with the batched engine's per-world draw schedule
 (:meth:`repro.engine.batched.BatchedChase.run_batch` with
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.config import ChaseConfig
+from repro.api.config import ChaseConfig, world_rng
 from repro.api.results import InferenceResult
 from repro.core.chase import ChaseRun
 from repro.core.policies import DEFAULT_POLICY
@@ -112,13 +111,11 @@ def shard_plan(n: int, shards: int,
 def shard_rngs(spec: ShardSpec) -> list[np.random.Generator]:
     """The shard's per-world generators, one per world index.
 
-    ``SeedSequence(entropy, spawn_key=(i,))`` is the ``i``-th child of
-    ``SeedSequence(entropy).spawn(...)``, so these are exactly the
-    streams :meth:`ChaseConfig.spawn_rngs` hands world ``i`` in a
+    Built by :func:`~repro.api.config.world_rng`, so these are exactly
+    the streams :meth:`ChaseConfig.spawn_rngs` hands world ``i`` in a
     single-process run - shard boundaries never touch the streams.
     """
-    return [np.random.default_rng(
-                np.random.SeedSequence(spec.entropy, spawn_key=(world,)))
+    return [world_rng(spec.entropy, world)
             for world in spec.world_indices()]
 
 

@@ -517,7 +517,7 @@ class BatchedVsScalarOracle(Oracle):
 
         def outcome(pool: bool):
             return chase.run_batch(
-                n, cfg.base_rng(), lambda: cfg.spawn_rngs(n), policy,
+                n, cfg.base_rng(), cfg.spawn_rngs(n), policy,
                 cfg.max_steps, cfg.batch_min_group, pool=pool)
 
         pooled = outcome(True)

@@ -57,6 +57,23 @@ def heights_instance():
 
 
 @pytest.fixture
+def handed_world_rngs(monkeypatch) -> list:
+    """The ``world_rngs`` argument of every ``BatchedChase.run_batch``
+    call the test makes, in call order."""
+    from repro.engine.batched import BatchedChase
+    handed: list = []
+    run_batch = BatchedChase.run_batch
+
+    def spy(self, size, batch_rng, world_rngs, *args, **kwargs):
+        handed.append(world_rngs)
+        return run_batch(self, size, batch_rng, world_rngs, *args,
+                         **kwargs)
+
+    monkeypatch.setattr(BatchedChase, "run_batch", spy)
+    return handed
+
+
+@pytest.fixture
 def small_instance() -> Instance:
     return Instance.of(Fact("R", (1, "a")), Fact("R", (2, "b")),
                        Fact("S", (1,)))

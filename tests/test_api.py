@@ -120,6 +120,55 @@ class TestChaseConfig:
         assert config.base_rng() is rng
 
 
+class TestWorldRngs:
+    """``spawn_rngs`` under ``"spawn"``: a lazy, memoized sequence."""
+
+    @staticmethod
+    def _draws(rngs):
+        return [rng.random(3).tolist() for rng in rngs]
+
+    @pytest.mark.parametrize("seed", [0, 123, 2**40 + 5])
+    def test_int_seed_equals_seed_sequence_spawn(self, seed):
+        children = np.random.SeedSequence(seed).spawn(6)
+        assert self._draws(ChaseConfig(seed=seed).spawn_rngs(6)) == \
+            self._draws(np.random.default_rng(c) for c in children)
+
+    def test_fresh_seed_equals_spawn_of_its_recorded_entropy(self):
+        rngs = ChaseConfig().spawn_rngs(6)
+        children = np.random.SeedSequence(rngs.entropy).spawn(6)
+        assert self._draws(rngs) == \
+            self._draws(np.random.default_rng(c) for c in children)
+
+    def test_sequence_protocol(self):
+        rngs = ChaseConfig(seed=5).spawn_rngs(4)
+        assert len(rngs) == 4
+        listed = list(rngs)
+        assert len(listed) == 4
+        assert all(a is b for a, b in zip(listed, rngs))
+        assert rngs[-1] is rngs[3] and rngs[-4] is rngs[0]
+        assert [id(r) for r in rngs[1:3]] == [id(rngs[1]), id(rngs[2])]
+        assert [id(r) for r in rngs[::-2]] == [id(rngs[3]), id(rngs[1])]
+        for outside in (4, -5):
+            with pytest.raises(IndexError):
+                rngs[outside]
+
+    def test_repeated_index_returns_the_same_generator(self):
+        rngs = ChaseConfig(seed=5).spawn_rngs(3)
+        first = rngs[2]
+        first.random()
+        assert rngs[2] is first
+
+    def test_generator_seed_spawns_on_first_read_only(self):
+        parent = np.random.default_rng(4)
+        rngs = ChaseConfig(seed=parent).spawn_rngs(3)
+        assert parent.bit_generator.seed_seq.n_children_spawned == 0
+        middle = rngs[1]
+        assert parent.bit_generator.seed_seq.n_children_spawned == 3
+        assert rngs[1] is middle
+        twin = np.random.default_rng(4).spawn(3)[1]
+        assert middle.random() == twin.random()
+
+
 # ---------------------------------------------------------------------------
 # compile() / CompiledProgram
 # ---------------------------------------------------------------------------

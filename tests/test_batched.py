@@ -390,6 +390,43 @@ class TestBatchedMechanics:
         assert isinstance(first, BatchedChase)
 
 
+class TestLazyWorldRngs:
+    """Only worlds that leave the batch build their own generator."""
+
+    @pytest.fixture
+    def built(self, monkeypatch) -> list:
+        """Every per-world generator built from a root entropy."""
+        from repro.api import config as config_module
+        built: list = []
+        world_rng = config_module.world_rng
+
+        def spy(entropy, world):
+            built.append(world)
+            return world_rng(entropy, world)
+
+        monkeypatch.setattr(config_module, "world_rng", spy)
+        return built
+
+    def test_example_3_4_builds_one_generator_per_split_world(
+            self, handed_world_rngs, built):
+        session = repro.compile(example_3_4_program()).on(
+            example_3_4_instance(), seed=0)
+        result = session.sample(5000, backend="batched")
+        n_split = result.diagnostics["n_split"]
+        assert 0 < n_split < 50
+        assert [len(rngs) for rngs in handed_world_rngs] == [5000]
+        assert len(built) == len(set(built)) == n_split
+
+    def test_zero_split_example_3_5_builds_none(self, handed_world_rngs,
+                                                built):
+        session = repro.compile(example_3_5_program()).on(
+            example_3_5_instance(), seed=0)
+        result = session.sample(5000, backend="batched")
+        assert result.diagnostics["n_split"] == 0
+        assert [len(rngs) for rngs in handed_world_rngs] == [5000]
+        assert built == []
+
+
 CASCADE_CHAIN = """
     A(Flip<0.5>) :- true.
     B(Flip<0.5>) :- A(1).
@@ -773,8 +810,7 @@ class TestPooledDraws:
 
     def _run_batch(self, chase, n, seed, pool):
         cfg = ChaseConfig(seed=seed)
-        return chase.run_batch(n, cfg.base_rng(),
-                               lambda: cfg.spawn_rngs(n),
+        return chase.run_batch(n, cfg.base_rng(), cfg.spawn_rngs(n),
                                DEFAULT_POLICY, 10_000, 2, pool=pool)
 
     def test_same_key_groups_share_one_call(self):
@@ -868,8 +904,7 @@ class TestExactBudgetBoundary:
         compiled = repro.compile(CONTINUOUS_CASCADE)
         chase = BatchedChase(compiled.translated, Instance.empty())
         cfg = ChaseConfig(seed=13)
-        outcome = chase.run_batch(4, cfg.base_rng(),
-                                  lambda: cfg.spawn_rngs(4),
+        outcome = chase.run_batch(4, cfg.base_rng(), cfg.spawn_rngs(4),
                                   DEFAULT_POLICY, 4, 2)
         assert outcome is not None
         assert len(outcome.scalar_runs) == 4

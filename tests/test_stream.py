@@ -243,6 +243,26 @@ class TestResampling:
         # at most one particle weight's worth.
         assert abs(stream.marginal(fact) - before) < 0.03
 
+    def test_fresh_seed_resamples_from_the_world_streams_root(
+            self, monkeypatch, handed_world_rngs):
+        # Resampling streams are worlds n, n+1, ... of the root the
+        # per-world sampling streams came from: one fresh entropy, not
+        # two, so they cannot collide.
+        from repro.api import stream as stream_module
+        resample_roots = []
+        world_rng = stream_module.world_rng
+
+        def spy(entropy, world):
+            resample_roots.append((entropy, world))
+            return world_rng(entropy, world)
+
+        monkeypatch.setattr(stream_module, "world_rng", spy)
+        stream = cascade_session(seed=None).stream(50)
+        stream.observe(repro.observe("Alarm", "a", 1))
+        stream.resample()
+        (world_rngs,) = handed_world_rngs
+        assert resample_roots == [(world_rngs.entropy, 50)]
+
     def test_pre_resample_evidence_cannot_be_retracted(self):
         stream = cascade_session().stream(1000)
         token = stream.observe(repro.observe("Alarm", "a", 1))

@@ -6,9 +6,7 @@ from repro.api import compile as compile_program
 from repro.distributions import Normal
 from repro.measures.empirical import (ks_critical_value, ks_statistic,
                                       summarize)
-from repro.query.aggregates import Aggregate, agg_avg
-from repro.query.lifted import expected_aggregate
-from repro.query.relalg import scan
+from repro.query import Aggregate, agg_avg, expected_aggregate, scan
 from repro.workloads import paper
 from repro.workloads.generators import heights_instance
 

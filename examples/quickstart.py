@@ -15,9 +15,7 @@ Run:  python examples/quickstart.py
 """
 
 import repro
-from repro.query.aggregates import Aggregate, agg_count
-from repro.query.lifted import aggregate_distribution
-from repro.query.relalg import scan
+from repro.query import Aggregate, agg_count, aggregate_distribution, scan
 
 
 def main() -> None:

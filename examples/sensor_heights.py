@@ -20,9 +20,8 @@ Run:  python examples/sensor_heights.py
 import repro
 from repro.distributions import Normal
 from repro.measures import ks_critical_value, ks_statistic, summarize
-from repro.query.aggregates import Aggregate, agg_avg, agg_count
-from repro.query.lifted import expected_aggregate
-from repro.query.relalg import scan
+from repro.query import (Aggregate, agg_avg, agg_count,
+                         expected_aggregate, scan)
 from repro.workloads import paper
 
 

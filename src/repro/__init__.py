@@ -47,8 +47,7 @@ True
 Conditioning is a fluent step: ``session.observe(event)
 .posterior(method="rejection")`` (or ``method="likelihood"`` for
 sample-level observations, ``method="exact"`` for discrete programs).
-The historical flat functions (``exact_spdb``, ``sample_spdb``,
-``run_chase``, ...) remain as deprecated delegating shims.
+The session is the one entry point for every inference mode.
 
 The :mod:`repro.testing` subsystem differential-fuzzes all of the
 above: seeded random workloads spanning the grammar, oracles asserting
@@ -66,14 +65,10 @@ from repro.core import (Atom, ChasePolicy, ChaseRun,
                         Program, RandomTerm, RandomTiePolicy,
                         RejectionResult, RoundRobinPolicy, Rule,
                         TerminationReport, Var, analyze_termination,
-                        apply_to_pdb, atom, chase_markov_process,
-                        chase_outputs, chase_step_kernel,
-                        condition_by_rejection, condition_exact,
-                        exact_spdb, likelihood_weighting,
+                        atom, chase_markov_process, chase_step_kernel,
                         normalize_program, observe,
                         parallel_markov_process, program_to_source,
-                        run_chase, run_parallel_chase, sample_spdb,
-                        spdb_mass_report, standard_policies,
+                        run_parallel_chase, standard_policies,
                         to_barany_simulation, to_grohe_simulation,
                         translate, translate_barany, weakly_acyclic)
 from repro.distributions import (DEFAULT_REGISTRY, DistributionRegistry,
@@ -88,13 +83,12 @@ from repro.pdb import (AtLeastEvent, ContainsFactEvent, CountingEvent,
                        Interval, MonteCarloPDB, Schema, relation)
 from repro.pdb.weighted import WeightedColumnarPDB, WeightedPDB
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Atom", "ChaseConfig", "ChaseError", "ChasePolicy", "ChaseRun",
     "CompiledProgram", "ConstrainedProgram", "Const", "DEFAULT_CONFIG",
     "InferenceResult", "RejectionResult", "Session", "compile",
-    "condition_by_rejection", "condition_exact", "likelihood_weighting",
     "observe", "program_to_source", "StreamingPosterior",
     "StreamingUnsupported", "WeightedColumnarPDB", "WeightedPDB",
     "AtLeastEvent", "ContainsFactEvent", "CountingEvent",
@@ -107,11 +101,11 @@ __all__ = [
     "RandomTiePolicy", "ReproError", "RoundRobinPolicy", "Rule",
     "Schema", "SchemaError", "TerminationReport",
     "UnsupportedProgramError", "ValidationError", "Var",
-    "analyze_termination", "apply_to_pdb", "atom",
-    "chase_markov_process", "chase_outputs", "chase_step_kernel",
-    "exact_spdb", "normalize_program", "parallel_markov_process",
-    "relation", "run_chase", "run_parallel_chase", "sample_spdb",
-    "spdb_mass_report", "standard_policies", "to_barany_simulation",
+    "analyze_termination", "atom",
+    "chase_markov_process", "chase_step_kernel",
+    "normalize_program", "parallel_markov_process",
+    "relation", "run_parallel_chase",
+    "standard_policies", "to_barany_simulation",
     "to_grohe_simulation", "translate", "translate_barany",
     "weakly_acyclic", "__version__",
 ]

@@ -220,9 +220,8 @@ def _static_param_defect(translated: ExistentialProgram,
 
 #: Config conditions ``backend="auto"`` applies on top of the static
 #: eligibility - not properties of the program, so reported as notes.
-_CONFIG_NOTE = ("auto backend additionally requires spawn RNG "
-                "streams, no worker threads, a batch-safe policy, "
-                "no parallel chase and no trace recording")
+_CONFIG_NOTE = ("auto backend additionally requires a batch-safe "
+                "policy, no parallel chase and no trace recording")
 
 
 def capability_report(translated: ExistentialProgram,

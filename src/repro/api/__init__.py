@@ -22,12 +22,11 @@ See :mod:`repro.api.session` for the full tour.
 
 from repro.api.config import DEFAULT_CONFIG, ChaseConfig
 from repro.api.results import InferenceResult, QueryResult
-from repro.api.session import (CompiledProgram, Session, compile,
-                               compiled_for)
+from repro.api.session import CompiledProgram, Session, compile
 from repro.api.stream import StreamingPosterior
 
 __all__ = [
     "ChaseConfig", "CompiledProgram", "DEFAULT_CONFIG",
     "InferenceResult", "QueryResult", "Session", "StreamingPosterior",
-    "compile", "compiled_for",
+    "compile",
 ]

@@ -6,18 +6,15 @@ arguments (``policy``, ``rng``, ``engine``, ``max_steps``,
 scatter with one validated, immutable value object that a
 :class:`repro.api.Session` carries through every inference call.
 
-Randomness is configured by ``seed`` plus the ``streams`` scheme:
-
-* ``"spawn"`` (default) - per-run child streams derived via
-  :class:`numpy.random.SeedSequence`.  Runs are statistically
-  independent *and* order-independent, which is what allows
-  ``Session.sample(n, workers=k)`` to parallelize reproducibly.
-  World ``i``'s stream is :func:`world_rng` of the root entropy and
-  ``i`` wherever it is built - one process, a shard worker or a
-  stream's resampler.
-* ``"shared"`` - one sequential generator shared by all runs, the
-  historical scheme.  The legacy shims and the CLI use it so that
-  seeded outputs stay bit-identical with earlier releases.
+Randomness is configured by ``seed`` alone.  Every run draws from its
+own child stream derived via :class:`numpy.random.SeedSequence`, so
+runs are statistically independent *and* order-independent, which is
+what lets ``Session.sample(n, shards=k)`` split a batch across
+processes reproducibly.  World ``i``'s stream is :func:`world_rng` of
+the root entropy and ``i`` wherever it is built - one process, a shard
+worker or a stream's resampler.  The batched backend additionally
+draws its vectorized waves from one pooled generator,
+:meth:`ChaseConfig.base_rng`.
 """
 
 from __future__ import annotations
@@ -37,15 +34,13 @@ from repro.errors import ValidationError
 
 #: Applicability engines accepted by :func:`repro.core.chase.make_engine`.
 ENGINES = ("incremental", "naive")
-#: RNG stream schemes (see the module docstring).
-STREAMS = ("spawn", "shared")
 #: Sampling backends accepted by :meth:`repro.api.Session.sample`:
-#: ``"scalar"`` replays the sequential chase per run (bit-identical to
-#: historical seeded output), ``"batched"`` vectorizes the batch via
-#: :mod:`repro.engine.batched` (same law, different draws; falls back
-#: to scalar outside its supported class), ``"auto"`` picks batched
-#: whenever it is eligible and the caller has not asked for anything
-#: the batch cannot honour (shared streams, worker threads, traces).
+#: ``"scalar"`` replays the sequential chase per run, ``"batched"``
+#: vectorizes the batch via :mod:`repro.engine.batched` (same law,
+#: different draws; falls back to scalar outside its supported
+#: class), ``"auto"`` picks batched whenever it is eligible and the
+#: caller has not asked for anything the batch cannot honour (a
+#: policy that is not batch-safe, traces).
 #:
 #: Eligibility under ``"auto"`` is per *program/config*, not per
 #: trigger structure: since the multi-round batch loop, cascading
@@ -58,8 +53,8 @@ STREAMS = ("spawn", "shared")
 #: batchable: the per-rule (grohe) one, and - since the shared
 #: ``Sample#`` companion fan-out is vectorized - the Bárány one of
 #: Section 6.2.  The remaining hard requirements: weak acyclicity of
-#: the translated program, ``"spawn"`` streams, sequential chase, no
-#: trace recording, no worker threads, and a batch-safe policy.
+#: the translated program, sequential chase, no trace recording, and
+#: a batch-safe policy.
 BACKENDS = ("auto", "scalar", "batched")
 
 
@@ -133,8 +128,8 @@ class ChaseConfig:
     (Remark 4.9);
     ``record_trace`` - attach the firing trace to single runs;
     ``seed`` - int seed, numpy Generator, or None (fresh entropy);
-    ``streams`` - per-run ``"spawn"`` streams or the legacy
-    ``"shared"`` sequential stream;
+    every run draws from its own spawned child stream
+    (:meth:`spawn_rngs`);
     ``backend`` - Monte-Carlo sampling backend (``"auto"``,
     ``"scalar"``, ``"batched"``; see :data:`BACKENDS`);
     ``batch_min_group`` - smallest world group the batched backend
@@ -151,8 +146,8 @@ class ChaseConfig:
     existing single-process paths untouched; ``k >= 2`` partitions
     the batch into ``k`` shards with per-world
     :class:`~numpy.random.SeedSequence` child streams, so output is
-    law-exact and *invariant to the shard count* (requires the
-    ``"spawn"`` stream scheme and an int-or-None seed).
+    law-exact and *invariant to the shard count* (requires an
+    int-or-None seed).
 
     ``resample_threshold`` - streaming-posterior resampling policy
     (:meth:`repro.api.Session.stream`).  After each ``observe`` the
@@ -172,7 +167,6 @@ class ChaseConfig:
     keep_aux: bool = False
     record_trace: bool = False
     seed: int | np.random.Generator | None = None
-    streams: str = "spawn"
     backend: str = "auto"
     batch_min_group: int = 2
     shards: int | None = None
@@ -187,10 +181,6 @@ class ChaseConfig:
             raise ValidationError(
                 f"unknown applicability engine {self.engine!r}; "
                 f"use one of {ENGINES}")
-        if self.streams not in STREAMS:
-            raise ValidationError(
-                f"unknown stream scheme {self.streams!r}; "
-                f"use one of {STREAMS}")
         if self.backend not in BACKENDS:
             raise ValidationError(
                 f"unknown sampling backend {self.backend!r}; "
@@ -253,20 +243,22 @@ class ChaseConfig:
     # -- randomness ---------------------------------------------------------
 
     def base_rng(self) -> np.random.Generator:
-        """The single sequential generator (``streams="shared"``)."""
+        """The seed's own generator.
+
+        ``Session.run`` draws a single run from it, and the batched
+        backend draws its pooled, vectorized waves from it.
+        """
         if isinstance(self.seed, np.random.Generator):
             return self.seed
         return np.random.default_rng(self.seed)
 
-    def spawn_rngs(self, n: int) -> Sequence[np.random.Generator]:
+    def spawn_rngs(self, n: int) -> WorldRngs:
         """Per-run generators for an ``n``-run batch.
 
-        Under ``"shared"`` the same generator is handed to every run
-        (the batch consumes it sequentially, matching the legacy
-        draw-for-draw).  Under ``"spawn"`` each run gets an
-        independent :class:`~numpy.random.SeedSequence` child stream,
-        as a lazy, memoized :class:`WorldRngs`: run ``i``'s generator
-        is built the first time it is read, so callers that touch only
+        Each run gets an independent
+        :class:`~numpy.random.SeedSequence` child stream, as a lazy,
+        memoized :class:`WorldRngs`: run ``i``'s generator is built
+        the first time it is read, so callers that touch only
         a few runs (the batched backend's scalar-fallback worlds) pay
         only for those.  An int or None seed fixes the root entropy
         now (recorded as ``.entropy``; None draws it fresh) and builds
@@ -276,9 +268,6 @@ class ChaseConfig:
         and so advances its spawn state, making consecutive batches
         differ (as they would sharing a stream).
         """
-        if self.streams == "shared":
-            rng = self.base_rng()
-            return [rng] * n
         if isinstance(self.seed, np.random.Generator):
             return WorldRngs(n, parent=self.seed)
         return WorldRngs(n, np.random.SeedSequence(self.seed).entropy)

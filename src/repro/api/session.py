@@ -15,12 +15,11 @@ a two-stage facade:
   ``marginal``, ``analyze``) all return a unified
   :class:`~repro.api.results.InferenceResult`.
 
-Batched sampling through a Session strictly dominates ``n`` calls
-through the legacy path: the translation and the applicability
-bootstrap happen exactly once, each run starting from a cheap engine
-``fork()``, and per-run RNG streams are spawned via
-:class:`numpy.random.SeedSequence` so runs can execute on worker
-threads without losing reproducibility.
+Sampling through a Session translates the program and bootstraps
+the applicability engine exactly once, each run starting from a cheap
+engine ``fork()``; per-run RNG streams are spawned via
+:class:`numpy.random.SeedSequence`, so a batch can be split across
+process shards without losing reproducibility.
 
 >>> import repro
 >>> compiled = repro.compile("Earthquake(c, Flip<0.1>) :- City(c, r).")
@@ -33,7 +32,6 @@ threads without losing reproducibility.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -118,19 +116,6 @@ def compile(program: str | Program | ExistentialProgram,
     return CompiledProgram(program, semantics or "grohe")
 
 
-def compiled_for(program: str | Program | ExistentialProgram,
-                 semantics: str = "grohe") -> "CompiledProgram":
-    """Compile with the legacy semantics-argument convention.
-
-    The historical entry points ignored their ``semantics`` keyword
-    when handed an already-translated program; the shims delegate
-    through this helper to preserve that behaviour exactly.
-    """
-    if isinstance(program, ExistentialProgram):
-        return compile(program, semantics=program.semantics)
-    return compile(program, semantics=semantics)
-
-
 class CompiledProgram:
     """A program plus every artifact worth computing exactly once.
 
@@ -138,8 +123,7 @@ class CompiledProgram:
     translation ``Ĝ`` - including normalization to single-random-term
     form - the visible-relation set, and the static termination report.
     Thousands of chases through :meth:`on`/:class:`Session` then share
-    them, instead of re-deriving them per call like the legacy
-    functions did.
+    them instead of re-deriving them per call.
     """
 
     def __init__(self, program: Program, semantics: str = "grohe"):
@@ -371,81 +355,42 @@ class Session:
             chase_rng = cfg.base_rng()
         return self._one_run(cfg, chase_rng)
 
-    def sample(self, n: int = 1000, workers: int | None = None,
-               shards: int | None = None,
-               **overrides) -> InferenceResult:
+    def sample(self, n: int = 1000, **overrides) -> InferenceResult:
         """Monte-Carlo output SPDB from ``n`` independent chase runs.
 
         Translation and applicability bootstrap happen exactly once
         for the whole batch.  The runs execute on the backend selected
         by ``cfg.backend`` (pass ``backend="batched"|"scalar"|"auto"``
         as an override): ``"scalar"`` replays the sequential chase per
-        run and is bit-identical to historical seeded output, while
-        ``"batched"`` advances all runs at once through
+        run, while ``"batched"`` advances all runs at once through
         :class:`repro.engine.batched.BatchedChase` - same output law,
         different draws - falling back to the scalar loop outside its
-        supported class.  With ``workers > 1`` the scalar runs execute
-        on a thread pool; this requires the (default) ``"spawn"``
-        stream scheme, under which results are identical to the
-        sequential order for the same seed.  ``workers`` is a
-        scalar-path knob: ``backend="auto"`` routes ``workers > 1`` to
-        the scalar loop, and an explicit ``backend="batched"`` never
-        threads (the batch is already vectorized) - though the
-        ``workers > 1`` / ``streams="shared"`` combination is rejected
-        up front regardless of backend, as invalid configuration.
+        supported class.
 
-        ``shards`` (or ``cfg.shards``) ``>= 2`` splits the batch
-        across a process pool (:mod:`repro.serving`): per-world
+        ``cfg.shards >= 2`` (e.g. the override ``shards=k``) splits the
+        batch across a process pool (:mod:`repro.serving`): per-world
         SeedSequence child streams make the merged output law-exact
         and bit-identical across shard counts.  ``shards=1`` and
         ``None`` take the single-process paths above unchanged.
-        ``workers`` and ``shards`` are mutually exclusive - threads
-        parallelize the scalar loop, shards parallelize whole
-        sub-batches.
         """
         cfg = self.config.replace(**overrides)
-        if shards is not None:
-            cfg = cfg.replace(shards=shards)
         if n <= 0:
             raise ValidationError(f"need n >= 1 runs, got {n}")
-        if workers is not None and workers > 1 \
-                and cfg.streams != "spawn":
-            raise ValidationError(
-                "workers > 1 requires streams='spawn'; the "
-                "'shared' scheme is inherently sequential")
         if cfg.shards is not None and cfg.shards > 1:
-            if workers is not None and workers > 1:
-                raise ValidationError(
-                    "workers and shards are mutually exclusive; "
-                    "threads parallelize the scalar loop, shards "
-                    "parallelize whole sub-batches")
             from repro.serving import sample_sharded
             return sample_sharded(self, n, cfg)
-        if self._resolve_backend(cfg, workers) == "batched":
+        if self._resolve_backend(cfg) == "batched":
             result = self._sample_batched(cfg, n)
             if result is not None:
                 return result
-            if cfg.backend == "batched":
-                # An explicit batched request never threads - not even
-                # when the batched path declines - so the same call
-                # yields the same parallelism on every program.
-                workers = None
-        return self._sample_scalar(cfg, n, workers)
+        return self._sample_scalar(cfg, n)
 
-    def _sample_scalar(self, cfg: ChaseConfig, n: int,
-                       workers: int | None) -> InferenceResult:
-        """The per-run sequential loop (bit-identical seeded output)."""
+    def _sample_scalar(self, cfg: ChaseConfig, n: int) -> InferenceResult:
+        """The per-run sequential loop, one spawned stream per run."""
         visible = self.compiled.visible_relations
-        # Bootstrap the base engine before any worker threads fork it.
         self._base_engine(cfg.engine)
         start = time.perf_counter()
-        rngs = cfg.spawn_rngs(n)
-        if workers is not None and workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                runs = list(pool.map(
-                    lambda rng: self._one_run(cfg, rng), rngs))
-        else:
-            runs = [self._one_run(cfg, rng) for rng in rngs]
+        runs = [self._one_run(cfg, rng) for rng in cfg.spawn_rngs(n)]
         worlds, truncated = self._collect_worlds(cfg, runs, visible)
         elapsed = time.perf_counter() - start
         return InferenceResult(MonteCarloPDB(worlds, truncated),
@@ -455,26 +400,18 @@ class Session:
 
     # -- batched backend ----------------------------------------------------
 
-    def _resolve_backend(self, cfg: ChaseConfig,
-                         workers: int | None = None) -> str:
+    def _resolve_backend(self, cfg: ChaseConfig) -> str:
         """Which sampling backend this call should attempt.
 
         ``"scalar"`` and ``"batched"`` are honoured as requested (the
         batched path still declines, falling back to scalar, when the
         program is outside its class).  ``"auto"`` only picks batched
-        when nothing observable depends on the scalar draw order: no
-        worker threads, the default ``"spawn"`` stream scheme (the
-        ``"shared"`` scheme exists precisely for legacy bit-identical
-        output), and a batch-safe policy.
+        for a batch-safe policy on a batch-eligible program/config.
         """
         if cfg.backend == "scalar":
             return "scalar"
         if cfg.backend == "batched":
             return "batched"
-        if workers is not None and workers > 1:
-            return "scalar"
-        if cfg.streams != "spawn":
-            return "scalar"
         if cfg.policy is not None and not getattr(
                 cfg.policy, "batch_safe", False):
             return "scalar"
@@ -530,13 +467,7 @@ class Session:
         from repro.engine.batched import ColumnarMonteCarloPDB
         visible = self.compiled.visible_relations
         start = time.perf_counter()
-        batch_rng = cfg.base_rng()
-        # Under "shared" streams fallback worlds continue the batch's
-        # own generator; spawn_rngs would hand them a fresh copy of it
-        # for an int seed, restarting the stream.
-        world_rngs = [batch_rng] * n if cfg.streams == "shared" \
-            else cfg.spawn_rngs(n)
-        outcome = batched.run_batch(n, batch_rng, world_rngs,
+        outcome = batched.run_batch(n, cfg.base_rng(), cfg.spawn_rngs(n),
                                     cfg.policy or DEFAULT_POLICY,
                                     cfg.max_steps,
                                     cfg.batch_min_group)
@@ -582,14 +513,9 @@ class Session:
         return worlds, truncated
 
     def outputs(self, n: int,
-                rng: np.random.Generator | int | None = None,
                 **overrides) -> Iterator[Instance | None]:
         """Stream ``n`` chase outputs lazily (None = truncated/err)."""
         cfg = self.config.replace(**overrides)
-        if rng is not None:
-            cfg = cfg.replace(seed=rng if isinstance(
-                rng, np.random.Generator)
-                else int(rng), streams="shared")
         visible = self.compiled.visible_relations
         for run_rng in cfg.spawn_rngs(n):
             run = self._one_run(cfg, run_rng)

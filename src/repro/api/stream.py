@@ -91,10 +91,6 @@ class StreamingPosterior:
                  max_window: int | None = None):
         if n <= 0:
             raise ValidationError(f"need n >= 1 worlds, got {n}")
-        if cfg.streams != "spawn":
-            raise ValidationError(
-                "streaming requires streams='spawn'; the 'shared' "
-                "scheme is inherently sequential")
         if isinstance(cfg.seed, np.random.Generator):
             raise ValidationError(
                 "streaming requires an int (or None) seed: the "

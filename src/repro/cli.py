@@ -106,9 +106,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         default="auto",
                         help="sampling backend: the vectorized batch "
                              "engine, the per-run scalar loop, or "
-                             "automatic selection (the CLI's shared "
-                             "RNG stream keeps 'auto' on the scalar "
-                             "path for seed-stable output)")
+                             "automatic selection (default)")
 
     query = subparsers.add_parser(
         "query", help="answer a relational-algebra plan")
@@ -273,15 +271,15 @@ def cmd_exact(args, out) -> int:
 def cmd_sample(args, out) -> int:
     """``repro sample``: print Monte-Carlo fact marginals."""
     compiled, instance = _load(args)
-    # "shared" stream scheme: output is bit-identical with historical
-    # releases for the same --seed (and keeps --backend auto scalar).
+    # Built like a ProgramServer session, so the default flags and
+    # --seed S give the reply to {"op": "sample", "config":
+    # {"seed": S}} draw for draw.
     session = compiled.on(instance, parallel=args.parallel,
                           max_steps=args.max_steps, seed=args.seed,
-                          streams="shared", backend=args.backend)
+                          backend=args.backend)
     result = session.sample(args.n)
     pdb = result.pdb
     if args.json:
-        # The same document a ProgramServer "sample" reply carries.
         _emit_json(sample_payload(result), out)
         return 0
     marginals = fact_marginals(pdb)

@@ -9,19 +9,16 @@ from repro.core.barany import (TaggedDistribution,
                                simulation_helper_relations,
                                to_barany_simulation, to_grohe_simulation)
 from repro.core.chase import (ChaseRun, ChaseStep, chase_markov_process,
-                              chase_outputs, chase_step_kernel, fire,
-                              run_chase, run_chase_prepared)
-from repro.core.constraints import (ConstrainedProgram, RejectionResult,
-                                    condition_by_rejection,
-                                    condition_exact)
+                              chase_step_kernel, fire,
+                              run_chase_prepared)
+from repro.core.constraints import ConstrainedProgram, RejectionResult
 from repro.core.exact import (ChaseNode, enumerate_chase_tree,
                               exact_parallel_spdb, exact_sequential_spdb)
 from repro.core.fd import (FunctionalDependency, check_all_fds,
                            fd_violation_report, induced_fds)
 from repro.core.normalize import (is_split_relation, normalize_program,
                                   normalize_rule)
-from repro.core.observe import (Observation, WeightingResult,
-                                likelihood_weighting, observe)
+from repro.core.observe import Observation, observe
 from repro.core.parallel import (firing_configuration,
                                  parallel_markov_process,
                                  parallel_step_kernel,
@@ -34,8 +31,7 @@ from repro.core.policies import (DEFAULT_POLICY, ChasePolicy, FirstPolicy,
                                  standard_policies)
 from repro.core.program import Program, program_of
 from repro.core.rules import Rule, fact_rule
-from repro.core.semantics import (MassReport, apply_to_pdb, exact_spdb,
-                                  sample_spdb, spdb_mass_report)
+from repro.core.semantics import MassReport
 from repro.core.source import (atom_to_source, program_to_source,
                                rule_to_source, term_to_source)
 from repro.core.terms import Const, RandomTerm, Term, Var, as_term
@@ -50,8 +46,7 @@ from repro.core.translate import (ExistentialProgram, is_aux_relation,
 __all__ = [
     "Atom", "ChaseNode", "ChasePolicy", "ChaseRun", "ChaseStep",
     "ConstrainedProgram", "Observation", "RejectionResult",
-    "WeightingResult", "atom_to_source", "condition_by_rejection",
-    "condition_exact", "likelihood_weighting", "observe",
+    "atom_to_source", "observe",
     "program_to_source", "rule_to_source", "term_to_source", "Const",
     "DEFAULT_POLICY", "ExistentialProgram", "Firing", "FirstPolicy",
     "FunctionalDependency", "IncrementalApplicability", "LastPolicy",
@@ -60,19 +55,19 @@ __all__ = [
     "RandomTerm", "RandomTiePolicy", "RoundRobinPolicy", "Rule",
     "TaggedDistribution", "Term", "TerminationEstimate",
     "TerminationReport", "Var", "analyze_termination",
-    "applicable_pairs", "apply_to_pdb", "as_term", "atom",
+    "applicable_pairs", "as_term", "atom",
     "overlay_fork",
-    "chase_markov_process", "chase_outputs", "chase_step_kernel",
+    "chase_markov_process", "chase_step_kernel",
     "check_all_fds", "enumerate_chase_tree",
     "estimate_termination_probability", "exact_parallel_spdb",
-    "exact_sequential_spdb", "exact_spdb", "fact_rule",
+    "exact_sequential_spdb", "fact_rule",
     "fd_violation_report", "fire", "firing_configuration",
     "induced_fds", "is_aux_relation", "is_split_relation",
     "normalize_program", "normalize_rule", "parallel_markov_process",
     "parallel_step_kernel", "parse_program", "parse_rule",
-    "position_graph", "program_of", "run_chase", "run_chase_prepared",
+    "position_graph", "program_of", "run_chase_prepared",
     "run_parallel_chase", "run_parallel_chase_prepared",
-    "sample_spdb", "simulation_helper_relations", "spdb_mass_report",
+    "simulation_helper_relations",
     "standard_policies", "to_barany_simulation", "to_grohe_simulation",
     "translate", "translate_barany", "weakly_acyclic",
 ]

@@ -27,10 +27,12 @@ inter-simulate by program rewriting:
 Equivalence statements (verified by tests/benchmarks, experiment E3):
 for every discrete program ``G``,
 
-* ``exact_spdb(to_grohe_simulation(G), semantics="grohe")`` projected
-  to ``G``'s relations equals ``exact_spdb(G, semantics="barany")``;
-* ``exact_spdb(to_barany_simulation(G), semantics="barany")`` projected
-  equals ``exact_spdb(G, semantics="grohe")``.
+* ``repro.compile(to_grohe_simulation(G), semantics="grohe")
+  .on().exact().pdb`` projected to ``G``'s relations equals
+  ``repro.compile(G, semantics="barany").on().exact().pdb``;
+* ``repro.compile(to_barany_simulation(G), semantics="barany")
+  .on().exact().pdb`` projected equals
+  ``repro.compile(G, semantics="grohe").on().exact().pdb``.
 """
 
 from __future__ import annotations

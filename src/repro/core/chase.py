@@ -17,11 +17,9 @@ absorbed/truncated distinction of :class:`ChaseRun`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
-from repro._compat import warn_legacy
 from repro.core.applicability import (ApplicabilityEngine, Firing,
                                       IncrementalApplicability,
                                       NaiveApplicability)
@@ -116,11 +114,13 @@ def run_chase_prepared(translated: ExistentialProgram,
                        record_trace: bool = False) -> ChaseRun:
     """Run one sequential chase from a pre-built applicability state.
 
-    The hot-loop core of :func:`run_chase`, split out so that batched
-    callers (:meth:`repro.api.Session.sample`) can build the engine
-    *once* per (program, instance) pair and hand each run a cheap
-    ``fork()`` instead of re-matching every rule body from scratch.
-    ``state`` must reflect exactly ``instance``; it is consumed.
+    Definition 4.2's chase path: the translated program, the root
+    instance ``D_0`` and a measurable chase sequence (``policy``).
+    Callers (:meth:`repro.api.Session.run` and ``sample``) build the
+    engine *once* per (program, instance) pair and hand each run a
+    cheap ``fork()`` instead of re-matching every rule body from
+    scratch.  ``state`` must reflect exactly ``instance``; it is
+    consumed.
 
     The vectorized batch backend (:mod:`repro.engine.batched`) also
     continues *split* worlds here: a world whose sampled values enable
@@ -147,97 +147,6 @@ def run_chase_prepared(translated: ExistentialProgram,
                     tuple(trace) if trace is not None else None)
 
 
-def run_chase(program: Program | ExistentialProgram,
-              instance: Instance | None = None,
-              policy: ChasePolicy | None = None,
-              rng: np.random.Generator | int | None = None,
-              max_steps: int = DEFAULT_MAX_STEPS,
-              engine: str = "incremental",
-              record_trace: bool = False) -> ChaseRun:
-    """Run one sequential chase to termination or budget exhaustion.
-
-    .. deprecated:: 1.1
-        Use ``repro.compile(program).on(instance).run()`` - the
-        :class:`repro.api.Session` amortizes translation and engine
-        setup across runs.
-
-    Parameters mirror Definition 4.2: the program (translated on
-    demand), the root instance ``D_0``, and the measurable chase
-    sequence (policy).  ``rng`` may be a numpy Generator or a seed.
-
-    >>> program = Program.parse("R(Flip<0.5>) :- true.")
-    >>> run = run_chase(program, rng=0)
-    >>> run.terminated
-    True
-    """
-    warn_legacy("run_chase", "repro.compile(program).on(instance).run()")
-    return _run_chase_impl(program, instance, policy, rng, max_steps,
-                           engine, record_trace)
-
-
-def _run_chase_impl(program: Program | ExistentialProgram,
-                    instance: Instance | None = None,
-                    policy: ChasePolicy | None = None,
-                    rng: np.random.Generator | int | None = None,
-                    max_steps: int = DEFAULT_MAX_STEPS,
-                    engine: str = "incremental",
-                    record_trace: bool = False) -> ChaseRun:
-    """Non-deprecated internal form of :func:`run_chase`."""
-    translated = _as_translated(program)
-    instance = instance if instance is not None else Instance.empty()
-    state = make_engine(translated, instance, engine)
-    return run_chase_prepared(translated, state, instance,
-                              policy or DEFAULT_POLICY, _as_rng(rng),
-                              max_steps, record_trace)
-
-
-def chase_outputs(program: Program | ExistentialProgram,
-                  instance: Instance | None,
-                  n: int,
-                  rng: np.random.Generator | int | None = None,
-                  policy: ChasePolicy | None = None,
-                  max_steps: int = DEFAULT_MAX_STEPS,
-                  keep_aux: bool = False,
-                  ) -> Iterator[Instance | None]:
-    """Yield ``n`` independent chase outputs (None = truncated/err).
-
-    .. deprecated:: 1.1
-        Use ``repro.compile(program).on(instance).outputs(n)``.
-
-    Auxiliary relations are projected away unless ``keep_aux`` - the
-    measurable projection of Remark 4.9.
-    """
-    warn_legacy("chase_outputs",
-                "repro.compile(program).on(instance).outputs(n)")
-    return _chase_outputs_impl(program, instance, n, rng, policy,
-                               max_steps, keep_aux)
-
-
-def _chase_outputs_impl(program: Program | ExistentialProgram,
-                        instance: Instance | None,
-                        n: int,
-                        rng: np.random.Generator | int | None = None,
-                        policy: ChasePolicy | None = None,
-                        max_steps: int = DEFAULT_MAX_STEPS,
-                        keep_aux: bool = False,
-                        ) -> Iterator[Instance | None]:
-    translated = _as_translated(program)
-    instance = instance if instance is not None else Instance.empty()
-    policy = policy or DEFAULT_POLICY
-    rng = _as_rng(rng)
-    visible = translated.visible_relations()
-    base = make_engine(translated, instance)
-    for _ in range(n):
-        run = run_chase_prepared(translated, base.fork(), instance,
-                                 policy, rng, max_steps)
-        if not run.terminated:
-            yield None
-        elif keep_aux:
-            yield run.instance
-        else:
-            yield run.instance.restrict(visible)
-
-
 def chase_step_kernel(program: Program | ExistentialProgram,
                       policy: ChasePolicy | None = None,
                       ) -> SamplerKernel:
@@ -246,7 +155,8 @@ def chase_step_kernel(program: Program | ExistentialProgram,
     On instances with applicable pairs it samples one chase step; on
     instances without, it is the identity kernel.  Recomputes ``App``
     per invocation (kernels are stateless by definition) - use
-    :func:`run_chase` for efficient full runs.
+    ``repro.compile(program).on(instance).run()`` for efficient full
+    runs.
     """
     translated = _as_translated(program)
     policy = policy or DEFAULT_POLICY

@@ -5,18 +5,21 @@ Programming Datalog; the second half of [3] conditions the generated
 distribution on logical constraints, and the paper's conclusion flags
 the continuous case as delicate (conditioning on measure-zero events
 invites the Borel-Kolmogorov paradox).  This module implements the
-unambiguous part as an extension:
+unambiguous part as an extension, run through
+``Session.observe(*constraints).posterior(method=...)``:
 
-* **Exact conditioning** for discrete programs: restrict-and-normalize
-  the enumerated SPDB on a *positive-probability* event.  Error mass is
-  conditioned away (we condition on "the chase terminates AND the event
-  holds" - the only meaningful reading on instances).
-* **Rejection sampling** for arbitrary programs: sample worlds, keep
-  those satisfying the event.  Sound whenever the event has positive
-  probability; for continuous programs this limits constraints to
-  "thick" events (interval conditions, counting events), exactly the
-  boundary the paper draws.  Zero acceptance raises with a pointer to
-  the measure-zero discussion rather than silently looping.
+* **Exact conditioning** (``method="exact"``) for discrete programs:
+  restrict-and-normalize the enumerated SPDB on a
+  *positive-probability* event.  Error mass is conditioned away (we
+  condition on "the chase terminates AND the event holds" - the only
+  meaningful reading on instances).
+* **Rejection sampling** (``method="rejection"``) for arbitrary
+  programs: sample worlds, keep those satisfying the event.  Sound
+  whenever the event has positive probability; for continuous programs
+  this limits constraints to "thick" events (interval conditions,
+  counting events), exactly the boundary the paper draws.  Zero
+  acceptance raises with a pointer to the measure-zero discussion
+  rather than silently looping.
 * :class:`ConstrainedProgram` - a generative program packaged with
   constraint events, mirroring [3]'s PPDL = GDatalog + constraints.
 
@@ -29,14 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-import numpy as np
-
-from repro._compat import warn_legacy
-from repro.core.chase import DEFAULT_MAX_STEPS
-from repro.core.exact import DEFAULT_MAX_DEPTH, DEFAULT_SUPPORT_TOLERANCE
-from repro.core.policies import ChasePolicy
 from repro.core.program import Program
-from repro.core.translate import ExistentialProgram
 from repro.pdb.database import DiscretePDB, MonteCarloPDB
 from repro.pdb.events import Event
 from repro.pdb.instances import Instance
@@ -57,69 +53,6 @@ def _conjunction(constraints: Sequence[ConstraintLike],
                  ) -> Callable[[Instance], bool]:
     predicates = [_as_predicate(c) for c in constraints]
     return lambda instance: all(p(instance) for p in predicates)
-
-
-def _exact_posterior(session, constraints: Sequence[ConstraintLike],
-                     ) -> DiscretePDB:
-    """Exact conditioning through a facade session.
-
-    Shared by the :func:`condition_exact` shim and
-    :class:`ConstrainedProgram`; an empty constraint list conditions
-    on the trivially-true event (restrict-and-normalize away the err
-    mass), matching the historical behaviour.
-    """
-    if not constraints:
-        return session.exact().pdb.condition(lambda _instance: True)
-    return session.observe(*constraints).posterior(method="exact").pdb
-
-
-def _rejection_posterior(session,
-                         constraints: Sequence[ConstraintLike],
-                         n: int) -> "RejectionResult":
-    """Rejection conditioning through a facade session (shared)."""
-    evidence = tuple(constraints) or (lambda _instance: True,)
-    result = session.observe(*evidence).posterior(method="rejection",
-                                                  n=n)
-    return RejectionResult(result.pdb, n,
-                           result.diagnostics["n_accepted"],
-                           result.n_truncated)
-
-
-def condition_exact(program: Program | ExistentialProgram,
-                    instance: Instance | None,
-                    constraints: Sequence[ConstraintLike],
-                    *,
-                    semantics: str = "grohe",
-                    policy: ChasePolicy | None = None,
-                    max_depth: int = DEFAULT_MAX_DEPTH,
-                    tolerance: float = DEFAULT_SUPPORT_TOLERANCE,
-                    keep_aux: bool = False) -> DiscretePDB:
-    """Exact posterior PDB of a discrete program given constraints.
-
-    .. deprecated:: 1.1
-        Use ``repro.compile(program).on(instance)
-        .observe(*constraints).posterior(method="exact")``.
-
-    Raises :class:`repro.errors.MeasureError` if the constraint
-    conjunction has probability zero under the program's output -
-    including the measure-zero case the paper warns about.
-
-    >>> posterior = condition_exact(
-    ...     Program.parse('''
-    ...         A(Flip<0.5>) :- true.
-    ...         B(Flip<0.5>) :- true.
-    ...     '''), None,
-    ...     [lambda D: any(f.args == (1,) for f in D.facts_of("A"))])
-    >>> posterior.total_mass()
-    1.0
-    """
-    warn_legacy("condition_exact",
-                "Session.observe(...).posterior(method='exact')")
-    from repro.api.session import compiled_for
-    session = compiled_for(program, semantics).on(
-        instance, policy=policy, max_depth=max_depth,
-        tolerance=tolerance, keep_aux=keep_aux)
-    return _exact_posterior(session, constraints)
 
 
 @dataclass(frozen=True)
@@ -145,36 +78,6 @@ class RejectionResult:
         return self.n_accepted / terminated
 
 
-def condition_by_rejection(program: Program | ExistentialProgram,
-                           instance: Instance | None,
-                           constraints: Sequence[ConstraintLike],
-                           n: int = 1000,
-                           *,
-                           semantics: str = "grohe",
-                           policy: ChasePolicy | None = None,
-                           rng: np.random.Generator | int | None = None,
-                           max_steps: int = DEFAULT_MAX_STEPS,
-                           keep_aux: bool = False) -> RejectionResult:
-    """Rejection-sample the posterior given constraints.
-
-    .. deprecated:: 1.1
-        Use ``repro.compile(program).on(instance)
-        .observe(*constraints).posterior(method="rejection")``.
-
-    Works for continuous programs; requires the constraints to have
-    positive probability (zero accepted samples raises).  The posterior
-    is an ordinary :class:`MonteCarloPDB`, so the whole query layer
-    applies to it.
-    """
-    warn_legacy("condition_by_rejection",
-                "Session.observe(...).posterior(method='rejection')")
-    from repro.api.session import compiled_for
-    session = compiled_for(program, semantics).on(
-        instance, policy=policy, max_steps=max_steps,
-        keep_aux=keep_aux, seed=rng, streams="shared")
-    return _rejection_posterior(session, constraints, n)
-
-
 class ConstrainedProgram:
     """PPDL-style package: a generative program plus constraints.
 
@@ -194,26 +97,37 @@ class ConstrainedProgram:
                                   self.constraints + (constraint,))
 
     def _session(self, instance: Instance | None, kwargs: dict):
-        from repro.api.session import compiled_for
+        """A facade session; ``rng`` seeds its per-run spawn streams."""
+        from repro.api.session import compile
         semantics = kwargs.pop("semantics", "grohe")
         rng = kwargs.pop("rng", None)
         if rng is not None:
             kwargs.setdefault("seed", rng)
-            kwargs.setdefault("streams", "shared")
-        return compiled_for(self.program, semantics).on(instance,
-                                                        **kwargs)
+        return compile(self.program, semantics=semantics).on(instance,
+                                                             **kwargs)
 
     def exact(self, instance: Instance | None = None,
               **kwargs) -> DiscretePDB:
-        """Exact posterior (discrete programs)."""
-        return _exact_posterior(self._session(instance, kwargs),
-                                self.constraints)
+        """Exact posterior (discrete programs).
+
+        Without constraints this conditions on the trivially-true
+        event: restrict-and-normalize away the err mass.
+        """
+        session = self._session(instance, kwargs)
+        if not self.constraints:
+            return session.exact().pdb.condition(lambda _instance: True)
+        return session.observe(*self.constraints).posterior(
+            method="exact").pdb
 
     def sample(self, instance: Instance | None = None, n: int = 1000,
                **kwargs) -> RejectionResult:
         """Rejection-sampled posterior (any program)."""
-        return _rejection_posterior(self._session(instance, kwargs),
-                                    self.constraints, n)
+        evidence = self.constraints or (lambda _instance: True,)
+        result = self._session(instance, kwargs).observe(
+            *evidence).posterior(method="rejection", n=n)
+        return RejectionResult(result.pdb, n,
+                               result.diagnostics["n_accepted"],
+                               result.n_truncated)
 
     def prior(self, instance: Instance | None = None,
               **kwargs) -> DiscretePDB:

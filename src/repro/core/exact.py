@@ -51,7 +51,8 @@ def _require_discrete(translated: ExistentialProgram) -> None:
             raise UnsupportedProgramError(
                 f"exact enumeration needs discrete distributions; "
                 f"{name} samples {info.distribution.name} (continuous). "
-                "Use sample_spdb for Monte-Carlo semantics instead.")
+                "Use Session.sample(n) for Monte-Carlo semantics "
+                "instead.")
 
 
 def _branches(translated: ExistentialProgram, firing: Firing,

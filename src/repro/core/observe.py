@@ -18,6 +18,10 @@ GDatalog:
 * the resulting weighted ensemble (:class:`repro.pdb.weighted.WeightedPDB`)
   is a self-normalized estimate of the posterior.
 
+``Session.observe(*observations).posterior(method="likelihood")`` runs
+the scheme; this module holds the observation type and the weighted
+chase it drives.
+
 For discrete programs this provably agrees with exact conditioning on
 the corresponding fact event (tested); for continuous programs it
 computes the density-weighted posterior that rejection sampling cannot
@@ -31,17 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro._compat import warn_legacy
 from repro.core.applicability import ApplicabilityEngine, Firing
-from repro.core.chase import DEFAULT_MAX_STEPS
 from repro.core.policies import ChasePolicy
-from repro.core.program import Program
 from repro.core.translate import ExistentialProgram, ExtRule, \
     validate_params_in_theta
 from repro.errors import ValidationError
 from repro.pdb.facts import Fact, normalize_value
 from repro.pdb.instances import Instance
-from repro.pdb.weighted import WeightedPDB
 
 
 @dataclass(frozen=True)
@@ -101,52 +101,6 @@ def _observation_index(translated: ExistentialProgram,
             index[(rule.aux_relation, observation.carried)] = \
                 observation.value
     return index
-
-
-@dataclass(frozen=True)
-class WeightingResult:
-    """Posterior ensemble plus importance-sampling diagnostics."""
-
-    posterior: WeightedPDB
-    n_runs: int
-    n_truncated: int
-    mean_weight: float
-
-    @property
-    def effective_sample_size(self) -> float:
-        return self.posterior.effective_sample_size()
-
-
-def likelihood_weighting(program: Program | ExistentialProgram,
-                         instance: Instance | None,
-                         observations: Sequence[Observation],
-                         n: int = 1000,
-                         *,
-                         semantics: str = "grohe",
-                         policy: ChasePolicy | None = None,
-                         rng: np.random.Generator | int | None = None,
-                         max_steps: int = DEFAULT_MAX_STEPS,
-                         keep_aux: bool = False) -> WeightingResult:
-    """Sample the posterior given sample-level observations.
-
-    .. deprecated:: 1.1
-        Use ``repro.compile(program).on(instance)
-        .observe(*observations).posterior(method="likelihood")``.
-
-    Runs ``n`` chases; observed samples are forced (not drawn) and the
-    run weight accumulates the observation densities.  Budget-truncated
-    runs are dropped (their weight does not enter the posterior).
-    """
-    warn_legacy("likelihood_weighting",
-                "Session.observe(...).posterior(method='likelihood')")
-    from repro.api.session import compiled_for
-    session = compiled_for(program, semantics).on(
-        instance, policy=policy, max_steps=max_steps,
-        keep_aux=keep_aux, seed=rng,
-        streams="shared").observe(*observations)
-    result = session.posterior(method="likelihood", n=n)
-    return WeightingResult(result.pdb, n, result.n_truncated,
-                           result.diagnostics["mean_weight"])
 
 
 def _weighted_chase(translated: ExistentialProgram,

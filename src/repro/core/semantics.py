@@ -1,139 +1,22 @@
-"""Legacy top-level semantics API (now thin facade shims).
+"""Figure-1 bookkeeping for the output SPDB's mass accounting.
 
-Historically this module tied the pipeline together with a flat bag of
-functions, each of which re-translated the program and re-threaded the
-same keyword arguments.  The primary public API is now the
+The output SPDB of a program is computed through the
 compile-once / infer-many facade of :mod:`repro.api`:
 
 >>> import repro
 >>> compiled = repro.compile("R(Flip<0.5>) :- true.")
 >>> pdb = compiled.on().exact().pdb
 
-The historical entry points remain available here as delegating shims
-(each emits a :class:`DeprecationWarning`) so that existing code keeps
-working with identical semantics:
-
-* :func:`exact_spdb` - the exact output SPDB of a *discrete* program
-  (Theorems 4.8 / 5.5 / 6.1), now ``Session.exact()``;
-* :func:`sample_spdb` - the Monte-Carlo output SPDB of any program,
-  now ``Session.sample(n)``;
-* :func:`apply_to_pdb` - a program applied to a probabilistic *input*
-  database, now ``CompiledProgram.apply_to_pdb``;
-* :func:`spdb_mass_report` - the Figure-1 bookkeeping, now
-  ``Session.mass_report``.
-
-Auxiliary relations (``Result#i`` / ``Sample#ψ``) are projected away by
-default (Remark 4.9); pass ``keep_aux=True`` to inspect them.
+``Session.exact()`` is the exact output SPDB of a *discrete* program
+(Theorems 4.8 / 5.5 / 6.1), ``Session.sample(n)`` the Monte-Carlo one
+of any program, ``CompiledProgram.apply_to_pdb`` a program applied to
+a probabilistic *input* database, and ``Session.mass_report`` the
+Figure-1 accounting whose rows this module defines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-
-from repro._compat import warn_legacy
-from repro.core.chase import DEFAULT_MAX_STEPS
-from repro.core.exact import (DEFAULT_MAX_DEPTH,
-                              DEFAULT_SUPPORT_TOLERANCE)
-from repro.core.policies import ChasePolicy
-from repro.core.program import Program
-from repro.core.translate import ExistentialProgram
-from repro.pdb.database import DiscretePDB, MonteCarloPDB
-from repro.pdb.instances import Instance
-
-
-def exact_spdb(program: Program | ExistentialProgram,
-               instance: Instance | None = None,
-               *,
-               semantics: str = "grohe",
-               parallel: bool = False,
-               policy: ChasePolicy | None = None,
-               max_depth: int = DEFAULT_MAX_DEPTH,
-               tolerance: float = DEFAULT_SUPPORT_TOLERANCE,
-               keep_aux: bool = False) -> DiscretePDB:
-    """Exact output SPDB of a discrete program.
-
-    .. deprecated:: 1.1
-        Use ``repro.compile(program).on(instance).exact().pdb``.
-
-    By Theorem 6.1 the result is independent of ``parallel`` and
-    ``policy`` - parameters exposed precisely so that tests and
-    benchmarks can *verify* that independence.
-
-    >>> g0 = Program.parse('''
-    ...     R(Flip<0.5>) :- true.
-    ...     R(Flip<0.5>) :- true.
-    ... ''')
-    >>> pdb = exact_spdb(g0)
-    >>> pdb.support_size()   # {R(0)}, {R(1)}, {R(0), R(1)}
-    3
-    """
-    warn_legacy("exact_spdb",
-                "repro.compile(program).on(instance).exact()")
-    from repro.api.session import compiled_for
-    session = compiled_for(program, semantics).on(
-        instance, parallel=parallel, policy=policy, max_depth=max_depth,
-        tolerance=tolerance, keep_aux=keep_aux)
-    return session.exact().pdb
-
-
-def sample_spdb(program: Program | ExistentialProgram,
-                instance: Instance | None = None,
-                n: int = 1000,
-                *,
-                semantics: str = "grohe",
-                parallel: bool = False,
-                policy: ChasePolicy | None = None,
-                rng: np.random.Generator | int | None = None,
-                max_steps: int = DEFAULT_MAX_STEPS,
-                keep_aux: bool = False) -> MonteCarloPDB:
-    """Monte-Carlo output SPDB: ``n`` independent chase runs.
-
-    .. deprecated:: 1.1
-        Use ``repro.compile(program).on(instance).sample(n).pdb``.
-
-    Works for continuous programs (where it is the only representation)
-    and discrete ones (where it converges to :func:`exact_spdb`).
-    Budget-truncated runs are counted as ``err`` mass.  The shim runs
-    the legacy single-stream RNG scheme (``streams="shared"``) so that
-    seeded outputs are bit-identical to historical releases.
-    """
-    warn_legacy("sample_spdb",
-                "repro.compile(program).on(instance).sample(n)")
-    from repro.api.session import compiled_for
-    session = compiled_for(program, semantics).on(
-        instance, parallel=parallel, policy=policy, max_steps=max_steps,
-        keep_aux=keep_aux, seed=rng, streams="shared")
-    return session.sample(n).pdb
-
-
-def apply_to_pdb(program: Program | ExistentialProgram,
-                 input_pdb: DiscretePDB,
-                 *,
-                 semantics: str = "grohe",
-                 parallel: bool = False,
-                 policy: ChasePolicy | None = None,
-                 max_depth: int = DEFAULT_MAX_DEPTH,
-                 tolerance: float = DEFAULT_SUPPORT_TOLERANCE,
-                 keep_aux: bool = False) -> DiscretePDB:
-    """Apply a discrete program to a probabilistic input database.
-
-    .. deprecated:: 1.1
-        Use ``repro.compile(program).apply_to_pdb(input_pdb).pdb``.
-
-    Theorem 4.8 (second part): with an SPDB as input, the program
-    defines an SPDB as output.  Operationally the output measure is the
-    mixture, over input worlds ``D_0`` with weight ``P(D_0)``, of the
-    per-world output SPDBs; input error mass passes through unchanged.
-    """
-    warn_legacy("apply_to_pdb",
-                "repro.compile(program).apply_to_pdb(input_pdb)")
-    from repro.api.session import compiled_for
-    result = compiled_for(program, semantics).apply_to_pdb(
-        input_pdb, parallel=parallel, policy=policy,
-        max_depth=max_depth, tolerance=tolerance, keep_aux=keep_aux)
-    return result.pdb
 
 
 @dataclass(frozen=True)
@@ -154,28 +37,3 @@ class MassReport:
     @property
     def total(self) -> float:
         return self.instance_mass + self.err_mass
-
-
-def spdb_mass_report(program: Program | ExistentialProgram,
-                     instance: Instance | None = None,
-                     budgets: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-                     *,
-                     semantics: str = "grohe",
-                     policy: ChasePolicy | None = None,
-                     tolerance: float = DEFAULT_SUPPORT_TOLERANCE,
-                     ) -> list[MassReport]:
-    """Mass accounting across depth budgets (experiment E9).
-
-    .. deprecated:: 1.1
-        Use ``repro.compile(program).on(instance).mass_report(budgets)``.
-
-    For terminating programs the err mass drops to 0 once the budget
-    exceeds the tree height; for almost-surely-non-terminating programs
-    it stays near 1 for every budget.
-    """
-    warn_legacy("spdb_mass_report",
-                "repro.compile(program).on(instance).mass_report(...)")
-    from repro.api.session import compiled_for
-    session = compiled_for(program, semantics).on(
-        instance, policy=policy, tolerance=tolerance)
-    return session.mass_report(budgets)

@@ -26,9 +26,6 @@ Structural vs opaque selections - the planner's contract:
 :func:`repro.query.columnar.explain` reports which strategy a plan
 gets over a given PDB (``"lifted"``, ``"columnar"``, ``"fallback"``
 or ``"worlds"``).
-
-The former homes of the lifted functions in
-:mod:`repro.query.lifted` remain importable but are deprecated shims.
 """
 
 from repro.query.aggregates import (Aggregate, AggregateFunction, agg_avg,

@@ -2,8 +2,8 @@
 
 Fact 2.6 covers aggregate queries as measurable functions on PDBs; this
 module provides the instance-level evaluation, and
-:mod:`repro.query.lifted` pushes the results forward to distributions
-over aggregate values.
+:mod:`repro.query.columnar` pushes the results forward to
+distributions over aggregate values.
 
 An :class:`Aggregate` wraps a relational query, a list of group-by
 columns, and named aggregate specifications.  Evaluation yields a

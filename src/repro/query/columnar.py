@@ -31,9 +31,7 @@ fall back *transparently* to the per-world evaluator (via
 The module also hosts the unified push-forward implementation behind
 :meth:`repro.api.Session.query`: one dispatch covering exact PDBs,
 plain and columnar Monte-Carlo ensembles, and weighted (posterior)
-ensembles including the streamed :class:`WeightedColumnarPDB` - which
-the historical :mod:`repro.query.lifted` entry points could not
-answer at all.
+ensembles including the streamed :class:`WeightedColumnarPDB`.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ the result of a relational algebra view") and for post-processing
 program outputs (Remark 4.9).  This module implements the algebra as
 composable :class:`Query` trees evaluated over instances; the lifting
 to (S)PDBs - the push-forward along the induced measurable function -
-lives in :mod:`repro.query.lifted`.
+lives in :mod:`repro.query.columnar`.
 
 Queries produce :class:`Relation` values: named column tuples with set
 semantics, convertible back to instances.  Columns are referenced by

@@ -148,9 +148,9 @@ class ProgramServer:
 
     # -- caches -------------------------------------------------------------
 
-    def compiled_for(self, source: str,
-                     semantics: str = "grohe",
-                     ) -> tuple[str, CompiledProgram, bool]:
+    def program_for(self, source: str,
+                    semantics: str = "grohe",
+                    ) -> tuple[str, CompiledProgram, bool]:
         """(sha, compiled program, was-cache-hit) for program text."""
         if not isinstance(source, str) or not source.strip():
             raise ValidationError(
@@ -184,7 +184,7 @@ class ProgramServer:
                      compiled: CompiledProgram) -> dict:
         """The pre-flight deep-analysis payload for a cached program.
 
-        Normally already present (``compiled_for`` computes it on
+        Normally already present (``program_for`` computes it on
         compile); recomputed only if the entry was evicted between
         the compile and this lookup.
         """
@@ -295,7 +295,7 @@ class ProgramServer:
         if op in _STREAM_OPS:
             return self._dispatch_stream(op, request)
         semantics = request.get("semantics", "grohe")
-        sha, compiled, cached = self.compiled_for(
+        sha, compiled, cached = self.program_for(
             request.get("program"), semantics)
         if op == "analyze":
             if request.get("deep"):

@@ -13,8 +13,7 @@ Combined with the batched engine's per-world draw schedule
 ``per_world_rngs``, where a world's draw sequence is a function of its
 own trajectory only), this yields the package's central guarantee:
 **sharded output is bit-identical across shard counts**, and the
-scalar-mode output is bit-identical to the single-process scalar path
-under ``streams="spawn"``.
+scalar-mode output is bit-identical to the single-process scalar path.
 
 Workers follow the factory-of-generators -> ``Pool.imap_unordered`` ->
 sink shape: the pool initializer builds warm per-process state (the
@@ -294,19 +293,15 @@ def sample_sharded(session, n: int, config: ChaseConfig | None = None,
     """Sample ``n`` worlds across ``config.shards`` process shards.
 
     The routing target of ``Session.sample(n, shards=k)``.  Requires
-    the ``"spawn"`` stream scheme and an int-or-None seed (per-world
-    streams must be reconstructible from a plan, not from mutable
-    generator state).  ``executor`` may be a warm
-    :class:`ShardExecutor` for the same (program, instance, config)
-    context; without one, a transient pool is created for the call.
+    an int-or-None seed (per-world streams must be reconstructible
+    from a plan, not from mutable generator state).  ``executor`` may
+    be a warm :class:`ShardExecutor` for the same (program, instance,
+    config) context; without one, a transient pool is created for the
+    call.
     """
     from repro.serving.merge import merge_shard_results
     cfg = config if config is not None else session.config
     shards = cfg.shards or 1
-    if cfg.streams != "spawn":
-        raise ValidationError(
-            "sharded sampling requires streams='spawn'; the 'shared' "
-            "scheme's single sequential stream cannot be partitioned")
     if isinstance(cfg.seed, np.random.Generator):
         raise ValidationError(
             "sharded sampling requires an int or None seed; a "

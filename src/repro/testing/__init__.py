@@ -12,7 +12,7 @@ theorems into an unbounded, automatic test generator:
   and off);
 * :mod:`~repro.testing.oracles` - paired pipelines that must agree
   (naive vs semi-naive, sequential vs parallel, exact vs sampled,
-  facade vs legacy shims, FDs, termination analysis);
+  input-PDB mixtures vs generator rules, FDs, termination analysis);
 * :mod:`~repro.testing.shrink` - delta-debugging minimizer for
   discrepancies;
 * :mod:`~repro.testing.corpus` - persisted reproducers replayed by the
@@ -46,9 +46,9 @@ from repro.testing.fuzz import (CONTINUOUS, DEFAULT_FUZZ_CONFIG,
 from repro.testing.oracles import (BaranyAgreementOracle,
                                    BatchedVsScalarOracle,
                                    ChaseOrderOracle, ExactVsSampleOracle,
-                                   FacadeVsLegacyOracle, FixpointOracle,
-                                   InducedFDOracle, Oracle,
-                                   OracleOutcome, StaticDynamicOracle,
+                                   FixpointOracle, InducedFDOracle,
+                                   Oracle, OracleOutcome,
+                                   PdbInputOracle, StaticDynamicOracle,
                                    TerminationOracle,
                                    default_oracles, oracles_by_name)
 from repro.testing.runner import (Discrepancy, FuzzReport, OracleStats,
@@ -60,9 +60,10 @@ __all__ = [
     "CONTINUOUS", "BaranyAgreementOracle", "BatchedVsScalarOracle",
     "ChaseOrderOracle", "DEFAULT_FUZZ_CONFIG",
     "Discrepancy", "ExactVsSampleOracle", "FINITE_DISCRETE",
-    "FacadeVsLegacyOracle", "FixpointOracle", "FuzzCase", "FuzzConfig",
+    "FixpointOracle", "FuzzCase", "FuzzConfig",
     "FuzzReport", "INFINITE_DISCRETE", "InducedFDOracle", "KINDS",
-    "Oracle", "OracleOutcome", "OracleStats", "ReplayResult",
+    "Oracle", "OracleOutcome", "OracleStats", "PdbInputOracle",
+    "ReplayResult",
     "StaticDynamicOracle",
     "TerminationOracle", "CoverageTracker", "case_features",
     "case_rank", "case_seed", "case_size",

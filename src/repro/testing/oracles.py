@@ -16,8 +16,9 @@ Each :class:`Oracle` here checks one such agreement on a generated
 * ``exact-vs-sample``- exact SPDB vs Monte-Carlo sampling, with
   binomial-sigma marginal bounds and a chi-squared world-distribution
   test;
-* ``facade-legacy``  - the :mod:`repro.api` facade vs the deprecated
-  top-level shims, which must be draw-for-draw identical;
+* ``pdb-input``      - a program applied to a tuple-independent input
+  PDB (Theorem 4.8, second part) vs one exact chase of the program
+  plus rules that generate the input facts;
 * ``batched-scalar`` - the vectorized batch backend
   (:mod:`repro.engine.batched`) vs the scalar per-run loop: exact
   marginal/chi-squared agreement against the exact SPDB where
@@ -84,7 +85,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 from dataclasses import dataclass
 
 from repro.analysis import deep_analyze
@@ -92,20 +92,22 @@ from repro.api.session import CompiledProgram, Session, compile as \
     _compile
 from repro.core.policies import (DEFAULT_POLICY, FirstPolicy,
                                  LastPolicy, RoundRobinPolicy)
+from repro.core.atoms import Atom
+from repro.core.exact import DEFAULT_MAX_DEPTH
 from repro.core.fd import check_all_fds, fd_violation_report, induced_fds
 from repro.core.observe import Observation
+from repro.core.rules import Rule
 from repro.core.terms import Const, RandomTerm
 from repro.errors import (DistributionError, MeasureError, ReproError,
                           StreamingUnsupported, ValidationError)
 from repro.core.program import Program
-from repro.core.semantics import (apply_to_pdb as legacy_apply_to_pdb,
-                                  exact_spdb, sample_spdb)
 from repro.core.termination import weakly_acyclic
 from repro.engine.seminaive import (naive_fixpoint, seminaive_closure,
                                     seminaive_fixpoint)
 from repro.measures.empirical import ks_critical_value, ks_two_sample
 from repro.pdb.database import DiscretePDB, MonteCarloPDB
 from repro.pdb.events import ContainsFactEvent
+from repro.pdb.instances import Instance
 from repro.pdb.stats import fact_marginals
 from repro.testing.fuzz import FuzzCase, random_value_positions
 
@@ -379,44 +381,59 @@ class ExactVsSampleOracle(Oracle):
         return _ok()
 
 
-class FacadeVsLegacyOracle(Oracle):
-    """The api facade vs the deprecated shims: identical draws."""
+class PdbInputOracle(Oracle):
+    """A program applied to an input PDB (Theorem 4.8, second part).
 
-    name = "facade-legacy"
+    ``CompiledProgram.apply_to_pdb`` mixes the per-world exact SPDBs
+    over the input worlds.  The same SPDB comes out of one exact
+    chase once the input's randomness moves into the program: each
+    uncertain input fact ``R(ā)``, with ``p`` its marginal, gets the
+    generator rules ``KeepInJ(Flip<p>) :- true.`` and
+    ``R(ā) :- KeepInJ(1).``, while facts with ``p = 1`` stay in the
+    instance.  Restricted to the program's visible relations, the two
+    exact SPDBs must agree to float tolerance.  The fuzzer's input PDBs
+    are tuple-independent by construction
+    (:func:`~repro.testing.fuzz.random_input_pdb`), so the marginals
+    determine them.
+    """
 
-    def __init__(self, n_runs: int = 60, max_steps: int = 150):
-        self.n_runs = n_runs
-        self.max_steps = max_steps
+    name = "pdb-input"
+
+    #: Chase steps one uncertain fact's generator rules add: the
+    #: ``Flip`` draw, its result fact and the re-derived input fact.
+    STEPS_PER_FACT = 3
 
     def check(self, case: FuzzCase) -> OracleOutcome:
-        seed = case.seed & 0x7FFFFFFF
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            facade_mc = _session(
-                case, seed=seed, streams="shared",
-                max_steps=self.max_steps).sample(self.n_runs).pdb
-            legacy_mc = sample_spdb(
-                case.program, case.instance, self.n_runs, rng=seed,
-                max_steps=self.max_steps)
-            detail = compare_monte_carlo_pdbs(facade_mc, legacy_mc)
-            if detail:
-                return _fail(f"sample path: {detail}")
-            if _exactable(case):
-                facade_exact = _session(case).exact().pdb
-                legacy_exact = exact_spdb(case.program, case.instance)
-                detail = compare_discrete_pdbs(facade_exact,
-                                               legacy_exact)
-                if detail:
-                    return _fail(f"exact path: {detail}")
-                if case.input_pdb is not None:
-                    facade_mix = _compiled(case) \
-                        .apply_to_pdb(case.input_pdb).pdb
-                    legacy_mix = legacy_apply_to_pdb(case.program,
-                                                     case.input_pdb)
-                    detail = compare_discrete_pdbs(facade_mix,
-                                                   legacy_mix)
-                    if detail:
-                        return _fail(f"apply_to_pdb path: {detail}")
+        if case.input_pdb is None:
+            return _skip("no input PDB")
+        if not _exactable(case):
+            return _skip("exact enumeration unavailable")
+        compiled = _compiled(case)
+        mixture = compiled.apply_to_pdb(case.input_pdb).pdb
+        marginals = sorted(fact_marginals(case.input_pdb).items(),
+                           key=lambda item: item[0].sort_key())
+        certain = [fact for fact, p in marginals if math.isclose(p, 1.0)]
+        uncertain = [(fact, p) for fact, p in marginals
+                     if not math.isclose(p, 1.0)]
+        flip = case.program.registry["Flip"]
+        generators = []
+        for index, (fact, p) in enumerate(uncertain):
+            keep = f"KeepIn{index}"
+            draw = RandomTerm(flip, (Const(p),))
+            generators.append(Rule(Atom(keep, (draw,))))
+            generators.append(Rule(
+                Atom(fact.relation, tuple(map(Const, fact.args))),
+                (Atom(keep, (Const(1),)),)))
+        generated = Program(tuple(case.program.rules) + tuple(generators),
+                            registry=case.program.registry)
+        max_depth = DEFAULT_MAX_DEPTH \
+            + self.STEPS_PER_FACT * len(uncertain)
+        joint = _compile(generated).on(
+            Instance(certain), max_depth=max_depth).exact().pdb
+        detail = compare_discrete_pdbs(
+            mixture, joint.project(compiled.visible_relations))
+        if detail:
+            return _fail(f"apply_to_pdb vs generator rules: {detail}")
         return _ok()
 
 
@@ -693,8 +710,8 @@ class ShardedVsSingleOracle(Oracle):
     identical (per-world SeedSequence streams + the per-world draw
     schedule make a world's outcome independent of its shard); (b) in
     scalar mode, a sharded batch must be bit-identical to the
-    single-process scalar loop under ``streams="spawn"`` (same
-    streams, same code path per world); and (c) on exactable cases the
+    single-process scalar loop (same streams, same code path per
+    world); and (c) on exactable cases the
     merged ensemble must agree with the exact SPDB (the law check).
     Shards execute inline - the identical worker code path without the
     process pool - keeping the always-on fuzz battery cheap.
@@ -1457,7 +1474,7 @@ class StaticDynamicOracle(Oracle):
 def default_oracles() -> list[Oracle]:
     """The standard oracle battery, cheapest first."""
     return [FixpointOracle(), ChaseOrderOracle(), ExactVsSampleOracle(),
-            FacadeVsLegacyOracle(), BatchedVsScalarOracle(),
+            PdbInputOracle(), BatchedVsScalarOracle(),
             BaranyAgreementOracle(), ShardedVsSingleOracle(),
             InducedFDOracle(), TerminationOracle(),
             StreamingBatchOracle(), ColumnarQueryOracle(),

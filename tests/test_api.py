@@ -1,15 +1,17 @@
 """Tests for the compile-once / infer-many facade (repro.api).
 
-Covers the satellite checklist of the facade PR:
+Covers:
 
 * :class:`ChaseConfig` validation and immutability;
 * compile-once caching - a translation-count regression test proving
   that ``Session.sample(n)`` performs exactly one translation;
-* :class:`DeprecationWarning` emission from every legacy shim;
-* behavioural equivalence of the facade with the legacy entry points.
+* the facade verbs, checked against the enumeration kernels they
+  wrap;
+* a facade that emits no :class:`DeprecationWarning`.
 """
 
 import dataclasses
+import hashlib
 import importlib
 import warnings
 
@@ -23,8 +25,10 @@ import repro
 translate_module = importlib.import_module("repro.core.translate")
 from repro.api import (DEFAULT_CONFIG, ChaseConfig, CompiledProgram,
                        InferenceResult, Session)
+from repro.core.exact import exact_sequential_spdb
 from repro.core.observe import observe
 from repro.errors import MeasureError, ValidationError
+from repro.pdb.database import mixture_pdb
 from repro.pdb.events import ContainsFactEvent
 
 
@@ -61,7 +65,7 @@ class TestChaseConfig:
     def test_defaults(self):
         config = ChaseConfig()
         assert config.engine == "incremental"
-        assert config.streams == "spawn"
+        assert config.backend == "auto"
         assert not config.parallel
         assert config.policy is None
         assert config == DEFAULT_CONFIG
@@ -72,7 +76,7 @@ class TestChaseConfig:
 
     @pytest.mark.parametrize("overrides", [
         {"engine": "turbo"},
-        {"streams": "vectorized"},
+        {"backend": "vectorized"},
         {"max_steps": 0},
         {"max_steps": -5},
         {"max_steps": 1.5},
@@ -109,14 +113,9 @@ class TestChaseConfig:
         assert a == b                      # reproducible
         assert len(set(a)) == 4            # independent streams
 
-    def test_shared_stream_is_one_generator(self):
-        config = ChaseConfig(seed=13, streams="shared")
-        rngs = config.spawn_rngs(5)
-        assert all(rng is rngs[0] for rng in rngs)
-
     def test_generator_seed_passthrough(self):
         rng = np.random.default_rng(0)
-        config = ChaseConfig(seed=rng, streams="shared")
+        config = ChaseConfig(seed=rng)
         assert config.base_rng() is rng
 
 
@@ -255,11 +254,12 @@ class TestCompileOnceRegression:
         assert calls["n"] == 1
 
     def test_legacy_path_translates_per_call(self, monkeypatch, g0):
+        # The 1.x flat functions compiled per call; doing that by hand
+        # still pays one translation per call, because the cache lives
+        # on the CompiledProgram, not in a global table.
         calls = self._counting(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            repro.sample_spdb(g0, n=5, rng=0)
-            repro.sample_spdb(g0, n=5, rng=0)
+        repro.compile(g0).on(seed=0).sample(5)
+        repro.compile(g0).on(seed=0).sample(5)
         assert calls["n"] == 2
 
     def test_exact_result_cached_per_config(self, g0):
@@ -276,14 +276,19 @@ class TestCompileOnceRegression:
 
 class TestSessionSample:
     def test_matches_legacy_sample_spdb_bit_for_bit(self, earthquake):
+        # One Generator threaded through n Session.run calls replays
+        # the 1.x shared-stream sample_spdb(program, instance, n=200,
+        # rng=7), pinned here by the digest of its worlds.
         program, instance = earthquake
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = repro.sample_spdb(program, instance, n=200, rng=7)
-        facade = repro.compile(program).on(
-            instance, seed=7, streams="shared").sample(200).pdb
-        assert [w.canonical_text() for w in legacy.worlds] == \
-            [w.canonical_text() for w in facade.worlds]
+        session = repro.compile(program).on(instance)
+        visible = session.compiled.visible_relations
+        rng = np.random.default_rng(7)
+        worlds = [session.run(rng=rng).instance.restrict(visible)
+                  for _ in range(200)]
+        assert hashlib.sha256("\n".join(
+            world.canonical_text() for world in worlds).encode(),
+        ).hexdigest() == ("6c4f0f5e6f06899ada520d15d0238dda"
+                          "8b9a8c3ff83b69c661a98d1811e6f09d")
 
     def test_spawn_streams_deterministic(self, earthquake):
         program, instance = earthquake
@@ -292,26 +297,6 @@ class TestSessionSample:
         b = compiled.on(instance, seed=3).sample(100).pdb
         assert [w.canonical_text() for w in a.worlds] == \
             [w.canonical_text() for w in b.worlds]
-
-    def test_workers_match_sequential(self, earthquake):
-        # Worker threads are a scalar-path feature (the batched
-        # backend is already vectorized, and "auto" routes workers > 1
-        # to the scalar loop), so pin the backend for the comparison.
-        program, instance = earthquake
-        compiled = repro.compile(program)
-        sequential = compiled.on(instance, seed=5).sample(
-            60, backend="scalar").pdb
-        threaded_result = compiled.on(instance, seed=5).sample(
-            60, workers=4)
-        assert threaded_result.backend == "scalar"
-        threaded = threaded_result.pdb
-        assert [w.canonical_text() for w in sequential.worlds] == \
-            [w.canonical_text() for w in threaded.worlds]
-
-    def test_workers_require_spawn_streams(self, g0):
-        session = repro.compile(g0).on(seed=0, streams="shared")
-        with pytest.raises(ValidationError):
-            session.sample(10, workers=2)
 
     def test_sample_rejects_nonpositive_n(self, g0):
         with pytest.raises(ValidationError):
@@ -339,10 +324,9 @@ class TestSessionSample:
 
 class TestSessionExact:
     def test_matches_legacy_exact_spdb(self, earthquake):
+        # The enumeration kernel the 1.x exact_spdb called directly.
         program, instance = earthquake
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = repro.exact_spdb(program, instance)
+        legacy = exact_sequential_spdb(program.translate(), instance)
         facade = repro.compile(program).on(instance).exact().pdb
         assert facade.allclose(legacy)
         assert facade.marginal(repro.Fact("Alarm", ("h1",))) == \
@@ -370,9 +354,9 @@ class TestSessionPosterior:
     def test_exact_conditioning_matches_legacy(self, earthquake):
         program, instance = earthquake
         alarm = ContainsFactEvent(repro.Fact("Alarm", ("h1",)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = repro.condition_exact(program, instance, [alarm])
+        # 1.x condition_exact: restrict-and-normalize the enumeration.
+        legacy = exact_sequential_spdb(
+            program.translate(), instance).condition(alarm)
         facade = repro.compile(program).on(instance).observe(
             alarm).posterior(method="exact").pdb
         assert facade.allclose(legacy)
@@ -464,9 +448,10 @@ class TestSessionMisc:
         input_pdb = repro.compile(g0).on().exact().pdb
         follow = repro.Program.parse("S(x) :- R(x).",
                                      extensional=("R",))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = repro.apply_to_pdb(follow, input_pdb)
+        # 1.x apply_to_pdb: the mixture of per-input-world SPDBs.
+        legacy = mixture_pdb([
+            (weight, exact_sequential_spdb(follow.translate(), world))
+            for world, weight in input_pdb.worlds()])
         facade = repro.compile(follow).apply_to_pdb(input_pdb).pdb
         assert facade.allclose(legacy)
 
@@ -496,66 +481,20 @@ class TestSessionMisc:
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims
+# Deprecation warnings
 # ---------------------------------------------------------------------------
 
 class TestDeprecationShims:
-    """Every legacy entry point warns exactly and keeps working."""
+    """2.0 removed the warning shims; the facade warns about nothing."""
 
-    def test_exact_spdb_warns(self, g0):
-        with pytest.warns(DeprecationWarning, match="exact_spdb"):
-            pdb = repro.exact_spdb(g0)
-        assert pdb.support_size() == 3
-
-    def test_sample_spdb_warns(self, g0):
-        with pytest.warns(DeprecationWarning, match="sample_spdb"):
-            pdb = repro.sample_spdb(g0, n=20, rng=0)
-        assert pdb.n_runs == 20
-
-    def test_run_chase_warns(self, g0):
-        with pytest.warns(DeprecationWarning, match="run_chase"):
-            run = repro.run_chase(g0, rng=0)
-        assert run.terminated
-
-    def test_chase_outputs_warns(self, g0):
-        with pytest.warns(DeprecationWarning, match="chase_outputs"):
-            outputs = list(repro.chase_outputs(g0, None, 3, rng=0))
-        assert len(outputs) == 3
-
-    def test_apply_to_pdb_warns(self, g0):
-        prior = repro.compile(g0).on().exact().pdb
-        follow = repro.Program.parse("S(x) :- R(x).",
-                                     extensional=("R",))
-        with pytest.warns(DeprecationWarning, match="apply_to_pdb"):
-            repro.apply_to_pdb(follow, prior)
-
-    def test_spdb_mass_report_warns(self, g0):
-        with pytest.warns(DeprecationWarning,
-                          match="spdb_mass_report"):
-            reports = repro.spdb_mass_report(g0, budgets=(4,))
-        assert reports[0].instance_mass == pytest.approx(1.0)
-
-    def test_condition_exact_warns(self, g0):
-        event = ContainsFactEvent(repro.Fact("R", (1,)))
-        with pytest.warns(DeprecationWarning, match="condition_exact"):
-            posterior = repro.condition_exact(g0, None, [event])
-        assert posterior.total_mass() == pytest.approx(1.0)
-
-    def test_condition_by_rejection_warns(self, g0):
-        event = ContainsFactEvent(repro.Fact("R", (1,)))
-        with pytest.warns(DeprecationWarning,
-                          match="condition_by_rejection"):
-            result = repro.condition_by_rejection(g0, None, [event],
-                                                  n=100, rng=0)
-        assert result.n_accepted > 0
-
-    def test_likelihood_weighting_warns(self):
-        program = repro.Program.parse("A(Flip<0.4>) :- true.")
-        with pytest.warns(DeprecationWarning,
-                          match="likelihood_weighting"):
-            result = repro.likelihood_weighting(
-                program, None, [observe("A", 1)], n=50, rng=0)
-        assert result.posterior.n_worlds == 50
+    def test_removed_names_are_gone(self):
+        for name in ("exact_spdb", "sample_spdb", "apply_to_pdb",
+                     "spdb_mass_report", "run_chase", "chase_outputs",
+                     "likelihood_weighting", "condition_exact",
+                     "condition_by_rejection"):
+            assert not hasattr(repro, name)
+            assert not hasattr(repro.core, name)
+        assert not hasattr(repro.api, "compiled_for")
 
     def test_facade_emits_no_deprecation_warnings(self, earthquake):
         program, instance = earthquake

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core.barany import (TaggedDistribution,
                                simulation_helper_relations,
                                to_barany_simulation, to_grohe_simulation)
 from repro.core.program import Program
-from repro.core.semantics import exact_spdb
 from repro.distributions.registry import DEFAULT_REGISTRY
 from repro.workloads import paper
 from repro.pdb.facts import Fact
@@ -18,17 +18,18 @@ def assert_simulation_faithful(program, instance=None):
     """Core claim of §6.2 in both directions, on exact SPDBs."""
     visible = program.relations()
 
-    target = exact_spdb(program, instance, semantics="barany") \
-        .project(visible)
-    simulated = exact_spdb(to_grohe_simulation(program), instance,
-                           semantics="grohe").project(visible)
+    target = repro.compile(program, semantics="barany").on(
+        instance).exact().pdb.project(visible)
+    simulated = repro.compile(to_grohe_simulation(program),
+                              semantics="grohe").on(
+        instance).exact().pdb.project(visible)
     assert simulated.allclose(target), "barany-in-grohe failed"
 
-    target = exact_spdb(program, instance, semantics="grohe") \
-        .project(visible)
+    target = repro.compile(program, semantics="grohe").on(
+        instance).exact().pdb.project(visible)
     rewritten, _registry = to_barany_simulation(program)
-    simulated = exact_spdb(rewritten, instance,
-                           semantics="barany").project(visible)
+    simulated = repro.compile(rewritten, semantics="barany").on(
+        instance).exact().pdb.project(visible)
     assert simulated.allclose(target), "grohe-in-barany failed"
 
 
@@ -70,11 +71,11 @@ class TestGroheSimulation:
             Shake(c, Flip<r>) :- City(c, r).
         """)
         D = Instance.of(Fact("City", ("n", 0.5)))
-        pdb = exact_spdb(program, D, semantics="barany")
+        pdb = repro.compile(program, semantics="barany").on(D).exact().pdb
         both = pdb.prob(lambda w: Fact("Quake", ("n", 1)) in w
                         and Fact("Shake", ("n", 1)) in w)
         assert both == pytest.approx(0.5)  # perfectly correlated
-        pdb = exact_spdb(program, D, semantics="grohe")
+        pdb = repro.compile(program, semantics="grohe").on(D).exact().pdb
         both = pdb.prob(lambda w: Fact("Quake", ("n", 1)) in w
                         and Fact("Shake", ("n", 1)) in w)
         assert both == pytest.approx(0.25)  # independent

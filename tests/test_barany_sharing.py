@@ -11,7 +11,7 @@ comparison on a non-toy program.
 
 import pytest
 
-from repro.core.semantics import exact_spdb
+import repro
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.workloads import paper
@@ -29,8 +29,8 @@ class TestEarthquakeSharing:
             self, earthquake_program, two_city_instance):
         # Earthquake(c, Flip<0.1>): constant parameters, so under [3]
         # there is ONE earthquake coin for the whole world.
-        pdb = exact_spdb(earthquake_program, two_city_instance,
-                         semantics="barany")
+        pdb = repro.compile(earthquake_program, semantics="barany").on(
+            two_city_instance).exact().pdb
         both = pdb.prob(lambda D: Fact("Earthquake", ("a", 1)) in D
                         and Fact("Earthquake", ("b", 1)) in D)
         either = pdb.prob(lambda D: Fact("Earthquake", ("a", 1)) in D
@@ -40,8 +40,8 @@ class TestEarthquakeSharing:
 
     def test_grohe_cities_quake_independently(
             self, earthquake_program, two_city_instance):
-        pdb = exact_spdb(earthquake_program, two_city_instance,
-                         semantics="grohe")
+        pdb = repro.compile(earthquake_program, semantics="grohe").on(
+            two_city_instance).exact().pdb
         both = pdb.prob(lambda D: Fact("Earthquake", ("a", 1)) in D
                         and Fact("Earthquake", ("b", 1)) in D)
         assert both == pytest.approx(0.01)
@@ -51,9 +51,9 @@ class TestEarthquakeSharing:
         instance = paper.example_3_4_instance(
             cities={"a": 0.05}, houses={"h": "a"}, businesses={})
         quake = Fact("Earthquake", ("a", 1))
-        ours = exact_spdb(earthquake_program, instance)
-        theirs = exact_spdb(earthquake_program, instance,
-                            semantics="barany")
+        ours = repro.compile(earthquake_program).on(instance).exact().pdb
+        theirs = repro.compile(earthquake_program, semantics="barany").on(
+            instance).exact().pdb
         assert ours.marginal(quake) == pytest.approx(0.1)
         assert theirs.marginal(quake) == pytest.approx(0.1)
 
@@ -62,8 +62,8 @@ class TestBurglarySharing:
     def test_equal_rates_share_burglary_sample_under_barany(
             self, earthquake_program, two_city_instance):
         # Burglary(x, c, Flip<r>): equal r ⇒ one shared sample in [3].
-        pdb = exact_spdb(earthquake_program, two_city_instance,
-                         semantics="barany")
+        pdb = repro.compile(earthquake_program, semantics="barany").on(
+            two_city_instance).exact().pdb
         b1 = Fact("Burglary", ("h1", "a", 1))
         b2 = Fact("Burglary", ("h2", "b", 1))
         both = pdb.prob(lambda D: b1 in D and b2 in D)
@@ -74,8 +74,8 @@ class TestBurglarySharing:
         instance = paper.example_3_4_instance(
             cities={"a": 0.05, "b": 0.07},
             houses={"h1": "a", "h2": "b"}, businesses={})
-        pdb = exact_spdb(earthquake_program, instance,
-                         semantics="barany")
+        pdb = repro.compile(earthquake_program, semantics="barany").on(
+            instance).exact().pdb
         b1 = Fact("Burglary", ("h1", "a", 1))
         b2 = Fact("Burglary", ("h2", "b", 1))
         both = pdb.prob(lambda D: b1 in D and b2 in D)
@@ -83,8 +83,8 @@ class TestBurglarySharing:
 
     def test_grohe_always_independent(self, earthquake_program,
                                       two_city_instance):
-        pdb = exact_spdb(earthquake_program, two_city_instance,
-                         semantics="grohe")
+        pdb = repro.compile(earthquake_program, semantics="grohe").on(
+            two_city_instance).exact().pdb
         b1 = Fact("Burglary", ("h1", "a", 1))
         b2 = Fact("Burglary", ("h2", "b", 1))
         both = pdb.prob(lambda D: b1 in D and b2 in D)
@@ -96,9 +96,10 @@ class TestAlarmConsequences:
             self, earthquake_program, two_city_instance):
         # Per-unit alarm marginals actually coincide (each unit's path
         # probabilities are unchanged); what differs is the JOINT law.
-        ours = exact_spdb(earthquake_program, two_city_instance)
-        theirs = exact_spdb(earthquake_program, two_city_instance,
-                            semantics="barany")
+        ours = repro.compile(earthquake_program).on(
+            two_city_instance).exact().pdb
+        theirs = repro.compile(earthquake_program, semantics="barany").on(
+            two_city_instance).exact().pdb
         a1, a2 = Fact("Alarm", ("h1",)), Fact("Alarm", ("h2",))
         assert ours.marginal(a1) == pytest.approx(theirs.marginal(a1))
         joint_ours = ours.prob(lambda D: a1 in D and a2 in D)
@@ -113,9 +114,8 @@ class TestAlarmConsequences:
         # our semantics, on the full Example 3.4 pipeline.
         from repro.core.barany import to_grohe_simulation
         visible = earthquake_program.relations()
-        target = exact_spdb(earthquake_program, two_city_instance,
-                            semantics="barany").project(visible)
-        simulated = exact_spdb(
-            to_grohe_simulation(earthquake_program),
-            two_city_instance).project(visible)
+        target = repro.compile(earthquake_program, semantics="barany").on(
+            two_city_instance).exact().pdb.project(visible)
+        simulated = repro.compile(to_grohe_simulation(earthquake_program)).on(
+            two_city_instance).exact().pdb.project(visible)
         assert simulated.allclose(target)

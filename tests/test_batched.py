@@ -7,8 +7,8 @@ Four concerns:
   value kind, matching moments); registering a family without batch
   coverage fails here;
 * **scalar bit-identity** - ``backend="scalar"`` reproduces the
-  pre-backend draw-for-draw behaviour under both stream schemes (the
-  refactor must not move a single draw);
+  prepared-loop draws run by run, and one Generator threaded through
+  ``Session.run`` replays the 1.x shared-stream sampler;
 * **law agreement** - batched vs scalar on the paper's Examples 3.4
   (discrete, cascading triggers) and 3.5 (continuous, single layer):
   same output distribution, checked against closed forms and by KS;
@@ -16,8 +16,8 @@ Four concerns:
   splitting, fallbacks outside the supported class, budget semantics.
 """
 
+import hashlib
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -135,16 +135,20 @@ class TestScalarBitIdentity:
     """``backend="scalar"`` must not move a single seeded draw."""
 
     def test_shared_streams_match_legacy_sampler(self):
-        program = example_3_4_program()
-        instance = example_3_4_instance()
-        facade = repro.compile(program).on(
-            instance, seed=23, streams="shared",
-            backend="scalar").sample(80).pdb
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = repro.sample_spdb(program, instance, n=80, rng=23)
-        assert facade.worlds == legacy.worlds
-        assert facade.truncated == legacy.truncated
+        # One Generator shared by 80 Session.run calls replays the 1.x
+        # shared-stream sample_spdb(program, instance, n=80, rng=23),
+        # pinned here by the digest of its worlds.
+        session = repro.compile(example_3_4_program()).on(
+            example_3_4_instance())
+        visible = session.compiled.visible_relations
+        rng = np.random.default_rng(23)
+        runs = [session.run(rng=rng) for _ in range(80)]
+        assert all(run.terminated for run in runs)
+        assert hashlib.sha256("\n".join(
+            run.instance.restrict(visible).canonical_text()
+            for run in runs).encode()).hexdigest() == (
+            "361ad425a53dce16d3d8b5a4051b40b3"
+            "4e51aa1b0566746b690fbac1f791ba4e")
 
     def test_spawn_streams_match_prepared_loop(self):
         program = example_3_4_program()
@@ -220,16 +224,6 @@ class TestBackendResolution:
             example_3_5_instance(), seed=0)
         assert session.sample(20).backend == "batched"
 
-    def test_auto_stays_scalar_under_shared_streams(self):
-        session = repro.compile(example_3_5_program()).on(
-            example_3_5_instance(), seed=0, streams="shared")
-        assert session.sample(20).backend == "scalar"
-
-    def test_auto_stays_scalar_with_workers(self):
-        session = repro.compile(example_3_5_program()).on(
-            example_3_5_instance(), seed=0)
-        assert session.sample(20, workers=2).backend == "scalar"
-
     def test_auto_respects_batch_unsafe_policy(self):
         class Skittish(LastPolicy):
             batch_safe = False
@@ -274,18 +268,6 @@ class TestBackendResolution:
             6, backend="scalar")
         assert batched.backend == "scalar"
         assert batched.pdb.worlds == scalar.pdb.worlds
-
-    def test_explicit_batched_never_threads_even_on_decline(self):
-        # workers is a scalar-path knob: explicit backend="batched"
-        # must ignore it both when the batch runs and when it
-        # declines, so parallelism never depends on program structure.
-        compiled = repro.compile(continuous_feedback_program())
-        instance = Instance.of(Fact("Seed", (0,)))
-        threaded = compiled.on(instance, seed=3, max_steps=40).sample(
-            6, workers=4, backend="batched")
-        plain = compiled.on(instance, seed=3, max_steps=40).sample(
-            6, backend="batched")
-        assert threaded.pdb.worlds == plain.pdb.worlds
 
     def test_record_trace_and_parallel_fall_back(self):
         session = repro.compile(example_3_5_program()).on(

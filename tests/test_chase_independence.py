@@ -11,10 +11,10 @@ push-forwards (KS tests) across policies.
 import numpy as np
 import pytest
 
+import repro
 from repro.core.exact import exact_parallel_spdb, exact_sequential_spdb
 from repro.core.policies import standard_policies
 from repro.core.program import Program
-from repro.core.semantics import apply_to_pdb, exact_spdb, sample_spdb
 from repro.measures.discrete import DiscreteMeasure
 from repro.measures.empirical import ks_critical_value, ks_two_sample
 from repro.pdb.database import DiscretePDB
@@ -57,12 +57,12 @@ class TestDiscretePrograms:
                                  earthquake_instance)
 
     def test_barany_translation_also_independent(self, g0):
-        reference = exact_spdb(g0, semantics="barany")
+        session = repro.compile(g0, semantics="barany").on()
+        reference = session.exact().pdb
         for policy in standard_policies():
-            candidate = exact_spdb(g0, semantics="barany",
-                                   policy=policy)
+            candidate = session.exact(policy=policy).pdb
             assert candidate.allclose(reference)
-        parallel = exact_spdb(g0, semantics="barany", parallel=True)
+        parallel = session.exact(parallel=True).pdb
         assert parallel.allclose(reference)
 
     def test_dependent_sampling_chain(self):
@@ -87,12 +87,13 @@ class TestDiscretePrograms:
         world_b = Instance.empty()
         input_pdb = DiscretePDB(DiscreteMeasure(
             {world_a: 0.5, world_b: 0.5}))
-        reference = apply_to_pdb(g0, input_pdb)
-        parallel = apply_to_pdb(g0, input_pdb, parallel=True)
+        compiled = repro.compile(g0)
+        reference = compiled.apply_to_pdb(input_pdb).pdb
+        parallel = compiled.apply_to_pdb(input_pdb, parallel=True).pdb
         assert parallel.allclose(reference)
         for policy in standard_policies()[:3]:
-            assert apply_to_pdb(g0, input_pdb, policy=policy) \
-                .allclose(reference)
+            assert compiled.apply_to_pdb(input_pdb, policy=policy) \
+                .pdb.allclose(reference)
 
 
 class TestContinuousPrograms:
@@ -108,8 +109,9 @@ class TestContinuousPrograms:
         batteries = standard_policies()[:3]
         samples = []
         for index, policy in enumerate(batteries):
-            pdb = sample_spdb(heights_program, instance, n=900,
-                              rng=100 + index, policy=policy)
+            pdb = repro.compile(heights_program).on(
+                instance, seed=100 + index, backend="scalar",
+                policy=policy).sample(900).pdb
             samples.append(self.extract_heights(pdb))
         critical = ks_critical_value(len(samples[0]), len(samples[1]),
                                      alpha=0.001)
@@ -119,10 +121,11 @@ class TestContinuousPrograms:
     def test_sequential_vs_parallel_continuous(self, heights_program):
         instance = paper.example_3_5_instance(
             moments={"NL": (170.0, 40.0)}, persons_per_country=2)
-        sequential = sample_spdb(heights_program, instance, n=700,
-                                 rng=7)
-        parallel = sample_spdb(heights_program, instance, n=700,
-                               rng=8, parallel=True)
+        compiled = repro.compile(heights_program)
+        sequential = compiled.on(instance, seed=7,
+                                 backend="scalar").sample(700).pdb
+        parallel = compiled.on(instance, seed=8, backend="scalar",
+                               parallel=True).sample(700).pdb
         a = self.extract_heights(sequential)
         b = self.extract_heights(parallel)
         assert ks_two_sample(a, b) < ks_critical_value(
@@ -136,9 +139,11 @@ class TestContinuousPrograms:
         """)
         instance = Instance.of(Fact("Sensor", ("a",)),
                                Fact("Sensor", ("b",)))
-        a = sample_spdb(program, instance, n=800, rng=9)
-        b = sample_spdb(program, instance, n=800, rng=10,
-                        parallel=True)
+        compiled = repro.compile(program)
+        a = compiled.on(instance, seed=9,
+                        backend="scalar").sample(800).pdb
+        b = compiled.on(instance, seed=10, backend="scalar",
+                        parallel=True).sample(800).pdb
         # Discrete marginal agreement:
         fa = a.prob(lambda D: len(D.facts_of("Reading")) == 2)
         fb = b.prob(lambda D: len(D.facts_of("Reading")) == 2)

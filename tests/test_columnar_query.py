@@ -5,10 +5,11 @@ Covers the unified query entry points (``Session.query`` /
 strategy selection and its zero-materialization guarantee (including
 over a *sharded* merged ensemble - served queries never expand a
 world), the relational-plan wire codec, the served ``query`` op, the
-``repro query`` CLI contract, and the deprecated ``repro.query.lifted``
-shims (which must warn yet stay bit-identical).
+``repro query`` CLI contract, and the canonical ``repro.query``
+imports (the ``repro.query.lifted`` shims are gone since 2.0).
 """
 
+import importlib
 import io
 import json
 import warnings
@@ -246,36 +247,14 @@ class TestPlanCodec:
 
 
 class TestDeprecatedLiftedShims:
-    """repro.query.lifted warns but stays bit-identical."""
+    """``repro.query.lifted`` is gone; ``repro.query`` never warns."""
 
     def _pdb(self):
         return temp_session(seed=11).sample(150).pdb
 
-    def test_shims_warn(self):
-        from repro.query import lifted
-        pdb = self._pdb()
-        with pytest.warns(DeprecationWarning,
-                          match="lifted.query_distribution"):
-            lifted.query_distribution(pdb, Scan("City", ("city",)))
-
-    def test_shims_are_bit_identical(self):
-        from repro.query import columnar, lifted
-        pdb = self._pdb()
-        plan = avg_plan()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert lifted.query_distribution(pdb, plan) \
-                == columnar.query_distribution(pdb, plan)
-            assert lifted.boolean_probability(pdb, plan) \
-                == columnar.boolean_probability(pdb, plan)
-            assert lifted.expected_aggregate(pdb, plan) \
-                == columnar.expected_aggregate(pdb, plan)
-            assert lifted.aggregate_distribution(pdb, plan) \
-                == columnar.aggregate_distribution(pdb, plan)
-            assert lifted.answer_probabilities(
-                pdb, scan("Temp", "city", "celsius"), "city") \
-                == columnar.answer_probabilities(
-                    pdb, scan("Temp", "city", "celsius"), "city")
+    def test_lifted_module_is_gone(self):
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.query.lifted")
 
     def test_canonical_imports_do_not_warn(self):
         pdb = self._pdb()

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.chase import run_chase
+import repro
 from repro.core.exact import exact_sequential_spdb
 from repro.core.parallel import run_parallel_chase
 from repro.core.program import Program
-from repro.core.semantics import exact_spdb
 from repro.core.atoms import Atom, atom
 from repro.core.rules import Rule
 from repro.core.terms import Const, RandomTerm, Var
@@ -22,50 +21,55 @@ FLIP = DEFAULT_REGISTRY["Flip"]
 class TestUnusualHeads:
     def test_random_term_first_position(self):
         program = Program.parse("R(Flip<0.5>, x) :- B(x).")
-        pdb = exact_spdb(program, Instance.of(Fact("B", ("k",))))
+        pdb = repro.compile(program).on(
+            Instance.of(Fact("B", ("k",)))).exact().pdb
         assert pdb.marginal(Fact("R", (1, "k"))) == pytest.approx(0.5)
 
     def test_repeated_variable_in_head(self):
         program = Program.parse("Pair(x, x, Flip<0.5>) :- B(x).")
-        pdb = exact_spdb(program, Instance.of(Fact("B", (7,))))
+        pdb = repro.compile(program).on(
+            Instance.of(Fact("B", (7,)))).exact().pdb
         total = pdb.marginal(Fact("Pair", (7, 7, 0))) + \
             pdb.marginal(Fact("Pair", (7, 7, 1)))
         assert total == pytest.approx(1.0)
 
     def test_constant_and_random_term_mixed(self):
         program = Program.parse('R("tag", Flip<0.5>, 3) :- true.')
-        pdb = exact_spdb(program)
+        pdb = repro.compile(program).on().exact().pdb
         assert pdb.marginal(Fact("R", ("tag", 1, 3))) == \
             pytest.approx(0.5)
 
     def test_variable_used_as_param_and_column(self):
         # x appears both as a head column and a distribution parameter.
         program = Program.parse("R(x, Flip<x>) :- B(x).")
-        pdb = exact_spdb(program, Instance.of(Fact("B", (0.25,))))
+        pdb = repro.compile(program).on(
+            Instance.of(Fact("B", (0.25,)))).exact().pdb
         assert pdb.marginal(Fact("R", (0.25, 1))) == pytest.approx(0.25)
 
     def test_duplicate_body_atom(self):
         program = Program.parse("H(x) :- B(x), B(x).")
-        run = run_chase(program, Instance.of(Fact("B", (1,))), rng=0)
+        run = repro.compile(program).on(
+            Instance.of(Fact("B", (1,)))).run(rng=0)
         assert Fact("H", (1,)) in run.instance
 
 
 class TestDegenerateParameters:
     def test_flip_zero_and_one(self):
-        pdb = exact_spdb(Program.parse("A(Flip<0.0>) :- true."))
+        pdb = repro.compile("A(Flip<0.0>) :- true.").on().exact().pdb
         assert pdb.marginal(Fact("A", (0,))) == pytest.approx(1.0)
-        pdb = exact_spdb(Program.parse("A(Flip<1.0>) :- true."))
+        pdb = repro.compile("A(Flip<1.0>) :- true.").on().exact().pdb
         assert pdb.marginal(Fact("A", (1,))) == pytest.approx(1.0)
 
     def test_deterministic_branch_pruned(self):
         # Flip<1.0> has a single-support branch: no tree blowup.
         rules = "\n".join(f"A{i}(Flip<1.0>) :- true."
                           for i in range(20))
-        pdb = exact_spdb(Program.parse(rules))
+        pdb = repro.compile(Program.parse(rules)).on().exact().pdb
         assert pdb.support_size() == 1
 
     def test_binomial_n_zero(self):
-        pdb = exact_spdb(Program.parse("K(Binomial<0, 0.5>) :- true."))
+        pdb = repro.compile(
+            "K(Binomial<0, 0.5>) :- true.").on().exact().pdb
         assert pdb.marginal(Fact("K", (0,))) == pytest.approx(1.0)
 
     def test_invalid_param_surfaces_in_exact(self):
@@ -84,12 +88,12 @@ class TestDegenerateParameters:
 class TestEmptyAndTrivialInputs:
     def test_empty_input_no_matching_body(self):
         program = Program.parse("A(x) :- B(x).")
-        run = run_chase(program, Instance.empty(), rng=0)
+        run = repro.compile(program).on(Instance.empty()).run(rng=0)
         assert run.terminated and len(run.instance) == 0
 
     def test_exact_on_empty_input(self):
         program = Program.parse("A(x) :- B(x).")
-        pdb = exact_spdb(program, Instance.empty())
+        pdb = repro.compile(program).on(Instance.empty()).exact().pdb
         assert pdb.support_size() == 1
         assert pdb.prob_of_instance(Instance.empty()) == \
             pytest.approx(1.0)
@@ -97,13 +101,13 @@ class TestEmptyAndTrivialInputs:
     def test_input_facts_of_unknown_relations_kept(self):
         program = Program.parse("A(x) :- B(x).")
         extra = Instance.of(Fact("Unrelated", (1, 2)))
-        run = run_chase(program, extra, rng=0)
+        run = repro.compile(program).on(extra).run(rng=0)
         assert Fact("Unrelated", (1, 2)) in run.instance
 
     def test_head_already_in_input(self):
         program = Program.parse("A(x) :- B(x).")
         D = Instance.of(Fact("B", (1,)), Fact("A", (1,)))
-        run = run_chase(program, D, rng=0)
+        run = repro.compile(program).on(D).run(rng=0)
         assert run.steps == 0
 
 
@@ -114,20 +118,20 @@ class TestValueIdentification:
             T(Flip<1.0>) :- true.
             Go(1) :- T(1).
         """)
-        pdb = exact_spdb(program)
+        pdb = repro.compile(program).on().exact().pdb
         assert pdb.marginal(Fact("Go", (1,))) == pytest.approx(1.0)
 
     def test_float_and_int_keys_identified(self):
         # 1.0 in data matches integer 1 in a rule constant.
         program = Program.parse("A(x) :- B(x, 1).")
         D = Instance.of(Fact("B", ("k", 1.0)))
-        run = run_chase(program, D, rng=0)
+        run = repro.compile(program).on(D).run(rng=0)
         assert Fact("A", ("k",)) in run.instance
 
     def test_string_number_not_identified(self):
         program = Program.parse('A(x) :- B(x, "1").')
         D = Instance.of(Fact("B", ("k", 1)))
-        run = run_chase(program, D, rng=0)
+        run = repro.compile(program).on(D).run(rng=0)
         assert Fact("A", ("k",)) not in run.instance
 
 
@@ -136,7 +140,8 @@ class TestLargerStress:
         rules = "\n".join(f"T{i + 1}(x) :- T{i}(x)."
                           for i in range(100))
         program = Program.parse(rules)
-        run = run_chase(program, Instance.of(Fact("T0", (1,))), rng=0)
+        run = repro.compile(program).on(
+            Instance.of(Fact("T0", (1,)))).run(rng=0)
         assert run.terminated
         assert Fact("T100", (1,)) in run.instance
         assert run.steps == 100
@@ -155,7 +160,7 @@ class TestLargerStress:
         for i in range(10):
             facts += [Fact("R", (i, i + 1)), Fact("S", (i + 1, i + 2)),
                       Fact("T", (i + 2, i + 3))]
-        run = run_chase(program, Instance(facts), rng=0)
+        run = repro.compile(program).on(Instance(facts)).run(rng=0)
         assert run.terminated
         assert len(run.instance.facts_of("J")) == 10
 
@@ -169,7 +174,7 @@ class TestProgramValidation:
     def test_variadic_categorical_in_programs(self):
         program = Program.parse(
             "C(Categorical<0.2, 0.3, 0.5>) :- true.")
-        pdb = exact_spdb(program)
+        pdb = repro.compile(program).on().exact().pdb
         assert pdb.marginal(Fact("C", (2,))) == pytest.approx(0.5)
 
     def test_program_requires_rules(self):
@@ -180,7 +185,7 @@ class TestProgramValidation:
         head = Atom("R", tuple(RandomTerm(FLIP, (Const(0.5),))
                                for _ in range(3)))
         program = Program([Rule(head, ())])
-        pdb = exact_spdb(program)
+        pdb = repro.compile(program).on().exact().pdb
         assert pdb.total_mass() == pytest.approx(1.0)
         # 8 equally likely triples.
         assert pdb.support_size() == 8

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.chase import run_chase
+import repro
 from repro.core.fd import (FunctionalDependency, check_all_fds,
                            fd_violation_report, induced_fds)
 from repro.core.program import Program
@@ -60,9 +60,9 @@ class TestInducedFds:
                         Fact("City", ("d", 0.25)),
                         Fact("Unit", ("u1", "n")),
                         Fact("Unit", ("u2", "d")))
+        session = repro.compile(translated).on(D, record_trace=True)
         for seed in range(15):
-            run = run_chase(translated, D, rng=seed,
-                            record_trace=True)
+            run = session.run(rng=seed)
             assert run.terminated
             # FD holds at EVERY prefix of the chase, not just the end.
             current = D
@@ -73,8 +73,8 @@ class TestInducedFds:
 
     def test_violation_report_empty_for_chase_outputs(self, g0):
         translated = translate(g0)
-        runs = [run_chase(translated, rng=seed).instance
-                for seed in range(5)]
+        session = repro.compile(translated).on()
+        runs = [session.run(rng=seed).instance for seed in range(5)]
         assert fd_violation_report(translated, runs) == []
 
     def test_violation_report_format(self):

@@ -36,10 +36,12 @@ class TestBudgetedFuzzPass:
         """The budget must actually reach each oracle (no dead checks).
 
         ``checked`` counts include skips; what matters is that every
-        oracle got at least one *runnable* case, which a dozen mixed
-        kinds always provide.
+        oracle got at least one *runnable* case.  The rarest runnable
+        case is the pdb-input oracle's: about one generated case in
+        nine carries an input PDB, and at the default seed the first
+        one is case 15.
         """
-        report = run_fuzz(budget=max(fuzz_budget, 12), seed=fuzz_seed)
+        report = run_fuzz(budget=max(fuzz_budget, 16), seed=fuzz_seed)
         for oracle in default_oracles():
             stats = report.stats[oracle.name]
             assert stats.checked == report.n_cases

@@ -5,8 +5,7 @@ import pytest
 
 import repro
 from repro.query.aggregates import Aggregate, agg_avg, agg_count
-from repro.query.lifted import aggregate_distribution, \
-    boolean_probability
+from repro.query import aggregate_distribution, boolean_probability
 from repro.query.relalg import scan
 
 
@@ -16,13 +15,13 @@ class TestPublicApi:
             assert hasattr(repro, name), name
 
     def test_version(self):
-        assert repro.__version__ == "1.8.0"
+        assert repro.__version__ == "2.0.0"
 
     def test_docstring_example(self):
         program = repro.Program.parse(
             "Earthquake(c, Flip<0.1>) :- City(c, r).")
         D0 = repro.Instance.of(repro.Fact("City", ("Napa", 0.03)))
-        pdb = repro.exact_spdb(program, D0)
+        pdb = repro.compile(program).on(D0).exact().pdb
         assert pdb.marginal(repro.Fact("Earthquake", ("Napa", 1))) == \
             pytest.approx(0.1)
 
@@ -55,7 +54,8 @@ class TestSensorPipeline:
 
     def test_monte_carlo_semantics(self, pipeline):
         program, instance = pipeline
-        pdb = repro.sample_spdb(program, instance, n=2000, rng=0)
+        pdb = repro.compile(program).on(
+            instance, seed=0, backend="scalar").sample(2000).pdb
         assert pdb.err_mass() == 0.0
         # Working marginal ~ 0.95 per sensor.
         p = pdb.marginal(repro.Fact("Deployed", ("s1",)))
@@ -63,7 +63,8 @@ class TestSensorPipeline:
 
     def test_query_layer_on_output(self, pipeline):
         program, instance = pipeline
-        pdb = repro.sample_spdb(program, instance, n=1500, rng=1)
+        pdb = repro.compile(program).on(
+            instance, seed=1, backend="scalar").sample(1500).pdb
         n_readings = Aggregate(scan("Reading", "s", "value"), (),
                                {"n": agg_count()})
         counts = aggregate_distribution(pdb, n_readings)
@@ -74,7 +75,8 @@ class TestSensorPipeline:
 
     def test_reading_moments(self, pipeline):
         program, instance = pipeline
-        pdb = repro.sample_spdb(program, instance, n=1500, rng=2)
+        pdb = repro.compile(program).on(
+            instance, seed=2, backend="scalar").sample(1500).pdb
         values = pdb.values_of(
             lambda D: [f.args[1] for f in D.facts_of("Reading")
                        if f.args[0] == "s2"])
@@ -85,7 +87,8 @@ class TestSensorPipeline:
 
     def test_event_layer(self, pipeline):
         program, instance = pipeline
-        pdb = repro.sample_spdb(program, instance, n=1500, rng=3)
+        pdb = repro.compile(program).on(
+            instance, seed=3, backend="scalar").sample(1500).pdb
         hot = repro.CountingEvent(
             repro.FactSet("Reading", None,
                           repro.Interval(low=24.0)), 1)
@@ -101,7 +104,7 @@ class TestChaseAsMarkovProcess:
         rng_a = np.random.default_rng(42)
         rng_b = np.random.default_rng(42)
         path = process.sample_path(repro.Instance.empty(), rng_a, 50)
-        run = repro.run_chase(g0, rng=rng_b, max_steps=50)
+        run = repro.compile(g0).on(max_steps=50).run(rng=rng_b)
         assert path.absorbed and run.terminated
         assert path.final == run.instance
 
@@ -148,12 +151,12 @@ class TestErrorHandling:
         program = repro.Program.parse("Q(c, Flip<r>) :- City(c, r).")
         bad = repro.Instance.of(repro.Fact("City", ("x", 1.5)))
         with pytest.raises(repro.DistributionError):
-            repro.run_chase(program, bad, rng=0)
+            repro.compile(program).on(bad).run(rng=0)
 
     def test_exact_on_continuous_raises(self):
         program = repro.Program.parse("X(Normal<0, 1>) :- true.")
         with pytest.raises(repro.UnsupportedProgramError):
-            repro.exact_spdb(program)
+            repro.compile(program).on().exact().pdb
 
     def test_exception_hierarchy(self):
         for error in (repro.ParseError, repro.SchemaError,

@@ -1,25 +1,23 @@
-"""Tests for query lifting to PDBs (repro.query.lifted, Fact 2.6)."""
+"""Tests for query lifting to PDBs (repro.query, Fact 2.6)."""
 
 import pytest
 
-from repro.core.semantics import exact_spdb, sample_spdb
+import repro
 from repro.core.program import Program
 from repro.measures.discrete import DiscreteMeasure
 from repro.pdb.database import DiscretePDB, MonteCarloPDB
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.query.aggregates import Aggregate, agg_count
-from repro.query.lifted import (aggregate_distribution,
-                                answer_probabilities,
-                                boolean_probability, expected_aggregate,
-                                query_distribution,
-                                statistic_distribution)
+from repro.query import (aggregate_distribution, answer_probabilities,
+                         boolean_probability, expected_aggregate,
+                         query_distribution, statistic_distribution)
 from repro.query.relalg import scan
 
 
 @pytest.fixture
 def flip_pdb(g0):
-    return exact_spdb(g0)
+    return repro.compile(g0).on().exact().pdb
 
 
 def r_count_query():
@@ -63,14 +61,16 @@ class TestExactLifting:
 
 class TestMonteCarloLifting:
     def test_estimates_match_exact(self, g0, flip_pdb):
-        sampled = sample_spdb(g0, n=4000, rng=0)
+        sampled = repro.compile(g0).on(
+            seed=0, backend="scalar").sample(4000).pdb
         exact_counts = aggregate_distribution(flip_pdb, r_count_query())
         sampled_counts = aggregate_distribution(sampled,
                                                 r_count_query())
         assert exact_counts.tv_distance(sampled_counts) < 0.03
 
     def test_boolean_probability_estimate(self, g0):
-        sampled = sample_spdb(g0, n=3000, rng=1)
+        sampled = repro.compile(g0).on(
+            seed=1, backend="scalar").sample(3000).pdb
         ones = scan("R", "v").where(v=1)
         assert abs(boolean_probability(sampled, ones) - 0.75) < 0.04
 
@@ -83,8 +83,8 @@ class TestMonteCarloLifting:
     def test_continuous_aggregates(self, heights_program,
                                    heights_instance):
         from repro.query.aggregates import agg_avg
-        sampled = sample_spdb(heights_program, heights_instance,
-                              n=400, rng=2)
+        sampled = repro.compile(heights_program).on(
+            heights_instance, seed=2, backend="scalar").sample(400).pdb
         mean_height = Aggregate(
             scan("PHeight", "person", "cm"), (), {"m": agg_avg("cm")})
         expectation = expected_aggregate(sampled, mean_height)
@@ -96,6 +96,6 @@ class TestRemark49:
     """Projecting out auxiliary relations is a measurable query."""
 
     def test_keep_aux_then_project_equals_direct(self, g0):
-        with_aux = exact_spdb(g0, keep_aux=True)
-        direct = exact_spdb(g0)
+        with_aux = repro.compile(g0).on(keep_aux=True).exact().pdb
+        direct = repro.compile(g0).on().exact().pdb
         assert with_aux.project(["R"]).allclose(direct)

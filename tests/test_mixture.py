@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core.program import Program
-from repro.core.semantics import exact_spdb, sample_spdb
 from repro.distributions.discrete import Flip, Poisson
 from repro.distributions.continuous import Normal, Uniform
 from repro.distributions.mixture import FiniteMixture
@@ -134,7 +134,7 @@ class TestMixtureInPrograms:
         registry.register(skewed_coin())
         program = Program.parse("C(SkewedCoin<>) :- true.",
                                 registry=registry)
-        pdb = exact_spdb(program)
+        pdb = repro.compile(program).on().exact().pdb
         assert pdb.marginal(Fact("C", (1,))) == \
             pytest.approx(0.75 * 0.9 + 0.25 * 0.1)
 
@@ -143,7 +143,8 @@ class TestMixtureInPrograms:
         registry.register(bimodal())
         program = Program.parse("X(Bimodal<>) :- true.",
                                 registry=registry)
-        pdb = sample_spdb(program, n=3000, rng=2)
+        pdb = repro.compile(program).on(
+            seed=2, backend="scalar").sample(3000).pdb
         values = pdb.values_of(
             lambda D: [f.args[0] for f in D.facts_of("X")])
         negative = sum(1 for v in values if v < 0) / len(values)

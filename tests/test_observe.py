@@ -1,13 +1,16 @@
-"""Tests for likelihood weighting (repro.core.observe)."""
+"""Tests for likelihood weighting (repro.core.observe).
+
+The weighted chase runs through
+``Session.observe(*observations).posterior(method="likelihood")``.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.core.constraints import condition_exact
-from repro.core.observe import (Observation, likelihood_weighting,
-                                observe)
+import repro
+from repro.core.observe import Observation, observe
 from repro.core.program import Program
 from repro.errors import MeasureError, ValidationError
 from repro.measures.empirical import summarize
@@ -15,6 +18,11 @@ from repro.pdb.events import ContainsFactEvent
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.pdb.weighted import WeightedPDB
+
+
+def likelihood(program, instance, *observations, n, seed):
+    return repro.compile(program).on(instance, seed=seed).observe(
+        *observations).posterior(method="likelihood", n=n)
 
 
 class TestObservationConstruction:
@@ -34,8 +42,7 @@ class TestObservationConstruction:
     def test_unknown_relation_rejected(self):
         program = Program.parse("A(Flip<0.5>) :- true.")
         with pytest.raises(ValidationError, match="no random rule"):
-            likelihood_weighting(program, None,
-                                 [observe("Nope", 1)], n=10, rng=0)
+            likelihood(program, None, observe("Nope", 1), n=10, seed=0)
 
 
 class TestDiscreteAgreesWithExactConditioning:
@@ -45,43 +52,43 @@ class TestDiscreteAgreesWithExactConditioning:
             B(Flip<0.5>) :- A(1).
         """)
         # Observe A's sample = 1.
-        result = likelihood_weighting(program, None,
-                                      [observe("A", 1)], n=3000, rng=0)
-        exact = condition_exact(program, None,
-                                [ContainsFactEvent(Fact("A", (1,)))])
-        estimate = result.posterior.prob(
+        result = likelihood(program, None, observe("A", 1), n=3000,
+                            seed=0)
+        exact = repro.compile(program).on().observe(
+            ContainsFactEvent(Fact("A", (1,)))).posterior(
+            method="exact").pdb
+        estimate = result.pdb.prob(
             lambda D: Fact("B", (1,)) in D)
         assert abs(estimate - exact.marginal(Fact("B", (1,)))) < 0.04
         # Weights are the evidence likelihood: mean weight ≈ P(A=1).
-        assert abs(result.mean_weight - 0.3) < 1e-9
+        assert abs(result.diagnostics["mean_weight"] - 0.3) < 1e-9
 
     def test_observation_weight_is_constant_for_root_samples(self):
         program = Program.parse("A(Flip<0.25>) :- true.")
-        result = likelihood_weighting(program, None,
-                                      [observe("A", 1)], n=50, rng=1)
+        result = likelihood(program, None, observe("A", 1), n=50,
+                            seed=1)
         assert all(w == pytest.approx(0.25)
-                   for w in result.posterior.weights)
+                   for w in result.pdb.weights)
         assert all(Fact("A", (1,)) in world
-                   for world in result.posterior.worlds)
+                   for world in result.pdb.worlds)
 
     def test_carried_values_select_the_sample(self):
         program = Program.parse("Quake(c, Flip<r>) :- City(c, r).")
         data = Instance.of(Fact("City", ("n", 0.5)),
                            Fact("City", ("d", 0.5)))
-        result = likelihood_weighting(
-            program, data, [observe("Quake", "n", 1)], n=500, rng=2)
+        result = likelihood(
+            program, data, observe("Quake", "n", 1), n=500, seed=2)
         # Observed city pinned; the other stays random.
-        assert result.posterior.prob(
+        assert result.pdb.prob(
             lambda D: Fact("Quake", ("n", 1)) in D) == 1.0
-        other = result.posterior.prob(
+        other = result.pdb.prob(
             lambda D: Fact("Quake", ("d", 1)) in D)
         assert abs(other - 0.5) < 0.1
 
     def test_impossible_discrete_evidence(self):
         program = Program.parse("A(Flip<1.0>) :- true.")
         with pytest.raises(MeasureError, match="zero"):
-            likelihood_weighting(program, None, [observe("A", 0)],
-                                 n=20, rng=3)
+            likelihood(program, None, observe("A", 0), n=20, seed=3)
 
 
 class TestContinuousPosterior:
@@ -92,25 +99,24 @@ class TestContinuousPosterior:
             Mu(Normal<0, 1>) :- true.
             X(Normal<m, 1>) :- Mu(m).
         """)
-        result = likelihood_weighting(program, None,
-                                      [observe("X", 2.0)],
-                                      n=20_000, rng=4)
-        assert result.effective_sample_size > 2000
-        mean = result.posterior.weighted_mean(
+        result = likelihood(program, None, observe("X", 2.0),
+                            n=20_000, seed=4)
+        assert result.diagnostics["effective_sample_size"] > 2000
+        mean = result.pdb.weighted_mean(
             lambda D: [f.args[0] for f in D.facts_of("Mu")])
         assert abs(mean - 1.0) < 0.05
-        second_moment = result.posterior.expectation(
+        second_moment = result.pdb.expectation(
             lambda D: next(iter(D.facts_of("Mu"))).args[0] ** 2)
         variance = second_moment - mean ** 2
         assert abs(variance - 0.5) < 0.05
 
     def test_evidence_density_in_weights(self):
         program = Program.parse("X(Normal<0, 1>) :- true.")
-        result = likelihood_weighting(program, None,
-                                      [observe("X", 0.0)], n=30, rng=5)
+        result = likelihood(program, None, observe("X", 0.0), n=30,
+                            seed=5)
         peak = 1.0 / math.sqrt(2 * math.pi)
         assert all(w == pytest.approx(peak)
-                   for w in result.posterior.weights)
+                   for w in result.pdb.weights)
 
 
 class TestWeightedPDB:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.core.semantics import exact_spdb, sample_spdb
+import repro
 from repro.errors import MeasureError
 from repro.measures.discrete import DiscreteMeasure
 from repro.pdb.database import DiscretePDB, MonteCarloPDB
@@ -21,7 +21,7 @@ def world(*values):
 
 @pytest.fixture
 def flip_pdb(g0):
-    return exact_spdb(g0)
+    return repro.compile(g0).on().exact().pdb
 
 
 class TestWorldEntropy:
@@ -74,12 +74,12 @@ class TestSizesAndMarginals:
         assert marginals[Fact("R", (1,))] == pytest.approx(0.75)
 
     def test_fact_marginals_relation_filter(self, program_h):
-        pdb = exact_spdb(program_h)
+        pdb = repro.compile(program_h).on().exact().pdb
         marginals = fact_marginals(pdb, relations=("R",))
         assert all(f.relation == "R" for f in marginals)
 
     def test_fact_marginals_monte_carlo(self, g0):
-        pdb = sample_spdb(g0, n=3000, rng=0)
+        pdb = repro.compile(g0).on(seed=0, backend="scalar").sample(3000).pdb
         marginals = fact_marginals(pdb)
         assert abs(marginals[Fact("R", (1,))] - 0.75) < 0.04
 
@@ -104,7 +104,7 @@ class TestRelationSummary:
         assert summary.certain_facts == 0
 
     def test_monte_carlo_summary(self, g0):
-        pdb = sample_spdb(g0, n=500, rng=1)
+        pdb = repro.compile(g0).on(seed=1, backend="scalar").sample(500).pdb
         summary = relation_summary(pdb, "R")
         assert 1 <= summary.min_cardinality <= \
             summary.max_cardinality <= 2
@@ -117,7 +117,7 @@ class TestSummarizePdb:
         assert "entropy" in text and "MAP world" in text
 
     def test_monte_carlo_summary_text(self, g0):
-        pdb = sample_spdb(g0, n=100, rng=2)
+        pdb = repro.compile(g0).on(seed=2, backend="scalar").sample(100).pdb
         text = summarize_pdb(pdb)
         assert "Monte-Carlo PDB" in text
         assert "expected size" in text

@@ -11,14 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.applicability import (IncrementalApplicability,
                                       NaiveApplicability)
-from repro.core.chase import fire, run_chase
+from repro.core.chase import fire
 from repro.core.exact import exact_parallel_spdb, exact_sequential_spdb
 from repro.core.fd import check_all_fds
 from repro.core.policies import (FirstPolicy, LastPolicy,
                                  RandomTiePolicy)
-from repro.core.semantics import sample_spdb
 from repro.core.translate import translate
 from repro.workloads.generators import (base_instance,
                                         random_discrete_program)
@@ -68,7 +68,8 @@ class TestChaseInvariants:
     @settings(max_examples=20, deadline=None)
     def test_fd_and_termination(self, program, instance, seed):
         translated = translate(program)
-        run = run_chase(translated, instance, rng=seed, max_steps=5000)
+        run = repro.compile(translated).on(
+            instance, max_steps=5000).run(rng=seed)
         assert run.terminated  # generator emits weakly-acyclic programs
         assert check_all_fds(translated, run.instance)
         assert instance.issubset(run.instance)
@@ -97,7 +98,8 @@ class TestSamplingConsistency:
     def test_monte_carlo_approaches_exact(self, program):
         instance = base_instance(1)
         exact = exact_sequential_spdb(program, instance)
-        sampled = sample_spdb(program, instance, n=1500, rng=0)
+        sampled = repro.compile(program).on(
+            instance, seed=0, backend="scalar").sample(1500).pdb
         # Compare the three most likely worlds (tolerance ~ 4σ).
         top = sorted(exact.worlds(), key=lambda wp: -wp[1])[:3]
         for world, probability in top:

@@ -87,8 +87,8 @@ class TestReadmeQuickstart:
 class TestWeightedPdbQueryLayer:
     def test_lifted_queries_on_weighted_pdb(self):
         from repro.query.aggregates import Aggregate, agg_count
-        from repro.query.lifted import (aggregate_distribution,
-                                        boolean_probability)
+        from repro.query import (aggregate_distribution,
+                                 boolean_probability)
         from repro.query.relalg import scan
         compiled = repro.compile("""
             A(Flip<0.3>) :- true.

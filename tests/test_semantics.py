@@ -1,9 +1,13 @@
-"""Tests for the top-level semantics API (repro.core.semantics)."""
+"""Tests for the output-SPDB verbs of the facade.
+
+``Session.exact``, ``Session.sample``, ``CompiledProgram.apply_to_pdb``
+and ``Session.mass_report`` (whose rows are
+:class:`repro.core.semantics.MassReport`).
+"""
 
 import pytest
 
-from repro.core.semantics import (apply_to_pdb, exact_spdb, sample_spdb,
-                                  spdb_mass_report)
+import repro
 from repro.core.program import Program
 from repro.errors import ValidationError
 from repro.measures.discrete import DiscreteMeasure
@@ -15,49 +19,54 @@ from repro.workloads import paper
 
 class TestExactSpdb:
     def test_semantics_switch(self, g0):
-        grohe = exact_spdb(g0, semantics="grohe")
-        barany = exact_spdb(g0, semantics="barany")
+        grohe = repro.compile(g0, semantics="grohe").on().exact().pdb
+        barany = repro.compile(g0, semantics="barany").on().exact().pdb
         assert grohe.support_size() == 3
         assert barany.support_size() == 2
 
     def test_unknown_semantics(self, g0):
         with pytest.raises(ValidationError):
-            exact_spdb(g0, semantics="quantum")
+            repro.compile(g0, semantics="quantum").on().exact().pdb
 
     def test_parallel_flag(self, g0):
-        assert exact_spdb(g0, parallel=True).allclose(exact_spdb(g0))
+        session = repro.compile(g0).on()
+        assert session.exact(parallel=True).pdb.allclose(
+            session.exact().pdb)
 
     def test_pretranslated_program_accepted(self, g0):
         from repro.core.translate import translate
-        pdb = exact_spdb(translate(g0))
+        pdb = repro.compile(translate(g0)).on().exact().pdb
         assert pdb.support_size() == 3
 
 
 class TestSampleSpdb:
     def test_converges_to_exact(self, g0):
-        exact = exact_spdb(g0)
-        sampled = sample_spdb(g0, n=4000, rng=0)
+        exact = repro.compile(g0).on().exact().pdb
+        sampled = repro.compile(g0).on(
+            seed=0, backend="scalar").sample(4000).pdb
         for world, probability in exact.worlds():
             estimate = sampled.prob(lambda D, w=world: D == w)
             assert abs(estimate - probability) < 0.04
 
     def test_barany_sampling(self, g0):
-        sampled = sample_spdb(g0, n=2000, rng=1, semantics="barany")
+        sampled = repro.compile(g0, semantics="barany").on(
+            seed=1, backend="scalar").sample(2000).pdb
         # only the two correlated outcomes appear
         supports = {frozenset(f.args[0] for f in D.facts_of("R"))
                     for D in sampled.worlds}
         assert supports == {frozenset({0}), frozenset({1})}
 
     def test_parallel_sampling(self, g0):
-        sampled = sample_spdb(g0, n=1500, rng=2, parallel=True)
-        exact = exact_spdb(g0)
+        sampled = repro.compile(g0).on(
+            seed=2, backend="scalar", parallel=True).sample(1500).pdb
+        exact = repro.compile(g0).on().exact().pdb
         for world, probability in exact.worlds():
             estimate = sampled.prob(lambda D, w=world: D == w)
             assert abs(estimate - probability) < 0.06
 
     def test_continuous_program(self, heights_program, heights_instance):
-        sampled = sample_spdb(heights_program, heights_instance,
-                              n=50, rng=3)
+        sampled = repro.compile(heights_program).on(
+            heights_instance, seed=3, backend="scalar").sample(50).pdb
         assert sampled.err_mass() == 0.0
         assert all(len(D.facts_of("PHeight")) == 4
                    for D in sampled.worlds)
@@ -65,7 +74,8 @@ class TestSampleSpdb:
     def test_truncation_counted(self):
         program = paper.continuous_feedback_program()
         D = Instance.of(Fact("Seed", (0,)))
-        sampled = sample_spdb(program, D, n=10, rng=4, max_steps=30)
+        sampled = repro.compile(program).on(
+            D, seed=4, backend="scalar", max_steps=30).sample(10).pdb
         assert sampled.err_mass() == pytest.approx(1.0)
         assert sampled.total_mass() == 0.0
 
@@ -77,7 +87,7 @@ class TestApplyToPdb:
         world_b = Instance.of(Fact("City", ("x", 0.1)))
         input_pdb = DiscretePDB(DiscreteMeasure(
             {world_a: 0.5, world_b: 0.5}))
-        output = apply_to_pdb(program, input_pdb)
+        output = repro.compile(program).apply_to_pdb(input_pdb).pdb
         # P(Quake(x,1)) = 0.5*0.5 + 0.5*0.1 = 0.3
         assert output.marginal(Fact("Quake", ("x", 1))) == \
             pytest.approx(0.3)
@@ -88,32 +98,34 @@ class TestApplyToPdb:
         world = Instance.empty()
         input_pdb = DiscretePDB(DiscreteMeasure({world: 0.75}),
                                 err=0.25)
-        output = apply_to_pdb(program, input_pdb)
+        output = repro.compile(program).apply_to_pdb(input_pdb).pdb
         assert output.err_mass() == pytest.approx(0.25)
         assert output.total_mass() == pytest.approx(0.75)
 
     def test_dirac_input_equals_plain_exact(self, g0):
         input_pdb = DiscretePDB.deterministic(Instance.empty())
-        assert apply_to_pdb(g0, input_pdb).allclose(exact_spdb(g0))
+        compiled = repro.compile(g0)
+        assert compiled.apply_to_pdb(input_pdb).pdb.allclose(
+            compiled.on().exact().pdb)
 
 
 class TestMassReport:
     def test_terminating_program_err_vanishes(self, g0):
-        reports = spdb_mass_report(g0, budgets=(1, 2, 3, 4, 8))
+        reports = repro.compile(g0).on().mass_report((1, 2, 3, 4, 8))
         assert reports[0].err_mass == pytest.approx(1.0)
         assert reports[-1].err_mass == pytest.approx(0.0)
         for report in reports:
             assert report.total == pytest.approx(1.0)
 
     def test_err_monotonically_nonincreasing(self, g0):
-        reports = spdb_mass_report(g0, budgets=(1, 2, 3, 4, 5, 6))
+        reports = repro.compile(g0).on().mass_report((1, 2, 3, 4, 5, 6))
         errs = [r.err_mass for r in reports]
         assert all(a >= b - 1e-12 for a, b in zip(errs, errs[1:]))
 
     def test_discrete_cycle_keeps_err(self):
         program = paper.discrete_cycle_program(1.0)
-        reports = spdb_mass_report(program, paper.trigger_instance(),
-                                   budgets=(2, 4), tolerance=1e-4)
+        reports = repro.compile(program).on(
+            paper.trigger_instance(), tolerance=1e-4).mass_report((2, 4))
         assert all(r.err_mass > 0.0 for r in reports)
         assert all(r.total == pytest.approx(1.0, abs=1e-3)
                    for r in reports)

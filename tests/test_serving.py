@@ -183,21 +183,18 @@ class TestShardInvariance:
 
 class TestShardValidation:
     def test_shared_streams_rejected(self):
-        session = repro.compile(CASCADE).on(_sites(2), seed=1,
-                                            streams="shared")
-        with pytest.raises(ValidationError, match="spawn"):
-            session.sample(10, shards=2)
+        # Per-world spawn streams are the only scheme; "streams" is
+        # not a config field.
+        session = repro.compile(CASCADE).on(_sites(2), seed=1)
+        with pytest.raises(ValidationError,
+                           match="unknown ChaseConfig field"):
+            session.sample(10, shards=2, streams="shared")
 
     def test_generator_seed_rejected(self):
         session = repro.compile(CASCADE).on(
             _sites(2), seed=np.random.default_rng(0))
         with pytest.raises(ValidationError, match="int or None"):
             session.sample(10, shards=2)
-
-    def test_workers_and_shards_exclusive(self):
-        session = repro.compile(CASCADE).on(_sites(2), seed=1)
-        with pytest.raises(ValidationError, match="mutually exclusive"):
-            session.sample(10, workers=2, shards=2)
 
     def test_config_field_validation(self):
         with pytest.raises(ValidationError):

@@ -13,12 +13,14 @@ import os
 import subprocess
 import sys
 import threading
+from io import StringIO
 from pathlib import Path
 
 import pytest
 
 import repro
-from repro.serving import ServingClient
+from repro.cli import main
+from repro.serving import ProgramServer, ServingClient
 from repro.serving.protocol import sample_payload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -68,13 +70,44 @@ class TestServeStdio:
         assert first["ok"] and not first["compile_cached"]
         assert second["ok"] and second["compile_cached"]
         assert set(first["result"]) == SAMPLE_KEYS
-        # Byte-for-byte the repro sample --json marginals.
+        # Byte-for-byte the facade's marginals for the same seed.
         assert first["result"]["marginals"] \
             == _expected_marginals(seed=9, n=120)
         assert first["result"]["marginals"] \
             == second["result"]["marginals"]
         assert bad["ok"] is False and "unknown op" in bad["error"]
         assert "# served 4 requests" in proc.stderr
+
+
+class TestCliMatchesServer:
+    """``repro sample --seed S --json`` is the served ``sample`` reply."""
+
+    G0 = "R(Flip<0.5>) :- true.\nR(Flip<0.5>) :- true.\n"
+
+    @pytest.mark.parametrize("seed", [9, 31])
+    @pytest.mark.parametrize("with_data", [False, True])
+    def test_same_seed_same_document(self, tmp_path, seed, with_data):
+        source = COIN if with_data else self.G0
+        program = tmp_path / "program.gdl"
+        program.write_text(source)
+        argv = ["sample", str(program), "-n", "200", "--seed",
+                str(seed), "--json"]
+        request = {"op": "sample", "program": source, "n": 200,
+                   "config": {"seed": seed}}
+        if with_data:
+            coins = tmp_path / "coins.csv"
+            coins.write_text("0\n1\n")
+            argv += ["--data", f"Coin={coins}"]
+            request["instance"] = COINS
+        out = StringIO()
+        assert main(argv, out=out) == 0
+        cli = json.loads(out.getvalue())
+        reply = ProgramServer().handle(request)
+        assert reply["ok"], reply
+        served = reply["result"]
+        assert cli["backend"] == served["backend"] == "batched"
+        assert cli["n_runs"] == served["n_runs"] == 200
+        assert cli["marginals"] == served["marginals"]
 
 
 @pytest.fixture(scope="module")

@@ -229,6 +229,9 @@ class TestProgramServer:
          "budgets"),
         ({"op": "sample", "program": "This is not datalog ((("},
          "ok"),
+        # 2.0 dropped the "shared" stream scheme with the field.
+        ({"op": "sample", "program": COIN,
+          "config": {"streams": "shared"}}, "unknown ChaseConfig field"),
     ])
     def test_errors_become_replies_not_exceptions(self, request_payload,
                                                   needle):

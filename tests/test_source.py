@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.core.atoms import Atom, atom
 from repro.core.program import Program
 from repro.core.rules import Rule
@@ -68,9 +69,9 @@ class TestRoundTrip:
         assert reparsed.rules == program.rules
 
     def test_roundtrip_preserves_semantics(self, g0):
-        from repro.core.semantics import exact_spdb
         reparsed = Program.parse(program_to_source(g0))
-        assert exact_spdb(reparsed).allclose(exact_spdb(g0))
+        assert repro.compile(reparsed).on().exact().pdb.allclose(
+            repro.compile(g0).on().exact().pdb)
 
     def test_translated_programs_not_serializable(self, g0):
         normalized = Program.parse("""

@@ -182,8 +182,12 @@ class TestEdgeCases:
         assert stream.n_evidence == 1
 
     def test_shared_streams_rejected(self):
-        with pytest.raises(ValidationError, match="spawn"):
-            cascade_session(streams="shared").stream(50)
+        # Per-world spawn streams are the only scheme; "streams" is
+        # not a config field.
+        session = cascade_session()
+        with pytest.raises(ValidationError,
+                           match="unknown ChaseConfig field"):
+            session.stream(50, streams="shared")
 
     def test_generator_seed_rejected(self):
         rng = np.random.default_rng(0)

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+import repro
 from repro.core.program import Program
 from repro.core.termination import (analyze_termination,
                                     estimate_termination_probability,
@@ -85,10 +86,9 @@ class TestTheorem63:
     def test_weakly_acyclic_chases_terminate(self, seed,
                                              earthquake_program,
                                              earthquake_instance):
-        from repro.core.chase import run_chase
         assert weakly_acyclic(earthquake_program)
-        run = run_chase(earthquake_program, earthquake_instance,
-                        rng=seed, max_steps=2000)
+        run = repro.compile(earthquake_program).on(
+            earthquake_instance, max_steps=2000).run(rng=seed)
         assert run.terminated
 
 

@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 from repro.core.program import Program
+from repro.measures.discrete import DiscreteMeasure
 from repro.pdb.database import DiscretePDB, MonteCarloPDB
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.testing import (ChaseOrderOracle, ExactVsSampleOracle,
-                           FacadeVsLegacyOracle, FixpointOracle,
-                           FuzzCase, InducedFDOracle,
-                           TerminationOracle, default_oracles,
-                           evaluate, generate_case, oracles_by_name)
+                           FixpointOracle, FuzzCase, InducedFDOracle,
+                           PdbInputOracle, TerminationOracle,
+                           default_oracles, evaluate, generate_case,
+                           oracles_by_name)
 from repro.testing.oracles import (compare_discrete_pdbs,
                                    compare_monte_carlo_pdbs,
                                    ks_agreement, marginals_agree,
@@ -32,7 +33,7 @@ class TestOracleBattery:
         assert len(names) == len(set(names))
         assert set(oracles_by_name()) == {
             "fixpoint", "chase-order", "exact-vs-sample",
-            "facade-legacy", "batched-scalar", "barany-agreement",
+            "pdb-input", "batched-scalar", "barany-agreement",
             "sharded-single", "induced-fds", "termination",
             "streaming-batch", "columnar-query", "conditioning",
             "static-dynamic"}
@@ -82,7 +83,6 @@ class TestOkOnKnownWorkloads:
                      kind="exact")
         assert ChaseOrderOracle().check(case).status == "ok"
         assert ExactVsSampleOracle().check(case).status == "ok"
-        assert FacadeVsLegacyOracle().check(case).status == "ok"
 
 
 class TestComparisonHelpers:
@@ -166,14 +166,34 @@ class TestCrashConversion:
         assert "boom" in outcome.detail
 
 
-class TestFacadeVsLegacy:
-    def test_no_deprecation_warnings_leak(self):
-        import warnings
-        case = generate_case(5, kind="exact")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            outcome = FacadeVsLegacyOracle().check(case)
-        assert outcome.status == "ok"
+class TestPdbInputOracle:
+    """apply_to_pdb vs generator rules (Theorem 4.8, second part)."""
+
+    def test_agrees_on_generated_input_pdbs(self):
+        seeds = [seed for seed in range(60)
+                 if generate_case(seed).input_pdb is not None]
+        assert len(seeds) >= 5
+        for seed in seeds:
+            outcome = PdbInputOracle().check(generate_case(seed))
+            assert outcome.status == "ok", (seed, outcome.detail)
+
+    def test_skips_without_input_pdb(self):
+        outcome = PdbInputOracle().check(
+            _case("R0(Flip<0.5>) :- true.", kind="exact"))
+        assert outcome.status == "skip"
+
+    def test_flags_a_correlated_input(self):
+        # Marginals 1/2 each but perfectly correlated: the generator
+        # rules rebuild the independent input, so the SPDBs differ.
+        both = Instance.of(Fact("E0", (0,)), Fact("E0", (1,)))
+        correlated = DiscretePDB(DiscreteMeasure(
+            {both: 0.5, Instance.empty(): 0.5}))
+        case = FuzzCase(0, "exact",
+                        Program.parse("R0(x, Flip<0.5>) :- E0(x)."),
+                        both, correlated)
+        outcome = PdbInputOracle().check(case)
+        assert outcome.status == "fail"
+        assert "apply_to_pdb" in outcome.detail
 
 
 class TestBaranyAgreementOracle:

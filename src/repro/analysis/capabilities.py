@@ -486,7 +486,7 @@ def _predict_columnar(batched: Capability, stable, visible,
     Mirror of :func:`repro.query.columnar.explain`: a plan is lifted
     when every scanned relation is stable (one evaluation over the
     closed instance serves all worlds); growable relations stay
-    answerable but per-group columnar.
+    answerable by the whole-batch columnar pass.
     """
     detail = {relation: (STABLE if relation in stable else GROWABLE)
               for relation in visible}

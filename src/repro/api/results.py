@@ -147,6 +147,8 @@ class QueryResult:
     by :mod:`repro.query.columnar` - including a lifted fast path when
     the plan only reads stable relations - so no accessor here
     materializes worlds unless the plan genuinely cannot be vectorized.
+    The plan is evaluated once per (ensemble, plan object): every
+    accessor reduces over the same memoized answer index.
     """
 
     pdb: PDBBase

@@ -67,7 +67,6 @@ class _EvidenceRecord:
     kind: str                       # "observation" | "mask"
     description: str
     stamp: int                      # self._resamples at application
-    retracted: bool = False
     # observation bookkeeping
     key: tuple | None = None        # (relation, carried)
     log_delta: np.ndarray | None = None
@@ -146,8 +145,9 @@ class StreamingPosterior:
             if not run.terminated:
                 self._base_alive[index] = False
         self._alive = self._base_alive.copy()
+        #: Active evidence by token, oldest first; retracting drops a
+        #: record, so the stream holds only what it can still undo.
         self._records: dict[int, _EvidenceRecord] = {}
-        self._order: list[int] = []
         self._next_token = 0
         self._resamples = 0
         for item in session.evidence:
@@ -175,8 +175,7 @@ class StreamingPosterior:
     @property
     def n_evidence(self) -> int:
         """Currently active (non-retracted) evidence items."""
-        return sum(1 for token in self._order
-                   if not self._records[token].retracted)
+        return len(self._records)
 
     @property
     def resamples(self) -> int:
@@ -226,7 +225,6 @@ class StreamingPosterior:
                 f"not evidence: {evidence!r} (expected an Observation, "
                 "a Fact, an Event, or a predicate on instances)")
         self._records[record.token] = record
-        self._order.append(record.token)
         self._enforce_window()
         self._maybe_resample()
         return record.token
@@ -234,9 +232,8 @@ class StreamingPosterior:
     def _observe_observation(self, obs: Observation) -> _EvidenceRecord:
         from repro.engine.batched import observation_effects
         key = (obs.relation, obs.carried)
-        for token in self._order:
-            record = self._records[token]
-            if not record.retracted and record.key == key:
+        for record in self._records.values():
+            if record.key == key:
                 raise ValidationError(
                     f"{obs.relation}{obs.carried!r} is already "
                     "observed (token "
@@ -283,18 +280,18 @@ class StreamingPosterior:
         """Exactly undo the evidence item behind ``token``."""
         record = self._records.get(token)
         if record is None:
+            if isinstance(token, int) and 0 <= token < self._next_token:
+                raise ValidationError(
+                    f"evidence token {token} is already retracted")
             raise ValidationError(
                 f"unknown evidence token {token!r}; it was never "
                 "observed on this stream")
-        if record.retracted:
-            raise ValidationError(
-                f"evidence token {token} is already retracted")
         if record.stamp != self._resamples:
             raise ValidationError(
                 f"evidence token {token} predates a resampling step; "
                 "resampling collapses the weights it contributed to, "
                 "so it can no longer be removed exactly")
-        record.retracted = True
+        del self._records[token]
         if record.kind == "observation":
             self._log_weights -= record.log_delta
             if record.saved_columns:
@@ -305,11 +302,8 @@ class StreamingPosterior:
     def _enforce_window(self) -> None:
         if self._max_window is None:
             return
-        while self.n_evidence > self._max_window:
-            for token in self._order:
-                if not self._records[token].retracted:
-                    self.retract(token)
-                    break
+        while len(self._records) > self._max_window:
+            self.retract(next(iter(self._records)))
 
     # -- outcome mutation ----------------------------------------------------
 
@@ -354,18 +348,16 @@ class StreamingPosterior:
 
     def _refresh_masks(self) -> None:
         """Re-evaluate active event masks against the mutated worlds."""
-        for token in self._order:
-            record = self._records[token]
-            if record.kind == "mask" and not record.retracted:
+        for record in self._records.values():
+            if record.kind == "mask":
                 record.mask = np.asarray(record.predicate(self._pdb),
                                          dtype=bool)
         self._recompute_alive()
 
     def _recompute_alive(self) -> None:
         alive = self._base_alive.copy()
-        for token in self._order:
-            record = self._records[token]
-            if record.kind == "mask" and not record.retracted:
+        for record in self._records.values():
+            if record.kind == "mask":
                 alive &= record.mask
         self._alive = alive
 

@@ -97,7 +97,15 @@ class Aggregate(Query):
                               "aggregate function")
 
     def evaluate(self, instance) -> Relation:
-        relation = self.source.evaluate(instance)
+        return self.fold(self.source.evaluate(instance))
+
+    def fold(self, relation: Relation) -> Relation:
+        """Aggregate an already evaluated source relation.
+
+        The columnar planner (:mod:`repro.query.columnar`) calls this
+        on the source answers it assembles, so both evaluators share
+        one fold.
+        """
         group_indices = [relation.column_index(name)
                          for name in self.group_by]
         value_indices = {

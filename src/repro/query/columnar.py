@@ -1,20 +1,25 @@
 """Columnar query pushdown: relational plans over batch sample arrays.
 
 The batched engine (:mod:`repro.engine.batched`) keeps an ``n``-world
-ensemble columnar - a shared closed instance per group plus one numpy
-array of sampled values per layer firing.  Every query entry point
-used to force ``.worlds`` (materializing ``n`` instances) before
-evaluating a plan per world; this module instead *compiles* a
-:class:`~repro.query.relalg.Query` tree down to numpy operations over
-those arrays:
+ensemble columnar - a shared closed instance per signature group plus
+one numpy array of sampled values per layer firing.  Instead of
+forcing ``.worlds`` (materializing ``n`` instances) and evaluating a
+plan per world, this module *compiles* a
+:class:`~repro.query.relalg.Query` tree down to numpy operations that
+run **once per plan over the whole batch**:
 
+* a scan merges the rows of every group into cells laid across all
+  grouped worlds - a constant, or an array of sampled values - each
+  row with a presence mask over those worlds;
 * selections (:meth:`Query.where`'s structural equalities) become
   boolean masks over the sample columns;
-* equality joins compare columns elementwise, keyed by world id (all
-  arrays of a group are aligned with its member worlds);
-* aggregates reduce per world - pure-count aggregates as one vector
-  sum over presence masks, value folds via the *same* fold callables
-  the per-world evaluator uses, so results are bit-identical;
+* equality joins compare columns elementwise, keyed by world;
+* the plan's per-world answers are reduced to an **answer index**: one
+  answer id per world slot (-1 for truncated worlds) plus the list of
+  distinct answer relations.  Pure-count aggregates are one vector sum
+  over the presence masks; every other answer is assembled once per
+  distinct row set, value folds via the *same* fold the per-world
+  evaluator uses (:meth:`Aggregate.fold`), so results are bit-identical;
 * a **lifted fast path** skips per-world evaluation entirely whenever
   the plan only scans *stable* relations - relations the batch's
   stable-relation analysis proves can never gain a fact after the
@@ -26,17 +31,24 @@ those arrays:
 Plans the compiler cannot vectorize - opaque ``select(callable)``
 predicates, :class:`~repro.query.relalg.Extend`, nested aggregates -
 fall back *transparently* to the per-world evaluator (via
-``world_slots``; the answer is identical, only slower).
+``world_slots``; the answer is identical, only slower).  Worlds that
+finished on the scalar engine are always evaluated per world.
 
-The module also hosts the unified push-forward implementation behind
-:meth:`repro.api.Session.query`: one dispatch covering exact PDBs,
-plain and columnar Monte-Carlo ensembles, and weighted (posterior)
-ensembles including the streamed :class:`WeightedColumnarPDB`.
+A query's push-forward (Remark 4.9) needs each world's answer exactly
+once, so the answer index is memoized per (columnar ensemble, plan
+object): every accessor of one
+:class:`~repro.api.results.QueryResult` reduces over a single
+evaluation with numpy.  The module also hosts the unified push-forward
+implementation behind :meth:`repro.api.Session.query`: one dispatch
+covering exact PDBs, plain and columnar Monte-Carlo ensembles, and
+weighted (posterior) ensembles including the streamed
+:class:`WeightedColumnarPDB`.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Any, Callable
 
 import numpy as np
@@ -54,7 +66,7 @@ from repro.query.relalg import (Difference, Extend, Intersection,
 
 
 class _Unsupported(Exception):
-    """Internal: the plan (or this group's data) is not vectorizable."""
+    """Internal: the plan (or this batch's data) is not vectorizable."""
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +74,14 @@ class _Unsupported(Exception):
 # ---------------------------------------------------------------------------
 
 
-def scanned_relations(query: Query) -> frozenset | None:
-    """Every stored relation the plan reads, or None on unknown nodes."""
-    relations: set[str] = set()
+def _scans(query: Query) -> list[Scan] | None:
+    """Every :class:`Scan` node of the plan, or None on unknown nodes."""
+    scans: list[Scan] = []
     stack = [query]
     while stack:
         node = stack.pop()
         if isinstance(node, Scan):
-            relations.add(node.relation)
+            scans.append(node)
         elif isinstance(node, (Select, Project, Rename, Extend,
                                Aggregate)):
             stack.append(node.source)
@@ -79,7 +91,14 @@ def scanned_relations(query: Query) -> frozenset | None:
             stack.append(node.right)
         else:
             return None
-    return frozenset(relations)
+    return scans
+
+
+def scanned_relations(query: Query) -> frozenset | None:
+    """Every stored relation the plan reads, or None on unknown nodes."""
+    scans = _scans(query)
+    return None if scans is None \
+        else frozenset(node.relation for node in scans)
 
 
 def plan_vectorizable(query: Query, _root: bool = True) -> bool:
@@ -109,9 +128,10 @@ def explain(pdb: PDBBase, query: Query) -> str:
 
     ``"lifted"`` - one evaluation against the shared closed instance
     answers every world (stable-relation fast path); ``"columnar"`` -
-    vectorized per-group compilation; ``"fallback"`` - per-world
-    evaluation over lazily built world slots; ``"worlds"`` - not a
-    columnar ensemble at all (exact or materialized-world paths).
+    one vectorized evaluation over every signature group of the batch
+    at once; ``"fallback"`` - per-world evaluation over lazily built
+    world slots; ``"worlds"`` - not a columnar ensemble at all (exact
+    or materialized-world paths).
     """
     if isinstance(pdb, WeightedColumnarPDB):
         return explain(pdb._columnar, query)
@@ -203,23 +223,66 @@ def _row_eq(cells_a: tuple, cells_b: tuple):
     return acc
 
 
+def _has_sample(cells: tuple) -> bool:
+    """Whether any of the cells is a per-world sample array."""
+    return any(isinstance(cell, np.ndarray) for cell in cells)
+
+
+def _by_constant_key(rows: list, indices: list[int]) -> tuple[dict, list]:
+    """Row positions by the constant values of their key cells.
+
+    A row with a sample array among its key cells may match any key,
+    so it lands in the returned wildcard list instead.
+    """
+    buckets: dict[tuple, list[int]] = {}
+    wildcards: list[int] = []
+    for position, (cells, _mask) in enumerate(rows):
+        key = tuple(cells[i] for i in indices)
+        if _has_sample(key):
+            wildcards.append(position)
+        else:
+            buckets.setdefault(key, []).append(position)
+    return buckets, wildcards
+
+
+def _matching(rows: list, index: tuple[dict, list], key: tuple) -> list:
+    """The rows that may equal ``key`` on the indexed cells, in order."""
+    if _has_sample(key):
+        return rows
+    buckets, wildcards = index
+    return [rows[position] for position
+            in sorted(buckets.get(key, []) + wildcards)]
+
+
 def _dedup(rows: list) -> list:
     """Enforce per-world set semantics on a list of (cells, mask) rows.
 
     For every world, among rows equal *in that world*, only the first
     stays present - exactly the dedup a per-world ``frozenset`` of
-    rows performs.  O(rows² · n), with row counts that are tiny in
-    practice (a handful of templates per relation).
+    rows performs.  Two constant rows are equal in a world exactly
+    when their values are, so they meet through a dict keyed by value;
+    only rows holding sample arrays are compared pairwise.
     """
     out: list = []
+    sampled: list = []
+    constant_masks: dict[tuple, Any] = {}
     for cells, mask in rows:
-        for prev_cells, prev_mask in out:
+        constant = not _has_sample(cells)
+        for prev_cells, prev_mask in (sampled if constant else out):
             dup = _and(_row_eq(cells, prev_cells), prev_mask)
             mask = _prune(_minus(mask, dup))
             if mask is False:
                 break
-        if mask is not False:
-            out.append((cells, mask))
+        if constant and mask is not False:
+            mask = _prune(_minus(mask, constant_masks.get(cells, False)))
+        if mask is False:
+            continue
+        out.append((cells, mask))
+        if constant:
+            constant_masks[cells] = _or(constant_masks.get(cells, False),
+                                        mask)
+        else:
+            sampled.append((cells, mask))
     return out
 
 
@@ -232,7 +295,7 @@ def _column_index(columns: tuple, name: str) -> int:
 
 
 class _Table:
-    """One group's columnar relation: rows of scalar-or-array cells."""
+    """A columnar relation: rows of scalar-or-array cells with masks."""
 
     __slots__ = ("columns", "rows", "n")
 
@@ -243,21 +306,36 @@ class _Table:
 
 
 # ---------------------------------------------------------------------------
-# The per-group compiler
+# The whole-batch compiler
 # ---------------------------------------------------------------------------
 
 
-class _GroupPlanner:
-    """Evaluates a plan over one columnar group's shared view + columns."""
+class _BatchPlanner:
+    """Evaluates a plan once over a set of columnar groups, merged.
 
-    def __init__(self, pdb: ColumnarMonteCarloPDB, group_index: int):
-        group = pdb._outcome.groups[group_index]
-        self.n = len(group.members)
-        self.shared: Instance = pdb._group_view(group_index)
-        self.templates: list[tuple] = []
-        for firing, values in group.columns:
-            for template in pdb._column_templates(firing):
-                self.templates.append((template, values))
+    The groups' members are laid end to end as positions ``0..n-1``
+    (:attr:`members` maps a position to its world id).  A cell is a
+    constant or an ``n``-wide array of sampled values; a row's mask is
+    True (present at every position) or an ``n``-wide bool array.  An
+    array cell holds valid values wherever its row is present, and
+    every operator only narrows masks, so values outside a row's
+    groups are never read.
+    """
+
+    def __init__(self, pdb: ColumnarMonteCarloPDB,
+                 group_indices: list[int], relations: frozenset):
+        groups = [pdb._outcome.groups[index] for index in group_indices]
+        sizes = [len(group.members) for group in groups]
+        self.pdb = pdb
+        self.group_indices = group_indices
+        self.relations = relations
+        self.members = np.concatenate([group.members
+                                       for group in groups])
+        self.n = len(self.members)
+        self.starts = np.cumsum([0] + sizes).tolist()
+        self.owner = np.repeat(np.arange(len(groups)), sizes)
+        self._relations: dict[str, list] = {}
+        self._columns: dict[str, list] | None = None
 
     # -- node dispatch ------------------------------------------------------
 
@@ -284,30 +362,90 @@ class _GroupPlanner:
 
     # -- leaves -------------------------------------------------------------
 
-    def _scan(self, query: Scan) -> _Table:
-        rows: list[tuple] = [tuple(row)
-                             for row in self.shared.tuples_of(
-                                 query.relation)]
-        for (relation, args, position), values in self.templates:
-            if relation != query.relation:
-                continue
+    def _coverage(self, groups: list[int]):
+        """The mask of the positions of the given (local) groups."""
+        if len(groups) == len(self.group_indices):
+            return True
+        hit = np.zeros(len(self.group_indices), dtype=bool)
+        hit[groups] = True
+        return hit[self.owner]
+
+    def _sample_columns(self) -> dict[str, list]:
+        """Every group's sample columns by scanned head relation.
+
+        Entries are ``(local group, template, values)`` in group, then
+        column order.
+        """
+        if self._columns is None:
+            self._columns = {}
+            templates_of: dict[int, list] = {}
+            for local, index in enumerate(self.group_indices):
+                for firing, values in \
+                        self.pdb._outcome.groups[index].columns:
+                    templates = templates_of.get(id(firing))
+                    if templates is None:
+                        templates = templates_of[id(firing)] = [
+                            template for template
+                            in self.pdb._column_templates(firing)
+                            if template[0] in self.relations]
+                    for template in templates:
+                        self._columns.setdefault(template[0], []).append(
+                            (local, template, values))
+        return self._columns
+
+    def _relation_rows(self, relation: str) -> list:
+        """Every row ``relation`` has in any group, dedup'd per world.
+
+        Shared-view tuples are keyed by value (and type, so ``1`` and
+        ``1.0`` stay apart); sample-column templates by (template,
+        dtype, occurrence within the group), their values written into
+        one ``n``-wide column.  Shared rows come first, as in a single
+        group's scan.
+        """
+        rows = self._relations.get(relation)
+        if rows is not None:
+            return rows
+        shared: dict[tuple, tuple] = {}
+        for local, index in enumerate(self.group_indices):
+            for row in self.pdb._group_view(index).tuples_of(relation):
+                key = (row, tuple(map(type, row)))
+                shared.setdefault(key, (row, []))[1].append(local)
+        sampled: dict[tuple, tuple] = {}
+        occurrences: dict[tuple, int] = {}
+        for local, template, values in \
+                self._sample_columns().get(relation, ()):
+            kind = (template, values.dtype)
+            occurrence = occurrences.get((local, kind), 0)
+            occurrences[local, kind] = occurrence + 1
+            entry = sampled.get((kind, occurrence))
+            if entry is None:
+                entry = sampled[kind, occurrence] = (
+                    template, np.zeros(self.n, dtype=values.dtype), [])
+            entry[1][self.starts[local]:self.starts[local + 1]] = values
+            entry[2].append(local)
+        rows = [(row, self._coverage(groups))
+                for row, groups in shared.values()]
+        for (_, args, position), column, groups in sampled.values():
             cells = list(args)
-            cells[position] = values
-            rows.append(tuple(cells))
-        arities = {len(cells) for cells in rows}
+            cells[position] = column
+            rows.append((tuple(cells), self._coverage(groups)))
+        if len({len(cells) for cells, _ in rows}) > 1:
+            raise _Unsupported("mixed-arity scan")
+        rows = _dedup(rows)
+        self._relations[relation] = rows
+        return rows
+
+    def _scan(self, query: Scan) -> _Table:
+        rows = self._relation_rows(query.relation)
+        arity = len(rows[0][0]) if rows else None
         if query.columns is not None:
-            columns = query.columns
-            if any(arity != len(columns) for arity in arities):
+            if arity is not None and arity != len(query.columns):
                 # The per-world evaluator raises SchemaError; let it.
                 raise _Unsupported("scan arity mismatch")
-        else:
-            if not arities:
-                return _Table((), [], self.n)
-            if len(arities) != 1:
-                raise _Unsupported("mixed-arity scan")
-            columns = tuple(f"c{i}" for i in range(arities.pop()))
-        return _Table(columns, _dedup([(cells, True) for cells in rows]),
-                      self.n)
+            return _Table(query.columns, rows, self.n)
+        if arity is None:
+            return _Table((), [], self.n)
+        return _Table(tuple(f"c{i}" for i in range(arity)), rows, self.n)
 
     # -- unary operators ----------------------------------------------------
 
@@ -356,9 +494,12 @@ class _GroupPlanner:
                        if name not in shared]
         columns = left.columns + tuple(right.columns[i]
                                        for i in right_extra)
+        index = _by_constant_key(right.rows, right_key)
         rows = []
         for left_cells, left_mask in left.rows:
-            for right_cells, right_mask in right.rows:
+            key = tuple(left_cells[i] for i in left_key)
+            for right_cells, right_mask in _matching(right.rows, index,
+                                                     key):
                 mask = _and(left_mask, right_mask)
                 for li, ri in zip(left_key, right_key):
                     mask = _prune(_and(mask, _cell_eq(left_cells[li],
@@ -403,9 +544,11 @@ class _GroupPlanner:
 
     def _difference(self, query: Difference) -> _Table:
         left, right = self._operands(query)
+        index = _by_constant_key(right.rows, list(range(len(right.columns))))
         rows = []
         for cells, mask in left.rows:
-            for right_cells, right_mask in right.rows:
+            for right_cells, right_mask in _matching(right.rows, index,
+                                                     cells):
                 hit = _and(_row_eq(cells, right_cells), right_mask)
                 mask = _prune(_minus(mask, hit))
                 if mask is False:
@@ -416,10 +559,12 @@ class _GroupPlanner:
 
     def _intersection(self, query: Intersection) -> _Table:
         left, right = self._operands(query)
+        index = _by_constant_key(right.rows, list(range(len(right.columns))))
         rows = []
         for cells, mask in left.rows:
             present = False
-            for right_cells, right_mask in right.rows:
+            for right_cells, right_mask in _matching(right.rows, index,
+                                                     cells):
                 present = _or(present, _and(_row_eq(cells, right_cells),
                                             right_mask))
                 if present is True:
@@ -429,195 +574,271 @@ class _GroupPlanner:
                 rows.append((cells, mask))
         return _Table(left.columns, rows, self.n)
 
-    # -- per-world assembly -------------------------------------------------
+    # -- answers ------------------------------------------------------------
 
-    def _listed_rows(self, table: _Table) -> list[tuple]:
-        """(cells-with-arrays-listed, mask-listed) per row."""
-        listed = []
-        for cells, mask in table.rows:
-            cell_lists = tuple(cell.tolist()
-                               if isinstance(cell, np.ndarray) else None
-                               for cell in cells)
-            mask_list = None if mask is True else mask.tolist()
-            listed.append((cells, cell_lists, mask_list))
-        return listed
+    def answers(self, query: Query) -> tuple[np.ndarray, list[Relation]]:
+        """A key per position, and the answer relation of every key.
 
-    def world_rows(self, table: _Table) -> list[list[tuple]]:
-        """The dedup'd row set of every member world, as value tuples."""
-        per_world: list[list[tuple]] = [[] for _ in range(self.n)]
-        for cells, cell_lists, mask_list in self._listed_rows(table):
-            if mask_list is None and all(values is None
-                                         for values in cell_lists):
-                constant = tuple(cells)
-                for rows in per_world:
-                    rows.append(constant)
-                continue
-            for position, rows in enumerate(per_world):
-                if mask_list is not None and not mask_list[position]:
-                    continue
-                rows.append(tuple(
-                    cell if values is None else values[position]
-                    for cell, values in zip(cells, cell_lists)))
-        return per_world
-
-    def assemble(self, table: _Table) -> list[Relation]:
-        """One answer :class:`Relation` per member world."""
-        columns = table.columns
-        cache: dict[frozenset, Relation] = {}
-        answers = []
-        for rows in self.world_rows(table):
-            key = frozenset(rows)
-            answer = cache.get(key)
-            if answer is None:
-                answer = Relation(columns, key)
-                cache[key] = answer
-            answers.append(answer)
-        return answers
-
-    def aggregate_answers(self, query: Aggregate) -> list[Relation]:
-        """Per-world aggregate results, segmented reductions per world.
-
-        Pure-count aggregates without grouping reduce as one vector
-        sum over the presence masks; everything else extracts the
-        per-world value lists and applies the *same* fold callables
-        the per-world evaluator uses (``math.fsum`` etc.), so results
-        are bit-identical including empty-group error semantics.
+        Positions with equal keys have equal answers.  Keys are
+        numbered in order of first position, so answers are built in
+        the order a per-world evaluation would meet them.
         """
+        if not isinstance(query, Aggregate):
+            table = self.table(query)
+            keys, first = _row_set_keys(table)
+            return keys, [Relation(table.columns, rows)
+                          for rows in _rows_at(table, first)]
         table = self.table(query.source)
-        group_indices = [_column_index(table.columns, name)
-                         for name in query.group_by]
-        value_indices = {
-            out_name: (_column_index(table.columns, func.column)
-                       if func.column is not None else None)
-            for out_name, func in query.aggregates.items()}
-        out_columns = query.group_by + tuple(query.aggregates)
-
         if not query.group_by and all(
-                func.name == "count"
-                for func in query.aggregates.values()):
+                func.name == "count" for func in query.aggregates.values()):
             counts = np.zeros(self.n, dtype=np.int64)
             for _cells, mask in table.rows:
-                if mask is True:
-                    counts += 1
-                else:
-                    counts += mask
+                counts += mask  # True adds one everywhere
+            keys, first = _factorize(counts)
             width = len(query.aggregates)
-            cache: dict[int, Relation] = {}
-            answers = []
-            for count in counts.tolist():
-                answer = cache.get(count)
-                if answer is None:
-                    answer = Relation(out_columns, [(count,) * width])
-                    cache[count] = answer
-                answers.append(answer)
-            return answers
+            columns = tuple(query.aggregates)
+            return keys, [Relation(columns, [(count,) * width])
+                          for count in counts[first].tolist()]
+        keys, first = _row_set_keys(table)
+        return keys, [query.fold(Relation(table.columns, rows))
+                      for rows in _rows_at(table, first)]
 
-        answers = []
-        for world_rows in self.world_rows(table):
-            groups: dict[tuple, list[tuple]] = {}
-            for row in world_rows:
-                key = tuple(row[i] for i in group_indices)
-                groups.setdefault(key, []).append(row)
-            if not query.group_by and not groups:
-                groups[()] = []
-            out_rows = []
-            for key, rows in groups.items():
-                aggregated = []
-                for out_name, func in query.aggregates.items():
-                    index = value_indices[out_name]
-                    values = [row[index] for row in rows] \
-                        if index is not None else list(rows)
-                    if not rows and func.name in ("count", "sum"):
-                        aggregated.append(0)
-                    else:
-                        aggregated.append(func(values))
-                out_rows.append(key + tuple(aggregated))
-            answers.append(Relation(out_columns, out_rows))
-        return answers
+
+def _factorize(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids for ``values`` in order of first position.
+
+    Returns the id of every position and the first position of every
+    id.
+    """
+    _, first, inverse = np.unique(values, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
+
+
+def _row_set_keys(table: _Table) -> tuple[np.ndarray, np.ndarray]:
+    """A row-set id per position, numbered as by :func:`_factorize`.
+
+    Every row adds one code per sample cell (0 where the row is
+    absent, else 1 + the value's rank) or, when all its cells are
+    constants, its presence; positions whose codes all agree hold
+    equal row sets.  Codes are folded into one id per position after
+    each step, so the ids stay below ``n``.
+    """
+    keys = np.zeros(table.n, dtype=np.int64)
+    for cells, mask in table.rows:
+        codes = [np.unique(cell, return_inverse=True,
+                           equal_nan=False)[1] + 1
+                 for cell in cells if isinstance(cell, np.ndarray)]
+        if mask is not True:
+            codes = [np.where(mask, code, 0) for code in codes] \
+                or [mask.astype(np.int64)]
+        for code in codes:
+            keys = np.unique(keys * (int(code.max()) + 1) + code,
+                             return_inverse=True)[1]
+    return _factorize(keys)
+
+
+def _rows_at(table: _Table, positions: np.ndarray) -> list[list[tuple]]:
+    """The rows present at each of ``positions``, in table order."""
+    per_position: list[list[tuple]] = [[] for _ in range(len(positions))]
+    for cells, mask in table.rows:
+        present = None if mask is True else mask[positions].tolist()
+        listed = [cell[positions].tolist()
+                  if isinstance(cell, np.ndarray) else None
+                  for cell in cells]
+        for slot, rows in enumerate(per_position):
+            if present is None or present[slot]:
+                rows.append(tuple(cell if values is None else values[slot]
+                                  for cell, values in zip(cells, listed)))
+    return per_position
 
 
 # ---------------------------------------------------------------------------
-# Slot-aligned answers for a columnar ensemble
+# The answer index of a columnar ensemble
 # ---------------------------------------------------------------------------
+
+
+#: The last plan evaluated per columnar ensemble: pdb -> (plan, ids,
+#: answers).  Ensembles are immutable, so an entry stays valid for as
+#: long as its pdb lives.
+_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _answer_index(pdb: ColumnarMonteCarloPDB,
+                  query: Query) -> tuple[np.ndarray, list[Relation]]:
+    """The plan's answer in every world slot, as an index.
+
+    Returns ``(ids, answers)``: ``ids[i]`` is world ``i``'s position in
+    ``answers`` (-1 for truncated worlds), and ``answers`` lists the
+    distinct answer relations in order of first world.  Evaluated once
+    per (ensemble, plan object) pair and memoized - the lifted fast
+    path when the plan only touches stable relations, one vectorized
+    pass over every signature group when each node is supported, the
+    transparent per-world fallback otherwise.
+    """
+    memo = _MEMO.get(pdb)
+    if memo is not None and memo[0] is query:
+        return memo[1], memo[2]
+    ids, answers = _evaluate(pdb, query)
+    _MEMO[pdb] = (query, ids, answers)
+    return ids, answers
 
 
 def query_answers(pdb: ColumnarMonteCarloPDB,
                   query: Query) -> list[Relation | None]:
     """Answer relation per world *slot* (None = truncated world).
 
-    The core columnar evaluator: lifted fast path when the plan only
-    touches stable relations, vectorized per-group compilation when
-    every node is supported, transparent per-world fallback otherwise.
-    Scalar-fallback runs always evaluate per world (their instances
-    already exist); none of the strategies ever materializes the
-    grouped worlds except the explicit fallback.
+    The per-slot view of :func:`_answer_index`.  None of the strategies
+    ever materializes the grouped worlds except the explicit fallback.
     """
+    ids, answers = _answer_index(pdb, query)
+    return [None if answer < 0 else answers[answer]
+            for answer in ids.tolist()]
+
+
+def _evaluate(pdb: ColumnarMonteCarloPDB,
+              query: Query) -> tuple[np.ndarray, list[Relation]]:
     outcome = pdb._outcome
-    slots: list[Relation | None] = [None] * outcome.size
-
-    lifted, answer = _lifted_answer(pdb, query)
-    if lifted:
-        for group in outcome.groups:
-            for world in group.members.tolist():
-                slots[world] = answer
-        for index, _world in pdb._scalar_slots():
-            slots[index] = answer
-        return slots
-
+    lifted = _lifted_answer(pdb, query)
+    if lifted is not None:
+        codes = np.zeros(outcome.size, dtype=np.int64)
+        codes[[index for index, run in outcome.scalar_runs
+               if not run.terminated]] = -1
+        return _index(codes, [lifted])
     if not plan_vectorizable(query):
-        return _fallback_slots(pdb, query)
+        return _fallback(pdb, query)
+    codes = np.full(outcome.size, -1, dtype=np.int64)
+    relations: list[Relation] = []
+    scanned = scanned_relations(query)
     try:
-        per_group = []
-        for group_index in range(len(outcome.groups)):
-            planner = _GroupPlanner(pdb, group_index)
-            if isinstance(query, Aggregate):
-                per_group.append(planner.aggregate_answers(query))
-            else:
-                per_group.append(planner.assemble(planner.table(query)))
+        for groups in _schema_classes(pdb, query):
+            planner = _BatchPlanner(pdb, groups, scanned)
+            keys, answers = planner.answers(query)
+            codes[planner.members] = keys + len(relations)
+            relations.extend(answers)
     except _Unsupported:
-        return _fallback_slots(pdb, query)
-    for group, answers in zip(outcome.groups, per_group):
-        for world, answer in zip(group.members.tolist(), answers):
-            slots[world] = answer
+        return _fallback(pdb, query)
     for index, world in pdb._scalar_slots():
-        slots[index] = query.evaluate(world)
-    return slots
+        codes[index] = len(relations)
+        relations.append(query.evaluate(world))
+    return _index(codes, relations)
 
 
-def _lifted_answer(pdb: ColumnarMonteCarloPDB, query: Query):
+def _schema_classes(pdb: ColumnarMonteCarloPDB,
+                    query: Query) -> list[list[int]]:
+    """The batch's non-empty groups, split so each part has one schema.
+
+    A scan without explicit columns names them after the arity it
+    finds, and a relation with no row in a group scans as zero columns
+    there - the plan's schema may differ between groups.  Groups that
+    agree on the arities of every such relation are planned together;
+    without column-less scans that is all of them.
+    """
+    groups = [index for index, group in enumerate(pdb._outcome.groups)
+              if len(group.members)]
+    relations = sorted({node.relation for node in _scans(query)
+                        if node.columns is None})
+    if not relations:
+        return [groups] if groups else []
+    classes: dict[tuple, list[int]] = {}
+    for index in groups:
+        key = tuple(_arities(pdb, index, relation)
+                    for relation in relations)
+        classes.setdefault(key, []).append(index)
+    return list(classes.values())
+
+
+def _arities(pdb: ColumnarMonteCarloPDB, index: int,
+             relation: str) -> frozenset:
+    arities = {len(row)
+               for row in pdb._group_view(index).tuples_of(relation)}
+    for firing, _values in pdb._outcome.groups[index].columns:
+        arities.update(len(args) for name, args, _position
+                       in pdb._column_templates(firing)
+                       if name == relation)
+    return frozenset(arities)
+
+
+def _lifted_answer(pdb: ColumnarMonteCarloPDB,
+                   query: Query) -> Relation | None:
+    """The one answer of every world, when the plan reads stable data."""
     scanned = scanned_relations(query)
     if scanned is None:
-        return False, None
+        return None
     growable = pdb.growable_relations
     base = pdb.stable_view()
     if growable is None or base is None or (scanned & growable):
-        return False, None
-    return True, query.evaluate(base)
+        return None
+    return query.evaluate(base)
 
 
-def _fallback_slots(pdb: ColumnarMonteCarloPDB,
-                    query: Query) -> list[Relation | None]:
-    return [None if world is None else query.evaluate(world)
-            for world in pdb.world_slots()]
+def _fallback(pdb: ColumnarMonteCarloPDB,
+              query: Query) -> tuple[np.ndarray, list[Relation]]:
+    slots = pdb.world_slots()
+    codes = np.full(len(slots), -1, dtype=np.int64)
+    relations: list[Relation] = []
+    for index, world in enumerate(slots):
+        if world is not None:
+            codes[index] = len(relations)
+            relations.append(query.evaluate(world))
+    return _index(codes, relations)
 
 
-def _posts(slots: list, post: Callable[[Relation], Any]) -> list:
-    """``post`` over the non-None slots in order, cached per identity.
+def _first_seen(ids: np.ndarray) -> list[int]:
+    """The distinct values of ``ids``, in order of first slot."""
+    used, first = np.unique(ids, return_index=True)
+    return used[np.argsort(first)].tolist()
 
-    The lifted fast path and the assembly cache reuse one Relation
-    object across worlds; computing its image once keeps the
-    push-forward O(distinct answers), not O(worlds).
+
+def _index(codes: np.ndarray,
+           relations: list[Relation]) -> tuple[np.ndarray, list[Relation]]:
+    """Merge equal relations into answer ids numbered by first slot.
+
+    ``codes`` maps each world slot to one of ``relations`` (-1 for a
+    truncated world).
     """
-    cache: dict[int, Any] = {}
-    images = []
-    for relation in slots:
-        if relation is None:
-            continue
-        key = id(relation)
-        if key not in cache:
-            cache[key] = post(relation)
-        images.append(cache[key])
-    return images
+    live = codes >= 0
+    answer_of = np.zeros(len(relations), dtype=np.intp)
+    answers: list[Relation] = []
+    seen: dict[Relation, int] = {}
+    for code in _first_seen(codes[live]):
+        relation = relations[code]
+        answer = seen.get(relation)
+        if answer is None:
+            answer = seen[relation] = len(answers)
+            answers.append(relation)
+        answer_of[code] = answer
+    ids = np.full(len(codes), -1, dtype=np.intp)
+    ids[live] = answer_of[codes[live]]
+    ids.flags.writeable = False
+    return ids, answers
+
+
+def _images(ids: np.ndarray, answers: list[Relation],
+            post: Callable[[Relation], Any]) -> tuple[list, np.ndarray]:
+    """``post`` over the answers ``ids`` reaches, in first-slot order.
+
+    Returns the distinct images (first-slot order) and, per answer id,
+    its image's position among them.
+    """
+    images: dict = {}
+    image_of = np.zeros(len(answers), dtype=np.intp)
+    for answer in _first_seen(ids):
+        image_of[answer] = images.setdefault(post(answers[answer]),
+                                             len(images))
+    return list(images), image_of
+
+
+def _aggregate_values(ids: np.ndarray, answers: list[Relation],
+                      column: str | None) -> np.ndarray:
+    """The numeric aggregate value of each of ``ids``' answers, per slot."""
+    values = np.zeros(len(answers))
+    for answer in _first_seen(ids):
+        values[answer] = float(aggregate_answer(answers[answer], column))
+    return values[ids]
 
 
 # ---------------------------------------------------------------------------
@@ -666,34 +887,36 @@ def _push_world(pdb: PDBBase, f: Callable[[Instance], Any],
 
 def _push_query(pdb: PDBBase, query: Query,
                 post: Callable[[Relation], Any]) -> DiscreteMeasure:
-    """Push-forward of ``post(query(D))``, columnar where possible."""
+    """Push-forward of ``post(query(D))``, columnar where possible.
+
+    Over columnar ensembles ``post`` runs once per distinct answer;
+    counts and weights are summed per image with ``np.bincount``,
+    which adds in slot order like the per-world loop it replaces.
+    """
     if isinstance(pdb, ColumnarMonteCarloPDB):
-        images = _posts(query_answers(pdb, query), post)
-        if not images:
+        ids, answers = _answer_index(pdb, query)
+        ids = ids[ids >= 0]
+        if not len(ids):
             return DiscreteMeasure.zero()
-        return DiscreteMeasure.from_samples(images).scale(
-            pdb.total_mass())
-    if isinstance(pdb, WeightedColumnarPDB):
-        slots = query_answers(pdb._columnar, query)
-        weights = pdb.weights
-        cache: dict[int, Any] = {}
-        masses: dict = {}
-        for index, relation in enumerate(slots):
-            if relation is None:
-                continue
-            weight = float(weights[index])
-            if weight <= 0.0:
-                continue
-            key = id(relation)
-            if key not in cache:
-                cache[key] = post(relation)
-            image = cache[key]
-            masses[image] = masses.get(image, 0.0) + weight
-        if not masses:
-            return DiscreteMeasure.zero()
+        images, image_of = _images(ids, answers, post)
+        counts = np.bincount(image_of[ids], minlength=len(images))
         return DiscreteMeasure(
-            {point: mass / pdb.total_weight()
-             for point, mass in masses.items()})
+            {image: count / len(ids)
+             for image, count in zip(images, counts.tolist())}).scale(
+                 pdb.total_mass())
+    if isinstance(pdb, WeightedColumnarPDB):
+        ids, answers = _answer_index(pdb._columnar, query)
+        weights = pdb.weights
+        live = (ids >= 0) & ~(weights <= 0.0)
+        ids = ids[live]
+        if not len(ids):
+            return DiscreteMeasure.zero()
+        images, image_of = _images(ids, answers, post)
+        masses = np.bincount(image_of[ids], weights=weights[live],
+                             minlength=len(images))
+        return DiscreteMeasure(
+            {image: mass / pdb.total_weight()
+             for image, mass in zip(images, masses.tolist())})
     return _push_world(pdb, lambda instance:
                        post(query.evaluate(instance)))
 
@@ -725,40 +948,39 @@ def aggregate_distribution(pdb: PDBBase, query: Query,
 def boolean_probability(pdb: PDBBase, query: Query) -> float:
     """Probability that the query returns a non-empty answer."""
     if isinstance(pdb, ColumnarMonteCarloPDB):
-        hits = sum(1 for relation in query_answers(pdb, query)
-                   if relation is not None and len(relation) > 0)
-        return hits / pdb.n_runs
+        ids, answers = _answer_index(pdb, query)
+        hits = _nonempty(answers)[ids[ids >= 0]]
+        return int(np.count_nonzero(hits)) / pdb.n_runs
     if isinstance(pdb, WeightedColumnarPDB):
-        slots = query_answers(pdb._columnar, query)
-        hit = 0.0
-        for index, relation in enumerate(slots):
-            if relation is None or len(relation) == 0:
-                continue
-            weight = float(pdb.weights[index])
-            if weight > 0.0:
-                hit += weight
-        return hit / pdb.total_weight()
+        ids, answers = _answer_index(pdb._columnar, query)
+        weights = pdb.weights
+        live = (ids >= 0) & (weights > 0.0)
+        hits = _nonempty(answers)[ids[live]]
+        hit = np.bincount(hits, weights=weights[live], minlength=2)[1]
+        return float(hit) / pdb.total_weight()
     return pdb.prob(lambda instance:
                     len(query.evaluate(instance)) > 0)
+
+
+def _nonempty(answers: list[Relation]) -> np.ndarray:
+    return np.array([len(relation) > 0 for relation in answers],
+                    dtype=np.intp)
 
 
 def expected_aggregate(pdb: PDBBase, query: Query,
                        column: str | None = None) -> float:
     """Expected value of a numeric single-valued aggregate."""
     if isinstance(pdb, ColumnarMonteCarloPDB):
-        total = math.fsum(
-            float(aggregate_answer(relation, column))
-            for relation in query_answers(pdb, query)
-            if relation is not None)
-        return total / pdb.n_runs
+        ids, answers = _answer_index(pdb, query)
+        values = _aggregate_values(ids[ids >= 0], answers, column)
+        return math.fsum(values.tolist()) / pdb.n_runs
     if isinstance(pdb, WeightedColumnarPDB):
-        slots = query_answers(pdb._columnar, query)
-        weighted = math.fsum(
-            float(pdb.weights[index])
-            * float(aggregate_answer(relation, column))
-            for index, relation in enumerate(slots)
-            if relation is not None and float(pdb.weights[index]) > 0.0)
-        return weighted / pdb.total_weight()
+        ids, answers = _answer_index(pdb._columnar, query)
+        weights = pdb.weights
+        live = (ids >= 0) & (weights > 0.0)
+        values = _aggregate_values(ids[live], answers, column)
+        return math.fsum((weights[live] * values).tolist()) \
+            / pdb.total_weight()
     return pdb.expectation(lambda instance: float(
         aggregate_answer(query.evaluate(instance), column)))
 

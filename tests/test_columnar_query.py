@@ -4,16 +4,20 @@ Covers the unified query entry points (``Session.query`` /
 ``InferenceResult.query`` -> ``QueryResult``), the columnar planner's
 strategy selection and its zero-materialization guarantee (including
 over a *sharded* merged ensemble - served queries never expand a
-world), the relational-plan wire codec, the served ``query`` op, the
-``repro query`` CLI contract, and the canonical ``repro.query``
-imports (the ``repro.query.lifted`` shims are gone since 2.0).
+world), the whole-batch planner's exact identities and its
+one-evaluation-per-plan memo, the relational-plan wire codec, the
+served ``query`` op, the ``repro query`` CLI contract, and the
+canonical ``repro.query`` imports (the ``repro.query.lifted`` shims
+are gone since 2.0).
 """
 
 import importlib
 import io
 import json
+import math
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.api import QueryResult, compile as compile_program
@@ -24,11 +28,18 @@ from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.pdb.weighted import WeightedColumnarPDB
 from repro.query import (Aggregate, agg_avg, agg_count, agg_sum,
-                         explain, plan_vectorizable, query_answers,
-                         scan, scanned_relations)
+                         aggregate_answer, boolean_probability,
+                         expected_aggregate, explain, plan_vectorizable,
+                         query_answers, query_distribution, scan,
+                         scanned_relations)
+from repro.query import columnar
 from repro.query.relalg import Scan
-from repro.serving import (ProgramServer, ShardExecutor, protocol,
-                           sample_sharded)
+from repro.serving import (ProgramServer, ShardExecutor,
+                           merge_shard_results, protocol, sample_sharded)
+from repro.serving.sharding import shard_plan
+from repro.testing.oracles import ColumnarQueryOracle
+from repro.workloads.generators import earthquake_city_instance
+from repro.workloads.paper import example_3_4_program
 
 TEMP_PROGRAM = "Temp(c, Normal<20.0, 4.0>) :- City(c)."
 COIN_PROGRAM = "Heads(x, Flip<0.5>) :- Coin(x)."
@@ -153,6 +164,204 @@ class TestPlanAnalysis:
         exact = compile_program(COIN_PROGRAM).on(
             Instance.from_dict({"Coin": [("a",)]})).exact().pdb
         assert explain(exact, scan("Heads", "x", "v")) == "worlds"
+
+
+SENSOR_PROGRAM = """
+    Reading(s, Normal<mu, 2.0>)   :- Sensor(s, mu).
+    Flaky(s, Flip<0.3>)           :- Sensor(s, mu).
+    Anomaly(s, Normal<mu, 50.0>)  :- Sensor(s, mu), Flaky(s, 1).
+"""
+
+
+def sensor_pdb(n=1500, sensors=6, seed=2):
+    instance = Instance.from_dict(
+        {"Sensor": [(f"t{i}", 18.0 + i) for i in range(sensors)]})
+    return compile_program(SENSOR_PROGRAM).on(
+        instance, seed=seed, batch_min_group=1).sample(n).pdb
+
+
+def cities_pdb(n=300, seed=4, **config):
+    return compile_program(example_3_4_program()).on(
+        earthquake_city_instance(4, 4, seed=0), seed=seed,
+        **config).sample(n).pdb
+
+
+def sharded_cities_pdb(n=240, seed=6):
+    session = compile_program(example_3_4_program()).on(
+        earthquake_city_instance(3, 3, seed=1), seed=seed)
+    cfg = session.config.replace(shards=3)
+    plan = shard_plan(n, 3, seed)
+    with ShardExecutor(session.compiled.translated, session.instance,
+                       cfg, inline=True) as executor:
+        results = executor.run(plan)
+    return merge_shard_results(plan, results,
+                               session.compiled.visible_relations,
+                               cfg, 0.0).pdb
+
+
+SENSOR_PLANS = (
+    Aggregate(scan("Flaky", "s", "f").where(f=1)
+              .join(scan("Anomaly", "s", "a")), (), {"n": agg_count()}),
+    scan("Anomaly", "s", "a").project("s"),
+    Scan("Anomaly"),
+    Aggregate(Scan("Anomaly"), (), {"n": agg_count()}),
+    Aggregate(scan("Flaky", "s", "f"), ("f",), {"n": agg_count()}),
+    Aggregate(scan("Reading", "s", "v").where(s="t1"), (),
+              {"v": agg_avg("v")}),
+    scan("Sensor", "s", "mu").project("s")
+    .difference(scan("Flaky", "s", "f").where(f=1).project("s")),
+)
+CITY_PLANS = (
+    Aggregate(scan("Alarm", "unit").join(scan("House", "unit", "city")),
+              (), {"n": agg_count()}),
+    scan("Alarm", "unit"),
+    Aggregate(scan("Earthquake", "city", "e"), ("e",),
+              {"n": agg_count()}),
+    scan("Burglary", "unit", "city", "b").where(b=1).project("city")
+    .union(scan("Alarm", "unit").rename(unit="city")),
+)
+
+
+class TestWholeBatchPlanner:
+    """One vectorized pass over every group answers like each world.
+
+    Each case checks, per plan: the per-slot answers against
+    ``plan.evaluate(world)``; the push-forward against the oracle's
+    naive measure, plain and importance-weighted; and the boolean /
+    expected-aggregate readings against the per-slot sums they reduce
+    (sequential weighted sums, ``math.fsum`` aggregates) - all exact.
+    """
+
+    @staticmethod
+    def _weights(pdb):
+        weights = np.random.default_rng(0).exponential(size=pdb.n_runs)
+        weights[::5] = 0.0
+        for index, run in pdb._outcome.scalar_runs:
+            if not run.terminated:
+                weights[index] = 0.0
+        return weights
+
+    def _check(self, pdb, plans):
+        naive_measure = ColumnarQueryOracle._naive_measure
+        weights = self._weights(pdb)
+        weighted = WeightedColumnarPDB(pdb, weights)
+        for plan in plans:
+            before = pdb.materializations
+            compiled = query_answers(pdb, plan)
+            assert pdb.materializations == before
+            naive = [None if world is None else plan.evaluate(world)
+                     for world in pdb.world_slots()]
+            assert compiled == naive
+            assert query_distribution(pdb, plan) == naive_measure(
+                naive, total=pdb.total_mass())
+            assert query_distribution(weighted, plan) == naive_measure(
+                naive, weights=weights.tolist(),
+                total=weighted.total_weight())
+
+            hits = sum(1 for relation in naive
+                       if relation is not None and len(relation) > 0)
+            assert boolean_probability(pdb, plan) == hits / pdb.n_runs
+            hit = 0.0
+            for weight, relation in zip(weights.tolist(), naive):
+                if relation is not None and len(relation) > 0 \
+                        and weight > 0.0:
+                    hit += weight
+            assert boolean_probability(weighted, plan) \
+                == hit / weighted.total_weight()
+
+            if isinstance(plan, Aggregate) and not plan.group_by:
+                values = [None if relation is None
+                          else float(aggregate_answer(relation))
+                          for relation in naive]
+                assert expected_aggregate(pdb, plan) == math.fsum(
+                    value for value in values
+                    if value is not None) / pdb.n_runs
+                assert expected_aggregate(weighted, plan) == math.fsum(
+                    weight * value
+                    for weight, value in zip(weights.tolist(), values)
+                    if value is not None and weight > 0.0) \
+                    / weighted.total_weight()
+
+    def test_sensor_batch_with_many_groups(self):
+        pdb = sensor_pdb()
+        assert len(pdb._outcome.groups) > 20
+        assert not pdb._outcome.scalar_runs
+        self._check(pdb, SENSOR_PLANS)
+
+    @pytest.mark.parametrize("max_steps", [None, 60])
+    def test_cities_batch_with_scalar_fallback_slots(self, max_steps):
+        # At max_steps=60 most scalar-fallback worlds are truncated.
+        pdb = cities_pdb() if max_steps is None \
+            else cities_pdb(max_steps=max_steps)
+        assert pdb._outcome.scalar_runs and pdb._outcome.groups
+        assert explain(pdb, CITY_PLANS[0]) == "columnar"
+        self._check(pdb, CITY_PLANS)
+
+    def test_sharded_merge(self):
+        pdb = sharded_cities_pdb()
+        assert isinstance(pdb, ColumnarMonteCarloPDB)
+        self._check(pdb, CITY_PLANS)
+
+    def test_merged_constant_rows_meet_by_value(self, monkeypatch):
+        # Facts derived from sampled values differ from group to group:
+        # merged over the batch, Chosen and Marked hold about a thousand
+        # distinct rows each.  Constant rows must meet through value
+        # buckets; comparing them pairwise is quadratic (~10^6 cell
+        # comparisons here, and minutes at a few thousand rows).
+        program = """
+            Pick(i, DiscreteUniform<1, 3000>) :- Item(i).
+            Mark(i, DiscreteUniform<1, 3000>) :- Item(i).
+            Chosen(v) :- Pick(i, v).
+            Marked(v) :- Mark(i, v).
+        """
+        pdb = compile_program(program).on(
+            Instance.from_dict({"Item": [("a",), ("b",), ("c",)]}),
+            seed=1, batch_min_group=1).sample(300).pdb
+        calls = []
+        cell_eq = columnar._cell_eq
+        monkeypatch.setattr(columnar, "_cell_eq", lambda a, b:
+                            calls.append(1) or cell_eq(a, b))
+        plans = (
+            Aggregate(scan("Chosen", "v").join(scan("Marked", "v")), (),
+                      {"n": agg_count()}),
+            scan("Chosen", "v").union(scan("Marked", "v")),
+            scan("Chosen", "v").difference(scan("Marked", "v")),
+            scan("Chosen", "v").intersect(scan("Marked", "v")),
+        )
+        compiled = [query_answers(pdb, plan) for plan in plans]
+        assert len(calls) < 5_000
+        assert pdb.materializations == 0
+        for plan, answers in zip(plans, compiled):
+            assert answers == [plan.evaluate(world)
+                               for world in pdb.world_slots()]
+
+    def test_query_payload_evaluates_the_plan_once(self, monkeypatch):
+        calls = []
+        evaluate = columnar._evaluate
+
+        def counted(pdb, query):
+            calls.append(query)
+            return evaluate(pdb, query)
+
+        monkeypatch.setattr(columnar, "_evaluate", counted)
+        result = temp_session().query(
+            Aggregate(scan("Temp", "city", "celsius"), (),
+                      {"n": agg_count()}), n=300)
+        payload = protocol.query_payload(result)
+        assert payload["strategy"] == "columnar"
+        assert payload["expected_aggregate"] == 2.0
+        assert payload["boolean_probability"] == 1.0
+        assert len(calls) == 1
+
+    def test_streamed_query_payload_evaluates_once(self, monkeypatch):
+        calls = []
+        evaluate = columnar._evaluate
+        monkeypatch.setattr(columnar, "_evaluate", lambda pdb, query:
+                            calls.append(query) or evaluate(pdb, query))
+        stream = temp_session(seed=9).stream(500)
+        stream.observe(observe("Temp", "amsterdam", 24.0))
+        protocol.query_payload(stream.posterior().query(avg_plan()))
+        assert len(calls) == 1
 
 
 class TestShardedServedQueries:

@@ -275,6 +275,30 @@ class TestResampling:
             stream.retract(token)
 
 
+class TestRetractFreesEvidence:
+    def test_observe_retract_cycles_retain_no_memory(self):
+        # Every applied observation keeps an n-float weight delta for
+        # its undo; a retracted one must be dropped, or a long-lived
+        # served stream grows ~80 KB per cycle at n=10k.
+        import gc
+        import tracemalloc
+
+        stream = cascade_session().stream(10_000)
+        evidence = repro.observe("Alarm", "a", 1)
+        stream.retract(stream.observe(evidence))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in range(100):
+                stream.retract(stream.observe(evidence))
+            gc.collect()
+            retained, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stream.n_evidence == 0
+        assert retained < 1_000_000, f"{retained} bytes retained"
+
+
 class TestSlidingWindow:
     def test_window_auto_retracts_oldest(self):
         windowed = cascade_session().stream(1500, max_window=1)

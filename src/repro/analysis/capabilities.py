@@ -18,11 +18,14 @@ sampled.  Predictions are *sound* in the direction the
 conservative (a predicted-eligible program must not decline at
 runtime; an ineligible prediction may still occasionally succeed).
 
-The mirrors intentionally restate, statically, the decisions made in
-:mod:`repro.engine.batched` (``_collect_growable``,
-``_collect_companions``, ``_ground_head_template``), :meth:`repro.api.
-session.Session._batch_eligible` and :func:`repro.core.backward.
-backward_plan` - each mirror's docstring names its runtime twin.
+:func:`collect_growable` and :func:`collect_companions` are not
+mirrors: :class:`repro.engine.batched.BatchedChase` calls them, so the
+engine and the report share one stable-relation and one companion
+analysis.  The remaining checks restate, statically, the decisions
+made in :mod:`repro.engine.batched` (``_ground_head_template``),
+:meth:`repro.api.session.Session._batch_eligible` and
+:func:`repro.core.backward.backward_plan` - each mirror's docstring
+names its runtime twin.
 """
 
 from __future__ import annotations
@@ -127,16 +130,18 @@ class CapabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Static mirrors of the engines' structural decisions
+# Structural analyses shared with the engine, and static mirrors
 # ---------------------------------------------------------------------------
 
 def collect_growable(translated: ExistentialProgram) -> frozenset:
-    """Static mirror of ``BatchedChase._collect_growable``.
+    """Relations that may gain facts after the shared fixpoint.
 
-    Seeded with the auxiliary relations and closed under rule heads
-    whose bodies touch a growable relation; the complement (the
-    *stable* relations) can never gain a fact after the shared
-    deterministic fixpoint, in any world.
+    Seeded with the auxiliary relations (every layer firing adds one)
+    and closed under rule heads whose bodies touch a growable
+    relation; the complement (the *stable* relations) can never gain
+    a fact after the shared deterministic fixpoint, in any world -
+    which licenses the batched chase's semi-join pruning against the
+    closed instance.
     """
     growable = set(translated.aux_relations)
     changed = True
@@ -154,9 +159,11 @@ def collect_growable(translated: ExistentialProgram) -> frozenset:
 
 
 def collect_companions(translated: ExistentialProgram) -> dict:
-    """Static mirror of ``BatchedChase._collect_companions``.
+    """aux relation -> list of (companion DetRule, its aux body atom).
 
-    aux relation -> list of (companion DetRule, its aux body atom).
+    The batched chase adds one check on top (``BatchedChase.
+    _collect_companions``): under the per-rule translation every
+    auxiliary must have exactly one companion.
     """
     companions: dict[str, list] = {}
     for rule in translated.rules:

@@ -210,8 +210,9 @@ class StreamingPosterior:
         if isinstance(evidence, Observation):
             record = self._observe_observation(evidence)
         elif isinstance(evidence, Fact):
+            from repro.query.columnar import fact_mask
             record = self._observe_mask(
-                evidence, lambda pdb: pdb.fact_mask(evidence))
+                evidence, lambda pdb: fact_mask(pdb, evidence))
         elif isinstance(evidence, Event) or callable(evidence):
             test = evidence.contains if isinstance(evidence, Event) \
                 else evidence
@@ -432,13 +433,14 @@ class StreamingPosterior:
 
     def marginal(self, fact: Fact) -> float:
         """Posterior marginal of one fact under the current evidence."""
+        from repro.query.columnar import fact_mask
         w = self.weights
         total = float(w.sum())
         if total <= 0.0:
             raise MeasureError(
                 "all importance weights are zero - the evidence has "
                 "zero likelihood under the program")
-        return self._pdb.weighted_count(fact, w) / total
+        return float(w[fact_mask(self._pdb, fact)].sum()) / total
 
     def __repr__(self) -> str:
         return (f"StreamingPosterior(<{self._n} worlds, "

@@ -387,13 +387,3 @@ def applicable_pairs(translated: ExistentialProgram,
                      instance: Instance) -> list[Firing]:
     """One-shot ``App(D)`` (naive engine)."""
     return NaiveApplicability(translated, instance).applicable()
-
-
-def iter_groundings(translated: ExistentialProgram,
-                    instance: Instance) -> Iterator[tuple[TranslatedRule,
-                                                          dict]]:
-    """All (rule, body valuation) pairs - diagnostic/testing helper."""
-    source = IndexedSource(instance.facts)
-    for rule in translated.rules:
-        for binding in match_atoms(rule.body, source):
-            yield rule, binding

@@ -158,7 +158,7 @@ def backward_plan(translated: ExistentialProgram, closed_source,
     ``closed_source`` is the batched chase's fact source mirroring the
     shared deterministic fixpoint (stable relations are final there);
     ``growable`` its growable-relation set
-    (:meth:`~repro.engine.batched.BatchedChase._collect_growable`).
+    (:func:`~repro.analysis.capabilities.collect_growable`).
     Both are duck-typed so the module stays import-light.
     """
     notes: list[str] = []

@@ -103,10 +103,3 @@ def normalize_program(program: Program) -> Program:
     for index, rule in enumerate(program.rules):
         rewritten.extend(normalize_rule(rule, str(index)))
     return Program(rewritten, schema=None, registry=program.registry)
-
-
-def split_relations(program: Program) -> tuple[str, ...]:
-    """Names of helper relations a normalization introduced."""
-    return tuple(sorted(
-        rule.head.relation for rule in program.rules
-        if is_split_relation(rule.head.relation)))

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.core.atoms import Atom
 from repro.core.rules import Rule
-from repro.core.terms import RandomTerm
 from repro.distributions.registry import DEFAULT_REGISTRY, \
     DistributionRegistry
 from repro.errors import ValidationError
@@ -149,11 +147,6 @@ class Program:
         from repro.core.normalize import normalize_program
         return normalize_program(self)
 
-    def with_rules(self, rules: Iterable[Rule]) -> "Program":
-        """A copy of this program with a different rule set."""
-        return Program(rules, extensional=None, schema=self.schema,
-                       registry=self.registry)
-
     # -- identity -----------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -176,23 +169,3 @@ class Program:
 def program_of(*rules: Rule, **kwargs) -> Program:
     """Convenience constructor from rule arguments."""
     return Program(rules, **kwargs)
-
-
-def collect_random_terms(program: Program) -> list[tuple[Rule, int,
-                                                         RandomTerm]]:
-    """All random terms with their rule and head position."""
-    collected: list[tuple[Rule, int, RandomTerm]] = []
-    for rule in program.rules:
-        for position in rule.head.random_positions():
-            term = rule.head.terms[position]
-            assert isinstance(term, RandomTerm)
-            collected.append((rule, position, term))
-    return collected
-
-
-def head_atom_relations(program: Program) -> dict[str, list[Atom]]:
-    """Head atoms grouped by relation name."""
-    grouped: dict[str, list[Atom]] = {}
-    for rule in program.rules:
-        grouped.setdefault(rule.head.relation, []).append(rule.head)
-    return grouped

@@ -114,9 +114,6 @@ class Rule:
                     seen.append(variable)
         return tuple(seen)
 
-    def relations_in_body(self) -> frozenset[str]:
-        return frozenset(a.relation for a in self.body)
-
     # -- identity ---------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

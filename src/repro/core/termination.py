@@ -98,9 +98,6 @@ class TerminationReport:
     continuous_cycle: bool = False
     cyclic_distributions: tuple[str, ...] = ()
 
-    def guarantees_termination(self) -> bool:
-        return self.weakly_acyclic
-
     def almost_surely_diverges(self) -> bool:
         """Heuristic per Section 6.3: a continuous special cycle."""
         return self.continuous_cycle

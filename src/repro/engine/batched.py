@@ -85,6 +85,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.capabilities import (collect_companions,
+                                         collect_growable)
 from repro.core.applicability import (IncrementalApplicability,
                                       overlay_fork)
 from repro.core.chase import ChaseRun, run_chase_prepared
@@ -184,14 +186,14 @@ class BatchOutcome:
     ``range(size)`` appears in exactly one of the two.
 
     ``base``/``growable`` carry the chase's stable-relation analysis
-    (:meth:`BatchedChase._collect_growable`) forward to consumers: the
-    shared closed instance and the set of relations that may gain
-    facts after it.  Every relation *outside* ``growable`` holds
-    exactly ``base``'s facts in **every** terminated world - grouped,
-    scalar-fallback, single-process or sharded - which is what
-    licenses the columnar query planner's lifted fast path
-    (:mod:`repro.query.columnar`).  Both default to None (metadata
-    unavailable) so historical outcomes keep deserializing.
+    (:func:`~repro.analysis.capabilities.collect_growable`) forward to
+    consumers: the shared closed instance and the set of relations
+    that may gain facts after it.  Every relation *outside*
+    ``growable`` holds exactly ``base``'s facts in **every** terminated
+    world - grouped, scalar-fallback, single-process or sharded -
+    which is what licenses the columnar query planner's lifted fast
+    path (:mod:`repro.query.columnar`).  Both default to None
+    (metadata unavailable) so historical outcomes keep deserializing.
     """
 
     size: int
@@ -257,7 +259,7 @@ class BatchedChase:
                                                 source=closed_source)
         self._companions = self._collect_companions()
         self._body_atoms = self._collect_body_atoms()
-        self._growable = self._collect_growable()
+        self._growable = collect_growable(translated)
         self.layer = tuple(self._prepare_firing(firing,
                                                 self._closed_source)
                            for firing in self._engine.applicable())
@@ -282,20 +284,14 @@ class BatchedChase:
     def _collect_companions(self) -> dict:
         """aux relation -> [(companion DetRule, its aux body atom), ...].
 
-        Under the per-rule (grohe) translation every auxiliary has
-        exactly one companion; under the Bárány translation a shared
-        ``Sample#`` auxiliary feeds one companion per random rule using
-        that (distribution, arity) key - the fan-out this backend
-        vectorizes.
+        :func:`~repro.analysis.capabilities.collect_companions`, plus
+        the one check this backend adds: under the per-rule (grohe)
+        translation every auxiliary has exactly one companion.  Under
+        the Bárány translation a shared ``Sample#`` auxiliary feeds one
+        companion per random rule using that (distribution, arity) key
+        - the fan-out this backend vectorizes.
         """
-        companions: dict[str, list] = {}
-        for rule in self.translated.rules:
-            if not isinstance(rule, DetRule):
-                continue
-            for atom in rule.body:
-                if atom.relation in self.translated.aux_relations:
-                    companions.setdefault(atom.relation, []).append(
-                        (rule, atom))
+        companions = collect_companions(self.translated)
         if self.translated.semantics == "grohe":
             for relation, pairs in companions.items():
                 if len(pairs) != 1:
@@ -322,30 +318,6 @@ class BatchedChase:
                 by_relation.setdefault(atom.relation, []).append(
                     (rule, position))
         return by_relation
-
-    def _collect_growable(self) -> frozenset:
-        """Relations that may gain facts after the shared fixpoint.
-
-        Seeded with the auxiliary relations (every layer firing adds
-        one) and closed under rule heads whose bodies touch a growable
-        relation.  The complement - the *stable* relations - can never
-        gain a fact during the batch, which is what licenses semi-join
-        pruning against the closed instance: an unsatisfiable stable
-        subquery stays unsatisfiable through every cascade round.
-        """
-        growable = set(self.translated.aux_relations)
-        changed = True
-        while changed:
-            changed = False
-            for rule in self.translated.rules:
-                head = rule.head.relation if isinstance(rule, DetRule) \
-                    else rule.aux_relation
-                if head in growable:
-                    continue
-                if any(atom.relation in growable for atom in rule.body):
-                    growable.add(head)
-                    changed = True
-        return frozenset(growable)
 
     def _prepare_firing(self, firing, source) -> _LayerFiring:
         """Analyze one applicable existential firing against ``source``.
@@ -612,7 +584,6 @@ class BatchedChase:
     def run_batch(self, size: int, batch_rng: np.random.Generator,
                   world_rngs, policy: ChasePolicy, max_steps: int,
                   min_group: int = 2,
-                  pool: bool = True,
                   per_world_rngs=None,
                   regions: dict | None = None,
                   log_weights=None) -> BatchOutcome | None:
@@ -624,12 +595,11 @@ class BatchedChase:
         :meth:`repro.api.config.ChaseConfig.spawn_rngs`, so that only
         those worlds' generators are ever built.  ``min_group`` is
         the smallest signature group continued vectorized; smaller
-        groups finish on the scalar engine.  ``pool`` enables
-        cross-group draw pooling: within a round, all signature groups'
-        same-(distribution, parameters) draws are served by one
-        ``sample_batch`` call (law-identical either way - the draws are
-        iid, pooling only changes how the flat array is sliced; the
-        knob exists so tests can pin the unpooled draws).
+        groups finish on the scalar engine.  Draws pool across groups:
+        within a round, all signature groups' same-(distribution,
+        parameters) draws are served by one ``sample_batch`` call
+        (:meth:`_draw_wave`; the draws are iid, so slicing one flat
+        array per request keeps the product law).
 
         ``per_world_rngs`` switches the batch to the *per-world stream*
         draw schedule used by sharded sampling (:mod:`repro.serving`):
@@ -642,8 +612,8 @@ class BatchedChase:
         batch - which is exactly the shard-count invariance guarantee.
         To keep that guarantee, ``min_group`` is forced to 1 (group
         *size* thresholds would make the columnar/scalar decision
-        depend on co-membership) and ``batch_rng`` / ``world_rngs`` /
-        ``pool`` are ignored; scalar-fallback worlds (budget- or
+        depend on co-membership) and ``batch_rng`` / ``world_rngs``
+        are ignored; scalar-fallback worlds (budget- or
         structure-forced, both world-local conditions) continue their
         own already-advanced generator.
 
@@ -715,7 +685,7 @@ class BatchedChase:
                 wave_draws = self._draw_wave_per_world(wave, rngs,
                                                        diagnostics)
             else:
-                wave_draws = self._draw_wave(wave, batch_rng, pool,
+                wave_draws = self._draw_wave(wave, batch_rng,
                                              diagnostics, regions,
                                              log_weights)
             next_wave: list[_Round] = []
@@ -915,21 +885,18 @@ class BatchedChase:
         return region
 
     def _draw_wave(self, wave: list, rng: np.random.Generator,
-                   pool: bool, diagnostics: dict,
+                   diagnostics: dict,
                    regions: dict | None = None,
                    log_weights=None) -> list[list]:
         """Per-task draw arrays for one wave, same-key calls pooled.
 
         Each (firing, signature group) of the wave is one draw
-        *request*.  With ``pool`` enabled, requests sharing a
-        (distribution, parameters) key - across every group of the
-        round - are served by a single ``sample_batch`` call whose
-        flat result is sliced back per request in request order; the
-        draws are iid, so any split of the flat array preserves the
-        product law (the same argument that lets one firing's draws
-        share a call within a group).  With ``pool`` disabled the
-        grouping key is additionally the task, reproducing the
-        one-call-per-(group, distribution, params) schedule.
+        *request*.  Requests sharing a (distribution, parameters) key
+        - across every group of the round - are served by a single
+        ``sample_batch`` call whose flat result is sliced back per
+        request in request order; the draws are iid, so any split of
+        the flat array preserves the product law (the same argument
+        that lets one firing's draws share a call within a group).
 
         With ``regions``, constrained requests pool on (distribution,
         params, region) and draw via ``sample_batch_truncated``; the
@@ -947,8 +914,7 @@ class BatchedChase:
             count = len(task.members)
             for firing_index, firing in enumerate(task.layer):
                 region = self._firing_region(firing, regions)
-                key = firing.distribution_key if pool \
-                    else (task_index,) + firing.distribution_key
+                key = firing.distribution_key
                 if region is not None:
                     key = key + (region,)
                 requests.append((task_index, firing_index, key, count))
@@ -1020,20 +986,6 @@ class BatchedChase:
             draws.append([np.asarray(column) for column in columns])
         return draws
 
-    def _draw_layer(self, layer: tuple, size: int,
-                    rng: np.random.Generator) -> list[np.ndarray]:
-        """One numpy array of ``size`` samples per layer firing.
-
-        The single-group form of :meth:`_draw_wave` (kept as the
-        documented replay entry point: for one group, pooled and
-        unpooled schedules are identical call-for-call, so replaying
-        the first round's draws by hand stays bit-exact).
-        """
-        task = _Round(self._engine, self.closed, np.arange(size),
-                      tuple(layer), ())
-        scratch = {"n_draw_calls": 0, "n_pooled_draws": 0}
-        return self._draw_wave([task], rng, True, scratch)[0]
-
 
 # ---------------------------------------------------------------------------
 # Columnar possible-world ensemble
@@ -1046,12 +998,15 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
     """A Monte-Carlo SPDB backed by a :class:`BatchOutcome`.
 
     Worlds are *not* materialized up front: ``marginal`` and
-    ``fact_marginals`` read the columnar arrays directly (one numpy
-    comparison per candidate column), and the full ``worlds`` list is
-    built lazily on first access for callers that genuinely need the
-    instances (events, expectations, world-distribution tests).
-    Results are identical either way - the columnar reads are exact
-    counts over the same ensemble.
+    ``fact_marginals`` delegate to the fact readers of
+    :mod:`repro.query.columnar` (:func:`~repro.query.columnar.
+    fact_mask`, :func:`~repro.query.columnar.fact_totals`), which read
+    the sample arrays through the query planner's merged relation
+    scan, and the full ``worlds`` list is built lazily on first access
+    for callers that genuinely need the instances (events,
+    expectations, world-distribution tests).  Results are identical
+    either way - the columnar reads are exact counts over the same
+    ensemble.
     """
 
     def __init__(self, outcome: BatchOutcome,
@@ -1205,79 +1160,11 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
         return (self._outcome.size - self.truncated) \
             / self._outcome.size
 
-    def _group_fact_hits(self, group_index: int, f: Fact):
-        """How the group's members hold ``f``.
-
-        ``True`` - every member (the fact sits in the shared view);
-        a boolean array aligned with ``members`` - per-world, read off
-        the sample columns; ``None`` - no member can hold it.
-        """
-        if f in self._group_view(group_index):
-            return True
-        fact_args = f.args
-        mask = None
-        for firing, values in self._outcome.groups[group_index].columns:
-            for relation, args, position in \
-                    self._column_templates(firing):
-                if relation != f.relation \
-                        or len(args) != len(fact_args):
-                    continue
-                if any(expected is not None
-                       and expected != fact_args[index]
-                       for index, expected in enumerate(args)):
-                    continue
-                wanted = fact_args[position]
-                if not isinstance(wanted, (int, float)) \
-                        or isinstance(wanted, bool):
-                    continue
-                hits = values == wanted
-                mask = hits if mask is None else (mask | hits)
-        return mask
-
     def marginal(self, f: Fact) -> float:
-        """Exact ensemble frequency of ``f``, straight off the columns."""
-        return self.weighted_count(f, None) / self._outcome.size
-
-    def weighted_count(self, f: Fact, weights) -> float:
-        """Total weight of the worlds holding ``f`` (columnar).
-
-        ``weights`` is a per-world-index vector (length ``size``;
-        truncated slots must carry zero) or None for unit weights -
-        the ``None`` form backs :meth:`marginal`, the vector form backs
-        the streaming layer's weighted posterior reads.
-        """
-        count = 0
-        for index, world in self._scalar_slots():
-            if f in world:
-                count += 1 if weights is None else weights[index]
-        for group_index, group in enumerate(self._outcome.groups):
-            hits = self._group_fact_hits(group_index, f)
-            if hits is None:
-                continue
-            if weights is None:
-                count += len(group.members) if hits is True \
-                    else int(np.count_nonzero(hits))
-            else:
-                member_weights = weights[group.members]
-                count += float(member_weights.sum()) if hits is True \
-                    else float(member_weights[hits].sum())
-        return count
-
-    def fact_mask(self, f: Fact) -> np.ndarray:
-        """Boolean per-world-index membership of ``f`` (truncated False)."""
-        mask = np.zeros(self._outcome.size, dtype=bool)
-        for index, world in self._scalar_slots():
-            if f in world:
-                mask[index] = True
-        for group_index, group in enumerate(self._outcome.groups):
-            hits = self._group_fact_hits(group_index, f)
-            if hits is None:
-                continue
-            if hits is True:
-                mask[group.members] = True
-            else:
-                mask[group.members[hits]] = True
-        return mask
+        """Exact ensemble frequency of ``f``, read columnar."""
+        from repro.query.columnar import fact_mask
+        return int(np.count_nonzero(fact_mask(self, f))) \
+            / self._outcome.size
 
     def fact_marginals_columnar(self,
                                 relations: tuple[str, ...] | None = None,
@@ -1288,148 +1175,10 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
         batch results answer complete marginal tables without
         materializing the ensemble.
         """
+        from repro.query.columnar import fact_totals
         size = self._outcome.size
         return {fact: count / size
-                for fact, count in
-                self.weighted_fact_totals(None, relations).items()}
-
-    def weighted_fact_totals(self, weights,
-                             relations: tuple[str, ...] | None = None,
-                             ) -> dict[Fact, float]:
-        """Total (weighted) count of every output fact, columnar.
-
-        ``weights`` as in :meth:`weighted_count`; with None the values
-        are the plain ensemble counts.  Callers normalize themselves
-        (by ``size`` for frequencies, by the total weight for
-        self-normalized posterior estimates).
-        """
-        totals: dict[Fact, float] = {}
-
-        def admit(relation: str) -> bool:
-            return relations is None or relation in relations
-
-        for index, world in self._scalar_slots():
-            weight = 1 if weights is None else weights[index]
-            for fact in world.facts:
-                if admit(fact.relation):
-                    totals[fact] = totals.get(fact, 0) + weight
-        for group_index, group in enumerate(self._outcome.groups):
-            shared = self._group_view(group_index)
-            member_weights = None if weights is None \
-                else weights[group.members]
-            group_weight = len(group.members) if weights is None \
-                else float(member_weights.sum())
-            for fact in shared.facts:
-                if admit(fact.relation):
-                    totals[fact] = totals.get(fact, 0) + group_weight
-            by_template: dict[tuple, list[np.ndarray]] = {}
-            for firing, values in group.columns:
-                for template in self._column_templates(firing):
-                    if admit(template[0]):
-                        by_template.setdefault(template, []).append(
-                            values)
-            for collision in self._collision_classes(by_template):
-                self._count_columns(collision, by_template, shared,
-                                    totals, member_weights)
-        return totals
-
-    @staticmethod
-    def _templates_may_collide(first: tuple, second: tuple) -> bool:
-        """Whether two distinct templates can emit the same fact."""
-        relation_a, args_a, position_a = first
-        relation_b, args_b, position_b = second
-        if relation_a != relation_b or len(args_a) != len(args_b):
-            return False
-        if position_a == position_b:
-            return args_a == args_b  # identical templates share a key
-        for index in range(len(args_a)):
-            if index in (position_a, position_b):
-                continue
-            if args_a[index] != args_b[index]:
-                return False
-        return True
-
-    def _collision_classes(self, by_template: dict) -> list[list[tuple]]:
-        """Partition templates into classes that may emit equal facts.
-
-        A new template can bridge several existing classes (collision
-        is not transitive), in which case they all merge - facts that
-        can coincide must be counted in one pass.
-        """
-        classes: list[list[tuple]] = []
-        for template in by_template:
-            matching = [existing for existing in classes
-                        if any(self._templates_may_collide(template,
-                                                           other)
-                               for other in existing)]
-            if not matching:
-                classes.append([template])
-                continue
-            merged = matching[0]
-            merged.append(template)
-            for other in matching[1:]:
-                merged.extend(other)
-                classes.remove(other)
-        return classes
-
-    def _count_columns(self, templates: list[tuple], by_template: dict,
-                       shared: Instance, totals: dict,
-                       member_weights=None) -> None:
-        """Count per-world occurrences of the templates' emitted facts.
-
-        Single-template classes count via ``np.unique``; collision
-        classes (several templates able to emit the same fact - e.g.
-        two Trig rules sampling into the same head) count the per-value
-        union masks so no world is counted twice.  Facts already in the
-        group's shared instance were counted for every member and are
-        skipped.  ``member_weights`` (aligned with the group's member
-        columns) switches integer counting to weighted totals.
-        """
-        if len(templates) == 1 and len(by_template[templates[0]]) == 1:
-            relation, args, position = templates[0]
-            column = by_template[templates[0]][0]
-            if member_weights is None:
-                values, counts = np.unique(column, return_counts=True)
-            else:
-                values, inverse = np.unique(column, return_inverse=True)
-                counts = np.bincount(inverse, weights=member_weights)
-            for value, count in zip(values.tolist(), counts.tolist()):
-                fact = self._template_fact(templates[0], value)
-                if fact in shared:
-                    continue
-                totals[fact] = totals.get(fact, 0) + count
-            return
-        stacked = np.stack([values for template in templates
-                            for values in by_template[template]])
-        owners = [template for template in templates
-                  for _ in by_template[template]]
-        # One world may produce the same fact through several columns
-        # (and, across positions, through several sampled values); OR
-        # the per-column hit masks per *fact* before counting so each
-        # world contributes at most once.
-        fact_masks: dict[Fact, np.ndarray] = {}
-        for value in np.unique(stacked).tolist():
-            hits = stacked == value
-            for row, template in enumerate(owners):
-                if not hits[row].any():
-                    continue
-                fact = self._template_fact(template, value)
-                if fact in shared:
-                    continue
-                mask = fact_masks.get(fact)
-                fact_masks[fact] = hits[row] if mask is None \
-                    else (mask | hits[row])
-        for fact, mask in fact_masks.items():
-            count = int(np.count_nonzero(mask)) if member_weights is None \
-                else float(member_weights[mask].sum())
-            totals[fact] = totals.get(fact, 0) + count
-
-    @staticmethod
-    def _template_fact(template: tuple, value) -> Fact:
-        relation, args, position = template
-        filled = list(args)
-        filled[position] = value
-        return Fact(relation, tuple(filled))
+                for fact, count in fact_totals(self, relations).items()}
 
     def __repr__(self) -> str:
         state = "materialized" if self._cache is not None \

@@ -82,14 +82,6 @@ class ChaseError(ReproError):
     """
 
 
-class NonTerminationError(ReproError):
-    """A chase exceeded its step budget where termination was required.
-
-    Callers that can tolerate non-termination should use the APIs that
-    return explicit error mass (``err``) instead of catching this.
-    """
-
-
 class MeasureError(ReproError):
     """A measure-theoretic object was constructed inconsistently.
 

@@ -57,8 +57,8 @@ def expected_size(pdb: PDBBase) -> float:
     """
     from repro.engine.batched import ColumnarMonteCarloPDB
     if isinstance(pdb, ColumnarMonteCarloPDB):
-        total = sum(int(count) for count
-                    in pdb.weighted_fact_totals(None).values())
+        from repro.query.columnar import fact_totals
+        total = sum(int(count) for count in fact_totals(pdb).values())
         return total / pdb.n_runs
     return pdb.expectation(len)
 

@@ -143,9 +143,10 @@ class WeightedColumnarPDB(PDBBase):
     :class:`repro.engine.batched.ColumnarMonteCarloPDB` together with a
     per-world-index weight vector (dead worlds - truncated, or masked
     out by event evidence - carry weight zero).  Marginal and full
-    fact-table queries read the sample columns directly through the
-    columnar ensemble's weighted counters; nothing is materialized
-    unless a caller asks a per-world question (``prob`` /
+    fact-table queries weight the fact readers of
+    :mod:`repro.query.columnar` (a fact's world mask, the per-fact
+    totals), which read the sample columns directly; nothing is
+    materialized unless a caller asks a per-world question (``prob`` /
     ``expectation`` with an arbitrary predicate).
     """
 
@@ -191,8 +192,9 @@ class WeightedColumnarPDB(PDBBase):
     # -- PDBBase ------------------------------------------------------------
 
     def marginal(self, f) -> float:
-        return self._columnar.weighted_count(f, self._weights) \
-            / self._total
+        from repro.query.columnar import fact_mask
+        mask = fact_mask(self._columnar, f)
+        return float(self._weights[mask].sum()) / self._total
 
     def fact_marginals_columnar(self, relations=None):
         """Posterior marginal of every output fact, computed columnar.
@@ -200,8 +202,8 @@ class WeightedColumnarPDB(PDBBase):
         Duck-typed hook for :func:`repro.pdb.stats.fact_marginals`,
         like the unweighted columnar ensemble's.
         """
-        totals = self._columnar.weighted_fact_totals(self._weights,
-                                                     relations)
+        from repro.query.columnar import fact_totals
+        totals = fact_totals(self._columnar, relations, self._weights)
         return {fact: count / self._total
                 for fact, count in totals.items()}
 

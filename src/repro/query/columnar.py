@@ -28,6 +28,13 @@ run **once per plan over the whole batch**:
   the shared closed instance answers all ``n`` worlds at once (the
   first-order-model-counting shortcut specialized to this ensemble).
 
+The merged scan is also the only code that lists a batch's facts:
+:func:`fact_totals` (the per-fact counts behind marginal tables, plain
+or weighted) and :func:`fact_mask` (the worlds holding one fact, behind
+single-fact marginals and streamed ``Fact`` evidence) read its rows,
+already deduplicated per world, so a fact marginal - the simplest
+query - can never disagree with the query path.
+
 Plans the compiler cannot vectorize - opaque ``select(callable)``
 predicates, :class:`~repro.query.relalg.Extend`, nested aggregates -
 fall back *transparently* to the per-world evaluator (via
@@ -57,6 +64,7 @@ from repro.engine.batched import ColumnarMonteCarloPDB
 from repro.errors import SchemaError
 from repro.measures.discrete import DiscreteMeasure
 from repro.pdb.database import DiscretePDB, MonteCarloPDB, PDBBase
+from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.pdb.weighted import WeightedColumnarPDB, WeightedPDB
 from repro.query.aggregates import Aggregate, aggregate_answer
@@ -197,8 +205,7 @@ def _cell_eq(a, b):
 
     A cell is either a scalar constant or a per-world numpy array of
     sampled values.  Sample columns hold numbers only, so a
-    non-numeric constant can never match one (mirroring the columnar
-    marginal reader's dispatch).
+    non-numeric constant can never match one.
     """
     a_is_array = isinstance(a, np.ndarray)
     b_is_array = isinstance(b, np.ndarray)
@@ -214,6 +221,8 @@ def _cell_eq(a, b):
 
 
 def _row_eq(cells_a: tuple, cells_b: tuple):
+    if len(cells_a) != len(cells_b):
+        return False  # a relation used at two arities
     acc = True
     for a, b in zip(cells_a, cells_b):
         eq = _cell_eq(a, b)
@@ -319,11 +328,13 @@ class _BatchPlanner:
     True (present at every position) or an ``n``-wide bool array.  An
     array cell holds valid values wherever its row is present, and
     every operator only narrows masks, so values outside a row's
-    groups are never read.
+    groups are never read.  ``relations`` names the relations scans
+    may read (None: all of them); the fact readers below scan through
+    the same :meth:`_relation_rows`.
     """
 
     def __init__(self, pdb: ColumnarMonteCarloPDB,
-                 group_indices: list[int], relations: frozenset):
+                 group_indices: list[int], relations: frozenset | None):
         groups = [pdb._outcome.groups[index] for index in group_indices]
         sizes = [len(group.members) for group in groups]
         self.pdb = pdb
@@ -387,7 +398,8 @@ class _BatchPlanner:
                         templates = templates_of[id(firing)] = [
                             template for template
                             in self.pdb._column_templates(firing)
-                            if template[0] in self.relations]
+                            if self.relations is None
+                            or template[0] in self.relations]
                     for template in templates:
                         self._columns.setdefault(template[0], []).append(
                             (local, template, values))
@@ -429,14 +441,14 @@ class _BatchPlanner:
             cells = list(args)
             cells[position] = column
             rows.append((tuple(cells), self._coverage(groups)))
-        if len({len(cells) for cells, _ in rows}) > 1:
-            raise _Unsupported("mixed-arity scan")
         rows = _dedup(rows)
         self._relations[relation] = rows
         return rows
 
     def _scan(self, query: Scan) -> _Table:
         rows = self._relation_rows(query.relation)
+        if len({len(cells) for cells, _ in rows}) > 1:
+            raise _Unsupported("mixed-arity scan")
         arity = len(rows[0][0]) if rows else None
         if query.columns is not None:
             if arity is not None and arity != len(query.columns):
@@ -657,6 +669,114 @@ def _rows_at(table: _Table, positions: np.ndarray) -> list[list[tuple]]:
 
 
 # ---------------------------------------------------------------------------
+# Fact reads: the merged scan answers marginals and fact tables too
+# ---------------------------------------------------------------------------
+
+
+def _live_groups(pdb: ColumnarMonteCarloPDB) -> list[int]:
+    """Indices of the batch's groups with at least one member."""
+    return [index for index, group in enumerate(pdb._outcome.groups)
+            if len(group.members)]
+
+
+def _fact_planner(pdb: ColumnarMonteCarloPDB,
+                  relations: frozenset | None) -> _BatchPlanner | None:
+    """A planner over every non-empty group; None if there is none."""
+    groups = _live_groups(pdb)
+    return _BatchPlanner(pdb, groups, relations) if groups else None
+
+
+def fact_totals(pdb: ColumnarMonteCarloPDB, relations=None,
+                weights: np.ndarray | None = None) -> dict[Fact, Any]:
+    """Total (weighted) count of every fact of the ensemble's worlds.
+
+    ``relations`` restricts the table to those relation names (None:
+    every relation).  ``weights`` is a per-world-index vector (length
+    ``size``; truncated slots must carry zero); with None the totals
+    are plain integer counts.  Callers normalize themselves (by
+    ``size`` for frequencies, by the total weight for self-normalized
+    posterior estimates).
+
+    Grouped worlds are read off the merged scan, whose rows are
+    already deduplicated per world: a constant row counts the
+    positions where it is present, and a template row - exactly one
+    sample cell - counts each distinct sampled value over those
+    positions.  Terminated scalar-fallback worlds are counted one
+    world at a time.
+    """
+    totals: dict[Fact, Any] = {}
+    for index, world in pdb._scalar_slots():
+        weight = 1 if weights is None else float(weights[index])
+        for fact in world.facts:
+            if relations is None or fact.relation in relations:
+                totals[fact] = totals.get(fact, 0) + weight
+    planner = _fact_planner(pdb, None if relations is None
+                            else frozenset(relations))
+    if planner is None:
+        return totals
+    names = set(planner._sample_columns())
+    for index in planner.group_indices:
+        names.update(pdb._group_view(index).relations())
+    if relations is not None:
+        names.intersection_update(relations)
+    member_weights = None if weights is None \
+        else weights[planner.members]
+    for relation in sorted(names):
+        for cells, mask in planner._relation_rows(relation):
+            present = slice(None) if mask is True else mask
+            row_weights = None if member_weights is None \
+                else member_weights[present]
+            samples = [position for position, cell in enumerate(cells)
+                       if isinstance(cell, np.ndarray)]
+            if not samples:
+                if row_weights is None:
+                    total = planner.n if mask is True \
+                        else int(np.count_nonzero(mask))
+                else:
+                    total = float(row_weights.sum())
+                fact = Fact(relation, cells)
+                totals[fact] = totals.get(fact, 0) + total
+                continue
+            position, = samples
+            column = cells[position][present]
+            if row_weights is None:
+                values, counts = np.unique(column, return_counts=True)
+            else:
+                values, inverse = np.unique(column, return_inverse=True)
+                counts = np.bincount(inverse, weights=row_weights)
+            for value, count in zip(values.tolist(), counts.tolist()):
+                fact = Fact(relation, cells[:position] + (value,)
+                            + cells[position + 1:])
+                totals[fact] = totals.get(fact, 0) + count
+    return totals
+
+
+def fact_mask(pdb: ColumnarMonteCarloPDB, fact: Fact) -> np.ndarray:
+    """Per-world-index membership of ``fact`` (truncated worlds False).
+
+    A merged-scan row holds the fact where it is present and every
+    cell equals the fact's argument; a sample cell never equals a
+    non-numeric argument, and a row of another arity never matches.
+    """
+    mask = np.zeros(pdb.n_runs, dtype=bool)
+    for index, world in pdb._scalar_slots():
+        if fact in world:
+            mask[index] = True
+    planner = _fact_planner(pdb, frozenset((fact.relation,)))
+    if planner is None:
+        return mask
+    held = False
+    for cells, present in planner._relation_rows(fact.relation):
+        held = _or(held, _and(present, _row_eq(cells, fact.args)))
+        if held is True:
+            mask[planner.members] = True
+            return mask
+    if held is not False:
+        mask[planner.members[held]] = True
+    return mask
+
+
+# ---------------------------------------------------------------------------
 # The answer index of a columnar ensemble
 # ---------------------------------------------------------------------------
 
@@ -737,8 +857,7 @@ def _schema_classes(pdb: ColumnarMonteCarloPDB,
     agree on the arities of every such relation are planned together;
     without column-less scans that is all of them.
     """
-    groups = [index for index, group in enumerate(pdb._outcome.groups)
-              if len(group.members)]
+    groups = _live_groups(pdb)
     relations = sorted({node.relation for node in _scans(query)
                         if node.columns is None})
     if not relations:

@@ -47,11 +47,6 @@ class Relation:
     def sorted_rows(self) -> list[tuple]:
         return sorted(self.rows, key=tuple_sort_key)
 
-    def project_values(self, column: str) -> list[Any]:
-        index = self.column_index(column)
-        return sorted((row[index] for row in self.rows),
-                      key=lambda v: tuple_sort_key((v,)))
-
     def to_instance(self, relation_name: str) -> Instance:
         return Instance(Fact(relation_name, row) for row in self.rows)
 

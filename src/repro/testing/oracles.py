@@ -24,13 +24,10 @@ Each :class:`Oracle` here checks one such agreement on a generated
   marginal/chi-squared agreement against the exact SPDB where
   enumeration is available, KS agreement of sampled values for
   continuous programs, draw-for-draw identity where the batched
-  backend must fall back to the scalar loop, bit-identity of pooled
-  vs unpooled draw schedules wherever no cross-group pooling occurred
-  (draw identity is mandated there - the schedules coincide), and -
-  on every batched result - exact identity of the columnar marginal
-  reads with counts over the materialized worlds (the multi-round
-  cascade and the columnar fact store must describe the same
-  ensemble);
+  backend must fall back to the scalar loop, and - on every batched
+  result - exact identity of the columnar marginal reads with counts
+  over the materialized worlds (the multi-round cascade and the
+  columnar fact store must describe the same ensemble);
 * ``barany-agreement`` - the per-rule (Grohe) vs per-distribution
   (Bárány, Section 6.2) semantics on programs where the two provably
   coincide: no random rule carries a head variable, and random rules
@@ -90,8 +87,8 @@ from dataclasses import dataclass
 from repro.analysis import deep_analyze
 from repro.api.session import CompiledProgram, Session, compile as \
     _compile
-from repro.core.policies import (DEFAULT_POLICY, FirstPolicy,
-                                 LastPolicy, RoundRobinPolicy)
+from repro.core.policies import (FirstPolicy, LastPolicy,
+                                 RoundRobinPolicy)
 from repro.core.atoms import Atom
 from repro.core.exact import DEFAULT_MAX_DEPTH
 from repro.core.fd import check_all_fds, fd_violation_report, induced_fds
@@ -445,10 +442,6 @@ class BatchedVsScalarOracle(Oracle):
     the comparison is statistical.  Outside the batched backend's
     class (non-weakly-acyclic programs) it must fall back to the
     scalar loop, so there the check is exact draw-for-draw identity.
-    On accepted cases the oracle additionally replays the batch with
-    cross-group draw pooling disabled: whenever no cross-group pooling
-    occurred the two schedules are identical, so the outcomes must be
-    bit-for-bit equal (see :meth:`_pooling_identity`).
     """
 
     name = "batched-scalar"
@@ -506,55 +499,6 @@ class BatchedVsScalarOracle(Oracle):
             return "single-fact marginal disagrees with the table"
         return None
 
-    @staticmethod
-    def _pooling_identity(session: Session, n: int = 40) -> str | None:
-        """Pooled vs unpooled draw schedules replayed on one seed.
-
-        Where draw identity is mandated, the two schedules are the
-        *same* schedule: a round with a single signature group (every
-        first round, and every round of a single-group cascade) issues
-        identical ``sample_batch`` calls pooled or not, and scalar
-        fallback worlds always draw from their own spawned streams.
-        So when *every* wave of the pooled run had exactly one group
-        (``n_group_rounds == n_rounds`` - cross-group pooling was
-        structurally impossible), the unpooled replay follows the
-        identical draw trajectory and the two outcomes must agree
-        bit-for-bit - columnar groups and scalar fallback runs alike.
-        A multi-group wave anywhere disarms the check: pooling may
-        have moved draws (even with coincidentally equal call totals),
-        after which only the law is preserved, which the surrounding
-        oracle checks separately.
-        """
-        from repro.engine.batched import ColumnarMonteCarloPDB
-        chase = session._batched_chase()
-        cfg = session.config
-        if chase is None or not isinstance(cfg.seed, int):
-            return None
-        policy = cfg.policy or DEFAULT_POLICY
-
-        def outcome(pool: bool):
-            return chase.run_batch(
-                n, cfg.base_rng(), cfg.spawn_rngs(n), policy,
-                cfg.max_steps, cfg.batch_min_group, pool=pool)
-
-        pooled = outcome(True)
-        if pooled is None:
-            return None
-        if pooled.diagnostics["n_group_rounds"] != \
-                pooled.diagnostics["n_rounds"]:
-            return None  # a multi-group wave: pooling may move draws
-        unpooled = outcome(False)
-        if unpooled is None:
-            return None
-        visible = session.compiled.visible_relations
-        first = ColumnarMonteCarloPDB(pooled, visible)
-        second = ColumnarMonteCarloPDB(unpooled, visible)
-        detail = compare_monte_carlo_pdbs(first, second)
-        if detail:
-            return ("pooled draws not bit-identical to unpooled on a "
-                    f"shared schedule: {detail}")
-        return None
-
     def _check_exact(self, case: FuzzCase) -> OracleOutcome:
         session = _session(case, seed=case.seed)
         exact = session.exact().pdb
@@ -565,9 +509,6 @@ class BatchedVsScalarOracle(Oracle):
             # the coverage hole as a skip instead of a hollow ok.
             return _skip("batched backend declined this case")
         detail = self._columnar_consistency(result)
-        if detail:
-            return _fail(detail)
-        detail = self._pooling_identity(session)
         if detail:
             return _fail(detail)
         batched = result.pdb
@@ -590,9 +531,6 @@ class BatchedVsScalarOracle(Oracle):
         if result.backend != "batched":
             return _skip("batched backend declined this case")
         detail = self._columnar_consistency(result)
-        if detail:
-            return _fail(detail)
-        detail = self._pooling_identity(session)
         if detail:
             return _fail(detail)
         scalar = base.on(case.instance, seed=case.seed + 1,
@@ -1125,8 +1063,9 @@ class ColumnarQueryOracle(Oracle):
     @staticmethod
     def _arities(pdb) -> dict[str, int]:
         """Visible relations with one consistent arity in the batch."""
+        from repro.query.columnar import fact_totals
         seen: dict[str, set[int]] = {}
-        for fact in pdb.weighted_fact_totals(None):
+        for fact in fact_totals(pdb):
             seen.setdefault(fact.relation, set()).add(len(fact.args))
         return {relation: lengths.pop()
                 for relation, lengths in seen.items()
@@ -1135,8 +1074,9 @@ class ColumnarQueryOracle(Oracle):
     @staticmethod
     def _constants(pdb, limit: int = 24) -> list:
         """A pool of ground values the ensemble actually contains."""
+        from repro.query.columnar import fact_totals
         values: list = []
-        for fact in sorted(pdb.weighted_fact_totals(None),
+        for fact in sorted(fact_totals(pdb),
                            key=lambda fact: fact.sort_key()):
             values.extend(fact.args)
             if len(values) >= limit:

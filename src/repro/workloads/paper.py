@@ -304,20 +304,6 @@ def seed_instance(chain_length: int = 0) -> Instance:
     return Instance(facts)
 
 
-def discrete_feedback_termination_probability(p: float,
-                                              chain_length: int) -> float:
-    """Exact P(discrete feedback terminates) with a finite Succ chain.
-
-    With a finite chain of length ``L`` the program always terminates
-    (weakly acyclic on that data in effect), but the number of samples
-    is random; with the chain exhausted the walk stops regardless.
-    This helper returns 1.0 and exists to document that the *finite*
-    variant terminates; the unbounded behaviour is explored empirically
-    in experiment E8 via long chains.
-    """
-    return 1.0
-
-
 def random_walk_expected_steps(p: float, chain_length: int) -> float:
     """Expected number of Reach samples with success bias p, chain L.
 

@@ -29,7 +29,7 @@ from repro.core.policies import DEFAULT_POLICY, LastPolicy
 from repro.distributions.mixture import FiniteMixture
 from repro.distributions.continuous import Normal
 from repro.distributions.registry import DEFAULT_REGISTRY
-from repro.engine.batched import BatchedChase, BatchUnsupported
+from repro.engine.batched import BatchedChase, _Round
 from repro.errors import ValidationError
 from repro.measures.empirical import ks_critical_value, ks_two_sample
 from repro.pdb.facts import Fact
@@ -605,7 +605,11 @@ class TestMultiRoundCascade:
         visible = compiled.visible_relations
         chase = BatchedChase(translated, Instance.empty())
         batch_rng = ChaseConfig(seed=13).base_rng()
-        draws = chase._draw_layer(chase.layer, n, batch_rng)
+        first_round = _Round(chase._engine, chase.closed, np.arange(n),
+                             chase.layer, ())
+        draws = chase._draw_wave([first_round], batch_rng,
+                                 {"n_draw_calls": 0,
+                                  "n_pooled_draws": 0})[0]
         rngs = ChaseConfig(seed=13).spawn_rngs(n)
         expected = []
         for index in range(n):
@@ -790,11 +794,6 @@ class TestBaranyCompanionBatching:
 class TestPooledDraws:
     """Cross-round draw pooling: one sample_batch per key per round."""
 
-    def _run_batch(self, chase, n, seed, pool):
-        cfg = ChaseConfig(seed=seed)
-        return chase.run_batch(n, cfg.base_rng(), cfg.spawn_rngs(n),
-                               DEFAULT_POLICY, 10_000, 2, pool=pool)
-
     def test_same_key_groups_share_one_call(self):
         session = repro.compile(STAGED_SLOTS).on(
             _staged_instance(), seed=0)
@@ -808,18 +807,6 @@ class TestPooledDraws:
         assert diag["n_draw_calls"] == 2
         assert diag["n_pooled_draws"] > 0
 
-    def test_pool_off_issues_per_group_calls(self):
-        compiled = repro.compile(STAGED_SLOTS)
-        chase = BatchedChase(compiled.translated, _staged_instance())
-        pooled = self._run_batch(chase, 400, 7, pool=True)
-        unpooled = self._run_batch(chase, 400, 7, pool=False)
-        # 1 round-1 call either way; round 2 is 1 pooled call vs one
-        # per surviving stage group.
-        assert pooled.diagnostics["n_draw_calls"] == 2
-        assert unpooled.diagnostics["n_draw_calls"] > 2
-        assert pooled.diagnostics["n_pooled_draws"] \
-            > unpooled.diagnostics["n_pooled_draws"]
-
     def test_pooled_law_matches_exact(self):
         from repro.testing.oracles import (marginals_agree,
                                            worlds_agree_chi_squared)
@@ -830,27 +817,6 @@ class TestPooledDraws:
         assert result.diagnostics["n_pooled_draws"] > 0
         assert marginals_agree(exact, result.pdb) is None
         assert worlds_agree_chi_squared(exact, result.pdb) is None
-
-    def test_single_group_rounds_identical_pooled_or_not(self):
-        # Mandated draw identity: with no cross-group pooling possible
-        # (every wave has one task), the two schedules are the same
-        # schedule - outcomes must match bit-for-bit, scalar fallback
-        # runs included (split worlds draw from their own streams).
-        compiled = repro.compile(CONTINUOUS_CASCADE)
-        chase = BatchedChase(compiled.translated, Instance.empty())
-        first = self._run_batch(chase, 10, 13, pool=True)
-        second = self._run_batch(chase, 10, 13, pool=False)
-        # Single-group waves throughout - the structural condition
-        # under which the two schedules provably coincide.
-        assert first.diagnostics["n_group_rounds"] == \
-            first.diagnostics["n_rounds"]
-        assert first.diagnostics["n_draw_calls"] == \
-            second.diagnostics["n_draw_calls"]
-        runs_a = {world: run.instance for world, run in
-                  first.scalar_runs}
-        runs_b = {world: run.instance for world, run in
-                  second.scalar_runs}
-        assert runs_a == runs_b and len(runs_a) == 10
 
 
 class TestExactBudgetBoundary:

@@ -553,6 +553,123 @@ class TestQueryCli:
         assert first == second
 
 
+MIXED_ARITY_PROGRAM = """
+    R(x, Flip<0.5>) :- S(x).
+    R(Flip<0.3>) :- true.
+"""
+#: Hit(u, 1) is derived for the Sure unit, so every world holds it as a
+#: shared fact while the sampled Hit(u, v) may equal it; Boom splits
+#: the batch into signature groups on the sampled value.
+SHARED_CONSTANT_PROGRAM = """
+    Hit(x, Flip<0.5>) :- Unit(x).
+    Hit(x, 1) :- Unit(x), Sure(x).
+    Boom(x) :- Hit(x, 0).
+"""
+#: Two templates sampling into different positions of one relation:
+#: a world where both draw 1 holds P(1, 1) once.
+CROSS_POSITION_PROGRAM = """
+    P(Flip<0.5>, 1) :- true.
+    P(1, Flip<0.5>) :- true.
+"""
+
+
+def _fact_batch(name):
+    if name == "mixed-arity":
+        # Numeric keys: R(1, v) and R(w) must never be compared.
+        return compile_program(MIXED_ARITY_PROGRAM).on(
+            Instance.from_dict({"S": [(1,), (2,)]}),
+            seed=3).sample(300).pdb
+    if name == "shared-constant":
+        return compile_program(SHARED_CONSTANT_PROGRAM).on(
+            Instance.from_dict({"Unit": [("u",), ("w",)],
+                                "Sure": [("u",)]}),
+            seed=8, batch_min_group=1).sample(300).pdb
+    if name == "cross-position":
+        return compile_program(CROSS_POSITION_PROGRAM).on(
+            seed=5).sample(300).pdb
+    if name == "sensor":
+        return sensor_pdb(n=300)
+    if name == "cities":
+        return cities_pdb()
+    return cities_pdb(max_steps=60)
+
+
+class TestFactReaders:
+    """Fact tables, masks and marginals equal counts over the worlds.
+
+    The readers of :mod:`repro.query.columnar` take every grouped
+    world from the planner's merged scan; each batch here is compared
+    against the materialized ``world_slots`` - plain counts exactly,
+    weighted totals against a :class:`WeightedPDB` over the same
+    worlds within 1e-12 relative.
+    """
+
+    @pytest.mark.parametrize("name", [
+        "mixed-arity", "shared-constant", "cross-position", "sensor",
+        "cities", "cities-truncated"])
+    def test_reads_equal_world_counts(self, name):
+        from repro.pdb.stats import fact_marginals
+        from repro.pdb.weighted import WeightedPDB
+        pdb = _fact_batch(name)
+        assert isinstance(pdb, ColumnarMonteCarloPDB)
+        weights = TestWholeBatchPlanner._weights(pdb)
+        weighted = WeightedColumnarPDB(pdb, weights)
+        table = fact_marginals(pdb)
+        weighted_table = fact_marginals(weighted)
+        ordered = sorted(table, key=Fact.sort_key)
+        probes = ordered[::max(1, len(ordered) // 40)] + [
+            Fact("R", (1, 1, 1)), Fact("Hit", ("u", 1.0)),
+            Fact("P", (1, 1, 1)), Fact("Nowhere", (0,))]
+        masks = [columnar.fact_mask(pdb, fact) for fact in probes]
+        marginals = [pdb.marginal(fact) for fact in probes]
+        weighted_marginals = [weighted.marginal(fact) for fact in probes]
+        assert pdb.materializations == 0
+
+        slots = pdb.world_slots()
+        counts: dict = {}
+        for world in slots:
+            for fact in world.facts if world is not None else ():
+                counts[fact] = counts.get(fact, 0) + 1
+        assert table == {fact: count / pdb.n_runs
+                         for fact, count in counts.items()}
+        for fact, mask, marginal in zip(probes, masks, marginals):
+            assert mask.tolist() == [world is not None and fact in world
+                                     for world in slots], fact
+            assert marginal == counts.get(fact, 0) / pdb.n_runs, fact
+
+        live = [index for index, world in enumerate(slots)
+                if world is not None]
+        reference = WeightedPDB([slots[index] for index in live],
+                                weights[live])
+        expected = fact_marginals(reference)
+        assert weighted_table.keys() == expected.keys()
+        for fact, value in expected.items():
+            assert math.isclose(weighted_table[fact], value,
+                                rel_tol=1e-12, abs_tol=0.0), fact
+        for fact, value in zip(probes, weighted_marginals):
+            assert math.isclose(value, reference.marginal(fact),
+                                rel_tol=1e-12, abs_tol=0.0), fact
+
+    def test_streamed_fact_reads_do_not_materialize(self):
+        session = compile_program(SENSOR_PROGRAM).on(
+            Instance.from_dict({"Sensor": [("t0", 18.0),
+                                           ("t1", 19.0)]}),
+            seed=4, batch_min_group=1)
+        stream = session.stream(400)
+        stream.observe(observe("Reading", "t0", 19.5))
+        stream.observe(Fact("Flaky", ("t1", 0)))
+        probe = Fact("Flaky", ("t0", 1))
+        streamed = stream.marginal(probe)
+        posterior = stream.posterior()
+        table = posterior.fact_marginals()
+        assert stream._pdb.materializations == 0
+        assert math.isclose(table[Fact("Flaky", ("t1", 0))], 1.0,
+                            rel_tol=1e-12)
+        assert math.isclose(streamed, table[probe], rel_tol=1e-12)
+        assert math.isclose(streamed, posterior.pdb.prob(
+            lambda world: probe in world), rel_tol=1e-12)
+
+
 class TestExpectedSizeColumnarIdentity:
     def test_expected_size_reads_columns(self):
         from repro.pdb.stats import expected_size

@@ -329,7 +329,7 @@ class TestMultiRoundBatched:
 
         result = benchmark(run)
         assert result.diagnostics["n_rounds"] == 2
-        assert result.diagnostics["n_split"] < self.N_RUNS * 0.05
+        assert result.diagnostics["n_split"] == 0
 
 
 class TestPooledGroupBatched:

@@ -381,7 +381,7 @@ class TestE17ColumnarQueryPushdown:
         instance = Instance.from_dict(
             {"Sensor": [(f"t{i}", 18.0 + 0.5 * i) for i in range(8)]})
         stream = compile_program(self.SENSOR_PROGRAM).on(
-            instance, seed=0, batch_min_group=1).stream(self.N_WORLDS)
+            instance, seed=0).stream(self.N_WORLDS)
         stream.observe(observe("Reading", "t3", 19.0))
 
         def query():

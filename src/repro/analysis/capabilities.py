@@ -380,8 +380,8 @@ def _predict_streaming(translated, batched: Capability,
     body reads any sampled head relation*: every trigger analysis is
     NEVER, so worlds are never regrouped and never fall back to the
     scalar engine.  That condition is per-program, not per-auxiliary -
-    one triggering auxiliary can strand worlds on the scalar path and
-    poison observations of every other auxiliary.
+    a cascade round that overruns the step budget strands its worlds on
+    the scalar path and poisons observations of every other auxiliary.
     """
     read_by: dict[str, list[str]] = {}
     for rule in translated.rules:

@@ -47,10 +47,10 @@ ENGINES = ("incremental", "naive")
 #: programs (sampled values enabling further rules, e.g. Example 3.4's
 #: Trig/Alarm stage) stay on the batched backend too - trigger-hit
 #: worlds are regrouped by their enabled-trigger signature and the next
-#: existential layer runs vectorized per group, with only residual
-#: singleton groups (and budget-starved or structurally unsupported
-#: ones) finishing on the scalar engine.  Both translations are
-#: batchable: the per-rule (grohe) one, and - since the shared
+#: existential layer runs vectorized per group, whatever its size; only
+#: budget-starved or structurally unsupported rounds finish on the
+#: scalar engine.  Both translations are batchable: the per-rule
+#: (grohe) one, and - since the shared
 #: ``Sample#`` companion fan-out is vectorized - the Bárány one of
 #: Section 6.2.  The remaining hard requirements: weak acyclicity of
 #: the translated program, sequential chase, no trace recording, and
@@ -132,14 +132,10 @@ class ChaseConfig:
     (:meth:`spawn_rngs`);
     ``backend`` - Monte-Carlo sampling backend (``"auto"``,
     ``"scalar"``, ``"batched"``; see :data:`BACKENDS`);
-    ``batch_min_group`` - smallest world group the batched backend
-    keeps vectorized across cascade rounds.  Groups below the
-    threshold finish on the scalar engine instead of paying the
-    vectorization overhead; the default (2) sends exactly the
-    residual singleton groups scalar.  ``1`` vectorizes everything
-    (useful for exercising the multi-round machinery), larger values
-    trade batch coverage for fewer tiny ``sample_batch`` calls.  The
-    sampled law is identical at every setting.
+    ``batch_min_group`` - retired: the batched backend keeps every
+    signature group vectorized, whatever its size, and nothing reads
+    this field.  It accepts only ``1`` (the default) so that existing
+    configs naming it still parse; a later release deletes it.
 
     ``shards`` - split sampled batches across a process pool
     (:mod:`repro.serving`).  ``None`` (default) and ``1`` keep the
@@ -168,7 +164,7 @@ class ChaseConfig:
     record_trace: bool = False
     seed: int | np.random.Generator | None = None
     backend: str = "auto"
-    batch_min_group: int = 2
+    batch_min_group: int = 1
     shards: int | None = None
     resample_threshold: float = 0.0
 
@@ -200,9 +196,9 @@ class ChaseConfig:
         if isinstance(self.batch_min_group, bool) \
                 or not isinstance(self.batch_min_group,
                                   (int, np.integer)) \
-                or self.batch_min_group <= 0:
+                or self.batch_min_group != 1:
             raise ValidationError(
-                f"batch_min_group must be a positive int, got "
+                f"batch_min_group is retired and accepts only 1, got "
                 f"{self.batch_min_group!r}")
         if self.shards is not None and (
                 isinstance(self.shards, bool)

@@ -469,8 +469,7 @@ class Session:
         start = time.perf_counter()
         outcome = batched.run_batch(n, cfg.base_rng(), cfg.spawn_rngs(n),
                                     cfg.policy or DEFAULT_POLICY,
-                                    cfg.max_steps,
-                                    cfg.batch_min_group)
+                                    cfg.max_steps)
         if outcome is None:
             return None
         pdb = ColumnarMonteCarloPDB(outcome, visible,
@@ -800,7 +799,7 @@ class Session:
             outcome = batched.run_batch(
                 n, cfg.base_rng(), cfg.spawn_rngs(n),
                 cfg.policy or DEFAULT_POLICY,
-                cfg.max_steps, min_group=1, regions=plan.regions,
+                cfg.max_steps, regions=plan.regions,
                 log_weights=log_weights)
         except DistributionError as err:
             raise MeasureError(

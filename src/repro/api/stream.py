@@ -129,8 +129,7 @@ class StreamingPosterior:
         self._entropy = world_rngs.entropy
         outcome = batched.run_batch(
             n, cfg.base_rng(), world_rngs,
-            cfg.policy or DEFAULT_POLICY, cfg.max_steps,
-            cfg.batch_min_group)
+            cfg.policy or DEFAULT_POLICY, cfg.max_steps)
         if outcome is None:
             raise StreamingUnsupported(
                 "the batched backend declined this batch (step "

@@ -48,13 +48,13 @@ exploits the structure with a *multi-round* cascade:
    are copy-on-write: each signature group starts from an
    :class:`~repro.core.applicability.OverlayApplicability` - a delta
    overlay over the frozen base engine - so forking costs O(delta)
-   instead of re-indexing the whole closed instance.  Only residual
-   groups below :attr:`ChaseConfig.batch_min_group` (by default:
-   singletons), budget-starved groups and structurally unsupported
-   rounds finish on the scalar engine
+   instead of re-indexing the whole closed instance.  Every group
+   continues vectorized, one-world groups included; only budget-starved
+   groups and rounds that cannot be prepared (structure, or a
+   distribution/validation error) finish on the scalar engine
    (:func:`repro.core.chase.run_chase_prepared`) from a fork of the
-   group state.  The fallback guarantees the sampled law is *exactly*
-   the sequential-chase law: the batched prefix is itself a legitimate
+   group state.  Either way the sampled law is *exactly* the
+   sequential-chase law: the batched prefix is itself a legitimate
    chase order, and for the weakly acyclic programs this backend
    accepts, Theorem 6.1 makes the output distribution independent of
    that order.
@@ -261,7 +261,7 @@ class BatchedChase:
         self._body_atoms = self._collect_body_atoms()
         self._growable = collect_growable(translated)
         self.layer = tuple(self._prepare_firing(firing,
-                                                self._closed_source)
+                                                self._closed_source, {})
                            for firing in self._engine.applicable())
 
     # -- preparation --------------------------------------------------------
@@ -319,15 +319,19 @@ class BatchedChase:
                     (rule, position))
         return by_relation
 
-    def _prepare_firing(self, firing, source) -> _LayerFiring:
+    def _prepare_firing(self, firing, source, memo: dict) -> _LayerFiring:
         """Analyze one applicable existential firing against ``source``.
 
         ``source`` is the fact source of the round preparing the
         firing (the shared closed instance for the first layer, the
         group's overlay source afterwards); Bárány companion bodies
         are matched against it to enumerate the head templates the
-        firing's draw fans out to.
+        firing's draw fans out to.  ``memo`` keeps the results that
+        cannot depend on ``source``: per-rule (grohe) firings, and
+        Bárány firings whose companion rests all lie on stable relations.
         """
+        if firing in memo:
+            return memo[firing]
         if not firing.existential:
             raise BatchUnsupported(
                 "deterministic firing survived the shared fixpoint "
@@ -365,7 +369,7 @@ class BatchedChase:
             # into the signature hands the fan-out to the incremental
             # engine, which derives late companion heads exactly.
             trigger, pinned = ALWAYS, frozenset()
-        return _LayerFiring(
+        prepared = _LayerFiring(
             aux_relation=firing.relation,
             prefix=prefix,
             # Content-addressed: distribution names are unique within a
@@ -377,6 +381,9 @@ class BatchedChase:
             heads=heads,
             trigger=trigger,
             pinned=pinned)
+        if rests_stable:
+            memo[firing] = prepared
+        return prepared
 
     def _companion_heads(self, companions, prefix: tuple,
                          source) -> tuple[tuple, bool]:
@@ -582,24 +589,23 @@ class BatchedChase:
         return sum(1 + len(firing.heads) for firing in layer)
 
     def run_batch(self, size: int, batch_rng: np.random.Generator,
-                  world_rngs, policy: ChasePolicy, max_steps: int,
-                  min_group: int = 2,
+                  world_rngs, policy: ChasePolicy, max_steps: int, *,
                   per_world_rngs=None,
                   regions: dict | None = None,
                   log_weights=None) -> BatchOutcome | None:
         """Sample ``size`` chase runs; None declines (budget too tight).
 
-        ``world_rngs`` is a sequence of ``size`` per-world generators,
-        indexed only for the worlds that finish on the scalar engine
-        (fully batched worlds never read theirs) - hand it a lazy one,
-        :meth:`repro.api.config.ChaseConfig.spawn_rngs`, so that only
-        those worlds' generators are ever built.  ``min_group`` is
-        the smallest signature group continued vectorized; smaller
-        groups finish on the scalar engine.  Draws pool across groups:
-        within a round, all signature groups' same-(distribution,
-        parameters) draws are served by one ``sample_batch`` call
-        (:meth:`_draw_wave`; the draws are iid, so slicing one flat
-        array per request keeps the product law).
+        Every signature group continues vectorized, whatever its size,
+        unless its next round would overrun ``max_steps`` or cannot be
+        prepared.  ``world_rngs`` is a sequence of ``size`` per-world
+        generators, indexed only for the worlds that finish on the
+        scalar engine (fully batched worlds never read theirs) - hand
+        it a lazy one, :meth:`repro.api.config.ChaseConfig.spawn_rngs`,
+        so that only those worlds' generators are ever built.  Draws
+        pool across groups: within a round, all signature groups'
+        same-(distribution, parameters) draws are served by one
+        ``sample_batch`` call (:meth:`_draw_wave`; the draws are iid,
+        so slicing one flat array per request keeps the product law).
 
         ``per_world_rngs`` switches the batch to the *per-world stream*
         draw schedule used by sharded sampling (:mod:`repro.serving`):
@@ -610,12 +616,9 @@ class BatchedChase:
         output is a function of ``(program, instance, config,
         rngs[i])`` alone - independent of which other worlds share its
         batch - which is exactly the shard-count invariance guarantee.
-        To keep that guarantee, ``min_group`` is forced to 1 (group
-        *size* thresholds would make the columnar/scalar decision
-        depend on co-membership) and ``batch_rng`` / ``world_rngs``
-        are ignored; scalar-fallback worlds (budget- or
-        structure-forced, both world-local conditions) continue their
-        own already-advanced generator.
+        ``batch_rng`` / ``world_rngs`` are ignored; scalar-fallback
+        worlds (budget- or structure-forced, both world-local
+        conditions) continue their own already-advanced generator.
 
         ``regions`` switches the batch to *guided conditioning*: a
         mapping from ``(aux relation, full prefix)`` and/or ``(aux
@@ -655,7 +658,6 @@ class BatchedChase:
                 raise ChaseError(
                     f"per_world_rngs must provide one generator per "
                     f"world: got {len(rngs)} for batch size {size}")
-            min_group = 1
         else:
             rngs = world_rngs
         diagnostics = {"n_split": 0, "n_firings": len(layer),
@@ -674,6 +676,8 @@ class BatchedChase:
 
         groups: list[_ColumnarGroup] = []
         scalar_runs: list[tuple[int, ChaseRun]] = []
+        # Firing preparations that hold in every group of this batch.
+        prepared: dict = {}
         # Rounds advance as breadth-first waves: every signature group
         # at the same cascade depth draws in the same wave, which is
         # what lets same-key draws pool across groups.
@@ -700,32 +704,27 @@ class BatchedChase:
                     sub_members = task.members[positions]
                     sub_columns = tuple((firing, values[positions])
                                         for firing, values in columns)
-                    if all(component is None for component in sig):
+                    try:
                         # No sampled value enabled anything: terminal.
-                        groups.append(_ColumnarGroup(sub_members,
-                                                     task.shared,
-                                                     sub_columns))
-                        diagnostics["n_groups"] += 1
-                        continue
-                    follow_up = None
-                    if len(positions) >= min_group:
-                        try:
-                            follow_up = self._next_round(task, sig,
-                                                         sub_members,
-                                                         sub_columns,
-                                                         max_steps)
-                        except (BatchUnsupported, _FallbackNeeded,
-                                DistributionError, ValidationError):
-                            follow_up = None
-                    if isinstance(follow_up, _ColumnarGroup):
-                        groups.append(follow_up)
-                        diagnostics["n_groups"] += 1
-                        continue
+                        follow_up = _ColumnarGroup(
+                            sub_members, task.shared, sub_columns) \
+                            if all(c is None for c in sig) \
+                            else self._next_round(task, sig, sub_members,
+                                                  sub_columns, max_steps,
+                                                  prepared)
+                    except (BatchUnsupported, _FallbackNeeded,
+                            DistributionError, ValidationError):
+                        follow_up = None
                     if isinstance(follow_up, _Round):
                         next_wave.append(follow_up)
                         continue
-                    # Residual group: finish each member on the scalar
-                    # engine from a fork of the group state.
+                    if follow_up is not None:
+                        groups.append(follow_up)
+                        diagnostics["n_groups"] += 1
+                        continue
+                    # The round cannot run vectorized: finish each
+                    # member on the scalar engine from a fork of the
+                    # group state.
                     if regions:
                         # A scalar continuation would sample any
                         # still-constrained firing unconstrained,
@@ -747,7 +746,7 @@ class BatchedChase:
 
     def _next_round(self, task: _Round, sig: tuple,
                     sub_members: np.ndarray, sub_columns: tuple,
-                    max_steps: int):
+                    max_steps: int, prepared: dict):
         """Advance one signature group by one cascade round.
 
         Returns a terminal :class:`_ColumnarGroup` when the shared
@@ -755,10 +754,14 @@ class BatchedChase:
         applicable, or a :class:`_Round` carrying the next vectorized
         existential layer.  Raises :class:`_FallbackNeeded` (budget) or
         :class:`BatchUnsupported` (structure) to send the group's
-        members to the scalar engine instead.
+        members to the scalar engine instead.  ``prepared`` is the
+        batch's memo for :meth:`_prepare_firing`.
         """
         engine = overlay_fork(task.engine)
-        trigger_facts: list[Fact] = []
+        # The facts this round adds to ``shared``.  Building an
+        # Instance copies all of its facts, so it is built once, after
+        # the cascade.
+        added: set[Fact] = set()
         for component, firing in zip(sig, task.layer):
             if component is None:
                 # The sampled fact varies across the group's worlds
@@ -770,11 +773,11 @@ class BatchedChase:
             aux = Fact(firing.aux_relation,
                        firing.prefix + (component,))
             engine.add_fact(aux)
-            trigger_facts.append(aux)
+            added.add(aux)
             for head in firing.head_facts(component):
                 engine.add_fact(head)
-                trigger_facts.append(head)
-        shared = task.shared.add_all(trigger_facts)
+                added.add(head)
+        added -= task.shared.facts
         # Conservative per-world step bound: shared facts plus the
         # auxiliary and head-template facts of every *unbound* column -
         # bound columns' facts are already inside ``shared``, counting
@@ -784,8 +787,8 @@ class BatchedChase:
             + sum(1 + len(firing.heads)
                   for component, firing in zip(sig, task.layer)
                   if component is None)
-        budget_used = (len(shared) - len(self.instance)
-                       + unbound_facts)
+        budget_used = (len(task.shared) + len(added)
+                       - len(self.instance) + unbound_facts)
         while True:
             applicable = engine.applicable()
             deterministic = [firing for firing in applicable
@@ -798,12 +801,14 @@ class BatchedChase:
                     raise _FallbackNeeded
                 fact = firing.fact()
                 engine.add_fact(fact)
-                shared = shared.add(fact)
+                added.add(fact)
+        shared = task.shared.add_all(added)
         existential = [firing for firing in applicable
                        if firing.existential]
         if not existential:
             return _ColumnarGroup(sub_members, shared, sub_columns)
-        next_layer = tuple(self._prepare_firing(firing, engine.source)
+        next_layer = tuple(self._prepare_firing(firing, engine.source,
+                                                prepared)
                            for firing in existential)
         if budget_used + self._layer_step_bound(next_layer) > max_steps:
             raise _FallbackNeeded

@@ -34,6 +34,7 @@ from repro.errors import ValidationError
 from repro.measures.empirical import ks_critical_value, ks_two_sample
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
+from repro.workloads.generators import earthquake_city_instance
 from repro.workloads.paper import (alarm_probability_closed_form,
                                    continuous_feedback_program,
                                    example_3_4_instance,
@@ -173,8 +174,11 @@ class TestBatchedLawAgreement:
             example_3_4_instance(), seed=5)
         result = session.sample(4000, backend="batched")
         assert result.backend == "batched"
-        assert result.diagnostics["n_split"] > 0       # quakes happen
-        assert result.diagnostics["n_batched"] > 0     # most stay flat
+        # Quake and burglary worlds regroup by signature (singletons
+        # included) and every world stays vectorized.
+        assert result.diagnostics["n_groups"] > 1
+        assert result.diagnostics["n_split"] == 0
+        assert result.diagnostics["n_batched"] == 4000
         for unit, rate in (("house-1", 0.03), ("biz-1", 0.01)):
             expected = alarm_probability_closed_form(rate)
             estimate = result.marginal(Fact("Alarm", (unit,)))
@@ -391,9 +395,13 @@ class TestLazyWorldRngs:
 
     def test_example_3_4_builds_one_generator_per_split_world(
             self, handed_world_rngs, built):
+        # At max_steps=15 the cascade rounds of the multi-trigger
+        # groups overrun the step bound, so those worlds finish on the
+        # scalar engine; the other worlds stay vectorized.
         session = repro.compile(example_3_4_program()).on(
-            example_3_4_instance(), seed=0)
+            example_3_4_instance(), seed=0, max_steps=15)
         result = session.sample(5000, backend="batched")
+        assert result.backend == "batched"
         n_split = result.diagnostics["n_split"]
         assert 0 < n_split < 50
         assert [len(rngs) for rngs in handed_world_rngs] == [5000]
@@ -421,6 +429,18 @@ CONTINUOUS_CASCADE = """
     Next(Normal<x, 1>) :- Level(x).
 """
 
+#: A world takes 5 steps (Level's auxiliary and head, Seen(x, 0),
+#: Seen(x, 1), Seen's auxiliary): the sampled Seen head always exists
+#: already.  The batched round bound counts that head as new (6), so at
+#: max_steps=5 every world leaves the batch after round 1 and its
+#: scalar continuation ends exactly at the budget.
+COLLIDING_CASCADE = """
+    Level(Normal<0, 1>) :- true.
+    Seen(x, Flip<0.5>) :- Level(x).
+    Seen(x, 0) :- Level(x).
+    Seen(x, 1) :- Level(x).
+"""
+
 HIT_BOOM = """
     Hit(Flip<0.9>) :- true.
     Boom(x) :- Hit(1), Seed(x).
@@ -436,10 +456,10 @@ class TestMultiRoundCascade:
         result = session.sample(2000, backend="batched")
         assert result.backend == "batched"
         assert result.diagnostics["n_rounds"] == 2
-        # Trigger-hit worlds (~20%) regroup instead of going scalar;
-        # only rare multi-trigger signatures can end up as singletons.
-        assert result.diagnostics["n_split"] < 50
-        assert result.diagnostics["n_batched"] > 1950
+        # Trigger-hit worlds (~20%) regroup instead of going scalar,
+        # rare one-world multi-trigger signatures included.
+        assert result.diagnostics["n_split"] == 0
+        assert result.diagnostics["n_batched"] == 2000
 
     def test_three_stage_chain_matches_exact_law(self):
         compiled = repro.compile(CASCADE_CHAIN)
@@ -473,27 +493,30 @@ class TestMultiRoundCascade:
         assert all(Fact("Boom", ("s",)) not in world.facts
                    for world in result.pdb.worlds)
 
-    def test_all_worlds_split_on_continuous_trigger(self):
+    def test_continuous_trigger_singletons_stay_vectorized(self):
         # A continuous always-trigger gives every world a unique
-        # signature: all-singleton groups, which fall back to the
-        # scalar engine under the default batch_min_group=2.
+        # signature: all-singleton groups, each of which still runs
+        # its next round vectorized.
         session = repro.compile(CONTINUOUS_CASCADE).on(seed=2)
         result = session.sample(30, backend="batched")
         assert result.backend == "batched"
-        assert result.diagnostics["n_split"] == 30
-        assert result.diagnostics["n_batched"] == 0
+        assert result.diagnostics["n_split"] == 0
+        assert result.diagnostics["n_batched"] == 30
+        assert result.diagnostics["n_rounds"] == 2
+        assert result.diagnostics["n_groups"] == 30
         for world in result.pdb.worlds:
             assert len(world.facts_of("Next")) == 1
 
-    def test_min_group_one_vectorizes_singleton_groups(self):
-        session = repro.compile(CONTINUOUS_CASCADE).on(
-            seed=2, batch_min_group=1)
-        result = session.sample(12, backend="batched")
+    def test_cities_singleton_groups_stay_vectorized(self):
+        # Four cities of four units: more than half of 100 worlds land in
+        # one-world signature groups, and all of them stay batched.
+        session = repro.compile(example_3_4_program()).on(
+            earthquake_city_instance(4, 4, seed=0), seed=0)
+        result = session.sample(100)
+        assert result.backend == "batched"
         assert result.diagnostics["n_split"] == 0
-        assert result.diagnostics["n_rounds"] == 2
-        assert result.diagnostics["n_groups"] == 12
-        for world in result.pdb.worlds:
-            assert len(world.facts_of("Next")) == 1
+        assert result.diagnostics["n_batched"] == 100
+        assert not result.pdb._outcome.scalar_runs
 
     def test_semi_join_prunes_unsatisfiable_trigger(self):
         # Hit(1) pins a trigger atom, but the rest of the Boom body
@@ -584,9 +607,11 @@ class TestMultiRoundCascade:
             assert (hit in world.facts) == (boom in world.facts)
 
     def test_numpy_integer_batch_min_group_accepted(self):
-        import numpy as np
-        config = ChaseConfig(batch_min_group=np.int64(2))
-        assert config.batch_min_group == 2
+        # The retired field still parses its only value, 1.
+        assert ChaseConfig().batch_min_group == 1
+        assert ChaseConfig(batch_min_group=1).batch_min_group == 1
+        config = ChaseConfig(batch_min_group=np.int64(1))
+        assert config.batch_min_group == 1
         with pytest.raises(ValidationError):
             ChaseConfig(batch_min_group=True)
 
@@ -594,10 +619,11 @@ class TestMultiRoundCascade:
         # Split worlds must continue with the world's own spawned
         # stream from exactly the batched prefix state: replaying the
         # layer draws and the per-world continuation by hand must
-        # reproduce the ensemble draw-for-draw.
+        # reproduce the ensemble draw-for-draw.  The step budget sends
+        # every world to the scalar engine after round 1.
         n = 8
-        compiled = repro.compile(CONTINUOUS_CASCADE)
-        session = compiled.on(seed=13)
+        compiled = repro.compile(COLLIDING_CASCADE)
+        session = compiled.on(seed=13, max_steps=5)
         result = session.sample(n, backend="batched")
         assert result.diagnostics["n_split"] == n
 
@@ -626,16 +652,17 @@ class TestMultiRoundCascade:
             steps = len(current) - len(chase.instance)
             run = run_chase_prepared(translated, state, current,
                                      DEFAULT_POLICY, rngs[index],
-                                     10_000 - steps)
+                                     5 - steps)
             assert run.terminated
             expected.append(run.instance.restrict(visible))
         assert result.pdb.worlds == expected
 
     def test_batch_min_group_validation(self):
+        for retired in (2, 0, True, 1.5):
+            with pytest.raises(ValidationError, match="retired"):
+                ChaseConfig(batch_min_group=retired)
         with pytest.raises(ValidationError):
-            ChaseConfig(batch_min_group=0)
-        with pytest.raises(ValidationError):
-            ChaseConfig(batch_min_group=1.5)
+            ChaseConfig().replace(batch_min_group=2)
 
 
 H_BARANY = "R(Flip<0.5>) :- true.\nS(Flip<0.5>) :- true."
@@ -645,6 +672,11 @@ FANOUT_BARANY = "Out(x, Flip<0.5>) :- Item(x)."
 GROWABLE_REST_BARANY = """
     A(Flip<0.5>) :- true.
     Out(x, Flip<0.5>) :- A(x).
+"""
+
+LATE_GROWABLE_REST_BARANY = """
+    A(Flip<0.5>) :- true.
+    B(x, Flip<0.3>) :- A(x).
 """
 
 STAGED_SLOTS = """
@@ -773,6 +805,28 @@ class TestBaranyCompanionBatching:
             assert (Fact("Boom", ("a",)) in world.facts) == hit
             assert (Fact("Boom", ("b",)) in world.facts) == hit
 
+    def test_late_growable_companion_rest_is_prepared_per_group(self):
+        # Round 2 prepares the same Sample# firing, Flip<0.3>, in the
+        # A=0 and the A=1 group.  Its companion rest joins A, a
+        # growable relation, so the head templates differ per group -
+        # B(0, v) in one, B(1, v) in the other - and the firing must
+        # not reuse another group's preparation.
+        from repro.testing.oracles import (marginals_agree,
+                                           worlds_agree_chi_squared)
+        compiled = repro.compile(LATE_GROWABLE_REST_BARANY,
+                                 semantics="barany")
+        exact = compiled.on().exact().pdb
+        result = compiled.on(seed=3).sample(2000, backend="batched")
+        assert result.backend == "batched"
+        assert result.diagnostics["n_split"] == 0
+        assert result.diagnostics["n_rounds"] == 2
+        for world in result.pdb.worlds:
+            (a,) = world.facts_of("A")
+            (b,) = world.facts_of("B")
+            assert b.args[0] == a.args[0]
+        assert marginals_agree(exact, result.pdb) is None
+        assert worlds_agree_chi_squared(exact, result.pdb) is None
+
     def test_barany_columnar_marginals_match_materialized(self):
         compiled = repro.compile(FANOUT_BARANY, semantics="barany")
         instance = Instance.of(Fact("Item", ("a",)),
@@ -823,18 +877,21 @@ class TestExactBudgetBoundary:
     """Fallback runs ending precisely at the remaining step budget."""
 
     def test_fallback_terminating_exactly_at_budget(self):
-        # The cascade needs exactly 4 steps per world (Level aux +
-        # head, Next aux + head).  Every world splits in round 1; the
-        # fallback's remaining budget is exactly 2 - just enough - so
+        # The cascade needs exactly 5 steps per world, but round 2's
+        # bound counts 6.  Every world splits after round 1; the
+        # fallback's remaining budget is exactly 3 - just enough - so
         # every run must terminate, same as the scalar backend.
-        session = repro.compile(CONTINUOUS_CASCADE).on(
-            seed=3, max_steps=4)
+        session = repro.compile(COLLIDING_CASCADE).on(
+            seed=3, max_steps=5)
         batched = session.sample(12, backend="batched")
         scalar = session.sample(12, backend="scalar")
         assert batched.backend == "batched"
         assert batched.diagnostics["n_split"] == 12
         assert batched.pdb.truncated == 0 == scalar.pdb.truncated
         assert len(batched.pdb.worlds) == 12
+        # One step more and round 2 fits: no world leaves the batch.
+        roomy = session.sample(12, backend="batched", max_steps=6)
+        assert roomy.diagnostics["n_split"] == 0
 
     def test_fallback_one_step_short_truncates_like_scalar(self):
         session = repro.compile(CONTINUOUS_CASCADE).on(
@@ -849,16 +906,16 @@ class TestExactBudgetBoundary:
         # finishing at the budget must report steps == max_steps and
         # terminated == True (the off-by-one this guards: treating
         # "budget exhausted" and "finished on the last step" alike).
-        compiled = repro.compile(CONTINUOUS_CASCADE)
+        compiled = repro.compile(COLLIDING_CASCADE)
         chase = BatchedChase(compiled.translated, Instance.empty())
         cfg = ChaseConfig(seed=13)
         outcome = chase.run_batch(4, cfg.base_rng(), cfg.spawn_rngs(4),
-                                  DEFAULT_POLICY, 4, 2)
+                                  DEFAULT_POLICY, 5)
         assert outcome is not None
         assert len(outcome.scalar_runs) == 4
         for _world, run in outcome.scalar_runs:
             assert run.terminated
-            assert run.steps == 4
+            assert run.steps == 5
 
 
 class TestColumnarReads:

@@ -177,7 +177,7 @@ def sensor_pdb(n=1500, sensors=6, seed=2):
     instance = Instance.from_dict(
         {"Sensor": [(f"t{i}", 18.0 + i) for i in range(sensors)]})
     return compile_program(SENSOR_PROGRAM).on(
-        instance, seed=seed, batch_min_group=1).sample(n).pdb
+        instance, seed=seed).sample(n).pdb
 
 
 def cities_pdb(n=300, seed=4, **config):
@@ -288,12 +288,17 @@ class TestWholeBatchPlanner:
         assert not pdb._outcome.scalar_runs
         self._check(pdb, SENSOR_PLANS)
 
-    @pytest.mark.parametrize("max_steps", [None, 60])
+    @pytest.mark.parametrize("max_steps", [68, 60])
     def test_cities_batch_with_scalar_fallback_slots(self, max_steps):
-        # At max_steps=60 most scalar-fallback worlds are truncated.
-        pdb = cities_pdb() if max_steps is None \
-            else cities_pdb(max_steps=max_steps)
+        # Cascade rounds that overrun the step budget finish on the
+        # scalar engine.  At max_steps=60 every such world truncates;
+        # at 68 a few terminate (their two Trig draws agree, so they
+        # take a step fewer than the round bound counts).
+        pdb = cities_pdb(max_steps=max_steps)
         assert pdb._outcome.scalar_runs and pdb._outcome.groups
+        terminated = [run.terminated
+                      for _, run in pdb._outcome.scalar_runs]
+        assert any(terminated) == (max_steps == 68)
         assert explain(pdb, CITY_PLANS[0]) == "columnar"
         self._check(pdb, CITY_PLANS)
 
@@ -316,7 +321,7 @@ class TestWholeBatchPlanner:
         """
         pdb = compile_program(program).on(
             Instance.from_dict({"Item": [("a",), ("b",), ("c",)]}),
-            seed=1, batch_min_group=1).sample(300).pdb
+            seed=1).sample(300).pdb
         calls = []
         cell_eq = columnar._cell_eq
         monkeypatch.setattr(columnar, "_cell_eq", lambda a, b:
@@ -583,7 +588,7 @@ def _fact_batch(name):
         return compile_program(SHARED_CONSTANT_PROGRAM).on(
             Instance.from_dict({"Unit": [("u",), ("w",)],
                                 "Sure": [("u",)]}),
-            seed=8, batch_min_group=1).sample(300).pdb
+            seed=8).sample(300).pdb
     if name == "cross-position":
         return compile_program(CROSS_POSITION_PROGRAM).on(
             seed=5).sample(300).pdb
@@ -654,7 +659,7 @@ class TestFactReaders:
         session = compile_program(SENSOR_PROGRAM).on(
             Instance.from_dict({"Sensor": [("t0", 18.0),
                                            ("t1", 19.0)]}),
-            seed=4, batch_min_group=1)
+            seed=4)
         stream = session.stream(400)
         stream.observe(observe("Reading", "t0", 19.5))
         stream.observe(Fact("Flaky", ("t1", 0)))

@@ -235,12 +235,19 @@ class TestPerWorldDrawMode:
         session, chase = self._chase()
         rngs = session.config.spawn_rngs(12)
         outcome = chase.run_batch(12, None, None, DEFAULT_POLICY,
-                                  10_000, min_group=8,
-                                  per_world_rngs=rngs)
+                                  10_000, per_world_rngs=rngs)
         assert outcome.diagnostics["draw_mode"] == "per-world"
-        # min_group forced to 1: no world went scalar just for being
-        # in a small group (co-membership must not matter).
+        # No world goes scalar for being in a small group
+        # (co-membership must not matter).
         assert outcome.diagnostics["n_split"] == 0
+        # The retired min_group argument fails loudly, positionally
+        # too: the options after max_steps are keyword-only.
+        with pytest.raises(TypeError):
+            chase.run_batch(12, None, None, DEFAULT_POLICY, 10_000, 8,
+                            per_world_rngs=rngs)
+        with pytest.raises(TypeError, match="min_group"):
+            chase.run_batch(12, None, None, DEFAULT_POLICY, 10_000,
+                            min_group=8, per_world_rngs=rngs)
 
     def test_rng_count_mismatch_rejected(self):
         session, chase = self._chase()

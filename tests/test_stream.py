@@ -299,6 +299,30 @@ class TestRetractFreesEvidence:
         assert retained < 1_000_000, f"{retained} bytes retained"
 
 
+#: The served sensor pipeline: 2^8 Flaky patterns over eight sensors.
+SENSOR_PIPELINE = """
+    Lifetime(s, Exponential<0.1>) :- Sensor(s, mu).
+    Reading(s, Normal<mu, 2.0>)   :- Sensor(s, mu).
+    Flaky(s, Flip<0.05>)          :- Sensor(s, mu).
+    Anomaly(s, Normal<mu, 50.0>)  :- Sensor(s, mu), Flaky(s, 1).
+"""
+
+
+class TestSingletonGroups:
+    def test_observe_on_eight_sensor_stream_at_default_config(self):
+        # Rare Flaky patterns form one-world signature groups.  They
+        # stay columnar, so an observed Reading re-weights every world
+        # instead of touching a scalar-fallback world and declining.
+        instance = repro.Instance.from_dict(
+            {"Sensor": [(f"t{i}", 18.0 + 0.5 * i) for i in range(8)]})
+        stream = repro.compile(SENSOR_PIPELINE).on(
+            instance, seed=0).stream(10_000)
+        stream.observe(repro.observe("Reading", "t3", 19.0))
+        assert stream.n_evidence == 1
+        assert stream.n_alive == 10_000
+        assert not stream._outcome.scalar_runs
+
+
 class TestSlidingWindow:
     def test_window_auto_retracts_oldest(self):
         windowed = cascade_session().stream(1500, max_window=1)

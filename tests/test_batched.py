@@ -507,6 +507,38 @@ class TestMultiRoundCascade:
         for world in result.pdb.worlds:
             assert len(world.facts_of("Next")) == 1
 
+    def test_min_group_one_vectorizes_singleton_groups(self):
+        # The retired field's only value is the default: passing it
+        # explicitly changes nothing.
+        session = repro.compile(CONTINUOUS_CASCADE).on(
+            seed=2, batch_min_group=1)
+        result = session.sample(12, backend="batched")
+        assert result.diagnostics["n_split"] == 0
+        assert result.diagnostics["n_rounds"] == 2
+        assert result.diagnostics["n_groups"] == 12
+        for world in result.pdb.worlds:
+            assert len(world.facts_of("Next")) == 1
+        default = repro.compile(CONTINUOUS_CASCADE).on(seed=2).sample(
+            12, backend="batched")
+        assert result.pdb.worlds == default.pdb.worlds
+
+    def test_all_worlds_split_on_continuous_trigger(self):
+        # A continuous always-trigger gives every world a unique
+        # signature.  At max_steps=5 each one-world group's next round
+        # overruns the round bound, so every world finishes on the
+        # scalar engine, and none is truncated (see COLLIDING_CASCADE).
+        session = repro.compile(COLLIDING_CASCADE).on(seed=2, max_steps=5)
+        result = session.sample(30, backend="batched")
+        assert result.backend == "batched"
+        assert result.diagnostics["n_split"] == 30
+        assert result.diagnostics["n_batched"] == 0
+        assert result.pdb.truncated == 0
+        for world in result.pdb.worlds:
+            (level,) = world.facts_of("Level")
+            x = level.args[0]
+            assert world.facts_of("Seen") == {Fact("Seen", (x, 0)),
+                                              Fact("Seen", (x, 1))}
+
     def test_cities_singleton_groups_stay_vectorized(self):
         # Four cities of four units: more than half of 100 worlds land in
         # one-world signature groups, and all of them stay batched.

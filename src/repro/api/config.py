@@ -9,7 +9,7 @@ scatter with one validated, immutable value object that a
 Randomness is configured by ``seed`` alone.  Every run draws from its
 own child stream derived via :class:`numpy.random.SeedSequence`, so
 runs are statistically independent *and* order-independent, which is
-what lets ``Session.sample(n, shards=k)`` split a batch across
+what lets ``Session.sample(n, shards=k)`` split a scalar batch across
 processes reproducibly.  World ``i``'s stream is :func:`world_rng` of
 the root entropy and ``i`` wherever it is built - one process, a shard
 worker or a stream's resampler.  The batched backend additionally
@@ -20,6 +20,7 @@ draws its vectorized waves from one pooled generator,
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -56,6 +57,12 @@ ENGINES = ("incremental", "naive")
 #: the translated program, sequential chase, no trace recording, and
 #: a batch-safe policy.
 BACKENDS = ("auto", "scalar", "batched")
+
+
+def _is_int(value) -> bool:
+    """An int or numpy integer, never a bool (served JSON sends both)."""
+    return isinstance(value, (int, np.integer)) \
+        and not isinstance(value, bool)
 
 
 def world_rng(entropy: int, world: int) -> np.random.Generator:
@@ -95,9 +102,6 @@ class WorldRngs(Sequence):
         return self._n
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[world]
-                    for world in range(*index.indices(self._n))]
         world = operator.index(index)
         if world < 0:
             world += self._n
@@ -137,13 +141,13 @@ class ChaseConfig:
     this field.  It accepts only ``1`` (the default) so that existing
     configs naming it still parse; a later release deletes it.
 
-    ``shards`` - split sampled batches across a process pool
-    (:mod:`repro.serving`).  ``None`` (default) and ``1`` keep the
-    existing single-process paths untouched; ``k >= 2`` partitions
-    the batch into ``k`` shards with per-world
-    :class:`~numpy.random.SeedSequence` child streams, so output is
-    law-exact and *invariant to the shard count* (requires an
-    int-or-None seed).
+    ``shards`` - fan the scalar sampling loop out across a process
+    pool (:mod:`repro.serving`).  ``None`` (default) and ``1`` keep
+    the single-process paths; ``k >= 2`` requires an int-or-None
+    seed.  A batch the batched engine accepts still runs in one
+    process; a scalar batch splits into ``k`` shards with per-world
+    :class:`~numpy.random.SeedSequence` child streams.  Either way
+    the output equals the unsharded output world for world.
 
     ``resample_threshold`` - streaming-posterior resampling policy
     (:meth:`repro.api.Session.stream`).  After each ``observe`` the
@@ -181,29 +185,29 @@ class ChaseConfig:
             raise ValidationError(
                 f"unknown sampling backend {self.backend!r}; "
                 f"use one of {BACKENDS}")
-        if not isinstance(self.max_steps, int) or self.max_steps <= 0:
+        for name in ("parallel", "keep_aux", "record_trace"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValidationError(
+                    f"{name} must be a bool, got {value!r}")
+        for name in ("max_steps", "max_depth"):
+            value = getattr(self, name)
+            if not _is_int(value) or value <= 0:
+                raise ValidationError(
+                    f"{name} must be a positive int, got {value!r}")
+        if isinstance(self.tolerance, bool) \
+                or not isinstance(self.tolerance, (int, float)) \
+                or not 0.0 <= self.tolerance < math.inf:
             raise ValidationError(
-                f"max_steps must be a positive int, got "
-                f"{self.max_steps!r}")
-        if not isinstance(self.max_depth, int) or self.max_depth <= 0:
-            raise ValidationError(
-                f"max_depth must be a positive int, got "
-                f"{self.max_depth!r}")
-        if not (isinstance(self.tolerance, (int, float))
-                and self.tolerance >= 0.0):
-            raise ValidationError(
-                f"tolerance must be >= 0, got {self.tolerance!r}")
-        if isinstance(self.batch_min_group, bool) \
-                or not isinstance(self.batch_min_group,
-                                  (int, np.integer)) \
+                f"tolerance must be a finite number >= 0, got "
+                f"{self.tolerance!r}")
+        if not _is_int(self.batch_min_group) \
                 or self.batch_min_group != 1:
             raise ValidationError(
                 f"batch_min_group is retired and accepts only 1, got "
                 f"{self.batch_min_group!r}")
-        if self.shards is not None and (
-                isinstance(self.shards, bool)
-                or not isinstance(self.shards, (int, np.integer))
-                or self.shards <= 0):
+        if self.shards is not None and (not _is_int(self.shards)
+                                        or self.shards <= 0):
             raise ValidationError(
                 f"shards must be a positive int or None, got "
                 f"{self.shards!r}")
@@ -214,8 +218,8 @@ class ChaseConfig:
             raise ValidationError(
                 f"resample_threshold must lie in [0, 1], got "
                 f"{self.resample_threshold!r}")
-        if self.seed is not None and not isinstance(
-                self.seed, (int, np.integer, np.random.Generator)):
+        if self.seed is not None and not _is_int(self.seed) \
+                and not isinstance(self.seed, np.random.Generator):
             raise ValidationError(
                 f"seed must be an int, numpy Generator or None, got "
                 f"{self.seed!r}")

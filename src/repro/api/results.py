@@ -46,8 +46,11 @@ class InferenceResult:
     def backend(self) -> str | None:
         """Which sampling backend produced this result (if sampled).
 
-        ``"scalar"`` or ``"batched"`` for ``kind="sample"`` results;
-        None for methods without a backend choice (exact, rejection,
+        ``"scalar"`` or ``"batched"`` for ``kind="sample"`` results,
+        or ``"sharded"`` when ``shards >= 2`` fanned the scalar loop
+        out across processes (a sharded batch the batched engine
+        accepts runs in-process and reports ``"batched"``); None for
+        methods without a backend choice (exact, rejection,
         likelihood).  Batched results additionally report ``n_split`` /
         ``n_batched`` (worlds finished scalar vs vectorized),
         ``n_rounds`` (cascade depth of the multi-round batch loop) and

@@ -367,11 +367,13 @@ class Session:
         different draws - falling back to the scalar loop outside its
         supported class.
 
-        ``cfg.shards >= 2`` (e.g. the override ``shards=k``) splits the
-        batch across a process pool (:mod:`repro.serving`): per-world
-        SeedSequence child streams make the merged output law-exact
-        and bit-identical across shard counts.  ``shards=1`` and
-        ``None`` take the single-process paths above unchanged.
+        ``cfg.shards >= 2`` (e.g. the override ``shards=k``) routes
+        to :func:`repro.serving.sample_sharded`, whose output equals
+        this method's without ``shards`` for every int seed.  A batch
+        the batched engine accepts still runs in this process; only
+        the scalar loop fans out across a process pool, with per-world
+        SeedSequence child streams.  ``shards=1`` and ``None`` take
+        the single-process paths above.
         """
         cfg = self.config.replace(**overrides)
         if n <= 0:
@@ -379,10 +381,9 @@ class Session:
         if cfg.shards is not None and cfg.shards > 1:
             from repro.serving import sample_sharded
             return sample_sharded(self, n, cfg)
-        if self._resolve_backend(cfg) == "batched":
-            result = self._sample_batched(cfg, n)
-            if result is not None:
-                return result
+        result = self._sample_batched(cfg, n)
+        if result is not None:
+            return result
         return self._sample_scalar(cfg, n)
 
     def _sample_scalar(self, cfg: ChaseConfig, n: int) -> InferenceResult:
@@ -450,16 +451,19 @@ class Session:
 
     def _sample_batched(self, cfg: ChaseConfig,
                         n: int) -> InferenceResult | None:
-        """Vectorized sampling; None = declined (caller runs scalar).
+        """Vectorized sampling; None = skipped or declined (run scalar).
 
-        The result wraps a :class:`~repro.engine.batched.
-        ColumnarMonteCarloPDB`: worlds that stayed vectorized through
-        the multi-round cascade are kept columnar, so ``marginal`` /
-        ``fact_marginals`` queries read the sample arrays directly and
-        the n ``Instance`` fact-sets are only materialized if a caller
-        walks ``result.pdb.worlds``.
+        None when ``cfg.backend`` does not select the batched backend,
+        the program is outside its class, or the engine declines the
+        batch (step budget).  The result wraps a
+        :class:`~repro.engine.batched.ColumnarMonteCarloPDB`: worlds
+        that stayed vectorized through the multi-round cascade are kept
+        columnar, so ``marginal`` / ``fact_marginals`` queries read the
+        sample arrays directly and the n ``Instance`` fact-sets are only
+        materialized if a caller walks ``result.pdb.worlds``.
         """
-        if not self._batch_eligible(cfg):
+        if self._resolve_backend(cfg) != "batched" \
+                or not self._batch_eligible(cfg):
             return None
         batched = self._batched_chase()
         if batched is None:

@@ -190,9 +190,9 @@ class BatchOutcome:
     consumers: the shared closed instance and the set of relations
     that may gain facts after it.  Every relation *outside*
     ``growable`` holds exactly ``base``'s facts in **every** terminated
-    world - grouped, scalar-fallback, single-process or sharded -
-    which is what licenses the columnar query planner's lifted fast
-    path (:mod:`repro.query.columnar`).  Both default to None
+    world - grouped or scalar-fallback - which is what licenses the
+    columnar query planner's lifted fast path
+    (:mod:`repro.query.columnar`).  Both default to None
     (metadata unavailable) so historical outcomes keep deserializing.
     """
 
@@ -374,9 +374,9 @@ class BatchedChase:
             prefix=prefix,
             # Content-addressed: distribution names are unique within a
             # program's registry, so (name, params) identifies the draw
-            # law across processes and pickling - equal-signature groups
-            # from different shards coalesce on it (repro.serving.merge),
-            # where a process-local id() could never match.
+            # law, and _draw_wave pools every same-key draw of a wave
+            # into one sample_batch call.  Unlike a process-local id(),
+            # the key also survives pickling.
             distribution_key=(info.distribution.name, params),
             heads=heads,
             trigger=trigger,
@@ -590,7 +590,6 @@ class BatchedChase:
 
     def run_batch(self, size: int, batch_rng: np.random.Generator,
                   world_rngs, policy: ChasePolicy, max_steps: int, *,
-                  per_world_rngs=None,
                   regions: dict | None = None,
                   log_weights=None) -> BatchOutcome | None:
         """Sample ``size`` chase runs; None declines (budget too tight).
@@ -607,18 +606,10 @@ class BatchedChase:
         ``sample_batch`` call (:meth:`_draw_wave`; the draws are iid,
         so slicing one flat array per request keeps the product law).
 
-        ``per_world_rngs`` switches the batch to the *per-world stream*
-        draw schedule used by sharded sampling (:mod:`repro.serving`):
-        a sequence of ``size`` generators, one per world, from which
-        world ``i``'s draws are taken in trigger/trajectory order - one
-        scalar draw per (firing, round) instead of one pooled
-        ``sample_batch`` call.  Under this schedule world ``i``'s
-        output is a function of ``(program, instance, config,
-        rngs[i])`` alone - independent of which other worlds share its
-        batch - which is exactly the shard-count invariance guarantee.
-        ``batch_rng`` / ``world_rngs`` are ignored; scalar-fallback
-        worlds (budget- or structure-forced, both world-local
-        conditions) continue their own already-advanced generator.
+        Sharded sampling (:mod:`repro.serving`) runs every batch this
+        method accepts here, in one process: Theorem 6.1 makes one
+        pooled chase order of all ``size`` worlds law-exact, so
+        splitting the worlds across processes adds nothing.
 
         ``regions`` switches the batch to *guided conditioning*: a
         mapping from ``(aux relation, full prefix)`` and/or ``(aux
@@ -639,10 +630,6 @@ class BatchedChase:
         prior mass).
         """
         layer = self.layer
-        if regions and per_world_rngs is not None:
-            raise ChaseError(
-                "guided regions are incompatible with per-world "
-                "draw streams")
         if regions and log_weights is None:
             raise ChaseError(
                 "guided regions need a caller-allocated log_weights "
@@ -652,20 +639,10 @@ class BatchedChase:
         # exact truncation semantics from the scalar loop instead.
         if self.det_steps + self._layer_step_bound(layer) > max_steps:
             return None
-        if per_world_rngs is not None:
-            rngs = list(per_world_rngs)
-            if len(rngs) != size:
-                raise ChaseError(
-                    f"per_world_rngs must provide one generator per "
-                    f"world: got {len(rngs)} for batch size {size}")
-        else:
-            rngs = world_rngs
         diagnostics = {"n_split": 0, "n_firings": len(layer),
                        "n_rounds": 0, "n_groups": 0,
                        "n_group_rounds": 0, "n_draw_calls": 0,
-                       "n_pooled_draws": 0,
-                       "draw_mode": "pooled" if per_world_rngs is None
-                       else "per-world"}
+                       "n_pooled_draws": 0}
         all_members = np.arange(size)
         if not layer:
             diagnostics["n_groups"] = 1
@@ -685,13 +662,8 @@ class BatchedChase:
                        ())]
         while wave:
             diagnostics["n_rounds"] += 1
-            if per_world_rngs is not None:
-                wave_draws = self._draw_wave_per_world(wave, rngs,
-                                                       diagnostics)
-            else:
-                wave_draws = self._draw_wave(wave, batch_rng,
-                                             diagnostics, regions,
-                                             log_weights)
+            wave_draws = self._draw_wave(wave, batch_rng, diagnostics,
+                                         regions, log_weights)
             next_wave: list[_Round] = []
             for task, draws in zip(wave, wave_draws):
                 diagnostics["n_group_rounds"] += 1
@@ -735,7 +707,7 @@ class BatchedChase:
                         world = int(task.members[position])
                         run = self._fallback(task.engine, task.shared,
                                              columns, position,
-                                             rngs[world], policy,
+                                             world_rngs[world], policy,
                                              max_steps)
                         scalar_runs.append((world, run))
                     diagnostics["n_split"] += len(positions)
@@ -959,36 +931,6 @@ class BatchedChase:
                     log_weights[wave[t_index].members] += log_w
             diagnostics["n_draw_calls"] += 1
             diagnostics["n_pooled_draws"] += len(members) - 1
-        return draws
-
-    def _draw_wave_per_world(self, wave: list, rngs: list,
-                             diagnostics: dict) -> list[list]:
-        """Per-task draw arrays for one wave under per-world streams.
-
-        Each world draws its round's values from *its own* generator,
-        layer firings in layer order - the schedule a scalar chase of
-        that world alone would follow, so a world's draw sequence is a
-        function of its trajectory and generator only, never of which
-        other worlds share the batch.  Sharded sampling
-        (:mod:`repro.serving`) relies on exactly that to make merged
-        output invariant to the shard count.  No pooling: pooled
-        ``sample_batch`` calls consume one shared stream in
-        batch-layout order, which is the co-membership dependence this
-        schedule exists to remove.
-        """
-        draws: list[list] = []
-        for task in wave:
-            infos = [self.translated.aux_info[firing.aux_relation]
-                     for firing in task.layer]
-            columns: list[list] = [[] for _ in task.layer]
-            for world in task.members.tolist():
-                rng = rngs[world]
-                for column, firing, info in zip(columns, task.layer,
-                                                infos):
-                    _name, params = firing.distribution_key
-                    column.append(info.distribution.sample(params, rng))
-                    diagnostics["n_draw_calls"] += 1
-            draws.append([np.asarray(column) for column in columns])
         return draws
 
 

@@ -1,18 +1,17 @@
-"""Sharded multi-process sampling and a long-lived program server.
+"""Sharded sampling and a long-lived program server.
 
-The paper's Monte-Carlo semantics is embarrassingly parallel across
-possible worlds: ``n`` chase runs are ``n`` independent draws from the
-same chase-tree law (Section 4).  This package exploits that in two
-layers on top of :class:`repro.api.CompiledProgram`:
+The paper's Monte-Carlo semantics samples ``n`` independent chase runs
+(Section 4).  This package serves that on top of
+:class:`repro.api.CompiledProgram` in two layers:
 
-* :mod:`repro.serving.sharding` / :mod:`repro.serving.merge` - split a
-  batch into shards, run each shard's worlds in a ``multiprocessing``
-  pool worker (vectorized :class:`repro.engine.batched.BatchedChase`
-  with scalar fallback), and concatenate the *columnar* shard results
-  into one :class:`repro.engine.batched.ColumnarMonteCarloPDB` without
-  materializing worlds.  Per-world
-  :class:`~numpy.random.SeedSequence` child streams make the merged
-  output law-exact and bit-identical across shard counts.
+* :mod:`repro.serving.sharding` - ``Session.sample(n, shards=k)``.  A
+  batch the batched engine accepts runs in-process: Theorem 6.1 lets
+  one pooled, vectorized chase order produce all ``n`` worlds, so
+  splitting them across processes adds nothing to the law.  Only the
+  scalar loop fans out to a ``multiprocessing`` pool, and per-world
+  :class:`~numpy.random.SeedSequence` child streams make the
+  concatenated shard worlds equal the single-process loop's.  Either
+  way the result is bit-identical to ``Session.sample(n)``.
 * :mod:`repro.serving.server` / :mod:`repro.serving.client` - a
   ``ProgramServer`` facade that caches compiled programs by source
   hash (LRU, zero recompilation on the hot path) behind a JSON-lines
@@ -22,11 +21,10 @@ Entry points: ``Session.sample(n, shards=k)`` routes through
 :func:`sample_sharded`; servers embed :class:`ProgramServer` directly.
 """
 
-from repro.serving.merge import merge_shard_results
 from repro.serving.sharding import (ShardExecutor, ShardPlan,
                                     ShardResult, ShardSpec,
-                                    sample_sharded, shard_plan,
-                                    shard_rngs)
+                                    merge_shard_results, sample_sharded,
+                                    shard_plan, shard_rngs)
 from repro.serving.server import ProgramServer, serve_socket, serve_stdio
 from repro.serving.client import ServingClient
 

@@ -266,8 +266,8 @@ def sample_payload(result) -> dict:
     """The ``repro sample --json`` document for an InferenceResult.
 
     ``n_terminated`` is derived as ``n_runs - n_truncated`` rather
-    than by counting materialized worlds, so columnar (batched or
-    sharded) results stay columnar - the value is identical, each
+    than by counting materialized worlds, so columnar (batched)
+    results stay columnar - the value is identical, each
     terminated run contributes exactly one world.
     """
     pdb = result.pdb

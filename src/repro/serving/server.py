@@ -93,7 +93,9 @@ class ProgramServer:
     Sharded requests run on warm, LRU-cached
     :class:`~repro.serving.sharding.ShardExecutor` pools
     (``max_executors`` bound; spawning a process pool per request
-    would dominate the request cost) - evicted and
+    would dominate the request cost).  A pool starts on first use, so
+    a sharded request the batched engine samples in-process never
+    starts one.  Evicted and
     :meth:`close`-d executors shut their pools down.  Streaming
     sessions (``stream_open`` ..) are held in a bounded registry
     keyed by server-issued ``stream_id``.
@@ -344,9 +346,9 @@ class ProgramServer:
             if cfg.shards is not None and cfg.shards > 1 \
                     and not session.evidence \
                     and not compiled.is_discrete():
-                # Same sharded fan-out as ``sample``; the plan then
-                # compiles over the merged columnar outcome, so no
-                # world is ever materialized end to end.
+                # Same routing as ``sample``; over an in-process
+                # batched result the plan compiles to the columnar
+                # outcome, so no world is materialized end to end.
                 executor = self.executor_for(sha, instance, compiled,
                                              cfg)
                 sampled = sample_sharded(session, self._n(request),

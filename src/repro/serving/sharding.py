@@ -1,24 +1,28 @@
-"""Shard plans and the multi-process shard executor.
+"""Sharded sampling: in-process batches, a process fan-out for the rest.
 
-A *shard plan* partitions an ``n``-world batch into contiguous shards,
-each carrying only ``(start, size)`` plus the plan's root entropy: the
-per-world RNG streams are reconstructed inside the workers by
-:func:`repro.api.config.world_rng`, the one function that derives
-world ``i``'s stream from a root entropy everywhere (single-process
-``ChaseConfig.spawn_rngs`` included), so world ``i`` draws from the
-same stream no matter which shard, process, or machine executes it.
+``Session.sample(n, shards=k)`` routes here and makes one promise: its
+output is bit-identical to ``Session.sample(n)`` for every ``k`` and
+every int seed.  :func:`sample_sharded` keeps it in two ways.
 
-Combined with the batched engine's per-world draw schedule
-(:meth:`repro.engine.batched.BatchedChase.run_batch` with
-``per_world_rngs``, where a world's draw sequence is a function of its
-own trajectory only), this yields the package's central guarantee:
-**sharded output is bit-identical across shard counts**, and the
-scalar-mode output is bit-identical to the single-process scalar path.
+* A batch the batched engine accepts runs in this process, exactly as
+  ``Session.sample`` runs it.  Theorem 6.1 lets one pooled chase order
+  produce all ``n`` worlds, so splitting them across processes would
+  add nothing to the law.  The declined fan-out is recorded in
+  ``diagnostics["fallback_reason"]``.
+* Only the scalar loop fans out: ineligible programs,
+  ``backend="scalar"`` and batches the engine declines on budget.  A
+  *shard plan* partitions the ``n`` worlds into contiguous shards,
+  each carrying only ``(start, size)`` plus the plan's root entropy.
+  Workers rebuild world ``i``'s stream with
+  :func:`repro.api.config.world_rng`, the stream
+  ``ChaseConfig.spawn_rngs`` hands world ``i`` in one process, so
+  concatenating the shards' worlds in plan order reproduces the
+  single-process scalar loop draw for draw.
 
 Workers follow the factory-of-generators -> ``Pool.imap_unordered`` ->
 sink shape: the pool initializer builds warm per-process state (the
-compiled session, its batched sampler, its base applicability engine)
-once, so each shard task costs only its own sampling work.
+compiled session and its base applicability engine) once, so each
+shard task costs only its own sampling work.
 """
 
 from __future__ import annotations
@@ -32,14 +36,9 @@ import numpy as np
 
 from repro.api.config import ChaseConfig, world_rng
 from repro.api.results import InferenceResult
-from repro.core.chase import ChaseRun
-from repro.core.policies import DEFAULT_POLICY
-from repro.errors import ValidationError
+from repro.errors import ChaseError, ValidationError
+from repro.pdb.database import MonteCarloPDB
 from repro.pdb.instances import Instance
-
-#: Diagnostics keys summed across shards when merging batched results.
-_SUMMED_KEYS = ("n_split", "n_firings", "n_groups", "n_group_rounds",
-                "n_draw_calls", "n_pooled_draws")
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +126,15 @@ def shard_rngs(spec: ShardSpec) -> list[np.random.Generator]:
 class ShardResult:
     """What one shard sends back to the coordinating process.
 
-    ``mode == "batched"``: ``outcome`` is the shard-local
-    :class:`~repro.engine.batched.BatchOutcome` (world indices
-    relative to ``spec.start``; columnar, compact on the wire).
-    ``mode == "scalar"``: ``worlds`` holds the terminated runs'
-    output instances in run order and ``truncated`` counts the rest -
-    the same shape :meth:`Session._sample_scalar` collects.
+    ``worlds`` holds the terminated runs' output instances in run
+    order and ``truncated`` counts the rest - the same shape
+    :meth:`Session._sample_scalar` collects.
     """
 
     spec: ShardSpec
-    mode: str
     elapsed: float
-    outcome: object | None = None
-    worlds: tuple[Instance, ...] | None = None
-    truncated: int = 0
+    worlds: tuple[Instance, ...]
+    truncated: int
 
 
 class _ShardWorker:
@@ -148,8 +142,8 @@ class _ShardWorker:
 
     Built once per pool worker (initializer) or once per inline
     executor; every shard task then reuses the session's cached
-    translation, applicability bootstrap and batched sampler - the
-    zero-recompilation hot path.
+    translation and applicability bootstrap - the zero-recompilation
+    hot path.
     """
 
     def __init__(self, translated, instance: Instance,
@@ -159,46 +153,17 @@ class _ShardWorker:
         # re-deriving anything.
         self.session = compile_program(translated).on(instance, config)
         self.config = self.session.config
-        self.instance = instance
-        self.policy = config.policy or DEFAULT_POLICY
-        # Mirror Session._sample_batched's gating exactly (backend
-        # knob honoured, eligibility checked even for an explicit
-        # "batched" request) so a shard samples precisely the worlds
-        # the single-process path would.
-        self.batched = None
-        if self.session._resolve_backend(config) == "batched" \
-                and self.session._batch_eligible(config):
-            self.batched = self.session._batched_chase()
-        if self.batched is None:
-            # Scalar mode: bootstrap the base engine now, once.
-            self.session._base_engine(config.engine)
+        self.session._base_engine(self.config.engine)
 
     def run(self, spec: ShardSpec) -> ShardResult:
-        start = time.perf_counter()
-        rngs = shard_rngs(spec)
-        if self.batched is not None:
-            outcome = self.batched.run_batch(
-                spec.size, None, None, self.policy,
-                self.config.max_steps, per_world_rngs=rngs)
-            if outcome is not None:
-                return ShardResult(spec, "batched",
-                                   time.perf_counter() - start,
-                                   outcome=outcome)
-            # Budget decline is a function of (program, instance,
-            # max_steps) alone - never of the shard size - so every
-            # shard of a plan degrades to scalar together and the
-            # shard-count invariance survives the fallback.
-        runs = [self.session._one_run(self.config, rng)
-                for rng in rngs]
-        worlds, truncated = self._collect(runs)
-        return ShardResult(spec, "scalar",
-                           time.perf_counter() - start,
-                           worlds=tuple(worlds), truncated=truncated)
-
-    def _collect(self, runs: list[ChaseRun]):
         from repro.api.session import Session
-        return Session._collect_worlds(
+        start = time.perf_counter()
+        runs = [self.session._one_run(self.config, rng)
+                for rng in shard_rngs(spec)]
+        worlds, truncated = Session._collect_worlds(
             self.config, runs, self.session.compiled.visible_relations)
+        return ShardResult(spec, time.perf_counter() - start,
+                           tuple(worlds), truncated)
 
 
 #: Per-process worker state, set by the pool initializer.
@@ -290,16 +255,19 @@ class ShardExecutor:
 def sample_sharded(session, n: int, config: ChaseConfig | None = None,
                    executor: ShardExecutor | None = None,
                    ) -> InferenceResult:
-    """Sample ``n`` worlds across ``config.shards`` process shards.
+    """Sample ``n`` worlds, fanning the scalar loop out over shards.
 
-    The routing target of ``Session.sample(n, shards=k)``.  Requires
+    The routing target of ``Session.sample(n, shards=k)``; the result
+    equals ``session.sample(n)`` world for world (module docstring).
+    A batch the batched engine accepts comes back from this process
+    with ``backend == "batched"``; a scalar batch comes back from
+    ``config.shards`` workers with ``backend == "sharded"``.  Requires
     an int-or-None seed (per-world streams must be reconstructible
     from a plan, not from mutable generator state).  ``executor`` may
     be a warm :class:`ShardExecutor` for the same (program, instance,
-    config) context; without one, a transient pool is created for the
-    call.
+    config) context; without one, a scalar batch creates a transient
+    pool for the call.
     """
-    from repro.serving.merge import merge_shard_results
     cfg = config if config is not None else session.config
     shards = cfg.shards or 1
     if isinstance(cfg.seed, np.random.Generator):
@@ -309,16 +277,50 @@ def sample_sharded(session, n: int, config: ChaseConfig | None = None,
             "reproducibly")
     if n <= 0:
         raise ValidationError(f"need n >= 1 runs, got {n}")
+    result = session._sample_batched(cfg, n)
+    if result is not None:
+        result.diagnostics["fallback_reason"] = (
+            f"fan-out to {shards} shard(s) declined: the batched "
+            "engine samples the whole batch in one process; only the "
+            "scalar loop fans out")
+        return result
     start = time.perf_counter()
     plan = shard_plan(n, shards, cfg.seed)
-    translated = session.compiled.translated
     if executor is not None:
         results = executor.run(plan)
     else:
-        with ShardExecutor(translated, session.instance, cfg,
+        with ShardExecutor(session.compiled.translated,
+                           session.instance, cfg,
                            processes=min(shards,
                                          os.cpu_count() or 1)) as pool:
             results = pool.run(plan)
-    return merge_shard_results(
-        plan, results, session.compiled.visible_relations, cfg,
-        time.perf_counter() - start)
+    return merge_shard_results(plan, results,
+                               time.perf_counter() - start)
+
+
+def merge_shard_results(plan: ShardPlan, results: list[ShardResult],
+                        elapsed: float) -> InferenceResult:
+    """One :class:`InferenceResult` from a plan's shard results.
+
+    ``results`` must be in spec order and cover the plan exactly (the
+    executor guarantees both).  Each shard collects its worlds in
+    world order and the shards tile the world range contiguously, so
+    concatenating them in plan order reproduces the single-process
+    scalar loop's world list.
+    """
+    if [result.spec for result in results] != list(plan.specs):
+        raise ChaseError("shard results do not match the plan")
+    worlds = [world for result in results for world in result.worlds]
+    truncated = sum(result.truncated for result in results)
+    per_shard = [{"shard": result.spec.index,
+                  "start": result.spec.start,
+                  "size": result.spec.size,
+                  "elapsed_seconds": result.elapsed,
+                  "n_truncated": result.truncated}
+                 for result in results]
+    return InferenceResult(MonteCarloPDB(worlds, truncated), "sample",
+                           elapsed, n_runs=plan.n,
+                           n_truncated=truncated,
+                           diagnostics={"backend": "sharded",
+                                        "shards": len(results),
+                                        "per_shard": per_shard})

@@ -644,15 +644,16 @@ class ShardedVsSingleOracle(Oracle):
 
     The sharded path's guarantees are *exact*, not statistical, so
     this oracle checks identities: (a) shard-count invariance - the
-    same plan split two ways and three ways must be draw-for-draw
-    identical (per-world SeedSequence streams + the per-world draw
-    schedule make a world's outcome independent of its shard); (b) in
-    scalar mode, a sharded batch must be bit-identical to the
-    single-process scalar loop (same streams, same code path per
-    world); and (c) on exactable cases the
-    merged ensemble must agree with the exact SPDB (the law check).
-    Shards execute inline - the identical worker code path without the
-    process pool - keeping the always-on fuzz battery cheap.
+    same batch split two ways and three ways must be draw-for-draw
+    identical; (b) a sharded batch that ran in-process (the batched
+    engine accepted it, ``backend == "batched"``) must equal the
+    unsharded ``sample`` - same seed, same pooled draw schedule;
+    (c) a sharded ``backend="scalar"`` batch must be bit-identical to
+    the single-process scalar loop (same per-world streams, same code
+    path per world); and (d) on exactable cases the sharded ensemble
+    must agree with the exact SPDB (the law check).  Shards execute
+    inline - the identical worker code path without the process pool
+    - keeping the always-on fuzz battery cheap.
     """
 
     name = "sharded-single"
@@ -675,15 +676,15 @@ class ShardedVsSingleOracle(Oracle):
         session = _session(case, seed=seed, max_steps=200)
         two = self._sharded(session, 2)
         three = self._sharded(session, 3)
-        if two.diagnostics["mode"] != three.diagnostics["mode"]:
-            return _fail(
-                f"shard count changed the execution mode: "
-                f"{two.diagnostics['mode']} vs "
-                f"{three.diagnostics['mode']} (the batched/scalar "
-                "decision must be shard-invariant)")
         detail = compare_monte_carlo_pdbs(two.pdb, three.pdb)
         if detail:
             return _fail(f"2 vs 3 shards: {detail}")
+        if two.backend == "batched":
+            single = session.sample(self.n_runs)
+            detail = compare_monte_carlo_pdbs(two.pdb, single.pdb)
+            if detail:
+                return _fail(
+                    f"in-process sharded vs unsharded: {detail}")
         sharded_scalar = self._sharded(session, 2, backend="scalar")
         single_scalar = session.configure(
             backend="scalar").sample(self.n_runs)

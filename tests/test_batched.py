@@ -689,6 +689,19 @@ class TestMultiRoundCascade:
             expected.append(run.instance.restrict(visible))
         assert result.pdb.worlds == expected
 
+    def test_run_batch_rejects_retired_min_group(self):
+        # The retired min_group argument fails loudly, positionally
+        # too: the options after max_steps are keyword-only.
+        session = repro.compile(CONTINUOUS_CASCADE).on(seed=7)
+        chase = session._batched_chase()
+        cfg = session.config
+        with pytest.raises(TypeError):
+            chase.run_batch(12, cfg.base_rng(), cfg.spawn_rngs(12),
+                            DEFAULT_POLICY, 10_000, 8)
+        with pytest.raises(TypeError, match="min_group"):
+            chase.run_batch(12, cfg.base_rng(), cfg.spawn_rngs(12),
+                            DEFAULT_POLICY, 10_000, min_group=8)
+
     def test_batch_min_group_validation(self):
         for retired in (2, 0, True, 1.5):
             with pytest.raises(ValidationError, match="retired"):

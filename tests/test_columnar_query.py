@@ -34,9 +34,8 @@ from repro.query import (Aggregate, agg_avg, agg_count, agg_sum,
                          scanned_relations)
 from repro.query import columnar
 from repro.query.relalg import Scan
-from repro.serving import (ProgramServer, ShardExecutor,
-                           merge_shard_results, protocol, sample_sharded)
-from repro.serving.sharding import shard_plan
+from repro.serving import (ProgramServer, ShardExecutor, protocol,
+                           sample_sharded)
 from repro.testing.oracles import ColumnarQueryOracle
 from repro.workloads.generators import earthquake_city_instance
 from repro.workloads.paper import example_3_4_program
@@ -190,13 +189,9 @@ def sharded_cities_pdb(n=240, seed=6):
     session = compile_program(example_3_4_program()).on(
         earthquake_city_instance(3, 3, seed=1), seed=seed)
     cfg = session.config.replace(shards=3)
-    plan = shard_plan(n, 3, seed)
     with ShardExecutor(session.compiled.translated, session.instance,
                        cfg, inline=True) as executor:
-        results = executor.run(plan)
-    return merge_shard_results(plan, results,
-                               session.compiled.visible_relations,
-                               cfg, 0.0).pdb
+        return sample_sharded(session, n, cfg, executor=executor).pdb
 
 
 SENSOR_PLANS = (

@@ -1,11 +1,11 @@
-"""Sharded sampling: plans, per-world streams, invariance, pickling.
+"""Sharded sampling: plans, per-world streams, identities, pickling.
 
 The serving layer's claims are identities, so the tests here assert
 bit-equality, not statistics: shard plans tile the batch, shard
 workers reconstruct exactly the streams ``ChaseConfig.spawn_rngs``
-hands a single-process batch, output is invariant to the shard count
-(both engines, both semantics), sharded scalar mode equals the
-single-process scalar loop draw-for-draw, and every payload that
+hands a single-process batch, ``sample(n, shards=k)`` equals
+``sample(n)`` world for world (batchable programs run in-process;
+the scalar loop fans out draw-for-draw), and every payload that
 crosses the process boundary round-trips through pickle.
 """
 
@@ -23,7 +23,7 @@ from repro.core.policies import DEFAULT_POLICY
 from repro.engine.batched import BatchOutcome, ColumnarMonteCarloPDB
 from repro.errors import ChaseError, ValidationError
 from repro.pdb.instances import Instance
-from repro.serving import (ShardExecutor, ShardSpec, merge_shard_results,
+from repro.serving import (ShardExecutor, merge_shard_results,
                            sample_sharded, shard_plan, shard_rngs)
 from repro.workloads.generators import (staged_slots_instance,
                                         staged_slots_program)
@@ -114,7 +114,7 @@ class TestShardInvariance:
                                             engine=engine)
         results = [_inline_sample(session, 60, shards=k)
                    for k in (2, 3, 4)]
-        assert all(r.diagnostics["mode"] == "batched" for r in results)
+        assert all(r.backend == "batched" for r in results)
         reference = _ensemble(results[0])
         for result in results[1:]:
             assert _ensemble(result) == reference
@@ -139,22 +139,24 @@ class TestShardInvariance:
         sharded = _inline_sample(session, 40, shards=3,
                                  backend="scalar")
         single = session.configure(backend="scalar").sample(40)
-        assert sharded.diagnostics["mode"] == "scalar"
+        assert sharded.backend == "sharded"
         assert _ensemble(sharded) == _ensemble(single)
 
     def test_budget_decline_degrades_all_shards_to_scalar(self):
-        # max_steps below the batched layer bound: every shard must
-        # take the scalar route, bit-identical to the scalar loop.
+        # max_steps below the batched layer bound: the engine
+        # declines, so the scalar loop fans out, bit-identical to the
+        # single-process scalar loop.
         session = repro.compile(CASCADE).on(_sites(3), seed=23,
                                             max_steps=2)
         sharded = _inline_sample(session, 30, shards=3)
-        assert sharded.diagnostics["mode"] == "scalar"
+        assert sharded.backend == "sharded"
         single = session.configure(backend="scalar").sample(30)
         assert _ensemble(sharded) == _ensemble(single)
 
     def test_pool_matches_inline(self):
         """The real process pool returns what inline execution returns."""
-        session = repro.compile(CASCADE).on(_sites(3), seed=41)
+        session = repro.compile(CASCADE).on(_sites(3), seed=41,
+                                            backend="scalar")
         inline = _inline_sample(session, 30, shards=2)
         pooled = session.sample(30, shards=2)
         assert pooled.backend == "sharded"
@@ -167,7 +169,7 @@ class TestShardInvariance:
         assert _ensemble(result) == _ensemble(session.sample(50))
 
     def test_marginals_columnar_merge_consistent(self):
-        """Merged columnar marginal reads == materialized-world counts."""
+        """Sharded columnar marginal reads == materialized-world counts."""
         session = repro.compile(CASCADE).on(_sites(4), seed=29)
         result = _inline_sample(session, 80, shards=3)
         assert isinstance(result.pdb, ColumnarMonteCarloPDB)
@@ -179,6 +181,38 @@ class TestShardInvariance:
                 counts[fact] = counts.get(fact, 0) + 1
         assert columnar == {fact: count / result.pdb.n_runs
                             for fact, count in counts.items()}
+
+
+class TestShardedEqualsUnsharded:
+    """``sample(n, shards=k)`` is ``sample(n)``, world for world."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("program,semantics,instance", [
+        (CASCADE, "grohe", _sites(4)),
+        ("Out(x, Flip<0.5>) :- In(x).", "barany",
+         Instance.from_dict({"In": [(1,), (2,)]})),
+        (CONTINUOUS, "grohe", _cities()),
+    ], ids=["cascade", "barany", "continuous"])
+    def test_batchable_programs_run_in_process(self, program, semantics,
+                                               instance, k):
+        session = repro.compile(program, semantics=semantics).on(
+            instance, seed=37)
+        sharded = session.sample(50, shards=k)
+        assert sharded.backend == "batched"
+        assert "fallback_reason" in sharded.diagnostics
+        assert _ensemble(sharded) == _ensemble(session.sample(50))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("overrides", [{"backend": "scalar"},
+                                           {"max_steps": 2}],
+                             ids=["scalar-backend", "budget-decline"])
+    def test_scalar_batches_fan_out(self, overrides, k):
+        session = repro.compile(CASCADE).on(_sites(3), seed=43,
+                                            **overrides)
+        sharded = _inline_sample(session, 40, shards=k)
+        assert sharded.backend == "sharded"
+        assert sharded.diagnostics["shards"] == k
+        assert _ensemble(sharded) == _ensemble(session.sample(40))
 
 
 class TestShardValidation:
@@ -203,72 +237,17 @@ class TestShardValidation:
             ChaseConfig(shards=True)
         assert ChaseConfig(shards=4).shards == 4
 
-    def test_mixed_mode_results_rejected_by_merge(self):
-        session = repro.compile(CASCADE).on(_sites(2), seed=1)
+    def test_results_off_the_plan_rejected_by_merge(self):
+        session = repro.compile(CASCADE).on(_sites(2), seed=1,
+                                            backend="scalar")
         cfg = session.config.replace(shards=2)
         plan = shard_plan(20, 2, seed=1)
         with ShardExecutor(session.compiled.translated,
                            session.instance, cfg,
                            inline=True) as executor:
             results = executor.run(plan)
-        import dataclasses
-        forged = [results[0],
-                  dataclasses.replace(results[1], mode="scalar",
-                                      outcome=None, worlds=())]
-        with pytest.raises(ChaseError, match="shard-invariant"):
-            merge_shard_results(plan, forged,
-                                session.compiled.visible_relations,
-                                cfg, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Per-world draw mode in the batched engine
-# ---------------------------------------------------------------------------
-
-
-class TestPerWorldDrawMode:
-    def _chase(self, n_sites=3, seed=7):
-        session = repro.compile(CASCADE).on(_sites(n_sites), seed=seed)
-        return session, session._batched_chase()
-
-    def test_draw_mode_diagnostic_and_min_group(self):
-        session, chase = self._chase()
-        rngs = session.config.spawn_rngs(12)
-        outcome = chase.run_batch(12, None, None, DEFAULT_POLICY,
-                                  10_000, per_world_rngs=rngs)
-        assert outcome.diagnostics["draw_mode"] == "per-world"
-        # No world goes scalar for being in a small group
-        # (co-membership must not matter).
-        assert outcome.diagnostics["n_split"] == 0
-        # The retired min_group argument fails loudly, positionally
-        # too: the options after max_steps are keyword-only.
-        with pytest.raises(TypeError):
-            chase.run_batch(12, None, None, DEFAULT_POLICY, 10_000, 8,
-                            per_world_rngs=rngs)
-        with pytest.raises(TypeError, match="min_group"):
-            chase.run_batch(12, None, None, DEFAULT_POLICY, 10_000,
-                            min_group=8, per_world_rngs=rngs)
-
-    def test_rng_count_mismatch_rejected(self):
-        session, chase = self._chase()
-        with pytest.raises(ChaseError, match="per_world_rngs"):
-            chase.run_batch(5, None, None, DEFAULT_POLICY, 10_000,
-                            per_world_rngs=session.config.spawn_rngs(4))
-
-    def test_split_invariance_at_engine_level(self):
-        session, chase = self._chase(n_sites=4, seed=19)
-        rngs = session.config.spawn_rngs(20)
-        whole = chase.run_batch(20, None, None, DEFAULT_POLICY, 10_000,
-                                per_world_rngs=rngs)
-        visible = session.compiled.visible_relations
-        reference = ColumnarMonteCarloPDB(whole, visible).worlds
-        merged: list = []
-        for start, size in ((0, 7), (7, 13)):
-            fresh = session.config.spawn_rngs(20)[start:start + size]
-            part = chase.run_batch(size, None, None, DEFAULT_POLICY,
-                                   10_000, per_world_rngs=fresh)
-            merged.extend(ColumnarMonteCarloPDB(part, visible).worlds)
-        assert merged == reference
+        with pytest.raises(ChaseError, match="do not match the plan"):
+            merge_shard_results(plan, results[:1], 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +285,10 @@ class TestPickleRoundTrips:
     def test_batch_outcome_columnar_result(self):
         session = repro.compile(CASCADE).on(_sites(3), seed=9)
         chase = session._batched_chase()
-        rngs = session.config.spawn_rngs(15)
-        outcome = chase.run_batch(15, None, None, DEFAULT_POLICY,
-                                  10_000, per_world_rngs=rngs)
+        cfg = session.config
+        outcome = chase.run_batch(15, cfg.base_rng(),
+                                  cfg.spawn_rngs(15), DEFAULT_POLICY,
+                                  10_000)
         restored = self._roundtrip(outcome)
         assert isinstance(restored, BatchOutcome)
         visible = session.compiled.visible_relations
@@ -316,7 +296,8 @@ class TestPickleRoundTrips:
             == ColumnarMonteCarloPDB(outcome, visible).worlds
 
     def test_shard_result_roundtrip(self):
-        session = repro.compile(CASCADE).on(_sites(2), seed=12)
+        session = repro.compile(CASCADE).on(_sites(2), seed=12,
+                                            backend="scalar")
         cfg = session.config.replace(shards=2)
         plan = shard_plan(12, 2, seed=12)
         with ShardExecutor(session.compiled.translated,
@@ -324,9 +305,7 @@ class TestPickleRoundTrips:
                            inline=True) as executor:
             results = executor.run(plan)
         for result in results:
-            restored = self._roundtrip(result)
-            assert restored.spec == result.spec
-            assert restored.mode == result.mode
+            assert self._roundtrip(result) == result
 
     def test_chase_config_roundtrip(self):
         cfg = ChaseConfig(seed=3, shards=4, max_steps=500)
@@ -383,7 +362,7 @@ class TestOverlayForkRouting:
 
 
 # ---------------------------------------------------------------------------
-# Cross-shard group coalescing (content-addressed distribution keys)
+# Group structure under sharding (content-addressed distribution keys)
 # ---------------------------------------------------------------------------
 
 
@@ -402,11 +381,11 @@ class TestCrossShardCoalescing:
         assert {pickle.loads(pickle.dumps(key)) for key in keys} == keys
 
     def test_merged_group_count_matches_single_shard(self):
-        """Equal-signature groups from different shards coalesce.
+        """A sharded batch keeps the unsharded group structure.
 
-        Per-world draw mode makes the worlds bit-identical across
-        shard counts, so after merging, k=3 must recover exactly the
-        k=1 group structure rather than three disjoint copies of it.
+        The batched engine samples the whole batch in one process
+        whatever the shard count, so k=3 has exactly the k=1 groups,
+        not three disjoint copies of them.
         """
         session = repro.compile(CASCADE).on(_sites(4), seed=29)
         one = _inline_sample(session, 80, shards=1)
@@ -417,7 +396,7 @@ class TestCrossShardCoalescing:
             == one.diagnostics["n_groups"]
 
     def test_merged_groups_answer_like_unmerged(self):
-        """Coalescing is invisible to every marginal read."""
+        """The shard count is invisible to every marginal read."""
         session = repro.compile(CASCADE).on(_sites(3), seed=77)
         one = _inline_sample(session, 60, shards=1)
         three = _inline_sample(session, 60, shards=3)

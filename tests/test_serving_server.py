@@ -197,22 +197,20 @@ class TestProgramServer:
         assert abs(reply["result"]["probability"] - 0.5) < 0.05
 
     def test_sharded_request_through_server(self):
-        # Shard-count invariance holds end-to-end through the server:
-        # k=2 and k=4 produce the identical document (the per-world
-        # draw schedule is a function of world index alone).  The
-        # unsharded path uses pooled draws, so it is distributionally
-        # - not bitwise - equivalent and is not compared here.
+        # Sharded equals unsharded end-to-end through the server: the
+        # batched engine samples a batchable request in-process, so
+        # k=2, k=4 and no shards produce the identical marginals.
         server = ProgramServer()
-        two = server.handle({"op": "sample", "program": CASCADE,
-                             "instance": {"Site": [[0], [1]]},
-                             "n": 40,
+        request = {"op": "sample", "program": CASCADE,
+                   "instance": {"Site": [[0], [1]]}, "n": 40}
+        single = server.handle({**request, "config": {"seed": 3}})
+        two = server.handle({**request,
                              "config": {"seed": 3, "shards": 2}})
-        four = server.handle({"op": "sample", "program": CASCADE,
-                              "instance": {"Site": [[0], [1]]},
-                              "n": 40,
+        four = server.handle({**request,
                               "config": {"seed": 3, "shards": 4}})
-        assert two["ok"] and four["ok"]
-        assert two["result"]["backend"] == "sharded"
+        assert single["ok"] and two["ok"] and four["ok"]
+        assert two["result"]["backend"] == "batched"
+        assert two["result"]["marginals"] == single["result"]["marginals"]
         assert two["result"]["marginals"] == four["result"]["marginals"]
 
     @pytest.mark.parametrize("request_payload,needle", [
@@ -232,6 +230,9 @@ class TestProgramServer:
         # 2.0 dropped the "shared" stream scheme with the field.
         ({"op": "sample", "program": COIN,
           "config": {"streams": "shared"}}, "unknown ChaseConfig field"),
+        # A truthy string must not switch on the parallel chase.
+        ({"op": "sample", "program": COIN,
+          "config": {"parallel": "no"}}, "parallel must be a bool"),
     ])
     def test_errors_become_replies_not_exceptions(self, request_payload,
                                                   needle):
@@ -380,13 +381,15 @@ class TestServerConcurrency:
         server = ProgramServer()
         request = {"op": "sample", "program": CASCADE,
                    "instance": {"Site": [[0], [1]]}, "n": 20,
-                   "config": {"seed": 3, "shards": 2}}
+                   "config": {"seed": 3, "shards": 2,
+                              "backend": "scalar"}}
         try:
             first = server.handle(dict(request))
             second = server.handle(dict(request))
         finally:
             server.close()
         assert first["ok"] and second["ok"]
+        assert first["result"]["backend"] == "sharded"
         assert server.stats["executors_created"] == 1
         assert server.stats["executor_cache_hits"] == 1
         assert first["result"]["marginals"] \
@@ -397,8 +400,9 @@ class TestServerConcurrency:
         base = {"op": "sample", "program": CASCADE,
                 "instance": {"Site": [[0]]}, "n": 10}
         try:
-            server.handle({**base, "config": {"seed": 1, "shards": 2}})
-            server.handle({**base, "config": {"seed": 2, "shards": 2}})
+            for seed in (1, 2):
+                server.handle({**base, "config": {
+                    "seed": seed, "shards": 2, "backend": "scalar"}})
         finally:
             server.close()
         assert server.stats["executors_created"] == 2

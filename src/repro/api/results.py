@@ -53,9 +53,12 @@ class InferenceResult:
         methods without a backend choice (exact, rejection,
         likelihood).  Batched results additionally report ``n_split`` /
         ``n_batched`` (worlds finished scalar vs vectorized),
-        ``n_rounds`` (cascade depth of the multi-round batch loop) and
-        ``n_groups`` (terminal signature groups) in ``diagnostics``,
-        and their ``pdb`` answers ``marginal`` / ``fact_marginals``
+        ``n_rounds`` (cascade depth of the multi-round batch loop),
+        ``n_groups`` (terminal signature groups) and
+        ``n_cached_rounds`` (group rounds whose transition an earlier
+        batch on the same session had already computed, so it varies
+        with how warm the session is) in ``diagnostics``, and their
+        ``pdb`` answers ``marginal`` / ``fact_marginals``
         straight from the columnar sample arrays - worlds materialize
         only when accessed.
         """

@@ -489,6 +489,7 @@ class Session:
                          "n_layer_firings": info["n_firings"],
                          "n_rounds": info["n_rounds"],
                          "n_groups": info["n_groups"],
+                         "n_cached_rounds": info["n_cached_rounds"],
                          "n_draw_calls": info["n_draw_calls"],
                          "n_pooled_draws": info["n_pooled_draws"]})
 

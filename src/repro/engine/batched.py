@@ -43,21 +43,28 @@ exploits the structure with a *multi-round* cascade:
    values that actually hit a trigger - and each group runs the next
    deterministic cascade + existential layer vectorized again, one
    ``sample_batch`` call per (distribution, params) per *round* thanks
-   to the pooling above.  Rounds advance as breadth-first waves, so
-   every group at the same cascade depth draws together.  Group forks
-   are copy-on-write: each signature group starts from an
+   to the pooling above.  The partition codes each world's signature
+   as one integer and groups the worlds with numpy, in first-seen
+   order.  Rounds advance as breadth-first waves, so every group at
+   the same cascade depth draws together.  Group forks are
+   copy-on-write: each signature group starts from an
    :class:`~repro.core.applicability.OverlayApplicability` - a delta
    overlay over the frozen base engine - so forking costs O(delta)
-   instead of re-indexing the whole closed instance.  Every group
-   continues vectorized, one-world groups included; only budget-starved
-   groups and rounds that cannot be prepared (structure, or a
-   distribution/validation error) finish on the scalar engine
-   (:func:`repro.core.chase.run_chase_prepared`) from a fork of the
-   group state.  Either way the sampled law is *exactly* the
-   sequential-chase law: the batched prefix is itself a legitimate
-   chase order, and for the weakly acyclic programs this backend
-   accepts, Theorem 6.1 makes the output distribution independent of
-   that order.
+   instead of re-indexing the whole closed instance.  The step from a
+   round to the next depends only on the round and the signature,
+   never on the request or its worlds, so each :class:`BatchedChase`
+   caches these transitions (a tree of round nodes keyed by
+   signature, bounded by the facts its nodes hold); a warm session
+   repeats no trigger insert, cascade or firing preparation it has
+   already done.  Every group continues vectorized, one-world groups
+   included; only budget-starved groups and rounds that cannot be
+   prepared (structure, or a distribution/validation error) finish on
+   the scalar engine (:func:`repro.core.chase.run_chase_prepared`)
+   from a fork of the group state.  Either way the sampled law is
+   *exactly* the sequential-chase law: the batched prefix is itself a
+   legitimate chase order, and for the weakly acyclic programs this
+   backend accepts, Theorem 6.1 makes the output distribution
+   independent of that order.
 
 The grouping is sound because, within a group, the worlds agree on
 every fact that could ever participate in a rule-body match: sampled
@@ -81,7 +88,8 @@ to the scalar loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -112,6 +120,12 @@ _SEMIJOIN_PIN_CAP = 64
 #: Cap on raw enumerated solutions (duplicate-heavy joins can repeat
 #: the same pin value many times; bound the walk, not the refinement).
 _SEMIJOIN_SOLUTION_CAP = 4096
+#: Cap on the facts the cached round nodes of one :class:`BatchedChase`
+#: hold (the sum of their ``shared`` sizes).  Once it is reached no
+#: further transition is stored; later ones are computed as usual.
+_ROUND_CACHE_FACTS = 16_384
+#: Largest signature key the partition builds before re-coding.
+_KEY_LIMIT = int(np.iinfo(np.int64).max)
 
 
 class BatchUnsupported(ChaseError):
@@ -121,10 +135,6 @@ class BatchUnsupported(ChaseError):
     :meth:`repro.api.Session.sample` catches it and falls back to the
     scalar loop (identical draws to ``backend="scalar"``).
     """
-
-
-class _FallbackNeeded(Exception):
-    """Internal: this signature group must finish on the scalar engine."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +150,11 @@ class _LayerFiring:
     emit many heads.  ``trigger`` / ``pinned`` summarize the static
     analysis of whether any emitted head fact can enable further
     firings (``pinned`` holds the sampled values that would - only
-    numeric values matter, samples are numbers).
+    numeric values matter, samples are numbers; ``pin_array`` holds
+    them sorted, for the partition).  ``finite`` says whether the
+    draw has a small finite support
+    (:meth:`~repro.distributions.base.ParameterizedDistribution.
+    finite_support_values`), so that its values recur across batches.
     """
 
     aux_relation: str
@@ -149,6 +163,9 @@ class _LayerFiring:
     heads: tuple
     trigger: str
     pinned: frozenset
+    finite: bool = True
+    pin_array: np.ndarray | None = field(default=None, compare=False,
+                                         repr=False)
 
     def head_facts(self, sampled) -> list[Fact]:
         """The companion head facts for one sampled value."""
@@ -204,23 +221,55 @@ class BatchOutcome:
     growable: frozenset | None = None
 
 
-@dataclass
-class _Round:
-    """One pending vectorized round of a world group (internal).
+#: Cache-miss marker of :meth:`BatchedChase._transition`.
+_MISSING = object()
 
+
+@dataclass(eq=False)
+class _RoundNode:
+    """One cascade state, shared by every batch that reaches it.
+
+    ``engine`` and ``shared`` hold the state after the node's trigger
+    facts and deterministic cascade; ``layer`` is the existential
+    layer fired next (empty: terminal, and ``engine`` is dropped).
     ``unbound_facts`` counts the per-world facts of earlier rounds'
     columns whose sampled value stayed world-varying (signature
     component None) - one auxiliary plus the head templates per such
-    column.  They are the only facts *not* already inside ``shared``,
-    which is what the per-world step bound needs.
+    column.  They are the only facts *not* already inside ``shared``.
+    ``need`` is the step budget a world needs to reach the node and
+    fire its layer: facts over the input instance, unbound ones
+    included, plus the layer's step bound.
+
+    ``recurs`` says whether the transitions out of the node can repeat
+    across batches: no ancestor's signature, and no signature of this
+    layer, carries a value drawn from an infinite support (False for
+    a terminal node, which has no transitions).
+    ``children`` caches those transitions by signature (a node, or
+    None for a round that cannot be prepared); it is None when they
+    are not stored.  Nodes are never mutated after they are built,
+    apart from ``children``.
     """
 
-    engine: IncrementalApplicability
+    engine: IncrementalApplicability | None
     shared: Instance
-    members: np.ndarray
     layer: tuple
+    unbound_facts: int
+    need: int
+    recurs: bool
+    children: dict | None = None
+
+
+@dataclass
+class _Round:
+    """One pending vectorized round of a world group (internal)."""
+
+    node: _RoundNode
+    members: np.ndarray
     columns: tuple
-    unbound_facts: int = 0
+
+    @property
+    def layer(self) -> tuple:
+        return self.node.layer
 
 
 class BatchedChase:
@@ -231,10 +280,10 @@ class BatchedChase:
     instance (reusing the fixpoint's warm indexes), companion lookup,
     the growable-relation analysis and the first layer's trigger
     analysis.  :meth:`run_batch` then costs one vectorized draw per
-    (firing group, round) plus columnar bookkeeping - independent of
-    how many times it is called, so sessions cache the instance
-    (:meth:`repro.api.Session.sample` keeps it alongside the scalar
-    engine bases).
+    (firing group, round) plus columnar bookkeeping, and the instance
+    caches the round transitions and firing preparations it computes,
+    so sessions keep it (:meth:`repro.api.Session.sample` stores it
+    alongside the scalar engine bases).
     """
 
     def __init__(self, translated: ExistentialProgram,
@@ -260,9 +309,21 @@ class BatchedChase:
         self._companions = self._collect_companions()
         self._body_atoms = self._collect_body_atoms()
         self._growable = collect_growable(translated)
+        # Firing preparations that hold in every round (see
+        # _prepare_firing), filled only by rounds that can recur.
+        self._prepared: dict = {}
         self.layer = tuple(self._prepare_firing(firing,
-                                                self._closed_source, {})
+                                                self._closed_source,
+                                                self._prepared)
                            for firing in self._engine.applicable())
+        recurs = _layer_recurs(self.layer)
+        self._root = _RoundNode(
+            self._engine, self.closed, self.layer, 0,
+            self.det_steps + self._layer_step_bound(self.layer), recurs,
+            {} if recurs else None)
+        #: Facts held by the cached nodes' ``shared`` instances.
+        self._cached_facts = 0
+        self._cache_lock = threading.Lock()
 
     # -- preparation --------------------------------------------------------
 
@@ -380,7 +441,9 @@ class BatchedChase:
             distribution_key=(info.distribution.name, params),
             heads=heads,
             trigger=trigger,
-            pinned=pinned)
+            pinned=pinned,
+            finite=support is not None,
+            pin_array=np.asarray(sorted(pinned)) if pinned else None)
         if rests_stable:
             memo[firing] = prepared
         return prepared
@@ -606,6 +669,19 @@ class BatchedChase:
         ``sample_batch`` call (:meth:`_draw_wave`; the draws are iid,
         so slicing one flat array per request keeps the product law).
 
+        Round transitions come from this instance's cache when an
+        earlier batch computed them (:meth:`_transition`); the
+        diagnostics count those group rounds as ``n_cached_rounds``.
+        The cache stops growing once its nodes hold
+        :data:`_ROUND_CACHE_FACTS` facts, and never stores a round
+        that cannot recur (a signature value from an infinite
+        support).  A cached node records the step budget it needs
+        rather than the budget of the batch that built it, so one
+        node serves every ``max_steps``: a group whose next node needs
+        more than ``max_steps`` finishes on the scalar engine, exactly
+        where a cascade counted against this batch's budget would
+        overrun it.
+
         Sharded sampling (:mod:`repro.serving`) runs every batch this
         method accepts here, in one process: Theorem 6.1 makes one
         pooled chase order of all ``size`` worlds law-exact, so
@@ -629,7 +705,7 @@ class BatchedChase:
         raise :class:`~repro.errors.MeasureError` (evidence with zero
         prior mass).
         """
-        layer = self.layer
+        root = self._root
         if regions and log_weights is None:
             raise ChaseError(
                 "guided regions need a caller-allocated log_weights "
@@ -637,14 +713,14 @@ class BatchedChase:
         # Conservative budget bound: prefix facts + one auxiliary and
         # the head templates per firing.  Tighter-budget callers get
         # exact truncation semantics from the scalar loop instead.
-        if self.det_steps + self._layer_step_bound(layer) > max_steps:
+        if root.need > max_steps:
             return None
-        diagnostics = {"n_split": 0, "n_firings": len(layer),
+        diagnostics = {"n_split": 0, "n_firings": len(root.layer),
                        "n_rounds": 0, "n_groups": 0,
-                       "n_group_rounds": 0, "n_draw_calls": 0,
-                       "n_pooled_draws": 0}
+                       "n_group_rounds": 0, "n_cached_rounds": 0,
+                       "n_draw_calls": 0, "n_pooled_draws": 0}
         all_members = np.arange(size)
-        if not layer:
+        if not root.layer:
             diagnostics["n_groups"] = 1
             group = _ColumnarGroup(all_members, self.closed, ())
             return BatchOutcome(size, (group,), (), diagnostics,
@@ -653,13 +729,13 @@ class BatchedChase:
 
         groups: list[_ColumnarGroup] = []
         scalar_runs: list[tuple[int, ChaseRun]] = []
-        # Firing preparations that hold in every group of this batch.
-        prepared: dict = {}
+        # Firing preparations of rounds that cannot recur, kept for
+        # this batch only (see _next_round).
+        batch_memo: dict = {}
         # Rounds advance as breadth-first waves: every signature group
         # at the same cascade depth draws in the same wave, which is
         # what lets same-key draws pool across groups.
-        wave = [_Round(self._engine, self.closed, all_members, layer,
-                       ())]
+        wave = [_Round(root, all_members, ())]
         while wave:
             diagnostics["n_rounds"] += 1
             wave_draws = self._draw_wave(wave, batch_rng, diagnostics,
@@ -667,32 +743,37 @@ class BatchedChase:
             next_wave: list[_Round] = []
             for task, draws in zip(wave, wave_draws):
                 diagnostics["n_group_rounds"] += 1
-                columns = task.columns + tuple(zip(task.layer, draws))
-                partition: dict[tuple, list[int]] = {}
-                for pos, sig in enumerate(self._signatures(task.layer,
-                                                           draws)):
-                    partition.setdefault(sig, []).append(pos)
-                for sig, positions in partition.items():
-                    sub_members = task.members[positions]
-                    sub_columns = tuple((firing, values[positions])
+                node = task.node
+                members = task.members
+                columns = task.columns + tuple(zip(node.layer, draws))
+                order, partition = _partition(node.layer, draws,
+                                              len(members))
+                if order is not None:
+                    # One permutation makes every group a contiguous
+                    # run; groups then take views, never copies.
+                    members = members[order]
+                    columns = tuple((firing, values[order])
+                                    for firing, values in columns)
+                for sig, start, stop in partition:
+                    sub_members = members[start:stop]
+                    sub_columns = tuple((firing, values[start:stop])
                                         for firing, values in columns)
-                    try:
+                    if all(c is None for c in sig):
                         # No sampled value enabled anything: terminal.
-                        follow_up = _ColumnarGroup(
-                            sub_members, task.shared, sub_columns) \
-                            if all(c is None for c in sig) \
-                            else self._next_round(task, sig, sub_members,
-                                                  sub_columns, max_steps,
-                                                  prepared)
-                    except (BatchUnsupported, _FallbackNeeded,
-                            DistributionError, ValidationError):
-                        follow_up = None
-                    if isinstance(follow_up, _Round):
-                        next_wave.append(follow_up)
-                        continue
-                    if follow_up is not None:
-                        groups.append(follow_up)
+                        groups.append(_ColumnarGroup(
+                            sub_members, node.shared, sub_columns))
                         diagnostics["n_groups"] += 1
+                        continue
+                    child = self._transition(node, sig, diagnostics,
+                                             batch_memo)
+                    if child is not None and child.need <= max_steps:
+                        if child.layer:
+                            next_wave.append(_Round(child, sub_members,
+                                                    sub_columns))
+                        else:
+                            groups.append(_ColumnarGroup(
+                                sub_members, child.shared, sub_columns))
+                            diagnostics["n_groups"] += 1
                         continue
                     # The round cannot run vectorized: finish each
                     # member on the scalar engine from a fork of the
@@ -703,38 +784,83 @@ class BatchedChase:
                         # silently changing the guided proposal law -
                         # decline the whole batch instead.
                         return None
-                    for position in positions:
-                        world = int(task.members[position])
-                        run = self._fallback(task.engine, task.shared,
+                    for position in range(start, stop):
+                        world = int(members[position])
+                        run = self._fallback(node.engine, node.shared,
                                              columns, position,
                                              world_rngs[world], policy,
                                              max_steps)
                         scalar_runs.append((world, run))
-                    diagnostics["n_split"] += len(positions)
+                    diagnostics["n_split"] += stop - start
             wave = next_wave
         return BatchOutcome(size, tuple(groups), tuple(scalar_runs),
                             diagnostics, base=self.closed,
                             growable=self._growable)
 
-    def _next_round(self, task: _Round, sig: tuple,
-                    sub_members: np.ndarray, sub_columns: tuple,
-                    max_steps: int, prepared: dict):
-        """Advance one signature group by one cascade round.
+    def _transition(self, node: _RoundNode, sig: tuple,
+                    diagnostics: dict,
+                    batch_memo: dict) -> _RoundNode | None:
+        """The node signature ``sig`` leads to from ``node``.
 
-        Returns a terminal :class:`_ColumnarGroup` when the shared
-        trigger facts plus the deterministic cascade leave nothing
-        applicable, or a :class:`_Round` carrying the next vectorized
-        existential layer.  Raises :class:`_FallbackNeeded` (budget) or
-        :class:`BatchUnsupported` (structure) to send the group's
-        members to the scalar engine instead.  ``prepared`` is the
-        batch's memo for :meth:`_prepare_firing`.
+        None means the round cannot be prepared (structure, or a
+        distribution/validation error), which is as deterministic in
+        ``(node, sig)`` as the node itself.  Either answer is read
+        from ``node.children`` when an earlier group computed it, and
+        stored there otherwise - unless ``node`` stores no children
+        (see :class:`_RoundNode`), or the cached nodes already hold
+        :data:`_ROUND_CACHE_FACTS` facts; the transition is then
+        computed exactly the same way and simply not kept.
         """
-        engine = overlay_fork(task.engine)
+        children = node.children
+        if children is not None:
+            child = children.get(sig, _MISSING)
+            if child is not _MISSING:
+                diagnostics["n_cached_rounds"] += 1
+                return child
+        try:
+            child = self._next_round(node, sig, batch_memo)
+        except (BatchUnsupported, DistributionError, ValidationError):
+            child = None
+        if children is not None:
+            with self._cache_lock:
+                # A concurrent batch may have stored an equal node.
+                if sig not in children \
+                        and self._cached_facts < _ROUND_CACHE_FACTS:
+                    if child is not None:
+                        self._cached_facts += len(child.shared)
+                        if child.recurs:
+                            child.children = {}
+                    children[sig] = child
+        return child
+
+    def _next_round(self, node: _RoundNode, sig: tuple,
+                    batch_memo: dict) -> _RoundNode:
+        """Advance ``node`` by the cascade round signature ``sig`` opens.
+
+        Adds the signature's trigger facts to a fork of the node's
+        engine, runs the deterministic cascade to its end (finite:
+        only deterministic rules fire inside it) and prepares the next
+        existential layer; a node without one is terminal.  Raises
+        :class:`BatchUnsupported` (structure), or a
+        :class:`~repro.errors.DistributionError` /
+        :class:`~repro.errors.ValidationError` from the next layer's
+        parameters.
+
+        The result depends on ``(node, sig)`` alone - no worlds, no
+        budget (``batch_memo`` only memoizes firing preparations that
+        hold in every round) - which is what lets :meth:`_transition`
+        cache it.  It records the budget it needs instead (``need``).
+        Testing ``need > max_steps`` equals counting the cascade
+        against ``max_steps`` and checking the next layer's bound: the
+        count only grows, and it starts within ``max_steps`` because
+        the parent admitted its whole layer's bound.
+        """
+        engine = overlay_fork(node.engine)
         # The facts this round adds to ``shared``.  Building an
         # Instance copies all of its facts, so it is built once, after
         # the cascade.
         added: set[Fact] = set()
-        for component, firing in zip(sig, task.layer):
+        for component, firing in zip(sig, node.layer):
             if component is None:
                 # The sampled fact varies across the group's worlds
                 # but provably matches no body atom; retire the pair
@@ -749,18 +875,6 @@ class BatchedChase:
             for head in firing.head_facts(component):
                 engine.add_fact(head)
                 added.add(head)
-        added -= task.shared.facts
-        # Conservative per-world step bound: shared facts plus the
-        # auxiliary and head-template facts of every *unbound* column -
-        # bound columns' facts are already inside ``shared``, counting
-        # them again would force needless scalar fallbacks near the
-        # budget.
-        unbound_facts = task.unbound_facts \
-            + sum(1 + len(firing.heads)
-                  for component, firing in zip(sig, task.layer)
-                  if component is None)
-        budget_used = (len(task.shared) + len(added)
-                       - len(self.instance) + unbound_facts)
         while True:
             applicable = engine.applicable()
             deterministic = [firing for firing in applicable
@@ -768,24 +882,34 @@ class BatchedChase:
             if not deterministic:
                 break
             for firing in deterministic:
-                budget_used += 1
-                if budget_used > max_steps:
-                    raise _FallbackNeeded
                 fact = firing.fact()
                 engine.add_fact(fact)
                 added.add(fact)
-        shared = task.shared.add_all(added)
+        shared = node.shared.add_all(added)
+        # Per-world steps: shared facts plus the auxiliary and
+        # head-template facts of every *unbound* column - bound
+        # columns' facts are already inside ``shared``, counting them
+        # again would force needless scalar fallbacks near the budget.
+        unbound_facts = node.unbound_facts \
+            + sum(1 + len(firing.heads)
+                  for component, firing in zip(sig, node.layer)
+                  if component is None)
+        steps = len(shared) - len(self.instance) + unbound_facts
         existential = [firing for firing in applicable
                        if firing.existential]
         if not existential:
-            return _ColumnarGroup(sub_members, shared, sub_columns)
-        next_layer = tuple(self._prepare_firing(firing, engine.source,
-                                                prepared)
-                           for firing in existential)
-        if budget_used + self._layer_step_bound(next_layer) > max_steps:
-            raise _FallbackNeeded
-        return _Round(engine, shared, sub_members, next_layer,
-                      sub_columns, unbound_facts)
+            return _RoundNode(None, shared, (), unbound_facts, steps,
+                              False)
+        # The instance keeps the preparations of rounds that can
+        # recur.  A round that cannot may hold firings no later batch
+        # asks for again, so its preparations go to ``batch_memo``,
+        # which dies with the batch.
+        memo = self._prepared if node.recurs else batch_memo
+        layer = tuple(self._prepare_firing(firing, engine.source, memo)
+                      for firing in existential)
+        return _RoundNode(engine, shared, layer, unbound_facts,
+                          steps + self._layer_step_bound(layer),
+                          node.recurs and _layer_recurs(layer))
 
     def _fallback(self, engine: IncrementalApplicability,
                   shared: Instance, columns: tuple, position: int,
@@ -813,28 +937,6 @@ class BatchedChase:
         run = run_chase_prepared(self.translated, state, current,
                                  policy, rng, max_steps - steps)
         return ChaseRun(run.instance, run.terminated, steps + run.steps)
-
-    def _signatures(self, layer: tuple, draws: list) -> list[tuple]:
-        """Per-world enabled-trigger signatures for one fired layer.
-
-        A component is the sampled value when it can enable a firing
-        (an always-trigger, or a pinned value the draw actually hit)
-        and None otherwise.  Worlds sharing a signature agree on every
-        fact visible to rule matching, so they continue as one group.
-        """
-        components: list[list] = []
-        for firing, values in zip(layer, draws):
-            if firing.trigger == NEVER:
-                components.append([None] * values.shape[0])
-                continue
-            listed = values.tolist()
-            if firing.trigger == ALWAYS:
-                components.append(listed)
-            else:
-                pinned = firing.pinned
-                components.append([value if value in pinned else None
-                                   for value in listed])
-        return list(zip(*components))
 
     def _firing_region(self, firing: _LayerFiring, regions: dict | None):
         """The feasible region constraining one firing's draw (or None).
@@ -932,6 +1034,119 @@ class BatchedChase:
             diagnostics["n_draw_calls"] += 1
             diagnostics["n_pooled_draws"] += len(members) - 1
         return draws
+
+
+def _layer_recurs(layer: tuple) -> bool:
+    """Whether a layer's signatures can repeat across batches.
+
+    Only an always-trigger puts every world's own value into the
+    signature; drawn from an infinite support (a continuous family,
+    Poisson, Geometric) that value never comes back.  Pinned values
+    and finite supports do.
+    """
+    return all(firing.finite for firing in layer
+               if firing.trigger == ALWAYS)
+
+
+def _column_codes(firing: _LayerFiring, values: np.ndarray):
+    """``(codes, width)`` grouping one column's worlds, or None.
+
+    Codes lie in ``range(width)``.  None means the column splits
+    nothing: a never-trigger, a pin set no world hit, or an
+    always-trigger every world drew the same value for.
+    """
+    if firing.trigger == ALWAYS:
+        distinct, codes = np.unique(values, return_inverse=True,
+                                    equal_nan=False)
+        return (codes, len(distinct)) if len(distinct) > 1 else None
+    if firing.trigger == PINNED:
+        pins = firing.pin_array
+        if len(pins) == 1:
+            codes = values == pins[0]
+        else:
+            index = np.searchsorted(pins, values)
+            hit = pins[np.minimum(index, len(pins) - 1)] == values
+            codes = np.where(hit, index + 1, 0)
+        return (codes, len(pins) + 1) if codes.any() else None
+    return None
+
+
+def _signature(layer: tuple, draws: list, world: int) -> tuple:
+    """One world's enabled-trigger signature for a fired layer.
+
+    A component is the sampled value when it can enable a firing (an
+    always-trigger, or a pinned value the draw actually hit) and None
+    otherwise.  Worlds sharing a signature agree on every fact visible
+    to rule matching, so they continue as one group.
+    """
+    sig = []
+    for firing, values in zip(layer, draws):
+        if firing.trigger == NEVER:
+            sig.append(None)
+            continue
+        value = values.item(world)
+        sig.append(value if firing.trigger == ALWAYS
+                   or value in firing.pinned else None)
+    return tuple(sig)
+
+
+def _world_keys(layer: tuple, draws: list) -> np.ndarray | None:
+    """One ``int64`` key per world, equal iff the signatures are.
+
+    Mixed radix over the columns' codes (:func:`_column_codes`); the
+    key is re-coded to its distinct values whenever the radix would
+    overflow ``int64``.  None when no column splits the worlds.
+    """
+    key = None
+    radix = 1
+    for firing, values in zip(layer, draws):
+        coded = _column_codes(firing, values)
+        if coded is None:
+            continue
+        codes, width = coded
+        if key is None:
+            key, radix = codes.astype(np.int64), width
+            continue
+        if radix * width > _KEY_LIMIT:
+            distinct, key = np.unique(key, return_inverse=True)
+            radix = len(distinct)
+        key = key * width + codes
+        radix *= width
+    return key
+
+
+def _partition(layer: tuple, draws: list, size: int):
+    """Group a fired layer's ``size`` worlds by signature.
+
+    Returns ``(order, groups)``.  ``order`` permutes the worlds so
+    that every group is one contiguous run (None: they already are),
+    and ``groups`` lists ``(signature, start, stop)`` runs of the
+    permuted worlds.  Groups come in the order their first world
+    appears, and each keeps its worlds in ascending order - the order
+    the pooled draw slicing of later waves relies on.  A constant key
+    (:func:`_world_keys`) - one-world tasks included - is one group.
+    Each signature is read off the group's first world.
+    """
+    if size == 0:
+        return None, []
+    key = _world_keys(layer, draws) if size > 1 else None
+    if key is None or not (key != key[0]).any():
+        return None, [(_signature(layer, draws, 0), 0, size)]
+    _distinct, first, inverse = np.unique(key, return_index=True,
+                                          return_inverse=True)
+    # Rank the distinct keys by their first world: first-seen order.
+    by_first = np.argsort(first)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    labels = rank[inverse]
+    order = np.argsort(labels, kind="stable")
+    stops = np.cumsum(np.bincount(labels)).tolist()
+    groups = []
+    start = 0
+    for world, stop in zip(first[by_first].tolist(), stops):
+        groups.append((_signature(layer, draws, world), start, stop))
+        start = stop
+    return order, groups
 
 
 # ---------------------------------------------------------------------------

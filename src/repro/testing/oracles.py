@@ -27,7 +27,9 @@ Each :class:`Oracle` here checks one such agreement on a generated
   backend must fall back to the scalar loop, and - on every batched
   result - exact identity of the columnar marginal reads with counts
   over the materialized worlds (the multi-round cascade and the
-  columnar fact store must describe the same ensemble);
+  columnar fact store must describe the same ensemble) and of a warm
+  session's second sample with a fresh session's at the same seed
+  (cached round transitions must not change a world);
 * ``barany-agreement`` - the per-rule (Grohe) vs per-distribution
   (Bárány, Section 6.2) semantics on programs where the two provably
   coincide: no random rule carries a head variable, and random rules
@@ -442,6 +444,8 @@ class BatchedVsScalarOracle(Oracle):
     the comparison is statistical.  Outside the batched backend's
     class (non-weakly-acyclic programs) it must fall back to the
     scalar loop, so there the check is exact draw-for-draw identity.
+    Inside it, a second sample on the now warm session (cached round
+    transitions) must equal a fresh session's, world for world.
     """
 
     name = "batched-scalar"
@@ -518,6 +522,10 @@ class BatchedVsScalarOracle(Oracle):
         detail = worlds_agree_chi_squared(exact, batched)
         if detail:
             return _fail(f"batched sampling: {detail}")
+        detail = self._warm_matches_cold(
+            session, _session(case, seed=case.seed + 2), case.seed + 2)
+        if detail:
+            return _fail(detail)
         return _ok()
 
     def _check_statistical(self, case: FuzzCase) -> OracleOutcome:
@@ -539,7 +547,26 @@ class BatchedVsScalarOracle(Oracle):
                               sampled_values(scalar, positions))
         if detail:
             return _fail(f"batched vs scalar: {detail}")
+        detail = self._warm_matches_cold(
+            session, base.on(case.instance, seed=case.seed + 2,
+                             backend="batched"), case.seed + 2)
+        if detail:
+            return _fail(detail)
         return _ok()
+
+    def _warm_matches_cold(self, warm, cold, seed: int) -> str | None:
+        """A warm session samples what a fresh one does, world for world.
+
+        ``warm`` has sampled once, so its batched engine holds cached
+        round transitions; ``cold`` is a new session of the same case.
+        Both now sample at ``seed``.
+        """
+        detail = compare_monte_carlo_pdbs(
+            warm.sample(self.n_runs, seed=seed, backend="batched").pdb,
+            cold.sample(self.n_runs, backend="batched").pdb)
+        if detail:
+            return f"warm session differs from a fresh one: {detail}"
+        return None
 
 
 class BaranyAgreementOracle(Oracle):

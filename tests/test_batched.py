@@ -18,6 +18,8 @@ Four concerns:
 
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,7 +31,9 @@ from repro.core.policies import DEFAULT_POLICY, LastPolicy
 from repro.distributions.mixture import FiniteMixture
 from repro.distributions.continuous import Normal
 from repro.distributions.registry import DEFAULT_REGISTRY
-from repro.engine.batched import BatchedChase, _Round
+from repro.engine import batched as batched_module
+from repro.engine.batched import (ALWAYS, NEVER, PINNED, BatchedChase,
+                                  _LayerFiring, _partition, _Round)
 from repro.errors import ValidationError
 from repro.measures.empirical import ks_critical_value, ks_two_sample
 from repro.pdb.facts import Fact
@@ -663,8 +667,7 @@ class TestMultiRoundCascade:
         visible = compiled.visible_relations
         chase = BatchedChase(translated, Instance.empty())
         batch_rng = ChaseConfig(seed=13).base_rng()
-        first_round = _Round(chase._engine, chase.closed, np.arange(n),
-                             chase.layer, ())
+        first_round = _Round(chase._root, np.arange(n), ())
         draws = chase._draw_wave([first_round], batch_rng,
                                  {"n_draw_calls": 0,
                                   "n_pooled_draws": 0})[0]
@@ -855,22 +858,26 @@ class TestBaranyCompanionBatching:
         # A=0 and the A=1 group.  Its companion rest joins A, a
         # growable relation, so the head templates differ per group -
         # B(0, v) in one, B(1, v) in the other - and the firing must
-        # not reuse another group's preparation.
+        # not reuse another group's preparation - also not from the
+        # preparations a warm session keeps, so sample twice.
         from repro.testing.oracles import (marginals_agree,
                                            worlds_agree_chi_squared)
         compiled = repro.compile(LATE_GROWABLE_REST_BARANY,
                                  semantics="barany")
         exact = compiled.on().exact().pdb
-        result = compiled.on(seed=3).sample(2000, backend="batched")
-        assert result.backend == "batched"
-        assert result.diagnostics["n_split"] == 0
-        assert result.diagnostics["n_rounds"] == 2
-        for world in result.pdb.worlds:
-            (a,) = world.facts_of("A")
-            (b,) = world.facts_of("B")
-            assert b.args[0] == a.args[0]
-        assert marginals_agree(exact, result.pdb) is None
-        assert worlds_agree_chi_squared(exact, result.pdb) is None
+        session = compiled.on(seed=3)
+        for seed, cached in ((3, False), (4, True)):
+            result = session.sample(2000, seed=seed, backend="batched")
+            assert result.backend == "batched"
+            assert (result.diagnostics["n_cached_rounds"] > 0) == cached
+            assert result.diagnostics["n_split"] == 0
+            assert result.diagnostics["n_rounds"] == 2
+            for world in result.pdb.worlds:
+                (a,) = world.facts_of("A")
+                (b,) = world.facts_of("B")
+                assert b.args[0] == a.args[0]
+            assert marginals_agree(exact, result.pdb) is None
+            assert worlds_agree_chi_squared(exact, result.pdb) is None
 
     def test_barany_columnar_marginals_match_materialized(self):
         compiled = repro.compile(FANOUT_BARANY, semantics="barany")
@@ -1052,3 +1059,230 @@ class TestColumnarReads:
         # Truncated (Hit=1) worlds carry no mass: marginal of Hit(1)
         # counts only the terminated ensemble.
         assert result.marginal(Fact("Hit", (1,))) == 0.0
+
+
+def _reference_partition(layer, draws):
+    """The per-world Python partition the numpy one replaced.
+
+    ``(signature, positions)`` per group, in first-seen order: each
+    world's signature is built from ``tolist()`` values and the worlds
+    are grouped with ``dict.setdefault``.
+    """
+    components = []
+    for firing, values in zip(layer, draws):
+        if firing.trigger == NEVER:
+            components.append([None] * values.shape[0])
+            continue
+        listed = values.tolist()
+        if firing.trigger == ALWAYS:
+            components.append(listed)
+        else:
+            components.append([value if value in firing.pinned else None
+                               for value in listed])
+    partition: dict = {}
+    for position, sig in enumerate(zip(*components)):
+        partition.setdefault(sig, []).append(position)
+    return list(partition.items())
+
+
+def _firing(trigger, pins=(), finite=True):
+    pinned = frozenset(pins)
+    return _LayerFiring(
+        aux_relation="R#", prefix=(), distribution_key=("Flip", (0.5,)),
+        heads=(), trigger=trigger, pinned=pinned, finite=finite,
+        pin_array=np.asarray(sorted(pinned)) if pinned else None)
+
+
+class TestPartition:
+    """The numpy signature partition against the per-world reference."""
+
+    @staticmethod
+    def _assert_matches_reference(layer, draws):
+        size = len(draws[0])
+        order, groups = _partition(layer, draws, size)
+        permutation = np.arange(size) if order is None else order
+        got = [(sig, permutation[start:stop].tolist())
+               for sig, start, stop in groups]
+        expected = _reference_partition(layer, draws)
+        assert got == expected
+        # Same Python scalars too: cache keys and facts hash the same.
+        assert repr([sig for sig, _ in got]) == \
+            repr([sig for sig, _ in expected])
+
+    def test_mixed_columns(self):
+        rng = np.random.default_rng(0)
+        size = 500
+        layer = (_firing(NEVER),
+                 _firing(PINNED, (1,)),
+                 _firing(PINNED, (0, 2, 5)),
+                 _firing(PINNED, (2.5, 7)),
+                 _firing(ALWAYS),
+                 _firing(ALWAYS, finite=False))
+        draws = [rng.normal(size=size),
+                 rng.integers(0, 2, size),
+                 rng.integers(0, 6, size),
+                 rng.choice([2.5, 3.0, 7.0], size),
+                 rng.integers(0, 3, size),
+                 rng.normal(size=size).round(1)]
+        self._assert_matches_reference(layer, draws)
+
+    def test_unhit_pins_and_constant_columns_make_one_group(self):
+        size = 40
+        layer = (_firing(PINNED, (1,)), _firing(PINNED, (3, 4)),
+                 _firing(ALWAYS), _firing(NEVER))
+        draws = [np.zeros(size, dtype=np.int64),
+                 np.zeros(size, dtype=np.int64),
+                 np.full(size, 2.5), np.arange(size, dtype=float)]
+        order, groups = _partition(layer, draws, size)
+        assert order is None
+        assert groups == [((None, None, 2.5, None), 0, size)]
+        self._assert_matches_reference(layer, draws)
+
+    def test_one_world_tasks(self):
+        for value in (0, 1, 2):
+            layer = (_firing(PINNED, (1,)), _firing(PINNED, (1, 2)),
+                     _firing(ALWAYS, finite=False), _firing(NEVER))
+            draws = [np.array([value]), np.array([value]),
+                     np.array([0.25 * value]), np.array([9.0])]
+            order, groups = _partition(layer, draws, 1)
+            assert order is None and len(groups) == 1
+            self._assert_matches_reference(layer, draws)
+
+    def test_continuous_always_column_gives_singletons(self):
+        rng = np.random.default_rng(3)
+        layer = (_firing(ALWAYS, finite=False),)
+        draws = [rng.normal(size=64)]
+        order, groups = _partition(layer, draws, 64)
+        assert len(groups) == 64
+        self._assert_matches_reference(layer, draws)
+
+    def test_wide_keys_are_recoded_not_overflowed(self):
+        # Twelve always-columns of ~150 distinct values each: the
+        # mixed radix passes 2**63, so the key must be re-coded.
+        rng = np.random.default_rng(5)
+        size = 300
+        layer = tuple(_firing(ALWAYS) for _ in range(12))
+        draws = [rng.integers(0, 150, size) for _ in layer]
+        assert math.prod(len(np.unique(values)) for values in draws) \
+            > 2 ** 63
+        self._assert_matches_reference(layer, draws)
+        # 65 one-pin columns every world hits, after one that splits
+        # them: without re-coding, the first column's code would be
+        # shifted out of the 64-bit key and the two groups would merge.
+        layer = tuple(_firing(PINNED, (1,)) for _ in range(66))
+        draws = [rng.integers(0, 2, size)] \
+            + [np.ones(size, dtype=np.int64)] * 65
+        self._assert_matches_reference(layer, draws)
+
+
+class TestRoundCache:
+    """Round transitions cached per BatchedChase (one warm session)."""
+
+    def test_warm_cities_session_equals_fresh_sessions(self):
+        # Seeds 18-29 cycle the step budget through 60-71, where
+        # groups finish on the scalar engine (fallback) or not
+        # depending on the budget, from the same cached nodes.
+        from repro.testing.oracles import compare_monte_carlo_pdbs
+        compiled = repro.compile(example_3_4_program())
+        instance = earthquake_city_instance(4, 4, seed=0)
+        warm = compiled.on(instance)
+        cached = split = 0
+        for seed in range(30):
+            budget = {} if seed < 18 else {"max_steps": 42 + seed}
+            result = warm.sample(100, seed=seed, **budget)
+            fresh = compiled.on(instance, seed=seed, **budget).sample(100)
+            assert result.backend == fresh.backend == "batched"
+            assert compare_monte_carlo_pdbs(result.pdb, fresh.pdb) is None
+            assert result.diagnostics["n_split"] == \
+                fresh.diagnostics["n_split"]
+            assert fresh.diagnostics["n_cached_rounds"] == 0
+            cached += result.diagnostics["n_cached_rounds"]
+            split += result.diagnostics["n_split"]
+        assert cached > 0
+        assert split > 0
+
+    def test_guided_posterior_after_plain_samples_equals_fresh(self):
+        from repro.pdb.events import ContainsFactEvent
+        compiled = repro.compile(example_3_4_program())
+        instance = example_3_4_instance()
+        evidence = ContainsFactEvent(Fact("Alarm", ("house-1",)))
+        warm = compiled.on(instance)
+        for seed in range(3):
+            warm.sample(2000, seed=seed)
+        chase = warm._batched_chase()
+        assert chase._cached_facts > 0
+        got = warm.observe(evidence).posterior(method="guided", n=2000,
+                                               seed=7)
+        fresh = compiled.on(instance).observe(evidence).posterior(
+            method="guided", n=2000, seed=7)
+        assert got.diagnostics["backend"] == "guided"
+        assert "n_cached_rounds" not in got.diagnostics
+        assert got.diagnostics == fresh.diagnostics
+        assert got.fact_marginals() == fresh.fact_marginals()
+
+    def test_fact_bound_zero_stores_nothing(self, monkeypatch):
+        compiled = repro.compile(example_3_4_program())
+        instance = earthquake_city_instance(4, 4, seed=0)
+        expected = [compiled.on(instance).sample(100, seed=seed)
+                    for seed in range(3)]
+        monkeypatch.setattr(batched_module, "_ROUND_CACHE_FACTS", 0)
+        session = compiled.on(instance)
+        for seed, reference in enumerate(expected):
+            result = session.sample(100, seed=seed)
+            assert result.pdb.worlds == reference.pdb.worlds
+            assert result.diagnostics["n_cached_rounds"] == 0
+        chase = session._batched_chase()
+        assert chase._root.children == {}
+        assert chase._cached_facts == 0
+
+    def test_concurrent_batches_keep_the_cache_consistent(self):
+        compiled = repro.compile(example_3_4_program())
+        instance = earthquake_city_instance(4, 4, seed=0)
+        seeds = range(8)
+        expected = {seed: compiled.on(instance, seed=seed).sample(100)
+                    for seed in seeds}
+        session = compiled.on(instance)
+        chase = session._batched_chase()
+        results = {}
+
+        def work(seed):
+            results[seed] = session.sample(100, seed=seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,))
+                       for seed in seeds]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed in seeds:
+            assert results[seed].pdb.worlds == expected[seed].pdb.worlds
+
+        def stored(node):
+            for child in (node.children or {}).values():
+                if child is not None:
+                    yield child
+                    yield from stored(child)
+
+        assert chase._cached_facts == sum(len(node.shared)
+                                          for node in stored(chase._root))
+        assert chase._cached_facts > 0
+
+    def test_continuous_cascade_stores_nothing(self):
+        # Every signature carries a Normal draw: no transition recurs,
+        # so none is stored and no preparation of one is memoized.
+        session = repro.compile(CONTINUOUS_CASCADE).on(seed=2)
+        chase = session._batched_chase()
+        memoized = len(chase._prepared)
+        for seed in range(3):
+            result = session.sample(30, seed=seed, backend="batched")
+            assert result.diagnostics["n_groups"] == 30
+            assert result.diagnostics["n_cached_rounds"] == 0
+        assert chase._root.children is None
+        assert chase._cached_facts == 0
+        assert len(chase._prepared) == memoized

@@ -2,8 +2,9 @@
 
 Every benchmark both *asserts* its experiment's reproduced values
 (so ``pytest benchmarks/`` doubles as a reproduction check) and *times*
-the pipeline via pytest-benchmark.  EXPERIMENTS.md indexes the files by
-experiment id (E1-E14 of DESIGN.md §9).
+the pipeline via pytest-benchmark.  Test classes carry their experiment
+id in their names (``TestE13FacadeAmortization``, ...), and
+``benchmarks/perf_report.py`` keys the regression gate by test node id.
 """
 
 from __future__ import annotations

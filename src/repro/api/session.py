@@ -807,8 +807,10 @@ class Session:
                 cfg.max_steps, regions=plan.regions,
                 log_weights=log_weights)
         except DistributionError as err:
+            # The sampler's own message says whether the region had
+            # zero mass or its rejection budget ran out.
             raise MeasureError(
-                f"evidence has zero prior mass under the program: "
+                f"guided sampling could not draw under the evidence: "
                 f"{err}") from None
         if outcome is None:
             return self._guided_fallback(

@@ -21,8 +21,9 @@ inter-simulate by program rewriting:
 * **Ours inside [3]** (:func:`to_barany_simulation`): tag each rule's
   distribution with a unique constant so no two rules share a
   (distribution, parameters) key - the paper's "tagging individual
-  applications with additional parameters".  Tagging uses a wrapper
-  distribution whose first parameter is ignored by the law.
+  applications with additional parameters".  Tagging uses a same-law
+  wrapper (:class:`TaggedDistribution`, an aliased distribution) whose
+  first parameter is ignored by the law.
 
 Equivalence statements (verified by tests/benchmarks, experiment E3):
 for every discrete program ``G``,
@@ -39,14 +40,13 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-import numpy as np
-
 from repro.core.atoms import Atom
 from repro.core.program import Program
 from repro.core.rules import Rule
 from repro.core.terms import Const, RandomTerm, Var
 from repro.distributions.base import ParameterizedDistribution
-from repro.distributions.registry import DistributionRegistry
+from repro.distributions.registry import (AliasedDistribution,
+                                          DistributionRegistry)
 
 #: Markers of simulation helper relations ('#' keeps them unparseable).
 NEED_PREFIX = "BNeed#"
@@ -131,24 +131,25 @@ def simulation_helper_relations(program: Program) -> tuple[str, ...]:
     return tuple(sorted(names))
 
 
-class TaggedDistribution(ParameterizedDistribution):
+class TaggedDistribution(AliasedDistribution):
     """A law with one ignored leading "tag" parameter.
 
     ``Tagged(ψ)⟨t, θ⟩ = ψ⟨θ⟩`` for every tag ``t``: the tag carries no
     probabilistic content, but under [3]'s semantics it separates the
-    sample keys of different rules.  Note the tagged family is *not*
-    identifiable in the tag coordinate - intentionally so; it is a
-    simulation device, not a modelling distribution.
+    sample keys of different rules.  Every law method forwards to ``ψ``
+    without the tag (:class:`AliasedDistribution`), so the tagged family
+    samples, truncates and inverts exactly as ``ψ`` does.  Note the
+    tagged family is *not* identifiable in the tag coordinate -
+    intentionally so; it is a simulation device, not a modelling
+    distribution.
     """
 
     def __init__(self, inner: ParameterizedDistribution):
-        self._inner = inner
-        self.name = f"{inner.name}Tagged"
-        self.param_arity = (-1 if inner.param_arity < 0
-                            else inner.param_arity + 1)
-        self.is_discrete = inner.is_discrete
+        super().__init__(inner, f"{inner.name}Tagged")
+        if inner.param_arity >= 0:
+            self.param_arity = inner.param_arity + 1
 
-    def _split(self, params: Sequence[Any]) -> tuple:
+    def _inner_params(self, params: Sequence[Any]) -> tuple:
         params = tuple(params)
         if not params:
             raise ValueError("tagged distribution needs a tag parameter")
@@ -156,49 +157,8 @@ class TaggedDistribution(ParameterizedDistribution):
 
     def validate_params(self, params: Sequence[Any]) -> tuple:
         params = tuple(params)
-        inner = self._inner.validate_params(self._split(params))
+        inner = self._inner.validate_params(self._inner_params(params))
         return (params[0],) + inner
-
-    def _check_params(self, params: tuple) -> tuple:
-        return self.validate_params(params)
-
-    def density(self, params: Sequence[Any], x: Any) -> float:
-        return self._inner.density(self._split(params), x)
-
-    def sample(self, params: Sequence[Any],
-               rng: np.random.Generator) -> Any:
-        return self._inner.sample(self._split(params), rng)
-
-    def sample_many(self, params: Sequence[Any],
-                    rng: np.random.Generator, n: int) -> list:
-        return self._inner.sample_many(self._split(params), rng, n)
-
-    def sample_batch(self, params: Sequence[Any], size: int,
-                     rng: np.random.Generator) -> np.ndarray:
-        # Delegating keeps the inner family's vectorized sampler on
-        # the batched-chase path (Bárány-translated programs batch
-        # too); the tag carries no probabilistic content.
-        return self._inner.sample_batch(self._split(params), size, rng)
-
-    def finite_support_values(self, params: Sequence[Any],
-                              max_points: int = 128) -> tuple | None:
-        return self._inner.finite_support_values(self._split(params),
-                                                 max_points)
-
-    def support(self, params: Sequence[Any]):
-        return self._inner.support(self._split(params))
-
-    def support_is_finite(self, params: Sequence[Any]) -> bool:
-        return self._inner.support_is_finite(self._split(params))
-
-    def cdf(self, params: Sequence[Any], x: float) -> float:
-        return self._inner.cdf(self._split(params), x)
-
-    def mean(self, params: Sequence[Any]) -> float:
-        return self._inner.mean(self._split(params))
-
-    def variance(self, params: Sequence[Any]) -> float:
-        return self._inner.variance(self._split(params))
 
 
 def to_barany_simulation(program: Program,

@@ -13,7 +13,11 @@ counting measure - and a density family ``ψ⟨θ⟩`` over a parameter space
   valuations mapping into ``Θ_ψ``, Definition 3.1);
 * :meth:`density` is ``ψ⟨θ⟩(x)`` - a pmf for discrete, pdf for
   continuous distributions;
-* :meth:`sample` draws from ``P_ψ⟨θ⟩`` (Eq. 2.A) using numpy;
+* :meth:`sample_batch` draws iid values from ``P_ψ⟨θ⟩`` (Eq. 2.A) with
+  one numpy call.  It is the only sampler a family implements: the
+  scalar :meth:`sample` of a chase step (Eq. 4.A) is a one-draw batch,
+  and numpy consumes a generator identically for a scalar call and a
+  ``size=1`` call, so the two cannot disagree;
 * discrete distributions enumerate their support, possibly lazily with
   an explicit *truncation*: :meth:`truncated_support` returns pairs
   covering at least ``1 - tolerance`` of the mass, enabling exact chase
@@ -105,37 +109,33 @@ class ParameterizedDistribution:
 
     def sample(self, params: Sequence[Any],
                rng: np.random.Generator) -> Any:
-        """Draw one value from ``P_ψ⟨θ⟩``."""
-        raise NotImplementedError
+        """Draw one value from ``P_ψ⟨θ⟩`` as a Python scalar.
 
-    def sample_many(self, params: Sequence[Any], rng: np.random.Generator,
-                    n: int) -> list:
-        """Draw ``n`` iid values (subclasses may vectorize)."""
-        return [self.sample(params, rng) for _ in range(n)]
+        A one-draw :meth:`sample_batch`, so it consumes the generator
+        exactly as that call does; families implement only the batch.
+        """
+        return self.sample_batch(params, 1, rng).item()
 
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
         """Draw ``size`` iid values from ``P_ψ⟨θ⟩`` as a numpy array.
 
-        The batched chase engine (:mod:`repro.engine.batched`) calls
-        this once per (distribution, parameters) key per round -
-        pooling the draws of *every* firing and signature group that
-        shares the key into one call, then slicing the flat array back
-        per consumer.  That pooling is sound exactly because this
-        method's contract requires the ``size`` draws to be iid from
-        ``P_ψ⟨θ⟩``: any split of an iid array preserves the product
-        law, so implementations must not introduce cross-draw
-        structure (antithetic pairs, stratification, common random
-        numbers) - the registry tripwire tests assert law-consistency
-        with :meth:`sample`.  Implementations are free to consume the
-        generator differently from ``size`` scalar calls - batched
-        draws are *law*-equal, not draw-for-draw equal, to scalar
-        ones.  The base implementation delegates to
-        :meth:`sample_many` (so a family that already vectorized that
-        hook batches fast automatically); every built-in family
-        overrides it with a single numpy call.
+        The one sampler a family implements (:meth:`sample` is a
+        one-draw batch).  The batched chase engine
+        (:mod:`repro.engine.batched`) calls it once per (distribution,
+        parameters) key per round - pooling the draws of *every*
+        firing and signature group that shares the key into one call,
+        then slicing the flat array back per consumer.  That pooling
+        is sound exactly because this method's contract requires the
+        ``size`` draws to be iid from ``P_ψ⟨θ⟩``: any split of an iid
+        array preserves the product law, so implementations must not
+        introduce cross-draw structure (antithetic pairs,
+        stratification, common random numbers).  ``size`` draws in one
+        call are *law*-equal, not draw-for-draw equal, to ``size``
+        one-draw calls.
         """
-        return np.asarray(self.sample_many(params, rng, int(size)))
+        raise NotImplementedError(
+            f"{self.name} does not implement sample_batch")
 
     # -- truncated/conditional sampling -----------------------------------------
 

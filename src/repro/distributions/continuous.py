@@ -1,15 +1,16 @@
 """Continuous parameterized distributions (Lebesgue base measure).
 
 These are the point of the paper: rule heads may sample from absolutely
-continuous laws such as ``Normal⟨µ, σ²⟩``.  Example 2.2 displays the
-normal density (with a typographical error - the exponent denominator
-is missing the factor 2; we implement the correct density
+continuous laws such as ``Normal⟨µ, σ²⟩``.  Example 2.2 prints the
+normal density without the factor 2 in the exponent's denominator, a
+typographical error: the displayed function does not integrate to 1.
+We implement the correct density
 
-    Normal⟨µ, σ²⟩(x) = exp(−(x−µ)² / (2σ²)) / sqrt(2πσ²)
+    Normal⟨µ, σ²⟩(x) = exp(−(x−µ)² / (2σ²)) / sqrt(2πσ²).
 
-and record the erratum in EXPERIMENTS.md).  All families expose exact
-densities, CDFs where classical closed forms exist (for KS testing),
-moments and vectorizable numpy samplers.
+All families expose exact densities, CDFs and inverse CDFs where
+classical closed forms exist (KS tests and truncated draws), moments,
+and one sampler each: a one-call numpy ``sample_batch``.
 """
 
 from __future__ import annotations
@@ -111,16 +112,6 @@ class Normal(ParameterizedDistribution):
         return float(math.exp(-(value - mu) ** 2 / (2.0 * var))
                      / math.sqrt(2.0 * math.pi * var))
 
-    def sample(self, params: Sequence[Any],
-               rng: np.random.Generator) -> float:
-        mu, var = self.validate_params(params)
-        return float(rng.normal(mu, math.sqrt(var)))
-
-    def sample_many(self, params: Sequence[Any],
-                    rng: np.random.Generator, n: int) -> list:
-        mu, var = self.validate_params(params)
-        return rng.normal(mu, math.sqrt(var), size=n).tolist()
-
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
         mu, var = self.validate_params(params)
@@ -167,11 +158,6 @@ class LogNormal(ParameterizedDistribution):
             return 0.0
         return float(math.exp(-(math.log(value) - mu) ** 2 / (2.0 * var))
                      / (value * math.sqrt(2.0 * math.pi * var)))
-
-    def sample(self, params: Sequence[Any],
-               rng: np.random.Generator) -> float:
-        mu, var = self.validate_params(params)
-        return float(rng.lognormal(mu, math.sqrt(var)))
 
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
@@ -221,16 +207,6 @@ class Exponential(ParameterizedDistribution):
             return 0.0
         return float(rate * math.exp(-rate * value))
 
-    def sample(self, params: Sequence[Any],
-               rng: np.random.Generator) -> float:
-        (rate,) = self.validate_params(params)
-        return float(rng.exponential(1.0 / rate))
-
-    def sample_many(self, params: Sequence[Any],
-                    rng: np.random.Generator, n: int) -> list:
-        (rate,) = self.validate_params(params)
-        return rng.exponential(1.0 / rate, size=n).tolist()
-
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
         (rate,) = self.validate_params(params)
@@ -274,16 +250,6 @@ class Uniform(ParameterizedDistribution):
         if value is None or not low <= value <= high:
             return 0.0
         return 1.0 / (high - low)
-
-    def sample(self, params: Sequence[Any],
-               rng: np.random.Generator) -> float:
-        low, high = self.validate_params(params)
-        return float(rng.uniform(low, high))
-
-    def sample_many(self, params: Sequence[Any],
-                    rng: np.random.Generator, n: int) -> list:
-        low, high = self.validate_params(params)
-        return rng.uniform(low, high, size=n).tolist()
 
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
@@ -338,11 +304,6 @@ class Gamma(ParameterizedDistribution):
                        - rate * value - math.lgamma(shape))
         return float(math.exp(log_density))
 
-    def sample(self, params: Sequence[Any],
-               rng: np.random.Generator) -> float:
-        shape, rate = self.validate_params(params)
-        return float(rng.gamma(shape, 1.0 / rate))
-
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
         shape, rate = self.validate_params(params)
@@ -381,11 +342,6 @@ class Beta(ParameterizedDistribution):
         return float(math.exp(log_norm + (alpha - 1.0) * math.log(value)
                               + (beta - 1.0) * math.log(1.0 - value)))
 
-    def sample(self, params: Sequence[Any],
-               rng: np.random.Generator) -> float:
-        alpha, beta = self.validate_params(params)
-        return float(rng.beta(alpha, beta))
-
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
         alpha, beta = self.validate_params(params)
@@ -420,11 +376,6 @@ class Laplace(ParameterizedDistribution):
         if value is None:
             return 0.0
         return float(math.exp(-abs(value - loc) / scale) / (2.0 * scale))
-
-    def sample(self, params: Sequence[Any],
-               rng: np.random.Generator) -> float:
-        loc, scale = self.validate_params(params)
-        return float(rng.laplace(loc, scale))
 
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:

@@ -5,6 +5,9 @@ Poisson) and further standard families used by the examples, workloads
 and tests.  Each class documents its parameter space ``Θ_ψ``; Fact 2.3's
 regularity conditions (continuity in θ, identifiability) hold for all of
 them, as the paper notes for "most common parametric families".
+``Bernoulli`` is not a class: the default registry binds it to Flip's
+law under a second name
+(:meth:`repro.distributions.registry.DistributionRegistry.alias`).
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ class Flip(ParameterizedDistribution):
             return 1.0 - p
         return 0.0
 
-    def sample(self, params: Sequence[Any], rng: np.random.Generator) -> int:
-        (p,) = self.validate_params(params)
-        return int(rng.random() < p)
-
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
         (p,) = self.validate_params(params)
@@ -67,19 +66,6 @@ class Flip(ParameterizedDistribution):
     def variance(self, params: Sequence[Any]) -> float:
         (p,) = self.validate_params(params)
         return p * (1.0 - p)
-
-
-class Bernoulli(Flip):
-    """Alias of :class:`Flip` under its statistics name.
-
-    Registered separately: Example 1.1's program ``G'_0`` relies on two
-    distributions that are equal as measures but differ *by name*
-    (``Flip`` vs ``Flip'``), which changes the semantics of [3] but not
-    ours.  Having a genuine same-law/different-name pair in the registry
-    lets tests reproduce that discussion.
-    """
-
-    name = "Bernoulli"
 
 
 class Binomial(ParameterizedDistribution):
@@ -111,15 +97,6 @@ class Binomial(ParameterizedDistribution):
         if k < 0 or k > n:
             return 0.0
         return float(math.comb(n, k) * (p ** k) * ((1.0 - p) ** (n - k)))
-
-    def sample(self, params: Sequence[Any], rng: np.random.Generator) -> int:
-        n, p = self.validate_params(params)
-        return int(rng.binomial(n, p))
-
-    def sample_many(self, params: Sequence[Any],
-                    rng: np.random.Generator, count: int) -> list:
-        n, p = self.validate_params(params)
-        return [int(v) for v in rng.binomial(n, p, size=count)]
 
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
@@ -168,15 +145,6 @@ class Poisson(ParameterizedDistribution):
             return 0.0
         return float(math.exp(k * math.log(lam) - lam - math.lgamma(k + 1)))
 
-    def sample(self, params: Sequence[Any], rng: np.random.Generator) -> int:
-        (lam,) = self.validate_params(params)
-        return int(rng.poisson(lam))
-
-    def sample_many(self, params: Sequence[Any],
-                    rng: np.random.Generator, n: int) -> list:
-        (lam,) = self.validate_params(params)
-        return [int(v) for v in rng.poisson(lam, size=n)]
-
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
         (lam,) = self.validate_params(params)
@@ -222,15 +190,10 @@ class Geometric(ParameterizedDistribution):
             return 0.0
         return float(((1.0 - p) ** k) * p)
 
-    def sample(self, params: Sequence[Any], rng: np.random.Generator) -> int:
-        (p,) = self.validate_params(params)
-        # numpy's geometric counts trials (support {1, 2, ...}); shift.
-        return int(rng.geometric(p)) - 1
-
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
         (p,) = self.validate_params(params)
-        # Same trials-to-failures shift as the scalar sampler.
+        # numpy's geometric counts trials (support {1, 2, ...}); shift.
         return rng.geometric(p, size=size).astype(np.int64) - 1
 
     def support(self, params: Sequence[Any]) -> Iterator[int]:
@@ -273,10 +236,6 @@ class DiscreteUniform(ParameterizedDistribution):
         if low <= k <= high:
             return 1.0 / (high - low + 1)
         return 0.0
-
-    def sample(self, params: Sequence[Any], rng: np.random.Generator) -> int:
-        low, high = self.validate_params(params)
-        return int(rng.integers(low, high + 1))
 
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
@@ -334,10 +293,6 @@ class Categorical(ParameterizedDistribution):
         if 0 <= k < len(weights):
             return weights[k]
         return 0.0
-
-    def sample(self, params: Sequence[Any], rng: np.random.Generator) -> int:
-        weights = self.validate_params(params)
-        return int(rng.choice(len(weights), p=np.asarray(weights)))
 
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:

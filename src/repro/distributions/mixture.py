@@ -84,18 +84,6 @@ class FiniteMixture(ParameterizedDistribution):
             for weight, distribution, component_params
             in self.components)
 
-    def sample(self, params: Sequence[Any],
-               rng: np.random.Generator) -> Any:
-        self.validate_params(params)
-        u = rng.random()
-        cumulative = 0.0
-        for weight, distribution, component_params in self.components:
-            cumulative += weight
-            if u < cumulative:
-                return distribution.sample(component_params, rng)
-        weight, distribution, component_params = self.components[-1]
-        return distribution.sample(component_params, rng)
-
     def sample_batch(self, params: Sequence[Any], size: int,
                      rng: np.random.Generator) -> np.ndarray:
         self.validate_params(params)

@@ -5,11 +5,14 @@ program may use (Section 3.1).  A :class:`DistributionRegistry` is that
 family: the parser resolves ``Name⟨θ⟩`` random terms against it, and
 custom families can be registered for applications.
 
-A name-aliasing helper reproduces the paper's ``Flip'`` device
-(Example 1.1): two registered names bound to the *same law* are
+:meth:`DistributionRegistry.alias` reproduces the paper's ``Flip'``
+device (Example 1.1): two registered names bound to the *same law* are
 different elements of ``Ψ`` and therefore behave differently under the
 semantics of [3] (which keys samples by distribution name) while being
-interchangeable under this paper's semantics.
+interchangeable under this paper's semantics.  An
+:class:`AliasedDistribution` forwards every law method to the family it
+names - the one same-law wrapper, which the §6.2 tag wrapper
+(:class:`repro.core.barany.TaggedDistribution`) extends.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from repro.distributions.base import ParameterizedDistribution
 from repro.distributions.continuous import (Beta, Exponential, Gamma,
                                             Laplace, LogNormal, Normal,
                                             Uniform)
-from repro.distributions.discrete import (Bernoulli, Binomial, Categorical,
+from repro.distributions.discrete import (Binomial, Categorical,
                                           DiscreteUniform, Flip, Geometric,
                                           Poisson)
 from repro.errors import DistributionError
@@ -78,7 +81,12 @@ class DistributionRegistry:
 
 
 class AliasedDistribution(ParameterizedDistribution):
-    """A distribution that delegates everything but its name."""
+    """A second name for an existing law; every law method forwards.
+
+    :meth:`_inner_params` maps this wrapper's parameters to the inner
+    family's: the identity here, the tag-dropping map in
+    :class:`repro.core.barany.TaggedDistribution`.
+    """
 
     def __init__(self, inner: ParameterizedDistribution, name: str):
         self._inner = inner
@@ -86,55 +94,57 @@ class AliasedDistribution(ParameterizedDistribution):
         self.param_arity = inner.param_arity
         self.is_discrete = inner.is_discrete
 
+    def _inner_params(self, params):
+        return params
+
     def validate_params(self, params):
         return self._inner.validate_params(params)
 
-    def _check_params(self, params):
-        return self._inner.validate_params(params)
-
     def density(self, params, x):
-        return self._inner.density(params, x)
-
-    def sample(self, params, rng):
-        return self._inner.sample(params, rng)
+        return self._inner.density(self._inner_params(params), x)
 
     def sample_batch(self, params, size, rng):
-        return self._inner.sample_batch(params, size, rng)
+        return self._inner.sample_batch(self._inner_params(params), size,
+                                        rng)
 
     def support(self, params):
-        return self._inner.support(params)
+        return self._inner.support(self._inner_params(params))
 
     def support_is_finite(self, params):
-        return self._inner.support_is_finite(params)
+        return self._inner.support_is_finite(self._inner_params(params))
 
     def cdf(self, params, x):
-        return self._inner.cdf(params, x)
+        return self._inner.cdf(self._inner_params(params), x)
 
     def ppf(self, params, q):
-        return self._inner.ppf(params, q)
+        return self._inner.ppf(self._inner_params(params), q)
 
     def sample_batch_truncated(self, params, region, size, rng):
-        return self._inner.sample_batch_truncated(params, region, size, rng)
+        return self._inner.sample_batch_truncated(
+            self._inner_params(params), region, size, rng)
 
     def mean(self, params):
-        return self._inner.mean(params)
+        return self._inner.mean(self._inner_params(params))
 
     def variance(self, params):
-        return self._inner.variance(params)
+        return self._inner.variance(self._inner_params(params))
 
 
 def default_registry() -> DistributionRegistry:
     """The standard family Ψ: Example 2.2's distributions and more.
 
-    Includes the ``FlipPrime`` alias of ``Flip`` (the paper's ``Flip'``)
-    so Example 1.1's ``G'_0`` can be written directly.
+    ``Bernoulli`` and ``FlipPrime`` (the paper's ``Flip'``) are aliases
+    of ``Flip``: equal as measures, different by name.  Example 1.1's
+    ``G'_0`` relies on such a pair, whose semantics differs under [3]
+    but not under ours, so the example can be written directly.
     """
     registry = DistributionRegistry([
-        Flip(), Bernoulli(), Binomial(), Poisson(), Geometric(),
-        DiscreteUniform(), Categorical(),
+        Flip(), Binomial(), Poisson(), Geometric(), DiscreteUniform(),
+        Categorical(),
         Normal(), LogNormal(), Exponential(), Uniform(), Gamma(), Beta(),
         Laplace(),
     ])
+    registry.alias("Flip", "Bernoulli")
     registry.alias("Flip", "FlipPrime")
     return registry
 

@@ -143,32 +143,6 @@ def verify_identifiability(distribution: ParameterizedDistribution,
         >= minimum_distance
 
 
-def verify_batch_consistency(distribution: ParameterizedDistribution,
-                             params: Sequence, n: int = 4000,
-                             seed: int = 0,
-                             alpha: float = 1e-4) -> bool:
-    """Check ``sample_batch`` draws from the same law as ``sample``.
-
-    The batched chase engine (:mod:`repro.engine.batched`) substitutes
-    one :meth:`sample_batch` call for ``n`` scalar :meth:`sample`
-    calls, so a custom family whose two samplers disagree corrupts
-    every batched inference silently.  This runs a two-sample
-    Kolmogorov-Smirnov test between the two samplers at one parameter
-    point (with a generous critical value - it separates wrong-law
-    bugs from Monte-Carlo noise, not subtle miscalibrations).
-    """
-    from repro.measures.empirical import (ks_critical_value,
-                                          ks_two_sample)
-    params = distribution.validate_params(params)
-    rng = np.random.default_rng(seed)
-    batch = [float(x) for x in
-             distribution.sample_batch(params, n, rng)]
-    scalar = [float(distribution.sample(params, rng))
-              for _ in range(n)]
-    statistic = ks_two_sample(batch, scalar)
-    return statistic <= 1.3 * ks_critical_value(n, n, alpha)
-
-
 @dataclass(frozen=True)
 class Fact23Report:
     """Outcome of the Fact 2.3 condition checks at sample parameters."""

@@ -12,8 +12,10 @@ needed) exactly as printed in the paper:
 
 Expected exact outcomes under both semantics are provided for the
 discrete micro-programs as plain dictionaries, so tests and benchmarks
-can assert against the paper's stated numbers (see EXPERIMENTS.md for
-the Gε erratum discussion).
+can assert against the paper's stated numbers.  One erratum: the
+paper's prose values for ``Gε`` assume both biases are 1/2 + ε, while
+the displayed program has 1/2 and 1/2 + ε; :func:`g_eps_expected`
+follows the displayed program.
 """
 
 from __future__ import annotations
@@ -89,7 +91,10 @@ def g_eps_expected(epsilon: float) -> dict[Instance, float]:
     samples twice).  Note the paper's prose values (1/4 + ε + ε², ...)
     correspond to *both* biases being 1/2 + ε; the displayed program
     has biases 1/2 and 1/2 + ε, giving the values below.  Either way
-    the discontinuity claim is unaffected; see EXPERIMENTS.md (E2).
+    the discontinuity claim is unaffected: as ε → 0 both versions tend
+    to ``G0``'s outcomes under our semantics, in which {R(0), R(1)} has
+    probability 1/2, whereas [3] samples ``G0`` once and never
+    produces that world.
     """
     p, q = Fraction(1, 2), Fraction(1, 2) + Fraction(epsilon)
     return {

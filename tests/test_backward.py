@@ -22,6 +22,7 @@ import pytest
 import repro
 from repro.core.backward import BackwardPlan, backward_plan
 from repro.core.observe import observe
+from repro.distributions import base as distribution_base
 from repro.engine.batched import BatchedChase
 from repro.errors import MeasureError
 from repro.pdb.events import (AtLeastEvent, ContainsFactEvent, Equals,
@@ -162,6 +163,31 @@ class TestUnreachable:
         assert result.diagnostics["mean_weight"] > 0.0
         assert result.diagnostics["effective_sample_size"] \
             == pytest.approx(128.0)
+
+
+class TestTruncatedSamplerFailures:
+    """A truncated draw that fails surfaces as a MeasureError whose
+    text says why: zero prior mass, or a spent rejection budget."""
+
+    @staticmethod
+    def _guided(program, low):
+        above = AtLeastEvent(FactSet("X", Interval(low, _INF)), 1)
+        return repro.compile(program).on().observe(above).posterior(
+            method="guided", n=50, seed=0)
+
+    def test_exhausted_rejection_budget_is_not_called_zero_mass(
+            self, monkeypatch):
+        # P(Gamma<2, 1> >= 40) is about 1.7e-16: positive, but beyond
+        # any rejection budget (shortened here to keep the test fast).
+        monkeypatch.setattr(distribution_base, "_REJECTION_ROUNDS", 2)
+        with pytest.raises(MeasureError) as raised:
+            self._guided("X(Gamma<2.0, 1.0>) :- true.", 40.0)
+        assert "budget exhausted" in str(raised.value)
+        assert "zero prior mass" not in str(raised.value)
+
+    def test_zero_mass_region_still_says_zero_mass(self):
+        with pytest.raises(MeasureError, match="zero prior mass"):
+            self._guided("X(Uniform<0.0, 1.0>) :- true.", 5.0)
 
 
 # ---------------------------------------------------------------------------

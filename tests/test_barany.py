@@ -8,8 +8,11 @@ from repro.core.barany import (TaggedDistribution,
                                simulation_helper_relations,
                                to_barany_simulation, to_grohe_simulation)
 from repro.core.program import Program
+from repro.distributions.continuous import Normal
+from repro.distributions.regions import Region
 from repro.distributions.registry import DEFAULT_REGISTRY
 from repro.workloads import paper
+from repro.pdb.events import AtLeastEvent, Equals, FactSet, Interval
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 
@@ -103,6 +106,39 @@ class TestTaggedDistribution:
         assert list(tagged.support((0, 0.5))) == [0, 1]
         assert tagged.mean((0, 0.5)) == pytest.approx(0.5)
         assert tagged.support_is_finite((0, 0.5))
+
+    def test_truncated_draws_equal_the_untagged_family(self):
+        region = Region.interval(6.0, 6.5)
+        tagged, tagged_weight = TaggedDistribution(
+            Normal()).sample_batch_truncated(
+                ("t", 0.0, 1.0), region, 1000, np.random.default_rng(4))
+        plain, plain_weight = Normal().sample_batch_truncated(
+            (0.0, 1.0), region, 1000, np.random.default_rng(4))
+        assert tagged.tolist() == plain.tolist()
+        assert tagged_weight == plain_weight
+
+
+class TestTaggedConditioning:
+    def test_guided_posterior_on_the_simulated_program(self):
+        """Guided conditioning on Example 3.5 under the §6.2 simulation:
+        the tagged Normal truncates through the inner inverse CDF, as
+        the untagged program does, instead of exhausting rejection."""
+        tall = AtLeastEvent(FactSet("PHeight", Equals("nl-p0"),
+                                    Interval(230.0, float("inf"))), 1)
+        simulated, _registry = to_barany_simulation(
+            paper.example_3_5_program())
+        result = repro.compile(simulated, semantics="barany").on(
+            paper.example_3_5_instance()).observe(tall).posterior(
+                method="guided", n=200, seed=1)
+        assert result.kind == "guided"
+        assert "fallback" not in result.diagnostics
+        assert result.diagnostics["effective_sample_size"] == \
+            pytest.approx(200.0)
+        posterior = result.pdb.map_worlds(lambda world: world)
+        live = [world for world, weight
+                in zip(posterior.worlds, posterior.weights) if weight > 0]
+        assert len(live) == 200
+        assert all(tall.contains(world) for world in live)
 
 
 class TestBaranySimulation:

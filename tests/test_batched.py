@@ -2,10 +2,11 @@
 
 Four concerns:
 
-* **registry tripwire** - every registered distribution implements
-  ``sample_batch`` consistently with ``sample`` (same support, same
-  value kind, matching moments); registering a family without batch
-  coverage fails here;
+* **registry tripwire** - ``sample_batch`` is the only sampler a family
+  implements: every registered distribution, both mixture kinds and
+  the Bárány tag wrapper draw ``sample`` as a one-draw batch, draw for
+  draw, and their batches have the declared support, value kind and
+  moments; registering a family without batch coverage fails here;
 * **scalar bit-identity** - ``backend="scalar"`` reproduces the
   prepared-loop draws run by run, and one Generator threaded through
   ``Session.run`` replays the 1.x shared-stream sampler;
@@ -28,8 +29,11 @@ import repro
 from repro.api.config import ChaseConfig
 from repro.core.chase import run_chase_prepared, make_engine
 from repro.core.policies import DEFAULT_POLICY, LastPolicy
+from repro.core.barany import TaggedDistribution
+from repro.distributions.base import ParameterizedDistribution
 from repro.distributions.mixture import FiniteMixture
 from repro.distributions.continuous import Normal
+from repro.distributions.discrete import Flip, Poisson
 from repro.distributions.registry import DEFAULT_REGISTRY
 from repro.engine import batched as batched_module
 from repro.engine.batched import (ALWAYS, NEVER, PINNED, BatchedChase,
@@ -68,6 +72,18 @@ BATCH_PARAMS = {
 }
 
 BATCH_N = 2000
+
+#: Every registered family at its ``BATCH_PARAMS`` point, a discrete and
+#: a continuous mixture, and two Bárány-tagged families.
+IDENTITY_CASES = [(DEFAULT_REGISTRY[name], params)
+                  for name, params in sorted(BATCH_PARAMS.items())] + [
+    (FiniteMixture("CoinOrCount", [(0.3, Flip(), (0.2,)),
+                                   (0.7, Poisson(), (3.0,))]), ()),
+    (FiniteMixture("Bimodal", [(0.25, Normal(), (-2.0, 1.0)),
+                               (0.75, Normal(), (2.0, 0.5))]), ()),
+    (TaggedDistribution(DEFAULT_REGISTRY["Normal"]), ("t", 0.5, 2.0)),
+    (TaggedDistribution(DEFAULT_REGISTRY["Categorical"]), (3, 0.2, 0.8)),
+]
 
 
 class TestSampleBatchRegistry:
@@ -108,21 +124,61 @@ class TestSampleBatchRegistry:
 
     @pytest.mark.parametrize("name", sorted(BATCH_PARAMS))
     def test_batch_ks_consistent_with_scalar(self, name):
-        assert repro.distributions.verify_batch_consistency(
-            DEFAULT_REGISTRY[name], BATCH_PARAMS[name], n=1500,
-            seed=5), name
+        """One size-n batch has the law of n one-draw batches.
 
-    def test_base_class_fallback_loops_scalar_sampler(self):
-        class Odd(Normal):
-            name = "OddNormal"
-            # No sample_batch override: inherit the base-class loop...
-            sample_batch = \
-                repro.distributions.base.ParameterizedDistribution \
-                .sample_batch
+        Draw pooling hands a group a slice of a larger call, so a
+        family's law must not depend on ``size``.
+        """
+        distribution = DEFAULT_REGISTRY[name]
+        params = BATCH_PARAMS[name]
+        rng = np.random.default_rng(5)
+        batch = distribution.sample_batch(params, 1500, rng).tolist()
+        scalar = [distribution.sample(params, rng) for _ in range(1500)]
+        statistic = ks_two_sample([float(x) for x in batch],
+                                  [float(x) for x in scalar])
+        assert statistic <= 1.3 * ks_critical_value(1500, 1500, 1e-4), \
+            name
 
-        batch = Odd().sample_batch((0.0, 1.0), 64,
-                                   np.random.default_rng(0))
-        assert batch.shape == (64,)
+    @pytest.mark.parametrize("distribution,params", IDENTITY_CASES,
+                             ids=[d.name for d, _p in IDENTITY_CASES])
+    def test_scalar_draw_is_one_draw_batch(self, distribution, params):
+        scalar_rng = np.random.default_rng(13)
+        batch_rng = np.random.default_rng(13)
+        kind = int if distribution.is_discrete else float
+        for _ in range(500):
+            value = distribution.sample(params, scalar_rng)
+            expected = distribution.sample_batch(params, 1,
+                                                 batch_rng).item()
+            assert value == expected
+            assert type(value) is type(expected) is kind
+        assert scalar_rng.bit_generator.state == \
+            batch_rng.bit_generator.state
+
+    def test_only_the_base_class_defines_sample(self):
+        pending = list(ParameterizedDistribution.__subclasses__())
+        seen = set()
+        while pending:
+            cls = pending.pop()
+            if cls not in seen:
+                seen.add(cls)
+                pending.extend(cls.__subclasses__())
+        assert {FiniteMixture, TaggedDistribution, Normal} <= seen
+        assert [cls for cls in seen if cls.__module__.startswith("repro.")
+                and "sample" in vars(cls)] == []
+
+    def test_family_without_sample_batch_raises(self):
+        class Bare(ParameterizedDistribution):
+            name = "Bare"
+            param_arity = 0
+
+            def _check_params(self, params):
+                return params
+
+        rng = np.random.default_rng(0)
+        with pytest.raises(NotImplementedError, match="Bare"):
+            Bare().sample_batch((), 4, rng)
+        with pytest.raises(NotImplementedError, match="Bare"):
+            Bare().sample((), rng)
 
     def test_mixture_sample_batch_matches_law(self):
         mixture = FiniteMixture("Bimodal", [

@@ -61,7 +61,7 @@ def test_parameter_table_covers_registry_exactly():
 def _samples(name, params):
     rng = np.random.default_rng(int.from_bytes(name.encode(), "big")
                                 % (2 ** 31) + len(params))
-    return DEFAULT_REGISTRY[name].sample_many(params, rng, N_SAMPLES)
+    return DEFAULT_REGISTRY[name].sample_batch(params, N_SAMPLES, rng).tolist()
 
 
 @pytest.mark.parametrize("name,params", CASES, ids=CASE_IDS)

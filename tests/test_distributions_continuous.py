@@ -44,7 +44,7 @@ class TestNormal:
     def test_variance_parameterization(self):
         # Second parameter is the variance σ², per the paper's notation.
         rng = np.random.default_rng(0)
-        samples = Normal().sample_many((0.0, 9.0), rng, 8000)
+        samples = Normal().sample_batch((0.0, 9.0), 8000, rng).tolist()
         assert abs(np.std(samples) - 3.0) < 0.15
 
     def test_parameter_validation(self):
@@ -61,7 +61,7 @@ class TestNormal:
 
     def test_sampling_ks(self):
         rng = np.random.default_rng(1)
-        samples = Normal().sample_many((2.0, 4.0), rng, 3000)
+        samples = Normal().sample_batch((2.0, 4.0), 3000, rng).tolist()
         stat = ks_statistic(samples,
                             lambda x: Normal().cdf((2.0, 4.0), x))
         assert stat < ks_critical_value(3000, alpha=0.001)
@@ -83,7 +83,7 @@ class TestLogNormal:
 
     def test_mean_formula(self):
         rng = np.random.default_rng(2)
-        samples = LogNormal().sample_many((0.5, 0.09), rng, 20000)
+        samples = LogNormal().sample_batch((0.5, 0.09), 20000, rng).tolist()
         assert abs(np.mean(samples) - LogNormal().mean((0.5, 0.09))) \
             < 0.05
 
@@ -100,7 +100,7 @@ class TestExponential:
 
     def test_rate_parameterization(self):
         rng = np.random.default_rng(3)
-        samples = Exponential().sample_many((4.0,), rng, 8000)
+        samples = Exponential().sample_batch((4.0,), 8000, rng).tolist()
         assert abs(np.mean(samples) - 0.25) < 0.02
 
     def test_cdf(self):
@@ -109,7 +109,7 @@ class TestExponential:
 
     def test_sampling_ks(self):
         rng = np.random.default_rng(4)
-        samples = Exponential().sample_many((1.5,), rng, 3000)
+        samples = Exponential().sample_batch((1.5,), 3000, rng).tolist()
         stat = ks_statistic(samples,
                             lambda x: Exponential().cdf((1.5,), x))
         assert stat < ks_critical_value(3000, alpha=0.001)
@@ -127,7 +127,7 @@ class TestUniform:
 
     def test_sampling_range(self):
         rng = np.random.default_rng(5)
-        samples = Uniform().sample_many((-1.0, 1.0), rng, 1000)
+        samples = Uniform().sample_batch((-1.0, 1.0), 1000, rng).tolist()
         assert min(samples) >= -1.0 and max(samples) <= 1.0
 
     def test_moments(self):
@@ -149,7 +149,7 @@ class TestGamma:
 
     def test_sampling_mean(self):
         rng = np.random.default_rng(6)
-        samples = Gamma().sample_many((3.0, 2.0), rng, 8000)
+        samples = Gamma().sample_batch((3.0, 2.0), 8000, rng).tolist()
         assert abs(np.mean(samples) - 1.5) < 0.05
 
 
@@ -169,7 +169,7 @@ class TestBeta:
 
     def test_sampling_mean(self):
         rng = np.random.default_rng(7)
-        samples = Beta().sample_many((2.0, 6.0), rng, 8000)
+        samples = Beta().sample_batch((2.0, 6.0), 8000, rng).tolist()
         assert abs(np.mean(samples) - 0.25) < 0.02
 
 
@@ -189,7 +189,7 @@ class TestLaplace:
 
     def test_variance(self):
         rng = np.random.default_rng(8)
-        samples = Laplace().sample_many((0.0, 2.0), rng, 12000)
+        samples = Laplace().sample_batch((0.0, 2.0), 12000, rng).tolist()
         assert abs(np.var(samples) - 8.0) < 0.6
 
 

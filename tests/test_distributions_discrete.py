@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.distributions.discrete import (Bernoulli, Binomial, Categorical,
+from repro.distributions.discrete import (Binomial, Categorical,
                                           DiscreteUniform, Flip, Geometric,
                                           Poisson)
+from repro.distributions.registry import DEFAULT_REGISTRY
 from repro.errors import DistributionError
 from repro.measures.empirical import frequencies_close
 
@@ -47,7 +48,7 @@ class TestFlip:
 
     def test_sampling_frequencies(self):
         rng = np.random.default_rng(0)
-        samples = Flip().sample_many((0.3,), rng, 5000)
+        samples = Flip().sample_batch((0.3,), 5000, rng).tolist()
         assert frequencies_close(samples, {1: 0.3, 0: 0.7})
 
     def test_moments(self):
@@ -59,9 +60,10 @@ class TestFlip:
         assert m.is_probability()
 
     def test_bernoulli_alias_same_law(self):
-        assert Bernoulli().density((0.4,), 1) == \
+        bernoulli = DEFAULT_REGISTRY["Bernoulli"]
+        assert bernoulli.density((0.4,), 1) == \
             Flip().density((0.4,), 1)
-        assert Bernoulli().name != Flip().name
+        assert bernoulli.name != Flip().name
 
 
 class TestBinomial:
@@ -90,7 +92,7 @@ class TestBinomial:
 
     def test_sampling_mean(self):
         rng = np.random.default_rng(1)
-        samples = Binomial().sample_many((20, 0.4), rng, 3000)
+        samples = Binomial().sample_batch((20, 0.4), 3000, rng).tolist()
         assert abs(np.mean(samples) - 8.0) < 0.3
 
 
@@ -118,7 +120,7 @@ class TestPoisson:
 
     def test_sampling_mean(self):
         rng = np.random.default_rng(2)
-        samples = Poisson().sample_many((4.0,), rng, 3000)
+        samples = Poisson().sample_batch((4.0,), 3000, rng).tolist()
         assert abs(np.mean(samples) - 4.0) < 0.2
 
     def test_large_rate_stable(self):
@@ -136,12 +138,12 @@ class TestGeometric:
 
     def test_support_starts_at_zero(self):
         rng = np.random.default_rng(3)
-        samples = Geometric().sample_many((0.9,), rng, 500)
+        samples = Geometric().sample_batch((0.9,), 500, rng).tolist()
         assert min(samples) == 0
 
     def test_sampling_matches_pmf(self):
         rng = np.random.default_rng(4)
-        samples = Geometric().sample_many((0.4,), rng, 5000)
+        samples = Geometric().sample_batch((0.4,), 5000, rng).tolist()
         expected = {k: 0.6 ** k * 0.4 for k in range(4)}
         assert frequencies_close(samples, expected)
 
@@ -164,7 +166,7 @@ class TestDiscreteUniform:
 
     def test_sampling_range(self):
         rng = np.random.default_rng(5)
-        samples = DiscreteUniform().sample_many((3, 7), rng, 500)
+        samples = DiscreteUniform().sample_batch((3, 7), 500, rng).tolist()
         assert min(samples) >= 3 and max(samples) <= 7
 
     def test_mean_variance(self):
@@ -186,7 +188,7 @@ class TestCategorical:
 
     def test_sampling(self):
         rng = np.random.default_rng(6)
-        samples = Categorical().sample_many((0.1, 0.9), rng, 3000)
+        samples = Categorical().sample_batch((0.1, 0.9), 3000, rng).tolist()
         assert frequencies_close(samples, {0: 0.1, 1: 0.9})
 
     def test_moments(self):

@@ -115,7 +115,7 @@ class TestSupportAndSampling:
     def test_sampling_matches_density(self):
         mixture = bimodal()
         rng = np.random.default_rng(0)
-        samples = mixture.sample_many((), rng, 6000)
+        samples = mixture.sample_batch((), 6000, rng).tolist()
         summary = summarize(samples)
         assert abs(summary.mean) < 0.15
         assert abs(summary.variance - 5.0) < 0.4
@@ -124,7 +124,7 @@ class TestSupportAndSampling:
         mixture = FiniteMixture("U", [(0.5, Uniform(), (0.0, 1.0)),
                                       (0.5, Uniform(), (9.0, 10.0))])
         rng = np.random.default_rng(1)
-        samples = mixture.sample_many((), rng, 500)
+        samples = mixture.sample_batch((), 500, rng).tolist()
         assert all(0 <= s <= 1 or 9 <= s <= 10 for s in samples)
 
 
@@ -186,8 +186,8 @@ class TestVectorizedSampling:
         scalar = [distribution.sample(params,
                                       np.random.default_rng(1000 + i))
                   for i in range(800)]
-        vectorized = distribution.sample_many(
-            params, np.random.default_rng(5), 800)
+        vectorized = distribution.sample_batch(
+            params, 800, np.random.default_rng(5)).tolist()
         assert len(vectorized) == 800
         stat = ks_two_sample([float(s) for s in scalar],
                              [float(v) for v in vectorized])

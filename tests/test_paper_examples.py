@@ -1,7 +1,9 @@
 """Integration tests: every worked example of the paper, exact numbers.
 
-These are the reproduction's ground-truth checks (experiments E1-E5 of
-DESIGN.md); EXPERIMENTS.md cites the values asserted here.
+These are the reproduction's ground-truth checks: the outcome tables of
+Example 1.1 (``G0``, ``G'0``, ``Gε``) under both semantics, §6.2's
+``H`` and ``H'``, the Example 3.4 alarm marginals (exact and Monte
+Carlo) and Example 3.5's height moments.
 """
 
 import numpy as np

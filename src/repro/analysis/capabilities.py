@@ -374,14 +374,13 @@ def _predict_streaming(translated, batched: Capability,
 
     :func:`repro.engine.batched.observation_effects` admits an
     observation when its trigger analysis is NEVER (or the pinned
-    value stays outside every pin), and raises
-    ``StreamingUnsupported`` on scalar-fallback worlds touching the
-    observed auxiliary.  Both hazards vanish together when *no rule
-    body reads any sampled head relation*: every trigger analysis is
-    NEVER, so worlds are never regrouped and never fall back to the
-    scalar engine.  That condition is per-program, not per-auxiliary -
-    a cascade round that overruns the step budget strands its worlds on
-    the scalar path and poisons observations of every other auxiliary.
+    value stays outside every pin).  Every trigger analysis is NEVER
+    when *no rule body reads any sampled head relation*: worlds are
+    then never regrouped and the batch has no cascade round that
+    could decline.  That condition is per-program, not
+    per-auxiliary - a cascade round that overruns the step budget
+    declines the whole batch, so the stream cannot open for an
+    observation of any auxiliary.
     """
     read_by: dict[str, list[str]] = {}
     for rule in translated.rules:

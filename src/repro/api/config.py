@@ -6,15 +6,17 @@ arguments (``policy``, ``rng``, ``engine``, ``max_steps``,
 scatter with one validated, immutable value object that a
 :class:`repro.api.Session` carries through every inference call.
 
-Randomness is configured by ``seed`` alone.  Every run draws from its
-own child stream derived via :class:`numpy.random.SeedSequence`, so
-runs are statistically independent *and* order-independent, which is
-what lets ``Session.sample(n, shards=k)`` split a scalar batch across
-processes reproducibly.  World ``i``'s stream is :func:`world_rng` of
-the root entropy and ``i`` wherever it is built - one process, a shard
-worker or a stream's resampler.  The batched backend additionally
-draws its vectorized waves from one pooled generator,
-:meth:`ChaseConfig.base_rng`.
+Randomness is configured by ``seed`` alone.  Every run of the scalar
+chase draws from its own child stream derived via
+:class:`numpy.random.SeedSequence`, so runs are statistically
+independent *and* order-independent, which is what lets
+``Session.sample(n, shards=k)`` split a scalar batch across processes
+reproducibly.  World ``i``'s stream is :func:`world_rng` of the root
+entropy and ``i`` wherever it is built - one process, a shard worker
+or a stream's resampler.  The batched backend builds no per-world
+stream: it draws its vectorized waves from one pooled generator,
+:meth:`ChaseConfig.base_rng`, and declines a batch it cannot finish
+that way.
 """
 
 from __future__ import annotations
@@ -48,14 +50,14 @@ ENGINES = ("incremental", "naive")
 #: programs (sampled values enabling further rules, e.g. Example 3.4's
 #: Trig/Alarm stage) stay on the batched backend too - trigger-hit
 #: worlds are regrouped by their enabled-trigger signature and the next
-#: existential layer runs vectorized per group, whatever its size; only
-#: budget-starved or structurally unsupported rounds finish on the
-#: scalar engine.  Both translations are batchable: the per-rule
-#: (grohe) one, and - since the shared
-#: ``Sample#`` companion fan-out is vectorized - the Bárány one of
-#: Section 6.2.  The remaining hard requirements: weak acyclicity of
-#: the translated program, sequential chase, no trace recording, and
-#: a batch-safe policy.
+#: existential layer runs vectorized per group, whatever its size; a
+#: budget-starved or structurally unsupported round declines the whole
+#: batch to the scalar loop.  Both translations are batchable: the
+#: per-rule (grohe) one, and - since the shared ``Sample#`` companion
+#: fan-out is vectorized - the Bárány one of Section 6.2.  The
+#: remaining hard requirements: weak acyclicity of the translated
+#: program, sequential chase, no trace recording, and a batch-safe
+#: policy.
 BACKENDS = ("auto", "scalar", "batched")
 
 
@@ -79,16 +81,17 @@ def world_rng(entropy: int, world: int) -> np.random.Generator:
 
 
 class WorldRngs(Sequence):
-    """The per-world generators of an ``n``-world batch, built on use.
+    """The per-world generators of an ``n``-run batch, built on use.
 
     World ``i``'s generator is built the first time index ``i`` is
     read and memoized, so a repeated read returns the same, already
-    advanced generator and a batch whose worlds never leave the
-    vectorized path builds none.  With a root ``entropy`` world ``i``
+    advanced generator, and a lazy consumer such as
+    :meth:`repro.api.Session.outputs` builds only the generators of
+    the runs it has reached.  With a root ``entropy`` world ``i``
     gets :func:`world_rng`; with a ``parent`` Generator the first read
     spawns all ``n`` children at once (``parent.spawn(n)``) - the
-    parent's spawn counter only advances by spawning, and only a batch
-    that reads a world may advance it.
+    parent's spawn counter only advances by spawning, and only a
+    caller that reads a world may advance it.
     """
 
     def __init__(self, n: int, entropy: int | None = None,
@@ -253,20 +256,21 @@ class ChaseConfig:
         return np.random.default_rng(self.seed)
 
     def spawn_rngs(self, n: int) -> WorldRngs:
-        """Per-run generators for an ``n``-run batch.
+        """Per-run generators for an ``n``-run scalar batch.
 
         Each run gets an independent
         :class:`~numpy.random.SeedSequence` child stream, as a lazy,
         memoized :class:`WorldRngs`: run ``i``'s generator is built
-        the first time it is read, so callers that touch only
-        a few runs (the batched backend's scalar-fallback worlds) pay
-        only for those.  An int or None seed fixes the root entropy
-        now (recorded as ``.entropy``; None draws it fresh) and builds
-        each child on its own with :func:`world_rng`, bit-identical to
-        ``SeedSequence(seed).spawn(n)``.  A Generator seed spawns its
-        ``n`` children all at once on the first read (numpy >= 1.25)
-        and so advances its spawn state, making consecutive batches
-        differ (as they would sharing a stream).
+        the first time it is read, so a caller that stops early
+        (:meth:`repro.api.Session.outputs`) pays only for the runs it
+        reached.  The batched backend never calls this: its draws come
+        from :meth:`base_rng`.  An int or None seed fixes the root
+        entropy now (recorded as ``.entropy``; None draws it fresh) and
+        builds each child on its own with :func:`world_rng`,
+        bit-identical to ``SeedSequence(seed).spawn(n)``.  A Generator
+        seed spawns its ``n`` children all at once on the first read
+        (numpy >= 1.25) and so advances its spawn state, making
+        consecutive batches differ (as they would sharing a stream).
         """
         if isinstance(self.seed, np.random.Generator):
             return WorldRngs(n, parent=self.seed)

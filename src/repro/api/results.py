@@ -51,10 +51,12 @@ class InferenceResult:
         out across processes (a sharded batch the batched engine
         accepts runs in-process and reports ``"batched"``); None for
         methods without a backend choice (exact, rejection,
-        likelihood).  Batched results additionally report ``n_split`` /
-        ``n_batched`` (worlds finished scalar vs vectorized),
-        ``n_rounds`` (cascade depth of the multi-round batch loop),
-        ``n_groups`` (terminal signature groups) and
+        likelihood).  ``"batched"`` means every world stayed
+        vectorized to the end: a batch the engine declines, also in
+        the middle of its cascade, runs the scalar loop and reports
+        ``"scalar"`` (or ``"sharded"``).  Batched results additionally
+        report ``n_rounds`` (cascade depth of the multi-round batch
+        loop), ``n_groups`` (terminal signature groups) and
         ``n_cached_rounds`` (group rounds whose transition an earlier
         batch on the same session had already computed, so it varies
         with how warm the session is) in ``diagnostics``, and their

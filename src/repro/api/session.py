@@ -36,7 +36,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.api.config import DEFAULT_CONFIG, ChaseConfig
+from repro.api.config import DEFAULT_CONFIG, ChaseConfig, _is_int
 from repro.api.results import InferenceResult
 from repro.core.applicability import (IncrementalApplicability,
                                       overlay_fork)
@@ -365,7 +365,9 @@ class Session:
         run, while ``"batched"`` advances all runs at once through
         :class:`repro.engine.batched.BatchedChase` - same output law,
         different draws - falling back to the scalar loop outside its
-        supported class.
+        supported class and for every batch it declines, so a declined
+        batch equals ``backend="scalar"`` world for world.  ``n`` must
+        be an int (numpy integers too) of at least 1.
 
         ``cfg.shards >= 2`` (e.g. the override ``shards=k``) routes
         to :func:`repro.serving.sample_sharded`, whose output equals
@@ -375,9 +377,8 @@ class Session:
         SeedSequence child streams.  ``shards=1`` and ``None`` take
         the single-process paths above.
         """
+        n = _check_runs(n)
         cfg = self.config.replace(**overrides)
-        if n <= 0:
-            raise ValidationError(f"need n >= 1 runs, got {n}")
         if cfg.shards is not None and cfg.shards > 1:
             from repro.serving import sample_sharded
             return sample_sharded(self, n, cfg)
@@ -406,8 +407,9 @@ class Session:
 
         ``"scalar"`` and ``"batched"`` are honoured as requested (the
         batched path still declines, falling back to scalar, when the
-        program is outside its class).  ``"auto"`` only picks batched
-        for a batch-safe policy on a batch-eligible program/config.
+        program is outside its class or the batch cannot stay
+        vectorized).  ``"auto"`` only picks batched for a batch-safe
+        policy on a batch-eligible program/config.
         """
         if cfg.backend == "scalar":
             return "scalar"
@@ -455,12 +457,13 @@ class Session:
 
         None when ``cfg.backend`` does not select the batched backend,
         the program is outside its class, or the engine declines the
-        batch (step budget).  The result wraps a
-        :class:`~repro.engine.batched.ColumnarMonteCarloPDB`: worlds
-        that stayed vectorized through the multi-round cascade are kept
-        columnar, so ``marginal`` / ``fact_marginals`` queries read the
-        sample arrays directly and the n ``Instance`` fact-sets are only
-        materialized if a caller walks ``result.pdb.worlds``.
+        batch (a cascade round overruns the step budget or cannot be
+        prepared).  The result wraps a
+        :class:`~repro.engine.batched.ColumnarMonteCarloPDB`: every
+        world stayed vectorized through the multi-round cascade and is
+        kept columnar, so ``marginal`` / ``fact_marginals`` queries read
+        the sample arrays directly and the n ``Instance`` fact-sets are
+        only materialized if a caller walks ``result.pdb.worlds``.
         """
         if self._resolve_backend(cfg) != "batched" \
                 or not self._batch_eligible(cfg):
@@ -471,9 +474,7 @@ class Session:
         from repro.engine.batched import ColumnarMonteCarloPDB
         visible = self.compiled.visible_relations
         start = time.perf_counter()
-        outcome = batched.run_batch(n, cfg.base_rng(), cfg.spawn_rngs(n),
-                                    cfg.policy or DEFAULT_POLICY,
-                                    cfg.max_steps)
+        outcome = batched.run_batch(n, cfg.base_rng(), cfg.max_steps)
         if outcome is None:
             return None
         pdb = ColumnarMonteCarloPDB(outcome, visible,
@@ -481,11 +482,8 @@ class Session:
         elapsed = time.perf_counter() - start
         info = outcome.diagnostics
         return InferenceResult(
-            pdb, "sample", elapsed,
-            n_runs=n, n_truncated=pdb.truncated,
+            pdb, "sample", elapsed, n_runs=n, n_truncated=0,
             diagnostics={"backend": "batched",
-                         "n_split": info["n_split"],
-                         "n_batched": n - info["n_split"],
                          "n_layer_firings": info["n_firings"],
                          "n_rounds": info["n_rounds"],
                          "n_groups": info["n_groups"],
@@ -518,17 +516,26 @@ class Session:
 
     def outputs(self, n: int,
                 **overrides) -> Iterator[Instance | None]:
-        """Stream ``n`` chase outputs lazily (None = truncated/err)."""
+        """Stream ``n`` chase outputs lazily (None = truncated/err).
+
+        The arguments are checked now; each run happens when its
+        output is read.
+        """
+        n = _check_runs(n)
         cfg = self.config.replace(**overrides)
         visible = self.compiled.visible_relations
-        for run_rng in cfg.spawn_rngs(n):
-            run = self._one_run(cfg, run_rng)
-            if not run.terminated:
-                yield None
-            elif cfg.keep_aux:
-                yield run.instance
-            else:
-                yield run.instance.restrict(visible)
+
+        def generate() -> Iterator[Instance | None]:
+            for run_rng in cfg.spawn_rngs(n):
+                run = self._one_run(cfg, run_rng)
+                if not run.terminated:
+                    yield None
+                elif cfg.keep_aux:
+                    yield run.instance
+                else:
+                    yield run.instance.restrict(visible)
+
+        return generate()
 
     def exact(self, **overrides) -> InferenceResult:
         """Exact output SPDB by chase-tree enumeration (discrete only).
@@ -564,19 +571,7 @@ class Session:
         attached, the marginal is taken under the posterior (method
         picked to match the evidence kind).
         """
-        if self._evidence:
-            if all(isinstance(item, Observation)
-                   for item in self._evidence):
-                method = "likelihood"
-            elif self.compiled.is_discrete():
-                method = "exact"
-            else:
-                method = "rejection"
-            return self.posterior(method=method,
-                                  n=n or 1000).marginal(fact)
-        if self.compiled.is_discrete():
-            return self.exact().marginal(fact)
-        return self.sample(n or 1000).marginal(fact)
+        return self._inference(n).marginal(fact)
 
     def query(self, query, n: int | None = None):
         """Answer a relational-algebra plan under this session.
@@ -590,6 +585,18 @@ class Session:
         backend's columnar ensembles the plan is compiled to numpy
         (:mod:`repro.query.columnar`) instead of materializing worlds.
         """
+        return self._inference(n).query(query)
+
+    def _inference(self, n: int | None) -> InferenceResult:
+        """The result :meth:`marginal` and :meth:`query` read.
+
+        With evidence, the posterior whose method matches its kind:
+        likelihood weighting for Observations alone, otherwise exact
+        conditioning for discrete programs and rejection for the
+        rest.  Without evidence, exact enumeration for discrete
+        programs and ``n`` sampled runs (default 1000) for the rest.
+        """
+        n = 1000 if n is None else _check_runs(n)
         if self._evidence:
             if all(isinstance(item, Observation)
                    for item in self._evidence):
@@ -598,11 +605,10 @@ class Session:
                 method = "exact"
             else:
                 method = "rejection"
-            return self.posterior(method=method,
-                                  n=n or 1000).query(query)
+            return self.posterior(method=method, n=n)
         if self.compiled.is_discrete():
-            return self.exact().query(query)
-        return self.sample(n or 1000).query(query)
+            return self.exact()
+        return self.sample(n)
 
     # -- conditioning -------------------------------------------------------
 
@@ -624,6 +630,7 @@ class Session:
         ``observe(...).posterior(method="likelihood")`` then.
         """
         from repro.api.stream import StreamingPosterior
+        n = _check_runs(n)
         cfg = self.config.replace(**overrides)
         return StreamingPosterior(self, cfg, n, max_window)
 
@@ -648,6 +655,7 @@ class Session:
         ``method="auto"`` - rejection when a pilot run accepts often
         enough, guided otherwise.
         """
+        n = _check_runs(n)
         cfg = self.config.replace(**overrides)
         if not self._evidence:
             raise ValidationError(
@@ -802,9 +810,7 @@ class Session:
         log_weights = np.zeros(n)
         try:
             outcome = batched.run_batch(
-                n, cfg.base_rng(), cfg.spawn_rngs(n),
-                cfg.policy or DEFAULT_POLICY,
-                cfg.max_steps, regions=plan.regions,
+                n, cfg.base_rng(), cfg.max_steps, regions=plan.regions,
                 log_weights=log_weights)
         except DistributionError as err:
             # The sampler's own message says whether the region had
@@ -815,9 +821,10 @@ class Session:
         if outcome is None:
             return self._guided_fallback(
                 cfg, observations, constraints, n,
-                "the batched cascade declined mid-run (a scalar "
-                "continuation would sample constrained draws "
-                "unconstrained)")
+                "the batched engine declined the batch (a cascade "
+                "round overruns the step budget or cannot be "
+                "prepared; the scalar chase would sample constrained "
+                "draws unconstrained)")
         pdb = ColumnarMonteCarloPDB(outcome, visible,
                                     keep_aux=cfg.keep_aux)
         # Exact importance weights, max-normalized for stability; the
@@ -828,14 +835,7 @@ class Session:
         if constraints:
             satisfied = _conjunction(constraints)
             mask = np.fromiter(
-                (world is not None and satisfied(world)
-                 for world in pdb.world_slots()),
-                dtype=bool, count=n)
-            weights = np.where(mask, weights, 0.0)
-            n_accepted = int(mask.sum())
-        elif pdb.truncated:
-            mask = np.fromiter(
-                (world is not None for world in pdb.world_slots()),
+                (satisfied(world) for world in pdb.world_slots()),
                 dtype=bool, count=n)
             weights = np.where(mask, weights, 0.0)
             n_accepted = int(mask.sum())
@@ -848,8 +848,7 @@ class Session:
         elapsed = time.perf_counter() - start
         info = outcome.diagnostics
         return InferenceResult(
-            posterior, "guided", elapsed,
-            n_runs=n, n_truncated=pdb.truncated,
+            posterior, "guided", elapsed, n_runs=n, n_truncated=0,
             diagnostics={
                 "backend": "guided",
                 "n_proposed": n,
@@ -976,6 +975,13 @@ class Session:
             if self._evidence else ""
         return (f"Session({self.compiled!r}, "
                 f"|D0|={len(self.instance)}{evidence})")
+
+
+def _check_runs(n) -> int:
+    """A verb's run or world count ``n``: an int (numpy ints too) >= 1."""
+    if not _is_int(n) or n < 1:
+        raise ValidationError(f"n must be an int >= 1, got {n!r}")
+    return int(n)
 
 
 def _config_kwargs(cfg: ChaseConfig) -> dict:

@@ -34,7 +34,7 @@ below ``resample_threshold x live worlds`` the stream resamples
 systematically - worlds are kept columnar and receive integer
 replication *counts*, drawn from a dedicated
 :class:`~numpy.random.SeedSequence` child stream so resampled output
-is reproducible and independent of the per-world sampling streams.
+is reproducible.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ import numpy as np
 from repro.api.config import ChaseConfig, world_rng
 from repro.api.results import InferenceResult
 from repro.core.observe import Observation, _observation_index
-from repro.core.policies import DEFAULT_POLICY
 from repro.errors import (MeasureError, StreamingUnsupported,
                           ValidationError)
 from repro.pdb.events import Event
@@ -88,8 +87,6 @@ class StreamingPosterior:
 
     def __init__(self, session, cfg: ChaseConfig, n: int,
                  max_window: int | None = None):
-        if n <= 0:
-            raise ValidationError(f"need n >= 1 worlds, got {n}")
         if isinstance(cfg.seed, np.random.Generator):
             raise ValidationError(
                 "streaming requires an int (or None) seed: the "
@@ -122,28 +119,23 @@ class StreamingPosterior:
         self._visible = session.compiled.visible_relations
         self._n = n
         self._max_window = max_window
-        world_rngs = cfg.spawn_rngs(n)
-        # The resampling streams are worlds n, n+1, ... of the same
-        # root as the per-world sampling streams (worlds 0..n-1), so
-        # they never collide - also under a fresh (None) seed.
-        self._entropy = world_rngs.entropy
-        outcome = batched.run_batch(
-            n, cfg.base_rng(), world_rngs,
-            cfg.policy or DEFAULT_POLICY, cfg.max_steps)
+        # The resampling streams are worlds n, n+1, ... of the seed's
+        # root entropy, drawn once - also under a fresh (None) seed -
+        # so they never collide with the n per-world streams of the
+        # same seed's scalar sample.
+        self._entropy = np.random.SeedSequence(cfg.seed).entropy
+        outcome = batched.run_batch(n, cfg.base_rng(), cfg.max_steps)
         if outcome is None:
             raise StreamingUnsupported(
-                "the batched backend declined this batch (step "
-                "budget too tight); raise max_steps or use "
+                "the batched backend declined this batch (a cascade "
+                "round overruns the step budget or cannot be "
+                "prepared); raise max_steps or use "
                 "posterior(method='likelihood')")
         self._outcome = outcome
         self._pdb = self._wrap(outcome)
         self._log_weights = np.zeros(n)
         self._counts = np.ones(n)
-        self._base_alive = np.ones(n, dtype=bool)
-        for index, run in outcome.scalar_runs:
-            if not run.terminated:
-                self._base_alive[index] = False
-        self._alive = self._base_alive.copy()
+        self._alive = np.ones(n, dtype=bool)
         #: Active evidence by token, oldest first; retracting drops a
         #: record, so the stream holds only what it can still undo.
         self._records: dict[int, _EvidenceRecord] = {}
@@ -217,8 +209,7 @@ class StreamingPosterior:
                 else evidence
             record = self._observe_mask(
                 evidence, lambda pdb: np.fromiter(
-                    (world is not None and bool(test(world))
-                     for world in pdb.world_slots()),
+                    (bool(test(world)) for world in pdb.world_slots()),
                     dtype=bool, count=self._n))
         else:
             raise ValidationError(
@@ -340,8 +331,7 @@ class StreamingPosterior:
             groups[group_index] = _ColumnarGroup(
                 group.members, group.shared, columns)
         self._outcome = BatchOutcome(
-            self._outcome.size, tuple(groups),
-            self._outcome.scalar_runs, self._outcome.diagnostics,
+            self._outcome.size, tuple(groups), self._outcome.diagnostics,
             base=self._outcome.base, growable=self._outcome.growable)
         self._pdb = self._wrap(self._outcome)
         self._refresh_masks()
@@ -355,7 +345,7 @@ class StreamingPosterior:
         self._recompute_alive()
 
     def _recompute_alive(self) -> None:
-        alive = self._base_alive.copy()
+        alive = np.ones(self._n, dtype=bool)
         for record in self._records.values():
             if record.kind == "mask":
                 alive &= record.mask
@@ -383,8 +373,7 @@ class StreamingPosterior:
         contribution is baked into the counts).  The resampling
         generator is world ``n + resamples`` of the stream's root
         entropy (:func:`~repro.api.config.world_rng`), so results are
-        reproducible and never collide with the per-world sampling
-        streams.
+        reproducible.
         """
         w = self.weights
         total = float(w.sum())
@@ -420,8 +409,7 @@ class StreamingPosterior:
         pdb = WeightedColumnarPDB(self._pdb, self.weights)
         elapsed = time.perf_counter() - start
         return InferenceResult(
-            pdb, "stream", elapsed, n_runs=self._n,
-            n_truncated=int((~self._base_alive).sum()),
+            pdb, "stream", elapsed, n_runs=self._n, n_truncated=0,
             diagnostics={
                 "backend": "stream",
                 "effective_sample_size": pdb.effective_sample_size(),

@@ -41,11 +41,11 @@ class ChasePolicy:
     #: Theorem 6.1 makes the output law of a weakly acyclic program
     #: independent of any *honest* selection (deterministic in the
     #: instance), so every policy that keeps the class contract is
-    #: batch-safe; the batched prefix merely realizes a different valid
-    #: chase order, with split worlds continuing under the policy
-    #: itself.  Custom policies that bend the contract (hidden state,
-    #: external randomness) should set this to ``False`` to force the
-    #: ``"auto"`` backend down the scalar path.
+    #: batch-safe; the batched run merely realizes a different valid
+    #: chase order, and a batch the engine declines runs the scalar
+    #: loop under the policy itself.  Custom policies that bend the
+    #: contract (hidden state, external randomness) should set this to
+    #: ``False`` to force the ``"auto"`` backend down the scalar path.
     batch_safe: bool = True
 
     def select(self, instance: Instance,

@@ -57,14 +57,15 @@ exploits the structure with a *multi-round* cascade:
    signature, bounded by the facts its nodes hold); a warm session
    repeats no trigger insert, cascade or firing preparation it has
    already done.  Every group continues vectorized, one-world groups
-   included; only budget-starved groups and rounds that cannot be
-   prepared (structure, or a distribution/validation error) finish on
-   the scalar engine (:func:`repro.core.chase.run_chase_prepared`)
-   from a fork of the group state.  Either way the sampled law is
-   *exactly* the sequential-chase law: the batched prefix is itself a
-   legitimate chase order, and for the weakly acyclic programs this
-   backend accepts, Theorem 6.1 makes the output distribution
-   independent of that order.
+   included, or the batch is declined whole: a round that would
+   overrun the step budget or cannot be prepared (structure, or a
+   distribution/validation error) makes :meth:`BatchedChase.run_batch`
+   return None, and the caller runs the sequential chase for every
+   world.  Either way the sampled law is *exactly* the
+   sequential-chase law: the batched run is itself a legitimate chase
+   order, and for the weakly acyclic programs this backend accepts,
+   Theorem 6.1 makes the output distribution independent of that
+   order.
 
 The grouping is sound because, within a group, the worlds agree on
 every fact that could ever participate in a rule-body match: sampled
@@ -80,9 +81,11 @@ the incremental engine derives late companion matches exactly.
 
 The backend never silently approximates: callers outside the supported
 class (non-weakly-acyclic programs, trace recording, step budgets too
-tight for the first layer) are *declined* via :exc:`BatchUnsupported`
-/ a ``None`` return, and :meth:`repro.api.Session.sample` falls back
-to the scalar loop.
+tight for some round, rounds that cannot be prepared) are *declined*
+via :exc:`BatchUnsupported` / a ``None`` return, and
+:meth:`repro.api.Session.sample` falls back to the scalar loop.  A
+batch result therefore holds no truncated world: every world ran the
+cascade to its end.
 """
 
 from __future__ import annotations
@@ -97,8 +100,8 @@ from repro.analysis.capabilities import (collect_companions,
                                          collect_growable)
 from repro.core.applicability import (IncrementalApplicability,
                                       overlay_fork)
-from repro.core.chase import ChaseRun, run_chase_prepared
-from repro.core.policies import ChasePolicy
+# Unused here: servebench's tracer wraps this module attribute by name.
+from repro.core.chase import run_chase_prepared  # noqa: F401
 from repro.core.terms import Const, Var
 from repro.core.translate import (DetRule, ExistentialProgram, ExtRule,
                                   validate_params_in_theta)
@@ -197,25 +200,21 @@ class _ColumnarGroup:
 class BatchOutcome:
     """Everything :meth:`BatchedChase.run_batch` produced for a batch.
 
-    ``groups`` hold the worlds that stayed vectorized to termination;
-    ``scalar_runs`` are ``(world index, ChaseRun)`` pairs for worlds
-    that finished on the scalar engine.  Every world index in
-    ``range(size)`` appears in exactly one of the two.
+    ``groups`` hold every world, each vectorized to termination: every
+    world index in ``range(size)`` is a member of exactly one group.
 
     ``base``/``growable`` carry the chase's stable-relation analysis
     (:func:`~repro.analysis.capabilities.collect_growable`) forward to
     consumers: the shared closed instance and the set of relations
     that may gain facts after it.  Every relation *outside*
-    ``growable`` holds exactly ``base``'s facts in **every** terminated
-    world - grouped or scalar-fallback - which is what licenses the
-    columnar query planner's lifted fast path
-    (:mod:`repro.query.columnar`).  Both default to None
+    ``growable`` holds exactly ``base``'s facts in **every** world,
+    which is what licenses the columnar query planner's lifted fast
+    path (:mod:`repro.query.columnar`).  Both default to None
     (metadata unavailable) so historical outcomes keep deserializing.
     """
 
     size: int
     groups: tuple
-    scalar_runs: tuple
     diagnostics: dict
     base: Instance | None = None
     growable: frozenset | None = None
@@ -652,22 +651,20 @@ class BatchedChase:
         return sum(1 + len(firing.heads) for firing in layer)
 
     def run_batch(self, size: int, batch_rng: np.random.Generator,
-                  world_rngs, policy: ChasePolicy, max_steps: int, *,
-                  regions: dict | None = None,
+                  max_steps: int, *, regions: dict | None = None,
                   log_weights=None) -> BatchOutcome | None:
-        """Sample ``size`` chase runs; None declines (budget too tight).
+        """Sample ``size`` chase runs, all vectorized; None declines.
 
-        Every signature group continues vectorized, whatever its size,
-        unless its next round would overrun ``max_steps`` or cannot be
-        prepared.  ``world_rngs`` is a sequence of ``size`` per-world
-        generators, indexed only for the worlds that finish on the
-        scalar engine (fully batched worlds never read theirs) - hand
-        it a lazy one, :meth:`repro.api.config.ChaseConfig.spawn_rngs`,
-        so that only those worlds' generators are ever built.  Draws
-        pool across groups: within a round, all signature groups'
-        same-(distribution, parameters) draws are served by one
-        ``sample_batch`` call (:meth:`_draw_wave`; the draws are iid,
-        so slicing one flat array per request keeps the product law).
+        Every signature group continues vectorized, whatever its size.
+        When some group's next round would overrun ``max_steps`` or
+        cannot be prepared, the whole batch is declined: the method
+        returns None and the caller runs the sequential chase for
+        every world (Theorem 6.1 makes either chase order law-exact).
+        Draws pool across groups: within a round, all signature
+        groups' same-(distribution, parameters) draws are served by
+        one ``sample_batch`` call (:meth:`_draw_wave`; the draws are
+        iid, so slicing one flat array per request keeps the product
+        law).
 
         Round transitions come from this instance's cache when an
         earlier batch computed them (:meth:`_transition`); the
@@ -677,10 +674,9 @@ class BatchedChase:
         that cannot recur (a signature value from an infinite
         support).  A cached node records the step budget it needs
         rather than the budget of the batch that built it, so one
-        node serves every ``max_steps``: a group whose next node needs
-        more than ``max_steps`` finishes on the scalar engine, exactly
-        where a cascade counted against this batch's budget would
-        overrun it.
+        node serves every ``max_steps``: a batch declines on a node
+        that needs more than ``max_steps``, exactly where a cascade
+        counted against this batch's budget would overrun it.
 
         Sharded sampling (:mod:`repro.serving`) runs every batch this
         method accepts here, in one process: Theorem 6.1 makes one
@@ -696,14 +692,12 @@ class BatchedChase:
         pooled call per (distribution, params, region) - and each
         world's accumulated log importance weight (log prior mass of
         its constrained draws' regions) is added into ``log_weights``,
-        a caller-allocated float array of length ``size``.  Guided
-        batches never fall back to the scalar engine: a world that
-        left the vectorized path would sample constrained firings
-        unconstrained, silently changing the proposal law, so the
-        whole batch *declines* (returns None) instead and the caller
-        picks a different method.  Contradictory region intersections
-        raise :class:`~repro.errors.MeasureError` (evidence with zero
-        prior mass).
+        a caller-allocated float array of length ``size``.  A declined
+        guided batch leaves the caller to pick a different method: the
+        sequential chase would sample constrained firings
+        unconstrained.  Contradictory region intersections raise
+        :class:`~repro.errors.MeasureError` (evidence with zero prior
+        mass).
         """
         root = self._root
         if regions and log_weights is None:
@@ -715,7 +709,7 @@ class BatchedChase:
         # exact truncation semantics from the scalar loop instead.
         if root.need > max_steps:
             return None
-        diagnostics = {"n_split": 0, "n_firings": len(root.layer),
+        diagnostics = {"n_firings": len(root.layer),
                        "n_rounds": 0, "n_groups": 0,
                        "n_group_rounds": 0, "n_cached_rounds": 0,
                        "n_draw_calls": 0, "n_pooled_draws": 0}
@@ -723,12 +717,11 @@ class BatchedChase:
         if not root.layer:
             diagnostics["n_groups"] = 1
             group = _ColumnarGroup(all_members, self.closed, ())
-            return BatchOutcome(size, (group,), (), diagnostics,
+            return BatchOutcome(size, (group,), diagnostics,
                                 base=self.closed,
                                 growable=self._growable)
 
         groups: list[_ColumnarGroup] = []
-        scalar_runs: list[tuple[int, ChaseRun]] = []
         # Firing preparations of rounds that cannot recur, kept for
         # this batch only (see _next_round).
         batch_memo: dict = {}
@@ -766,36 +759,18 @@ class BatchedChase:
                         continue
                     child = self._transition(node, sig, diagnostics,
                                              batch_memo)
-                    if child is not None and child.need <= max_steps:
-                        if child.layer:
-                            next_wave.append(_Round(child, sub_members,
-                                                    sub_columns))
-                        else:
-                            groups.append(_ColumnarGroup(
-                                sub_members, child.shared, sub_columns))
-                            diagnostics["n_groups"] += 1
-                        continue
-                    # The round cannot run vectorized: finish each
-                    # member on the scalar engine from a fork of the
-                    # group state.
-                    if regions:
-                        # A scalar continuation would sample any
-                        # still-constrained firing unconstrained,
-                        # silently changing the guided proposal law -
-                        # decline the whole batch instead.
+                    if child is None or child.need > max_steps:
                         return None
-                    for position in range(start, stop):
-                        world = int(members[position])
-                        run = self._fallback(node.engine, node.shared,
-                                             columns, position,
-                                             world_rngs[world], policy,
-                                             max_steps)
-                        scalar_runs.append((world, run))
-                    diagnostics["n_split"] += stop - start
+                    if child.layer:
+                        next_wave.append(_Round(child, sub_members,
+                                                sub_columns))
+                    else:
+                        groups.append(_ColumnarGroup(
+                            sub_members, child.shared, sub_columns))
+                        diagnostics["n_groups"] += 1
             wave = next_wave
-        return BatchOutcome(size, tuple(groups), tuple(scalar_runs),
-                            diagnostics, base=self.closed,
-                            growable=self._growable)
+        return BatchOutcome(size, tuple(groups), diagnostics,
+                            base=self.closed, growable=self._growable)
 
     def _transition(self, node: _RoundNode, sig: tuple,
                     diagnostics: dict,
@@ -889,7 +864,7 @@ class BatchedChase:
         # Per-world steps: shared facts plus the auxiliary and
         # head-template facts of every *unbound* column - bound
         # columns' facts are already inside ``shared``, counting them
-        # again would force needless scalar fallbacks near the budget.
+        # again would force needless declines near the budget.
         unbound_facts = node.unbound_facts \
             + sum(1 + len(firing.heads)
                   for component, firing in zip(sig, node.layer)
@@ -910,33 +885,6 @@ class BatchedChase:
         return _RoundNode(engine, shared, layer, unbound_facts,
                           steps + self._layer_step_bound(layer),
                           node.recurs and _layer_recurs(layer))
-
-    def _fallback(self, engine: IncrementalApplicability,
-                  shared: Instance, columns: tuple, position: int,
-                  rng: np.random.Generator, policy: ChasePolicy,
-                  max_steps: int) -> ChaseRun:
-        """Finish one world on the scalar engine from its group state.
-
-        The world's state is the group's shared state plus its own
-        sampled facts, reconstructed from the columns; the remaining
-        step budget is exact (steps already executed equal the facts
-        added over the input instance - each chase step adds exactly
-        one new fact), so truncation semantics match the scalar loop.
-        """
-        state = overlay_fork(engine)
-        facts: list[Fact] = []
-        for firing, values in columns:
-            sampled = values[position].item()
-            facts.append(Fact(firing.aux_relation,
-                              firing.prefix + (sampled,)))
-            facts.extend(firing.head_facts(sampled))
-        for fact in facts:
-            state.add_fact(fact)
-        current = shared.add_all(facts)
-        steps = len(current) - len(self.instance)
-        run = run_chase_prepared(self.translated, state, current,
-                                 policy, rng, max_steps - steps)
-        return ChaseRun(run.instance, run.terminated, steps + run.steps)
 
     def _firing_region(self, firing: _LayerFiring, regions: dict | None):
         """The feasible region constraining one firing's draw (or None).
@@ -1168,8 +1116,11 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
     for callers that genuinely need the instances (events,
     expectations, world-distribution tests).  Results are identical
     either way - the columnar reads are exact counts over the same
-    ensemble.
+    ensemble.  Every world ran the cascade to its end (a batch that
+    would truncate one is declined), so none is truncated.
     """
+
+    truncated = 0
 
     def __init__(self, outcome: BatchOutcome,
                  visible: tuple[str, ...], keep_aux: bool = False):
@@ -1179,11 +1130,7 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
         self._visible = tuple(visible)
         self._visible_set = frozenset(visible)
         self._keep_aux = bool(keep_aux)
-        self.truncated = sum(1 for _, run in outcome.scalar_runs
-                             if not run.terminated)
-        self._cache: list[Instance] | None = None
-        self._slots: list[Instance | None] | None = None
-        self._scalar_worlds: list[tuple[int, Instance]] | None = None
+        self._slots: list[Instance] | None = None
         self._group_views: dict[int, Instance] = {}
         #: How many times the grouped worlds were expanded into per-world
         #: instances.  A tripwire for "columnar" paths that secretly
@@ -1196,7 +1143,7 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
     @property
     def materialized(self) -> bool:
         """Whether the world list has been built (diagnostics/tests)."""
-        return self._cache is not None
+        return self._slots is not None
 
     @property
     def growable_relations(self) -> frozenset | None:
@@ -1204,8 +1151,8 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
 
         None when the outcome carries no stable-relation metadata.
         Relations outside this set hold exactly :meth:`stable_view`'s
-        facts in every terminated world, which is what the columnar
-        query planner's lifted fast path relies on.
+        facts in every world, which is what the columnar query
+        planner's lifted fast path relies on.
         """
         return self._outcome.growable
 
@@ -1214,9 +1161,8 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
 
         None when the outcome carries no base-instance metadata.  For
         every relation outside :attr:`growable_relations`, this view's
-        facts equal that relation's facts in **every** terminated
-        world (grouped or scalar fallback): stable relations never
-        gain a fact after the shared fixpoint.
+        facts equal that relation's facts in **every** world: stable
+        relations never gain a fact after the shared fixpoint.
         """
         if self._outcome.base is None:
             return None
@@ -1232,15 +1178,6 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
             view = self._view(self._outcome.groups[index].shared)
             self._group_views[index] = view
         return view
-
-    def _scalar_slots(self) -> list[tuple[int, Instance]]:
-        """(world index, output view) of every *terminated* scalar run."""
-        if self._scalar_worlds is None:
-            self._scalar_worlds = [
-                (index, self._view(run.instance))
-                for index, run in self._outcome.scalar_runs
-                if run.terminated]
-        return self._scalar_worlds
 
     def _column_templates(self, firing: _LayerFiring) -> list[tuple]:
         """(relation, args-with-None, sample position) fact templates.
@@ -1261,29 +1198,23 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
 
     @property
     def _worlds(self) -> list[Instance]:
-        if self._cache is None:
-            self._cache = [slot for slot in self.world_slots()
-                           if slot is not None]
-        return self._cache
+        return self.world_slots()
 
-    def world_slots(self) -> list[Instance | None]:
-        """Output instance per *world index* (None = truncated).
+    def world_slots(self) -> list[Instance]:
+        """Output instance per *world index*, built on first use.
 
-        The per-slot form of the lazy ``worlds`` list: slot ``i`` is
-        world ``i``'s output, so per-world weight/mask vectors (the
-        streaming layer's bookkeeping) align with it positionally.
+        The lazy ``worlds`` list itself: slot ``i`` is world ``i``'s
+        output, so per-world weight/mask vectors (the streaming
+        layer's bookkeeping) align with it positionally.
         """
         if self._slots is None:
             self._slots = self._materialize_slots()
         return self._slots
 
-    def _materialize_slots(self) -> list[Instance | None]:
+    def _materialize_slots(self) -> list[Instance]:
         self.materializations += 1
         outcome = self._outcome
         slots: list = [_PENDING] * outcome.size
-        for index, run in outcome.scalar_runs:
-            slots[index] = self._view(run.instance) if run.terminated \
-                else None
         for group_index, group in enumerate(outcome.groups):
             base = self._group_view(group_index)
             members = group.members.tolist()
@@ -1319,8 +1250,7 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
         return self._outcome.size
 
     def total_mass(self) -> float:
-        return (self._outcome.size - self.truncated) \
-            / self._outcome.size
+        return 1.0
 
     def marginal(self, f: Fact) -> float:
         """Exact ensemble frequency of ``f``, read columnar."""
@@ -1343,10 +1273,8 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
                 for fact, count in fact_totals(self, relations).items()}
 
     def __repr__(self) -> str:
-        state = "materialized" if self._cache is not None \
-            else "columnar"
-        return (f"ColumnarMonteCarloPDB(<{self.n_runs - self.truncated}"
-                f" worlds, {self.truncated} truncated, {state}>)")
+        state = "materialized" if self.materialized else "columnar"
+        return f"ColumnarMonteCarloPDB(<{self.n_runs} worlds, {state}>)"
 
 
 # ---------------------------------------------------------------------------
@@ -1394,23 +1322,12 @@ def observation_effects(outcome: BatchOutcome,
       cascade already reflects the constant sampled value, so the
       observation is exact iff it *equals* that value (weight-only).
 
-    Any other combination - and any terminated scalar-fallback world
-    that fired a matching auxiliary (its trajectory is opaque) -
-    raises :class:`StreamingUnsupported`; callers fall back to the
-    one-shot weighted chase.  Worlds in groups without a matching
-    column never fired the observation's sample and keep factor 1,
-    exactly like the scalar scheme.
+    Any other combination raises :class:`StreamingUnsupported`;
+    callers fall back to the one-shot weighted chase.  Worlds in
+    groups without a matching column never fired the observation's
+    sample and keep factor 1, exactly like the scalar scheme.
     """
     info = translated.aux_info[aux_relation]
-    for _index, run in outcome.scalar_runs:
-        if not run.terminated:
-            continue
-        for fact in run.instance.facts_of(aux_relation):
-            if fact.args[:info.n_carried] == carried:
-                raise StreamingUnsupported(
-                    f"observation on {aux_relation!r}{carried!r} "
-                    "touches a scalar-fallback world; its draw "
-                    "cannot be re-weighted columnar")
     effects: list[ObservedColumn] = []
     for group_index, group in enumerate(outcome.groups):
         for column_index, (firing, values) in enumerate(group.columns):

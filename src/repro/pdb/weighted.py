@@ -141,13 +141,12 @@ class WeightedColumnarPDB(PDBBase):
     The streamed-evidence counterpart of :class:`WeightedPDB`: instead
     of holding materialized worlds it wraps a
     :class:`repro.engine.batched.ColumnarMonteCarloPDB` together with a
-    per-world-index weight vector (dead worlds - truncated, or masked
-    out by event evidence - carry weight zero).  Marginal and full
-    fact-table queries weight the fact readers of
-    :mod:`repro.query.columnar` (a fact's world mask, the per-fact
-    totals), which read the sample columns directly; nothing is
-    materialized unless a caller asks a per-world question (``prob`` /
-    ``expectation`` with an arbitrary predicate).
+    per-world-index weight vector (worlds masked out by event evidence
+    carry weight zero).  Marginal and full fact-table queries weight
+    the fact readers of :mod:`repro.query.columnar` (a fact's world
+    mask, the per-fact totals), which read the sample columns
+    directly; nothing is materialized unless a caller asks a per-world
+    question (``prob`` / ``expectation`` with an arbitrary predicate).
     """
 
     def __init__(self, columnar, weights):
@@ -238,8 +237,6 @@ class WeightedColumnarPDB(PDBBase):
     def _iter_weighted(self):
         """(world, weight) over live slots, materializing on demand."""
         for index, world in enumerate(self._columnar.world_slots()):
-            if world is None:
-                continue
             weight = float(self._weights[index])
             if weight > 0.0:
                 yield world, weight

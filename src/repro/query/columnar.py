@@ -15,17 +15,17 @@ run **once per plan over the whole batch**:
   boolean masks over the sample columns;
 * equality joins compare columns elementwise, keyed by world;
 * the plan's per-world answers are reduced to an **answer index**: one
-  answer id per world slot (-1 for truncated worlds) plus the list of
-  distinct answer relations.  Pure-count aggregates are one vector sum
-  over the presence masks; every other answer is assembled once per
-  distinct row set, value folds via the *same* fold the per-world
-  evaluator uses (:meth:`Aggregate.fold`), so results are bit-identical;
+  answer id per world plus the list of distinct answer relations.
+  Pure-count aggregates are one vector sum over the presence masks;
+  every other answer is assembled once per distinct row set, value
+  folds via the *same* fold the per-world evaluator uses
+  (:meth:`Aggregate.fold`), so results are bit-identical;
 * a **lifted fast path** skips per-world evaluation entirely whenever
   the plan only scans *stable* relations - relations the batch's
   stable-relation analysis proves can never gain a fact after the
   shared fixpoint (:attr:`BatchOutcome.growable`).  Such a plan has
-  the same answer in every terminated world, so one evaluation against
-  the shared closed instance answers all ``n`` worlds at once (the
+  the same answer in every world, so one evaluation against the
+  shared closed instance answers all ``n`` worlds at once (the
   first-order-model-counting shortcut specialized to this ensemble).
 
 The merged scan is also the only code that lists a batch's facts:
@@ -38,8 +38,9 @@ query - can never disagree with the query path.
 Plans the compiler cannot vectorize - opaque ``select(callable)``
 predicates, :class:`~repro.query.relalg.Extend`, nested aggregates -
 fall back *transparently* to the per-world evaluator (via
-``world_slots``; the answer is identical, only slower).  Worlds that
-finished on the scalar engine are always evaluated per world.
+``world_slots``; the answer is identical, only slower).  Every world
+of a batch is columnar: the batched engine declines a batch it cannot
+keep vectorized to the end.
 
 A query's push-forward (Remark 4.9) needs each world's answer exactly
 once, so the answer index is memoized per (columnar ensemble, plan
@@ -680,10 +681,9 @@ def _live_groups(pdb: ColumnarMonteCarloPDB) -> list[int]:
 
 
 def _fact_planner(pdb: ColumnarMonteCarloPDB,
-                  relations: frozenset | None) -> _BatchPlanner | None:
-    """A planner over every non-empty group; None if there is none."""
-    groups = _live_groups(pdb)
-    return _BatchPlanner(pdb, groups, relations) if groups else None
+                  relations: frozenset | None) -> _BatchPlanner:
+    """A planner over every non-empty group (every world is in one)."""
+    return _BatchPlanner(pdb, _live_groups(pdb), relations)
 
 
 def fact_totals(pdb: ColumnarMonteCarloPDB, relations=None,
@@ -692,28 +692,18 @@ def fact_totals(pdb: ColumnarMonteCarloPDB, relations=None,
 
     ``relations`` restricts the table to those relation names (None:
     every relation).  ``weights`` is a per-world-index vector (length
-    ``size``; truncated slots must carry zero); with None the totals
-    are plain integer counts.  Callers normalize themselves (by
-    ``size`` for frequencies, by the total weight for self-normalized
-    posterior estimates).
+    ``size``); with None the totals are plain integer counts.  Callers
+    normalize themselves (by ``size`` for frequencies, by the total
+    weight for self-normalized posterior estimates).
 
-    Grouped worlds are read off the merged scan, whose rows are
-    already deduplicated per world: a constant row counts the
-    positions where it is present, and a template row - exactly one
-    sample cell - counts each distinct sampled value over those
-    positions.  Terminated scalar-fallback worlds are counted one
-    world at a time.
+    The worlds are read off the merged scan, whose rows are already
+    deduplicated per world: a constant row counts the positions where
+    it is present, and a template row - exactly one sample cell -
+    counts each distinct sampled value over those positions.
     """
     totals: dict[Fact, Any] = {}
-    for index, world in pdb._scalar_slots():
-        weight = 1 if weights is None else float(weights[index])
-        for fact in world.facts:
-            if relations is None or fact.relation in relations:
-                totals[fact] = totals.get(fact, 0) + weight
     planner = _fact_planner(pdb, None if relations is None
                             else frozenset(relations))
-    if planner is None:
-        return totals
     names = set(planner._sample_columns())
     for index in planner.group_indices:
         names.update(pdb._group_view(index).relations())
@@ -752,19 +742,14 @@ def fact_totals(pdb: ColumnarMonteCarloPDB, relations=None,
 
 
 def fact_mask(pdb: ColumnarMonteCarloPDB, fact: Fact) -> np.ndarray:
-    """Per-world-index membership of ``fact`` (truncated worlds False).
+    """Per-world-index membership of ``fact``.
 
     A merged-scan row holds the fact where it is present and every
     cell equals the fact's argument; a sample cell never equals a
     non-numeric argument, and a row of another arity never matches.
     """
     mask = np.zeros(pdb.n_runs, dtype=bool)
-    for index, world in pdb._scalar_slots():
-        if fact in world:
-            mask[index] = True
     planner = _fact_planner(pdb, frozenset((fact.relation,)))
-    if planner is None:
-        return mask
     held = False
     for cells, present in planner._relation_rows(fact.relation):
         held = _or(held, _and(present, _row_eq(cells, fact.args)))
@@ -792,12 +777,12 @@ def _answer_index(pdb: ColumnarMonteCarloPDB,
     """The plan's answer in every world slot, as an index.
 
     Returns ``(ids, answers)``: ``ids[i]`` is world ``i``'s position in
-    ``answers`` (-1 for truncated worlds), and ``answers`` lists the
-    distinct answer relations in order of first world.  Evaluated once
-    per (ensemble, plan object) pair and memoized - the lifted fast
-    path when the plan only touches stable relations, one vectorized
-    pass over every signature group when each node is supported, the
-    transparent per-world fallback otherwise.
+    ``answers``, and ``answers`` lists the distinct answer relations in
+    order of first world.  Evaluated once per (ensemble, plan object)
+    pair and memoized - the lifted fast path when the plan only
+    touches stable relations, one vectorized pass over every
+    signature group when each node is supported, the transparent
+    per-world fallback otherwise.
     """
     memo = _MEMO.get(pdb)
     if memo is not None and memo[0] is query:
@@ -808,29 +793,26 @@ def _answer_index(pdb: ColumnarMonteCarloPDB,
 
 
 def query_answers(pdb: ColumnarMonteCarloPDB,
-                  query: Query) -> list[Relation | None]:
-    """Answer relation per world *slot* (None = truncated world).
+                  query: Query) -> list[Relation]:
+    """Answer relation per world *slot*.
 
     The per-slot view of :func:`_answer_index`.  None of the strategies
     ever materializes the grouped worlds except the explicit fallback.
     """
     ids, answers = _answer_index(pdb, query)
-    return [None if answer < 0 else answers[answer]
-            for answer in ids.tolist()]
+    return [answers[answer] for answer in ids.tolist()]
 
 
 def _evaluate(pdb: ColumnarMonteCarloPDB,
               query: Query) -> tuple[np.ndarray, list[Relation]]:
-    outcome = pdb._outcome
+    size = pdb._outcome.size
     lifted = _lifted_answer(pdb, query)
     if lifted is not None:
-        codes = np.zeros(outcome.size, dtype=np.int64)
-        codes[[index for index, run in outcome.scalar_runs
-               if not run.terminated]] = -1
-        return _index(codes, [lifted])
+        return _index(np.zeros(size, dtype=np.int64), [lifted])
     if not plan_vectorizable(query):
         return _fallback(pdb, query)
-    codes = np.full(outcome.size, -1, dtype=np.int64)
+    # Every world is a member of one group, so every code is set.
+    codes = np.empty(size, dtype=np.int64)
     relations: list[Relation] = []
     scanned = scanned_relations(query)
     try:
@@ -841,9 +823,6 @@ def _evaluate(pdb: ColumnarMonteCarloPDB,
             relations.extend(answers)
     except _Unsupported:
         return _fallback(pdb, query)
-    for index, world in pdb._scalar_slots():
-        codes[index] = len(relations)
-        relations.append(query.evaluate(world))
     return _index(codes, relations)
 
 
@@ -861,7 +840,7 @@ def _schema_classes(pdb: ColumnarMonteCarloPDB,
     relations = sorted({node.relation for node in _scans(query)
                         if node.columns is None})
     if not relations:
-        return [groups] if groups else []
+        return [groups]
     classes: dict[tuple, list[int]] = {}
     for index in groups:
         key = tuple(_arities(pdb, index, relation)
@@ -896,14 +875,8 @@ def _lifted_answer(pdb: ColumnarMonteCarloPDB,
 
 def _fallback(pdb: ColumnarMonteCarloPDB,
               query: Query) -> tuple[np.ndarray, list[Relation]]:
-    slots = pdb.world_slots()
-    codes = np.full(len(slots), -1, dtype=np.int64)
-    relations: list[Relation] = []
-    for index, world in enumerate(slots):
-        if world is not None:
-            codes[index] = len(relations)
-            relations.append(query.evaluate(world))
-    return _index(codes, relations)
+    relations = [query.evaluate(world) for world in pdb.world_slots()]
+    return _index(np.arange(len(relations)), relations)
 
 
 def _first_seen(ids: np.ndarray) -> list[int]:
@@ -916,22 +889,19 @@ def _index(codes: np.ndarray,
            relations: list[Relation]) -> tuple[np.ndarray, list[Relation]]:
     """Merge equal relations into answer ids numbered by first slot.
 
-    ``codes`` maps each world slot to one of ``relations`` (-1 for a
-    truncated world).
+    ``codes`` maps each world slot to one of ``relations``.
     """
-    live = codes >= 0
     answer_of = np.zeros(len(relations), dtype=np.intp)
     answers: list[Relation] = []
     seen: dict[Relation, int] = {}
-    for code in _first_seen(codes[live]):
+    for code in _first_seen(codes):
         relation = relations[code]
         answer = seen.get(relation)
         if answer is None:
             answer = seen[relation] = len(answers)
             answers.append(relation)
         answer_of[code] = answer
-    ids = np.full(len(codes), -1, dtype=np.intp)
-    ids[live] = answer_of[codes[live]]
+    ids = answer_of[codes]
     ids.flags.writeable = False
     return ids, answers
 
@@ -970,13 +940,6 @@ def _push_world(pdb: PDBBase, f: Callable[[Instance], Any],
     """Push-forward of a per-world function (world-materializing)."""
     if isinstance(pdb, DiscretePDB):
         return pdb.push_distribution(f)
-    if isinstance(pdb, ColumnarMonteCarloPDB):
-        values = [f(world) for world in pdb.world_slots()
-                  if world is not None]
-        if not values:
-            return DiscreteMeasure.zero()
-        return DiscreteMeasure.from_samples(values).scale(
-            pdb.total_mass())
     if isinstance(pdb, MonteCarloPDB):
         if not pdb.worlds:
             return DiscreteMeasure.zero()
@@ -1014,19 +977,15 @@ def _push_query(pdb: PDBBase, query: Query,
     """
     if isinstance(pdb, ColumnarMonteCarloPDB):
         ids, answers = _answer_index(pdb, query)
-        ids = ids[ids >= 0]
-        if not len(ids):
-            return DiscreteMeasure.zero()
         images, image_of = _images(ids, answers, post)
         counts = np.bincount(image_of[ids], minlength=len(images))
         return DiscreteMeasure(
             {image: count / len(ids)
-             for image, count in zip(images, counts.tolist())}).scale(
-                 pdb.total_mass())
+             for image, count in zip(images, counts.tolist())})
     if isinstance(pdb, WeightedColumnarPDB):
         ids, answers = _answer_index(pdb._columnar, query)
         weights = pdb.weights
-        live = (ids >= 0) & ~(weights <= 0.0)
+        live = ~(weights <= 0.0)
         ids = ids[live]
         if not len(ids):
             return DiscreteMeasure.zero()
@@ -1068,12 +1027,12 @@ def boolean_probability(pdb: PDBBase, query: Query) -> float:
     """Probability that the query returns a non-empty answer."""
     if isinstance(pdb, ColumnarMonteCarloPDB):
         ids, answers = _answer_index(pdb, query)
-        hits = _nonempty(answers)[ids[ids >= 0]]
+        hits = _nonempty(answers)[ids]
         return int(np.count_nonzero(hits)) / pdb.n_runs
     if isinstance(pdb, WeightedColumnarPDB):
         ids, answers = _answer_index(pdb._columnar, query)
         weights = pdb.weights
-        live = (ids >= 0) & (weights > 0.0)
+        live = weights > 0.0
         hits = _nonempty(answers)[ids[live]]
         hit = np.bincount(hits, weights=weights[live], minlength=2)[1]
         return float(hit) / pdb.total_weight()
@@ -1091,12 +1050,12 @@ def expected_aggregate(pdb: PDBBase, query: Query,
     """Expected value of a numeric single-valued aggregate."""
     if isinstance(pdb, ColumnarMonteCarloPDB):
         ids, answers = _answer_index(pdb, query)
-        values = _aggregate_values(ids[ids >= 0], answers, column)
+        values = _aggregate_values(ids, answers, column)
         return math.fsum(values.tolist()) / pdb.n_runs
     if isinstance(pdb, WeightedColumnarPDB):
         ids, answers = _answer_index(pdb._columnar, query)
         weights = pdb.weights
-        live = (ids >= 0) & (weights > 0.0)
+        live = weights > 0.0
         values = _aggregate_values(ids[live], answers, column)
         return math.fsum((weights[live] * values).tolist()) \
             / pdb.total_weight()

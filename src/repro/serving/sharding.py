@@ -10,7 +10,8 @@ every int seed.  :func:`sample_sharded` keeps it in two ways.
   add nothing to the law.  The declined fan-out is recorded in
   ``diagnostics["fallback_reason"]``.
 * Only the scalar loop fans out: ineligible programs,
-  ``backend="scalar"`` and batches the engine declines on budget.  A
+  ``backend="scalar"`` and batches the engine declines (a cascade
+  round overruns the step budget or cannot be prepared).  A
   *shard plan* partitions the ``n`` worlds into contiguous shards,
   each carrying only ``(start, size)`` plus the plan's root entropy.
   Workers rebuild world ``i``'s stream with

@@ -1178,14 +1178,13 @@ class ColumnarQueryOracle(Oracle):
         """
         from repro.measures.discrete import DiscreteMeasure
         if weights is None:
-            images = [relation.canonical() for relation in answers
-                      if relation is not None]
+            images = [relation.canonical() for relation in answers]
             if not images:
                 return DiscreteMeasure.zero()
             return DiscreteMeasure.from_samples(images).scale(total)
         masses: dict = {}
         for relation, weight in zip(answers, weights):
-            if relation is None or weight <= 0.0:
+            if weight <= 0.0:
                 continue
             key = relation.canonical()
             masses[key] = masses.get(key, 0.0) + weight
@@ -1205,8 +1204,7 @@ class ColumnarQueryOracle(Oracle):
                     and pdb.materializations != before:
                 return (f"plan #{number} is vectorizable yet "
                         "materialized the grouped worlds")
-            naive = [None if world is None else plan.evaluate(world)
-                     for world in pdb.world_slots()]
+            naive = [plan.evaluate(world) for world in pdb.world_slots()]
             for slot, (left, right) in enumerate(zip(compiled, naive)):
                 if left != right:
                     return (f"plan #{number} answer differs in world "
@@ -1245,7 +1243,7 @@ class ColumnarQueryOracle(Oracle):
         weights = [float(weight) for weight in pdb.weights]
         for number, plan in enumerate(plans):
             columnar = query_distribution(pdb, plan)
-            naive = [None if world is None else plan.evaluate(world)
+            naive = [plan.evaluate(world)
                      for world in pdb._columnar.world_slots()]
             reference = self._naive_measure(
                 naive, weights=weights, total=pdb.total_weight())
@@ -1419,9 +1417,7 @@ class StaticDynamicOracle(Oracle):
             if session._batched_chase() is None:
                 return 1, ("predicted streaming-safe but the batched "
                            "backend declined structurally")
-            return 0, ""  # step-budget decline of the batch itself
-        if stream._outcome.diagnostics.get("n_split", 0):
-            return 0, ""  # scalar fallback worlds: budget artifact
+            return 0, ""  # the batch itself declined (a cascade round)
         try:
             prior = fact_marginals(stream.posterior().pdb)
         except MeasureError:

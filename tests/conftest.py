@@ -58,18 +58,18 @@ def heights_instance():
 
 @pytest.fixture
 def handed_world_rngs(monkeypatch) -> list:
-    """The ``world_rngs`` argument of every ``BatchedChase.run_batch``
-    call the test makes, in call order."""
-    from repro.engine.batched import BatchedChase
+    """The per-world generator sequence of every
+    ``ChaseConfig.spawn_rngs`` call the test makes, in call order."""
+    from repro.api.config import ChaseConfig
     handed: list = []
-    run_batch = BatchedChase.run_batch
+    spawn_rngs = ChaseConfig.spawn_rngs
 
-    def spy(self, size, batch_rng, world_rngs, *args, **kwargs):
-        handed.append(world_rngs)
-        return run_batch(self, size, batch_rng, world_rngs, *args,
-                         **kwargs)
+    def spy(self, n):
+        rngs = spawn_rngs(self, n)
+        handed.append(rngs)
+        return rngs
 
-    monkeypatch.setattr(BatchedChase, "run_batch", spy)
+    monkeypatch.setattr(ChaseConfig, "spawn_rngs", spy)
     return handed
 
 

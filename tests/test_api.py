@@ -31,6 +31,7 @@ from repro.core.observe import observe
 from repro.errors import MeasureError, ValidationError
 from repro.pdb.database import mixture_pdb
 from repro.pdb.events import ContainsFactEvent
+from repro.query import scan
 
 
 @pytest.fixture
@@ -344,6 +345,36 @@ class TestSessionSample:
         outputs = list(repro.compile(g0).on(seed=0).outputs(5))
         assert len(outputs) == 5
         assert all(out is not None for out in outputs)
+
+
+#: Every Session verb that takes a run count ``n``, on a one-coin
+#: session (the posterior observes the coin).
+N_VERBS = {
+    "sample": lambda session, n: session.sample(n),
+    "outputs": lambda session, n: session.outputs(n),
+    "posterior": lambda session, n: session.observe(
+        observe("R", 1)).posterior(method="likelihood", n=n),
+    "stream": lambda session, n: session.stream(n),
+    "marginal": lambda session, n: session.marginal(
+        repro.Fact("R", (1,)), n=n),
+    "query": lambda session, n: session.query(scan("R", "v"), n=n),
+}
+
+
+class TestRunCountValidation:
+    @pytest.mark.parametrize("bad", [True, 2.5, "5", 0, -3], ids=repr)
+    @pytest.mark.parametrize("verb", sorted(N_VERBS))
+    def test_every_verb_rejects_a_bad_n(self, verb, bad):
+        session = repro.compile("R(Flip<0.5>) :- true.").on(seed=0)
+        with pytest.raises(ValidationError, match="n must be an int"):
+            N_VERBS[verb](session, bad)
+
+    @pytest.mark.parametrize("verb", sorted(N_VERBS))
+    def test_every_verb_accepts_a_numpy_integer(self, verb):
+        session = repro.compile("R(Flip<0.5>) :- true.").on(seed=0)
+        N_VERBS[verb](session, np.int64(40))
+        result = session.sample(np.int64(40))
+        assert result.n_runs == 40 and type(result.n_runs) is int
 
 
 class TestSessionExact:

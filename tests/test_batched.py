@@ -13,8 +13,11 @@ Four concerns:
 * **law agreement** - batched vs scalar on the paper's Examples 3.4
   (discrete, cascading triggers) and 3.5 (continuous, single layer):
   same output distribution, checked against closed forms and by KS;
-* **mechanics** - backend resolution (auto/scalar/batched), per-world
-  splitting, fallbacks outside the supported class, budget semantics.
+* **mechanics** - backend resolution (auto/scalar/batched), signature
+  grouping, fallbacks outside the supported class, budget semantics;
+* **decline contract** - a batch that cannot stay vectorized to the end
+  (a cascade round over budget or impossible to prepare) is declined
+  whole and equals ``backend="scalar"`` world for world.
 """
 
 import hashlib
@@ -37,8 +40,9 @@ from repro.distributions.discrete import Flip, Poisson
 from repro.distributions.registry import DEFAULT_REGISTRY
 from repro.engine import batched as batched_module
 from repro.engine.batched import (ALWAYS, NEVER, PINNED, BatchedChase,
-                                  _LayerFiring, _partition, _Round)
-from repro.errors import ValidationError
+                                  _LayerFiring, _partition)
+from repro.errors import (DistributionError, StreamingUnsupported,
+                          ValidationError)
 from repro.measures.empirical import ks_critical_value, ks_two_sample
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
@@ -237,8 +241,7 @@ class TestBatchedLawAgreement:
         # Quake and burglary worlds regroup by signature (singletons
         # included) and every world stays vectorized.
         assert result.diagnostics["n_groups"] > 1
-        assert result.diagnostics["n_split"] == 0
-        assert result.diagnostics["n_batched"] == 4000
+        assert result.n_truncated == 0
         for unit, rate in (("house-1", 0.03), ("biz-1", 0.01)):
             expected = alarm_probability_closed_form(rate)
             estimate = result.marginal(Fact("Alarm", (unit,)))
@@ -360,7 +363,7 @@ class TestBatchedMechanics:
         session = repro.compile(example_3_5_program()).on(
             example_3_5_instance(), seed=0)
         result = session.sample(200, backend="batched")
-        assert result.diagnostics["n_split"] == 0
+        assert result.backend == "batched"
         assert result.diagnostics["n_layer_firings"] == 6
         assert result.n_truncated == 0
 
@@ -400,7 +403,7 @@ class TestBatchedMechanics:
         instance = Instance.of(Fact("Seed", ("s",)))
         result = compiled.on(instance, seed=0).sample(
             300, backend="batched")
-        assert result.diagnostics["n_split"] == 0
+        assert result.backend == "batched"
         assert result.diagnostics["n_groups"] == 2  # Hit=0 and Hit=1
         hit = Fact("Hit", (1,))
         boom = Fact("Boom", ("s",))
@@ -437,7 +440,7 @@ class TestBatchedMechanics:
 
 
 class TestLazyWorldRngs:
-    """Only worlds that leave the batch build their own generator."""
+    """Only the scalar loop builds per-world generators."""
 
     @pytest.fixture
     def built(self, monkeypatch) -> list:
@@ -456,24 +459,22 @@ class TestLazyWorldRngs:
     def test_example_3_4_builds_one_generator_per_split_world(
             self, handed_world_rngs, built):
         # At max_steps=15 the cascade rounds of the multi-trigger
-        # groups overrun the step bound, so those worlds finish on the
-        # scalar engine; the other worlds stay vectorized.
+        # groups overrun the step bound, so the batch declines whole
+        # and the scalar loop builds every world's generator, once.
         session = repro.compile(example_3_4_program()).on(
             example_3_4_instance(), seed=0, max_steps=15)
-        result = session.sample(5000, backend="batched")
-        assert result.backend == "batched"
-        n_split = result.diagnostics["n_split"]
-        assert 0 < n_split < 50
-        assert [len(rngs) for rngs in handed_world_rngs] == [5000]
-        assert len(built) == len(set(built)) == n_split
+        result = session.sample(300, backend="batched")
+        assert result.backend == "scalar"
+        assert [len(rngs) for rngs in handed_world_rngs] == [300]
+        assert built == list(range(300))
 
     def test_zero_split_example_3_5_builds_none(self, handed_world_rngs,
                                                 built):
         session = repro.compile(example_3_5_program()).on(
             example_3_5_instance(), seed=0)
         result = session.sample(5000, backend="batched")
-        assert result.diagnostics["n_split"] == 0
-        assert [len(rngs) for rngs in handed_world_rngs] == [5000]
+        assert result.backend == "batched"
+        assert handed_world_rngs == []
         assert built == []
 
 
@@ -492,8 +493,8 @@ CONTINUOUS_CASCADE = """
 #: A world takes 5 steps (Level's auxiliary and head, Seen(x, 0),
 #: Seen(x, 1), Seen's auxiliary): the sampled Seen head always exists
 #: already.  The batched round bound counts that head as new (6), so at
-#: max_steps=5 every world leaves the batch after round 1 and its
-#: scalar continuation ends exactly at the budget.
+#: max_steps=5 the batch declines after round 1 and the scalar loop
+#: ends every world exactly at the budget.
 COLLIDING_CASCADE = """
     Level(Normal<0, 1>) :- true.
     Seen(x, Flip<0.5>) :- Level(x).
@@ -518,8 +519,8 @@ class TestMultiRoundCascade:
         assert result.diagnostics["n_rounds"] == 2
         # Trigger-hit worlds (~20%) regroup instead of going scalar,
         # rare one-world multi-trigger signatures included.
-        assert result.diagnostics["n_split"] == 0
-        assert result.diagnostics["n_batched"] == 2000
+        assert sum(len(group.members)
+                   for group in result.pdb._outcome.groups) == 2000
 
     def test_three_stage_chain_matches_exact_law(self):
         compiled = repro.compile(CASCADE_CHAIN)
@@ -527,7 +528,6 @@ class TestMultiRoundCascade:
         result = compiled.on(seed=11).sample(2000, backend="batched")
         assert result.backend == "batched"
         assert result.diagnostics["n_rounds"] == 3
-        assert result.diagnostics["n_split"] == 0
         # Terminal groups: A=0 | A=1,B=0 | B=1,C=0 | C=1 (cascaded).
         assert result.diagnostics["n_groups"] == 4
         for fact in (Fact("A", (1,)), Fact("B", (1,)),
@@ -548,7 +548,7 @@ class TestMultiRoundCascade:
         instance = Instance.of(Fact("Seed", ("s",)))
         result = compiled.on(instance, seed=1).sample(
             40, backend="batched")
-        assert result.diagnostics["n_split"] == 0
+        assert result.backend == "batched"
         assert result.diagnostics["n_groups"] == 1
         assert all(Fact("Boom", ("s",)) not in world.facts
                    for world in result.pdb.worlds)
@@ -560,8 +560,6 @@ class TestMultiRoundCascade:
         session = repro.compile(CONTINUOUS_CASCADE).on(seed=2)
         result = session.sample(30, backend="batched")
         assert result.backend == "batched"
-        assert result.diagnostics["n_split"] == 0
-        assert result.diagnostics["n_batched"] == 30
         assert result.diagnostics["n_rounds"] == 2
         assert result.diagnostics["n_groups"] == 30
         for world in result.pdb.worlds:
@@ -573,7 +571,7 @@ class TestMultiRoundCascade:
         session = repro.compile(CONTINUOUS_CASCADE).on(
             seed=2, batch_min_group=1)
         result = session.sample(12, backend="batched")
-        assert result.diagnostics["n_split"] == 0
+        assert result.backend == "batched"
         assert result.diagnostics["n_rounds"] == 2
         assert result.diagnostics["n_groups"] == 12
         for world in result.pdb.worlds:
@@ -585,13 +583,14 @@ class TestMultiRoundCascade:
     def test_all_worlds_split_on_continuous_trigger(self):
         # A continuous always-trigger gives every world a unique
         # signature.  At max_steps=5 each one-world group's next round
-        # overruns the round bound, so every world finishes on the
-        # scalar engine, and none is truncated (see COLLIDING_CASCADE).
+        # overruns the round bound, so the batch declines whole: the
+        # scalar loop runs every world, and none is truncated (see
+        # COLLIDING_CASCADE).
         session = repro.compile(COLLIDING_CASCADE).on(seed=2, max_steps=5)
         result = session.sample(30, backend="batched")
-        assert result.backend == "batched"
-        assert result.diagnostics["n_split"] == 30
-        assert result.diagnostics["n_batched"] == 0
+        assert result.backend == "scalar"
+        assert result.pdb.worlds == session.sample(
+            30, backend="scalar").pdb.worlds
         assert result.pdb.truncated == 0
         for world in result.pdb.worlds:
             (level,) = world.facts_of("Level")
@@ -606,9 +605,9 @@ class TestMultiRoundCascade:
             earthquake_city_instance(4, 4, seed=0), seed=0)
         result = session.sample(100)
         assert result.backend == "batched"
-        assert result.diagnostics["n_split"] == 0
-        assert result.diagnostics["n_batched"] == 100
-        assert not result.pdb._outcome.scalar_runs
+        groups = result.pdb._outcome.groups
+        assert sum(len(group.members) == 1 for group in groups) > 50
+        assert sum(len(group.members) for group in groups) == 100
 
     def test_semi_join_prunes_unsatisfiable_trigger(self):
         # Hit(1) pins a trigger atom, but the rest of the Boom body
@@ -620,7 +619,7 @@ class TestMultiRoundCascade:
             Boom(x) :- Hit(1), Blocker(x).
         """)
         result = compiled.on(seed=0).sample(100, backend="batched")
-        assert result.diagnostics["n_split"] == 0
+        assert result.backend == "batched"
         assert result.diagnostics["n_groups"] == 1
         estimate = result.marginal(Fact("Hit", (1,)))
         assert abs(estimate - 0.5) <= 0.15
@@ -636,7 +635,7 @@ class TestMultiRoundCascade:
         instance = Instance.of(Fact("Allowed", (2,)))
         result = compiled.on(instance, seed=3).sample(
             400, backend="batched")
-        assert result.diagnostics["n_split"] == 0
+        assert result.backend == "batched"
         assert result.diagnostics["n_groups"] == 2
         match = Fact("Match", (2,))
         pick = Fact("Pick", (2,))
@@ -646,18 +645,19 @@ class TestMultiRoundCascade:
 
     def test_budget_exhaustion_mid_round_truncates_like_scalar(self):
         # max_steps=2 lets round 1 fire (aux + head per world) but not
-        # the Boom cascade: trigger-hit worlds must fall back and
-        # truncate, exactly as the scalar loop would on those draws
-        # (the backends use different streams, so the comparison is
-        # structural: every Hit=1 world truncates, every Hit=0 world
-        # is a genuine two-step output).
+        # the Boom cascade, so the batch declines whole and the scalar
+        # loop truncates the trigger-hit worlds itself: every Hit=1
+        # world truncates, every Hit=0 world is a genuine two-step
+        # output, world for world as under backend="scalar".
         compiled = repro.compile(HIT_BOOM)
         instance = Instance.of(Fact("Seed", ("s",)))
         batched = compiled.on(instance, seed=5, max_steps=2).sample(
             60, backend="batched")
-        assert batched.backend == "batched"
-        assert batched.diagnostics["n_split"] > 0
-        assert batched.pdb.truncated > 0
+        scalar = compiled.on(instance, seed=5, max_steps=2).sample(
+            60, backend="scalar")
+        assert batched.backend == "scalar"
+        assert batched.pdb.worlds == scalar.pdb.worlds
+        assert batched.pdb.truncated == scalar.pdb.truncated > 0
         assert batched.pdb.truncated + len(batched.pdb.worlds) == 60
         for world in batched.pdb.worlds:
             assert Fact("Hit", (0,)) in world.facts
@@ -674,7 +674,7 @@ class TestMultiRoundCascade:
             40, backend="batched")
         scalar = compiled.on(instance, seed=5, max_steps=2).sample(
             40, backend="scalar")
-        assert batched.backend == "batched"
+        assert batched.backend == "scalar"
         assert batched.pdb.truncated == scalar.pdb.truncated == 40
         assert batched.err_mass() == scalar.err_mass() == 1.0
 
@@ -691,7 +691,7 @@ class TestMultiRoundCascade:
             60, backend="batched")
         scalar = compiled.on(instance, seed=5, max_steps=3).sample(
             60, backend="scalar")
-        assert batched.diagnostics["n_split"] == 0
+        assert batched.backend == "batched"
         assert batched.pdb.truncated == 0
         assert scalar.pdb.truncated == 0
         hit, boom = Fact("Hit", (1,)), Fact("Boom", ("s",))
@@ -708,58 +708,43 @@ class TestMultiRoundCascade:
             ChaseConfig(batch_min_group=True)
 
     def test_scalar_fallback_draw_order_bit_identity(self):
-        # Split worlds must continue with the world's own spawned
-        # stream from exactly the batched prefix state: replaying the
-        # layer draws and the per-world continuation by hand must
-        # reproduce the ensemble draw-for-draw.  The step budget sends
-        # every world to the scalar engine after round 1.
+        # The step budget stops every world's cascade after round 1, so
+        # the batch declines whole and draws nothing itself: replaying
+        # the prepared scalar loop by hand - each world's own spawned
+        # stream from the input instance - must reproduce the ensemble
+        # draw for draw.
         n = 8
         compiled = repro.compile(COLLIDING_CASCADE)
         session = compiled.on(seed=13, max_steps=5)
         result = session.sample(n, backend="batched")
-        assert result.diagnostics["n_split"] == n
+        assert result.backend == "scalar"
 
         translated = compiled.translated
         visible = compiled.visible_relations
-        chase = BatchedChase(translated, Instance.empty())
-        batch_rng = ChaseConfig(seed=13).base_rng()
-        first_round = _Round(chase._root, np.arange(n), ())
-        draws = chase._draw_wave([first_round], batch_rng,
-                                 {"n_draw_calls": 0,
-                                  "n_pooled_draws": 0})[0]
-        rngs = ChaseConfig(seed=13).spawn_rngs(n)
+        base = make_engine(translated, Instance.empty())
         expected = []
-        for index in range(n):
-            state = chase._engine.fork()
-            facts = []
-            for firing, column in zip(chase.layer, draws):
-                sampled = column[index].item()
-                facts.append(Fact(firing.aux_relation,
-                                  firing.prefix + (sampled,)))
-                facts.extend(firing.head_facts(sampled))
-            for fact in facts:
-                state.add_fact(fact)
-            current = chase.closed.add_all(facts)
-            steps = len(current) - len(chase.instance)
-            run = run_chase_prepared(translated, state, current,
-                                     DEFAULT_POLICY, rngs[index],
-                                     5 - steps)
+        for rng in ChaseConfig(seed=13).spawn_rngs(n):
+            run = run_chase_prepared(translated, base.fork(),
+                                     Instance.empty(), DEFAULT_POLICY,
+                                     rng, 5)
             assert run.terminated
             expected.append(run.instance.restrict(visible))
         assert result.pdb.worlds == expected
 
     def test_run_batch_rejects_retired_min_group(self):
-        # The retired min_group argument fails loudly, positionally
-        # too: the options after max_steps are keyword-only.
+        # The retired arguments fail loudly, positionally too: the
+        # options after max_steps are keyword-only, and the per-world
+        # generators and policy of a scalar continuation are gone.
         session = repro.compile(CONTINUOUS_CASCADE).on(seed=7)
         chase = session._batched_chase()
         cfg = session.config
         with pytest.raises(TypeError):
-            chase.run_batch(12, cfg.base_rng(), cfg.spawn_rngs(12),
-                            DEFAULT_POLICY, 10_000, 8)
+            chase.run_batch(12, cfg.base_rng(), 10_000, 8)
         with pytest.raises(TypeError, match="min_group"):
+            chase.run_batch(12, cfg.base_rng(), 10_000, min_group=8)
+        with pytest.raises(TypeError):
             chase.run_batch(12, cfg.base_rng(), cfg.spawn_rngs(12),
-                            DEFAULT_POLICY, 10_000, min_group=8)
+                            DEFAULT_POLICY, 10_000)
 
     def test_batch_min_group_validation(self):
         for retired in (2, 0, True, 1.5):
@@ -803,7 +788,6 @@ class TestBaranyCompanionBatching:
         compiled = repro.compile(H_BARANY, semantics="barany")
         result = compiled.on(seed=0).sample(400, backend="batched")
         assert result.backend == "batched"
-        assert result.diagnostics["n_split"] == 0
         assert result.diagnostics["n_layer_firings"] == 1
         for world in result.pdb.worlds:
             (r,) = world.facts_of("R")
@@ -830,7 +814,6 @@ class TestBaranyCompanionBatching:
         result = compiled.on(instance, seed=1).sample(
             300, backend="batched")
         assert result.backend == "batched"
-        assert result.diagnostics["n_split"] == 0
         assert result.diagnostics["n_layer_firings"] == 1
         for world in result.pdb.worlds:
             values = {fact.args[1] for fact in world.facts_of("Out")}
@@ -860,7 +843,6 @@ class TestBaranyCompanionBatching:
             50, backend="batched")
         assert result.backend == "batched"
         assert result.diagnostics["n_layer_firings"] == 2
-        assert result.diagnostics["n_split"] == 0
         for world in result.pdb.worlds:
             by_country: dict = {}
             for fact in world.facts_of("PHeight"):
@@ -902,7 +884,6 @@ class TestBaranyCompanionBatching:
         result = compiled.on(instance, seed=2).sample(
             300, backend="batched")
         assert result.backend == "batched"
-        assert result.diagnostics["n_split"] == 0
         assert result.diagnostics["n_groups"] == 2
         for world in result.pdb.worlds:
             hit = Fact("Out", ("a", 1)) in world.facts
@@ -926,7 +907,6 @@ class TestBaranyCompanionBatching:
             result = session.sample(2000, seed=seed, backend="batched")
             assert result.backend == "batched"
             assert (result.diagnostics["n_cached_rounds"] > 0) == cached
-            assert result.diagnostics["n_split"] == 0
             assert result.diagnostics["n_rounds"] == 2
             for world in result.pdb.worlds:
                 (a,) = world.facts_of("A")
@@ -963,7 +943,6 @@ class TestPooledDraws:
         assert result.backend == "batched"
         diag = result.diagnostics
         assert diag["n_rounds"] == 2
-        assert diag["n_split"] == 0
         # Round 1: one DiscreteUniform call.  Round 2: the four stage
         # groups' Flip<0.5> firings (3 each) pool into a single call.
         assert diag["n_draw_calls"] == 2
@@ -982,48 +961,96 @@ class TestPooledDraws:
 
 
 class TestExactBudgetBoundary:
-    """Fallback runs ending precisely at the remaining step budget."""
+    """Declined batches whose runs end precisely at the step budget."""
 
     def test_fallback_terminating_exactly_at_budget(self):
         # The cascade needs exactly 5 steps per world, but round 2's
-        # bound counts 6.  Every world splits after round 1; the
-        # fallback's remaining budget is exactly 3 - just enough - so
-        # every run must terminate, same as the scalar backend.
+        # bound counts 6.  The batch declines after round 1, and the
+        # scalar loop's budget of 5 is just enough: every run must
+        # terminate, world for world as under backend="scalar".
         session = repro.compile(COLLIDING_CASCADE).on(
             seed=3, max_steps=5)
         batched = session.sample(12, backend="batched")
         scalar = session.sample(12, backend="scalar")
-        assert batched.backend == "batched"
-        assert batched.diagnostics["n_split"] == 12
+        assert batched.backend == "scalar"
+        assert batched.pdb.worlds == scalar.pdb.worlds
         assert batched.pdb.truncated == 0 == scalar.pdb.truncated
         assert len(batched.pdb.worlds) == 12
-        # One step more and round 2 fits: no world leaves the batch.
+        # One step more and round 2 fits: the batch stays vectorized.
         roomy = session.sample(12, backend="batched", max_steps=6)
-        assert roomy.diagnostics["n_split"] == 0
+        assert roomy.backend == "batched"
 
     def test_fallback_one_step_short_truncates_like_scalar(self):
         session = repro.compile(CONTINUOUS_CASCADE).on(
             seed=3, max_steps=3)
         batched = session.sample(12, backend="batched")
         scalar = session.sample(12, backend="scalar")
-        assert batched.backend == "batched"
+        assert batched.backend == "scalar"
         assert batched.pdb.truncated == 12 == scalar.pdb.truncated
 
     def test_fallback_steps_accounting_is_exact(self):
-        # The reconstructed prefix counts facts-added; a fallback run
-        # finishing at the budget must report steps == max_steps and
-        # terminated == True (the off-by-one this guards: treating
-        # "budget exhausted" and "finished on the last step" alike).
+        # The round bound of a cached node is exact: at max_steps=5 the
+        # engine declines (round 2 counts 6) and at 6 it accepts.  A
+        # scalar run finishing at the budget must report steps ==
+        # max_steps and terminated == True (the off-by-one this
+        # guards: treating "budget exhausted" and "finished on the
+        # last step" alike).
         compiled = repro.compile(COLLIDING_CASCADE)
         chase = BatchedChase(compiled.translated, Instance.empty())
         cfg = ChaseConfig(seed=13)
-        outcome = chase.run_batch(4, cfg.base_rng(), cfg.spawn_rngs(4),
-                                  DEFAULT_POLICY, 5)
-        assert outcome is not None
-        assert len(outcome.scalar_runs) == 4
-        for _world, run in outcome.scalar_runs:
+        assert chase.run_batch(4, cfg.base_rng(), 5) is None
+        outcome = chase.run_batch(4, cfg.base_rng(), 6)
+        assert sorted(np.concatenate(
+            [group.members for group in outcome.groups]).tolist()) \
+            == [0, 1, 2, 3]
+        session = compiled.on(seed=13, max_steps=5)
+        for seed in range(4):
+            run = session.run(rng=seed)
             assert run.terminated
             assert run.steps == 5
+
+
+#: Round 2 of the A=0 group draws Normal<0.0, 0>, whose variance the
+#: family rejects: a later round that cannot be prepared.
+UNPREPARABLE_ROUND = """
+    A(Flip<0.5>) :- true.
+    B(Normal<0.0, x>) :- A(x).
+"""
+
+
+class TestDeclineContract:
+    """A batch stays vectorized to the end or is declined whole."""
+
+    @staticmethod
+    def _tight_session():
+        # Rare multi-trigger groups need a third round that overruns
+        # max_steps=15; at n=2000 and seed 3 some worlds form them.
+        return repro.compile(example_3_4_program()).on(
+            example_3_4_instance(), seed=3, max_steps=15)
+
+    def test_mid_cascade_budget_decline_equals_scalar(self):
+        session = self._tight_session()
+        declined = session.sample(2000, backend="batched")
+        scalar = session.sample(2000, backend="scalar")
+        assert declined.backend == "scalar"
+        assert declined.pdb.worlds == scalar.pdb.worlds
+        assert declined.n_truncated == scalar.n_truncated == 15
+        sharded = session.sample(2000, backend="batched", shards=2)
+        assert sharded.backend == "sharded"
+        assert sharded.pdb.worlds == scalar.pdb.worlds
+
+    def test_unpreparable_round_raises_the_scalar_error(self):
+        session = repro.compile(UNPREPARABLE_ROUND).on(seed=0)
+        chase = session._batched_chase()
+        assert chase.run_batch(50, session.config.base_rng(),
+                               10_000) is None
+        for backend in ("batched", "scalar"):
+            with pytest.raises(DistributionError, match="variance"):
+                session.sample(50, backend=backend)
+
+    def test_stream_declines_on_mid_cascade_budget(self):
+        with pytest.raises(StreamingUnsupported, match="declined"):
+            self._tight_session().stream(2000)
 
 
 class TestColumnarReads:
@@ -1105,10 +1132,14 @@ class TestColumnarReads:
                             for fact, count in counts.items()}
 
     def test_truncated_runs_excluded_from_columnar_reads(self):
+        # A budget that truncates some worlds declines the batch: the
+        # scalar loop's ensemble carries the truncations, and a batched
+        # ensemble never holds a truncated world.
         compiled = repro.compile(HIT_BOOM)
         instance = Instance.of(Fact("Seed", ("s",)))
         result = compiled.on(instance, seed=5, max_steps=2).sample(
             60, backend="batched")
+        assert result.backend == "scalar"
         assert result.pdb.truncated > 0
         assert result.pdb.total_mass() == \
             (60 - result.pdb.truncated) / 60
@@ -1235,27 +1266,27 @@ class TestRoundCache:
     """Round transitions cached per BatchedChase (one warm session)."""
 
     def test_warm_cities_session_equals_fresh_sessions(self):
-        # Seeds 18-29 cycle the step budget through 60-71, where
-        # groups finish on the scalar engine (fallback) or not
-        # depending on the budget, from the same cached nodes.
+        # Seeds 18-29 cycle the step budget through 84-95, where the
+        # batch declines or not depending on the budget, from the same
+        # cached nodes.
         from repro.testing.oracles import compare_monte_carlo_pdbs
         compiled = repro.compile(example_3_4_program())
         instance = earthquake_city_instance(4, 4, seed=0)
         warm = compiled.on(instance)
-        cached = split = 0
+        cached = declined = 0
         for seed in range(30):
-            budget = {} if seed < 18 else {"max_steps": 42 + seed}
+            budget = {} if seed < 18 else {"max_steps": 66 + seed}
             result = warm.sample(100, seed=seed, **budget)
             fresh = compiled.on(instance, seed=seed, **budget).sample(100)
-            assert result.backend == fresh.backend == "batched"
+            assert result.backend == fresh.backend
             assert compare_monte_carlo_pdbs(result.pdb, fresh.pdb) is None
-            assert result.diagnostics["n_split"] == \
-                fresh.diagnostics["n_split"]
+            if result.backend == "scalar":
+                declined += 1
+                continue
             assert fresh.diagnostics["n_cached_rounds"] == 0
             cached += result.diagnostics["n_cached_rounds"]
-            split += result.diagnostics["n_split"]
         assert cached > 0
-        assert split > 0
+        assert 0 < declined < 12
 
     def test_guided_posterior_after_plain_samples_equals_fresh(self):
         from repro.pdb.events import ContainsFactEvent

@@ -149,8 +149,7 @@ class TestPlanAnalysis:
         plan = avg_plan()
         compiled = query_answers(pdb, plan)
         assert pdb.materializations == 0
-        naive = [None if world is None else plan.evaluate(world)
-                 for world in pdb.world_slots()]
+        naive = [plan.evaluate(world) for world in pdb.world_slots()]
         assert compiled == naive
 
     def test_explain_over_every_representation(self):
@@ -231,9 +230,6 @@ class TestWholeBatchPlanner:
     def _weights(pdb):
         weights = np.random.default_rng(0).exponential(size=pdb.n_runs)
         weights[::5] = 0.0
-        for index, run in pdb._outcome.scalar_runs:
-            if not run.terminated:
-                weights[index] = 0.0
         return weights
 
     def _check(self, pdb, plans):
@@ -244,8 +240,7 @@ class TestWholeBatchPlanner:
             before = pdb.materializations
             compiled = query_answers(pdb, plan)
             assert pdb.materializations == before
-            naive = [None if world is None else plan.evaluate(world)
-                     for world in pdb.world_slots()]
+            naive = [plan.evaluate(world) for world in pdb.world_slots()]
             assert compiled == naive
             assert query_distribution(pdb, plan) == naive_measure(
                 naive, total=pdb.total_mass())
@@ -253,49 +248,48 @@ class TestWholeBatchPlanner:
                 naive, weights=weights.tolist(),
                 total=weighted.total_weight())
 
-            hits = sum(1 for relation in naive
-                       if relation is not None and len(relation) > 0)
+            hits = sum(1 for relation in naive if len(relation) > 0)
             assert boolean_probability(pdb, plan) == hits / pdb.n_runs
             hit = 0.0
             for weight, relation in zip(weights.tolist(), naive):
-                if relation is not None and len(relation) > 0 \
-                        and weight > 0.0:
+                if len(relation) > 0 and weight > 0.0:
                     hit += weight
             assert boolean_probability(weighted, plan) \
                 == hit / weighted.total_weight()
 
             if isinstance(plan, Aggregate) and not plan.group_by:
-                values = [None if relation is None
-                          else float(aggregate_answer(relation))
+                values = [float(aggregate_answer(relation))
                           for relation in naive]
-                assert expected_aggregate(pdb, plan) == math.fsum(
-                    value for value in values
-                    if value is not None) / pdb.n_runs
+                assert expected_aggregate(pdb, plan) == \
+                    math.fsum(values) / pdb.n_runs
                 assert expected_aggregate(weighted, plan) == math.fsum(
                     weight * value
                     for weight, value in zip(weights.tolist(), values)
-                    if value is not None and weight > 0.0) \
-                    / weighted.total_weight()
+                    if weight > 0.0) / weighted.total_weight()
 
     def test_sensor_batch_with_many_groups(self):
         pdb = sensor_pdb()
         assert len(pdb._outcome.groups) > 20
-        assert not pdb._outcome.scalar_runs
         self._check(pdb, SENSOR_PLANS)
 
     @pytest.mark.parametrize("max_steps", [68, 60])
     def test_cities_batch_with_scalar_fallback_slots(self, max_steps):
-        # Cascade rounds that overrun the step budget finish on the
-        # scalar engine.  At max_steps=60 every such world truncates;
-        # at 68 a few terminate (their two Trig draws agree, so they
-        # take a step fewer than the round bound counts).
-        pdb = cities_pdb(max_steps=max_steps)
-        assert pdb._outcome.scalar_runs and pdb._outcome.groups
-        terminated = [run.terminated
-                      for _, run in pdb._outcome.scalar_runs]
-        assert any(terminated) == (max_steps == 68)
-        assert explain(pdb, CITY_PLANS[0]) == "columnar"
-        self._check(pdb, CITY_PLANS)
+        # Cascade rounds that overrun the step budget decline the
+        # whole batch, at 68 as at 60: the ensemble is the scalar
+        # loop's, world for world, truncated worlds included, and the
+        # plans are answered per world with the truncated mass left
+        # out.
+        pdb = cities_pdb(n=100, max_steps=max_steps)
+        scalar = cities_pdb(n=100, max_steps=max_steps, backend="scalar")
+        assert not isinstance(pdb, ColumnarMonteCarloPDB)
+        assert pdb.worlds == scalar.worlds
+        assert pdb.truncated == scalar.truncated > 0
+        naive_measure = ColumnarQueryOracle._naive_measure
+        for plan in CITY_PLANS:
+            assert explain(pdb, plan) == "worlds"
+            assert query_distribution(pdb, plan) == naive_measure(
+                [plan.evaluate(world) for world in pdb.worlds],
+                total=pdb.total_mass())
 
     def test_sharded_merge(self):
         pdb = sharded_cities_pdb()
@@ -591,7 +585,7 @@ def _fact_batch(name):
         return sensor_pdb(n=300)
     if name == "cities":
         return cities_pdb()
-    return cities_pdb(max_steps=60)
+    return cities_pdb(n=100, max_steps=60)
 
 
 class TestFactReaders:
@@ -611,6 +605,15 @@ class TestFactReaders:
         from repro.pdb.stats import fact_marginals
         from repro.pdb.weighted import WeightedPDB
         pdb = _fact_batch(name)
+        if name == "cities-truncated":
+            # Its budget truncates some worlds, which declines the
+            # whole batch: the ensemble is the scalar loop's, world for
+            # world, and holds no columnar reader to check.
+            scalar = cities_pdb(n=100, max_steps=60, backend="scalar")
+            assert not isinstance(pdb, ColumnarMonteCarloPDB)
+            assert pdb.worlds == scalar.worlds
+            assert pdb.truncated == scalar.truncated > 0
+            return
         assert isinstance(pdb, ColumnarMonteCarloPDB)
         weights = TestWholeBatchPlanner._weights(pdb)
         weighted = WeightedColumnarPDB(pdb, weights)
@@ -628,19 +631,16 @@ class TestFactReaders:
         slots = pdb.world_slots()
         counts: dict = {}
         for world in slots:
-            for fact in world.facts if world is not None else ():
+            for fact in world.facts:
                 counts[fact] = counts.get(fact, 0) + 1
         assert table == {fact: count / pdb.n_runs
                          for fact, count in counts.items()}
         for fact, mask, marginal in zip(probes, masks, marginals):
-            assert mask.tolist() == [world is not None and fact in world
-                                     for world in slots], fact
+            assert mask.tolist() == [fact in world for world in slots], \
+                fact
             assert marginal == counts.get(fact, 0) / pdb.n_runs, fact
 
-        live = [index for index, world in enumerate(slots)
-                if world is not None]
-        reference = WeightedPDB([slots[index] for index in live],
-                                weights[live])
+        reference = WeightedPDB(slots, weights)
         expected = fact_marginals(reference)
         assert weighted_table.keys() == expected.keys()
         for fact, value in expected.items():

@@ -286,9 +286,7 @@ class TestPickleRoundTrips:
         session = repro.compile(CASCADE).on(_sites(3), seed=9)
         chase = session._batched_chase()
         cfg = session.config
-        outcome = chase.run_batch(15, cfg.base_rng(),
-                                  cfg.spawn_rngs(15), DEFAULT_POLICY,
-                                  10_000)
+        outcome = chase.run_batch(15, cfg.base_rng(), 10_000)
         restored = self._roundtrip(outcome)
         assert isinstance(restored, BatchOutcome)
         visible = session.compiled.visible_relations

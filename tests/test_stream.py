@@ -249,9 +249,9 @@ class TestResampling:
 
     def test_fresh_seed_resamples_from_the_world_streams_root(
             self, monkeypatch, handed_world_rngs):
-        # Resampling streams are worlds n, n+1, ... of the root the
-        # per-world sampling streams came from: one fresh entropy, not
-        # two, so they cannot collide.
+        # The stream builds no per-world sampling stream; resampling
+        # streams are worlds n, n+1, ... of one root entropy, drawn
+        # once for a fresh (None) seed.
         from repro.api import stream as stream_module
         resample_roots = []
         world_rng = stream_module.world_rng
@@ -264,8 +264,10 @@ class TestResampling:
         stream = cascade_session(seed=None).stream(50)
         stream.observe(repro.observe("Alarm", "a", 1))
         stream.resample()
-        (world_rngs,) = handed_world_rngs
-        assert resample_roots == [(world_rngs.entropy, 50)]
+        stream.resample()
+        assert handed_world_rngs == []
+        assert resample_roots == [(stream._entropy, 50),
+                                  (stream._entropy, 51)]
 
     def test_pre_resample_evidence_cannot_be_retracted(self):
         stream = cascade_session().stream(1000)
@@ -311,8 +313,8 @@ SENSOR_PIPELINE = """
 class TestSingletonGroups:
     def test_observe_on_eight_sensor_stream_at_default_config(self):
         # Rare Flaky patterns form one-world signature groups.  They
-        # stay columnar, so an observed Reading re-weights every world
-        # instead of touching a scalar-fallback world and declining.
+        # stay columnar, so the stream opens and an observed Reading
+        # re-weights every world.
         instance = repro.Instance.from_dict(
             {"Sensor": [(f"t{i}", 18.0 + 0.5 * i) for i in range(8)]})
         stream = repro.compile(SENSOR_PIPELINE).on(
@@ -320,7 +322,8 @@ class TestSingletonGroups:
         stream.observe(repro.observe("Reading", "t3", 19.0))
         assert stream.n_evidence == 1
         assert stream.n_alive == 10_000
-        assert not stream._outcome.scalar_runs
+        assert sum(len(group.members) == 1
+                   for group in stream._outcome.groups) > 0
 
 
 class TestSlidingWindow:

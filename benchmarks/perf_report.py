@@ -31,8 +31,14 @@ test dependencies).  Usage::
         --benchmark-json=bench-raw.json -q
     python benchmarks/perf_report.py bench-raw.json --sha "$GITHUB_SHA" \
         --out "BENCH_${GITHUB_SHA}.json"              # artifact + gate
-    python benchmarks/perf_report.py bench-raw.json --sha seed \
+    python benchmarks/perf_report.py bench-raw-1.json bench-raw-2.json \
+        bench-raw-3.json --sha seed \
         --write-baseline benchmarks/baseline.json     # refresh baseline
+
+Given several dumps of one tree, the report holds each experiment's
+median over the runs, each run normalized by its own calibration
+first: one run whose calibration read fast or slow cannot shift every
+entry of a baseline written from several.
 
 Exit codes: 0 gate passed, 1 regression found, 2 usage/validation
 error.
@@ -42,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -111,6 +118,35 @@ def build_report(raw: dict, sha: str) -> dict:
                 "normalized": median / calibration,
             }
             for identifier, median in sorted(medians.items())
+        },
+    }
+
+
+def median_report(reports: list[dict]) -> dict:
+    """Several runs' reports of one tree -> one of per-id medians."""
+    if len(reports) == 1:
+        return reports[0]
+    identifiers = set(reports[0]["experiments"])
+    if any(set(report["experiments"]) != identifiers
+           for report in reports[1:]):
+        raise ReportError("the runs do not hold the same experiments")
+
+    def median(key, identifier=None):
+        return statistics.median(
+            report[key] if identifier is None
+            else report["experiments"][identifier][key]
+            for report in reports)
+
+    return {
+        **reports[0],
+        "calibration_median_seconds": median(
+            "calibration_median_seconds"),
+        "experiments": {
+            identifier: {
+                "median_seconds": median("median_seconds", identifier),
+                "normalized": median("normalized", identifier),
+            }
+            for identifier in sorted(identifiers)
         },
     }
 
@@ -267,7 +303,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="pytest-benchmark post-processing + regression "
                     "gate")
-    parser.add_argument("raw", help="pytest --benchmark-json output")
+    parser.add_argument("raw", nargs="+",
+                        help="pytest --benchmark-json output; several "
+                             "runs of one tree give per-id medians")
     parser.add_argument("--sha", required=True,
                         help="commit sha stamped into the report")
     parser.add_argument("--out", default=None,
@@ -288,7 +326,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        report = build_report(_load_json(Path(args.raw)), args.sha)
+        report = median_report([build_report(_load_json(Path(raw)),
+                                             args.sha)
+                                for raw in args.raw])
         schema = _load_json(Path(args.schema))
         violations = validate(report, schema)
         if violations:

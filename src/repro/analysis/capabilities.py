@@ -158,6 +158,36 @@ def collect_growable(translated: ExistentialProgram) -> frozenset:
     return frozenset(growable)
 
 
+def rounds_compose(translated: ExistentialProgram,
+                   growable: frozenset | None = None) -> bool:
+    """Whether every cascade round is the union of one-trigger rounds.
+
+    True when no rule body joins two atoms over growable relations
+    (``growable`` defaults to :func:`collect_growable`).  Datalog is
+    monotone, so every fact a cascade round derives then follows from
+    one trigger alone, and the batched chase may build a round from
+    the rounds its single triggers open (``BatchedChase._compose``).
+    A (3.B) companion rule reads its auxiliary atom beside the random
+    rule's body; under the per-rule translation it only re-derives
+    the head the batched layer already emitted with the auxiliary
+    fact, so it is exempt.  Under the Bárány translation it is exempt
+    only when its other atoms are stable.
+    """
+    if growable is None:
+        growable = collect_growable(translated)
+    for rule in translated.rules:
+        atoms = [atom for atom in rule.body
+                 if atom.relation in growable]
+        if len(atoms) < 2:
+            continue
+        companion = isinstance(rule, DetRule) and sum(
+            atom.relation in translated.aux_relations
+            for atom in atoms) == 1
+        if not (companion and translated.semantics == "grohe"):
+            return False
+    return True
+
+
 def collect_companions(translated: ExistentialProgram) -> dict:
     """aux relation -> list of (companion DetRule, its aux body atom).
 

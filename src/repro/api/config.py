@@ -67,6 +67,17 @@ def _is_int(value) -> bool:
         and not isinstance(value, bool)
 
 
+def _check_runs(n) -> int:
+    """A run or world count ``n``: an int (numpy ints too) >= 1.
+
+    The one check behind every ``Session`` verb, sharded sampling and
+    the server's ``n`` field.
+    """
+    if not _is_int(n) or n < 1:
+        raise ValidationError(f"n must be an int >= 1, got {n!r}")
+    return int(n)
+
+
 def world_rng(entropy: int, world: int) -> np.random.Generator:
     """World ``world``'s generator under the root ``entropy``.
 

@@ -57,9 +57,12 @@ class InferenceResult:
         ``"scalar"`` (or ``"sharded"``).  Batched results additionally
         report ``n_rounds`` (cascade depth of the multi-round batch
         loop), ``n_groups`` (terminal signature groups) and
-        ``n_cached_rounds`` (group rounds whose transition an earlier
-        batch on the same session had already computed, so it varies
-        with how warm the session is) in ``diagnostics``, and their
+        ``n_cached_rounds`` (group rounds whose transition the
+        session's round cache already held - from an earlier batch,
+        or stored as part of a composed round earlier in the same
+        batch - so it varies with how warm the session is) and
+        ``n_composed_rounds`` (missed group rounds built from cached
+        one-trigger rounds) in ``diagnostics``, and their
         ``pdb`` answers ``marginal`` / ``fact_marginals``
         straight from the columnar sample arrays - worlds materialize
         only when accessed.

@@ -31,12 +31,15 @@ process shards without losing reproducibility.
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.api.config import DEFAULT_CONFIG, ChaseConfig, _is_int
+from repro.api.config import (DEFAULT_CONFIG, ChaseConfig,
+                               _check_runs)
 from repro.api.results import InferenceResult
 from repro.core.applicability import (IncrementalApplicability,
                                       overlay_fork)
@@ -250,18 +253,19 @@ class Session:
                  config: ChaseConfig,
                  evidence: tuple[Evidence, ...] = (),
                  _engines: dict | None = None,
-                 _exact_cache: dict | None = None):
+                 _exact_cache: "_ExactCache | None" = None):
         self.compiled = compiled
         self.instance = instance
         self.config = config
         self._evidence = tuple(evidence)
         # Engine bases depend only on (translated, instance, engine
-        # kind) and exact results carry their full config as cache key,
-        # so derived sessions (configure/observe) share both caches.
+        # kind) and exact results on the config fields enumeration
+        # reads, so derived sessions (configure/observe) share both
+        # caches.
         self._engines: dict[str, object] = \
             _engines if _engines is not None else {}
-        self._exact_cache: dict[ChaseConfig, InferenceResult] = \
-            _exact_cache if _exact_cache is not None else {}
+        self._exact_cache: _ExactCache = \
+            _exact_cache if _exact_cache is not None else _ExactCache()
 
     # -- fluent construction ------------------------------------------------
 
@@ -488,6 +492,7 @@ class Session:
                          "n_rounds": info["n_rounds"],
                          "n_groups": info["n_groups"],
                          "n_cached_rounds": info["n_cached_rounds"],
+                         "n_composed_rounds": info["n_composed_rounds"],
                          "n_draw_calls": info["n_draw_calls"],
                          "n_pooled_draws": info["n_pooled_draws"]})
 
@@ -540,11 +545,17 @@ class Session:
     def exact(self, **overrides) -> InferenceResult:
         """Exact output SPDB by chase-tree enumeration (discrete only).
 
-        Results are cached per effective config, so repeated queries
-        (``marginal``, posterior conditioning) re-use the enumeration.
+        Results are cached by the config fields enumeration reads
+        (``policy``, ``parallel``, ``max_depth``, ``tolerance``,
+        ``keep_aux``), so repeated queries (``marginal``, posterior
+        conditioning) re-use the enumeration whatever their seed,
+        backend or budget.  The cache keeps the
+        :data:`_EXACT_CACHE_SIZE` most recently used results.
         """
         cfg = self.config.replace(**overrides)
-        cached = self._exact_cache.get(cfg)
+        key = (cfg.policy, cfg.parallel, cfg.max_depth, cfg.tolerance,
+               cfg.keep_aux)
+        cached = self._exact_cache.get(key)
         if cached is not None:
             return cached
         translated = self.compiled.translated
@@ -560,7 +571,7 @@ class Session:
                 keep_aux=cfg.keep_aux)
         result = InferenceResult(pdb, "exact",
                                  time.perf_counter() - start)
-        self._exact_cache[cfg] = result
+        self._exact_cache.put(key, result)
         return result
 
     def marginal(self, fact, n: int | None = None) -> float:
@@ -977,11 +988,37 @@ class Session:
                 f"|D0|={len(self.instance)}{evidence})")
 
 
-def _check_runs(n) -> int:
-    """A verb's run or world count ``n``: an int (numpy ints too) >= 1."""
-    if not _is_int(n) or n < 1:
-        raise ValidationError(f"n must be an int >= 1, got {n!r}")
-    return int(n)
+#: Exact results a session and its derived sessions keep.
+_EXACT_CACHE_SIZE = 4
+
+
+class _ExactCache:
+    """The :data:`_EXACT_CACHE_SIZE` most recently used exact results.
+
+    Shared by a session and every session derived from it, which the
+    server may use from several threads.
+    """
+
+    def __init__(self):
+        self._results: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key) -> InferenceResult | None:
+        with self._lock:
+            result = self._results.get(key)
+            if result is not None:
+                self._results.move_to_end(key)
+            return result
+
+    def put(self, key, result: InferenceResult) -> None:
+        with self._lock:
+            self._results[key] = result
+            self._results.move_to_end(key)
+            while len(self._results) > _EXACT_CACHE_SIZE:
+                self._results.popitem(last=False)
+
+    def __len__(self) -> int:
+        return len(self._results)
 
 
 def _config_kwargs(cfg: ChaseConfig) -> dict:

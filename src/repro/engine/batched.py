@@ -56,8 +56,12 @@ exploits the structure with a *multi-round* cascade:
    caches these transitions (a tree of round nodes keyed by
    signature, bounded by the facts its nodes hold); a warm session
    repeats no trigger insert, cascade or firing preparation it has
-   already done.  Every group continues vectorized, one-world groups
-   included, or the batch is declined whole: a round that would
+   already done.  Where no rule body joins two growable atoms, a
+   missed round whose signature hits several firings is the union of
+   the cached rounds its single triggers open, and is built that way
+   (:meth:`BatchedChase._compose`).  Every group continues
+   vectorized, one-world groups included, or the batch is declined
+   whole: a round that would
    overrun the step budget or cannot be prepared (structure, or a
    distribution/validation error) makes :meth:`BatchedChase.run_batch`
    return None, and the caller runs the sequential chase for every
@@ -97,7 +101,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.capabilities import (collect_companions,
-                                         collect_growable)
+                                         collect_growable,
+                                         rounds_compose)
 from repro.core.applicability import (IncrementalApplicability,
                                       overlay_fork)
 # Unused here: servebench's tracer wraps this module attribute by name.
@@ -169,6 +174,10 @@ class _LayerFiring:
     finite: bool = True
     pin_array: np.ndarray | None = field(default=None, compare=False,
                                          repr=False)
+    #: The firing's :meth:`~repro.core.applicability.Firing.sort_key`:
+    #: a layer lists its firings in this order, the ``applicable()``
+    #: order, which is also the order a composed round restores.
+    sort_key: tuple = field(default=(), compare=False, repr=False)
 
     def head_facts(self, sampled) -> list[Fact]:
         """The companion head facts for one sampled value."""
@@ -206,18 +215,18 @@ class BatchOutcome:
     ``base``/``growable`` carry the chase's stable-relation analysis
     (:func:`~repro.analysis.capabilities.collect_growable`) forward to
     consumers: the shared closed instance and the set of relations
-    that may gain facts after it.  Every relation *outside*
-    ``growable`` holds exactly ``base``'s facts in **every** world,
-    which is what licenses the columnar query planner's lifted fast
-    path (:mod:`repro.query.columnar`).  Both default to None
-    (metadata unavailable) so historical outcomes keep deserializing.
+    that may gain facts after it.  Every group's ``shared`` contains
+    ``base``, and every relation *outside* ``growable`` holds exactly
+    ``base``'s facts in **every** world, which is what licenses the
+    columnar query planner's lifted fast path and its one read of the
+    base in the merged scan (:mod:`repro.query.columnar`).
     """
 
     size: int
     groups: tuple
     diagnostics: dict
-    base: Instance | None = None
-    growable: frozenset | None = None
+    base: Instance
+    growable: frozenset
 
 
 #: Cache-miss marker of :meth:`BatchedChase._transition`.
@@ -231,13 +240,14 @@ class _RoundNode:
     ``engine`` and ``shared`` hold the state after the node's trigger
     facts and deterministic cascade; ``layer`` is the existential
     layer fired next (empty: terminal, and ``engine`` is dropped).
-    ``unbound_facts`` counts the per-world facts of earlier rounds'
-    columns whose sampled value stayed world-varying (signature
-    component None) - one auxiliary plus the head templates per such
-    column.  They are the only facts *not* already inside ``shared``.
-    ``need`` is the step budget a world needs to reach the node and
-    fire its layer: facts over the input instance, unbound ones
-    included, plus the layer's step bound.
+    ``added`` holds the facts the round added to its parent's
+    ``shared``.  ``unbound_facts`` counts the per-world facts of
+    earlier rounds' columns whose sampled value stayed world-varying
+    (signature component None) - one auxiliary plus the head templates
+    per such column.  They are the only facts *not* already inside
+    ``shared``.  ``need`` is the step budget a world needs to reach
+    the node and fire its layer: facts over the input instance,
+    unbound ones included, plus the layer's step bound.
 
     ``recurs`` says whether the transitions out of the node can repeat
     across batches: no ancestor's signature, and no signature of this
@@ -245,8 +255,16 @@ class _RoundNode:
     a terminal node, which has no transitions).
     ``children`` caches those transitions by signature (a node, or
     None for a round that cannot be prepared); it is None when they
-    are not stored.  Nodes are never mutated after they are built,
-    apart from ``children``.
+    are not stored.
+
+    A *composed* node (:meth:`BatchedChase._compose`) is built without
+    an engine.  ``sources`` names, per layer firing, the one-trigger
+    round whose layer holds it and its index there; ``held`` keys the
+    firings of its layer and of its composed ancestors' layers, which
+    one-trigger rounds of its parts may list again.  Its engine is
+    built on first use (:meth:`BatchedChase._engine_of`).  Nodes are
+    never mutated after they are built, apart from ``children`` and
+    that one engine.
     """
 
     engine: IncrementalApplicability | None
@@ -255,6 +273,9 @@ class _RoundNode:
     unbound_facts: int
     need: int
     recurs: bool
+    added: frozenset = frozenset()
+    sources: tuple = ()
+    held: frozenset = frozenset()
     children: dict | None = None
 
 
@@ -308,6 +329,9 @@ class BatchedChase:
         self._companions = self._collect_companions()
         self._body_atoms = self._collect_body_atoms()
         self._growable = collect_growable(translated)
+        # Whether a missed round may be built from one-trigger rounds
+        # (see _compose).
+        self._composes = rounds_compose(translated, self._growable)
         # Firing preparations that hold in every round (see
         # _prepare_firing), filled only by rounds that can recur.
         self._prepared: dict = {}
@@ -319,9 +343,11 @@ class BatchedChase:
         self._root = _RoundNode(
             self._engine, self.closed, self.layer, 0,
             self.det_steps + self._layer_step_bound(self.layer), recurs,
-            {} if recurs else None)
-        #: Facts held by the cached nodes' ``shared`` instances.
+            children={} if recurs else None)
+        #: Facts held by the cached nodes' ``shared`` instances, and
+        #: the count past which no node is stored.
         self._cached_facts = 0
+        self._cache_cap = _ROUND_CACHE_FACTS
         self._cache_lock = threading.Lock()
 
     # -- preparation --------------------------------------------------------
@@ -442,7 +468,8 @@ class BatchedChase:
             trigger=trigger,
             pinned=pinned,
             finite=support is not None,
-            pin_array=np.asarray(sorted(pinned)) if pinned else None)
+            pin_array=np.asarray(sorted(pinned)) if pinned else None,
+            sort_key=firing.sort_key())
         if rests_stable:
             memo[firing] = prepared
         return prepared
@@ -676,7 +703,11 @@ class BatchedChase:
         rather than the budget of the batch that built it, so one
         node serves every ``max_steps``: a batch declines on a node
         that needs more than ``max_steps``, exactly where a cascade
-        counted against this batch's budget would overrun it.
+        counted against this batch's budget would overrun it.  A
+        missed round whose signature hits several firings is built
+        from cached one-trigger rounds where the program allows it
+        (:meth:`_compose`); ``n_composed_rounds`` counts those group
+        rounds.
 
         Sharded sampling (:mod:`repro.serving`) runs every batch this
         method accepts here, in one process: Theorem 6.1 makes one
@@ -712,6 +743,7 @@ class BatchedChase:
         diagnostics = {"n_firings": len(root.layer),
                        "n_rounds": 0, "n_groups": 0,
                        "n_group_rounds": 0, "n_cached_rounds": 0,
+                       "n_composed_rounds": 0,
                        "n_draw_calls": 0, "n_pooled_draws": 0}
         all_members = np.arange(size)
         if not root.layer:
@@ -784,7 +816,9 @@ class BatchedChase:
         stored there otherwise - unless ``node`` stores no children
         (see :class:`_RoundNode`), or the cached nodes already hold
         :data:`_ROUND_CACHE_FACTS` facts; the transition is then
-        computed exactly the same way and simply not kept.
+        computed exactly the same way and simply not kept.  A miss is
+        composed from one-trigger rounds when :meth:`_parts` finds
+        them, and runs the whole cascade (:meth:`_round`) otherwise.
         """
         children = node.children
         if children is not None:
@@ -792,21 +826,164 @@ class BatchedChase:
             if child is not _MISSING:
                 diagnostics["n_cached_rounds"] += 1
                 return child
-        try:
-            child = self._next_round(node, sig, batch_memo)
-        except (BatchUnsupported, DistributionError, ValidationError):
-            child = None
-        if children is not None:
-            with self._cache_lock:
-                # A concurrent batch may have stored an equal node.
-                if sig not in children \
-                        and self._cached_facts < _ROUND_CACHE_FACTS:
-                    if child is not None:
-                        self._cached_facts += len(child.shared)
-                        if child.recurs:
-                            child.children = {}
-                    children[sig] = child
+        parts = self._parts(node, sig)
+        if parts is None:
+            child = self._round(node, sig, batch_memo)
+        else:
+            diagnostics["n_composed_rounds"] += 1
+            child = self._compose(
+                node, sig, [self._part(parent, one, batch_memo)
+                            for parent, one in parts])
+        self._store(node, sig, child)
         return child
+
+    def _store(self, node: _RoundNode, sig: tuple,
+               child: _RoundNode | None) -> None:
+        """Keep ``child`` as ``node``'s transition, if the cache may."""
+        children = node.children
+        if children is None:
+            return
+        with self._cache_lock:
+            # A concurrent batch may have stored an equal node.
+            if sig not in children \
+                    and self._cached_facts < self._cache_cap:
+                if child is not None:
+                    self._cached_facts += len(child.shared)
+                    if child.recurs:
+                        child.children = {}
+                children[sig] = child
+
+    def _round(self, node: _RoundNode, sig: tuple,
+               batch_memo: dict) -> _RoundNode | None:
+        """:meth:`_next_round`, with None for a round it cannot prepare."""
+        try:
+            return self._next_round(node, sig, batch_memo)
+        except (BatchUnsupported, DistributionError, ValidationError):
+            return None
+
+    def _part(self, parent: _RoundNode, one: tuple,
+              batch_memo: dict) -> _RoundNode | None:
+        """The one-trigger round ``one`` opens from ``parent``, cached."""
+        child = parent.children.get(one, _MISSING)
+        if child is _MISSING:
+            child = self._round(parent, one, batch_memo)
+            self._store(parent, one, child)
+        return child
+
+    def _parts(self, node: _RoundNode, sig: tuple) -> list | None:
+        """Where the one-trigger rounds of ``sig``'s hits live, or None.
+
+        Returns one ``(parent, one-hit signature)`` pair per hit: the
+        node itself, or for a composed node the part whose layer holds
+        the firing.  None leaves the round to :meth:`_round`: the
+        program does not compose, the node's transitions cannot recur,
+        the signature hits one firing of an engine-backed node, or
+        some part is neither cached nor storable under the fact cap.
+        Composing then would compute rounds no later batch reads.
+        """
+        if not self._composes or not node.recurs:
+            return None
+        hits = [index for index, value in enumerate(sig)
+                if value is not None]
+        if len(hits) < (1 if node.sources else 2):
+            return None
+        parts = []
+        for index in hits:
+            parent, position = node.sources[index] if node.sources \
+                else (node, index)
+            one = [None] * len(parent.layer)
+            one[position] = sig[index]
+            one = tuple(one)
+            children = parent.children
+            if children is None or (
+                    one not in children
+                    and self._cached_facts >= self._cache_cap):
+                return None
+            parts.append((parent, one))
+        return parts
+
+    def _compose(self, node: _RoundNode, sig: tuple,
+                 parts: list) -> _RoundNode | None:
+        """The round ``sig`` opens from ``node``, united from its parts.
+
+        ``parts`` are the one-trigger rounds of ``sig``'s hits.  When
+        no rule body joins two atoms over growable relations
+        (:func:`~repro.analysis.capabilities.rounds_compose`), every
+        fact of the cascade follows from a single trigger, so the
+        round's facts are the union of its parts' and its layer is
+        the union of their layers - less the firings ``node.held``
+        keys, which earlier rounds on the path already settled - in
+        ``applicable()`` order.  A part that cannot be prepared holds
+        a firing the whole round would prepare too, so the round
+        cannot be prepared either.
+        """
+        if any(part is None for part in parts):
+            return None
+        shared = node.shared.add_all(
+            frozenset().union(*(part.added for part in parts)))
+        chosen: dict = {}
+        for part in parts:
+            for index, firing in enumerate(part.layer):
+                key = (firing.aux_relation, firing.prefix)
+                if key in node.held:
+                    continue
+                best = chosen.get(key)
+                if best is None or firing.sort_key < best[0].sort_key:
+                    chosen[key] = (firing, part, index)
+        entries = sorted(chosen.values(),
+                         key=lambda entry: entry[0].sort_key)
+        return self._child(
+            node, sig, None, shared,
+            tuple(firing for firing, _part, _index in entries),
+            sources=tuple((part, index)
+                          for _firing, part, index in entries),
+            held=node.held.union(chosen))
+
+    def _child(self, node: _RoundNode, sig: tuple, engine, shared,
+               layer: tuple, **fields) -> _RoundNode:
+        """The node after ``node``'s round ``sig``, given its state."""
+        # Per-world steps: shared facts plus the auxiliary and
+        # head-template facts of every *unbound* column - bound
+        # columns' facts are already inside ``shared``, counting them
+        # again would force needless declines near the budget.
+        unbound_facts = node.unbound_facts \
+            + sum(1 + len(firing.heads)
+                  for component, firing in zip(sig, node.layer)
+                  if component is None)
+        steps = len(shared) - len(self.instance) + unbound_facts
+        if not layer:
+            return _RoundNode(None, shared, (), unbound_facts, steps,
+                              False, **fields)
+        return _RoundNode(engine, shared, layer, unbound_facts,
+                          steps + self._layer_step_bound(layer),
+                          node.recurs and _layer_recurs(layer), **fields)
+
+    def _engine_of(self, node: _RoundNode) -> IncrementalApplicability:
+        """The node's engine; a composed node builds it on first use.
+
+        It forks the engine of the part holding the node's first
+        layer firing, adds the facts of ``shared`` the part lacks, and
+        retires every existential firing then applicable outside the
+        node's layer: those are the firings earlier rounds on the
+        node's path settled.  A part settles no firing the node keeps
+        pending, so what remains pending is exactly the layer.
+        """
+        engine = node.engine
+        if engine is None:
+            part = node.sources[0][0]
+            engine = overlay_fork(part.engine)
+            for fact in node.shared.facts - part.shared.facts:
+                engine.add_fact(fact)
+            pending = {(firing.aux_relation, firing.prefix)
+                       for firing in node.layer}
+            for firing in engine.applicable():
+                if firing.existential \
+                        and (firing.relation, firing.values) \
+                        not in pending:
+                    engine.retire_existential(firing.relation,
+                                              firing.values)
+            node.engine = engine
+        return engine
 
     def _next_round(self, node: _RoundNode, sig: tuple,
                     batch_memo: dict) -> _RoundNode:
@@ -830,7 +1007,7 @@ class BatchedChase:
         count only grows, and it starts within ``max_steps`` because
         the parent admitted its whole layer's bound.
         """
-        engine = overlay_fork(node.engine)
+        engine = overlay_fork(self._engine_of(node))
         # The facts this round adds to ``shared``.  Building an
         # Instance copies all of its facts, so it is built once, after
         # the cascade.
@@ -860,31 +1037,16 @@ class BatchedChase:
                 fact = firing.fact()
                 engine.add_fact(fact)
                 added.add(fact)
-        shared = node.shared.add_all(added)
-        # Per-world steps: shared facts plus the auxiliary and
-        # head-template facts of every *unbound* column - bound
-        # columns' facts are already inside ``shared``, counting them
-        # again would force needless declines near the budget.
-        unbound_facts = node.unbound_facts \
-            + sum(1 + len(firing.heads)
-                  for component, firing in zip(sig, node.layer)
-                  if component is None)
-        steps = len(shared) - len(self.instance) + unbound_facts
-        existential = [firing for firing in applicable
-                       if firing.existential]
-        if not existential:
-            return _RoundNode(None, shared, (), unbound_facts, steps,
-                              False)
         # The instance keeps the preparations of rounds that can
         # recur.  A round that cannot may hold firings no later batch
         # asks for again, so its preparations go to ``batch_memo``,
         # which dies with the batch.
         memo = self._prepared if node.recurs else batch_memo
         layer = tuple(self._prepare_firing(firing, engine.source, memo)
-                      for firing in existential)
-        return _RoundNode(engine, shared, layer, unbound_facts,
-                          steps + self._layer_step_bound(layer),
-                          node.recurs and _layer_recurs(layer))
+                      for firing in applicable if firing.existential)
+        return self._child(node, sig, engine,
+                           node.shared.add_all(added), layer,
+                           added=frozenset(added))
 
     def _firing_region(self, firing: _LayerFiring, regions: dict | None):
         """The feasible region constraining one firing's draw (or None).
@@ -1131,7 +1293,6 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
         self._visible_set = frozenset(visible)
         self._keep_aux = bool(keep_aux)
         self._slots: list[Instance] | None = None
-        self._group_views: dict[int, Instance] = {}
         #: How many times the grouped worlds were expanded into per-world
         #: instances.  A tripwire for "columnar" paths that secretly
         #: materialize: stays 0 as long as only columnar reads (marginal
@@ -1146,38 +1307,34 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
         return self._slots is not None
 
     @property
-    def growable_relations(self) -> frozenset | None:
+    def growable_relations(self) -> frozenset:
         """Relations that may gain facts after the shared fixpoint.
 
-        None when the outcome carries no stable-relation metadata.
         Relations outside this set hold exactly :meth:`stable_view`'s
         facts in every world, which is what the columnar query
         planner's lifted fast path relies on.
         """
         return self._outcome.growable
 
-    def stable_view(self) -> Instance | None:
+    def stable_view(self) -> Instance:
         """The shared closed instance, restricted the way worlds are.
 
-        None when the outcome carries no base-instance metadata.  For
-        every relation outside :attr:`growable_relations`, this view's
-        facts equal that relation's facts in **every** world: stable
-        relations never gain a fact after the shared fixpoint.
+        For every relation outside :attr:`growable_relations`, this
+        view's facts equal that relation's facts in **every** world:
+        stable relations never gain a fact after the shared fixpoint.
         """
-        if self._outcome.base is None:
-            return None
         return self._view(self._outcome.base)
 
     def _view(self, instance: Instance) -> Instance:
         return instance if self._keep_aux \
             else instance.restrict(self._visible)
 
-    def _group_view(self, index: int) -> Instance:
-        view = self._group_views.get(index)
-        if view is None:
-            view = self._view(self._outcome.groups[index].shared)
-            self._group_views[index] = view
-        return view
+    def _shows(self, relation: str) -> bool:
+        """Whether the worlds keep ``relation``'s facts.
+
+        The visible relations, or every relation with ``keep_aux``.
+        """
+        return self._keep_aux or relation in self._visible_set
 
     def _column_templates(self, firing: _LayerFiring) -> list[tuple]:
         """(relation, args-with-None, sample position) fact templates.
@@ -1215,8 +1372,8 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
         self.materializations += 1
         outcome = self._outcome
         slots: list = [_PENDING] * outcome.size
-        for group_index, group in enumerate(outcome.groups):
-            base = self._group_view(group_index)
+        for group in outcome.groups:
+            base = self._view(group.shared)
             members = group.members.tolist()
             if not group.columns:
                 for world in members:

@@ -147,10 +147,7 @@ def explain(pdb: PDBBase, query: Query) -> str:
     if not isinstance(pdb, ColumnarMonteCarloPDB):
         return "worlds"
     scanned = scanned_relations(query)
-    growable = pdb.growable_relations
-    if scanned is not None and growable is not None \
-            and pdb.stable_view() is not None \
-            and not (scanned & growable):
+    if scanned is not None and not (scanned & pdb.growable_relations):
         return "lifted"
     return "columnar" if plan_vectorizable(query) else "fallback"
 
@@ -409,20 +406,28 @@ class _BatchPlanner:
     def _relation_rows(self, relation: str) -> list:
         """Every row ``relation`` has in any group, dedup'd per world.
 
-        Shared-view tuples are keyed by value (and type, so ``1`` and
-        ``1.0`` stay apart); sample-column templates by (template,
-        dtype, occurrence within the group), their values written into
-        one ``n``-wide column.  Shared rows come first, as in a single
-        group's scan.
+        Every group's ``shared`` holds the batch's base instance, so
+        the base's rows are read once, present everywhere; each group
+        adds only the rest of its ``shared``.  Those tuples are keyed
+        by value (and type, so ``1`` and ``1.0`` stay apart);
+        sample-column templates by (template, dtype, occurrence within
+        the group), their values written into one ``n``-wide column.
+        Shared rows come first, as in a single group's scan.
         """
         rows = self._relations.get(relation)
         if rows is not None:
             return rows
         shared: dict[tuple, tuple] = {}
-        for local, index in enumerate(self.group_indices):
-            for row in self.pdb._group_view(index).tuples_of(relation):
-                key = (row, tuple(map(type, row)))
-                shared.setdefault(key, (row, []))[1].append(local)
+        rows = []
+        if self.pdb._shows(relation):
+            base = self.pdb._outcome.base.facts_of(relation)
+            rows = [(fact.args, True) for fact in base]
+            for local, index in enumerate(self.group_indices):
+                group = self.pdb._outcome.groups[index]
+                for fact in group.shared.facts_of(relation) - base:
+                    row = fact.args
+                    key = (row, tuple(map(type, row)))
+                    shared.setdefault(key, (row, []))[1].append(local)
         sampled: dict[tuple, tuple] = {}
         occurrences: dict[tuple, int] = {}
         for local, template, values in \
@@ -436,8 +441,8 @@ class _BatchPlanner:
                     template, np.zeros(self.n, dtype=values.dtype), [])
             entry[1][self.starts[local]:self.starts[local + 1]] = values
             entry[2].append(local)
-        rows = [(row, self._coverage(groups))
-                for row, groups in shared.values()]
+        rows.extend((row, self._coverage(groups))
+                    for row, groups in shared.values())
         for (_, args, position), column, groups in sampled.values():
             cells = list(args)
             cells[position] = column
@@ -705,8 +710,9 @@ def fact_totals(pdb: ColumnarMonteCarloPDB, relations=None,
     planner = _fact_planner(pdb, None if relations is None
                             else frozenset(relations))
     names = set(planner._sample_columns())
-    for index in planner.group_indices:
-        names.update(pdb._group_view(index).relations())
+    names.update(name for index in planner.group_indices
+                 for name in pdb._outcome.groups[index].shared.relations()
+                 if pdb._shows(name))
     if relations is not None:
         names.intersection_update(relations)
     member_weights = None if weights is None \
@@ -851,9 +857,11 @@ def _schema_classes(pdb: ColumnarMonteCarloPDB,
 
 def _arities(pdb: ColumnarMonteCarloPDB, index: int,
              relation: str) -> frozenset:
-    arities = {len(row)
-               for row in pdb._group_view(index).tuples_of(relation)}
-    for firing, _values in pdb._outcome.groups[index].columns:
+    group = pdb._outcome.groups[index]
+    arities = {len(fact.args)
+               for fact in group.shared.facts_of(relation)} \
+        if pdb._shows(relation) else set()
+    for firing, _values in group.columns:
         arities.update(len(args) for name, args, _position
                        in pdb._column_templates(firing)
                        if name == relation)
@@ -864,13 +872,9 @@ def _lifted_answer(pdb: ColumnarMonteCarloPDB,
                    query: Query) -> Relation | None:
     """The one answer of every world, when the plan reads stable data."""
     scanned = scanned_relations(query)
-    if scanned is None:
+    if scanned is None or (scanned & pdb.growable_relations):
         return None
-    growable = pdb.growable_relations
-    base = pdb.stable_view()
-    if growable is None or base is None or (scanned & growable):
-        return None
-    return query.evaluate(base)
+    return query.evaluate(pdb.stable_view())
 
 
 def _fallback(pdb: ColumnarMonteCarloPDB,

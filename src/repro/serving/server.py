@@ -38,6 +38,7 @@ import socketserver
 import threading
 from collections import OrderedDict
 
+from repro.api.config import _check_runs
 from repro.api.session import CompiledProgram, Session
 from repro.api.session import compile as compile_program
 from repro.errors import ReproError, ValidationError
@@ -465,10 +466,7 @@ class ProgramServer:
 
     @staticmethod
     def _n(request: dict) -> int:
-        n = request.get("n", 1000)
-        if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-            raise ValidationError(f"'n' must be a positive int, got {n!r}")
-        return n
+        return _check_runs(request.get("n", 1000))
 
     def _reply(self, op: str, sha: str, cached: bool,
                result: dict) -> dict:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.config import ChaseConfig, world_rng
+from repro.api.config import ChaseConfig, _check_runs, world_rng
 from repro.api.results import InferenceResult
 from repro.errors import ChaseError, ValidationError
 from repro.pdb.database import MonteCarloPDB
@@ -89,8 +89,7 @@ def shard_plan(n: int, shards: int,
     draws fresh entropy once - all shards then share it, keeping the
     batch reproducible from the returned plan either way.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n <= 0:
-        raise ValidationError(f"need n >= 1 worlds, got {n!r}")
+    n = _check_runs(n)
     if not isinstance(shards, int) or isinstance(shards, bool) \
             or shards <= 0:
         raise ValidationError(f"need shards >= 1, got {shards!r}")
@@ -276,8 +275,7 @@ def sample_sharded(session, n: int, config: ChaseConfig | None = None,
             "sharded sampling requires an int or None seed; a "
             "Generator's state cannot be shipped to shard workers "
             "reproducibly")
-    if n <= 0:
-        raise ValidationError(f"need n >= 1 runs, got {n}")
+    n = _check_runs(n)
     result = session._sample_batched(cfg, n)
     if result is not None:
         result.diagnostics["fallback_reason"] = (

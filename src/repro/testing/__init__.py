@@ -45,7 +45,8 @@ from repro.testing.fuzz import (CONTINUOUS, DEFAULT_FUZZ_CONFIG,
                                 random_value_positions, rebuild_case)
 from repro.testing.oracles import (BaranyAgreementOracle,
                                    BatchedVsScalarOracle,
-                                   ChaseOrderOracle, ExactVsSampleOracle,
+                                   ChaseOrderOracle, ComposedWholeOracle,
+                                   ExactVsSampleOracle,
                                    FixpointOracle, InducedFDOracle,
                                    Oracle, OracleOutcome,
                                    PdbInputOracle, StaticDynamicOracle,
@@ -58,7 +59,7 @@ from repro.testing.shrink import (case_rank, case_size, literal_cost,
 
 __all__ = [
     "CONTINUOUS", "BaranyAgreementOracle", "BatchedVsScalarOracle",
-    "ChaseOrderOracle", "DEFAULT_FUZZ_CONFIG",
+    "ChaseOrderOracle", "ComposedWholeOracle", "DEFAULT_FUZZ_CONFIG",
     "Discrepancy", "ExactVsSampleOracle", "FINITE_DISCRETE",
     "FixpointOracle", "FuzzCase", "FuzzConfig",
     "FuzzReport", "INFINITE_DISCRETE", "InducedFDOracle", "KINDS",

@@ -25,6 +25,11 @@ Cases come in four *kinds*, chosen so that every differential oracle
 * ``"cyclic"`` - weak acyclicity *off*: recursion through a random
   rule, exercising the termination analysis and the err-mass paths.
 
+A share of the ``"exact"`` and ``"sampling"`` cases is drawn as a
+*trigger cascade* (Example 3.4's shape): per-key draws whose hits open
+further draws, several triggers to a layer, over rules whose cascade
+rounds compose from one-trigger rounds.
+
 Generated programs use only the parseable surface syntax, so every
 case round-trips through :func:`repro.core.source.program_to_source` -
 which is what lets :mod:`repro.testing.corpus` persist shrunk
@@ -62,6 +67,9 @@ CONTINUOUS = ("Normal", "LogNormal", "Exponential", "Uniform", "Gamma",
 _VARS = ("x", "y", "z", "w")
 _INT_POOL = (0, 1, 2, 3)
 _STR_POOL = ("a", "b")
+#: Share of ``"exact"`` and ``"sampling"`` cases drawn as a trigger
+#: cascade (:func:`_generate_cascade`).
+CASCADE_SHARE = 0.3
 #: Exact probability simplices for Categorical (sum to 1 within 1e-9).
 _SIMPLICES = ((0.5, 0.5), (0.25, 0.75), (0.2, 0.3, 0.5),
               (0.25, 0.25, 0.5))
@@ -106,6 +114,8 @@ class FuzzCase:
     subsets of the instance (tuple-independent, small support); cases
     carrying one exercise the ``apply_to_pdb`` mixture semantics
     (Theorem 4.8) in addition to the plain single-instance chase.
+    ``cascade`` marks a trigger-cascade case
+    (:func:`_generate_cascade`).
     """
 
     seed: int
@@ -113,14 +123,16 @@ class FuzzCase:
     program: Program
     instance: Instance
     input_pdb: Any = None
+    cascade: bool = False
 
     def describe(self) -> str:
         """One-line summary used in reports and discrepancy details."""
         pdb = " pdb-input" if self.input_pdb is not None else ""
+        cascade = " cascade" if self.cascade else ""
         return (f"seed={self.seed} kind={self.kind} "
                 f"rules={len(self.program)} "
                 f"random={len(self.program.random_rules())} "
-                f"facts={len(self.instance)}{pdb}")
+                f"facts={len(self.instance)}{pdb}{cascade}")
 
 
 def case_seed(root_seed: int, index: int) -> int:
@@ -149,14 +161,26 @@ def generate_case(seed: int, config: FuzzConfig | None = None,
                               p=weights / weights.sum()))
     if kind not in KINDS:
         raise ValueError(f"unknown fuzz kind {kind!r}")
+    cascade = None
+    if kind in ("exact", "sampling"):
+        # A spawned generator takes no draw from ``rng``, so every case
+        # that is not a cascade is drawn as before.
+        shape = rng.spawn(1)[0]
+        if shape.random() < CASCADE_SHARE:
+            cascade = shape
     if kind == "cyclic":
         program, instance = _generate_cyclic(rng, config)
+    elif cascade is not None:
+        program, instance = _generate_cascade(cascade, config, kind)
     else:
         program, instance = _generate_layered(rng, config, kind)
+    # A cascade case draws all of its randomness from its own generator.
+    source = rng if cascade is None else cascade
     input_pdb = None
-    if kind == "exact" and len(instance) and rng.random() < 0.3:
-        input_pdb = random_input_pdb(instance, rng)
-    return FuzzCase(int(seed), kind, program, instance, input_pdb)
+    if kind == "exact" and len(instance) and source.random() < 0.3:
+        input_pdb = random_input_pdb(instance, source)
+    return FuzzCase(int(seed), kind, program, instance, input_pdb,
+                    cascade=cascade is not None)
 
 
 def random_input_pdb(instance: Instance, rng: np.random.Generator):
@@ -487,6 +511,72 @@ def _generate_layered(rng: np.random.Generator, config: FuzzConfig,
             Instance(builder.facts))
 
 
+def _generate_cascade(rng: np.random.Generator, config: FuzzConfig,
+                      kind: str) -> tuple[Program, Instance]:
+    """Example 3.4's shape: per-key draws whose hits open more draws.
+
+    One or two first-layer random rules draw a finite-support value
+    for each of two ``Key`` facts, so a layer holds several triggers;
+    a trigger rule (or two, sharing a head as Example 3.4's ``Trig``
+    rules do) draws again for a key whose draw hit 1, a third level
+    may follow, and deterministic rules read the hits, as may a draw
+    that two levels can open.  No rule body joins two atoms over
+    growable relations, so the batched chase composes the cascade's
+    rounds from one-trigger rounds (the ``composed-whole`` oracle).
+    Under ``"sampling"`` the later draws may be continuous; a
+    third-level rule may carry a discrete drawn value into its head,
+    which puts it in every signature.
+    """
+    registry = config.registry
+    names = _distribution_names(kind)
+    key, value = Var("k"), Var("v")
+    facts = [Fact("Key", (0,)), Fact("Key", (1,))]
+    rules: list[Rule] = []
+
+    def draw(name: str, params=None) -> RandomTerm:
+        if params is None:
+            params = distribution_parameters(name, rng)
+        return RandomTerm(registry[name], tuple(Const(p) for p in params))
+
+    first = []
+    for index in range(int(rng.integers(1, 3))):
+        family = ("Flip", "DiscreteUniform", "Categorical")[
+            int(rng.integers(3))]
+        params = {"Flip": (round(float(rng.uniform(0.3, 0.8)), 3),),
+                  "DiscreteUniform": (0, int(rng.integers(1, 3))),
+                  "Categorical": (0.5, 0.5)}[family]
+        head = f"L{index}"
+        rules.append(Rule(Atom(head, (key, draw(family, params))),
+                          (Atom("Key", (key,)),)))
+        first.append(head)
+    hit = Const(1)
+    families = [str(rng.choice(names))
+                for _ in first[:1 + int(rng.integers(len(first)))]]
+    for source, family in zip(first, families):
+        rules.append(Rule(Atom("T", (key, draw(family))),
+                          (Atom(source, (key, hit)),)))
+    if rng.random() < 0.5:
+        if rng.random() < 0.5 \
+                and all(family in FINITE_DISCRETE for family in families):
+            # Carries T's value: an always-trigger.  A continuous one
+            # would make every world its own group.
+            rules.append(Rule(Atom("U", (key, value, draw("Flip"))),
+                              (Atom("T", (key, value)),)))
+        else:
+            rules.append(Rule(Atom("U", (key, draw("Flip"))),
+                              (Atom("T", (key, hit)),)))
+    rules.append(Rule(Atom("Z", (key,)),
+                      (Atom("T", (key, hit)), Atom("Key", (key,)))))
+    rules.append(Rule(Atom("Z", (key,)),
+                      (Atom(first[-1], (key, hit)),)))
+    if rng.random() < 0.5:
+        # Z follows from a first-layer hit and from a T hit, so a
+        # T hit may open a draw another first-layer hit opened before.
+        rules.append(Rule(Atom("W", (key, draw("Flip"))),
+                          (Atom("Z", (key,)),)))
+    return Program(rules, registry=registry), Instance(facts)
+
+
 # ---------------------------------------------------------------------------
 # Cyclic generation (weak acyclicity off)
 # ---------------------------------------------------------------------------
@@ -664,7 +754,8 @@ def rebuild_case(case: FuzzCase, rules: Sequence[Rule] | None = None,
     # The input PDB (a distribution over fact subsets) is dropped when
     # the fact set changes - its support would no longer be subsets.
     input_pdb = case.input_pdb if facts is None else None
-    return FuzzCase(case.seed, case.kind, program, instance, input_pdb)
+    return FuzzCase(case.seed, case.kind, program, instance, input_pdb,
+                    case.cascade)
 
 
 def random_value_positions(program: Program) -> dict[str, int]:

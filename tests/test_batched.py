@@ -1283,8 +1283,14 @@ class TestRoundCache:
             if result.backend == "scalar":
                 declined += 1
                 continue
-            assert fresh.diagnostics["n_cached_rounds"] == 0
-            cached += result.diagnostics["n_cached_rounds"]
+            # A fresh session reads only the one-trigger rounds its
+            # own batch stored, so a second fresh session at the seed
+            # reads as many; the warm one reads earlier batches' too.
+            twin = compiled.on(instance, seed=seed, **budget).sample(100)
+            assert twin.diagnostics["n_cached_rounds"] \
+                == fresh.diagnostics["n_cached_rounds"]
+            cached += result.diagnostics["n_cached_rounds"] \
+                - fresh.diagnostics["n_cached_rounds"]
         assert cached > 0
         assert 0 < declined < 12
 
@@ -1373,3 +1379,158 @@ class TestRoundCache:
         assert chase._root.children is None
         assert chase._cached_facts == 0
         assert len(chase._prepared) == memoized
+
+
+#: Example 3.4's shape with a continuous second draw that a third rule
+#: carries: a composed round holding the Normal always-triggers cannot
+#: recur, so its own rounds run the whole cascade on its engine.
+CONTINUOUS_THIRD_LEVEL = """
+    L(k, Flip<0.6>) :- Key(k).
+    T(k, Normal<0.0, 1.0>) :- L(k, 1).
+    U(k, v, Flip<0.5>) :- T(k, v).
+"""
+
+#: Z follows from an L1 hit and from a T hit: a round composed from
+#: an L0 hit and an L1 hit lists W, and a later T hit opens W again
+#: in its one-trigger round, where the composed round must drop it.
+CROSS_LEVEL = """
+    L0(k, Flip<0.6>) :- Key(k).
+    L1(k, Flip<0.6>) :- Key(k).
+    T(k, Flip<0.6>) :- L0(k, 1).
+    Z(k) :- T(k, 1).
+    Z(k) :- L1(k, 1).
+    W(k, Flip<0.5>) :- Z(k).
+    U(k, Flip<0.5>) :- T(k, 1).
+"""
+
+#: A multi-random-term head: the Split# recombination joins two draws.
+SPLIT_JOIN = """
+    Pair(k, Flip<0.5>, Flip<0.5>) :- Key(k).
+    Hit(k) :- Pair(k, 1, 1).
+    Again(k, Flip<0.5>) :- Hit(k).
+"""
+
+
+def _keys(count: int) -> Instance:
+    return Instance.from_dict({"Key": [(key,) for key in range(count)]})
+
+
+class TestComposedRounds:
+    """Missed rounds built from one-trigger rounds: the same batches."""
+
+    @staticmethod
+    def _same_batches(program, instance, batches,
+                      max_steps: int = 10_000,
+                      chase=BatchedChase) -> int:
+        """Composing and whole-round chases agree; composed rounds."""
+        from repro.testing.oracles import (_WholeRoundChase,
+                                           compare_batch_outcomes)
+        translated = repro.compile(program).translated
+        composing = chase(translated, instance)
+        whole = _WholeRoundChase(translated, instance)
+        composed = 0
+        for seed, size in batches:
+            got = composing.run_batch(size, np.random.default_rng(seed),
+                                      max_steps)
+            want = whole.run_batch(size, np.random.default_rng(seed),
+                                   max_steps)
+            assert compare_batch_outcomes(got, want) is None, (seed, size)
+            if got is not None:
+                assert want.diagnostics["n_composed_rounds"] == 0
+                composed += got.diagnostics["n_composed_rounds"]
+        return composed
+
+    def test_paper_programs_compose_where_no_body_joins_growables(self):
+        from repro.analysis.capabilities import rounds_compose
+        assert rounds_compose(
+            repro.compile(example_3_4_program()).translated)
+        assert rounds_compose(
+            repro.compile(example_3_5_program()).translated)
+        # Bárány's Trig companions read Earthquake, a growable relation.
+        assert not rounds_compose(repro.compile(
+            example_3_4_program(), semantics="barany").translated)
+        assert not rounds_compose(repro.compile(SPLIT_JOIN).translated)
+
+    @pytest.mark.parametrize("size", [1, 100, 2000])
+    def test_cities_composed_equals_whole(self, size):
+        composed = self._same_batches(
+            example_3_4_program(), earthquake_city_instance(4, 4, seed=0),
+            [(seed, size) for seed in range(4)])
+        if size > 1:
+            assert composed > 0
+
+    def test_budgets_decline_alike(self):
+        # A composed node records the budget the whole round needs:
+        # at budgets 84-95 some cities batches decline, the same ones.
+        from repro.testing.oracles import (_WholeRoundChase,
+                                           compare_batch_outcomes)
+        translated = repro.compile(example_3_4_program()).translated
+        instance = earthquake_city_instance(4, 4, seed=0)
+        composing = BatchedChase(translated, instance)
+        whole = _WholeRoundChase(translated, instance)
+        declined = 0
+        for seed in range(12):
+            got, want = (chase.run_batch(100, np.random.default_rng(seed),
+                                         84 + seed)
+                         for chase in (composing, whole))
+            assert compare_batch_outcomes(got, want) is None, seed
+            declined += got is None
+        assert 0 < declined < 12
+
+    def test_warm_composing_session_equals_fresh(self):
+        from repro.testing.oracles import compare_monte_carlo_pdbs
+        compiled = repro.compile(example_3_4_program())
+        instance = earthquake_city_instance(4, 4, seed=0)
+        warm = compiled.on(instance)
+        composed = 0
+        for seed in range(8):
+            result = warm.sample(100, seed=seed)
+            fresh = compiled.on(instance, seed=seed).sample(100)
+            assert result.backend == fresh.backend == "batched"
+            assert compare_monte_carlo_pdbs(result.pdb, fresh.pdb) is None
+            composed += result.diagnostics["n_composed_rounds"]
+        assert composed > 0
+
+    def test_tight_budget_still_declines_world_for_world(self):
+        assert self._same_batches(example_3_4_program(),
+                                  example_3_4_instance(),
+                                  [(3, 2000)], max_steps=15) == 0
+        session = repro.compile(example_3_4_program()).on(
+            example_3_4_instance(), seed=3)
+        for seed in range(3):
+            session.sample(2000, seed=seed)
+        declined = session.sample(2000, max_steps=15)
+        scalar = session.sample(2000, max_steps=15, backend="scalar")
+        assert declined.backend == "scalar"
+        assert declined.pdb.worlds == scalar.pdb.worlds
+
+    def test_non_recurring_composed_rounds(self):
+        assert self._same_batches(
+            CONTINUOUS_THIRD_LEVEL, _keys(3),
+            [(seed, 200) for seed in range(3)]) > 0
+
+    def test_full_cache_mid_batch(self, monkeypatch):
+        # About a dozen nodes fit: the cap fills inside the first
+        # batch, and later misses meet parts that cannot be stored.
+        monkeypatch.setattr(batched_module, "_ROUND_CACHE_FACTS", 600)
+        assert self._same_batches(
+            example_3_4_program(), earthquake_city_instance(4, 4, seed=0),
+            [(seed, 100) for seed in range(6)]) > 0
+
+    @pytest.mark.parametrize("chase", ["usual", "checked", "full"])
+    def test_rounds_a_part_reopens(self, chase):
+        # The checked chases also check every composed node's engine.
+        from repro.testing.oracles import _CheckedChase, _FullCacheChase
+        chase = {"usual": BatchedChase, "checked": _CheckedChase,
+                 "full": _FullCacheChase}[chase]
+        assert self._same_batches(
+            CROSS_LEVEL, _keys(2), [(seed, 300) for seed in range(4)],
+            chase=chase) > 0
+
+    def test_split_join_never_composes(self):
+        session = repro.compile(SPLIT_JOIN).on(_keys(3), seed=1)
+        for seed in range(3):
+            result = session.sample(500, seed=seed, backend="batched")
+            assert result.backend == "batched"
+            assert result.diagnostics["n_rounds"] >= 2
+            assert result.diagnostics["n_composed_rounds"] == 0

@@ -39,7 +39,7 @@ class TestBudgetedFuzzPass:
         oracle got at least one *runnable* case.  The rarest runnable
         case is the pdb-input oracle's: about one generated case in
         nine carries an input PDB, and at the default seed the first
-        one is case 15.
+        one is case 13 (a trigger cascade).
         """
         report = run_fuzz(budget=max(fuzz_budget, 16), seed=fuzz_seed)
         for oracle in default_oracles():

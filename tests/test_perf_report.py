@@ -214,6 +214,30 @@ class TestCli:
         assert perf_report.main([str(slow), "--sha", "b",
                                  "--baseline", str(baseline)]) == 1
 
+    def test_baseline_from_several_runs_takes_per_id_medians(
+            self, tmp_path):
+        # The second run's calibration read fast: alone it would put
+        # every entry at twice its usual ratio.
+        runs = [{CALIBRATION: 0.010, "bench::x": 0.050},
+                {CALIBRATION: 0.005, "bench::x": 0.050},
+                {CALIBRATION: 0.010, "bench::x": 0.060}]
+        paths = []
+        for index, medians in enumerate(runs):
+            path = tmp_path / f"raw-{index}.json"
+            path.write_text(json.dumps(raw_dump(medians)))
+            paths.append(str(path))
+        baseline = tmp_path / "baseline.json"
+        assert perf_report.main(paths + ["--sha", "a", "--write-baseline",
+                                         str(baseline)]) == 0
+        written = json.loads(baseline.read_text())["experiments"]
+        assert written["bench::x"] == pytest.approx(6.0)
+        assert written[CALIBRATION] == pytest.approx(1.0)
+        mixed = tmp_path / "mixed.json"
+        mixed.write_text(json.dumps(raw_dump({CALIBRATION: 0.01})))
+        assert perf_report.main([paths[0], str(mixed), "--sha", "b",
+                                 "--write-baseline",
+                                 str(baseline)]) == 2
+
     def test_missing_baseline_skips_gate(self, tmp_path):
         raw = self._write_raw(tmp_path, {CALIBRATION: 0.01})
         assert perf_report.main([str(raw), "--sha", "c",

@@ -237,6 +237,43 @@ class TestShardValidation:
             ChaseConfig(shards=True)
         assert ChaseConfig(shards=4).shards == 4
 
+    @pytest.mark.parametrize("n", [2.5, True, "5", 0, np.int64(4)],
+                             ids=["float", "bool", "str", "zero",
+                                  "numpy-int"])
+    @pytest.mark.parametrize("entry", ["sample_sharded", "shard_plan",
+                                       "server"])
+    def test_one_run_count_check(self, entry, n):
+        # Every entry point checks n as the Session verbs do: an int
+        # (numpy ints too) of at least 1, with the same message.
+        from repro.serving import ProgramServer
+        from repro.workloads.paper import (example_3_4_instance,
+                                           example_3_4_program)
+        program = example_3_4_program()
+        session = repro.compile(program).on(example_3_4_instance(),
+                                            seed=1, shards=2)
+
+        def call():
+            if entry == "sample_sharded":
+                return sample_sharded(session, n).n_runs
+            if entry == "shard_plan":
+                return shard_plan(n, 2, seed=1).n
+            reply = ProgramServer().handle({
+                "op": "sample", "program": CASCADE,
+                "instance": {"Site": [[0], [1]]}, "n": n,
+                "config": {"seed": 1}})
+            if not reply["ok"]:
+                raise ValidationError(reply["error"])
+            return reply["result"]["n_runs"]
+
+        if isinstance(n, np.integer):
+            runs = call()
+            assert runs == 4 and type(runs) is int
+            return
+        with pytest.raises(ValidationError,
+                           match=r"n must be an int >= 1, got "
+                                 + repr(n).replace(".", r"\.")):
+            call()
+
     def test_results_off_the_plan_rejected_by_merge(self):
         session = repro.compile(CASCADE).on(_sites(2), seed=1,
                                             backend="scalar")

@@ -116,6 +116,39 @@ class TestProgramServer:
                   m["probability"] for m in result["marginals"]}
         assert served == expect
 
+    def test_marginals_with_fresh_seeds_enumerate_once(self, monkeypatch):
+        # Enumeration reads none of seed, backend, shards or max_steps,
+        # so served marginals with fresh seeds share one exact result;
+        # a different tolerance enumerates again.
+        import repro.api.session as session_module
+        from repro.workloads.paper import (EARTHQUAKE_PROGRAM_TEXT,
+                                           example_3_4_instance)
+        calls = []
+        enumerate_tree = session_module.exact_sequential_spdb
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("tolerance"))
+            return enumerate_tree(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "exact_sequential_spdb",
+                            counting)
+        server = ProgramServer()
+        request = {"op": "marginal", "program": EARTHQUAKE_PROGRAM_TEXT,
+                   "instance": instance_payload(example_3_4_instance()),
+                   "fact": ["Alarm", ["house-1"]]}
+        replies = [server.handle({**request, "config": {"seed": seed}})
+                   for seed in range(100)]
+        assert all(reply["ok"] for reply in replies)
+        assert len({reply["result"]["probability"]
+                    for reply in replies}) == 1
+        assert len(calls) == 1
+        (session,) = server._sessions.values()
+        assert len(session._exact_cache) == 1
+        reply = server.handle({**request, "config": {"seed": 100,
+                                                     "tolerance": 1e-9}})
+        assert reply["ok"] and len(calls) == 2 and calls[1] == 1e-9
+        assert len(session._exact_cache) == 2
+
     def test_zero_recompilation_across_requests(self):
         """The acceptance-criterion counter: one compile, then hits."""
         server = ProgramServer()
@@ -217,8 +250,11 @@ class TestProgramServer:
         ({"op": "nope"}, "unknown op"),
         ({"op": "sample"}, "program"),
         ({"op": "sample", "program": "  "}, "program"),
-        ({"op": "sample", "program": COIN, "n": 0}, "'n'"),
-        ({"op": "sample", "program": COIN, "n": True}, "'n'"),
+        # The Session verbs' run-count check, and its message.
+        ({"op": "sample", "program": COIN, "n": 0},
+         "n must be an int >= 1, got 0"),
+        ({"op": "sample", "program": COIN, "n": True},
+         "n must be an int >= 1, got True"),
         ({"op": "sample", "program": COIN, "config": [1]}, "config"),
         ({"op": "sample", "program": COIN,
           "config": {"bogus_field": 1}}, "bogus_field"),

@@ -36,7 +36,7 @@ class TestOracleBattery:
             "pdb-input", "batched-scalar", "barany-agreement",
             "sharded-single", "induced-fds", "termination",
             "streaming-batch", "columnar-query", "conditioning",
-            "static-dynamic"}
+            "static-dynamic", "composed-whole"}
 
 
 class TestSkipPreconditions:

@@ -7,7 +7,7 @@ needs stable companion rests, streaming observation forcing needs a
 provably trigger-free sample relation, guided conditioning needs a
 backward-walkable derivation, and columnar query lifting needs stable
 scanned relations.  At runtime these surface only as
-``diagnostics["fallback"]`` / :class:`~repro.api.stream.
+``diagnostics["fallback_reason"]`` / :class:`~repro.api.stream.
 StreamingUnsupported` / scalar declines *after* work was attempted.
 
 :func:`capability_report` decides all of them statically - per
@@ -23,7 +23,7 @@ mirrors: :class:`repro.engine.batched.BatchedChase` calls them, so the
 engine and the report share one stable-relation and one companion
 analysis.  The remaining checks restate, statically, the decisions
 made in :mod:`repro.engine.batched` (``_ground_head_template``),
-:meth:`repro.api.session.Session._batch_eligible` and
+:meth:`repro.api.session.Session._batch_refusal` and
 :func:`repro.core.backward.backward_plan` - each mirror's docstring
 names its runtime twin.
 """
@@ -309,7 +309,7 @@ def capability_report(translated: ExistentialProgram,
 
 def _predict_batched(translated, termination, companions,
                      ext_rules) -> Capability:
-    """Mirror of ``Session._batch_eligible`` + the static
+    """Mirror of ``Session._batch_refusal`` + the static
     ``BatchUnsupported`` raise sites of ``BatchedChase.__init__``."""
     reasons: list[str] = []
     detail: dict = {}

@@ -167,9 +167,11 @@ class ChaseConfig:
     (:meth:`repro.api.Session.stream`).  After each ``observe`` the
     stream resamples its worlds systematically when the effective
     sample size drops below ``threshold x live worlds``.  ``0.0``
-    (default) never resamples - streamed marginals then equal one-shot
-    likelihood weighting *exactly*; ``1.0`` resamples after every
-    weighted observation (particle-filter style).
+    (default) never resamples - the stream is then plain likelihood
+    weighting over its batch, the estimator of
+    ``posterior(method="likelihood")`` (on different draws); ``1.0``
+    resamples after every weighted observation (particle-filter
+    style).
     """
 
     policy: ChasePolicy | None = None

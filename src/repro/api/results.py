@@ -27,12 +27,15 @@ class InferenceResult:
 
     ``pdb`` is the produced (sub-)probabilistic database - a
     :class:`~repro.pdb.database.DiscretePDB` (``kind="exact"``), a
-    :class:`~repro.pdb.database.MonteCarloPDB` (``kind="sample"`` /
-    ``"rejection"``) or a :class:`~repro.pdb.weighted.WeightedPDB`
-    (``kind="likelihood"``).  ``elapsed`` is wall-clock seconds spent
-    inside the call; ``diagnostics`` carries method-specific extras
-    (acceptance rate, effective sample size, mean importance weight,
-    cache hits, ...).
+    :class:`~repro.pdb.database.MonteCarloPDB` (``kind="sample"``,
+    lazy :class:`~repro.engine.batched.ColumnarMonteCarloPDB` when
+    batched; ``kind="rejection"``, the accepted worlds) or a
+    :class:`~repro.pdb.weighted.WeightedPDB` (``kind="likelihood"``,
+    ``"guided"`` and ``"stream"``; the lazy
+    :class:`~repro.pdb.weighted.WeightedColumnarPDB` over a batch).
+    ``elapsed`` is wall-clock seconds spent inside the call;
+    ``diagnostics`` carries method-specific extras (acceptance rate,
+    effective sample size, mean importance weight, cache hits, ...).
     """
 
     pdb: PDBBase
@@ -49,13 +52,16 @@ class InferenceResult:
         ``"scalar"`` or ``"batched"`` for ``kind="sample"`` results,
         or ``"sharded"`` when ``shards >= 2`` fanned the scalar loop
         out across processes (a sharded batch the batched engine
-        accepts runs in-process and reports ``"batched"``); None for
-        methods without a backend choice (exact, rejection,
-        likelihood).  ``"batched"`` means every world stayed
-        vectorized to the end: a batch the engine declines, also in
-        the middle of its cascade, runs the scalar loop and reports
-        ``"scalar"`` (or ``"sharded"``).  Batched results additionally
-        report ``n_rounds`` (cascade depth of the multi-round batch
+        accepts runs in-process and reports ``"batched"``).  Every
+        Monte-Carlo posterior reports ``"batched"`` or ``"scalar"``
+        too (``"guided"`` for a guided batch; a scalar posterior also
+        carries ``diagnostics["fallback_reason"]``), and a stream
+        ``"stream"``; None for exact results.  ``"batched"`` means
+        every world stayed vectorized to the end: a batch the engine
+        declines, also in the middle of its cascade, runs the scalar
+        loop and reports ``"scalar"`` (or ``"sharded"``).  Batched
+        samples additionally report ``n_rounds`` (cascade depth of the
+        multi-round batch
         loop), ``n_groups`` (terminal signature groups) and
         ``n_cached_rounds`` (group rounds whose transition the
         session's round cache already held - from an earlier batch,

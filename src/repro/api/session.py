@@ -49,8 +49,7 @@ from repro.core.constraints import (ConstraintLike, _as_predicate,
                                     _conjunction)
 from repro.core.exact import (exact_parallel_spdb,
                               exact_sequential_spdb)
-from repro.core.observe import (Observation, _observation_index,
-                                _weighted_chase)
+from repro.core.observe import Observation, _observation_index
 from repro.core.parallel import run_parallel_chase_prepared
 from repro.core.policies import DEFAULT_POLICY
 from repro.core.program import Program
@@ -58,6 +57,7 @@ from repro.core.semantics import MassReport
 from repro.core.termination import (TerminationReport,
                                     analyze_termination)
 from repro.core.translate import ExistentialProgram
+from repro.distributions.regions import Region
 from repro.errors import DistributionError, MeasureError, ValidationError
 from repro.pdb.database import (DiscretePDB, MonteCarloPDB,
                                 mixture_pdb)
@@ -65,8 +65,8 @@ from repro.pdb.events import Event
 from repro.pdb.instances import Instance
 from repro.pdb.weighted import WeightedColumnarPDB, WeightedPDB
 
-#: ``posterior(method="auto")`` stays with plain rejection when a pilot
-#: run accepts at least this often; below it, escalate to guided.
+#: ``posterior(method="auto")`` keeps the unguided rejection batch when
+#: at least this share of its worlds accepts; below it, runs guided.
 _AUTO_ACCEPTANCE_THRESHOLD = 0.1
 
 SEMANTICS = ("grohe", "barany")
@@ -283,7 +283,8 @@ class Session:
         :class:`~repro.core.observe.Observation` values (consumed by
         ``posterior(method="likelihood")``) or instance events /
         predicates (consumed by ``method="rejection"`` /
-        ``method="exact"``).
+        ``method="exact"``); ``method="guided"`` and ``"auto"`` take
+        any mix of the two.
         """
         if not evidence:
             raise ValidationError("observe() needs at least one "
@@ -333,18 +334,23 @@ class Session:
             return overlay_fork(base)
         return base.fork()
 
-    def _one_run(self, cfg: ChaseConfig,
-                 rng: np.random.Generator) -> ChaseRun:
+    def _one_run(self, cfg: ChaseConfig, rng: np.random.Generator,
+                 observed: dict | None = None) -> ChaseRun:
+        """One scalar run; ``observed`` forces and weights draws.
+
+        Likelihood weighting always runs the sequential loop
+        (:func:`~repro.core.chase.run_chase_prepared`).
+        """
         translated = self.compiled.translated
         state = self._fork_engine(cfg.engine)
-        if cfg.parallel:
+        if cfg.parallel and not observed:
             return run_parallel_chase_prepared(
                 translated, state, self.instance, rng, cfg.max_steps,
                 cfg.record_trace)
         return run_chase_prepared(
             translated, state, self.instance,
             cfg.policy or DEFAULT_POLICY, rng, cfg.max_steps,
-            cfg.record_trace)
+            cfg.record_trace, observed)
 
     # -- inference verbs ----------------------------------------------------
 
@@ -406,41 +412,34 @@ class Session:
 
     # -- batched backend ----------------------------------------------------
 
-    def _resolve_backend(self, cfg: ChaseConfig) -> str:
-        """Which sampling backend this call should attempt.
+    def _batch_refusal(self, cfg: ChaseConfig) -> str | None:
+        """Why this call may not run the batched backend (None: it may).
 
-        ``"scalar"`` and ``"batched"`` are honoured as requested (the
-        batched path still declines, falling back to scalar, when the
-        program is outside its class or the batch cannot stay
-        vectorized).  ``"auto"`` only picks batched for a batch-safe
-        policy on a batch-eligible program/config.
+        The one eligibility check of every Monte-Carlo verb: ``sample``,
+        every ``posterior`` method and ``stream`` ask it, and a refused
+        call runs the scalar loop (``stream`` raises instead).  The
+        batch needs: a backend other than ``"scalar"``; under
+        ``"auto"``, a batch-safe policy (``"batched"`` overrides the
+        policy flag); the sequential chase without trace recording;
+        weak acyclicity of the translated program - Theorem 6.1's
+        order-independence is what makes the batched prefix produce
+        exactly the sequential-chase law, under both translations -
+        and a program the batched engine can prepare.
         """
         if cfg.backend == "scalar":
-            return "scalar"
-        if cfg.backend == "batched":
-            return "batched"
-        if cfg.policy is not None and not getattr(
-                cfg.policy, "batch_safe", False):
-            return "scalar"
-        if not self._batch_eligible(cfg):
-            return "scalar"
-        return "batched"
-
-    def _batch_eligible(self, cfg: ChaseConfig) -> bool:
-        """Whether the batched backend's exactness argument applies.
-
-        Requires no trace recording, the sequential chase, and weak
-        acyclicity (of the translated program) - Theorem 6.1's
-        order-independence is what makes the batched prefix produce
-        exactly the sequential-chase law.  Both translations qualify:
-        the per-rule (grohe) one, and - since the companion fan-out of
-        shared ``Sample#`` auxiliaries is vectorized - the Bárány one,
-        whose existential program the same theorem covers (the
-        auxiliary keying differs, the chase calculus does not).
-        """
+            return "backend='scalar' was requested"
+        if cfg.backend == "auto" and cfg.policy is not None \
+                and not cfg.policy.batch_safe:
+            return "the configured policy is not batch-safe"
         if cfg.parallel or cfg.record_trace:
-            return False
-        return self.compiled.analyze().weakly_acyclic
+            return ("the parallel chase and trace recording run the "
+                    "scalar loop")
+        if not self.compiled.analyze().weakly_acyclic:
+            return ("the program is not weakly acyclic, so Theorem "
+                    "6.1's order independence does not cover a batch")
+        if self._batched_chase() is None:
+            return "the batched engine declined the program"
+        return None
 
     def _batched_chase(self):
         """The cached per-(program, instance) batch sampler (or None)."""
@@ -469,16 +468,13 @@ class Session:
         the sample arrays directly and the n ``Instance`` fact-sets are
         only materialized if a caller walks ``result.pdb.worlds``.
         """
-        if self._resolve_backend(cfg) != "batched" \
-                or not self._batch_eligible(cfg):
-            return None
-        batched = self._batched_chase()
-        if batched is None:
+        if self._batch_refusal(cfg) is not None:
             return None
         from repro.engine.batched import ColumnarMonteCarloPDB
         visible = self.compiled.visible_relations
         start = time.perf_counter()
-        outcome = batched.run_batch(n, cfg.base_rng(), cfg.max_steps)
+        outcome = self._batched_chase().run_batch(n, cfg.base_rng(),
+                                                  cfg.max_steps)
         if outcome is None:
             return None
         pdb = ColumnarMonteCarloPDB(outcome, visible,
@@ -635,9 +631,10 @@ class Session:
         session is applied to the stream up front.  ``max_window``
         bounds the number of active evidence items (oldest
         auto-retracted: a sliding window).  Raises
-        :class:`~repro.errors.StreamingUnsupported` when the program/
-        config is outside the batched backend's class or the evidence
-        cannot be applied exactly; fall back to
+        :class:`~repro.errors.StreamingUnsupported` when
+        :meth:`_batch_refusal` refuses the call (as it would send
+        ``sample`` and ``posterior`` to the scalar loop) or the
+        evidence cannot be applied exactly; fall back to
         ``observe(...).posterior(method="likelihood")`` then.
         """
         from repro.api.stream import StreamingPosterior
@@ -649,22 +646,37 @@ class Session:
                   **overrides) -> InferenceResult:
         """Posterior inference given the session's observed evidence.
 
-        ``method="rejection"`` - rejection-sample on instance events
-        (positive-probability events only, any program);
-        ``method="likelihood"`` - likelihood weighting on sample-level
-        :class:`Observation` evidence (sound for continuous,
-        measure-zero observations);
-        ``method="exact"`` - restrict-and-normalize the exact SPDB on
-        instance events (discrete programs);
-        ``method="guided"`` - constraint-guided importance sampling:
-        propagate the evidence backwards through the deterministic
-        fragment to per-draw feasible regions, sample from the
-        truncated proposal through the batched backend and reweight
-        exactly (any evidence mix; falls back to likelihood/rejection
-        with a recorded diagnostic when the program is outside the
-        batched class);
-        ``method="auto"`` - rejection when a pilot run accepts often
-        enough, guided otherwise.
+        ``method="exact"`` restricts and normalizes the exact SPDB on
+        instance events (discrete programs).  The Monte-Carlo methods
+        share one route: a batch of ``n`` worlds through the batched
+        backend, or - when :meth:`_batch_refusal` refuses the call or
+        the engine declines the batch - ``n`` runs of the one scalar
+        loop, which forces observed draws and weights each run by
+        their densities, then drops (``rejection``) or zero-weights
+        worlds that violate the events.  ``diagnostics["backend"]``
+        names the path (``"batched"``, ``"guided"`` or ``"scalar"``),
+        and a scalar result carries ``diagnostics["fallback_reason"]``.
+        Weights are on the likelihood scale everywhere: a world's
+        weight is its evidence likelihood, so
+        ``diagnostics["mean_weight"]`` estimates the evidence
+        probability.
+
+        ``method="rejection"`` - instance events only (positive
+        probability, any program); the batch runs unguided and keeps
+        the worlds satisfying the events, a
+        :class:`~repro.pdb.database.MonteCarloPDB`;
+        ``method="likelihood"`` - :class:`Observation` evidence only
+        (sound for continuous, measure-zero observations); observed
+        draws are pinned, a :class:`~repro.pdb.weighted.WeightedPDB`
+        (columnar when batched);
+        ``method="guided"`` - any evidence mix: the evidence is
+        propagated backwards through the deterministic fragment to
+        per-draw feasible regions, the batch samples the truncated
+        proposal and reweights exactly (:meth:`_posterior_batched`);
+        ``method="auto"`` - observations go to guided; event evidence
+        keeps the unguided rejection batch when it accepts at least
+        :data:`_AUTO_ACCEPTANCE_THRESHOLD` of its worlds and runs
+        guided otherwise.  ``diagnostics["auto"]`` names the choice.
         """
         n = _check_runs(n)
         cfg = self.config.replace(**overrides)
@@ -676,255 +688,176 @@ class Session:
                         if isinstance(item, Observation)]
         constraints = [item for item in self._evidence
                        if not isinstance(item, Observation)]
-        if method == "likelihood":
-            if constraints:
-                raise ValidationError(
-                    "likelihood weighting conditions on sample-level "
-                    "Observations only; event evidence needs "
-                    "method='rejection' or method='exact'")
-            return self._posterior_likelihood(cfg, observations, n)
-        if method == "guided":
-            return self._posterior_guided(cfg, observations,
-                                          constraints, n)
-        if method == "auto":
-            return self._posterior_auto(cfg, observations,
-                                        constraints, n)
-        if observations:
+        if method not in ("rejection", "likelihood", "exact", "guided",
+                          "auto"):
+            raise ValidationError(
+                f"unknown posterior method {method!r}; use "
+                "'rejection', 'likelihood', 'exact', 'guided' or "
+                "'auto'")
+        if method == "likelihood" and constraints:
+            raise ValidationError(
+                "likelihood weighting conditions on sample-level "
+                "Observations only; event evidence needs "
+                "method='rejection' or method='exact'")
+        if method in ("rejection", "exact") and observations:
             raise ValidationError(
                 f"method={method!r} conditions on instance events; "
                 "Observation evidence needs method='likelihood', "
                 "'guided' or 'auto'")
-        if method == "rejection":
-            return self._posterior_rejection(cfg, constraints, n)
         if method == "exact":
             return self._posterior_exact(cfg, constraints)
-        raise ValidationError(
-            f"unknown posterior method {method!r}; use 'rejection', "
-            "'likelihood', 'exact', 'guided' or 'auto'")
+        index = _observation_index(self.compiled.translated,
+                                   observations)
+        reason = self._batch_refusal(cfg)
+        if reason is None:
+            result = self._posterior_batched(cfg, method, index,
+                                             observations, constraints,
+                                             n)
+            if result is not None:
+                return result
+            reason = ("the batched engine declined the batch (a "
+                      "cascade round overruns the step budget or "
+                      "cannot be prepared)")
+        result = self._posterior_scalar(cfg, index, constraints, n)
+        result.diagnostics["fallback_reason"] = reason
+        if method == "auto":
+            result.diagnostics["auto"] = result.kind
+        return result
 
-    def _posterior_rejection(self, cfg: ChaseConfig,
-                             constraints: Sequence[ConstraintLike],
-                             n: int) -> InferenceResult:
-        satisfied = _conjunction(constraints)
-        visible = self.compiled.visible_relations
-        self._base_engine(cfg.engine)
-        start = time.perf_counter()
-        accepted: list[Instance] = []
-        truncated = 0
-        for rng in cfg.spawn_rngs(n):
-            run = self._one_run(cfg, rng)
-            if not run.terminated:
-                truncated += 1
-                continue
-            world = run.instance if cfg.keep_aux \
-                else run.instance.restrict(visible)
-            if satisfied(world):
-                accepted.append(world)
-        if not accepted:
-            raise MeasureError(
-                f"no accepted samples in {n} proposals; the "
-                "constraints have (near-)zero probability - "
-                "conditioning on measure-zero events is undefined in "
-                "this semantics (paper, Section 7)")
-        elapsed = time.perf_counter() - start
-        terminated = n - truncated
-        return InferenceResult(
-            MonteCarloPDB(accepted, 0), "rejection", elapsed,
-            n_runs=n, n_truncated=truncated,
-            diagnostics={
-                "n_proposed": n,
-                "n_accepted": len(accepted),
-                "acceptance_rate": len(accepted) / terminated
-                if terminated else 0.0,
-            })
+    def _posterior_batched(self, cfg: ChaseConfig, method: str,
+                           index: dict,
+                           observations: Sequence[Observation],
+                           constraints: Sequence[ConstraintLike],
+                           n: int) -> InferenceResult | None:
+        """A Monte-Carlo posterior on the batched backend (None: declined).
 
-    def _posterior_likelihood(self, cfg: ChaseConfig,
-                              observations: Sequence[Observation],
-                              n: int) -> InferenceResult:
-        translated = self.compiled.translated
-        index = _observation_index(translated, observations)
-        visible = self.compiled.visible_relations
-        policy = cfg.policy or DEFAULT_POLICY
-        self._base_engine(cfg.engine)
-        start = time.perf_counter()
-        worlds: list[Instance] = []
-        weights: list[float] = []
-        truncated = 0
-        for rng in cfg.spawn_rngs(n):
-            outcome = _weighted_chase(
-                translated, self._fork_engine(cfg.engine),
-                self.instance, policy, rng, cfg.max_steps, index)
-            if outcome is None:
-                truncated += 1
-                continue
-            world, weight = outcome
-            worlds.append(world if cfg.keep_aux
-                          else world.restrict(visible))
-            weights.append(weight)
-        if not worlds:
-            raise ValidationError(
-                "all runs were truncated; increase max_steps")
-        posterior = WeightedPDB(worlds, weights)
-        elapsed = time.perf_counter() - start
-        return InferenceResult(
-            posterior, "likelihood", elapsed, n_runs=n,
-            n_truncated=truncated,
-            diagnostics={
-                "mean_weight": sum(weights) / len(weights),
-                "effective_sample_size":
-                    posterior.effective_sample_size(),
-            })
-
-    def _posterior_guided(self, cfg: ChaseConfig,
-                          observations: Sequence[Observation],
-                          constraints: Sequence[ConstraintLike],
-                          n: int) -> InferenceResult:
-        """Constraint-guided importance sampling (backward regions).
-
-        Derives per-draw feasible regions by walking the evidence
+        ``likelihood`` pins the observed draws; ``rejection`` runs the
+        batch unguided and keeps the worlds satisfying the events;
+        ``guided`` pins observations and truncates event-constrained
+        draws to feasible regions derived by walking the evidence
         backwards through the deterministic fragment
-        (:func:`repro.core.backward.backward_plan`), samples the
-        batched chase from the region-truncated proposal, and corrects
-        with the exact per-draw importance weights the truncated
-        samplers report.  Regions are *necessary-condition*
-        over-approximations, so event evidence is still verified
-        post-hoc on each world (failing worlds get weight zero) -
-        the result is law-exact regardless of how precise the
-        backward walk managed to be.  Programs outside the batched
-        class fall back to likelihood weighting (observation
-        evidence) or rejection (event evidence) with the reason
-        recorded under ``diagnostics["fallback_reason"]``.
+        (:func:`repro.core.backward.backward_plan`).  Regions are
+        *necessary-condition* over-approximations, so event evidence
+        is still verified on each world (failing worlds get weight
+        zero) - the result is law-exact however precise the backward
+        walk managed to be.  ``auto`` runs guided for observations;
+        for events it keeps the unguided batch when its acceptance
+        rate clears :data:`_AUTO_ACCEPTANCE_THRESHOLD` and draws a
+        guided batch from the same generator otherwise.
         """
-        if not self._batch_eligible(cfg):
-            return self._guided_fallback(
-                cfg, observations, constraints, n,
-                "program/config is outside the batched backend's "
-                "class (needs weak acyclicity, no parallel chase, "
-                "no trace recording)")
-        batched = self._batched_chase()
-        if batched is None:
-            return self._guided_fallback(
-                cfg, observations, constraints, n,
-                "the batched engine declined the program")
-        from repro.core.backward import backward_plan
-        from repro.engine.batched import ColumnarMonteCarloPDB
-        plan = backward_plan(self.compiled.translated,
-                             batched.closed_source, batched.growable,
-                             observations, constraints)
-        if not plan.satisfiable:
-            raise MeasureError(
-                "the evidence is unreachable: backward propagation "
-                "proved that no chase world can satisfy it, so the "
-                "conditioning event has probability zero")
-        visible = self.compiled.visible_relations
         start = time.perf_counter()
+        rng = cfg.base_rng()
+        kind = "guided"
+        unguided_rate = None
+        if method == "likelihood":
+            kind = "likelihood"
+            pins = {key: Region.point(value)
+                    for key, value in index.items()}
+            batch = self._posterior_batch(cfg, rng, n, pins, ())
+        elif not observations and method in ("rejection", "auto"):
+            batch = self._posterior_batch(cfg, rng, n, None,
+                                          constraints)
+            if batch is None:
+                return None
+            unguided_rate = float(batch[2].mean())
+            if method == "rejection" \
+                    or unguided_rate >= _AUTO_ACCEPTANCE_THRESHOLD:
+                kind = "rejection"
+        if kind == "guided":
+            from repro.core.backward import backward_plan
+            batched = self._batched_chase()
+            plan = backward_plan(self.compiled.translated,
+                                 batched.closed_source,
+                                 batched.growable, observations,
+                                 constraints)
+            if not plan.satisfiable:
+                raise MeasureError(
+                    "the evidence is unreachable: backward propagation "
+                    "proved that no chase world can satisfy it, so the "
+                    "conditioning event has probability zero")
+            batch = self._posterior_batch(cfg, rng, n, plan.regions,
+                                          constraints)
+        if batch is None:
+            return None
+        pdb, log_weights, accepted, info = batch
+        weights = None if kind == "rejection" else np.exp(log_weights)
+        result = _posterior_result(kind, pdb, weights, accepted, n, 0,
+                                   start)
+        result.diagnostics["backend"] = "batched"
+        if kind == "guided":
+            result.diagnostics.update(
+                backend="guided", n_pinned=plan.n_pinned,
+                n_truncated=plan.n_truncated,
+                n_guided_draws=info.get("n_guided_draws", 0),
+                given_up=plan.given_up)
+        if method == "auto":
+            result.diagnostics["auto"] = kind
+            if kind == "guided" and unguided_rate is not None:
+                result.diagnostics["unguided_acceptance"] = \
+                    unguided_rate
+        return result
+
+    def _posterior_batch(self, cfg: ChaseConfig,
+                         rng: np.random.Generator, n: int,
+                         regions: dict | None,
+                         constraints: Sequence[ConstraintLike]):
+        """One posterior batch, or None when the engine declines it.
+
+        Returns ``(pdb, log_weights, accepted, info)``: the columnar
+        ensemble, each world's log likelihood from its pinned and
+        truncated draws (``regions``, see
+        :meth:`~repro.engine.batched.BatchedChase.run_batch`), the
+        per-world event check (None without events) and the batch
+        diagnostics.
+        """
+        from repro.engine.batched import ColumnarMonteCarloPDB
         log_weights = np.zeros(n)
         try:
-            outcome = batched.run_batch(
-                n, cfg.base_rng(), cfg.max_steps, regions=plan.regions,
+            outcome = self._batched_chase().run_batch(
+                n, rng, cfg.max_steps, regions=regions,
                 log_weights=log_weights)
         except DistributionError as err:
             # The sampler's own message says whether the region had
             # zero mass or its rejection budget ran out.
             raise MeasureError(
-                f"guided sampling could not draw under the evidence: "
-                f"{err}") from None
+                f"the batched chase could not draw under the "
+                f"evidence: {err}") from None
         if outcome is None:
-            return self._guided_fallback(
-                cfg, observations, constraints, n,
-                "the batched engine declined the batch (a cascade "
-                "round overruns the step budget or cannot be "
-                "prepared; the scalar chase would sample constrained "
-                "draws unconstrained)")
-        pdb = ColumnarMonteCarloPDB(outcome, visible,
+            return None
+        pdb = ColumnarMonteCarloPDB(outcome,
+                                    self.compiled.visible_relations,
                                     keep_aux=cfg.keep_aux)
-        # Exact importance weights, max-normalized for stability; the
-        # regions were only necessary conditions, so event evidence is
-        # re-verified world by world and failures zero-weighted.
-        weights = np.exp(log_weights - log_weights.max())
-        n_accepted = n
-        if constraints:
-            satisfied = _conjunction(constraints)
-            mask = np.fromiter(
-                (satisfied(world) for world in pdb.world_slots()),
-                dtype=bool, count=n)
-            weights = np.where(mask, weights, 0.0)
-            n_accepted = int(mask.sum())
-        if not np.any(weights > 0.0):
-            raise MeasureError(
-                f"no worlds satisfied the evidence in {n} guided "
-                "proposals; the residual (non-propagated) part of "
-                "the evidence has (near-)zero probability")
-        posterior = WeightedColumnarPDB(pdb, weights)
-        elapsed = time.perf_counter() - start
-        info = outcome.diagnostics
-        return InferenceResult(
-            posterior, "guided", elapsed, n_runs=n, n_truncated=0,
-            diagnostics={
-                "backend": "guided",
-                "n_proposed": n,
-                "n_accepted": n_accepted,
-                "acceptance_rate": n_accepted / n,
-                "n_pinned": plan.n_pinned,
-                "n_truncated": plan.n_truncated,
-                "n_guided_draws": info.get("n_guided_draws", 0),
-                "given_up": plan.given_up,
-                "mean_weight": float(weights.mean()),
-                "effective_sample_size":
-                    posterior.effective_sample_size(),
-            })
+        accepted = _event_check(constraints, pdb.world_slots()) \
+            if constraints else None
+        return pdb, log_weights, accepted, outcome.diagnostics
 
-    def _guided_fallback(self, cfg: ChaseConfig,
-                         observations: Sequence[Observation],
-                         constraints: Sequence[ConstraintLike],
-                         n: int, reason: str) -> InferenceResult:
-        """Law-preserving fallback when guided sampling is unavailable."""
-        if observations and constraints:
-            raise ValidationError(
-                f"guided conditioning is unavailable ({reason}) and "
-                "no single fallback handles mixed Observation + event "
-                "evidence; split the evidence across "
-                "method='likelihood' and method='rejection' calls")
-        if observations:
-            result = self._posterior_likelihood(cfg, observations, n)
-        else:
-            result = self._posterior_rejection(cfg, constraints, n)
-        result.diagnostics.update(fallback=result.kind,
-                                  fallback_reason=reason)
-        return result
+    def _posterior_scalar(self, cfg: ChaseConfig, index: dict,
+                          constraints: Sequence[ConstraintLike],
+                          n: int) -> InferenceResult:
+        """The Monte-Carlo posterior of the one scalar loop.
 
-    def _posterior_auto(self, cfg: ChaseConfig,
-                        observations: Sequence[Observation],
-                        constraints: Sequence[ConstraintLike],
-                        n: int) -> InferenceResult:
-        """Rejection when it accepts often enough, guided otherwise.
-
-        Event-only evidence gets a small rejection pilot; if its
-        acceptance rate clears ``_AUTO_ACCEPTANCE_THRESHOLD`` the
-        full run stays with plain rejection (unweighted worlds are
-        simpler downstream), otherwise - and for any evidence mix
-        involving observations - the guided sampler takes over.
+        ``n`` runs of :func:`~repro.core.chase.run_chase_prepared`, one
+        spawned stream each, forcing and weighting the observed draws
+        of ``index``; truncated runs are dropped and counted.  With
+        observations the result is likelihood-weighted (event
+        violations weigh zero), otherwise rejection.
         """
-        if observations or not constraints:
-            result = self._posterior_guided(cfg, observations,
-                                            constraints, n)
-            result.diagnostics.setdefault("auto", "guided")
-            return result
-        n_pilot = min(max(50, n // 20), n)
-        try:
-            pilot = self._posterior_rejection(cfg, constraints,
-                                              n_pilot)
-            pilot_rate = pilot.diagnostics["acceptance_rate"]
-        except MeasureError:
-            pilot_rate = 0.0
-        if pilot_rate >= _AUTO_ACCEPTANCE_THRESHOLD:
-            result = self._posterior_rejection(cfg, constraints, n)
-        else:
-            result = self._posterior_guided(cfg, observations,
-                                            constraints, n)
-        result.diagnostics.update(auto=result.kind,
-                                  pilot_acceptance=pilot_rate,
-                                  n_pilot=n_pilot)
+        self._base_engine(cfg.engine)
+        start = time.perf_counter()
+        runs = [self._one_run(cfg, rng, index)
+                for rng in cfg.spawn_rngs(n)]
+        worlds, truncated = self._collect_worlds(
+            cfg, runs, self.compiled.visible_relations)
+        if not worlds:
+            raise ValidationError(
+                f"all {n} runs were truncated; increase max_steps")
+        weights = [run.weight for run in runs if run.terminated] \
+            if index else None
+        result = _posterior_result(
+            "likelihood" if index else "rejection", worlds, weights,
+            _event_check(constraints, worlds) if constraints else None,
+            n, truncated, start)
+        result.diagnostics["backend"] = "scalar"
         return result
 
     def _posterior_exact(self, cfg: ChaseConfig,
@@ -986,6 +919,54 @@ class Session:
             if self._evidence else ""
         return (f"Session({self.compiled!r}, "
                 f"|D0|={len(self.instance)}{evidence})")
+
+
+def _event_check(constraints: Sequence[ConstraintLike],
+                 worlds: Sequence[Instance]) -> np.ndarray | None:
+    """Which worlds satisfy every event."""
+    return np.fromiter(map(_conjunction(constraints), worlds),
+                       dtype=bool, count=len(worlds))
+
+
+def _posterior_result(kind: str, worlds, weights, accepted, n: int,
+                      truncated: int, start: float) -> InferenceResult:
+    """A Monte-Carlo posterior from the worlds one route drew.
+
+    ``worlds`` is the scalar loop's list of terminated worlds or a
+    batch's :class:`~repro.engine.batched.ColumnarMonteCarloPDB`;
+    ``accepted`` is their event check (None without events).
+    Without ``weights`` the accepted worlds form a
+    :class:`~repro.pdb.database.MonteCarloPDB`; with them, rejected
+    worlds weigh zero in a :class:`~repro.pdb.weighted.WeightedPDB`
+    (lazy over a batch).
+    """
+    diagnostics: dict = {}
+    if accepted is not None:
+        n_accepted = int(accepted.sum())
+        diagnostics.update(n_proposed=n, n_accepted=n_accepted,
+                           acceptance_rate=n_accepted / len(accepted))
+    columnar = not isinstance(worlds, list)
+    if weights is None:
+        slots = worlds.world_slots() if columnar else worlds
+        kept = [world for world, ok in zip(slots, accepted) if ok]
+        if not kept:
+            raise MeasureError(
+                f"no accepted samples in {n} proposals; the "
+                "constraints have (near-)zero probability - "
+                "conditioning on measure-zero events is undefined in "
+                "this semantics (paper, Section 7)")
+        pdb = MonteCarloPDB(kept, 0)
+    else:
+        if accepted is not None:
+            weights = np.where(accepted, weights, 0.0)
+        pdb = WeightedColumnarPDB(worlds, weights) if columnar \
+            else WeightedPDB(worlds, weights)
+        diagnostics.update(
+            mean_weight=pdb.total_weight() / pdb.n_worlds,
+            effective_sample_size=pdb.effective_sample_size())
+    return InferenceResult(pdb, kind, time.perf_counter() - start,
+                           n_runs=n, n_truncated=truncated,
+                           diagnostics=diagnostics)
 
 
 #: Exact results a session and its derived sessions keep.

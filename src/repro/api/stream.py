@@ -10,8 +10,8 @@ updates it in place per evidence item, O(evidence):
   per-world log-weight vector by the observation density - one numpy
   op over the batch's sample columns - and *forces* the observed value
   into the matching columns, exactly what a likelihood-weighted chase
-  would have emitted (the batched counterpart of
-  :func:`repro.core.observe._fire_observed`);
+  would have emitted (the scalar loop forces it in
+  :func:`repro.core.chase.run_chase_prepared`);
 * an instance event (:class:`~repro.pdb.events.Event`, predicate, or a
   single :class:`~repro.pdb.facts.Fact`) becomes a boolean world mask
   (rejection-style conditioning on the already-sampled ensemble);
@@ -24,9 +24,12 @@ Exactness is policed, not assumed: when forcing an observed value into
 the pre-sampled worlds would change their cascade (the value would
 have enabled rule firings the worlds never ran),
 :class:`~repro.errors.StreamingUnsupported` is raised and the caller
-falls back to the one-shot weighted chase.  While no resampling
-triggers, streamed marginals are *identical* to
-``posterior(method="likelihood")`` with the same seed.
+falls back to a one-shot ``posterior(method="likelihood")``.  While no
+resampling triggers, a stream and that one-shot posterior share the
+likelihood-weighting *estimator*, not the draws: the one-shot batch
+samples the observed draws pinned, the stream forces them into a
+prior it sampled unpinned, so the two estimates of one posterior
+differ by Monte-Carlo noise at any seed.
 
 Weight degeneracy is handled particle-filter style: the effective
 sample size ``(Σw)²/Σw²`` is tracked per update, and when it drops
@@ -97,21 +100,11 @@ class StreamingPosterior:
             raise ValidationError(
                 f"max_window must be a positive int or None, got "
                 f"{max_window!r}")
-        if cfg.policy is not None and not getattr(
-                cfg.policy, "batch_safe", False):
+        refusal = session._batch_refusal(cfg)
+        if refusal is not None:
             raise StreamingUnsupported(
-                "streaming runs on the batched backend; the "
-                "configured policy is not batch-safe")
-        if not session._batch_eligible(cfg):
-            raise StreamingUnsupported(
-                "streaming runs on the batched backend, which this "
-                "program/config is outside (parallel chase, trace "
-                "recording, or no weak-acyclicity certificate)")
-        batched = session._batched_chase()
-        if batched is None:
-            raise StreamingUnsupported(
-                "streaming runs on the batched backend, which "
-                "declined this program/instance")
+                f"streaming runs on the batched backend, which this "
+                f"call cannot use: {refusal}")
         cfg = cfg.replace(shards=None)
         self._session = session
         self._cfg = cfg
@@ -124,7 +117,8 @@ class StreamingPosterior:
         # so they never collide with the n per-world streams of the
         # same seed's scalar sample.
         self._entropy = np.random.SeedSequence(cfg.seed).entropy
-        outcome = batched.run_batch(n, cfg.base_rng(), cfg.max_steps)
+        outcome = session._batched_chase().run_batch(
+            n, cfg.base_rng(), cfg.max_steps)
         if outcome is None:
             raise StreamingUnsupported(
                 "the batched backend declined this batch (a cascade "

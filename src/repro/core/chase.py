@@ -61,6 +61,9 @@ class ChaseRun:
     terminated: bool
     steps: int
     trace: tuple[ChaseStep, ...] | None = None
+    #: Product of the densities of the observed draws the run forced
+    #: (likelihood weighting); 1.0 for a run that observed nothing.
+    weight: float = 1.0
 
     def output(self) -> Instance | None:
         """The program output: the instance, or None (= err)."""
@@ -93,16 +96,35 @@ def fire(translated: ExistentialProgram, firing: Firing,
     for deterministic ones the Dirac measure on the extended instance
     (Eq. 4.B).
     """
+    return _fire(translated, firing, rng, None)[0]
+
+
+def _fire(translated: ExistentialProgram, firing: Firing,
+          rng: np.random.Generator,
+          observed: dict | None) -> tuple[Fact, float]:
+    """:func:`fire` plus likelihood weighting: ``(fact, weight factor)``.
+
+    ``observed`` maps ``(auxiliary relation, carried values)`` to an
+    observed value (:func:`repro.core.observe._observation_index`).  A
+    matching existential firing adds the observed value instead of
+    sampling one, and its density ``ψ⟨ā⟩(v)`` is the factor; every
+    other firing has factor 1.0.
+    """
     if not firing.existential:
-        return firing.fact()
+        return firing.fact(), 1.0
     info = translated.aux_info.get(firing.relation)
     if info is None:
         raise ChaseError(f"unknown auxiliary relation {firing.relation!r}")
     ext_rule = translated.rules[firing.rule_index]
     params = validate_params_in_theta(ext_rule,
                                       firing.values[info.n_carried:])
-    sampled = info.distribution.sample(params, rng)
-    return firing.fact(sampled)
+    if observed:
+        value = observed.get(
+            (firing.relation, firing.values[:info.n_carried]))
+        if value is not None:
+            return (firing.fact(value),
+                    float(info.distribution.density(params, value)))
+    return firing.fact(info.distribution.sample(params, rng)), 1.0
 
 
 def run_chase_prepared(translated: ExistentialProgram,
@@ -111,7 +133,8 @@ def run_chase_prepared(translated: ExistentialProgram,
                        policy: ChasePolicy,
                        rng: np.random.Generator,
                        max_steps: int = DEFAULT_MAX_STEPS,
-                       record_trace: bool = False) -> ChaseRun:
+                       record_trace: bool = False,
+                       observed: dict | None = None) -> ChaseRun:
     """Run one sequential chase from a pre-built applicability state.
 
     Definition 4.2's chase path: the translated program, the root
@@ -122,21 +145,27 @@ def run_chase_prepared(translated: ExistentialProgram,
     scratch.  ``state`` must reflect exactly ``instance``; it is
     consumed.
 
-    The vectorized batch backend (:mod:`repro.engine.batched`) also
-    continues *split* worlds here: a world whose sampled values enable
-    further firings enters this loop mid-chase, with ``max_steps``
-    reduced by the steps the batched prefix already executed.
+    This is the one scalar loop of every Monte-Carlo verb: ``sample``
+    and every posterior method run it for a batch the batched backend
+    (:mod:`repro.engine.batched`) cannot take or declines.  With an
+    ``observed`` index the run is likelihood-weighted: observed draws
+    are forced and ``ChaseRun.weight`` is the product of their
+    densities (:func:`_fire`).  A run that reaches ``max_steps`` with
+    nothing left applicable terminated; otherwise it is truncated.
     """
     current = instance
     trace: list[ChaseStep] | None = [] if record_trace else None
+    weight = 1.0
 
     for step_count in range(max_steps):
         applicable = state.applicable()
         if not applicable:
             return ChaseRun(current, True, step_count,
-                            tuple(trace) if trace is not None else None)
+                            tuple(trace) if trace is not None else None,
+                            weight)
         firing = policy.select(current, applicable)
-        new_fact = fire(translated, firing, rng)
+        new_fact, factor = _fire(translated, firing, rng, observed)
+        weight *= factor
         state.add_fact(new_fact)
         current = current.add(new_fact)
         if trace is not None:
@@ -144,7 +173,7 @@ def run_chase_prepared(translated: ExistentialProgram,
 
     terminated = not state.applicable()
     return ChaseRun(current, terminated, max_steps,
-                    tuple(trace) if trace is not None else None)
+                    tuple(trace) if trace is not None else None, weight)
 
 
 def chase_step_kernel(program: Program | ExistentialProgram,

@@ -19,8 +19,10 @@ GDatalog:
   is a self-normalized estimate of the posterior.
 
 ``Session.observe(*observations).posterior(method="likelihood")`` runs
-the scheme; this module holds the observation type and the weighted
-chase it drives.
+the scheme; this module holds the observation type and the index that
+both chase backends read: the scalar loop forces indexed draws in
+:func:`repro.core.chase.run_chase_prepared`, and the batched backend
+pins them as single-point regions (:mod:`repro.core.backward`).
 
 For discrete programs this provably agrees with exact conditioning on
 the corresponding fact event (tested); for continuous programs it
@@ -33,15 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from repro.core.applicability import ApplicabilityEngine, Firing
-from repro.core.policies import ChasePolicy
-from repro.core.translate import ExistentialProgram, ExtRule, \
-    validate_params_in_theta
+from repro.core.translate import ExistentialProgram, ExtRule
 from repro.errors import ValidationError
-from repro.pdb.facts import Fact, normalize_value
-from repro.pdb.instances import Instance
+from repro.pdb.facts import normalize_value
 
 
 @dataclass(frozen=True)
@@ -101,45 +97,3 @@ def _observation_index(translated: ExistentialProgram,
             index[(rule.aux_relation, observation.carried)] = \
                 observation.value
     return index
-
-
-def _weighted_chase(translated: ExistentialProgram,
-                    state: ApplicabilityEngine,
-                    instance: Instance, policy: ChasePolicy,
-                    rng: np.random.Generator, max_steps: int,
-                    index: dict[tuple, object],
-                    ) -> tuple[Instance, float] | None:
-    """One likelihood-weighted chase over a pre-built engine state."""
-    current = instance
-    engine = state
-    weight = 1.0
-    for _ in range(max_steps):
-        applicable = engine.applicable()
-        if not applicable:
-            return current, weight
-        firing = policy.select(current, applicable)
-        new_fact, factor = _fire_observed(translated, firing, rng,
-                                          index)
-        weight *= factor
-        engine.add_fact(new_fact)
-        current = current.add(new_fact)
-    return None
-
-
-def _fire_observed(translated: ExistentialProgram, firing: Firing,
-                   rng: np.random.Generator,
-                   index: dict[tuple, object],
-                   ) -> tuple[Fact, float]:
-    if not firing.existential:
-        return firing.fact(), 1.0
-    info = translated.aux_info[firing.relation]
-    ext_rule = translated.rules[firing.rule_index]
-    assert isinstance(ext_rule, ExtRule)
-    params = validate_params_in_theta(
-        ext_rule, firing.values[info.n_carried:])
-    carried = firing.values[:info.n_carried]
-    observed = index.get((firing.relation, carried))
-    if observed is None:
-        return firing.fact(info.distribution.sample(params, rng)), 1.0
-    density = info.distribution.density(params, observed)
-    return firing.fact(observed), float(density)

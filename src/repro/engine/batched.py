@@ -1091,7 +1091,11 @@ class BatchedChase:
         params, region) and draw via ``sample_batch_truncated``; the
         call's per-draw log importance weight is accumulated into
         ``log_weights`` for every member world (iid given the key, so
-        the pooled slicing argument carries over unchanged).
+        the pooled slicing argument carries over unchanged).  A
+        single-point region where the law has zero density is not
+        drawn: its member worlds get the point and log weight
+        ``-inf``, as a likelihood-weighted scalar run observing that
+        value gets weight 0.
 
         ``diagnostics`` gains ``n_draw_calls`` (``sample_batch``
         invocations) and ``n_pooled_draws`` (requests merged into a
@@ -1120,10 +1124,19 @@ class BatchedChase:
             info = self.translated.aux_info[firing.aux_relation]
             _name, params = firing.distribution_key
             total = sum(requests[member][3] for member in members)
+            point = None if region is None else region.single_point()
             if region is None:
                 flat = np.asarray(info.distribution.sample_batch(
                     params, total, rng))
                 log_w = None
+            elif point is not None \
+                    and not info.distribution.density(params, point[0]) > 0:
+                # A pinned value the law cannot produce: the member
+                # worlds weigh zero and draw nothing, so no other draw
+                # changes (the posterior raises only if every world
+                # weighs zero, like the scalar loop's).
+                flat = np.full(total, point[0])
+                log_w = -np.inf
             else:
                 flat, log_w = info.distribution.sample_batch_truncated(
                     params, region, total, rng)
@@ -1463,9 +1476,10 @@ def observation_effects(outcome: BatchOutcome,
                         value) -> list[ObservedColumn]:
     """Where (and whether) an observation lands on a finished batch.
 
-    This is the batched counterpart of :func:`repro.core.observe.
-    _fire_observed`: for each columnar group column whose firing
-    matches ``(aux_relation, carried)``, decide whether forcing the
+    This is the batched counterpart of the scalar loop's forced
+    observed draws (:func:`repro.core.chase.run_chase_prepared`): for
+    each columnar group column whose firing matches ``(aux_relation,
+    carried)``, decide whether forcing the
     observed ``value`` into the already-sampled worlds reproduces the
     likelihood-weighted chase *exactly*.  It does iff the value's
     trigger status matches what the worlds actually cascaded on:

@@ -9,12 +9,21 @@ ensemble and answers queries as self-normalized estimates
 The quality of the estimates is governed by the effective sample size
 ``ESS = (Σw)² / Σw²``; callers should check :meth:`effective_sample_size`
 before trusting the numbers, as usual with importance sampling.
+
+The posteriors of ``Session.posterior`` weight each world by its
+evidence likelihood (the product of its observed densities and, for
+guided draws, the prior mass of their feasible regions), so their
+mean weight estimates the probability of the evidence.
+:class:`WeightedColumnarPDB` is the same ensemble over a batched run:
+its worlds stay columnar until a caller reads them.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.errors import MeasureError
 from repro.pdb.database import DiscretePDB, PDBBase
@@ -39,37 +48,46 @@ class WeightedPDB(PDBBase):
             raise MeasureError("worlds/weights length mismatch")
         if not self._worlds:
             raise MeasureError("weighted PDB needs at least one world")
-        if any(w < 0 for w in self._weights):
+        self._total = self._checked_total()
+
+    @staticmethod
+    def _sum(values) -> float:
+        """Sum weights exactly (:class:`WeightedColumnarPDB`: numpy)."""
+        return math.fsum(values)
+
+    def _checked_total(self) -> float:
+        if np.any(np.asarray(self._weights) < 0):
             raise MeasureError("negative importance weight")
-        self._total = math.fsum(self._weights)
-        if self._total <= 0.0:
+        total = self._sum(self._weights)
+        if total <= 0.0:
             raise MeasureError(
                 "all importance weights are zero - the evidence has "
                 "zero likelihood under the program")
+        return total
 
     @property
     def worlds(self) -> list[Instance]:
         return self._worlds
 
     @property
-    def weights(self) -> list[float]:
+    def weights(self) -> Sequence[float]:
         return self._weights
 
     @property
     def n_worlds(self) -> int:
-        return len(self._worlds)
+        return len(self._weights)
 
     @property
     def n_runs(self) -> int:
         """Alias of ``n_worlds`` (ensemble-size duck type)."""
-        return len(self._worlds)
+        return len(self._weights)
 
     def total_weight(self) -> float:
         return self._total
 
     def effective_sample_size(self) -> float:
         """``(Σw)² / Σw²`` - the importance-sampling quality measure."""
-        squared = math.fsum(w * w for w in self._weights)
+        squared = self._sum(np.square(self._weights))
         if squared <= 0.0:
             return 0.0
         return self._total * self._total / squared
@@ -131,64 +149,44 @@ class WeightedPDB(PDBBase):
         return DiscretePDB(measure)
 
     def __repr__(self) -> str:
-        return (f"WeightedPDB(<{self.n_worlds} worlds, ESS "
+        return (f"{type(self).__name__}(<{self.n_worlds} worlds, ESS "
                 f"{self.effective_sample_size():.1f}>)")
 
 
-class WeightedColumnarPDB(PDBBase):
-    """Importance-weighted view over a *columnar* batch ensemble.
+class WeightedColumnarPDB(WeightedPDB):
+    """A :class:`WeightedPDB` over a *columnar* batch ensemble.
 
-    The streamed-evidence counterpart of :class:`WeightedPDB`: instead
-    of holding materialized worlds it wraps a
-    :class:`repro.engine.batched.ColumnarMonteCarloPDB` together with a
-    per-world-index weight vector (worlds masked out by event evidence
-    carry weight zero).  Marginal and full fact-table queries weight
-    the fact readers of :mod:`repro.query.columnar` (a fact's world
-    mask, the per-fact totals), which read the sample columns
-    directly; nothing is materialized unless a caller asks a per-world
-    question (``prob`` / ``expectation`` with an arbitrary predicate).
+    The lazy counterpart of :class:`WeightedPDB`, as
+    :class:`repro.engine.batched.ColumnarMonteCarloPDB` is of
+    :class:`~repro.pdb.database.MonteCarloPDB`: it wraps a columnar
+    ensemble together with a per-world-index weight vector (worlds
+    masked out by event evidence carry weight zero).  Marginal and
+    full fact-table queries weight the fact readers of
+    :mod:`repro.query.columnar` (a fact's world mask, the per-fact
+    totals), which read the sample columns directly; ``worlds`` is
+    built only when a caller asks a per-world question (``prob`` /
+    ``expectation`` with an arbitrary predicate, ``values_of``).
+    Weights stay one numpy vector, summed with numpy.
     """
 
     def __init__(self, columnar, weights):
-        import numpy as np
-
+        # Deliberately skips WeightedPDB.__init__: ``_worlds`` is a
+        # lazy property here.
         self._columnar = columnar
         self._weights = np.asarray(weights, dtype=float)
         if self._weights.shape != (columnar.n_runs,):
             raise MeasureError(
                 f"weight vector shape {self._weights.shape} does not "
                 f"match the ensemble size ({columnar.n_runs})")
-        if np.any(self._weights < 0):
-            raise MeasureError("negative importance weight")
-        self._total = float(self._weights.sum())
-        if self._total <= 0.0:
-            raise MeasureError(
-                "all importance weights are zero - the evidence has "
-                "zero likelihood under the program")
+        self._total = self._checked_total()
+
+    @staticmethod
+    def _sum(values) -> float:
+        return float(np.sum(values))
 
     @property
-    def n_worlds(self) -> int:
-        return self._columnar.n_runs
-
-    @property
-    def n_runs(self) -> int:
-        return self._columnar.n_runs
-
-    @property
-    def weights(self):
-        return self._weights
-
-    def total_weight(self) -> float:
-        return self._total
-
-    def effective_sample_size(self) -> float:
-        """``(Σw)² / Σw²`` - the importance-sampling quality measure."""
-        squared = float((self._weights * self._weights).sum())
-        if squared <= 0.0:
-            return 0.0
-        return self._total * self._total / squared
-
-    # -- PDBBase ------------------------------------------------------------
+    def _worlds(self) -> list[Instance]:
+        return self._columnar.world_slots()
 
     def marginal(self, f) -> float:
         from repro.query.columnar import fact_mask
@@ -205,42 +203,3 @@ class WeightedColumnarPDB(PDBBase):
         totals = fact_totals(self._columnar, relations, self._weights)
         return {fact: count / self._total
                 for fact, count in totals.items()}
-
-    def prob(self, event: Event | Callable[[Instance], bool]) -> float:
-        test = event.contains if isinstance(event, Event) else event
-        hit = 0.0
-        for world, weight in self._iter_weighted():
-            if test(world):
-                hit += weight
-        return hit / self._total
-
-    def err_mass(self) -> float:
-        return 0.0  # posterior over surviving worlds by construction
-
-    def total_mass(self) -> float:
-        return 1.0
-
-    def map_worlds(self, transform: Callable[[Instance], Instance],
-                   ) -> "WeightedPDB":
-        worlds, weights = [], []
-        for world, weight in self._iter_weighted():
-            worlds.append(transform(world))
-            weights.append(weight)
-        return WeightedPDB(worlds, weights)
-
-    def expectation(self, statistic: Callable[[Instance], float],
-                    ) -> float:
-        weighted = math.fsum(weight * statistic(world)
-                             for world, weight in self._iter_weighted())
-        return weighted / self._total
-
-    def _iter_weighted(self):
-        """(world, weight) over live slots, materializing on demand."""
-        for index, world in enumerate(self._columnar.world_slots()):
-            weight = float(self._weights[index])
-            if weight > 0.0:
-                yield world, weight
-
-    def __repr__(self) -> str:
-        return (f"WeightedColumnarPDB(<{self.n_worlds} worlds, ESS "
-                f"{self.effective_sample_size():.1f}>)")

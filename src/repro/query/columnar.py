@@ -950,18 +950,8 @@ def _push_world(pdb: PDBBase, f: Callable[[Instance], Any],
         empirical = DiscreteMeasure.from_samples(
             [f(world) for world in pdb.worlds])
         return empirical.scale(pdb.total_mass())
-    if isinstance(pdb, WeightedColumnarPDB):
-        masses: dict = {}
-        for world, weight in pdb._iter_weighted():
-            image = f(world)
-            masses[image] = masses.get(image, 0.0) + weight
-        if not masses:
-            return DiscreteMeasure.zero()
-        return DiscreteMeasure(
-            {point: mass / pdb.total_weight()
-             for point, mass in masses.items()})
     if isinstance(pdb, WeightedPDB):
-        masses = {}
+        masses: dict = {}
         for world, weight in zip(pdb.worlds, pdb.weights):
             image = f(world)
             masses[image] = masses.get(image, 0.0) + weight

@@ -292,8 +292,9 @@ def posterior_payload(result) -> dict:
     """The posterior document (``posterior`` / ``stream_posterior``).
 
     ``method`` echoes the result kind (``likelihood``, ``rejection``,
-    ``exact``, or ``stream``); ``effective_sample_size`` is null for
-    methods without importance weights.
+    ``guided``, ``exact``, or ``stream``) and ``diagnostics["backend"]``
+    the path that ran; ``effective_sample_size`` is null for methods
+    without importance weights.
     """
     pdb = result.pdb
     marginals = fact_marginals(pdb)

@@ -968,9 +968,11 @@ class StreamingBatchOracle(Oracle):
 
     A streaming posterior samples its columnar batch once and folds
     evidence into per-world importance weights; the one-shot
-    ``posterior(method="likelihood")`` re-runs the weighted scalar
-    chase from scratch.  Both estimate the same disintegrated
-    posterior, so their marginals must agree within Monte-Carlo noise.
+    ``posterior(method="likelihood", backend="scalar")`` re-runs the
+    weighted scalar chase from scratch - an independent reference,
+    which the batched likelihood path would not be.  Both estimate
+    the same disintegrated posterior, so their marginals must agree
+    within Monte-Carlo noise.
     Evidence is drawn from the stream's own prior - an
     actually-sampled ``(relation, carried, value)`` triple, so its
     likelihood is never zero - and cases the streaming safety gate
@@ -1009,7 +1011,8 @@ class StreamingBatchOracle(Oracle):
         if ess is not None and ess < 8:
             return _skip(f"effective sample size too low ({ess:.1f})")
         try:
-            one_shot = _session(case, seed=seed + 1, max_steps=200) \
+            one_shot = _session(case, seed=seed + 1, max_steps=200,
+                                backend="scalar") \
                 .observe(evidence).posterior(method="likelihood",
                                              n=self.n_runs)
         except MeasureError as degenerate:
@@ -1044,23 +1047,26 @@ class ConditioningOracle(Oracle):
     * **observation path** - a sampled ``(relation, carried, value)``
       triple becomes an :class:`Observation`;
       ``posterior(method="guided")`` (single-point pin regions with
-      truncated batch proposals) and ``posterior(method="likelihood")``
-      (the weighted scalar chase) estimate the same disintegrated
-      posterior, so their marginals must agree within Monte-Carlo
-      noise;
+      truncated batch proposals) and ``posterior(method="likelihood",
+      backend="scalar")`` (the weighted scalar chase) estimate the
+      same disintegrated posterior, so their marginals must agree
+      within Monte-Carlo noise;
     * **event path** - a ``ContainsFactEvent`` on a sampled
       random-head output fact; where exact enumeration is available
-      the guided posterior must match the restrict-and-normalize SPDB
-      marginal-for-marginal (binomial sigma bounds), elsewhere it is
-      compared against plain rejection - including a KS test of the
+      the guided posterior and the batched ``rejection`` posterior
+      must match the restrict-and-normalize SPDB marginal-for-marginal
+      (binomial sigma bounds), elsewhere both are compared against
+      ``rejection`` on the scalar loop - including a KS test of the
       sampled value columns whenever the guided weights are uniform
       (then the guided ensemble is an unweighted posterior sample and
       the two-sample statistic applies directly).
 
-    Cases where guided internally falls back (not weakly acyclic,
-    batched engine declined) still run - the fallback must agree with
-    the reference too - and the outcome detail records whether the
-    guided proposal was actually exercised.
+    References run with ``backend="scalar"``, so they stay independent
+    of the batched route they check.  Cases where the batched route
+    falls back to the scalar loop (not weakly acyclic, batched engine
+    declined) still run - the fallback must agree with the reference
+    too - and the outcome detail records whether the guided proposal
+    was actually exercised.
     """
 
     name = "conditioning"
@@ -1111,7 +1117,8 @@ class ConditioningOracle(Oracle):
             exercised.append(f"obs:declined({degenerate})")
             return None
         try:
-            reference = _session(case, seed=seed + 2, max_steps=200) \
+            reference = _session(case, seed=seed + 2, max_steps=200,
+                                 backend="scalar") \
                 .observe(evidence).posterior(method="likelihood",
                                              n=self.n_runs)
         except (MeasureError, ValidationError):
@@ -1149,28 +1156,41 @@ class ConditioningOracle(Oracle):
             return (f"guided posterior violates its own evidence: "
                     f"P({f!r}) = {guided.marginal(f)} "
                     f"[{case.describe()}]")
+        try:
+            batched = _session(case, seed=seed + 5, max_steps=200) \
+                .observe(evidence).posterior(method="rejection",
+                                             n=self.n_runs)
+        except MeasureError:
+            batched = None
+        candidates = [("guided", guided)]
+        if batched is not None:
+            exercised.append(f"rejection:{batched.backend}")
+            candidates.append(("rejection", batched))
         if _exactable(case):
             try:
                 exact = _session(case).observe(evidence) \
                     .posterior(method="exact")
             except MeasureError:
                 return None
-            detail = marginals_agree(exact.pdb, guided.pdb)
-            if detail:
-                return (f"guided vs exact ({f!r}): {detail} "
-                        f"[{case.describe()}]")
+            for name, candidate in candidates:
+                detail = marginals_agree(exact.pdb, candidate.pdb)
+                if detail:
+                    return (f"{name} vs exact ({f!r}): {detail} "
+                            f"[{case.describe()}]")
             return None
         try:
-            rejection = _session(case, seed=seed + 4, max_steps=200) \
+            rejection = _session(case, seed=seed + 4, max_steps=200,
+                                 backend="scalar") \
                 .observe(evidence).posterior(method="rejection",
                                              n=self.n_runs)
         except MeasureError:
             return None
-        detail = self._continuous_agreement(guided, rejection,
-                                            positions)
-        if detail:
-            return (f"guided vs rejection ({f!r}): {detail} "
-                    f"[{case.describe()}]")
+        for name, candidate in candidates:
+            detail = self._continuous_agreement(candidate, rejection,
+                                                positions)
+            if detail:
+                return (f"{name} vs scalar rejection ({f!r}): "
+                        f"{detail} [{case.describe()}]")
         return None
 
     @staticmethod
@@ -1197,9 +1217,9 @@ class ConditioningOracle(Oracle):
         """KS of the value columns when guided weights are uniform."""
         weights = getattr(guided.pdb, "weights", None)
         if weights is None:
-            # Guided fell back to plain rejection: two *independent*
-            # rejection ensembles of the same posterior - compare
-            # statistically, not draw-for-draw.
+            # A rejection posterior (or guided on the scalar loop):
+            # two *independent* rejection ensembles of the same
+            # posterior - compare statistically, not draw-for-draw.
             detail = marginals_agree(rejection.pdb, guided.pdb,
                                      slack=0.15)
             if detail:
@@ -1211,7 +1231,8 @@ class ConditioningOracle(Oracle):
         if live.size and (live.max() - live.min()) > 1e-9 * live.max():
             return None  # non-uniform weights: KS does not apply
         guided_values = [
-            value for world, _w in guided.pdb._iter_weighted()
+            value for world, weight in zip(guided.pdb.worlds, weights)
+            if weight > 0.0
             for relation, position in positions.items()
             for fact in sorted(world.facts_of(relation),
                                key=lambda f: f.sort_key())

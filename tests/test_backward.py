@@ -205,7 +205,7 @@ class TestFallbacks:
             .observe(observe("Chain", 0, 1))
         result = session.posterior(method="guided", n=64, seed=7)
         assert result.kind == "likelihood"
-        assert result.diagnostics["fallback"] == "likelihood"
+        assert result.diagnostics["backend"] == "scalar"
         assert "fallback_reason" in result.diagnostics
 
     def test_given_up_events_still_sample_exactly(self):

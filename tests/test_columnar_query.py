@@ -125,7 +125,9 @@ class TestSessionQuery:
         # Identity against naive weighted evaluation.
         pdb = result.pdb
         expected: dict = {}
-        for world, weight in pdb._iter_weighted():
+        for world, weight in zip(pdb.worlds, pdb.weights):
+            if weight <= 0.0:
+                continue
             key = avg_plan().evaluate(world).canonical()
             expected[key] = expected.get(key, 0.0) + weight
         total = pdb.total_weight()

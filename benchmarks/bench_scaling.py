@@ -1,13 +1,11 @@
 """E14/E15: scaling behaviour of the core pipelines.
 
 Chase throughput vs instance size, exact-inference tree size vs
-branching, parallel-chase fan-out, query evaluation on PDBs, sharded
-sampling (in-process batches, scalar-loop fan-out), and
+branching, parallel-chase fan-out, query evaluation on PDBs and
 program-server throughput - all driven through the compile-once
 facade.
 """
 
-import os
 import math
 import time
 
@@ -23,13 +21,10 @@ from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.query import (Aggregate, agg_count, aggregate_distribution,
                          scan)
-from repro.serving import (ProgramServer, ShardExecutor, protocol,
-                           sample_sharded)
+from repro.serving import ProgramServer, protocol
 from repro.workloads.generators import (bernoulli_grid_program,
                                         earthquake_city_instance,
-                                        items_instance,
-                                        staged_slots_instance,
-                                        staged_slots_program)
+                                        items_instance)
 from repro.workloads.paper import example_3_4_program
 
 
@@ -93,74 +88,7 @@ class TestE14SamplerScaling:
 
 
 class TestE15ServingScaling:
-    """Sharded sampling + program-server throughput (E15).
-
-    The shard benchmarks reuse one warm :class:`ShardExecutor` across
-    rounds (the pool initializer's compile/bootstrap cost is paid
-    once, as in the server), so the timed region is the steady-state
-    per-batch cost.  A batchable staged-slots batch runs in-process
-    whatever the shard count, so ``test_shard_scaling`` records that
-    cost per ``shards`` value; only the scalar loop fans out, and
-    ``test_shard_speedup_at_four`` times that.
-    """
-
-    N_WORLDS = 256
-    #: Scalar-loop batch size: about one second at 1 shard on a
-    #: 2-core x86 container.
-    N_SCALAR_WORLDS = 550
-
-    @staticmethod
-    def _staged_session(seed: int = 0):
-        instance = staged_slots_instance(n_stages=6, slots_per_stage=6,
-                                         padding=200)
-        return compile_program(staged_slots_program(n_stages=6)).on(
-            instance, seed=seed)
-
-    @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-    def test_shard_scaling(self, benchmark, shards):
-        session = self._staged_session()
-        cfg = session.config.replace(shards=shards)
-        with ShardExecutor(session.compiled.translated,
-                           session.instance, cfg,
-                           processes=shards) as executor:
-            # One un-timed call warms every pool worker.
-            sample_sharded(session, self.N_WORLDS, cfg,
-                           executor=executor)
-            result = benchmark(
-                lambda: sample_sharded(session, self.N_WORLDS, cfg,
-                                       executor=executor))
-        assert result.pdb.n_runs == self.N_WORLDS
-        assert result.backend == "batched"
-        assert "fallback_reason" in result.diagnostics
-
-    def test_shard_speedup_at_four(self):
-        # 4 shards beat 1 shard by >1.5x on the staged-slots scalar
-        # loop, the only batch that fans out.  Only meaningful with
-        # real cores to spread over, so runners with fewer than 4
-        # skip rather than fake it.
-        if (os.cpu_count() or 1) < 4:
-            pytest.skip("shard speedup needs >= 4 cores "
-                        f"(have {os.cpu_count()})")
-        session = self._staged_session()
-        n = self.N_SCALAR_WORLDS
-        timings = {}
-        for shards in (1, 4):
-            cfg = session.config.replace(shards=shards,
-                                         backend="scalar")
-            with ShardExecutor(session.compiled.translated,
-                               session.instance, cfg,
-                               processes=shards) as executor:
-                sample_sharded(session, n, cfg, executor=executor)
-                best = float("inf")
-                for _ in range(3):
-                    start = time.perf_counter()
-                    sample_sharded(session, n, cfg, executor=executor)
-                    best = min(best, time.perf_counter() - start)
-            timings[shards] = best
-        speedup = timings[1] / timings[4]
-        assert speedup > 1.5, (
-            f"4-shard speedup {speedup:.2f}x <= 1.5x "
-            f"(1 shard {timings[1]:.3f}s, 4 shards {timings[4]:.3f}s)")
+    """Program-server throughput (E15)."""
 
     def test_server_request_throughput(self, benchmark):
         # Mixed-workload requests/sec through the transport-free
@@ -475,7 +403,7 @@ class TestE18GuidedConditioning:
         result = benchmark(
             lambda: session.posterior(method="guided", n=1500, seed=3))
         assert result.diagnostics["acceptance_rate"] == 1.0
-        assert result.diagnostics["n_truncated"] == 1
+        assert result.diagnostics["n_truncated_regions"] == 1
         mean = result.pdb.expectation(
             lambda w: next(iter(w.facts_of("Height"))).args[1])
         z = 2.0  # (190 - 170) / sigma

@@ -9,11 +9,10 @@ scatter with one validated, immutable value object that a
 Randomness is configured by ``seed`` alone.  Every run of the scalar
 chase draws from its own child stream derived via
 :class:`numpy.random.SeedSequence`, so runs are statistically
-independent *and* order-independent, which is what lets
-``Session.sample(n, shards=k)`` split a scalar batch across processes
-reproducibly.  World ``i``'s stream is :func:`world_rng` of the root
-entropy and ``i`` wherever it is built - one process, a shard worker
-or a stream's resampler.  The batched backend builds no per-world
+independent *and* order-independent.  World ``i``'s stream is
+:func:`world_rng` of the root entropy and ``i`` wherever it is built -
+the scalar loop, a lazy ``outputs`` iterator or a stream's resampler.
+The batched backend builds no per-world
 stream: it draws its vectorized waves from one pooled generator,
 :meth:`ChaseConfig.base_rng`, and declines a batch it cannot finish
 that way.
@@ -70,8 +69,8 @@ def _is_int(value) -> bool:
 def _check_runs(n) -> int:
     """A run or world count ``n``: an int (numpy ints too) >= 1.
 
-    The one check behind every ``Session`` verb, sharded sampling and
-    the server's ``n`` field.
+    The one check behind every ``Session`` verb and the server's ``n``
+    field.
     """
     if not _is_int(n) or n < 1:
         raise ValidationError(f"n must be an int >= 1, got {n!r}")
@@ -155,14 +154,6 @@ class ChaseConfig:
     this field.  It accepts only ``1`` (the default) so that existing
     configs naming it still parse; a later release deletes it.
 
-    ``shards`` - fan the scalar sampling loop out across a process
-    pool (:mod:`repro.serving`).  ``None`` (default) and ``1`` keep
-    the single-process paths; ``k >= 2`` requires an int-or-None
-    seed.  A batch the batched engine accepts still runs in one
-    process; a scalar batch splits into ``k`` shards with per-world
-    :class:`~numpy.random.SeedSequence` child streams.  Either way
-    the output equals the unsharded output world for world.
-
     ``resample_threshold`` - streaming-posterior resampling policy
     (:meth:`repro.api.Session.stream`).  After each ``observe`` the
     stream resamples its worlds systematically when the effective
@@ -185,7 +176,6 @@ class ChaseConfig:
     seed: int | np.random.Generator | None = None
     backend: str = "auto"
     batch_min_group: int = 1
-    shards: int | None = None
     resample_threshold: float = 0.0
 
     def __post_init__(self) -> None:
@@ -222,11 +212,6 @@ class ChaseConfig:
             raise ValidationError(
                 f"batch_min_group is retired and accepts only 1, got "
                 f"{self.batch_min_group!r}")
-        if self.shards is not None and (not _is_int(self.shards)
-                                        or self.shards <= 0):
-            raise ValidationError(
-                f"shards must be a positive int or None, got "
-                f"{self.shards!r}")
         if isinstance(self.resample_threshold, bool) \
                 or not isinstance(self.resample_threshold,
                                   (int, float)) \

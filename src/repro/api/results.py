@@ -49,17 +49,14 @@ class InferenceResult:
     def backend(self) -> str | None:
         """Which sampling backend produced this result (if sampled).
 
-        ``"scalar"`` or ``"batched"`` for ``kind="sample"`` results,
-        or ``"sharded"`` when ``shards >= 2`` fanned the scalar loop
-        out across processes (a sharded batch the batched engine
-        accepts runs in-process and reports ``"batched"``).  Every
-        Monte-Carlo posterior reports ``"batched"`` or ``"scalar"``
+        ``"scalar"`` or ``"batched"`` for ``kind="sample"`` results.
+        Every Monte-Carlo posterior reports ``"batched"`` or ``"scalar"``
         too (``"guided"`` for a guided batch; a scalar posterior also
         carries ``diagnostics["fallback_reason"]``), and a stream
         ``"stream"``; None for exact results.  ``"batched"`` means
         every world stayed vectorized to the end: a batch the engine
         declines, also in the middle of its cascade, runs the scalar
-        loop and reports ``"scalar"`` (or ``"sharded"``).  Batched
+        loop and reports ``"scalar"``.  Batched
         samples additionally report ``n_rounds`` (cascade depth of the
         multi-round batch
         loop), ``n_groups`` (terminal signature groups) and

@@ -18,8 +18,8 @@ a two-stage facade:
 Sampling through a Session translates the program and bootstraps
 the applicability engine exactly once, each run starting from a cheap
 engine ``fork()``; per-run RNG streams are spawned via
-:class:`numpy.random.SeedSequence`, so a batch can be split across
-process shards without losing reproducibility.
+:class:`numpy.random.SeedSequence`, so each scalar run's draws depend
+only on the seed and the run's index.
 
 >>> import repro
 >>> compiled = repro.compile("Earthquake(c, Flip<0.1>) :- City(c, r).")
@@ -378,20 +378,9 @@ class Session:
         supported class and for every batch it declines, so a declined
         batch equals ``backend="scalar"`` world for world.  ``n`` must
         be an int (numpy integers too) of at least 1.
-
-        ``cfg.shards >= 2`` (e.g. the override ``shards=k``) routes
-        to :func:`repro.serving.sample_sharded`, whose output equals
-        this method's without ``shards`` for every int seed.  A batch
-        the batched engine accepts still runs in this process; only
-        the scalar loop fans out across a process pool, with per-world
-        SeedSequence child streams.  ``shards=1`` and ``None`` take
-        the single-process paths above.
         """
         n = _check_runs(n)
         cfg = self.config.replace(**overrides)
-        if cfg.shards is not None and cfg.shards > 1:
-            from repro.serving import sample_sharded
-            return sample_sharded(self, n, cfg)
         result = self._sample_batched(cfg, n)
         if result is not None:
             return result
@@ -672,7 +661,11 @@ class Session:
         ``method="guided"`` - any evidence mix: the evidence is
         propagated backwards through the deterministic fragment to
         per-draw feasible regions, the batch samples the truncated
-        proposal and reweights exactly (:meth:`_posterior_batched`);
+        proposal and reweights exactly (:meth:`_posterior_batched`),
+        reporting ``diagnostics["n_pinned"]`` (regions pinned to
+        finite sets) and ``diagnostics["n_truncated_regions"]``
+        (regions truncated to intervals; the result's ``n_truncated``
+        counts budget-truncated runs);
         ``method="auto"`` - observations go to guided; event evidence
         keeps the unguided rejection batch when it accepts at least
         :data:`_AUTO_ACCEPTANCE_THRESHOLD` of its worlds and runs
@@ -787,7 +780,7 @@ class Session:
         if kind == "guided":
             result.diagnostics.update(
                 backend="guided", n_pinned=plan.n_pinned,
-                n_truncated=plan.n_truncated,
+                n_truncated_regions=plan.n_truncated,
                 n_guided_draws=info.get("n_guided_draws", 0),
                 given_up=plan.given_up)
         if method == "auto":

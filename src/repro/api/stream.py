@@ -105,7 +105,6 @@ class StreamingPosterior:
             raise StreamingUnsupported(
                 f"streaming runs on the batched backend, which this "
                 f"call cannot use: {refusal}")
-        cfg = cfg.replace(shards=None)
         self._session = session
         self._cfg = cfg
         self._translated = session.compiled.translated
@@ -414,14 +413,7 @@ class StreamingPosterior:
 
     def marginal(self, fact: Fact) -> float:
         """Posterior marginal of one fact under the current evidence."""
-        from repro.query.columnar import fact_mask
-        w = self.weights
-        total = float(w.sum())
-        if total <= 0.0:
-            raise MeasureError(
-                "all importance weights are zero - the evidence has "
-                "zero likelihood under the program")
-        return float(w[fact_mask(self._pdb, fact)].sum()) / total
+        return WeightedColumnarPDB(self._pdb, self.weights).marginal(fact)
 
     def __repr__(self) -> str:
         return (f"StreamingPosterior(<{self._n} worlds, "

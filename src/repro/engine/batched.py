@@ -709,10 +709,9 @@ class BatchedChase:
         (:meth:`_compose`); ``n_composed_rounds`` counts those group
         rounds.
 
-        Sharded sampling (:mod:`repro.serving`) runs every batch this
-        method accepts here, in one process: Theorem 6.1 makes one
-        pooled chase order of all ``size`` worlds law-exact, so
-        splitting the worlds across processes adds nothing.
+        Theorem 6.1 makes one pooled chase order of all ``size``
+        worlds law-exact, so a batch this method accepts runs here,
+        in one process.
 
         ``regions`` switches the batch to *guided conditioning*: a
         mapping from ``(aux relation, full prefix)`` and/or ``(aux

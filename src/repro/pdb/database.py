@@ -275,7 +275,11 @@ def mixture_pdb(components: Sequence[tuple[float, DiscretePDB]],
 
     This realizes Theorem 4.8's second part operationally: a program
     applied to a probabilistic *input* database is the mixture, over
-    input worlds, of the per-world output SPDBs.
+    input worlds, of the per-world output SPDBs.  The output's error
+    mass is the weighted sum of the components' errors; any deficit of
+    the weights below 1 (the input's own error mass) is the caller's
+    to account for, as :meth:`repro.api.CompiledProgram.apply_to_pdb`
+    does by adding the input's ``err_mass()``.
     """
     weight_total = math.fsum(weight for weight, _ in components)
     if weight_total > 1.0 + 1e-6:
@@ -285,6 +289,4 @@ def mixture_pdb(components: Sequence[tuple[float, DiscretePDB]],
     for weight, component in components:
         measure = measure.add(component.measure.scale(weight))
         err += weight * component.err
-    # Any weight deficit of the input itself is error mass of the output.
-    err += max(1.0 - weight_total, 0.0) * 0.0
     return DiscretePDB(measure, err)

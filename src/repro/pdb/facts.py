@@ -57,8 +57,8 @@ class Fact:
     def __reduce__(self) -> tuple:
         # Slotted + immutable: default unpickling would go through
         # __setattr__; reconstruct through the constructor instead so
-        # facts cross process boundaries (the sharded sampling workers
-        # of repro.serving ship instances and columnar results back).
+        # facts (and the instances and columnar results holding them)
+        # round-trip through pickle.
         return (Fact, (self.relation, self.args))
 
     @property

@@ -49,8 +49,8 @@ class Instance:
 
     def __reduce__(self) -> tuple:
         # Slotted + immutable: reconstruct through the constructor
-        # (which rebuilds the per-relation index) so instances can
-        # cross process boundaries in sharded sampling payloads.
+        # (which rebuilds the per-relation index) so instances
+        # round-trip through pickle.
         return (Instance, (tuple(self._facts),))
 
     # -- construction -----------------------------------------------------

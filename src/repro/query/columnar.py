@@ -142,14 +142,27 @@ def explain(pdb: PDBBase, query: Query) -> str:
     world slots; ``"worlds"`` - not a columnar ensemble at all (exact
     or materialized-world paths).
     """
-    if isinstance(pdb, WeightedColumnarPDB):
-        return explain(pdb._columnar, query)
-    if not isinstance(pdb, ColumnarMonteCarloPDB):
+    view = _columnar_view(pdb)
+    if view is None:
         return "worlds"
     scanned = scanned_relations(query)
-    if scanned is not None and not (scanned & pdb.growable_relations):
+    if scanned is not None and not (scanned & view[0].growable_relations):
         return "lifted"
     return "columnar" if plan_vectorizable(query) else "fallback"
+
+
+def _columnar_view(pdb: PDBBase):
+    """``(ensemble, weights, total)`` of a columnar PDB, else None.
+
+    A plain :class:`ColumnarMonteCarloPDB` brings no weights (None) and
+    totals ``n_runs``; a :class:`WeightedColumnarPDB` brings its
+    importance weights and their total.
+    """
+    if isinstance(pdb, WeightedColumnarPDB):
+        return pdb._columnar, pdb.weights, pdb.total_weight()
+    if isinstance(pdb, ColumnarMonteCarloPDB):
+        return pdb, None, pdb.n_runs
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -961,36 +974,47 @@ def _push_world(pdb: PDBBase, f: Callable[[Instance], Any],
     raise TypeError(f"not a PDB: {pdb!r}")
 
 
+def _live_answers(pdb: PDBBase, query: Query):
+    """The answer index over a columnar PDB's worlds of positive weight.
+
+    Returns ``(ids, answers, weights, total)`` (see
+    :func:`_answer_index`) - a plain ensemble's worlds weigh 1 each -
+    or None when ``pdb`` is not columnar.  Unit weights sum exactly,
+    so the weighted reductions below give a plain ensemble the counts
+    it would get by counting.
+    """
+    view = _columnar_view(pdb)
+    if view is None:
+        return None
+    ensemble, weights, total = view
+    ids, answers = _answer_index(ensemble, query)
+    if weights is None:
+        return ids, answers, np.ones(len(ids)), total
+    live = weights > 0.0
+    return ids[live], answers, weights[live], total
+
+
 def _push_query(pdb: PDBBase, query: Query,
                 post: Callable[[Relation], Any]) -> DiscreteMeasure:
     """Push-forward of ``post(query(D))``, columnar where possible.
 
     Over columnar ensembles ``post`` runs once per distinct answer;
-    counts and weights are summed per image with ``np.bincount``,
-    which adds in slot order like the per-world loop it replaces.
+    weights are summed per image with ``np.bincount``, which adds in
+    slot order like the per-world loop it replaces.
     """
-    if isinstance(pdb, ColumnarMonteCarloPDB):
-        ids, answers = _answer_index(pdb, query)
-        images, image_of = _images(ids, answers, post)
-        counts = np.bincount(image_of[ids], minlength=len(images))
-        return DiscreteMeasure(
-            {image: count / len(ids)
-             for image, count in zip(images, counts.tolist())})
-    if isinstance(pdb, WeightedColumnarPDB):
-        ids, answers = _answer_index(pdb._columnar, query)
-        weights = pdb.weights
-        live = ~(weights <= 0.0)
-        ids = ids[live]
-        if not len(ids):
-            return DiscreteMeasure.zero()
-        images, image_of = _images(ids, answers, post)
-        masses = np.bincount(image_of[ids], weights=weights[live],
-                             minlength=len(images))
-        return DiscreteMeasure(
-            {image: mass / pdb.total_weight()
-             for image, mass in zip(images, masses.tolist())})
-    return _push_world(pdb, lambda instance:
-                       post(query.evaluate(instance)))
+    live = _live_answers(pdb, query)
+    if live is None:
+        return _push_world(pdb, lambda instance:
+                           post(query.evaluate(instance)))
+    ids, answers, weights, total = live
+    if not len(ids):
+        return DiscreteMeasure.zero()
+    images, image_of = _images(ids, answers, post)
+    masses = np.bincount(image_of[ids], weights=weights,
+                         minlength=len(images))
+    return DiscreteMeasure(
+        {image: mass / total
+         for image, mass in zip(images, masses.tolist())})
 
 
 def query_distribution(pdb: PDBBase, query: Query) -> DiscreteMeasure:
@@ -1019,19 +1043,14 @@ def aggregate_distribution(pdb: PDBBase, query: Query,
 
 def boolean_probability(pdb: PDBBase, query: Query) -> float:
     """Probability that the query returns a non-empty answer."""
-    if isinstance(pdb, ColumnarMonteCarloPDB):
-        ids, answers = _answer_index(pdb, query)
-        hits = _nonempty(answers)[ids]
-        return int(np.count_nonzero(hits)) / pdb.n_runs
-    if isinstance(pdb, WeightedColumnarPDB):
-        ids, answers = _answer_index(pdb._columnar, query)
-        weights = pdb.weights
-        live = weights > 0.0
-        hits = _nonempty(answers)[ids[live]]
-        hit = np.bincount(hits, weights=weights[live], minlength=2)[1]
-        return float(hit) / pdb.total_weight()
-    return pdb.prob(lambda instance:
-                    len(query.evaluate(instance)) > 0)
+    live = _live_answers(pdb, query)
+    if live is None:
+        return pdb.prob(lambda instance:
+                        len(query.evaluate(instance)) > 0)
+    ids, answers, weights, total = live
+    hit = np.bincount(_nonempty(answers)[ids], weights=weights,
+                      minlength=2)[1]
+    return float(hit) / total
 
 
 def _nonempty(answers: list[Relation]) -> np.ndarray:
@@ -1042,19 +1061,13 @@ def _nonempty(answers: list[Relation]) -> np.ndarray:
 def expected_aggregate(pdb: PDBBase, query: Query,
                        column: str | None = None) -> float:
     """Expected value of a numeric single-valued aggregate."""
-    if isinstance(pdb, ColumnarMonteCarloPDB):
-        ids, answers = _answer_index(pdb, query)
-        values = _aggregate_values(ids, answers, column)
-        return math.fsum(values.tolist()) / pdb.n_runs
-    if isinstance(pdb, WeightedColumnarPDB):
-        ids, answers = _answer_index(pdb._columnar, query)
-        weights = pdb.weights
-        live = weights > 0.0
-        values = _aggregate_values(ids[live], answers, column)
-        return math.fsum((weights[live] * values).tolist()) \
-            / pdb.total_weight()
-    return pdb.expectation(lambda instance: float(
-        aggregate_answer(query.evaluate(instance), column)))
+    live = _live_answers(pdb, query)
+    if live is None:
+        return pdb.expectation(lambda instance: float(
+            aggregate_answer(query.evaluate(instance), column)))
+    ids, answers, weights, total = live
+    values = _aggregate_values(ids, answers, column)
+    return math.fsum((weights * values).tolist()) / total
 
 
 def answer_probabilities(pdb: PDBBase, query: Query,

@@ -95,9 +95,7 @@ class ServingClient:
         ``plan`` is a :class:`~repro.query.relalg.Query` (encoded
         transparently; structural nodes only) or an already-encoded
         wire plan dict.  With ``observe``, the plan is answered under
-        the posterior; with ``shards=k`` in the config, sampling fans
-        out across the server's shard executor and the plan compiles
-        over the merged columnar result.
+        the posterior.
         """
         payload = {"op": "query", "program": program,
                    "semantics": semantics, "n": n,

@@ -14,7 +14,7 @@ Request objects carry ``op`` plus op-specific fields::
     {"op": "ping"}
     {"op": "analyze", "program": "...", "semantics": "grohe"}
     {"op": "sample", "program": "...", "instance": {"R": [[1]]},
-     "n": 1000, "config": {"seed": 7, "shards": 2}}
+     "n": 1000, "config": {"seed": 7}}
     {"op": "marginal", "program": "...", "fact": ["R", [1]], "n": 500}
     {"op": "query", "program": "...", "n": 500,
      "plan": {"op": "aggregate", "group_by": [],
@@ -32,7 +32,6 @@ the corresponding CLI ``--json`` document
 from __future__ import annotations
 
 import hashlib
-import os
 import socket
 import socketserver
 import threading
@@ -44,7 +43,6 @@ from repro.api.session import compile as compile_program
 from repro.errors import ReproError, ValidationError
 from repro.pdb.facts import Fact
 from repro.serving import protocol
-from repro.serving.sharding import ShardExecutor, sample_sharded
 
 #: Ops accepted by :meth:`ProgramServer.handle`.
 OPS = ("ping", "analyze", "sample", "marginal", "query", "mass_report",
@@ -91,36 +89,24 @@ class ProgramServer:
     the same warm session (whose engine caches are not thread-safe)
     serialize against each other.
 
-    Sharded requests run on warm, LRU-cached
-    :class:`~repro.serving.sharding.ShardExecutor` pools
-    (``max_executors`` bound; spawning a process pool per request
-    would dominate the request cost).  A pool starts on first use, so
-    a sharded request the batched engine samples in-process never
-    starts one.  Evicted and
-    :meth:`close`-d executors shut their pools down.  Streaming
-    sessions (``stream_open`` ..) are held in a bounded registry
-    keyed by server-issued ``stream_id``.
+    Streaming sessions (``stream_open`` ..) are held in a bounded
+    registry keyed by server-issued ``stream_id``.
     """
 
     def __init__(self, max_programs: int = 32,
                  max_sessions: int = 32,
-                 max_executors: int = 8,
                  max_streams: int = 32):
-        if max_programs < 1 or max_sessions < 1 \
-                or max_executors < 1 or max_streams < 1:
+        if max_programs < 1 or max_sessions < 1 or max_streams < 1:
             raise ValidationError(
-                "max_programs, max_sessions, max_executors and "
-                "max_streams must be >= 1")
+                "max_programs, max_sessions and max_streams must be "
+                ">= 1")
         self.max_programs = max_programs
         self.max_sessions = max_sessions
-        self.max_executors = max_executors
         self.max_streams = max_streams
         self._programs: OrderedDict[str, CompiledProgram] = \
             OrderedDict()
         self._sessions: OrderedDict[tuple, Session] = OrderedDict()
         self._session_locks: dict[tuple, threading.RLock] = {}
-        self._executors: OrderedDict[tuple, ShardExecutor] = \
-            OrderedDict()
         self._streams: OrderedDict[str, tuple] = OrderedDict()
         #: Pre-flight deep-analysis payloads, keyed by program sha
         #: alongside the compile cache (same LRU lifetime).
@@ -134,20 +120,14 @@ class ProgramServer:
             "program_cache_hits": 0,
             "sessions_created": 0,
             "session_cache_hits": 0,
-            "executors_created": 0,
-            "executor_cache_hits": 0,
             "streams_opened": 0,
             "analyses_precomputed": 0,
         }
 
     def close(self) -> None:
-        """Shut down every cached shard executor and drop open streams."""
+        """Drop every open stream."""
         with self._lock:
-            executors = list(self._executors.values())
-            self._executors.clear()
             self._streams.clear()
-        for executor in executors:
-            executor.close()
 
     # -- caches -------------------------------------------------------------
 
@@ -237,34 +217,6 @@ class ProgramServer:
                 self._session_locks[key] = lock
             return lock
 
-    def executor_for(self, sha: str, instance, compiled, cfg,
-                     ) -> ShardExecutor:
-        """A warm shard executor for (program, instance, config).
-
-        LRU-cached so the hot path reuses live pool workers instead of
-        spawning a ``mp.Pool`` per request; evicted executors shut
-        their pools down.  Construction itself is lazy-cheap (the pool
-        starts on first use), so it happens under the global lock.
-        """
-        key = (sha, instance, cfg)
-        evicted = []
-        with self._lock:
-            executor = self._executors.get(key)
-            if executor is not None:
-                self._executors.move_to_end(key)
-                self.stats["executor_cache_hits"] += 1
-                return executor
-            executor = ShardExecutor(
-                compiled.translated, instance, cfg,
-                processes=min(cfg.shards or 1, os.cpu_count() or 1))
-            self._executors[key] = executor
-            self.stats["executors_created"] += 1
-            while len(self._executors) > self.max_executors:
-                evicted.append(self._executors.popitem(last=False)[1])
-        for stale in evicted:
-            stale.close()
-        return executor
-
     # -- request handling ---------------------------------------------------
 
     def handle(self, request: dict) -> dict:
@@ -316,23 +268,16 @@ class ProgramServer:
         with self.session_lock(sha, instance):
             if overrides:
                 session = session.configure(**overrides)
-            result = self._run_session_op(op, request, sha, compiled,
-                                          instance, session)
+            result = self._run_session_op(op, request, sha, instance,
+                                          session)
         return self._reply(op, sha, cached, result)
 
     def _run_session_op(self, op: str, request: dict, sha: str,
-                        compiled, instance, session) -> dict:
+                        instance, session) -> dict:
         """One session-bound op, under the caller-held session lock."""
         if op == "sample":
-            cfg = session.config
-            if cfg.shards is not None and cfg.shards > 1:
-                executor = self.executor_for(sha, instance, compiled,
-                                             cfg)
-                sampled = sample_sharded(session, self._n(request),
-                                         cfg, executor=executor)
-            else:
-                sampled = session.sample(self._n(request))
-            return protocol.sample_payload(sampled)
+            return protocol.sample_payload(
+                session.sample(self._n(request)))
         if op == "marginal":
             fact = protocol.parse_fact(request.get("fact"))
             probability = session.marginal(fact, n=self._n(request))
@@ -343,18 +288,6 @@ class ProgramServer:
             plan = protocol.parse_plan(request.get("plan"))
             if "observe" in request:
                 session = session.observe(*self._evidence(request))
-            cfg = session.config
-            if cfg.shards is not None and cfg.shards > 1 \
-                    and not session.evidence \
-                    and not compiled.is_discrete():
-                # Same routing as ``sample``; over an in-process
-                # batched result the plan compiles to the columnar
-                # outcome, so no world is materialized end to end.
-                executor = self.executor_for(sha, instance, compiled,
-                                             cfg)
-                sampled = sample_sharded(session, self._n(request),
-                                         cfg, executor=executor)
-                return protocol.query_payload(sampled.query(plan))
             return protocol.query_payload(
                 session.query(plan, n=self._n(request)))
         if op == "posterior":

@@ -47,11 +47,6 @@ Each :class:`Oracle` here checks one such agreement on a generated
   push-forward distributions must be bit-equal - over plain batched
   ensembles and streamed importance-weighted posteriors alike - and
   vectorizable plans must never materialize the grouped worlds;
-* ``sharded-single`` - sharded sampling (:mod:`repro.serving`, inline
-  workers) vs the single-process paths: shard-count invariance is
-  draw-for-draw (2 vs 3 shards bit-identical), sharded scalar mode is
-  bit-identical to the single-process scalar loop, and the merged
-  ensemble agrees with the exact SPDB where enumeration is available;
 * ``conditioning``   - constraint-guided conditioning
   (:mod:`repro.core.backward` + truncated batch proposals) vs the
   established posterior paths on self-sampled evidence: guided vs
@@ -829,68 +824,6 @@ class BaranyAgreementOracle(Oracle):
         return _ok()
 
 
-class ShardedVsSingleOracle(Oracle):
-    """Sharded sampling vs the single-process paths (repro.serving).
-
-    The sharded path's guarantees are *exact*, not statistical, so
-    this oracle checks identities: (a) shard-count invariance - the
-    same batch split two ways and three ways must be draw-for-draw
-    identical; (b) a sharded batch that ran in-process (the batched
-    engine accepted it, ``backend == "batched"``) must equal the
-    unsharded ``sample`` - same seed, same pooled draw schedule;
-    (c) a sharded ``backend="scalar"`` batch must be bit-identical to
-    the single-process scalar loop (same per-world streams, same code
-    path per world); and (d) on exactable cases the sharded ensemble
-    must agree with the exact SPDB (the law check).  Shards execute
-    inline - the identical worker code path without the process pool
-    - keeping the always-on fuzz battery cheap.
-    """
-
-    name = "sharded-single"
-
-    def __init__(self, n_runs: int = 48):
-        self.n_runs = n_runs
-
-    def _sharded(self, session: Session, shards: int,
-                 **overrides):
-        from repro.serving import ShardExecutor, sample_sharded
-        cfg = session.config.replace(shards=shards, **overrides)
-        with ShardExecutor(session.compiled.translated,
-                           session.instance, cfg,
-                           inline=True) as executor:
-            return sample_sharded(session, self.n_runs, cfg,
-                                  executor=executor)
-
-    def check(self, case: FuzzCase) -> OracleOutcome:
-        seed = case.seed & 0x7FFFFFFF
-        session = _session(case, seed=seed, max_steps=200)
-        two = self._sharded(session, 2)
-        three = self._sharded(session, 3)
-        detail = compare_monte_carlo_pdbs(two.pdb, three.pdb)
-        if detail:
-            return _fail(f"2 vs 3 shards: {detail}")
-        if two.backend == "batched":
-            single = session.sample(self.n_runs)
-            detail = compare_monte_carlo_pdbs(two.pdb, single.pdb)
-            if detail:
-                return _fail(
-                    f"in-process sharded vs unsharded: {detail}")
-        sharded_scalar = self._sharded(session, 2, backend="scalar")
-        single_scalar = session.configure(
-            backend="scalar").sample(self.n_runs)
-        detail = compare_monte_carlo_pdbs(sharded_scalar.pdb,
-                                          single_scalar.pdb)
-        if detail:
-            return _fail(
-                f"sharded scalar vs single-process scalar: {detail}")
-        if _exactable(case):
-            detail = marginals_agree(session.exact().pdb, two.pdb,
-                                     slack=0.05)
-            if detail:
-                return _fail(f"sharded sampling law: {detail}")
-        return _ok()
-
-
 class InducedFDOracle(Oracle):
     """Lemma 3.10: induced FDs hold on every reachable instance."""
 
@@ -1629,7 +1562,6 @@ def default_oracles() -> list[Oracle]:
     return [FixpointOracle(), ChaseOrderOracle(), ExactVsSampleOracle(),
             PdbInputOracle(), BatchedVsScalarOracle(),
             ComposedWholeOracle(), BaranyAgreementOracle(),
-            ShardedVsSingleOracle(),
             InducedFDOracle(), TerminationOracle(),
             StreamingBatchOracle(), ColumnarQueryOracle(),
             ConditioningOracle(), StaticDynamicOracle()]

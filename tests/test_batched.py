@@ -1035,9 +1035,6 @@ class TestDeclineContract:
         assert declined.backend == "scalar"
         assert declined.pdb.worlds == scalar.pdb.worlds
         assert declined.n_truncated == scalar.n_truncated == 15
-        sharded = session.sample(2000, backend="batched", shards=2)
-        assert sharded.backend == "sharded"
-        assert sharded.pdb.worlds == scalar.pdb.worlds
 
     def test_unpreparable_round_raises_the_scalar_error(self):
         session = repro.compile(UNPREPARABLE_ROUND).on(seed=0)

@@ -2,9 +2,9 @@
 
 Covers the unified query entry points (``Session.query`` /
 ``InferenceResult.query`` -> ``QueryResult``), the columnar planner's
-strategy selection and its zero-materialization guarantee (including
-over a *sharded* merged ensemble - served queries never expand a
-world), the whole-batch planner's exact identities and its
+strategy selection and its zero-materialization guarantee (served
+queries never expand a world), the whole-batch planner's exact
+identities and its
 one-evaluation-per-plan memo, the relational-plan wire codec, the
 served ``query`` op, the ``repro query`` CLI contract, and the
 canonical ``repro.query`` imports (the ``repro.query.lifted`` shims
@@ -34,8 +34,7 @@ from repro.query import (Aggregate, agg_avg, agg_count, agg_sum,
                          scanned_relations)
 from repro.query import columnar
 from repro.query.relalg import Scan
-from repro.serving import (ProgramServer, ShardExecutor, protocol,
-                           sample_sharded)
+from repro.serving import ProgramServer, protocol
 from repro.testing.oracles import ColumnarQueryOracle
 from repro.workloads.generators import earthquake_city_instance
 from repro.workloads.paper import example_3_4_program
@@ -186,13 +185,6 @@ def cities_pdb(n=300, seed=4, **config):
         **config).sample(n).pdb
 
 
-def sharded_cities_pdb(n=240, seed=6):
-    session = compile_program(example_3_4_program()).on(
-        earthquake_city_instance(3, 3, seed=1), seed=seed)
-    cfg = session.config.replace(shards=3)
-    with ShardExecutor(session.compiled.translated, session.instance,
-                       cfg, inline=True) as executor:
-        return sample_sharded(session, n, cfg, executor=executor).pdb
 
 
 SENSOR_PLANS = (
@@ -293,8 +285,9 @@ class TestWholeBatchPlanner:
                 [plan.evaluate(world) for world in pdb.worlds],
                 total=pdb.total_mass())
 
-    def test_sharded_merge(self):
-        pdb = sharded_cities_pdb()
+    def test_cities_batch_merged_scan(self):
+        pdb = compile_program(example_3_4_program()).on(
+            earthquake_city_instance(3, 3, seed=1), seed=6).sample(240).pdb
         assert isinstance(pdb, ColumnarMonteCarloPDB)
         self._check(pdb, CITY_PLANS)
 
@@ -360,17 +353,11 @@ class TestWholeBatchPlanner:
         assert len(calls) == 1
 
 
-class TestShardedServedQueries:
-    """Served queries over sharded columnar results: zero worlds."""
+class TestServedQueries:
+    """Queries over batched columnar results expand zero worlds."""
 
-    def test_sharded_merge_answers_without_materializing(self):
-        session = temp_session(seed=3)
-        cfg = session.config.replace(shards=2)
-        with ShardExecutor(session.compiled.translated,
-                           session.instance, cfg,
-                           inline=True) as executor:
-            result = sample_sharded(session, 240, cfg,
-                                    executor=executor)
+    def test_join_aggregate_answers_without_materializing(self):
+        result = temp_session(seed=3).sample(240)
         pdb = result.pdb
         assert isinstance(pdb, ColumnarMonteCarloPDB)
         plan = Aggregate(
@@ -383,16 +370,16 @@ class TestShardedServedQueries:
         assert bound.boolean_probability() == 1.0
         assert dict(bound.distribution().items())
         # The acceptance tripwire: the whole join+aggregate pipeline
-        # over the merged shard result expanded zero worlds.
+        # over the batched result expanded zero worlds.
         assert pdb.materializations == 0
         assert not pdb.materialized
 
-    def test_server_query_op_with_shards(self):
+    def test_server_query_op(self):
         server = ProgramServer()
         reply = server.handle({
             "op": "query", "program": TEMP_PROGRAM,
             "instance": {"City": [["amsterdam"], ["delft"]]},
-            "n": 200, "config": {"seed": 4, "shards": 2},
+            "n": 200, "config": {"seed": 4},
             "plan": {
                 "op": "aggregate",
                 "source": {"op": "scan", "relation": "Temp",

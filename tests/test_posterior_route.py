@@ -17,9 +17,11 @@ import repro
 from repro.core.observe import observe
 from repro.core.policies import FirstPolicy
 from repro.errors import StreamingUnsupported, ValidationError
-from repro.pdb.events import ContainsFactEvent
+from repro.pdb.events import (AtLeastEvent, ContainsFactEvent, FactSet,
+                              Interval)
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
+from repro.serving.protocol import posterior_payload
 from repro.workloads.paper import discrete_cycle_program, trigger_instance
 
 BACKENDS = ("auto", "scalar")
@@ -219,3 +221,19 @@ class TestWeightScale:
         assert len(pdb.values_of(lambda world: [len(world)])) == 300
         assert pdb.to_discrete().marginal(TRIG) \
             == pytest.approx(result.marginal(TRIG))
+
+
+class TestGuidedDiagnostics:
+    """Truncated regions and truncated runs are counted apart."""
+
+    def test_payload_separates_regions_from_runs(self):
+        tall = AtLeastEvent(FactSet("Height", "ada",
+                                    Interval(190.0, math.inf)), 1)
+        result = repro.compile(
+            "Height(p, Normal<170.0, 100.0>) :- Person(p).").on(
+            Instance.of(Fact("Person", ("ada",))), seed=3).observe(
+            tall).posterior(method="guided", n=200)
+        payload = posterior_payload(result)
+        assert payload["n_truncated"] == 0
+        assert payload["diagnostics"]["n_truncated_regions"] == 1
+        assert "n_truncated" not in payload["diagnostics"]

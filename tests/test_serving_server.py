@@ -13,6 +13,7 @@ import threading
 import pytest
 
 import repro
+from repro.api.config import ChaseConfig
 from repro.errors import ValidationError
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
@@ -117,7 +118,7 @@ class TestProgramServer:
         assert served == expect
 
     def test_marginals_with_fresh_seeds_enumerate_once(self, monkeypatch):
-        # Enumeration reads none of seed, backend, shards or max_steps,
+        # Enumeration reads none of seed, backend or max_steps,
         # so served marginals with fresh seeds share one exact result;
         # a different tolerance enumerates again.
         import repro.api.session as session_module
@@ -230,21 +231,20 @@ class TestProgramServer:
         assert abs(reply["result"]["probability"] - 0.5) < 0.05
 
     def test_sharded_request_through_server(self):
-        # Sharded equals unsharded end-to-end through the server: the
-        # batched engine samples a batchable request in-process, so
-        # k=2, k=4 and no shards produce the identical marginals.
+        # "shards" is not a config field: a request naming it gets
+        # the config's error reply, and the same request without it
+        # is sampled in the serving process.
         server = ProgramServer()
         request = {"op": "sample", "program": CASCADE,
                    "instance": {"Site": [[0], [1]]}, "n": 40}
+        sharded = server.handle({**request,
+                                 "config": {"seed": 3, "shards": 2}})
+        with pytest.raises(ValidationError) as raised:
+            ChaseConfig().replace(shards=2)
+        assert sharded == {"ok": False, "error": str(raised.value)}
+        assert "shards" in sharded["error"]
         single = server.handle({**request, "config": {"seed": 3}})
-        two = server.handle({**request,
-                             "config": {"seed": 3, "shards": 2}})
-        four = server.handle({**request,
-                              "config": {"seed": 3, "shards": 4}})
-        assert single["ok"] and two["ok"] and four["ok"]
-        assert two["result"]["backend"] == "batched"
-        assert two["result"]["marginals"] == single["result"]["marginals"]
-        assert two["result"]["marginals"] == four["result"]["marginals"]
+        assert single["ok"] and single["result"]["backend"] == "batched"
 
     @pytest.mark.parametrize("request_payload,needle", [
         ({"op": "nope"}, "unknown op"),
@@ -286,6 +286,8 @@ class TestProgramServer:
             ProgramServer(max_programs=0)
         with pytest.raises(ValidationError):
             ProgramServer(max_sessions=0)
+        with pytest.raises(ValidationError):
+            ProgramServer(max_streams=0)
 
 
 # ---------------------------------------------------------------------------
@@ -411,39 +413,6 @@ class TestServerConcurrency:
         assert done.wait(10)
         thread.join(timeout=10)
         assert replies and replies[0]["ok"]
-
-    def test_sharded_requests_reuse_a_warm_executor(self):
-        """Zero pool spawns on the hot path: one executor, then hits."""
-        server = ProgramServer()
-        request = {"op": "sample", "program": CASCADE,
-                   "instance": {"Site": [[0], [1]]}, "n": 20,
-                   "config": {"seed": 3, "shards": 2,
-                              "backend": "scalar"}}
-        try:
-            first = server.handle(dict(request))
-            second = server.handle(dict(request))
-        finally:
-            server.close()
-        assert first["ok"] and second["ok"]
-        assert first["result"]["backend"] == "sharded"
-        assert server.stats["executors_created"] == 1
-        assert server.stats["executor_cache_hits"] == 1
-        assert first["result"]["marginals"] \
-            == second["result"]["marginals"]
-
-    def test_executor_lru_eviction_closes_cold_pools(self):
-        server = ProgramServer(max_executors=1)
-        base = {"op": "sample", "program": CASCADE,
-                "instance": {"Site": [[0]]}, "n": 10}
-        try:
-            for seed in (1, 2):
-                server.handle({**base, "config": {
-                    "seed": seed, "shards": 2, "backend": "scalar"}})
-        finally:
-            server.close()
-        assert server.stats["executors_created"] == 2
-        assert server.stats["executor_cache_hits"] == 0
-        assert len(server._executors) == 0
 
 
 # ---------------------------------------------------------------------------

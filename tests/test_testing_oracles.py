@@ -34,7 +34,7 @@ class TestOracleBattery:
         assert set(oracles_by_name()) == {
             "fixpoint", "chase-order", "exact-vs-sample",
             "pdb-input", "batched-scalar", "barany-agreement",
-            "sharded-single", "induced-fds", "termination",
+            "induced-fds", "termination",
             "streaming-batch", "columnar-query", "conditioning",
             "static-dynamic", "composed-whole"}
 

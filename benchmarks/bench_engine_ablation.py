@@ -8,10 +8,12 @@ Four ablations:
 * **facade vs unamortized batching** - ``Session.sample(n)``
   (translate once, bootstrap the applicability engine once, fork per
   run) against a reference loop of ``n`` chases that each translate,
-  build an engine and run (``translate`` -> ``make_engine`` ->
-  ``run_chase_prepared``).  The facade path must be no slower at
-  n=1000 chases; in practice it is strictly faster because per-run
-  setup is amortized;
+  build an engine and run (``translate`` ->
+  ``IncrementalApplicability`` -> ``run_chase_prepared``).  The facade
+  path must be no slower at n=1000 chases, within 15 %; with the
+  trials alternated the two sides measure within about 10 % of each
+  other on the 4x2 cities, so amortization no longer separates them
+  there;
 * **batched vs scalar backend** - the vectorized batch chase
   (:mod:`repro.engine.batched`) against the per-run scalar loop.  Four
   acceptance bounds: batched ``sample(n=1000)`` on Example 3.5 (single
@@ -46,7 +48,9 @@ import numpy as np
 import pytest
 
 from repro.api import compile as compile_program
-from repro.core.chase import make_engine, run_chase_prepared
+from repro.core.applicability import (IncrementalApplicability,
+                                      NaiveApplicability, overlay_fork)
+from repro.core.chase import run_chase_prepared
 from repro.core.policies import DEFAULT_POLICY
 from repro.engine.seminaive import naive_fixpoint, seminaive_fixpoint
 from repro.measures.empirical import ks_critical_value, ks_two_sample
@@ -119,45 +123,61 @@ class TestCalibration:
         assert result == 333328333350000
 
 
+#: The two applicability engines and how a run forks a base built
+#: once: the scalar loop takes a copy-on-write overlay of the
+#: incremental engine, the naive one copies.
+_ENGINES = {
+    "incremental": (IncrementalApplicability, overlay_fork),
+    "naive": (NaiveApplicability, lambda base: base.fork()),
+}
+
+
+def _engine_run(kind: str, translated, instance):
+    """One seeded chase (rng 0) per call, from a base built once."""
+    engine, fork = _ENGINES[kind]
+    base = engine(translated, instance)
+    return lambda seed=0: run_chase_prepared(
+        translated, fork(base), instance, DEFAULT_POLICY,
+        np.random.default_rng(seed))
+
+
 class TestE13Applicability:
     @pytest.mark.parametrize("engine", ["incremental", "naive"])
     def test_chase_engine_comparison(self, benchmark, engine):
         instance = earthquake_city_instance(12, 4, seed=0)
-        session = compile_program(example_3_4_program()).on(
-            instance, engine=engine)
-
-        run = benchmark(lambda: session.run(rng=0))
+        translated = compile_program(example_3_4_program()).translated
+        run = benchmark(_engine_run(engine, translated, instance))
         assert run.terminated
 
     def test_engines_identical_output(self, benchmark):
         instance = earthquake_city_instance(6, 3, seed=1)
-        session = compile_program(example_3_4_program()).on(instance)
+        translated = compile_program(example_3_4_program()).translated
+        incremental, naive = (_engine_run(kind, translated, instance)
+                              for kind in ("incremental", "naive"))
 
-        def both():
-            a = session.run(rng=5, engine="incremental")
-            b = session.run(rng=5, engine="naive")
-            return a, b
-
-        a, b = benchmark(both)
+        a, b = benchmark(lambda: (incremental(5), naive(5)))
         assert a.instance == b.instance
 
 
 def _unamortized_run(program, instance, rng):
     """One chase that pays translation and engine bootstrap itself."""
     translated = program.translate()
-    return run_chase_prepared(translated,
-                              make_engine(translated, instance),
-                              instance, DEFAULT_POLICY, rng)
+    return run_chase_prepared(
+        translated, IncrementalApplicability(translated, instance),
+        instance, DEFAULT_POLICY, rng)
 
 
 class TestE13FacadeAmortization:
-    """Acceptance check: compile-once sampling dominates per-call setup.
+    """Acceptance check: compile-once sampling is no slower.
 
     The reference loop re-translates the program and re-bootstraps the
     applicability engine for every chase; the facade pays both costs
     once per (program, instance) and forks per run.  The facade is
     pinned to the scalar backend so both sides run the same per-run
-    chase and only the amortization differs.
+    chase and only the amortization differs.  On the 4x2 cities that
+    amortization is small beside the chase itself: alternated
+    best-of-3 trials put the facade/legacy ratio between 0.94 and
+    1.09.
     """
 
     N_RUNS = 1000
@@ -193,9 +213,10 @@ class TestE13FacadeAmortization:
         for _ in range(3):
             facade = min(facade, self._facade_seconds(program, instance))
             legacy = min(legacy, self._legacy_seconds(program, instance))
-        # Acceptance bound: no slower, with headroom for noisy shared
-        # CI runners; the facade typically measures 1.2-2x faster, so
-        # a genuine regression still trips this.
+        # Acceptance bound: no slower, with 15 % headroom for noisy
+        # shared CI runners.  The two sides measure within about 10 %
+        # of each other, so only a regression of the facade's
+        # per-run path trips this.
         assert facade <= legacy * 1.15, \
             f"facade {facade:.3f}s vs legacy {legacy:.3f}s"
 

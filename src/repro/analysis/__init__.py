@@ -16,11 +16,14 @@ sampled:
   per program and per rule with blocking reasons, eligibility for the
   batched backend, pooled draws, Bárány companion batching, streaming
   observation safety, guided-conditioning reachability and columnar
-  query lifting;
+  query lifting.  Its batched verdict is the batch gate itself: the
+  session and :class:`~repro.engine.batched.BatchedChase` decline a
+  program with the report's first reason
+  (:func:`~repro.analysis.capabilities.batch_defects`);
 * :mod:`~repro.analysis.report` - the combined
   :class:`~repro.analysis.report.DeepReport` behind
   ``Session.analyze(deep=True)``, ``repro lint`` and the serving
-  pre-flight hook.
+  ``analyze`` op.
 
 The predictions are differentially verified against the engines by
 the ``static-dynamic`` fuzz oracle in the default battery
@@ -40,7 +43,7 @@ Quickstart::
 """
 
 from repro.analysis.capabilities import (Capability, CapabilityReport,
-                                         RuleCapability,
+                                         RuleCapability, batch_defects,
                                          capability_report,
                                          collect_companions,
                                          collect_growable)
@@ -54,7 +57,7 @@ from repro.analysis.report import DeepReport, deep_analyze
 __all__ = [
     "Capability", "CapabilityReport", "DeepReport", "Diagnostic",
     "ERROR", "FATAL_CODES", "INFO", "LintReport", "RuleCapability",
-    "SEVERITIES", "WARNING", "capability_report",
+    "SEVERITIES", "WARNING", "batch_defects", "capability_report",
     "collect_companions", "collect_growable", "deep_analyze",
     "fatal_diagnostics", "lint_program", "severity_rank",
 ]

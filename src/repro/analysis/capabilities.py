@@ -6,9 +6,9 @@ acyclicity and well-formed companion heads, Bárány companion batching
 needs stable companion rests, streaming observation forcing needs a
 provably trigger-free sample relation, guided conditioning needs a
 backward-walkable derivation, and columnar query lifting needs stable
-scanned relations.  At runtime these surface only as
+scanned relations.  At runtime these surface as
 ``diagnostics["fallback_reason"]`` / :class:`~repro.api.stream.
-StreamingUnsupported` / scalar declines *after* work was attempted.
+StreamingUnsupported` / scalar declines.
 
 :func:`capability_report` decides all of them statically - per
 program, and per rule with the blocking reason - so callers can
@@ -18,14 +18,16 @@ sampled.  Predictions are *sound* in the direction the
 conservative (a predicted-eligible program must not decline at
 runtime; an ineligible prediction may still occasionally succeed).
 
-:func:`collect_growable` and :func:`collect_companions` are not
-mirrors: :class:`repro.engine.batched.BatchedChase` calls them, so the
-engine and the report share one stable-relation and one companion
-analysis.  The remaining checks restate, statically, the decisions
-made in :mod:`repro.engine.batched` (``_ground_head_template``),
-:meth:`repro.api.session.Session._batch_refusal` and
-:func:`repro.core.backward.backward_plan` - each mirror's docstring
-names its runtime twin.
+The batched capability is not a prediction but the gate itself.
+:func:`batch_defects` lists every structural reason the batched chase
+declines a program: :class:`repro.engine.batched.BatchedChase` raises
+its first one, and :meth:`repro.api.session.Session._batch_refusal`
+answers every Monte-Carlo verb from the report's reasons, so the
+report's reason *is* the runtime reason.  :func:`collect_growable`
+and :func:`collect_companions` are shared the same way.  The other
+capabilities restate, statically, decisions made in
+:mod:`repro.engine.batched` and :func:`repro.core.backward.
+backward_plan`; each docstring names its runtime twin.
 """
 
 from __future__ import annotations
@@ -130,7 +132,7 @@ class CapabilityReport:
 
 
 # ---------------------------------------------------------------------------
-# Structural analyses shared with the engine, and static mirrors
+# Structural analyses shared with the engine, and the batch gate
 # ---------------------------------------------------------------------------
 
 def collect_growable(translated: ExistentialProgram) -> frozenset:
@@ -189,12 +191,7 @@ def rounds_compose(translated: ExistentialProgram,
 
 
 def collect_companions(translated: ExistentialProgram) -> dict:
-    """aux relation -> list of (companion DetRule, its aux body atom).
-
-    The batched chase adds one check on top (``BatchedChase.
-    _collect_companions``): under the per-rule translation every
-    auxiliary must have exactly one companion.
-    """
+    """aux relation -> list of (companion DetRule, its aux body atom)."""
     companions: dict[str, list] = {}
     for rule in translated.rules:
         if not isinstance(rule, DetRule):
@@ -206,38 +203,92 @@ def collect_companions(translated: ExistentialProgram) -> dict:
     return companions
 
 
-def _companion_head_defect(companion: DetRule, aux_atom) -> str | None:
-    """Static mirror of ``BatchedChase._ground_head_template``.
+def batch_defects(translated: ExistentialProgram,
+                  companions: dict | None = None,
+                  ) -> list[tuple[str, str]]:
+    """Every structural reason the batched chase declines a program.
 
-    Returns the defect the engine would raise ``BatchUnsupported``
-    for, or None when the companion head template is well-formed: the
-    existential variable must appear exactly once in the head, and
-    every head variable must be bound by the auxiliary atom or the
-    rest of the body (range restriction guarantees the latter for
-    translated programs, but hand-built existential programs reach
-    here too).
+    ``(relation, reason)`` pairs; empty when the batched chase can
+    prepare the program (:func:`capability_report` adds weak
+    acyclicity).  ``companions`` defaults to
+    :func:`collect_companions`.  Every auxiliary needs (3.B)
+    companions whose heads the layer can emit as templates
+    (:func:`_companion_defect`), exactly one under the per-rule
+    (grohe) translation; under the Bárány translation a shared
+    ``Sample#`` auxiliary feeds one per random rule with its
+    (distribution, arity) key, the fan-out the batched chase
+    vectorizes.  Constant parameter tuples outside Θ are listed too.
+    ``BatchedChase`` raises
+    :class:`~repro.engine.batched.BatchUnsupported` with the first
+    reason.  The translators build no program with a defect; only
+    hand-built translated programs meet one.
+    """
+    if companions is None:
+        companions = collect_companions(translated)
+    defects: list[tuple[str, str]] = []
+    for relation in sorted(translated.aux_relations):
+        pairs = companions.get(relation, ())
+        if not pairs:
+            defects.append((relation, f"auxiliary relation {relation!r} "
+                            "has no companion rule"))
+        elif translated.semantics == "grohe" and len(pairs) > 1:
+            defects.append((relation, (
+                f"auxiliary relation {relation!r} has {len(pairs)} "
+                "companion rules under the per-rule translation")))
+        for companion, aux_atom in pairs:
+            defect = _companion_defect(companion, aux_atom,
+                                       translated.semantics)
+            if defect:
+                defects.append((relation, defect))
+    for ext in translated.existential_rules():
+        defect = _static_param_defect(ext)
+        if defect:
+            defects.append((ext.aux_relation, defect))
+    return defects
+
+
+def _companion_defect(companion: DetRule, aux_atom,
+                      semantics: str) -> str | None:
+    """Why the layer cannot emit this companion's head, or None.
+
+    The batched chase grounds the head into a template with the
+    sampled value's slot left open, so the existential variable must
+    appear exactly once in the head, every other head term must be a
+    constant or a bound variable, and the auxiliary atom's prefix
+    terms must be variables or constants.  A head variable is bound by
+    the auxiliary atom's prefix; under the Bárány translation the
+    companion's rest of body is matched too, but under the per-rule
+    translation the head is ground from the auxiliary fact alone.
     """
     existential = aux_atom.terms[-1]
-    mentions = sum(1 for term in companion.head.terms
-                   if term == existential)
+    prefix = aux_atom.terms[:-1]
+    for term in prefix:
+        if not isinstance(term, (Var, Const)):
+            return f"unexpected auxiliary atom term {term!r}"
+    head = companion.head
+    mentions = sum(1 for term in head.terms if term == existential)
     if mentions == 0:
-        return (f"companion head {companion.head!r} does not mention "
-                "the existential variable")
+        return (f"companion head {head!r} does not mention the "
+                "existential variable")
     if mentions > 1:
-        return ("existential variable repeats in companion head "
-                f"{companion.head!r}")
-    body_vars = {term for atom in companion.body
-                 for term in atom.terms if isinstance(term, Var)}
-    for term in companion.head.terms:
-        if isinstance(term, Var) and term != existential \
-                and term not in body_vars:
-            return (f"companion head variable {term!r} is not bound "
-                    "by the companion body")
+        return f"existential variable repeats in companion head {head!r}"
+    bound = set(prefix)
+    if semantics == "barany":
+        bound.update(term for atom in companion.body
+                     if atom is not aux_atom for term in atom.terms)
+    for term in head.terms:
+        if term == existential or isinstance(term, Const):
+            continue
+        if not isinstance(term, Var):
+            return f"unexpected companion head term {term!r}"
+        if term not in bound:
+            return (f"companion head variable {term!r} is not bound by "
+                    + ("the companion body" if semantics == "barany"
+                       else f"the auxiliary atom {aux_atom!r}"))
     return None
 
 
-def _static_param_defect(translated: ExistentialProgram,
-                         ext: ExtRule) -> str | None:
+def _static_param_defect(ext: ExtRule) -> str | None:
     """Constant parameter tuples outside Θ fail at prepare time."""
     params = ext.prefix_terms[ext.n_carried:]
     if not all(isinstance(term, Const) for term in params):
@@ -282,8 +333,7 @@ def capability_report(translated: ExistentialProgram,
     ext_rules = [rule for rule in translated.rules
                  if isinstance(rule, ExtRule)]
 
-    batched = _predict_batched(translated, termination, companions,
-                               ext_rules)
+    batched = _predict_batched(translated, termination, companions)
     pooled = _predict_pooled(batched, ext_rules)
     barany = _predict_barany(translated, batched, companions,
                              growable)
@@ -307,10 +357,13 @@ def capability_report(translated: ExistentialProgram,
             translated.aux_relations))
 
 
-def _predict_batched(translated, termination, companions,
-                     ext_rules) -> Capability:
-    """Mirror of ``Session._batch_refusal`` + the static
-    ``BatchUnsupported`` raise sites of ``BatchedChase.__init__``."""
+def _predict_batched(translated, termination, companions) -> Capability:
+    """The batch gate: weak acyclicity plus :func:`batch_defects`.
+
+    ``Session._batch_refusal`` refuses a call with the first reason
+    (after its config conditions, see :data:`_CONFIG_NOTE`), and
+    ``BatchedChase`` raises the first structural one.
+    """
     reasons: list[str] = []
     detail: dict = {}
     if not termination.weakly_acyclic:
@@ -321,28 +374,9 @@ def _predict_batched(translated, termination, companions,
             f"{', '.join(sorted(termination.cyclic_distributions))})"
             ": Theorem 6.1's order-independence argument does not "
             "apply")
-    if translated.semantics == "grohe":
-        for relation in sorted(translated.aux_relations):
-            n = len(companions.get(relation, ()))
-            if n != 1:
-                reasons.append(
-                    f"auxiliary relation {relation!r} has {n} "
-                    "companion rules under the per-rule translation")
-    for relation in sorted(translated.aux_relations):
-        if not companions.get(relation):
-            reasons.append(f"auxiliary relation {relation!r} has no "
-                           "companion rule")
-    for relation, pairs in sorted(companions.items()):
-        for companion, aux_atom in pairs:
-            defect = _companion_head_defect(companion, aux_atom)
-            if defect:
-                reasons.append(defect)
-                detail.setdefault(relation, []).append(defect)
-    for ext in ext_rules:
-        defect = _static_param_defect(translated, ext)
-        if defect:
-            reasons.append(defect)
-            detail.setdefault(ext.aux_relation, []).append(defect)
+    for relation, defect in batch_defects(translated, companions):
+        reasons.append(defect)
+        detail.setdefault(relation, []).append(defect)
     return Capability("batched", not reasons, tuple(reasons),
                       notes=(_CONFIG_NOTE,), detail=detail)
 
@@ -364,7 +398,7 @@ def _predict_barany(translated, batched: Capability, companions,
                     growable) -> Capability:
     """Columnar companion fan-out needs stable companion rests.
 
-    Mirror of ``BatchedChase._companion_heads``'s ``rests_stable``
+    Restates ``BatchedChase._companion_heads``'s ``rests_stable``
     flag: a companion rest-of-body touching a growable relation binds
     every world-varying draw into the trigger signature (all-singleton
     groups) - distributionally exact but no longer columnar.
@@ -449,7 +483,7 @@ def _predict_guided(translated, companions, growable,
                     ext_rules) -> Capability:
     """Backward-walk reachability of each random rule.
 
-    Mirror of the give-up conditions in :mod:`repro.core.backward`:
+    Restates the give-up conditions of :mod:`repro.core.backward`:
     evidence on a companion head reaches the draw when the companion
     body carries exactly one auxiliary atom and its rests stay on
     stable relations (growable rests drop the draw constraints).
@@ -519,7 +553,7 @@ def _predict_columnar(batched: Capability, stable, visible,
                       growable) -> Capability:
     """Which relations a columnar query plan can lift.
 
-    Mirror of :func:`repro.query.columnar.explain`: a plan is lifted
+    Restates :func:`repro.query.columnar.explain`: a plan is lifted
     when every scanned relation is stable (one evaluation over the
     closed instance serves all worlds); growable relations stay
     answerable by the whole-batch columnar pass.

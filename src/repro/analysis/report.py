@@ -2,11 +2,11 @@
 
 :func:`deep_analyze` is the one entry point the surfaces share:
 ``Session.analyze(deep=True)``, ``repro lint`` / ``repro analyze
---deep``, the serving ``analyze`` op with ``"deep": true``, and the
-:class:`~repro.serving.server.ProgramServer` pre-flight hook all
-produce this :class:`DeepReport`.  It is cheap by construction - every
-layer is static except the two instance-aware lint checks - so it can
-run on every compile.
+--deep`` and the serving ``analyze`` op with ``"deep": true`` all
+produce this :class:`DeepReport`, on request.  Through
+``CompiledProgram.analyze`` and ``Session.analyze`` its capability
+layer is the report the batch gate already holds, so only the lint
+layer is new work.
 """
 
 from __future__ import annotations
@@ -55,13 +55,14 @@ class DeepReport:
 def deep_analyze(translated: ExistentialProgram,
                  instance: Instance | None = None,
                  termination: TerminationReport | None = None,
+                 capabilities: CapabilityReport | None = None,
                  ) -> DeepReport:
     """Run all three analysis layers over a translated program.
 
     ``instance`` enables the instance-aware lint checks
     (semi-join unreachability, constant-foldable parameters);
-    ``termination`` short-circuits recomputation when the caller
-    already holds the cached report.
+    ``termination`` and ``capabilities`` short-circuit recomputation
+    when the caller already holds the cached reports.
 
     >>> from repro.core.program import Program
     >>> report = deep_analyze(
@@ -75,6 +76,7 @@ def deep_analyze(translated: ExistentialProgram,
                         semantics=translated.semantics,
                         instance=instance,
                         translated=translated)
-    capabilities = capability_report(translated, termination)
+    if capabilities is None:
+        capabilities = capability_report(translated, termination)
     return DeepReport(termination=termination, lint=lint,
                       capabilities=capabilities)

@@ -34,8 +34,6 @@ from repro.core.exact import (DEFAULT_MAX_DEPTH,
 from repro.core.policies import ChasePolicy
 from repro.errors import ValidationError
 
-#: Applicability engines accepted by :func:`repro.core.chase.make_engine`.
-ENGINES = ("incremental", "naive")
 #: Sampling backends accepted by :meth:`repro.api.Session.sample`:
 #: ``"scalar"`` replays the sequential chase per run, ``"batched"``
 #: vectorizes the batch via :mod:`repro.engine.batched` (same law,
@@ -50,13 +48,14 @@ ENGINES = ("incremental", "naive")
 #: Trig/Alarm stage) stay on the batched backend too - trigger-hit
 #: worlds are regrouped by their enabled-trigger signature and the next
 #: existential layer runs vectorized per group, whatever its size; a
-#: budget-starved or structurally unsupported round declines the whole
-#: batch to the scalar loop.  Both translations are batchable: the
-#: per-rule (grohe) one, and - since the shared ``Sample#`` companion
-#: fan-out is vectorized - the Bárány one of Section 6.2.  The
-#: remaining hard requirements: weak acyclicity of the translated
-#: program, sequential chase, no trace recording, and a batch-safe
-#: policy.
+#: round that overruns the step budget or cannot be prepared declines
+#: the whole batch to the scalar loop.  Both translations are
+#: batchable: the per-rule (grohe) one, and - since the shared
+#: ``Sample#`` companion fan-out is vectorized - the Bárány one of
+#: Section 6.2.  The remaining hard requirements: a program the
+#: capability report finds batch-eligible (weak acyclicity and
+#: well-formed companion heads), sequential chase, no trace recording,
+#: and a batch-safe policy.
 BACKENDS = ("auto", "scalar", "batched")
 
 
@@ -137,7 +136,6 @@ class ChaseConfig:
 
     ``policy`` - measurable selection for the sequential chase
     (None = canonical first-firing policy);
-    ``engine`` - applicability maintenance strategy;
     ``parallel`` - parallel chase (Section 5) instead of sequential;
     ``max_steps`` - per-run step budget for sampling;
     ``max_depth`` / ``tolerance`` - exact-enumeration budgets;
@@ -166,7 +164,6 @@ class ChaseConfig:
     """
 
     policy: ChasePolicy | None = None
-    engine: str = "incremental"
     parallel: bool = False
     max_steps: int = DEFAULT_MAX_STEPS
     max_depth: int = DEFAULT_MAX_DEPTH
@@ -183,10 +180,6 @@ class ChaseConfig:
                 not isinstance(self.policy, ChasePolicy):
             raise ValidationError(
                 f"policy must be a ChasePolicy, got {self.policy!r}")
-        if self.engine not in ENGINES:
-            raise ValidationError(
-                f"unknown applicability engine {self.engine!r}; "
-                f"use one of {ENGINES}")
         if self.backend not in BACKENDS:
             raise ValidationError(
                 f"unknown sampling backend {self.backend!r}; "

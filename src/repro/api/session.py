@@ -43,8 +43,7 @@ from repro.api.config import (DEFAULT_CONFIG, ChaseConfig,
 from repro.api.results import InferenceResult
 from repro.core.applicability import (IncrementalApplicability,
                                       overlay_fork)
-from repro.core.chase import (ChaseRun, make_engine,
-                              run_chase_prepared)
+from repro.core.chase import ChaseRun, run_chase_prepared
 from repro.core.constraints import (ConstraintLike, _as_predicate,
                                     _conjunction)
 from repro.core.exact import (exact_parallel_spdb,
@@ -68,6 +67,12 @@ from repro.pdb.weighted import WeightedColumnarPDB, WeightedPDB
 #: ``posterior(method="auto")`` keeps the unguided rejection batch when
 #: at least this share of its worlds accepts; below it, runs guided.
 _AUTO_ACCEPTANCE_THRESHOLD = 0.1
+
+#: ``diagnostics["fallback_reason"]`` of a batch the engine declined
+#: at run time, after the gate admitted the call.
+_BATCH_DECLINED = ("the batched engine declined the batch (a cascade "
+                   "round overruns the step budget or cannot be "
+                   "prepared)")
 
 SEMANTICS = ("grohe", "barany")
 
@@ -124,9 +129,10 @@ class CompiledProgram:
 
     Caches (lazily, each at most once): the existential-Datalog
     translation ``Ĝ`` - including normalization to single-random-term
-    form - the visible-relation set, and the static termination report.
-    Thousands of chases through :meth:`on`/:class:`Session` then share
-    them instead of re-deriving them per call.
+    form - the visible-relation set, the static termination report and
+    the capability report (the batch gate).  Thousands of chases
+    through :meth:`on`/:class:`Session` then share them instead of
+    re-deriving them per call.
     """
 
     def __init__(self, program: Program, semantics: str = "grohe"):
@@ -142,6 +148,7 @@ class CompiledProgram:
         self._translated: ExistentialProgram | None = None
         self._visible: tuple[str, ...] | None = None
         self._report: TerminationReport | None = None
+        self._capability_report = None
         self._deep_report = None
 
     # -- cached artifacts ---------------------------------------------------
@@ -185,8 +192,22 @@ class CompiledProgram:
         if self._deep_report is None:
             from repro.analysis import deep_analyze
             self._deep_report = deep_analyze(
-                self.translated, termination=self._report)
+                self.translated, termination=self._report,
+                capabilities=self._capabilities())
         return self._deep_report
+
+    def _capabilities(self):
+        """The cached capability report: every session's batch gate.
+
+        ``analyze(deep=True)`` reports this same
+        :class:`~repro.analysis.capabilities.CapabilityReport`; it is
+        built without the lint layer, so the gate never pays for lint.
+        """
+        if self._capability_report is None:
+            from repro.analysis.capabilities import capability_report
+            self._capability_report = capability_report(
+                self.translated, self.analyze())
+        return self._capability_report
 
     # -- sessions -----------------------------------------------------------
 
@@ -258,10 +279,9 @@ class Session:
         self.instance = instance
         self.config = config
         self._evidence = tuple(evidence)
-        # Engine bases depend only on (translated, instance, engine
-        # kind) and exact results on the config fields enumeration
-        # reads, so derived sessions (configure/observe) share both
-        # caches.
+        # Engine bases depend only on (translated, instance) and exact
+        # results on the config fields enumeration reads, so derived
+        # sessions (configure/observe) share both caches.
         self._engines: dict[str, object] = \
             _engines if _engines is not None else {}
         self._exact_cache: _ExactCache = \
@@ -305,34 +325,30 @@ class Session:
 
     # -- engine amortization ------------------------------------------------
 
-    def _base_engine(self, engine: str):
-        """The (per-engine-kind, cached) base applicability state.
+    def _base_engine(self) -> IncrementalApplicability:
+        """The cached base applicability state of the scalar loop.
 
         The base engine bootstraps rule matching against the input
-        instance exactly once; every chase run then starts from a
-        ``fork()`` - a structure copy that skips re-matching.
+        instance exactly once; every chase run then starts from a fork
+        that skips re-matching.
         """
-        base = self._engines.get(engine)
+        base = self._engines.get("incremental")
         if base is None:
-            base = make_engine(self.compiled.translated, self.instance,
-                               engine)
-            self._engines[engine] = base
+            base = IncrementalApplicability(self.compiled.translated,
+                                            self.instance)
+            self._engines["incremental"] = base
         return base
 
-    def _fork_engine(self, engine: str):
+    def _fork_engine(self):
         """A cheap independent engine for one run.
 
-        Incremental bases hand out copy-on-write overlays - O(delta
-        + |App|) instead of re-indexing the whole input instance per
-        run.  Safe because sessions never mutate a cached base engine
-        (the overlay contract: the parent stays frozen while forks
-        live); the overlay's ``applicable()`` order is identical to a
-        full fork's, so seeded scalar output is unchanged.
+        A copy-on-write overlay of the base - O(delta + |App|) instead
+        of re-indexing the whole input instance per run.  Safe because
+        sessions never mutate the cached base engine (the overlay
+        contract: the parent stays frozen while forks live); the
+        overlay's ``applicable()`` order is identical to a full fork's.
         """
-        base = self._base_engine(engine)
-        if isinstance(base, IncrementalApplicability):
-            return overlay_fork(base)
-        return base.fork()
+        return overlay_fork(self._base_engine())
 
     def _one_run(self, cfg: ChaseConfig, rng: np.random.Generator,
                  observed: dict | None = None) -> ChaseRun:
@@ -342,7 +358,7 @@ class Session:
         (:func:`~repro.core.chase.run_chase_prepared`).
         """
         translated = self.compiled.translated
-        state = self._fork_engine(cfg.engine)
+        state = self._fork_engine()
         if cfg.parallel and not observed:
             return run_parallel_chase_prepared(
                 translated, state, self.instance, rng, cfg.max_steps,
@@ -376,20 +392,26 @@ class Session:
         :class:`repro.engine.batched.BatchedChase` - same output law,
         different draws - falling back to the scalar loop outside its
         supported class and for every batch it declines, so a declined
-        batch equals ``backend="scalar"`` world for world.  ``n`` must
-        be an int (numpy integers too) of at least 1.
+        batch equals ``backend="scalar"`` world for world; a scalar
+        result carries ``diagnostics["fallback_reason"]``, as a scalar
+        posterior does.  ``n`` must be an int (numpy integers too) of
+        at least 1.
         """
         n = _check_runs(n)
         cfg = self.config.replace(**overrides)
-        result = self._sample_batched(cfg, n)
-        if result is not None:
-            return result
-        return self._sample_scalar(cfg, n)
+        reason = self._batch_refusal(cfg)
+        if reason is None:
+            result = self._sample_batched(cfg, n)
+            if result is not None:
+                return result
+            reason = _BATCH_DECLINED
+        return self._sample_scalar(cfg, n, reason)
 
-    def _sample_scalar(self, cfg: ChaseConfig, n: int) -> InferenceResult:
+    def _sample_scalar(self, cfg: ChaseConfig, n: int,
+                       reason: str) -> InferenceResult:
         """The per-run sequential loop, one spawned stream per run."""
         visible = self.compiled.visible_relations
-        self._base_engine(cfg.engine)
+        self._base_engine()
         start = time.perf_counter()
         runs = [self._one_run(cfg, rng) for rng in cfg.spawn_rngs(n)]
         worlds, truncated = self._collect_worlds(cfg, runs, visible)
@@ -397,7 +419,8 @@ class Session:
         return InferenceResult(MonteCarloPDB(worlds, truncated),
                                "sample", elapsed, n_runs=n,
                                n_truncated=truncated,
-                               diagnostics={"backend": "scalar"})
+                               diagnostics={"backend": "scalar",
+                                            "fallback_reason": reason})
 
     # -- batched backend ----------------------------------------------------
 
@@ -410,10 +433,14 @@ class Session:
         batch needs: a backend other than ``"scalar"``; under
         ``"auto"``, a batch-safe policy (``"batched"`` overrides the
         policy flag); the sequential chase without trace recording;
+        and a program the capability report finds batch-eligible
+        (``CompiledProgram._capabilities``, read once per program):
         weak acyclicity of the translated program - Theorem 6.1's
         order-independence is what makes the batched prefix produce
         exactly the sequential-chase law, under both translations -
-        and a program the batched engine can prepare.
+        and well-formed companion heads
+        (:func:`~repro.analysis.capabilities.batch_defects`).  A
+        refused program gets the report's first reason.
         """
         if cfg.backend == "scalar":
             return "backend='scalar' was requested"
@@ -423,42 +450,40 @@ class Session:
         if cfg.parallel or cfg.record_trace:
             return ("the parallel chase and trace recording run the "
                     "scalar loop")
-        if not self.compiled.analyze().weakly_acyclic:
-            return ("the program is not weakly acyclic, so Theorem "
-                    "6.1's order independence does not cover a batch")
-        if self._batched_chase() is None:
-            return "the batched engine declined the program"
+        batched = self.compiled._capabilities().batched
+        if not batched.eligible:
+            return batched.reasons[0]
         return None
 
     def _batched_chase(self):
-        """The cached per-(program, instance) batch sampler (or None)."""
-        from repro.engine.batched import BatchedChase, BatchUnsupported
+        """The cached per-(program, instance) batch sampler.
+
+        Only for calls :meth:`_batch_refusal` admitted: on a program
+        it refuses, construction raises
+        :exc:`~repro.engine.batched.BatchUnsupported` with the same
+        reason.
+        """
+        from repro.engine.batched import BatchedChase
         cached = self._engines.get("batched")
         if cached is None:
-            try:
-                cached = BatchedChase(self.compiled.translated,
-                                      self.instance)
-            except BatchUnsupported:
-                cached = False
+            cached = BatchedChase(self.compiled.translated,
+                                  self.instance)
             self._engines["batched"] = cached
-        return cached or None
+        return cached
 
     def _sample_batched(self, cfg: ChaseConfig,
                         n: int) -> InferenceResult | None:
-        """Vectorized sampling; None = skipped or declined (run scalar).
+        """Vectorized sampling of an admitted call; None = declined.
 
-        None when ``cfg.backend`` does not select the batched backend,
-        the program is outside its class, or the engine declines the
-        batch (a cascade round overruns the step budget or cannot be
-        prepared).  The result wraps a
+        None when the engine declines the batch (a cascade round
+        overruns the step budget or cannot be prepared); the caller
+        then runs the scalar loop.  The result wraps a
         :class:`~repro.engine.batched.ColumnarMonteCarloPDB`: every
         world stayed vectorized through the multi-round cascade and is
         kept columnar, so ``marginal`` / ``fact_marginals`` queries read
         the sample arrays directly and the n ``Instance`` fact-sets are
         only materialized if a caller walks ``result.pdb.worlds``.
         """
-        if self._batch_refusal(cfg) is not None:
-            return None
         from repro.engine.batched import ColumnarMonteCarloPDB
         visible = self.compiled.visible_relations
         start = time.perf_counter()
@@ -708,9 +733,7 @@ class Session:
                                              n)
             if result is not None:
                 return result
-            reason = ("the batched engine declined the batch (a "
-                      "cascade round overruns the step budget or "
-                      "cannot be prepared)")
+            reason = _BATCH_DECLINED
         result = self._posterior_scalar(cfg, index, constraints, n)
         result.diagnostics["fallback_reason"] = reason
         if method == "auto":
@@ -804,9 +827,10 @@ class Session:
         diagnostics.
         """
         from repro.engine.batched import ColumnarMonteCarloPDB
+        chase = self._batched_chase()
         log_weights = np.zeros(n)
         try:
-            outcome = self._batched_chase().run_batch(
+            outcome = chase.run_batch(
                 n, rng, cfg.max_steps, regions=regions,
                 log_weights=log_weights)
         except DistributionError as err:
@@ -835,7 +859,7 @@ class Session:
         observations the result is likelihood-weighted (event
         violations weigh zero), otherwise rejection.
         """
-        self._base_engine(cfg.engine)
+        self._base_engine()
         start = time.perf_counter()
         runs = [self._one_run(cfg, rng, index)
                 for rng in cfg.spawn_rngs(n)]
@@ -886,9 +910,10 @@ class Session:
         cached = self._engines.get("deep_analysis")
         if cached is None:
             from repro.analysis import deep_analyze
-            cached = deep_analyze(self.compiled.translated,
-                                  instance=self.instance,
-                                  termination=self.compiled.analyze())
+            cached = deep_analyze(
+                self.compiled.translated, instance=self.instance,
+                termination=self.compiled.analyze(),
+                capabilities=self.compiled._capabilities())
             self._engines["deep_analysis"] = cached
         return cached
 

@@ -349,18 +349,14 @@ def cmd_query(args, out) -> int:
     ``--observe``); ``--json`` emits the same document a
     :class:`~repro.serving.ProgramServer` ``query`` reply carries.
     """
-    from repro.serving.protocol import parse_evidence, query_payload
-    from repro.serving.server import _FactEvent
+    from repro.serving.protocol import query_payload, session_evidence
     compiled, instance = _load(args)
     plan = _parse_plan_arg(args.plan)
     session = compiled.on(instance, seed=args.seed,
                           max_steps=args.max_steps,
                           backend=args.backend)
-    evidence = []
-    for item in args.observe:
-        parsed = parse_evidence(_parse_observe_arg(item))
-        evidence.append(_FactEvent(parsed) if isinstance(parsed, Fact)
-                        else parsed)
+    evidence = [session_evidence(_parse_observe_arg(item))
+                for item in args.observe]
     if evidence:
         session = session.observe(*evidence)
     query_result = session.query(plan, n=args.n)
@@ -394,16 +390,13 @@ def cmd_posterior(args, out) -> int:
     the same payload a :class:`~repro.serving.ProgramServer` reply
     carries.
     """
-    from repro.serving.protocol import parse_evidence, posterior_payload
-    from repro.serving.server import _FactEvent
+    from repro.serving.protocol import (posterior_payload,
+                                        session_evidence)
     compiled, instance = _load(args)
     session = compiled.on(instance, seed=args.seed,
                           max_steps=args.max_steps)
-    evidence = []
-    for item in args.observe:
-        parsed = parse_evidence(_parse_observe_arg(item))
-        evidence.append(_FactEvent(parsed) if isinstance(parsed, Fact)
-                        else parsed)
+    evidence = [session_evidence(_parse_observe_arg(item))
+                for item in args.observe]
     if evidence:
         session = session.observe(*evidence)
     result = session.posterior(method=args.method, n=args.n)

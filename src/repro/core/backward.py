@@ -272,11 +272,6 @@ class _BackwardWalker:
                     f"{type(event).__name__}(n={event.n}) carries no "
                     "positive constraint")
             return self._fact_set_scenarios(event.fact_set)
-        # Duck-typed fact holders (e.g. the serving layer's _FactEvent
-        # wraps its fact as ``.fact`` and is a bare callable).
-        duck = getattr(event, "fact", None)
-        if isinstance(duck, Fact) and callable(event):
-            return self._fact_scenarios(duck)
         return self._give_up(
             f"opaque evidence {event!r} cannot be propagated backwards")
 

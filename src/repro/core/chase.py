@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.applicability import (ApplicabilityEngine, Firing,
-                                      IncrementalApplicability,
                                       NaiveApplicability)
 from repro.core.policies import DEFAULT_POLICY, ChasePolicy
 from repro.core.program import Program
@@ -75,16 +74,6 @@ def _as_translated(program: Program | ExistentialProgram,
     if isinstance(program, ExistentialProgram):
         return program
     return program.translate()
-
-
-def make_engine(translated: ExistentialProgram, instance: Instance,
-                engine: str = "incremental") -> ApplicabilityEngine:
-    """Construct an applicability engine (``"incremental"``/``"naive"``)."""
-    if engine == "incremental":
-        return IncrementalApplicability(translated, instance)
-    if engine == "naive":
-        return NaiveApplicability(translated, instance)
-    raise ValueError(f"unknown applicability engine {engine!r}")
 
 
 def fire(translated: ExistentialProgram, firing: Firing,

@@ -27,8 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.core.applicability import Firing
-from repro.core.chase import make_engine
+from repro.core.applicability import Firing, IncrementalApplicability
 from repro.core.policies import DEFAULT_POLICY, ChasePolicy
 from repro.core.program import Program
 from repro.core.translate import (ExistentialProgram,
@@ -97,7 +96,8 @@ def exact_sequential_spdb(program: Program | ExistentialProgram,
     outcome_masses: dict[Instance, float] = {}
     err_mass = 0.0
     # Depth-first worklist of (engine, instance, probability, depth).
-    stack = [(make_engine(translated, instance), instance, 1.0, 0)]
+    stack = [(IncrementalApplicability(translated, instance), instance,
+              1.0, 0)]
     while stack:
         engine, current, probability, depth = stack.pop()
         applicable = engine.applicable()
@@ -139,7 +139,8 @@ def exact_parallel_spdb(program: Program | ExistentialProgram,
 
     outcome_masses: dict[Instance, float] = {}
     err_mass = 0.0
-    stack = [(make_engine(translated, instance), instance, 1.0, 0)]
+    stack = [(IncrementalApplicability(translated, instance), instance,
+              1.0, 0)]
     while stack:
         engine, current, probability, depth = stack.pop()
         applicable = engine.applicable()
@@ -246,7 +247,7 @@ def enumerate_chase_tree(program: Program | ExistentialProgram,
     policy = policy or DEFAULT_POLICY
 
     root = ChaseNode(instance, 1.0, 0)
-    worklist = [(make_engine(translated, instance), root)]
+    worklist = [(IncrementalApplicability(translated, instance), root)]
     while worklist:
         engine, node = worklist.pop()
         applicable = engine.applicable()

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.applicability import NaiveApplicability
+from repro.core.applicability import (IncrementalApplicability,
+                                      NaiveApplicability)
 from repro.core.chase import (DEFAULT_MAX_STEPS, ChaseRun, ChaseStep,
-                              _as_rng, _as_translated, fire, make_engine)
+                              _as_rng, _as_translated, fire)
 from repro.core.program import Program
 from repro.core.translate import ExistentialProgram
 from repro.measures.kernels import SamplerKernel
@@ -38,7 +39,6 @@ def run_parallel_chase(program: Program | ExistentialProgram,
                        instance: Instance | None = None,
                        rng: np.random.Generator | int | None = None,
                        max_steps: int = DEFAULT_MAX_STEPS,
-                       engine: str = "incremental",
                        record_trace: bool = False) -> ChaseRun:
     """Run one parallel chase to termination or budget exhaustion.
 
@@ -48,7 +48,7 @@ def run_parallel_chase(program: Program | ExistentialProgram,
     """
     translated = _as_translated(program)
     instance = instance if instance is not None else Instance.empty()
-    state = make_engine(translated, instance, engine)
+    state = IncrementalApplicability(translated, instance)
     return run_parallel_chase_prepared(translated, state, instance,
                                        _as_rng(rng), max_steps,
                                        record_trace)

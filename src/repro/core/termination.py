@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from repro.core.chase import make_engine, run_chase_prepared
+from repro.core.applicability import IncrementalApplicability
+from repro.core.chase import run_chase_prepared
 from repro.core.policies import DEFAULT_POLICY, ChasePolicy
 from repro.core.program import Program
 from repro.core.terms import Var
@@ -190,7 +191,7 @@ def estimate_termination_probability(
     rng = np.random.default_rng(rng) \
         if not isinstance(rng, np.random.Generator) else rng
     root = instance if instance is not None else Instance.empty()
-    base = make_engine(translated, root)
+    base = IncrementalApplicability(translated, root)
     chase_policy = policy or DEFAULT_POLICY
     terminated = 0
     steps_sum = 0

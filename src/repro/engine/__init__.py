@@ -3,12 +3,11 @@
 from repro.engine.matching import (FactSource, IndexedSource, ScanSource,
                                    atom_pattern, body_holds, match_atoms,
                                    match_atoms_with_pinned)
-from repro.engine.seminaive import (evaluate_datalog, naive_fixpoint,
-                                    seminaive_fixpoint)
+from repro.engine.seminaive import naive_fixpoint, seminaive_fixpoint
 
 __all__ = [
     "BatchUnsupported", "BatchedChase", "FactSource", "IndexedSource",
-    "ScanSource", "atom_pattern", "body_holds", "evaluate_datalog",
+    "ScanSource", "atom_pattern", "body_holds",
     "match_atoms", "match_atoms_with_pinned", "naive_fixpoint",
     "seminaive_fixpoint",
 ]

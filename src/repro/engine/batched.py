@@ -61,15 +61,14 @@ exploits the structure with a *multi-round* cascade:
    the cached rounds its single triggers open, and is built that way
    (:meth:`BatchedChase._compose`).  Every group continues
    vectorized, one-world groups included, or the batch is declined
-   whole: a round that would
-   overrun the step budget or cannot be prepared (structure, or a
-   distribution/validation error) makes :meth:`BatchedChase.run_batch`
-   return None, and the caller runs the sequential chase for every
-   world.  Either way the sampled law is *exactly* the
-   sequential-chase law: the batched run is itself a legitimate chase
-   order, and for the weakly acyclic programs this backend accepts,
-   Theorem 6.1 makes the output distribution independent of that
-   order.
+   whole: a round that would overrun the step budget or cannot be
+   prepared (a distribution/validation error from parameters read off
+   data) makes :meth:`BatchedChase.run_batch` return None, and the
+   caller runs the sequential chase for every world.  Either way the
+   sampled law is *exactly* the sequential-chase law: the batched run
+   is itself a legitimate chase order, and for the weakly acyclic
+   programs this backend accepts, Theorem 6.1 makes the output
+   distribution independent of that order.
 
 The grouping is sound because, within a group, the worlds agree on
 every fact that could ever participate in a rule-body match: sampled
@@ -83,13 +82,18 @@ enumerated head-template set is final; a companion rest touching a
 growable relation instead forces every draw into the signature, where
 the incremental engine derives late companion matches exactly.
 
-The backend never silently approximates: callers outside the supported
-class (non-weakly-acyclic programs, trace recording, step budgets too
-tight for some round, rounds that cannot be prepared) are *declined*
-via :exc:`BatchUnsupported` / a ``None`` return, and
-:meth:`repro.api.Session.sample` falls back to the scalar loop.  A
-batch result therefore holds no truncated world: every world ran the
-cascade to its end.
+The backend never silently approximates, and it decides what it
+declines in two places.  Whether a program may batch at all is a
+static property of ``Ĝ`` - weak acyclicity plus well-formed companion
+heads - decided once by the capability analysis
+(:func:`~repro.analysis.capabilities.batch_defects`): the session
+reads the report's reason and runs the scalar loop for a refused
+call, and :class:`BatchedChase` raises :exc:`BatchUnsupported` with
+the same reason if built anyway.  A batch the engine accepted is
+declined only at run time, with a ``None`` return, when some round
+overruns the step budget or cannot be prepared.  A batch result
+therefore holds no truncated world: every world ran the cascade to
+its end.
 """
 
 from __future__ import annotations
@@ -100,7 +104,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.analysis.capabilities import (collect_companions,
+from repro.analysis.capabilities import (batch_defects,
+                                         collect_companions,
                                          collect_growable,
                                          rounds_compose)
 from repro.core.applicability import (IncrementalApplicability,
@@ -108,7 +113,7 @@ from repro.core.applicability import (IncrementalApplicability,
 # Unused here: servebench's tracer wraps this module attribute by name.
 from repro.core.chase import run_chase_prepared  # noqa: F401
 from repro.core.terms import Const, Var
-from repro.core.translate import (DetRule, ExistentialProgram, ExtRule,
+from repro.core.translate import (DetRule, ExistentialProgram,
                                   validate_params_in_theta)
 from repro.engine.matching import IndexedSource, body_holds, match_atoms
 from repro.engine.seminaive import seminaive_closure
@@ -137,11 +142,13 @@ _KEY_LIMIT = int(np.iinfo(np.int64).max)
 
 
 class BatchUnsupported(ChaseError):
-    """The program/instance is outside the batched backend's class.
+    """The program is outside the batched backend's class.
 
-    Raised during :class:`BatchedChase` preparation;
-    :meth:`repro.api.Session.sample` catches it and falls back to the
-    scalar loop (identical draws to ``backend="scalar"``).
+    :class:`BatchedChase` raises it on construction, with the first
+    reason :func:`~repro.analysis.capabilities.batch_defects` lists.
+    The facade never meets it: ``Session._batch_refusal`` reads the
+    same reasons off the capability report and sends a refused call
+    to the scalar loop before any engine is built.
     """
 
 
@@ -295,7 +302,10 @@ class _Round:
 class BatchedChase:
     """A prepared batch sampler for one (translated program, instance).
 
-    Construction performs all per-(program, instance) work: the shared
+    Construction raises :exc:`BatchUnsupported` with the first
+    structural defect of the program
+    (:func:`~repro.analysis.capabilities.batch_defects`), then
+    performs all per-(program, instance) work: the shared
     deterministic fixpoint, the applicability bootstrap on the closed
     instance (reusing the fixpoint's warm indexes), companion lookup,
     the growable-relation analysis and the first layer's trigger
@@ -303,11 +313,15 @@ class BatchedChase:
     (firing group, round) plus columnar bookkeeping, and the instance
     caches the round transitions and firing preparations it computes,
     so sessions keep it (:meth:`repro.api.Session.sample` stores it
-    alongside the scalar engine bases).
+    alongside the scalar engine base).
     """
 
     def __init__(self, translated: ExistentialProgram,
                  instance: Instance):
+        companions = collect_companions(translated)
+        defects = batch_defects(translated, companions)
+        if defects:
+            raise BatchUnsupported(defects[0][1])
         self.translated = translated
         self.instance = instance
         det_rules = translated.deterministic_rules()
@@ -326,7 +340,7 @@ class BatchedChase:
         self._closed_source = closed_source
         self._engine = IncrementalApplicability(translated, self.closed,
                                                 source=closed_source)
-        self._companions = self._collect_companions()
+        self._companions = companions
         self._body_atoms = self._collect_body_atoms()
         self._growable = collect_growable(translated)
         # Whether a missed round may be built from one-trigger rounds
@@ -367,26 +381,6 @@ class BatchedChase:
         """Relations that may gain facts after the shared fixpoint."""
         return self._growable
 
-    def _collect_companions(self) -> dict:
-        """aux relation -> [(companion DetRule, its aux body atom), ...].
-
-        :func:`~repro.analysis.capabilities.collect_companions`, plus
-        the one check this backend adds: under the per-rule (grohe)
-        translation every auxiliary has exactly one companion.  Under
-        the Bárány translation a shared ``Sample#`` auxiliary feeds one
-        companion per random rule using that (distribution, arity) key
-        - the fan-out this backend vectorizes.
-        """
-        companions = collect_companions(self.translated)
-        if self.translated.semantics == "grohe":
-            for relation, pairs in companions.items():
-                if len(pairs) != 1:
-                    raise BatchUnsupported(
-                        f"auxiliary relation {relation!r} has "
-                        f"{len(pairs)} companion rules under the "
-                        "per-rule translation")
-        return companions
-
     def _collect_body_atoms(self) -> dict:
         """relation -> (rule, body position) anywhere in ``Ĝ``.
 
@@ -418,22 +412,11 @@ class BatchedChase:
         """
         if firing in memo:
             return memo[firing]
-        if not firing.existential:
-            raise BatchUnsupported(
-                "deterministic firing survived the shared fixpoint "
-                f"({firing!r}); instance outside the batched class")
         ext = self.translated.rules[firing.rule_index]
-        if not isinstance(ext, ExtRule):
-            raise BatchUnsupported(f"firing {firing!r} does not map to "
-                                   "an existential rule")
         info = self.translated.aux_info[firing.relation]
         prefix = firing.values
         params = validate_params_in_theta(ext, prefix[info.n_carried:])
-        companions = self._companions.get(firing.relation)
-        if not companions:
-            raise BatchUnsupported(
-                f"auxiliary relation {firing.relation!r} has no "
-                "companion rule")
+        companions = self._companions[firing.relation]
         if self.translated.semantics == "barany":
             heads, rests_stable = self._companion_heads(
                 companions, prefix, source)
@@ -494,18 +477,13 @@ class BatchedChase:
             binding: dict = {}
             compatible = True
             for term, value in zip(aux_atom.terms[:-1], prefix):
+                # The gate admits only variable and constant terms.
                 if isinstance(term, Const):
-                    if term.value != value:
-                        compatible = False
-                        break
-                elif isinstance(term, Var):
-                    if term in binding and binding[term] != value:
-                        compatible = False
-                        break
-                    binding[term] = value
+                    compatible = term.value == value
                 else:
-                    raise BatchUnsupported(
-                        f"unexpected auxiliary atom term {term!r}")
+                    compatible = binding.setdefault(term, value) == value
+                if not compatible:
+                    break
             if not compatible:
                 continue
             existential = aux_atom.terms[-1]
@@ -540,33 +518,20 @@ class BatchedChase:
 
     @staticmethod
     def _ground_head_template(head, existential, binding: dict) -> tuple:
-        """``(relation, args-with-None, sample position)`` of one head."""
-        head_args: list = []
-        head_position = -1
-        for index, term in enumerate(head.terms):
-            if term == existential:
-                if head_position >= 0:
-                    raise BatchUnsupported(
-                        "existential variable repeats in companion "
-                        f"head {head!r}")
-                head_position = index
-                head_args.append(None)
-            elif isinstance(term, Const):
-                head_args.append(term.value)
-            elif isinstance(term, Var):
-                if term not in binding:
-                    raise BatchUnsupported(
-                        f"companion head variable {term!r} not bound "
-                        "by the companion body match")
-                head_args.append(binding[term])
-            else:
-                raise BatchUnsupported(
-                    f"unexpected companion head term {term!r}")
-        if head_position < 0:
-            raise BatchUnsupported(
-                f"companion head {head!r} does not mention "
-                "the existential variable")
-        return (head.relation, tuple(head_args), head_position)
+        """``(relation, args-with-None, sample position)`` of one head.
+
+        The gate (:func:`~repro.analysis.capabilities.batch_defects`)
+        admits only heads that mention the existential variable once
+        and whose other terms are constants or variables ``binding``
+        holds.
+        """
+        head_args = tuple(
+            None if term == existential
+            else term.value if isinstance(term, Const)
+            else binding[term]
+            for term in head.terms)
+        return (head.relation, head_args,
+                head.terms.index(existential))
 
     def _trigger_analysis(self, heads: tuple,
                           support: tuple | None) -> tuple[str, frozenset]:
@@ -857,7 +822,7 @@ class BatchedChase:
         """:meth:`_next_round`, with None for a round it cannot prepare."""
         try:
             return self._next_round(node, sig, batch_memo)
-        except (BatchUnsupported, DistributionError, ValidationError):
+        except (DistributionError, ValidationError):
             return None
 
     def _part(self, parent: _RoundNode, one: tuple,
@@ -991,11 +956,11 @@ class BatchedChase:
         Adds the signature's trigger facts to a fork of the node's
         engine, runs the deterministic cascade to its end (finite:
         only deterministic rules fire inside it) and prepares the next
-        existential layer; a node without one is terminal.  Raises
-        :class:`BatchUnsupported` (structure), or a
+        existential layer; a node without one is terminal.  Raises a
         :class:`~repro.errors.DistributionError` /
         :class:`~repro.errors.ValidationError` from the next layer's
-        parameters.
+        parameters (read off data: the gate rules out constant ones
+        outside Θ).
 
         The result depends on ``(node, sig)`` alone - no worlds, no
         budget (``batch_memo`` only memoizes firing preparations that

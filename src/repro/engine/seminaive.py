@@ -137,17 +137,3 @@ def seminaive_closure(program: Program | Sequence[Rule],
                 source.add_fact(f)
             break
     return Instance(all_facts), source
-
-
-def evaluate_datalog(program: Program | Sequence[Rule],
-                     instance: Instance,
-                     engine: str = "seminaive") -> Instance:
-    """Evaluate a deterministic Datalog program to its fixpoint.
-
-    ``engine`` selects ``"naive"`` or ``"seminaive"`` (default).
-    """
-    if engine == "naive":
-        return naive_fixpoint(program, instance)
-    if engine == "seminaive":
-        return seminaive_fixpoint(program, instance)
-    raise ValueError(f"unknown engine {engine!r}")

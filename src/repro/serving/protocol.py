@@ -15,6 +15,7 @@ from typing import Any
 
 from repro.core.observe import Observation
 from repro.errors import ValidationError
+from repro.pdb.events import ContainsFactEvent
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.pdb.stats import fact_marginals
@@ -36,6 +37,25 @@ def fact_payload(fact: Fact) -> dict:
     return {"relation": fact.relation, "args": list(fact.args)}
 
 
+def _not_scalar(field: str, got) -> ValidationError:
+    return ValidationError(
+        f"{field} must hold scalar values (string, number, bool or "
+        f"null), got {got!r}")
+
+
+def _wire_fact(relation: str, args, field: str) -> Fact:
+    """A fact from wire values; ``field`` names them in the error.
+
+    A list or object among the values is unhashable, so building the
+    fact raises ``TypeError``; catching it costs nothing on valid
+    requests.
+    """
+    try:
+        return Fact(relation, tuple(args))
+    except TypeError:
+        raise _not_scalar(field, list(args)) from None
+
+
 def parse_fact(payload) -> Fact:
     """A fact from ``{"relation": .., "args": [..]}`` or ``["R", [..]]``."""
     if isinstance(payload, dict):
@@ -43,11 +63,12 @@ def parse_fact(payload) -> Fact:
                 or not isinstance(payload.get("args"), (list, tuple)):
             raise ValidationError(
                 f"fact payload needs 'relation' and 'args': {payload!r}")
-        return Fact(payload["relation"], tuple(payload["args"]))
+        return _wire_fact(payload["relation"], payload["args"],
+                          "fact 'args'")
     if isinstance(payload, (list, tuple)) and len(payload) == 2 \
             and isinstance(payload[0], str) \
             and isinstance(payload[1], (list, tuple)):
-        return Fact(payload[0], tuple(payload[1]))
+        return _wire_fact(payload[0], payload[1], "fact 'args'")
     raise ValidationError(f"cannot parse fact payload {payload!r}")
 
 
@@ -72,9 +93,9 @@ def parse_instance(payload) -> Instance:
                 raise ValidationError(
                     "instance payload must map relation names to "
                     f"lists of argument rows; bad entry {relation!r}")
-        return Instance.from_dict(
-            {relation: [tuple(row) for row in rows]
-             for relation, rows in payload.items()})
+        return Instance(
+            _wire_fact(relation, row, f"instance row of {relation!r}")
+            for relation, rows in payload.items() for row in rows)
     if isinstance(payload, (list, tuple)):
         return Instance(parse_fact(item) for item in payload)
     raise ValidationError(
@@ -112,12 +133,31 @@ def parse_evidence(payload) -> Observation | Fact:
                 raise ValidationError(
                     "observation payload needs 'relation', 'carried' "
                     f"and 'value': {payload!r}")
+            try:
+                # The observation index hashes both.
+                hash((tuple(carried), payload["value"]))
+            except TypeError:
+                raise _not_scalar("observation 'carried' and 'value'",
+                                  payload) from None
             return Observation(payload["relation"], tuple(carried),
                                payload["value"])
     raise ValidationError(
         f"cannot parse evidence payload {payload!r}; expected "
         "{'relation': .., 'carried': [..], 'value': ..} or "
         "{'fact': ..}")
+
+
+def session_evidence(payload) -> Observation | ContainsFactEvent:
+    """Evidence for :meth:`repro.api.Session.observe` from one payload.
+
+    A fact payload becomes the event that the fact holds
+    (:class:`~repro.pdb.events.ContainsFactEvent`); the ``posterior``
+    and ``query`` ops and their CLI commands read evidence this way.
+    Streams take :func:`parse_evidence`'s bare fact instead, which
+    they answer with a columnar mask.
+    """
+    item = parse_evidence(payload)
+    return ContainsFactEvent(item) if isinstance(item, Fact) else item
 
 
 # ---------------------------------------------------------------------------
@@ -361,9 +401,10 @@ def analyze_payload(compiled, deep: bool = False) -> dict:
 
     ``deep=True`` extends the termination summary with the static
     analyzer's layers (:mod:`repro.analysis`): the lint diagnostics
-    and the per-capability eligibility predictions, exactly as the
-    :class:`~repro.serving.server.ProgramServer` pre-flight hook
-    caches them by program sha.
+    and the per-capability eligibility predictions of
+    ``compiled.analyze(deep=True)``, which the compiled program
+    memoizes.  Its batched reasons are the ones the batch gate
+    reports at runtime as ``fallback_reason``.
     """
     program = compiled.program
     report = compiled.analyze()

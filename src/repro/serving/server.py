@@ -37,11 +37,10 @@ import socketserver
 import threading
 from collections import OrderedDict
 
-from repro.api.config import _check_runs
-from repro.api.session import CompiledProgram, Session
+from repro.api.config import _check_runs, _is_int
+from repro.api.session import SEMANTICS, CompiledProgram, Session
 from repro.api.session import compile as compile_program
 from repro.errors import ReproError, ValidationError
-from repro.pdb.facts import Fact
 from repro.serving import protocol
 
 #: Ops accepted by :meth:`ProgramServer.handle`.
@@ -52,19 +51,6 @@ OPS = ("ping", "analyze", "sample", "marginal", "query", "mass_report",
 #: Ops addressed to an open stream (by ``stream_id``, no program text).
 _STREAM_OPS = ("stream_observe", "stream_posterior", "stream_query",
                "stream_close")
-
-
-class _FactEvent:
-    """Containment predicate for served fact evidence (printable)."""
-
-    def __init__(self, fact: Fact):
-        self.fact = fact
-
-    def __call__(self, instance) -> bool:
-        return self.fact in instance
-
-    def __repr__(self) -> str:
-        return f"contains({self.fact!r})"
 
 
 def program_sha(source: str, semantics: str) -> str:
@@ -108,9 +94,6 @@ class ProgramServer:
         self._sessions: OrderedDict[tuple, Session] = OrderedDict()
         self._session_locks: dict[tuple, threading.RLock] = {}
         self._streams: OrderedDict[str, tuple] = OrderedDict()
-        #: Pre-flight deep-analysis payloads, keyed by program sha
-        #: alongside the compile cache (same LRU lifetime).
-        self._analyses: dict[str, dict] = {}
         self._stream_counter = 0
         self._lock = threading.RLock()
         self.stats = {
@@ -121,7 +104,6 @@ class ProgramServer:
             "sessions_created": 0,
             "session_cache_hits": 0,
             "streams_opened": 0,
-            "analyses_precomputed": 0,
         }
 
     def close(self) -> None:
@@ -138,6 +120,10 @@ class ProgramServer:
         if not isinstance(source, str) or not source.strip():
             raise ValidationError(
                 "request needs a non-empty 'program' string")
+        if semantics not in SEMANTICS:
+            raise ValidationError(
+                f"unknown semantics {semantics!r}; "
+                f"use one of {SEMANTICS}")
         sha = program_sha(source, semantics)
         with self._lock:
             compiled = self._programs.get(sha)
@@ -147,37 +133,13 @@ class ProgramServer:
                 return sha, compiled, True
             compiled = compile_program(source, semantics=semantics)
             # Translate eagerly: the point of the cache is that the
-            # hot path never pays compilation again.  The pre-flight
-            # static analysis (lint + capability predictions) rides
-            # along: it is cheap, cached by the same sha, and lets an
-            # "analyze" op (or an operator's dashboard) explain a
-            # program's fallbacks before any sampling request runs.
+            # hot path never pays compilation again.
             compiled.translated
-            self._analyses[sha] = protocol.analyze_payload(
-                compiled, deep=True)
             self._programs[sha] = compiled
             self.stats["programs_compiled"] += 1
-            self.stats["analyses_precomputed"] += 1
             while len(self._programs) > self.max_programs:
-                dropped, _ = self._programs.popitem(last=False)
-                self._analyses.pop(dropped, None)
+                self._programs.popitem(last=False)
             return sha, compiled, False
-
-    def analysis_for(self, sha: str,
-                     compiled: CompiledProgram) -> dict:
-        """The pre-flight deep-analysis payload for a cached program.
-
-        Normally already present (``program_for`` computes it on
-        compile); recomputed only if the entry was evicted between
-        the compile and this lookup.
-        """
-        with self._lock:
-            payload = self._analyses.get(sha)
-            if payload is None:
-                payload = protocol.analyze_payload(compiled,
-                                                   deep=True)
-                self._analyses[sha] = payload
-            return payload
 
     def session_for(self, sha: str, compiled: CompiledProgram,
                     instance) -> Session:
@@ -253,10 +215,8 @@ class ProgramServer:
         sha, compiled, cached = self.program_for(
             request.get("program"), semantics)
         if op == "analyze":
-            if request.get("deep"):
-                result = self.analysis_for(sha, compiled)
-            else:
-                result = protocol.analyze_payload(compiled)
+            result = protocol.analyze_payload(
+                compiled, deep=bool(request.get("deep")))
             return self._reply(op, sha, cached, result)
         instance = protocol.parse_instance(request.get("instance"))
         session = self.session_for(sha, compiled, instance)
@@ -300,7 +260,7 @@ class ProgramServer:
             return self._open_stream(request, sha, instance, session)
         budgets = request.get("budgets", (1, 2, 4, 8, 16, 32))
         if not isinstance(budgets, (list, tuple)) or not budgets \
-                or not all(isinstance(budget, int) and budget > 0
+                or not all(_is_int(budget) and budget > 0
                            for budget in budgets):
             raise ValidationError(
                 "'budgets' must be a non-empty list of positive ints")
@@ -314,15 +274,8 @@ class ProgramServer:
             raise ValidationError(
                 "'observe' must be a non-empty list of evidence "
                 "payloads")
-        evidence = []
-        for payload in payloads:
-            item = protocol.parse_evidence(payload)
-            if isinstance(item, Fact):
-                # Session.observe takes events/predicates for facts;
-                # "the fact holds" is containment.
-                item = _FactEvent(item)
-            evidence.append(item)
-        return evidence
+        return [protocol.session_evidence(payload)
+                for payload in payloads]
 
     # -- streaming ----------------------------------------------------------
 
@@ -343,6 +296,9 @@ class ProgramServer:
 
     def _dispatch_stream(self, op: str, request: dict) -> dict:
         stream_id = request.get("stream_id")
+        if not isinstance(stream_id, str):
+            raise ValidationError(
+                f"'stream_id' must be a string, got {stream_id!r}")
         with self._lock:
             entry = self._streams.get(stream_id)
             if entry is not None:

@@ -1490,9 +1490,11 @@ class StaticDynamicOracle(Oracle):
         seed = case.seed & 0x7FFFFFFF
         session = _session(case, seed=seed, max_steps=500,
                            backend="batched")
-        if session._batched_chase() is None:
+        try:
+            session._batched_chase()
+        except BatchUnsupported as err:
             return 1, ("predicted batch-eligible but BatchedChase "
-                       "construction declined")
+                       f"construction declined: {err}")
         if session.sample(self.n_runs).backend == "batched":
             return 1, ""
         # The only remaining decline is the step budget, which the
@@ -1536,10 +1538,10 @@ class StaticDynamicOracle(Oracle):
         try:
             stream = session.stream(max(self.n_runs, 40))
         except StreamingUnsupported:
-            if session._batched_chase() is None:
-                return 1, ("predicted streaming-safe but the batched "
-                           "backend declined structurally")
-            return 0, ""  # the batch itself declined (a cascade round)
+            # Streaming-safe implies batch-eligible, and the report is
+            # the batch gate, so only the batch itself can decline (a
+            # cascade round overrunning the step budget).
+            return 0, ""
         try:
             prior = fact_marginals(stream.posterior().pdb)
         except MeasureError:

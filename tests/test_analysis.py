@@ -2,9 +2,10 @@
 
 Three layers under test: the lint diagnostics, the engine-capability
 predictions (differentially, against what the engines actually do on
-the paper's example programs), and the surfaces - ``Session.analyze
+the paper's example programs and on hand-built translated programs
+the batch gate refuses), and the surfaces - ``Session.analyze
 (deep=True)``, the ``repro lint`` CLI subcommand and the server's
-pre-flight hook.
+``analyze`` op.
 """
 
 from __future__ import annotations
@@ -23,10 +24,14 @@ from repro.core.atoms import Atom
 from repro.core.observe import observe
 from repro.core.program import Program
 from repro.core.rules import Rule
-from repro.core.terms import Const, RandomTerm
+from repro.core.terms import Const, RandomTerm, Var
 from repro.core.termination import position_graph
+from repro.core.translate import (AuxInfo, DetRule, ExistentialProgram,
+                                  ExtRule)
 from repro.distributions import DEFAULT_REGISTRY
+from repro.engine.batched import BatchedChase, BatchUnsupported
 from repro.errors import StreamingUnsupported
+from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.serving import ProgramServer
 from repro.testing import FuzzCase, StaticDynamicOracle, run_fuzz
@@ -171,7 +176,90 @@ def deep(program: Program, instance: Instance | None = None,
                         termination=compiled.analyze())
 
 
+X, Z, Y = Var("x"), Var("z"), Var("y")
+
+
+def per_rule_program(heads, carried=(X, Z)) -> ExistentialProgram:
+    """``R(x, z, Flip<0.5>) :- A(x, z).`` translated by hand.
+
+    The per-rule auxiliary ``Result#0`` carries ``carried`` and one
+    companion rule per entry of ``heads``, each with the body
+    ``A(x, z), Result#0(carried, 0.5, y)``.
+    """
+    source = Program.parse("R(x, z, Flip<0.5>) :- A(x, z).")
+    origin = source.rules[0]
+    flip = DEFAULT_REGISTRY["Flip"]
+    prefix = (*carried, Const(0.5))
+    body = (Atom("A", (X, Z)),)
+    aux_atom = Atom("Result#0", (*prefix, Y))
+    rules = [ExtRule(0, "Result#0", prefix, len(carried), flip, body,
+                     origin)]
+    rules += [DetRule(index, head, (*body, aux_atom), origin)
+              for index, head in enumerate(heads, start=1)]
+    return ExistentialProgram(
+        source, rules,
+        {"Result#0": AuxInfo(flip, len(carried), len(prefix) + 1)},
+        "grohe")
+
+
+#: Hand-built per-rule translations the batched chase cannot prepare,
+#: and the observation each one's likelihood posterior conditions on.
+REFUSED_PROGRAMS = {
+    "two-companions": (
+        lambda: per_rule_program([Atom("R", (X, Z, Y)),
+                                  Atom("R", (Z, X, Y))]),
+        observe("R", 1, 2, 1)),
+    "head-bound-by-rest": (
+        lambda: per_rule_program([Atom("R", (X, Z, Y))], carried=(X,)),
+        observe("R", 1, 1)),
+    "head-without-existential": (
+        lambda: per_rule_program([Atom("R", (X, Z, Const(0)))]),
+        observe("R", 1, 2, 1)),
+}
+
+
 class TestCapabilitiesMatchRuntime:
+    @pytest.mark.parametrize("name", sorted(REFUSED_PROGRAMS))
+    def test_refused_program_declines_with_the_report_reason(self,
+                                                              name):
+        factory, observation = REFUSED_PROGRAMS[name]
+        translated = factory()
+        instance = Instance.of(Fact("A", (1, 2)), Fact("A", (3, 4)))
+        batched = capability_report(translated).batched
+        assert not batched.eligible
+        reason = batched.reasons[0]
+        with pytest.raises(BatchUnsupported) as declined:
+            BatchedChase(translated, instance)
+        assert str(declined.value) == reason
+        session = compile_program(translated).on(instance, seed=4)
+        sample = session.sample(30)
+        assert sample.backend == "scalar"
+        assert sample.diagnostics["fallback_reason"] == reason
+        posterior = session.observe(observation).posterior(
+            method="likelihood", n=30)
+        assert posterior.diagnostics["backend"] == "scalar"
+        assert posterior.diagnostics["fallback_reason"] == reason
+        with pytest.raises(StreamingUnsupported) as refused:
+            session.stream(30)
+        assert reason in str(refused.value)
+
+    @pytest.mark.parametrize("where", ["auxiliary atom", "companion head"])
+    def test_term_kinds_are_batch_defects(self, where):
+        # The layer emits heads as templates of constants, bound
+        # variables and the sampled slot; any other term is refused.
+        random_term = RandomTerm(DEFAULT_REGISTRY["Flip"], (Const(0.5),))
+        if where == "auxiliary atom":
+            translated = per_rule_program([Atom("R", (X, Z, Y))],
+                                          carried=(X, random_term))
+        else:
+            translated = per_rule_program([Atom("R", (X, random_term,
+                                                      Y))])
+        batched = capability_report(translated).batched
+        assert batched.reasons == (
+            f"unexpected {where} term {random_term!r}",)
+        with pytest.raises(BatchUnsupported, match="unexpected"):
+            BatchedChase(translated, Instance.of(Fact("A", (1, 2))))
+
     def test_example_3_4_batched_and_columnar(self):
         program = paper.example_3_4_program()
         instance = paper.example_3_4_instance()
@@ -281,23 +369,21 @@ class TestAnalyzeSurfaces:
             is compiled.analyze(deep=True)
 
     def test_server_preflight_caches_deep_analysis(self):
+        # The deep document is computed on request, from the report
+        # the compiled program memoizes.
         server = ProgramServer()
         program = "Heads(x, Flip<0.5>) :- Coin(x)."
-        reply = server.handle({"op": "analyze", "program": program,
-                               "deep": True})
-        assert reply["ok"] and reply["result"]["deep"] is True
-        assert "lint" in reply["result"]
-        assert "capabilities" in reply["result"]
-        assert server.stats["analyses_precomputed"] == 1
+        request = {"op": "analyze", "program": program, "deep": True}
+        first = server.handle(request)
+        second = server.handle(request)
+        assert first["ok"] and first["result"]["deep"] is True
+        assert "lint" in first["result"]
+        assert "capabilities" in first["result"]
+        assert second == {**first, "compile_cached": True}
+        assert server.stats["programs_compiled"] == 1
         # Shallow analyze stays the historical document.
         shallow = server.handle({"op": "analyze", "program": program})
         assert shallow["ok"] and "lint" not in shallow["result"]
-        # Cache eviction falls back to recomputation, not a crash.
-        server._analyses.clear()
-        again = server.handle({"op": "analyze", "program": program,
-                               "deep": True})
-        assert again["ok"] and "capabilities" in again["result"]
-        assert server.stats["analyses_precomputed"] == 1
 
 
 class TestLintCli:

@@ -66,7 +66,6 @@ def earthquake():
 class TestChaseConfig:
     def test_defaults(self):
         config = ChaseConfig()
-        assert config.engine == "incremental"
         assert config.backend == "auto"
         assert not config.parallel
         assert config.policy is None
@@ -74,10 +73,10 @@ class TestChaseConfig:
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ChaseConfig().engine = "naive"
+            ChaseConfig().backend = "scalar"
 
     @pytest.mark.parametrize("overrides", [
-        {"engine": "turbo"},
+        {"batch_min_group": 2},
         {"backend": "vectorized"},
         {"max_steps": 0},
         {"max_steps": -5},
@@ -116,9 +115,9 @@ class TestChaseConfig:
 
     def test_replace_produces_new_validated_config(self):
         config = ChaseConfig()
-        other = config.replace(max_steps=5, engine="naive")
+        other = config.replace(max_steps=5, backend="scalar")
         assert other is not config
-        assert other.max_steps == 5 and other.engine == "naive"
+        assert other.max_steps == 5 and other.backend == "scalar"
         assert config.max_steps != 5  # original untouched
         with pytest.raises(ValidationError):
             config.replace(max_steps=-1)
@@ -126,6 +125,23 @@ class TestChaseConfig:
     def test_replace_rejects_unknown_fields(self):
         with pytest.raises(ValidationError, match="unknown ChaseConfig"):
             ChaseConfig().replace(max_stepz=10)
+
+    @pytest.mark.parametrize("entry", ["on", "configure", "replace",
+                                       "run"])
+    def test_engine_is_an_unknown_field(self, entry):
+        # The scalar loop has one applicability engine; ``engine`` is
+        # rejected like any other unknown field.
+        compiled = repro.compile("R(Flip<0.5>) :- true.")
+        with pytest.raises(ValidationError,
+                           match="unknown ChaseConfig field.*engine"):
+            if entry == "on":
+                compiled.on(engine="incremental")
+            elif entry == "configure":
+                compiled.on().configure(engine="incremental")
+            elif entry == "replace":
+                ChaseConfig().replace(engine="incremental")
+            else:
+                compiled.on().run(rng=0, engine="incremental")
 
     def test_replace_noop_returns_self(self):
         config = ChaseConfig()

@@ -30,7 +30,8 @@ import pytest
 
 import repro
 from repro.api.config import ChaseConfig
-from repro.core.chase import run_chase_prepared, make_engine
+from repro.core.applicability import IncrementalApplicability
+from repro.core.chase import run_chase_prepared
 from repro.core.policies import DEFAULT_POLICY, LastPolicy
 from repro.core.barany import TaggedDistribution
 from repro.distributions.base import ParameterizedDistribution
@@ -223,7 +224,7 @@ class TestScalarBitIdentity:
                              backend="scalar").sample(40).pdb
         translated = compiled.translated
         visible = compiled.visible_relations
-        base = make_engine(translated, instance)
+        base = IncrementalApplicability(translated, instance)
         expected = []
         for rng in ChaseConfig(seed=9).spawn_rngs(40):
             run = run_chase_prepared(translated, base.fork(), instance,
@@ -721,7 +722,7 @@ class TestMultiRoundCascade:
 
         translated = compiled.translated
         visible = compiled.visible_relations
-        base = make_engine(translated, Instance.empty())
+        base = IncrementalApplicability(translated, Instance.empty())
         expected = []
         for rng in ChaseConfig(seed=13).spawn_rngs(n):
             run = run_chase_prepared(translated, base.fork(),

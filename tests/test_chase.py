@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core.chase import chase_markov_process, chase_step_kernel
+from repro.core.applicability import (IncrementalApplicability,
+                                      NaiveApplicability)
+from repro.core.chase import (chase_markov_process, chase_step_kernel,
+                              run_chase_prepared)
+from repro.core.policies import DEFAULT_POLICY
 from repro.core.policies import LastPolicy
 from repro.errors import ValidationError
 from repro.core.program import Program
@@ -81,11 +85,19 @@ class TestRunChase:
 
     def test_engine_parity(self, earthquake_program,
                            earthquake_instance):
+        # The scalar loop maintains applicability incrementally; the
+        # naive engine recomputes it per step and is the reference.
         compiled = repro.compile(earthquake_program)
-        a = compiled.on(earthquake_instance,
-                        engine="incremental").run(rng=7)
-        b = compiled.on(earthquake_instance, engine="naive").run(rng=7)
+        translated = compiled.translated
+        a, b = (run_chase_prepared(
+                    translated, engine(translated, earthquake_instance),
+                    earthquake_instance, DEFAULT_POLICY,
+                    np.random.default_rng(7))
+                for engine in (IncrementalApplicability,
+                               NaiveApplicability))
         assert a.instance == b.instance
+        assert compiled.on(earthquake_instance).run(rng=7).instance \
+            == a.instance
 
     def test_invalid_engine(self, g0):
         with pytest.raises(ValidationError):

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.program import Program
-from repro.engine.seminaive import (evaluate_datalog, naive_fixpoint,
-                                    seminaive_fixpoint)
+from repro.engine.seminaive import naive_fixpoint, seminaive_fixpoint
 from repro.errors import UnsupportedProgramError
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
@@ -70,13 +69,6 @@ class TestFixpoints:
         assert partial.issubset(full)
         assert len(partial) < len(full)
 
-    def test_evaluate_datalog_engine_switch(self, tc_program):
-        D = edges((1, 2), (2, 3))
-        assert evaluate_datalog(tc_program, D, engine="naive") == \
-            evaluate_datalog(tc_program, D, engine="seminaive")
-        with pytest.raises(ValueError):
-            evaluate_datalog(tc_program, D, engine="quantum")
-
 
 class TestMultiRuleDatalog:
     def test_mutual_recursion(self):
@@ -115,8 +107,6 @@ def _both(program, instance):
     naive = naive_fixpoint(program, instance)
     seminaive = seminaive_fixpoint(program, instance)
     assert naive == seminaive
-    assert evaluate_datalog(program, instance, "naive") == \
-        evaluate_datalog(program, instance, "seminaive")
     return naive
 
 

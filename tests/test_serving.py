@@ -52,7 +52,8 @@ class TestShardValidation:
 
     def test_config_field_validation(self):
         names = [field.name for field in dataclasses.fields(ChaseConfig)]
-        assert len(names) == 12 and "shards" not in names
+        assert len(names) == 11
+        assert "shards" not in names and "engine" not in names
         with pytest.raises(ValidationError, match=self.SHARDS):
             ChaseConfig().replace(shards=2)
 
@@ -158,8 +159,8 @@ class TestOverlayForkRouting:
                                          padding=400)
         session = repro.compile(
             staged_slots_program(n_stages=4)).on(instance, seed=1)
-        base = session._base_engine("incremental")
-        fork = session._fork_engine("incremental")
+        base = session._base_engine()
+        fork = session._fork_engine()
         assert isinstance(fork, OverlayApplicability)
         # Delta layering, not copying: the fork references the base's
         # fact set and starts with an empty delta of its own.
@@ -169,17 +170,11 @@ class TestOverlayForkRouting:
         assert len(fork._delta) == 1
         assert len(base._fact_set) == len(instance)
 
-    def test_naive_engine_still_plain_forks(self):
-        session = repro.compile(CASCADE).on(_sites(2), seed=1,
-                                            engine="naive")
-        fork = session._fork_engine("naive")
-        assert not isinstance(fork, OverlayApplicability)
-
     def test_scalar_output_unchanged_by_overlay_forks(self):
         """Overlay routing preserves seeded scalar output exactly."""
         session = repro.compile(CASCADE).on(_sites(3), seed=55,
                                             backend="scalar")
-        base = session._base_engine("incremental")
+        base = session._base_engine()
         overlay_worlds = list(session.sample(30).pdb.worlds)
         # Replay with eager full forks - the pre-overlay behaviour.
         from repro.core.chase import run_chase_prepared

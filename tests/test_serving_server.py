@@ -8,6 +8,7 @@ codecs, and the threading socket server with concurrent clients.
 
 from __future__ import annotations
 
+import re
 import threading
 
 import pytest
@@ -280,6 +281,71 @@ class TestProgramServer:
         # The server survives and keeps serving.
         assert server.handle({"op": "ping"})["ok"]
         assert server.stats["errors"] >= 1
+
+    def test_engine_config_is_an_error_reply(self):
+        # The scalar loop has one applicability engine: "engine" is
+        # not a config field, and the reply is the config's error.
+        server = ProgramServer()
+        reply = server.handle({"op": "sample", "program": COIN,
+                               "instance": _coins(), "n": 10,
+                               "config": {"seed": 1,
+                                          "engine": "incremental"}})
+        with pytest.raises(ValidationError) as raised:
+            ChaseConfig().replace(engine="incremental")
+        assert reply == {"ok": False, "error": str(raised.value)}
+
+    @pytest.mark.parametrize("request_payload,needle", [
+        ({"op": "mass_report", "program": COIN, "budgets": [True]},
+         "budgets"),
+        ({"op": "sample", "program": COIN, "semantics": 5},
+         "unknown semantics 5"),
+        ({"op": "analyze", "program": COIN, "semantics": ["grohe"]},
+         "unknown semantics"),
+        ({"op": "sample", "program": COIN,
+          "instance": {"Coin": [[[1, 2]]]}}, "instance row of 'Coin'"),
+        ({"op": "sample", "program": COIN,
+          "instance": {"Coin": [[{"a": 1}]]}}, "instance row of 'Coin'"),
+        ({"op": "sample", "program": COIN,
+          "instance": [["Coin", [[1]]]]}, "fact 'args'"),
+        ({"op": "marginal", "program": COIN, "instance": _coins(),
+          "fact": ["Heads", [[0], 1]]}, "fact 'args'"),
+        ({"op": "posterior", "program": COIN, "instance": _coins(),
+          "method": "rejection", "observe": [{"fact": ["Heads",
+                                                       [[0], 1]]}]},
+         "fact 'args'"),
+        ({"op": "posterior", "program": COIN, "instance": _coins(),
+          "observe": [{"relation": "Heads", "carried": [[0]],
+                       "value": 1}]}, "observation 'carried'"),
+        ({"op": "query", "program": COIN, "instance": _coins(),
+          "plan": {"op": "scan", "relation": "Heads"},
+          "observe": [{"relation": "Heads", "carried": [{"a": 0}],
+                       "value": 1}]}, "observation 'carried'"),
+        ({"op": "posterior", "program": COIN, "instance": _coins(),
+          "observe": [{"relation": "Heads", "carried": [0],
+                       "value": [1]}]}, "'value' must hold scalar"),
+        ({"op": "stream_observe", "stream_id": ["s1"],
+          "observe": {"fact": ["Heads", [0, 1]]}}, "'stream_id'"),
+        ({"op": "stream_close", "stream_id": {"id": "s1"}},
+         "'stream_id'"),
+    ], ids=["budgets-bool", "semantics-int", "semantics-list",
+            "instance-row-list", "instance-row-object",
+            "instance-fact-list", "marginal-fact-args",
+            "posterior-fact-args", "posterior-carried",
+            "query-carried-object", "posterior-value-list",
+            "stream-id-list",
+            "stream-id-object"])
+    def test_malformed_values_are_validation_replies(
+            self, request_payload, needle):
+        # A malformed value is a validation error naming its field:
+        # never a leaked Python exception (an unhashable list or
+        # object, a semantics that is not a string) nor a bool taken
+        # for an int.
+        server = ProgramServer()
+        reply = server.handle(request_payload)
+        assert reply["ok"] is False
+        assert needle in reply["error"]
+        assert not re.match(r"\w+(Error|Exception)\b", reply["error"])
+        assert server.stats["errors"] == 1
 
     def test_constructor_validation(self):
         with pytest.raises(ValidationError):

@@ -113,7 +113,10 @@ class InferenceResult:
     def fact_marginals(self,
                        relations: tuple[str, ...] | None = None,
                        ) -> dict[Fact, float]:
-        """Marginals of every output fact (optionally restricted)."""
+        """Marginals of every output fact (optionally restricted).
+
+        The dict iterates in canonical fact order (:meth:`Fact.sort_key`).
+        """
         from repro.pdb.stats import fact_marginals
         return fact_marginals(self.pdb, relations=relations)
 

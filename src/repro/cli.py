@@ -61,8 +61,8 @@ from repro.io import load_instance_args, load_program
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.pdb.stats import fact_marginals
-from repro.serving.protocol import (analyze_payload, fact_payload,
-                                    json_default, sample_payload)
+from repro.serving.protocol import (analyze_payload, encode_line,
+                                    fact_payload, sample_payload)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -221,8 +221,8 @@ def _load(args) -> tuple[CompiledProgram, Instance]:
 
 
 def _emit_json(payload: dict, out) -> None:
-    print(json.dumps(payload, default=json_default, sort_keys=True),
-          file=out)
+    """One ``--json`` document, encoded as the server encodes replies."""
+    print(encode_line(payload), file=out)
 
 
 #: Shared with the server protocol - one fact encoding everywhere.
@@ -282,13 +282,13 @@ def cmd_sample(args, out) -> int:
     if args.json:
         _emit_json(sample_payload(result), out)
         return 0
-    marginals = fact_marginals(pdb)
-    ordered = sorted(marginals, key=lambda f: f.sort_key())
-    print(f"# {len(pdb.worlds)} terminated runs, "
+    # Counted as sample_payload counts n_terminated: a columnar batch
+    # is never expanded into its worlds.
+    print(f"# {pdb.n_runs - pdb.truncated} terminated runs, "
           f"{pdb.truncated} truncated (err "
           f"{pdb.err_mass():.4f})", file=out)
-    for fact in ordered:
-        print(f"{marginals[fact]:10.6f}  {fact!r}", file=out)
+    for fact, probability in fact_marginals(pdb).items():
+        print(f"{probability:10.6f}  {fact!r}", file=out)
     return 0
 
 

@@ -1247,7 +1247,7 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
     """A Monte-Carlo SPDB backed by a :class:`BatchOutcome`.
 
     Worlds are *not* materialized up front: ``marginal`` and
-    ``fact_marginals`` delegate to the fact readers of
+    ``marginal_table`` delegate to the fact readers of
     :mod:`repro.query.columnar` (:func:`~repro.query.columnar.
     fact_mask`, :func:`~repro.query.columnar.fact_totals`), which read
     the sample arrays through the query planner's merged relation
@@ -1392,19 +1392,19 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
         return int(np.count_nonzero(fact_mask(self, f))) \
             / self._outcome.size
 
-    def fact_marginals_columnar(self,
-                                relations: tuple[str, ...] | None = None,
-                                ) -> dict[Fact, float]:
-        """Marginal of every output fact, computed columnar.
+    def marginal_table(self, relations: tuple[str, ...] | None = None,
+                       ) -> list[tuple[str, tuple, float]]:
+        """``(relation, args, marginal)`` of every output fact, columnar.
 
-        :func:`repro.pdb.stats.fact_marginals` dispatches here, so
-        batch results answer complete marginal tables without
-        materializing the ensemble.
+        In canonical fact order.  :func:`repro.pdb.stats.
+        marginal_table` and :func:`~repro.pdb.stats.fact_marginals`
+        dispatch here, so batch results answer complete marginal
+        tables without materializing the ensemble.
         """
         from repro.query.columnar import fact_totals
         size = self._outcome.size
-        return {fact: count / size
-                for fact, count in fact_totals(self, relations).items()}
+        return [(relation, args, count / size) for relation, args, count
+                in fact_totals(self, relations)]
 
     def __repr__(self) -> str:
         state = "materialized" if self.materialized else "columnar"

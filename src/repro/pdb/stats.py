@@ -2,7 +2,8 @@
 
 Convenience analyses on top of the PDB representations: world-level
 entropy, most-probable world (MAP), expected instance size, complete
-fact-marginal tables, and per-relation summaries.  All functions work
+fact-marginal tables (in canonical fact order), and per-relation
+summaries.  All functions work
 on both exact and Monte-Carlo PDBs through the common interface
 (estimates in the latter case).
 """
@@ -58,9 +59,30 @@ def expected_size(pdb: PDBBase) -> float:
     from repro.engine.batched import ColumnarMonteCarloPDB
     if isinstance(pdb, ColumnarMonteCarloPDB):
         from repro.query.columnar import fact_totals
-        total = sum(int(count) for count in fact_totals(pdb).values())
+        total = sum(int(count) for _relation, _args, count
+                    in fact_totals(pdb))
         return total / pdb.n_runs
     return pdb.expectation(len)
+
+
+def marginal_table(pdb: PDBBase,
+                   relations: tuple[str, ...] | None = None,
+                   ) -> list[tuple[str, tuple, float]]:
+    """``(relation, args, marginal)`` of every fact in any world.
+
+    The rows of :func:`fact_marginals` in the same canonical fact
+    order (:meth:`Fact.sort_key`), without a :class:`Fact` per row.
+    Columnar ensembles (the batched backend's
+    :class:`~repro.engine.batched.ColumnarMonteCarloPDB` and its
+    weighted posterior) read them straight off their sample arrays,
+    already in order; the reply payloads of
+    :mod:`repro.serving.protocol` list them as they come.
+    """
+    columnar = getattr(pdb, "marginal_table", None)
+    if columnar is not None:
+        return columnar(relations)
+    return [(fact.relation, fact.args, probability)
+            for fact, probability in fact_marginals(pdb, relations).items()]
 
 
 def fact_marginals(pdb: PDBBase,
@@ -69,16 +91,28 @@ def fact_marginals(pdb: PDBBase,
     """Marginal probability of every fact appearing in any world.
 
     Restricted to ``relations`` when given.  For exact PDBs the values
-    are exact; for Monte-Carlo PDBs they are frequencies.
+    are exact; for Monte-Carlo PDBs they are frequencies.  For every
+    kind of PDB the dict iterates in canonical fact order
+    (:meth:`Fact.sort_key`).
 
-    Ensembles that expose a columnar fast path (the batched backend's
-    :class:`~repro.engine.batched.ColumnarMonteCarloPDB`) answer
-    directly from their sample arrays - same frequencies, no world
-    materialization.
+    Columnar ensembles answer from their sample arrays (see
+    :func:`marginal_table`) - same frequencies, no world
+    materialization; the other kinds sum over their worlds and sort
+    once.
     """
-    columnar = getattr(pdb, "fact_marginals_columnar", None)
+    columnar = getattr(pdb, "marginal_table", None)
     if columnar is not None:
-        return columnar(relations)
+        return {Fact(relation, args): probability
+                for relation, args, probability in columnar(relations)}
+    totals = _world_marginals(pdb, relations)
+    return {fact: totals[fact]
+            for fact in sorted(totals, key=Fact.sort_key)}
+
+
+def _world_marginals(pdb: PDBBase,
+                     relations: tuple[str, ...] | None,
+                     ) -> dict[Fact, float]:
+    """Every fact's marginal, summed over materialized worlds."""
     if isinstance(pdb, DiscretePDB):
         totals: dict[Fact, float] = {}
         for world, probability in pdb.worlds():

@@ -193,13 +193,14 @@ class WeightedColumnarPDB(WeightedPDB):
         mask = fact_mask(self._columnar, f)
         return float(self._weights[mask].sum()) / self._total
 
-    def fact_marginals_columnar(self, relations=None):
-        """Posterior marginal of every output fact, computed columnar.
+    def marginal_table(self, relations=None):
+        """``(relation, args, posterior marginal)`` of every output fact.
 
-        Duck-typed hook for :func:`repro.pdb.stats.fact_marginals`,
-        like the unweighted columnar ensemble's.
+        Read columnar, in canonical fact order: the duck-typed hook of
+        :func:`repro.pdb.stats.marginal_table`, like the unweighted
+        columnar ensemble's.
         """
         from repro.query.columnar import fact_totals
-        totals = fact_totals(self._columnar, relations, self._weights)
-        return {fact: count / self._total
-                for fact, count in totals.items()}
+        return [(relation, args, total / self._total)
+                for relation, args, total
+                in fact_totals(self._columnar, relations, self._weights)]

@@ -30,10 +30,11 @@ run **once per plan over the whole batch**:
 
 The merged scan is also the only code that lists a batch's facts:
 :func:`fact_totals` (the per-fact counts behind marginal tables, plain
-or weighted) and :func:`fact_mask` (the worlds holding one fact, behind
-single-fact marginals and streamed ``Fact`` evidence) read its rows,
-already deduplicated per world, so a fact marginal - the simplest
-query - can never disagree with the query path.
+or weighted, in canonical fact order) and :func:`fact_mask` (the
+worlds holding one fact, behind single-fact marginals and streamed
+``Fact`` evidence) read its rows, already deduplicated per world, so
+a fact marginal - the simplest query - can never disagree with the
+query path.
 
 Plans the compiler cannot vectorize - opaque ``select(callable)``
 predicates, :class:`~repro.query.relalg.Extend`, nested aggregates -
@@ -64,8 +65,9 @@ import numpy as np
 from repro.engine.batched import ColumnarMonteCarloPDB
 from repro.errors import SchemaError
 from repro.measures.discrete import DiscreteMeasure
+from repro.ordering import tuple_sort_key
 from repro.pdb.database import DiscretePDB, MonteCarloPDB, PDBBase
-from repro.pdb.facts import Fact
+from repro.pdb.facts import Fact, normalize_value
 from repro.pdb.instances import Instance
 from repro.pdb.weighted import WeightedColumnarPDB, WeightedPDB
 from repro.query.aggregates import Aggregate, aggregate_answer
@@ -705,11 +707,14 @@ def _fact_planner(pdb: ColumnarMonteCarloPDB,
 
 
 def fact_totals(pdb: ColumnarMonteCarloPDB, relations=None,
-                weights: np.ndarray | None = None) -> dict[Fact, Any]:
+                weights: np.ndarray | None = None,
+                ) -> list[tuple[str, tuple, Any]]:
     """Total (weighted) count of every fact of the ensemble's worlds.
 
-    ``relations`` restricts the table to those relation names (None:
-    every relation).  ``weights`` is a per-world-index vector (length
+    Returns ``(relation, args, total)`` rows in canonical fact order
+    (:meth:`Fact.sort_key`), one per distinct fact.  ``relations``
+    restricts the table to those relation names (None: every
+    relation).  ``weights`` is a per-world-index vector (length
     ``size``); with None the totals are plain integer counts.  Callers
     normalize themselves (by ``size`` for frequencies, by the total
     weight for self-normalized posterior estimates).
@@ -717,9 +722,10 @@ def fact_totals(pdb: ColumnarMonteCarloPDB, relations=None,
     The worlds are read off the merged scan, whose rows are already
     deduplicated per world: a constant row counts the positions where
     it is present, and a template row - exactly one sample cell -
-    counts each distinct sampled value over those positions.
+    counts each distinct sampled value over those positions
+    (:func:`_row_facts`); :func:`_in_order` lays the rows' facts out
+    in canonical order.
     """
-    totals: dict[Fact, Any] = {}
     planner = _fact_planner(pdb, None if relations is None
                             else frozenset(relations))
     names = set(planner._sample_columns())
@@ -730,34 +736,91 @@ def fact_totals(pdb: ColumnarMonteCarloPDB, relations=None,
         names.intersection_update(relations)
     member_weights = None if weights is None \
         else weights[planner.members]
+    table: list[tuple[str, tuple, Any]] = []
     for relation in sorted(names):
-        for cells, mask in planner._relation_rows(relation):
-            present = slice(None) if mask is True else mask
-            row_weights = None if member_weights is None \
-                else member_weights[present]
-            samples = [position for position, cell in enumerate(cells)
-                       if isinstance(cell, np.ndarray)]
-            if not samples:
-                if row_weights is None:
-                    total = planner.n if mask is True \
-                        else int(np.count_nonzero(mask))
-                else:
-                    total = float(row_weights.sum())
-                fact = Fact(relation, cells)
-                totals[fact] = totals.get(fact, 0) + total
-                continue
-            position, = samples
-            column = cells[position][present]
-            if row_weights is None:
-                values, counts = np.unique(column, return_counts=True)
-            else:
-                values, inverse = np.unique(column, return_inverse=True)
-                counts = np.bincount(inverse, weights=row_weights)
-            for value, count in zip(values.tolist(), counts.tolist()):
-                fact = Fact(relation, cells[:position] + (value,)
-                            + cells[position + 1:])
-                totals[fact] = totals.get(fact, 0) + count
-    return totals
+        runs = [_row_facts(relation, cells, mask, planner.n,
+                           member_weights)
+                for cells, mask in planner._relation_rows(relation)]
+        table.extend(_in_order(relation, runs))
+    return table
+
+
+def _row_facts(relation: str, cells: tuple, mask, n: int,
+               member_weights: np.ndarray | None) -> tuple:
+    """One merged-scan row's facts with their totals, in key order.
+
+    Returns ``(low, high, facts)``: ``facts`` lists ``(relation, args,
+    total)`` sorted by :func:`tuple_sort_key` of ``args``, and ``low``
+    and ``high`` are the keys of the first and the last.
+    ``np.unique`` hands a template row's values over sorted, and for a
+    numeric column that is their key order, so only the two ends need
+    a key; a column of any other dtype has its values normalized (as
+    :class:`Fact` does) and sorted by key.
+    """
+    present = slice(None) if mask is True else mask
+    row_weights = None if member_weights is None \
+        else member_weights[present]
+    samples = [position for position, cell in enumerate(cells)
+               if isinstance(cell, np.ndarray)]
+    if not samples:
+        if row_weights is None:
+            total = n if mask is True else int(np.count_nonzero(mask))
+        else:
+            total = float(row_weights.sum())
+        key = tuple_sort_key(cells)
+        return key, key, [(relation, cells, total)]
+    position, = samples
+    column = cells[position][present]
+    if row_weights is None:
+        values, counts = np.unique(column, return_counts=True)
+    else:
+        values, inverse = np.unique(column, return_inverse=True)
+        counts = np.bincount(inverse, weights=row_weights)
+    head, tail = cells[:position], cells[position + 1:]
+    numeric = values.dtype.kind in "iuf"
+    listed = values.tolist() if numeric \
+        else [normalize_value(value) for value in values.tolist()]
+    facts = [(relation, head + (value,) + tail, total)
+             for value, total in zip(listed, counts.tolist())]
+    if not numeric:
+        facts.sort(key=lambda fact: tuple_sort_key(fact[1]))
+    return (tuple_sort_key(facts[0][1]), tuple_sort_key(facts[-1][1]),
+            facts)
+
+
+def _in_order(relation: str, runs: list) -> list:
+    """One relation's facts, in canonical order.
+
+    ``runs`` are :func:`_row_facts` of the merged scan's rows, in row
+    order.  Sorted by their low keys, runs whose key ranges overlap no
+    other are in place as they are.  Overlapping runs (a sample cell
+    before a distinguishing constant, or one fact listed by several
+    rows, e.g. ``1`` and ``1.0``) merge fact by fact: equal facts keep
+    the first row's args and add up their totals in row order, then
+    sort stably by key.
+    """
+    clusters: list[list[int]] = []
+    high = None
+    for index in sorted(range(len(runs)), key=lambda i: runs[i][0]):
+        low, run_high, _facts = runs[index]
+        if clusters and low <= high:
+            clusters[-1].append(index)
+            high = max(high, run_high)
+        else:
+            clusters.append([index])
+            high = run_high
+    facts: list = []
+    for cluster in clusters:
+        if len(cluster) == 1:
+            facts.extend(runs[cluster[0]][2])
+            continue
+        totals: dict[tuple, Any] = {}
+        for index in sorted(cluster):
+            for _relation, args, total in runs[index][2]:
+                totals[args] = totals.get(args, 0) + total
+        facts.extend((relation, args, total) for args, total in sorted(
+            totals.items(), key=lambda fact: tuple_sort_key(fact[0])))
+    return facts
 
 
 def fact_mask(pdb: ColumnarMonteCarloPDB, fact: Fact) -> np.ndarray:

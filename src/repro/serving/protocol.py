@@ -18,7 +18,9 @@ from repro.errors import ValidationError
 from repro.pdb.events import ContainsFactEvent
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
-from repro.pdb.stats import fact_marginals
+# Unused here: servebench's tracer wraps this module attribute by name.
+from repro.pdb.stats import fact_marginals  # noqa: F401
+from repro.pdb.stats import marginal_table
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +304,18 @@ def parse_plan(payload):
 # ---------------------------------------------------------------------------
 
 
+def marginals_payload(pdb) -> list[dict]:
+    """The ``marginals`` list of a reply: every fact, canonical order.
+
+    Read off :func:`~repro.pdb.stats.marginal_table`, which is in
+    order already, so no :class:`Fact` is built per listed fact; each
+    entry is shaped as :func:`fact_payload` shapes a fact.
+    """
+    return [{"fact": {"relation": relation, "args": list(args)},
+             "probability": probability}
+            for relation, args, probability in marginal_table(pdb)]
+
+
 def sample_payload(result) -> dict:
     """The ``repro sample --json`` document for an InferenceResult.
 
@@ -311,8 +325,6 @@ def sample_payload(result) -> dict:
     terminated run contributes exactly one world.
     """
     pdb = result.pdb
-    marginals = fact_marginals(pdb)
-    ordered = sorted(marginals, key=lambda fact: fact.sort_key())
     return {
         "command": "sample",
         "n_runs": pdb.n_runs,
@@ -321,10 +333,7 @@ def sample_payload(result) -> dict:
         "err_mass": pdb.err_mass(),
         "elapsed_seconds": result.elapsed,
         "backend": result.backend,
-        "marginals": [
-            {"fact": fact_payload(fact),
-             "probability": marginals[fact]}
-            for fact in ordered],
+        "marginals": marginals_payload(pdb),
     }
 
 
@@ -336,9 +345,6 @@ def posterior_payload(result) -> dict:
     the path that ran; ``effective_sample_size`` is null for methods
     without importance weights.
     """
-    pdb = result.pdb
-    marginals = fact_marginals(pdb)
-    ordered = sorted(marginals, key=lambda fact: fact.sort_key())
     return {
         "command": "posterior",
         "method": result.kind,
@@ -347,10 +353,7 @@ def posterior_payload(result) -> dict:
         "elapsed_seconds": result.elapsed,
         "effective_sample_size": result.effective_sample_size,
         "diagnostics": dict(result.diagnostics),
-        "marginals": [
-            {"fact": fact_payload(fact),
-             "probability": marginals[fact]}
-            for fact in ordered],
+        "marginals": marginals_payload(result.pdb),
     }
 
 
@@ -451,8 +454,14 @@ def mass_report_payload(reports) -> dict:
 
 
 def encode_line(payload: dict) -> str:
-    """One stable JSON line (no trailing newline)."""
-    return json.dumps(payload, default=json_default, sort_keys=True)
+    """One stable JSON line (no trailing newline).
+
+    Replies are trees built by this module and requests are plain
+    JSON-shaped dicts, so the encoder skips its reference-cycle check
+    (a cyclic payload raises ``RecursionError``, not ``ValueError``).
+    """
+    return json.dumps(payload, default=json_default, sort_keys=True,
+                      check_circular=False)
 
 
 def decode_line(line: str) -> dict:

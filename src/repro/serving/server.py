@@ -69,8 +69,8 @@ class ProgramServer:
     holds its program's warm applicability engines and batched
     sampler, so the session cache is the larger memory commitment).
     ``handle`` is thread-safe.  The global lock guards only cache and
-    stats mutation; inference runs under a per-(program, instance)
-    *session* lock, so concurrent clients working on distinct
+    stats mutation; inference runs under the warm session's own lock,
+    kept in its LRU entry, so concurrent clients working on distinct
     programs/instances chase in parallel, and only requests racing on
     the same warm session (whose engine caches are not thread-safe)
     serialize against each other.
@@ -91,8 +91,8 @@ class ProgramServer:
         self.max_streams = max_streams
         self._programs: OrderedDict[str, CompiledProgram] = \
             OrderedDict()
-        self._sessions: OrderedDict[tuple, Session] = OrderedDict()
-        self._session_locks: dict[tuple, threading.RLock] = {}
+        self._sessions: OrderedDict[
+            tuple, tuple[Session, threading.RLock]] = OrderedDict()
         self._streams: OrderedDict[str, tuple] = OrderedDict()
         self._stream_counter = 0
         self._lock = threading.RLock()
@@ -142,42 +142,43 @@ class ProgramServer:
             return sha, compiled, False
 
     def session_for(self, sha: str, compiled: CompiledProgram,
-                    instance) -> Session:
-        """The warm base session for (program, instance), LRU-cached.
+                    instance) -> tuple[Session, threading.RLock]:
+        """The warm base session for (program, instance) and its lock.
 
-        Request-specific configs derive from the base via
+        LRU-cached.  Request-specific configs derive from the base via
         ``Session.configure``, which *shares* the engine caches - so
         a config change never discards the applicability bootstrap or
-        the batched sampler.
+        the batched sampler - and inference on any of them runs under
+        the returned lock.
         """
         key = (sha, instance)
         with self._lock:
-            session = self._sessions.get(key)
-            if session is not None:
+            entry = self._sessions.get(key)
+            if entry is not None:
                 self._sessions.move_to_end(key)
                 self.stats["session_cache_hits"] += 1
-                return session
-            session = compiled.on(instance)
-            self._sessions[key] = session
+                return entry
+            entry = (compiled.on(instance), threading.RLock())
+            self._sessions[key] = entry
             self.stats["sessions_created"] += 1
             while len(self._sessions) > self.max_sessions:
                 self._sessions.popitem(last=False)
-            return session
+            return entry
 
-    def session_lock(self, sha: str, instance) -> threading.RLock:
-        """The per-(program, instance) inference lock, get-or-create.
+    def session_lock(self, sha: str, instance) -> threading.RLock | None:
+        """The inference lock of the cached (program, instance) session.
 
-        Locks are keyed like sessions but never evicted (a lock is a
-        few hundred bytes; evicting one while a thread holds it would
-        let a re-created twin run concurrently on the same session).
+        None when no such session is cached.  A lock lives in its
+        session's LRU entry and leaves with it: a request keeps the
+        lock it was handed with the session, and an open stream its
+        own session's lock, so a lock lives exactly as long as
+        something can reach its session.  A session re-created after
+        eviction gets a new lock; it shares no engine cache with its
+        evicted twin, so the two may run at once.
         """
-        key = (sha, instance)
         with self._lock:
-            lock = self._session_locks.get(key)
-            if lock is None:
-                lock = threading.RLock()
-                self._session_locks[key] = lock
-            return lock
+            entry = self._sessions.get((sha, instance))
+            return None if entry is None else entry[1]
 
     # -- request handling ---------------------------------------------------
 
@@ -219,21 +220,20 @@ class ProgramServer:
                 compiled, deep=bool(request.get("deep")))
             return self._reply(op, sha, cached, result)
         instance = protocol.parse_instance(request.get("instance"))
-        session = self.session_for(sha, compiled, instance)
+        session, lock = self.session_for(sha, compiled, instance)
         overrides = request.get("config") or {}
         if not isinstance(overrides, dict) \
                 or not all(isinstance(key, str) for key in overrides):
             raise ValidationError(
                 "'config' must be an object of ChaseConfig fields")
-        with self.session_lock(sha, instance):
+        with lock:
             if overrides:
                 session = session.configure(**overrides)
-            result = self._run_session_op(op, request, sha, instance,
-                                          session)
+            result = self._run_session_op(op, request, session, lock)
         return self._reply(op, sha, cached, result)
 
-    def _run_session_op(self, op: str, request: dict, sha: str,
-                        instance, session) -> dict:
+    def _run_session_op(self, op: str, request: dict, session,
+                        lock: threading.RLock) -> dict:
         """One session-bound op, under the caller-held session lock."""
         if op == "sample":
             return protocol.sample_payload(
@@ -257,7 +257,7 @@ class ProgramServer:
                 method=method, n=self._n(request))
             return protocol.posterior_payload(result)
         if op == "stream_open":
-            return self._open_stream(request, sha, instance, session)
+            return self._open_stream(request, session, lock)
         budgets = request.get("budgets", (1, 2, 4, 8, 16, 32))
         if not isinstance(budgets, (list, tuple)) or not budgets \
                 or not all(_is_int(budget) and budget > 0
@@ -279,15 +279,15 @@ class ProgramServer:
 
     # -- streaming ----------------------------------------------------------
 
-    def _open_stream(self, request: dict, sha: str, instance,
-                     session) -> dict:
+    def _open_stream(self, request: dict, session,
+                     lock: threading.RLock) -> dict:
+        """Open a stream that keeps its session's lock for its ops."""
         max_window = request.get("max_window")
         stream = session.stream(self._n(request), max_window)
         with self._lock:
             self._stream_counter += 1
             stream_id = f"s{self._stream_counter}"
-            self._streams[stream_id] = \
-                (stream, self.session_lock(sha, instance))
+            self._streams[stream_id] = (stream, lock)
             self.stats["streams_opened"] += 1
             while len(self._streams) > self.max_streams:
                 self._streams.popitem(last=False)

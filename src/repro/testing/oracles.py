@@ -109,8 +109,10 @@ from repro.engine.batched import BatchedChase, BatchUnsupported
 from repro.engine.seminaive import (naive_fixpoint, seminaive_closure,
                                     seminaive_fixpoint)
 from repro.measures.empirical import ks_critical_value, ks_two_sample
+from repro.ordering import tuple_sort_key
 from repro.pdb.database import DiscretePDB, MonteCarloPDB
 from repro.pdb.events import ContainsFactEvent
+from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.pdb.stats import fact_marginals
 from repro.testing.fuzz import FuzzCase, random_value_positions
@@ -424,8 +426,7 @@ class PdbInputOracle(Oracle):
             return _skip("exact enumeration unavailable")
         compiled = _compiled(case)
         mixture = compiled.apply_to_pdb(case.input_pdb).pdb
-        marginals = sorted(fact_marginals(case.input_pdb).items(),
-                           key=lambda item: item[0].sort_key())
+        marginals = list(fact_marginals(case.input_pdb).items())
         certain = [fact for fact, p in marginals if math.isclose(p, 1.0)]
         uncertain = [(fact, p) for fact, p in marginals
                      if not math.isclose(p, 1.0)]
@@ -959,7 +960,7 @@ class StreamingBatchOracle(Oracle):
 
     @staticmethod
     def _evidence_from_prior(prior, positions) -> Observation | None:
-        for fact in sorted(prior, key=lambda fact: fact.sort_key()):
+        for fact in prior:
             position = positions.get(fact.relation)
             if position is None or position >= len(fact.args):
                 continue
@@ -1192,7 +1193,10 @@ class ColumnarQueryOracle(Oracle):
       evidence drawn from its own prior;
     * a vectorizable plan never materializes the grouped worlds
       (``ColumnarMonteCarloPDB.materializations`` stays put while the
-      planner runs).
+      planner runs);
+    * the fact table (:func:`~repro.query.columnar.fact_totals`) is
+      in canonical fact order and equals the fact counts over the
+      materialized worlds.
 
     Plans are generated per case from the ensemble's own relations
     and constants: scans with explicit columns, structural ``where``
@@ -1211,24 +1215,21 @@ class ColumnarQueryOracle(Oracle):
     # -- plan generation ----------------------------------------------------
 
     @staticmethod
-    def _arities(pdb) -> dict[str, int]:
+    def _arities(table) -> dict[str, int]:
         """Visible relations with one consistent arity in the batch."""
-        from repro.query.columnar import fact_totals
         seen: dict[str, set[int]] = {}
-        for fact in fact_totals(pdb):
-            seen.setdefault(fact.relation, set()).add(len(fact.args))
+        for relation, args, _total in table:
+            seen.setdefault(relation, set()).add(len(args))
         return {relation: lengths.pop()
                 for relation, lengths in seen.items()
                 if len(lengths) == 1}
 
     @staticmethod
-    def _constants(pdb, limit: int = 24) -> list:
+    def _constants(table, limit: int = 24) -> list:
         """A pool of ground values the ensemble actually contains."""
-        from repro.query.columnar import fact_totals
         values: list = []
-        for fact in sorted(fact_totals(pdb),
-                           key=lambda fact: fact.sort_key()):
-            values.extend(fact.args)
+        for _relation, args, _total in table:
+            values.extend(args)
             if len(values) >= limit:
                 break
         return values[:limit]
@@ -1315,6 +1316,27 @@ class ColumnarQueryOracle(Oracle):
         return DiscreteMeasure({point: mass / total
                                 for point, mass in masses.items()})
 
+    @staticmethod
+    def _check_table(pdb, table) -> str | None:
+        """The fact table is in canonical order and counts the worlds."""
+        keys = [(relation, tuple_sort_key(args))
+                for relation, args, _total in table]
+        for number, (left, right) in enumerate(zip(keys, keys[1:])):
+            if right < left:
+                return (f"fact table out of canonical order at row "
+                        f"{number + 1}: {table[number][:2]!r} before "
+                        f"{table[number + 1][:2]!r}")
+        counts: dict[Fact, int] = {}
+        for world in pdb.world_slots():
+            for fact in world.facts:
+                counts[fact] = counts.get(fact, 0) + 1
+        listed = {Fact(relation, args): total
+                  for relation, args, total in table}
+        if len(listed) != len(table) or listed != counts:
+            return ("fact table differs from the counts over the "
+                    "materialized worlds")
+        return None
+
     def _check_plain(self, pdb, plans) -> str | None:
         from repro.query.columnar import (plan_vectorizable,
                                           query_answers,
@@ -1381,15 +1403,18 @@ class ColumnarQueryOracle(Oracle):
         result = session.sample(self.n_runs)
         if result.backend != "batched":
             return _skip("batched backend declined this case")
+        from repro.query.columnar import fact_totals
         pdb = result.pdb
-        arities = self._arities(pdb)
+        table = fact_totals(pdb)
+        arities = self._arities(table)
         if not arities:
             return _skip("ensemble produced no visible facts")
         rng = random.Random(case.seed ^ 0xC01A)
-        constants = self._constants(pdb)
+        constants = self._constants(table)
         plans = [self._random_plan(rng, arities, constants)
                  for _ in range(self.n_plans)]
-        detail = self._check_plain(pdb, plans)
+        detail = self._check_plain(pdb, plans) \
+            or self._check_table(pdb, table)
         if detail:
             return _fail(detail)
         detail = self._check_weighted(case, plans)

@@ -5,8 +5,11 @@ import json
 
 import pytest
 
+import repro
 from repro.cli import main
+from repro.engine.batched import ColumnarMonteCarloPDB
 from repro.io import save_instance_csv, save_program
+from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.workloads import paper
 
@@ -76,6 +79,39 @@ class TestSampleCommand:
         assert code == 0
         assert "Alarm('house-1')" in output
         assert "500 terminated runs" in output
+
+    def test_text_mode_reads_the_columnar_table(self, earthquake_files,
+                                                monkeypatch):
+        """Text mode prints the world counts, sorted, expanding nothing."""
+        expanded = []
+        materialize = ColumnarMonteCarloPDB._materialize_slots
+
+        def counting(pdb):
+            expanded.append(pdb)
+            return materialize(pdb)
+
+        monkeypatch.setattr(ColumnarMonteCarloPDB, "_materialize_slots",
+                            counting)
+        program, specs = earthquake_files
+        argv = ["sample", program, "-n", "500", "--seed", "1"]
+        for spec in specs:
+            argv += ["--data", spec]
+        code, output = run_cli(argv)
+        assert code == 0
+        assert expanded == []
+
+        pdb = repro.compile(paper.EARTHQUAKE_PROGRAM_TEXT).on(
+            paper.example_3_4_instance(), seed=1).sample(500).pdb
+        assert isinstance(pdb, ColumnarMonteCarloPDB)
+        counts: dict = {}
+        for world in pdb.worlds:
+            for fact in world.facts:
+                counts[fact] = counts.get(fact, 0) + 1
+        expected = [f"# {len(pdb.worlds)} terminated runs, 0 truncated "
+                    "(err 0.0000)"] + [
+            f"{counts[fact] / 500:10.6f}  {fact!r}"
+            for fact in sorted(counts, key=Fact.sort_key)]
+        assert output.splitlines() == expected
 
     def test_deterministic_given_seed(self, g0_file):
         _, first = run_cli(["sample", g0_file, "-n", "200",

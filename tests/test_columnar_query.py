@@ -16,14 +16,18 @@ import io
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.api import QueryResult, compile as compile_program
 from repro.core.observe import observe
+from repro.distributions.discrete import Flip
+from repro.distributions.registry import default_registry
 from repro.engine.batched import ColumnarMonteCarloPDB
 from repro.errors import ValidationError
+from repro.ordering import tuple_sort_key
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.pdb.weighted import WeightedColumnarPDB
@@ -556,7 +560,44 @@ CROSS_POSITION_PROGRAM = """
 """
 
 
+#: A constant R(1.0) in the C = 1 worlds and a sampled R(1) in the
+#: C = 0 worlds: one fact listed by two merged-scan rows.
+INT_FLOAT_PROGRAM = """
+    C(Flip<0.5>) :- true.
+    R(1.0) :- C(1).
+    R(Flip<0.5>) :- C(0).
+"""
+#: Two template rows whose sample cell comes before the constant that
+#: tells them apart: their facts interleave in canonical order.
+INTERLEAVED_PROGRAM = "R(Normal<0.0, 1.0>, c) :- C(c)."
+
+
+class BoolFlip(Flip):
+    """A coin whose sample columns have numpy's bool dtype."""
+
+    name = "BoolFlip"
+
+    def sample_batch(self, params, size, rng):
+        (p,) = self.validate_params(params)
+        return rng.random(size) < p
+
+
 def _fact_batch(name):
+    if name == "int-float":
+        return compile_program(INT_FLOAT_PROGRAM).on(
+            seed=6).sample(300).pdb
+    if name == "interleaved":
+        return compile_program(INTERLEAVED_PROGRAM).on(
+            Instance.from_dict({"C": [("a",), ("b",)]}),
+            seed=7).sample(300).pdb
+    if name == "bool-dtype":
+        registry = default_registry()
+        registry.register(BoolFlip())
+        return compile_program(
+            "R(BoolFlip<0.5>, c) :- C(c).\nR(1, c) :- D(c).",
+            registry=registry).on(
+            Instance.from_dict({"C": [("a",), ("b",)], "D": [("a",)]}),
+            seed=9).sample(300).pdb
     if name == "mixed-arity":
         # Numeric keys: R(1, v) and R(w) must never be compared.
         return compile_program(MIXED_ARITY_PROGRAM).on(
@@ -577,6 +618,58 @@ def _fact_batch(name):
     return cities_pdb(n=100, max_steps=60)
 
 
+def _dict_fact_totals(pdb, weights=None) -> dict:
+    """Fact totals as a dict over the merged scan, in row order.
+
+    The reader the canonical table replaced, kept as the reference its
+    rows must equal: facts meet in a dict keyed by :class:`Fact`
+    (equal facts keep the first row's), totals add up in row order.
+    """
+    planner = columnar._fact_planner(pdb, None)
+    names = set(planner._sample_columns())
+    names.update(name for index in planner.group_indices
+                 for name in pdb._outcome.groups[index].shared.relations()
+                 if pdb._shows(name))
+    member_weights = None if weights is None else weights[planner.members]
+    totals: dict = {}
+    for relation in sorted(names):
+        for cells, mask in planner._relation_rows(relation):
+            present = slice(None) if mask is True else mask
+            row_weights = None if member_weights is None \
+                else member_weights[present]
+            samples = [position for position, cell in enumerate(cells)
+                       if isinstance(cell, np.ndarray)]
+            if not samples:
+                if row_weights is None:
+                    total = planner.n if mask is True \
+                        else int(np.count_nonzero(mask))
+                else:
+                    total = float(row_weights.sum())
+                fact = Fact(relation, cells)
+                totals[fact] = totals.get(fact, 0) + total
+                continue
+            position, = samples
+            column = cells[position][present]
+            if row_weights is None:
+                values, counts = np.unique(column, return_counts=True)
+            else:
+                values, inverse = np.unique(column, return_inverse=True)
+                counts = np.bincount(inverse, weights=row_weights)
+            for value, count in zip(values.tolist(), counts.tolist()):
+                fact = Fact(relation, cells[:position] + (value,)
+                            + cells[position + 1:])
+                totals[fact] = totals.get(fact, 0) + count
+    return totals
+
+
+def _sorted_then_built(totals: dict, total: float) -> list:
+    """A reply's marginals list as it was built: sort, then one entry
+    per :class:`Fact`."""
+    return [{"fact": protocol.fact_payload(fact),
+             "probability": totals[fact] / total}
+            for fact in sorted(totals, key=Fact.sort_key)]
+
+
 class TestFactReaders:
     """Fact tables, masks and marginals equal counts over the worlds.
 
@@ -589,7 +682,8 @@ class TestFactReaders:
 
     @pytest.mark.parametrize("name", [
         "mixed-arity", "shared-constant", "cross-position", "sensor",
-        "cities", "cities-truncated"])
+        "cities", "cities-truncated", "int-float", "interleaved",
+        "bool-dtype"])
     def test_reads_equal_world_counts(self, name):
         from repro.pdb.stats import fact_marginals
         from repro.pdb.weighted import WeightedPDB
@@ -638,6 +732,77 @@ class TestFactReaders:
         for fact, value in zip(probes, weighted_marginals):
             assert math.isclose(value, reference.marginal(fact),
                                 rel_tol=1e-12, abs_tol=0.0), fact
+
+    @pytest.mark.parametrize("name", [
+        "mixed-arity", "shared-constant", "cross-position", "sensor",
+        "cities", "int-float", "interleaved", "bool-dtype"])
+    def test_table_is_canonical_and_replies_list_it(self, name):
+        """Plain and weighted: canonical order, the old bytes."""
+        from repro.pdb.stats import fact_marginals, marginal_table
+        pdb = _fact_batch(name)
+        weights = TestWholeBatchPlanner._weights(pdb)
+        weighted = WeightedColumnarPDB(pdb, weights)
+        for ensemble, ensemble_weights in ((pdb, None),
+                                           (weighted, weights)):
+            table = marginal_table(ensemble)
+            keys = [(relation, tuple_sort_key(args))
+                    for relation, args, _ in table]
+            assert keys == sorted(keys)
+            marginals = fact_marginals(ensemble)
+            assert list(marginals) == sorted(marginals, key=Fact.sort_key)
+            assert list(marginals.values()) \
+                == [probability for _, _, probability in table]
+            reference = _sorted_then_built(
+                _dict_fact_totals(pdb, ensemble_weights),
+                pdb.n_runs if ensemble_weights is None
+                else ensemble.total_weight())
+            if ensemble_weights is None:
+                reply = protocol.sample_payload(SimpleNamespace(
+                    pdb=ensemble, elapsed=0.0, backend="batched"))
+            else:
+                reply = protocol.posterior_payload(SimpleNamespace(
+                    pdb=ensemble, kind="likelihood", n_runs=pdb.n_runs,
+                    n_truncated=0, elapsed=0.0,
+                    effective_sample_size=None, diagnostics={}))
+            listed = [protocol.encode_line(entry)
+                      for entry in reply["marginals"]]
+            expected = [protocol.encode_line(entry) for entry in reference]
+            assert len(listed) == len(expected)
+            assert next((pair for pair in zip(listed, expected)
+                         if pair[0] != pair[1]), None) is None
+        assert pdb.materializations == 0
+        assert ColumnarQueryOracle._check_table(
+            pdb, columnar.fact_totals(pdb)) is None
+        if len(table) > 1:
+            detail = ColumnarQueryOracle._check_table(
+                pdb, columnar.fact_totals(pdb)[::-1])
+            assert "canonical order" in detail
+
+    def test_equal_facts_keep_the_first_rows_args(self):
+        """The constant R(1.0) row comes first; a sampled 1 joins it."""
+        pdb = _fact_batch("int-float")
+        rows = [(args, total) for relation, args, total
+                in columnar.fact_totals(pdb) if relation == "R"]
+        assert [args for args, _ in rows] == [(0,), (1.0,)]
+        assert isinstance(rows[1][0][0], float)
+        counts = dict.fromkeys((0, 1), 0)
+        for world in pdb.world_slots():
+            for fact in world.facts_of("R"):
+                counts[fact.args[0]] += 1
+        assert [total for _, total in rows] == [counts[0], counts[1]]
+        sampled = [world for world in pdb.world_slots()
+                   if Fact("C", (0,)) in world
+                   and Fact("R", (1,)) in world]
+        assert sampled and len(sampled) < counts[1]
+
+    def test_template_rows_interleave(self):
+        """R(x, c) over two c: facts alternate between the two rows."""
+        pdb = _fact_batch("interleaved")
+        listed = [args[1] for relation, args, _ in columnar.fact_totals(pdb)
+                  if relation == "R"]
+        assert sorted(set(listed)) == ["a", "b"]
+        assert listed != sorted(listed)
+        assert len(listed) == 2 * pdb.n_runs
 
     def test_streamed_fact_reads_do_not_materialize(self):
         session = compile_program(SENSOR_PROGRAM).on(

@@ -144,7 +144,7 @@ class TestProgramServer:
         assert len({reply["result"]["probability"]
                     for reply in replies}) == 1
         assert len(calls) == 1
-        (session,) = server._sessions.values()
+        ((session, _lock),) = server._sessions.values()
         assert len(session._exact_cache) == 1
         reply = server.handle({**request, "config": {"seed": 100,
                                                      "tolerance": 1e-9}})
@@ -180,12 +180,12 @@ class TestProgramServer:
         server.handle({"op": "sample", "program": COIN,
                        "instance": _coins(), "n": 20,
                        "config": {"seed": 1}})
-        base = next(iter(server._sessions.values()))
+        base, _lock = next(iter(server._sessions.values()))
         engines_before = base._engines
         server.handle({"op": "sample", "program": COIN,
                        "instance": _coins(), "n": 20,
                        "config": {"seed": 2, "keep_aux": True}})
-        assert next(iter(server._sessions.values()))._engines \
+        assert next(iter(server._sessions.values()))[0]._engines \
             is engines_before
         assert server.stats["sessions_created"] == 1
 
@@ -479,6 +479,47 @@ class TestServerConcurrency:
         assert done.wait(10)
         thread.join(timeout=10)
         assert replies and replies[0]["ok"]
+
+
+    def test_locks_live_and_die_with_their_sessions(self):
+        """No lock outlives everything that can reach its session.
+
+        2000 one-fact instances cycle through a 4-session LRU while a
+        stream stays open on an evicted session: the server then holds
+        the 4 cached sessions' locks plus the stream's, and no
+        container of it grows with the number of instances it saw.
+        """
+        rlock = type(threading.RLock())
+
+        def held_locks(value, found) -> set:
+            if isinstance(value, rlock):
+                found.add(id(value))
+            elif isinstance(value, dict):
+                for item in value.values():
+                    held_locks(item, found)
+            elif isinstance(value, (list, tuple, set)):
+                for item in value:
+                    held_locks(item, found)
+            return found
+
+        server = ProgramServer(max_sessions=4)
+        opened = server.handle({"op": "stream_open", "program": COIN,
+                                "instance": _coins(), "n": 20,
+                                "config": {"seed": 1}})
+        assert opened["ok"]
+        for k in range(2000):
+            assert server.handle({"op": "sample", "program": COIN,
+                                  "instance": {"Coin": [[k]]}, "n": 1,
+                                  "config": {"seed": k}})["ok"]
+        state = {name: value for name, value in vars(server).items()
+                 if name != "_lock"}
+        assert len(held_locks(state, set())) \
+            <= server.max_sessions + len(server._streams) == 5
+        assert all(len(value) <= 32 for value in state.values()
+                   if isinstance(value, (dict, list, set)))
+        stream_id = opened["result"]["stream_id"]
+        assert server.handle({"op": "stream_posterior",
+                              "stream_id": stream_id})["ok"]
 
 
 # ---------------------------------------------------------------------------

@@ -48,8 +48,8 @@ class Capability:
     """One predicted capability: eligible, or why not.
 
     ``reasons`` is non-empty exactly when ``eligible`` is False;
-    ``notes`` carries caveats that do not block eligibility (e.g. the
-    config conditions ``backend="auto"`` additionally applies).
+    ``notes`` carries caveats that do not block eligibility (e.g. how
+    the config meets it).
     ``detail`` is a per-relation / per-rule breakdown.
     """
 
@@ -306,10 +306,10 @@ def _static_param_defect(ext: ExtRule) -> str | None:
 # The report
 # ---------------------------------------------------------------------------
 
-#: Config conditions ``backend="auto"`` applies on top of the static
-#: eligibility - not properties of the program, so reported as notes.
-_CONFIG_NOTE = ("auto backend additionally requires a batch-safe "
-                "policy, no parallel chase and no trace recording")
+#: How the config meets the static eligibility - not a property of
+#: the program, so reported as a note.
+_CONFIG_NOTE = ("backend='scalar' runs the scalar loop; every policy "
+                "and the parallel chase batch (Theorems 5.6 and 6.1)")
 
 
 def capability_report(translated: ExistentialProgram,
@@ -361,8 +361,9 @@ def _predict_batched(translated, termination, companions) -> Capability:
     """The batch gate: weak acyclicity plus :func:`batch_defects`.
 
     ``Session._batch_refusal`` refuses a call with the first reason
-    (after its config conditions, see :data:`_CONFIG_NOTE`), and
-    ``BatchedChase`` raises the first structural one.
+    (unless the call asked for ``backend="scalar"``, see
+    :data:`_CONFIG_NOTE`), and ``BatchedChase`` raises the first
+    structural one.
     """
     reasons: list[str] = []
     detail: dict = {}

@@ -35,28 +35,21 @@ from repro.core.policies import ChasePolicy
 from repro.errors import ValidationError
 
 #: Sampling backends accepted by :meth:`repro.api.Session.sample`:
-#: ``"scalar"`` replays the sequential chase per run, ``"batched"``
-#: vectorizes the batch via :mod:`repro.engine.batched` (same law,
-#: different draws; falls back to scalar outside its supported
-#: class), ``"auto"`` picks batched whenever it is eligible and the
-#: caller has not asked for anything the batch cannot honour (a
-#: policy that is not batch-safe, traces).
+#: ``"batched"`` (the default) vectorizes the batch via
+#: :mod:`repro.engine.batched` - same law as the scalar loop,
+#: different draws - and runs the scalar loop for a program the
+#: capability report refuses or a batch the engine declines;
+#: ``"scalar"`` replays the chase per run, sequential or parallel as
+#: ``parallel`` says.
 #:
-#: Eligibility under ``"auto"`` is per *program/config*, not per
-#: trigger structure: since the multi-round batch loop, cascading
-#: programs (sampled values enabling further rules, e.g. Example 3.4's
-#: Trig/Alarm stage) stay on the batched backend too - trigger-hit
-#: worlds are regrouped by their enabled-trigger signature and the next
-#: existential layer runs vectorized per group, whatever its size; a
-#: round that overruns the step budget or cannot be prepared declines
-#: the whole batch to the scalar loop.  Both translations are
-#: batchable: the per-rule (grohe) one, and - since the shared
-#: ``Sample#`` companion fan-out is vectorized - the Bárány one of
-#: Section 6.2.  The remaining hard requirements: a program the
-#: capability report finds batch-eligible (weak acyclicity and
-#: well-formed companion heads), sequential chase, no trace recording,
-#: and a batch-safe policy.
-BACKENDS = ("auto", "scalar", "batched")
+#: Whether a call batches is two questions: did it ask for
+#: ``"scalar"``, and does the program's capability report admit it
+#: (weak acyclicity and well-formed companion heads, both
+#: translations)?  The chase order never decides: the output SPDB is
+#: the same under every chase policy and under the parallel chase
+#: (Theorems 6.1 and 5.6), so ``policy`` and ``parallel`` only pick
+#: the chase the scalar loop runs.
+BACKENDS = ("batched", "scalar")
 
 
 def _is_int(value) -> bool:
@@ -137,16 +130,18 @@ class ChaseConfig:
     ``policy`` - measurable selection for the sequential chase
     (None = canonical first-firing policy);
     ``parallel`` - parallel chase (Section 5) instead of sequential;
+    both pick the chase ``run``, ``exact`` and the scalar loop take,
+    never whether a call batches: the batched law is the same under
+    every choice (Theorems 5.6 and 6.1);
     ``max_steps`` - per-run step budget for sampling;
     ``max_depth`` / ``tolerance`` - exact-enumeration budgets;
     ``keep_aux`` - keep translation auxiliaries in outputs
     (Remark 4.9);
-    ``record_trace`` - attach the firing trace to single runs;
     ``seed`` - int seed, numpy Generator, or None (fresh entropy);
     every run draws from its own spawned child stream
     (:meth:`spawn_rngs`);
-    ``backend`` - Monte-Carlo sampling backend (``"auto"``,
-    ``"scalar"``, ``"batched"``; see :data:`BACKENDS`);
+    ``backend`` - Monte-Carlo sampling backend (``"batched"`` or
+    ``"scalar"``; see :data:`BACKENDS`);
     ``batch_min_group`` - retired: the batched backend keeps every
     signature group vectorized, whatever its size, and nothing reads
     this field.  It accepts only ``1`` (the default) so that existing
@@ -169,9 +164,8 @@ class ChaseConfig:
     max_depth: int = DEFAULT_MAX_DEPTH
     tolerance: float = DEFAULT_SUPPORT_TOLERANCE
     keep_aux: bool = False
-    record_trace: bool = False
     seed: int | np.random.Generator | None = None
-    backend: str = "auto"
+    backend: str = "batched"
     batch_min_group: int = 1
     resample_threshold: float = 0.0
 
@@ -184,7 +178,7 @@ class ChaseConfig:
             raise ValidationError(
                 f"unknown sampling backend {self.backend!r}; "
                 f"use one of {BACKENDS}")
-        for name in ("parallel", "keep_aux", "record_trace"):
+        for name in ("parallel", "keep_aux"):
             value = getattr(self, name)
             if not isinstance(value, (bool, np.bool_)):
                 raise ValidationError(

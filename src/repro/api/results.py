@@ -130,20 +130,6 @@ class InferenceResult:
         """
         return QueryResult(self.pdb, query, self)
 
-    # -- serialization ------------------------------------------------------
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready summary (used by the CLI's ``--json`` mode)."""
-        return {
-            "kind": self.kind,
-            "elapsed_seconds": self.elapsed,
-            "n_runs": self.n_runs,
-            "n_truncated": self.n_truncated,
-            "total_mass": self.total_mass(),
-            "err_mass": self.err_mass(),
-            "diagnostics": dict(self.diagnostics),
-        }
-
     def __repr__(self) -> str:
         runs = f", runs {self.n_runs}" if self.n_runs is not None else ""
         return (f"InferenceResult({self.kind}{runs}, "

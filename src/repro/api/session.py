@@ -351,7 +351,8 @@ class Session:
         return overlay_fork(self._base_engine())
 
     def _one_run(self, cfg: ChaseConfig, rng: np.random.Generator,
-                 observed: dict | None = None) -> ChaseRun:
+                 observed: dict | None = None,
+                 record_trace: bool = False) -> ChaseRun:
         """One scalar run; ``observed`` forces and weights draws.
 
         Likelihood weighting always runs the sequential loop
@@ -362,33 +363,68 @@ class Session:
         if cfg.parallel and not observed:
             return run_parallel_chase_prepared(
                 translated, state, self.instance, rng, cfg.max_steps,
-                cfg.record_trace)
+                record_trace)
         return run_chase_prepared(
             translated, state, self.instance,
             cfg.policy or DEFAULT_POLICY, rng, cfg.max_steps,
-            cfg.record_trace, observed)
+            record_trace, observed)
+
+    def _scalar_runs(self, cfg: ChaseConfig, n: int,
+                     observed: dict | None = None,
+                     ) -> tuple[list[ChaseRun], list[Instance], int]:
+        """``n`` runs of the scalar loop, one spawned stream each.
+
+        Returns the runs, their terminated worlds (restricted to the
+        visible relations unless ``keep_aux``) and the truncated count.
+        """
+        visible = self.compiled.visible_relations
+        runs = [self._one_run(cfg, rng, observed)
+                for rng in cfg.spawn_rngs(n)]
+        worlds: list[Instance] = []
+        truncated = 0
+        # Identity-memoized restriction: a run with no sampling layer
+        # hands back the *same* instance object n times, which needs
+        # one restriction, not n.
+        previous: Instance | None = None
+        previous_restricted: Instance | None = None
+        for run in runs:
+            if not run.terminated:
+                truncated += 1
+            elif cfg.keep_aux:
+                worlds.append(run.instance)
+            else:
+                if run.instance is not previous:
+                    previous = run.instance
+                    previous_restricted = run.instance.restrict(visible)
+                worlds.append(previous_restricted)
+        return runs, worlds, truncated
 
     # -- inference verbs ----------------------------------------------------
 
     def run(self, rng: np.random.Generator | int | None = None,
             **overrides) -> ChaseRun:
-        """One chase run (sequential or parallel per the config)."""
+        """One chase run (sequential or parallel per the config).
+
+        The run carries its firing trace: ``run().trace`` holds one
+        :class:`~repro.core.chase.ChaseStep` per fired applicable pair.
+        """
         cfg = self.config.replace(**overrides)
         if rng is not None:
             chase_rng = rng if isinstance(rng, np.random.Generator) \
                 else np.random.default_rng(rng)
         else:
             chase_rng = cfg.base_rng()
-        return self._one_run(cfg, chase_rng)
+        return self._one_run(cfg, chase_rng, record_trace=True)
 
     def sample(self, n: int = 1000, **overrides) -> InferenceResult:
         """Monte-Carlo output SPDB from ``n`` independent chase runs.
 
         Translation and applicability bootstrap happen exactly once
         for the whole batch.  The runs execute on the backend selected
-        by ``cfg.backend`` (pass ``backend="batched"|"scalar"|"auto"``
-        as an override): ``"scalar"`` replays the sequential chase per
-        run, while ``"batched"`` advances all runs at once through
+        by ``cfg.backend`` (pass ``backend="batched"|"scalar"`` as an
+        override): ``"scalar"`` replays the chase per run (sequential
+        under ``policy``, or parallel), while ``"batched"`` advances
+        all runs at once through
         :class:`repro.engine.batched.BatchedChase` - same output law,
         different draws - falling back to the scalar loop outside its
         supported class and for every batch it declines, so a declined
@@ -409,12 +445,10 @@ class Session:
 
     def _sample_scalar(self, cfg: ChaseConfig, n: int,
                        reason: str) -> InferenceResult:
-        """The per-run sequential loop, one spawned stream per run."""
-        visible = self.compiled.visible_relations
+        """The per-run scalar loop, one spawned stream per run."""
         self._base_engine()
         start = time.perf_counter()
-        runs = [self._one_run(cfg, rng) for rng in cfg.spawn_rngs(n)]
-        worlds, truncated = self._collect_worlds(cfg, runs, visible)
+        _runs, worlds, truncated = self._scalar_runs(cfg, n)
         elapsed = time.perf_counter() - start
         return InferenceResult(MonteCarloPDB(worlds, truncated),
                                "sample", elapsed, n_runs=n,
@@ -429,27 +463,20 @@ class Session:
 
         The one eligibility check of every Monte-Carlo verb: ``sample``,
         every ``posterior`` method and ``stream`` ask it, and a refused
-        call runs the scalar loop (``stream`` raises instead).  The
-        batch needs: a backend other than ``"scalar"``; under
-        ``"auto"``, a batch-safe policy (``"batched"`` overrides the
-        policy flag); the sequential chase without trace recording;
-        and a program the capability report finds batch-eligible
-        (``CompiledProgram._capabilities``, read once per program):
-        weak acyclicity of the translated program - Theorem 6.1's
-        order-independence is what makes the batched prefix produce
-        exactly the sequential-chase law, under both translations -
-        and well-formed companion heads
-        (:func:`~repro.analysis.capabilities.batch_defects`).  A
-        refused program gets the report's first reason.
+        call runs the scalar loop (``stream`` raises instead).  It asks
+        two questions: did the call ask for ``backend="scalar"``, and
+        does the capability report find the program batch-eligible
+        (``CompiledProgram._capabilities``, read once per program)?
+        Eligibility is weak acyclicity of the translated program and
+        well-formed companion heads
+        (:func:`~repro.analysis.capabilities.batch_defects`), under
+        both translations.  The chase order never refuses: the output
+        SPDB is the same under every policy and under the parallel
+        chase (Theorems 6.1 and 5.6), so the batch stands for each of
+        them.  A refused program gets the report's first reason.
         """
         if cfg.backend == "scalar":
             return "backend='scalar' was requested"
-        if cfg.backend == "auto" and cfg.policy is not None \
-                and not cfg.policy.batch_safe:
-            return "the configured policy is not batch-safe"
-        if cfg.parallel or cfg.record_trace:
-            return ("the parallel chase and trace recording run the "
-                    "scalar loop")
         batched = self.compiled._capabilities().batched
         if not batched.eligible:
             return batched.reasons[0]
@@ -505,29 +532,6 @@ class Session:
                          "n_composed_rounds": info["n_composed_rounds"],
                          "n_draw_calls": info["n_draw_calls"],
                          "n_pooled_draws": info["n_pooled_draws"]})
-
-    @staticmethod
-    def _collect_worlds(cfg: ChaseConfig, runs: Sequence[ChaseRun],
-                        visible: tuple[str, ...],
-                        ) -> tuple[list[Instance], int]:
-        worlds: list[Instance] = []
-        truncated = 0
-        # Identity-memoized restriction: a fully-batched run with no
-        # sampling layer hands back the *same* instance object n
-        # times, which needs one restriction, not n.
-        previous: Instance | None = None
-        previous_restricted: Instance | None = None
-        for run in runs:
-            if not run.terminated:
-                truncated += 1
-            elif cfg.keep_aux:
-                worlds.append(run.instance)
-            else:
-                if run.instance is not previous:
-                    previous = run.instance
-                    previous_restricted = run.instance.restrict(visible)
-                worlds.append(previous_restricted)
-        return worlds, truncated
 
     def outputs(self, n: int,
                 **overrides) -> Iterator[Instance | None]:
@@ -861,10 +865,7 @@ class Session:
         """
         self._base_engine()
         start = time.perf_counter()
-        runs = [self._one_run(cfg, rng, index)
-                for rng in cfg.spawn_rngs(n)]
-        worlds, truncated = self._collect_worlds(
-            cfg, runs, self.compiled.visible_relations)
+        runs, worlds, truncated = self._scalar_runs(cfg, n, index)
         if not worlds:
             raise ValidationError(
                 f"all {n} runs were truncated; increase max_steps")

@@ -101,12 +101,16 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         help="number of chase runs")
     sample.add_argument("--seed", type=int, default=0)
     sample.add_argument("--max-steps", type=int, default=10_000)
-    sample.add_argument("--parallel", action="store_true")
+    sample.add_argument("--parallel", action="store_true",
+                        help="run the parallel chase in the scalar "
+                             "loop (--backend scalar); the batched "
+                             "law is the same (Theorem 5.6)")
     sample.add_argument("--backend", choices=BACKENDS,
-                        default="auto",
+                        default="batched",
                         help="sampling backend: the vectorized batch "
-                             "engine, the per-run scalar loop, or "
-                             "automatic selection (default)")
+                             "engine (default; the scalar loop for "
+                             "programs it cannot take) or the per-run "
+                             "scalar loop")
 
     query = subparsers.add_parser(
         "query", help="answer a relational-algebra plan")
@@ -120,7 +124,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                        help="number of chase runs (sampling programs)")
     query.add_argument("--seed", type=int, default=0)
     query.add_argument("--max-steps", type=int, default=10_000)
-    query.add_argument("--backend", choices=BACKENDS, default="auto",
+    query.add_argument("--backend", choices=BACKENDS, default="batched",
                        help="sampling backend (the batch engine "
                             "answers plans columnar, without "
                             "materializing worlds)")

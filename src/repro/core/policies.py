@@ -32,21 +32,16 @@ from repro.pdb.instances import Instance
 
 
 class ChasePolicy:
-    """A measurable selection: chooses one applicable firing."""
+    """A measurable selection: chooses one applicable firing.
+
+    A policy orders ``Session.run``, ``exact`` and the scalar sampling
+    loop.  The batched backend samples the same output law under every
+    policy that keeps the contract of :meth:`select` (Theorem 6.1), so
+    no policy keeps a call off it.
+    """
 
     #: Human-readable name used in reports and benchmarks.
     name: str = "policy"
-
-    #: Whether the batched sampling backend may run under this policy.
-    #: Theorem 6.1 makes the output law of a weakly acyclic program
-    #: independent of any *honest* selection (deterministic in the
-    #: instance), so every policy that keeps the class contract is
-    #: batch-safe; the batched run merely realizes a different valid
-    #: chase order, and a batch the engine declines runs the scalar
-    #: loop under the policy itself.  Custom policies that bend the
-    #: contract (hidden state, external randomness) should set this to
-    #: ``False`` to force the ``"auto"`` backend down the scalar path.
-    batch_safe: bool = True
 
     def select(self, instance: Instance,
                applicable: list[Firing]) -> Firing:

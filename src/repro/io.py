@@ -9,7 +9,11 @@ File formats:
   ``true``/``false`` become 1/0.  No header by default (facts are
   positional, like Datalog).
 * **Instance JSON**: ``{"Relation": [[v, ...], ...], ...}`` - the same
-  shape :meth:`repro.pdb.instances.Instance.from_dict` accepts.
+  shape :meth:`repro.pdb.instances.Instance.from_dict` accepts.  One
+  validated codec (:func:`parse_instance`, :func:`instance_payload`)
+  reads and writes it for instance files and for the server's wire
+  requests (:mod:`repro.serving.protocol`), so a malformed file and a
+  malformed request get the same :class:`~repro.errors.ValidationError`.
 
 These helpers power the command-line interface (:mod:`repro.cli`) and
 are handy for the examples.
@@ -24,7 +28,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.core.program import Program
 from repro.distributions.registry import DistributionRegistry
-from repro.errors import SchemaError
+from repro.errors import SchemaError, ValidationError
 from repro.ordering import tuple_sort_key
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
@@ -121,25 +125,93 @@ def save_instance_csv(instance: Instance, directory: str | Path) -> \
     return written
 
 
+# ---------------------------------------------------------------------------
+# Fact / instance JSON codec (instance files and wire requests)
+# ---------------------------------------------------------------------------
+
+def fact_payload(fact: Fact) -> dict:
+    return {"relation": fact.relation, "args": list(fact.args)}
+
+
+def _not_scalar(field: str, got) -> ValidationError:
+    return ValidationError(
+        f"{field} must hold scalar values (string, number, bool or "
+        f"null), got {got!r}")
+
+
+def _wire_fact(relation: str, args, field: str) -> Fact:
+    """A fact from wire values; ``field`` names them in the error.
+
+    A list or object among the values is unhashable, so building the
+    fact raises ``TypeError``; catching it costs nothing on valid
+    requests.
+    """
+    try:
+        return Fact(relation, tuple(args))
+    except TypeError:
+        raise _not_scalar(field, list(args)) from None
+
+
+def parse_fact(payload) -> Fact:
+    """A fact from ``{"relation": .., "args": [..]}`` or ``["R", [..]]``."""
+    if isinstance(payload, dict):
+        if not isinstance(payload.get("relation"), str) \
+                or not isinstance(payload.get("args"), (list, tuple)):
+            raise ValidationError(
+                f"fact payload needs 'relation' and 'args': {payload!r}")
+        return _wire_fact(payload["relation"], payload["args"],
+                          "fact 'args'")
+    if isinstance(payload, (list, tuple)) and len(payload) == 2 \
+            and isinstance(payload[0], str) \
+            and isinstance(payload[1], (list, tuple)):
+        return _wire_fact(payload[0], payload[1], "fact 'args'")
+    raise ValidationError(f"cannot parse fact payload {payload!r}")
+
+
+def instance_payload(instance: Instance) -> dict:
+    """``{"R": [[args], ...], ...}`` with rows in canonical order."""
+    payload: dict[str, list] = {}
+    for fact in instance.sorted_facts():
+        payload.setdefault(fact.relation, []).append(list(fact.args))
+    return payload
+
+
+def parse_instance(payload) -> Instance:
+    """An instance from the relation->rows dict or a fact-payload list."""
+    if payload is None:
+        return Instance.empty()
+    if isinstance(payload, dict):
+        for relation, rows in payload.items():
+            if not isinstance(relation, str) \
+                    or not isinstance(rows, (list, tuple)) \
+                    or not all(isinstance(row, (list, tuple))
+                               for row in rows):
+                raise ValidationError(
+                    "instance payload must map relation names to "
+                    f"lists of argument rows; bad entry {relation!r}")
+        return Instance(
+            _wire_fact(relation, row, f"instance row of {relation!r}")
+            for relation, rows in payload.items() for row in rows)
+    if isinstance(payload, (list, tuple)):
+        return Instance(parse_fact(item) for item in payload)
+    raise ValidationError(
+        f"cannot parse instance payload {payload!r}")
+
+
 def load_instance_json(path: str | Path) -> Instance:
     """Read an instance from JSON (``{relation: [rows...]}``)."""
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
         raise SchemaError("instance JSON must be an object of arrays")
-    return Instance.from_dict(
-        {relation: [tuple(row) for row in rows]
-         for relation, rows in payload.items()})
+    return parse_instance(payload)
 
 
 def save_instance_json(instance: Instance, path: str | Path) -> None:
     """Write an instance to JSON (sorted, deterministic)."""
-    payload = {relation: [list(row) for row in
-                          sorted(instance.tuples_of(relation),
-                                 key=tuple_sort_key)]
-               for relation in instance.relations()}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n", encoding="utf-8")
+    Path(path).write_text(
+        json.dumps(instance_payload(instance), indent=2, sort_keys=True)
+        + "\n", encoding="utf-8")
 
 
 def parse_relation_spec(spec: str) -> tuple[str, str]:

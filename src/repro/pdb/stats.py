@@ -3,9 +3,10 @@
 Convenience analyses on top of the PDB representations: world-level
 entropy, most-probable world (MAP), expected instance size, complete
 fact-marginal tables (in canonical fact order), and per-relation
-summaries.  All functions work
-on both exact and Monte-Carlo PDBs through the common interface
-(estimates in the latter case).
+summaries.  All functions work on exact, Monte-Carlo and weighted
+PDBs through the common interface (estimates in the latter cases);
+the sizes, tables and summaries read columnar ensembles without
+materializing their worlds.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.measures.discrete import DiscreteMeasure
 from repro.pdb.database import DiscretePDB, MonteCarloPDB, PDBBase
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
-from repro.pdb.weighted import WeightedPDB
+from repro.pdb.weighted import WeightedColumnarPDB, WeightedPDB
 
 
 def world_entropy(pdb: DiscretePDB, base: float = 2.0) -> float:
@@ -54,7 +55,8 @@ def expected_size(pdb: PDBBase) -> float:
     Columnar ensembles answer from their per-fact ensemble counts:
     ``Σ_D |D| = Σ_f count(f)``, and both sides are exact integers, so
     the value is bit-identical to ``expectation(len)`` without
-    materializing any world.
+    materializing any world.  A weighted columnar posterior sums its
+    fact marginals the same way, ``E|D| = Σ_f P(f)``.
     """
     from repro.engine.batched import ColumnarMonteCarloPDB
     if isinstance(pdb, ColumnarMonteCarloPDB):
@@ -62,6 +64,9 @@ def expected_size(pdb: PDBBase) -> float:
         total = sum(int(count) for _relation, _args, count
                     in fact_totals(pdb))
         return total / pdb.n_runs
+    if isinstance(pdb, WeightedColumnarPDB):
+        return math.fsum(probability for _relation, _args, probability
+                         in pdb.marginal_table())
     return pdb.expectation(len)
 
 
@@ -157,29 +162,29 @@ class RelationSummary:
 
 def relation_summary(pdb: PDBBase, relation: str,
                      tolerance: float = 1e-9) -> RelationSummary:
-    """Cardinality and certainty profile of one output relation."""
-    def cardinality(world: Instance) -> int:
-        return len(world.facts_of(relation))
+    """Cardinality and certainty profile of one output relation.
 
-    if isinstance(pdb, DiscretePDB):
-        worlds = [world for world, _ in pdb.worlds()]
-    elif isinstance(pdb, MonteCarloPDB):
-        worlds = list(pdb.worlds)
-    else:
-        raise TypeError(f"not a PDB: {pdb!r}")
-    if not worlds:
+    The cardinalities are the law of the count query
+    ``Aggregate(Scan(relation), (), {"n": agg_count()})`` - compiled to
+    numpy over columnar ensembles, so no world is materialized - and
+    the certain facts are read off :func:`marginal_table`.  Every PDB
+    kind answers, weighted posteriors included.
+    """
+    from repro.query.aggregates import Aggregate, agg_count
+    from repro.query.columnar import (aggregate_distribution,
+                                      expected_aggregate)
+    from repro.query.relalg import Scan
+    count = Aggregate(Scan(relation), (), {"n": agg_count()})
+    sizes = [size for size, _mass in
+             aggregate_distribution(pdb, count).items()]
+    if not sizes:
         raise MeasureError("summary of a PDB with no worlds")
-
-    marginals = fact_marginals(pdb, relations=(relation,))
     total = pdb.total_mass()
-    certain = sum(1 for probability in marginals.values()
+    certain = sum(1 for _relation, _args, probability
+                  in marginal_table(pdb, (relation,))
                   if probability >= total - tolerance)
-    return RelationSummary(
-        relation,
-        pdb.expectation(cardinality),
-        min(cardinality(world) for world in worlds),
-        max(cardinality(world) for world in worlds),
-        certain)
+    return RelationSummary(relation, expected_aggregate(pdb, count),
+                           min(sizes), max(sizes), certain)
 
 
 def summarize_pdb(pdb: PDBBase) -> str:
@@ -194,7 +199,10 @@ def summarize_pdb(pdb: PDBBase) -> str:
         lines.append(f"MAP world (p={probability:.6g}): "
                      f"{world.canonical_text()}")
     elif isinstance(pdb, MonteCarloPDB):
-        lines.append(f"Monte-Carlo PDB: {len(pdb.worlds)} worlds, "
-                     f"{pdb.truncated} truncated")
+        lines.append(f"Monte-Carlo PDB: {pdb.n_runs - pdb.truncated} "
+                     f"worlds, {pdb.truncated} truncated")
+    elif isinstance(pdb, WeightedPDB):
+        lines.append(f"weighted PDB: {pdb.n_worlds} worlds, ESS "
+                     f"{pdb.effective_sample_size():.1f}")
     lines.append(f"expected size: {expected_size(pdb):.4f} facts")
     return "\n".join(lines)

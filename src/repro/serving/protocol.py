@@ -1,6 +1,6 @@
 """The JSON contracts shared by the CLI's ``--json`` mode and the server.
 
-One fact/instance codec and one payload builder per query kind, so
+One evidence codec and one payload builder per query kind, so
 ``repro sample --json`` output and a ``ProgramServer`` ``sample``
 reply are the *same* document (the CLI delegates here).  Wire framing
 is JSON-lines: one request object per line in, one response object per
@@ -15,16 +15,19 @@ from typing import Any
 
 from repro.core.observe import Observation
 from repro.errors import ValidationError
+from repro.io import _not_scalar, fact_payload, parse_fact
+# The instance codec lives with the instance files; the server and
+# servebench read it as protocol attributes.
+from repro.io import instance_payload, parse_instance  # noqa: F401
 from repro.pdb.events import ContainsFactEvent
 from repro.pdb.facts import Fact
-from repro.pdb.instances import Instance
 # Unused here: servebench's tracer wraps this module attribute by name.
 from repro.pdb.stats import fact_marginals  # noqa: F401
 from repro.pdb.stats import marginal_table
 
 
 # ---------------------------------------------------------------------------
-# Value / fact / instance codecs
+# Value and evidence codecs (facts and instances: repro.io)
 # ---------------------------------------------------------------------------
 
 
@@ -33,75 +36,6 @@ def json_default(value: Any):
     if hasattr(value, "item"):
         return value.item()
     return str(value)
-
-
-def fact_payload(fact: Fact) -> dict:
-    return {"relation": fact.relation, "args": list(fact.args)}
-
-
-def _not_scalar(field: str, got) -> ValidationError:
-    return ValidationError(
-        f"{field} must hold scalar values (string, number, bool or "
-        f"null), got {got!r}")
-
-
-def _wire_fact(relation: str, args, field: str) -> Fact:
-    """A fact from wire values; ``field`` names them in the error.
-
-    A list or object among the values is unhashable, so building the
-    fact raises ``TypeError``; catching it costs nothing on valid
-    requests.
-    """
-    try:
-        return Fact(relation, tuple(args))
-    except TypeError:
-        raise _not_scalar(field, list(args)) from None
-
-
-def parse_fact(payload) -> Fact:
-    """A fact from ``{"relation": .., "args": [..]}`` or ``["R", [..]]``."""
-    if isinstance(payload, dict):
-        if not isinstance(payload.get("relation"), str) \
-                or not isinstance(payload.get("args"), (list, tuple)):
-            raise ValidationError(
-                f"fact payload needs 'relation' and 'args': {payload!r}")
-        return _wire_fact(payload["relation"], payload["args"],
-                          "fact 'args'")
-    if isinstance(payload, (list, tuple)) and len(payload) == 2 \
-            and isinstance(payload[0], str) \
-            and isinstance(payload[1], (list, tuple)):
-        return _wire_fact(payload[0], payload[1], "fact 'args'")
-    raise ValidationError(f"cannot parse fact payload {payload!r}")
-
-
-def instance_payload(instance: Instance) -> dict:
-    """``{"R": [[args], ...], ...}`` with rows in canonical order."""
-    payload: dict[str, list] = {}
-    for fact in instance.sorted_facts():
-        payload.setdefault(fact.relation, []).append(list(fact.args))
-    return payload
-
-
-def parse_instance(payload) -> Instance:
-    """An instance from the relation->rows dict or a fact-payload list."""
-    if payload is None:
-        return Instance.empty()
-    if isinstance(payload, dict):
-        for relation, rows in payload.items():
-            if not isinstance(relation, str) \
-                    or not isinstance(rows, (list, tuple)) \
-                    or not all(isinstance(row, (list, tuple))
-                               for row in rows):
-                raise ValidationError(
-                    "instance payload must map relation names to "
-                    f"lists of argument rows; bad entry {relation!r}")
-        return Instance(
-            _wire_fact(relation, row, f"instance row of {relation!r}")
-            for relation, rows in payload.items() for row in rows)
-    if isinstance(payload, (list, tuple)):
-        return Instance(parse_fact(item) for item in payload)
-    raise ValidationError(
-        f"cannot parse instance payload {payload!r}")
 
 
 def evidence_payload(evidence) -> dict:

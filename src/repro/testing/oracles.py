@@ -187,30 +187,39 @@ def compare_monte_carlo_pdbs(first: MonteCarloPDB,
 
 def marginals_agree(exact: DiscretePDB, sampled: MonteCarloPDB,
                     z: float = 6.0, slack: float = 0.02) -> str | None:
-    """Every exact fact marginal within ``z`` binomial sigmas."""
-    n = sampled.n_runs
+    """Every exact fact marginal within ``z`` binomial sigmas.
+
+    Sigma is sized by the sampled PDB's effective sample size when it
+    has one - a weighted posterior is worth its ESS, not its run
+    count - and by its run count otherwise.
+    """
+    ess = getattr(sampled, "effective_sample_size", None)
+    n = ess() if ess is not None else sampled.n_runs
     for fact, probability in fact_marginals(exact).items():
         sigma = math.sqrt(max(probability * (1 - probability) / n,
                               1e-12))
         estimate = sampled.marginal(fact)
         if abs(estimate - probability) > z * sigma + slack:
+            size = f"ess={n:.1f}" if ess is not None else f"n={n}"
             return (f"marginal of {fact!r}: exact {probability:.4f} vs "
-                    f"sampled {estimate:.4f} (n={n})")
+                    f"sampled {estimate:.4f} ({size})")
     return None
 
 
-#: Outcome detail of a trigger-cascade case checked on its marginals
-#: only.  A cascade's law spreads over a thousand-odd worlds, most
-#: expected far below one draw in a few hundred runs, and
-#: :func:`worlds_agree_chi_squared` sums every cell unpooled: one draw
-#: in a cell expected 0.0006 times adds ~1700, however right the law.
-_CASCADE_MARGINALS_ONLY = "cascade: marginals only (world law too sparse)"
+#: Cochran's rule: a chi-squared cell should expect at least this many
+#: draws.  :func:`worlds_agree_chi_squared` pools the cells below it.
+_MIN_CELL_EXPECTED = 5.0
 
 
 def worlds_agree_chi_squared(exact: DiscretePDB,
                              sampled: MonteCarloPDB) -> str | None:
     """Chi-squared test of the sampled world distribution.
 
+    Cells expected below :data:`_MIN_CELL_EXPECTED` draws are pooled
+    into one cell, and the smallest other cells join it until it
+    expects that many: a sparse law (a trigger cascade spreads over a
+    thousand-odd worlds) would otherwise read one draw in a cell
+    expected 0.0006 times as a ~1700 excess, however right the law.
     Also flags any sampled world outside the exact support - for a
     zero-err exact SPDB such a world is an outright semantic bug, not
     noise.
@@ -231,13 +240,22 @@ def worlds_agree_chi_squared(exact: DiscretePDB,
         observed.append(missing + sampled.truncated)
         expected.append(max(1.0 - sum(expected), 1e-12))
     total_expected = sum(expected)
+    cells = sorted((probability / total_expected * sampled.n_runs, count)
+                   for count, probability in zip(observed, expected))
+    pooled_mean = pooled_count = 0.0
     statistic = 0.0
-    for count, probability in zip(observed, expected):
-        mean = probability / total_expected * sampled.n_runs
-        if mean <= 0:
+    n_cells = 0
+    for mean, count in cells:
+        if mean < _MIN_CELL_EXPECTED or pooled_mean < _MIN_CELL_EXPECTED:
+            pooled_mean += mean
+            pooled_count += count
             continue
         statistic += (count - mean) ** 2 / mean
-    dof = max(len(expected) - 1, 1)
+        n_cells += 1
+    if pooled_mean > 0:
+        statistic += (pooled_count - pooled_mean) ** 2 / pooled_mean
+        n_cells += 1
+    dof = max(n_cells - 1, 1)
     limit = dof + 8.0 * math.sqrt(2.0 * dof) + 8.0
     if statistic > limit:
         return (f"world-distribution chi-squared {statistic:.1f} "
@@ -350,8 +368,8 @@ class ChaseOrderOracle(Oracle):
         base = _compiled(case)
         ensembles = []
         # backend="scalar" pinned: this oracle exercises the *scalar*
-        # chase's order independence - under "auto" both policy
-        # variants would route to the batched backend, whose prefix is
+        # chase's order independence - under the default backend all
+        # three variants would run the batch, whose law is
         # policy-independent by construction (the batched-scalar
         # oracle covers that backend separately).
         for index, overrides in enumerate((
@@ -389,8 +407,6 @@ class ExactVsSampleOracle(Oracle):
         detail = marginals_agree(exact, sampled)
         if detail:
             return _fail(detail)
-        if case.cascade:
-            return OracleOutcome(OK, _CASCADE_MARGINALS_ONLY)
         detail = worlds_agree_chi_squared(exact, sampled)
         if detail:
             return _fail(detail)
@@ -535,10 +551,9 @@ class BatchedVsScalarOracle(Oracle):
         detail = marginals_agree(exact, batched)
         if detail:
             return _fail(f"batched sampling: {detail}")
-        if not case.cascade:
-            detail = worlds_agree_chi_squared(exact, batched)
-            if detail:
-                return _fail(f"batched sampling: {detail}")
+        detail = worlds_agree_chi_squared(exact, batched)
+        if detail:
+            return _fail(f"batched sampling: {detail}")
         detail = self._warm_matches_cold(
             session, _session(case, seed=case.seed + 2), case.seed + 2)
         if detail:
@@ -1009,11 +1024,6 @@ class ConditioningOracle(Oracle):
         self.n_runs = n_runs
 
     def check(self, case: FuzzCase) -> OracleOutcome:
-        if case.cascade:
-            # Rejection inside a cascade's guided batch can leave a
-            # posterior worth far fewer runs than it holds (ESS 48 of
-            # 300), while marginals_agree sizes sigma by the run count.
-            return _skip("trigger cascade: weighted sigma by run count")
         positions = random_value_positions(case.program)
         if not positions:
             return _skip("no single-random-term heads to condition on")

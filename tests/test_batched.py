@@ -292,17 +292,17 @@ class TestBackendResolution:
             example_3_5_instance(), seed=0)
         assert session.sample(20).backend == "batched"
 
-    def test_auto_respects_batch_unsafe_policy(self):
-        class Skittish(LastPolicy):
-            batch_safe = False
-
-        session = repro.compile(example_3_5_program()).on(
-            example_3_5_instance(), seed=0, policy=Skittish())
-        assert session.sample(20).backend == "scalar"
-        # An honest policy stays batched (Theorem 6.1 covers it).
+    def test_any_policy_batches(self):
+        # Theorem 6.1: the output law is the same under every policy,
+        # so a policy never keeps a sample off the batch.
         session = repro.compile(example_3_5_program()).on(
             example_3_5_instance(), seed=0, policy=LastPolicy())
-        assert session.sample(20).backend == "batched"
+        result = session.sample(20)
+        assert result.backend == "batched"
+        assert result.pdb.worlds == session.sample(
+            20, policy=None).pdb.worlds
+        assert session.sample(
+            20, backend="scalar").backend == "scalar"
 
     def test_explicit_batched_falls_back_outside_class(self):
         # Non-weakly-acyclic: the batched backend must decline and the
@@ -337,12 +337,16 @@ class TestBackendResolution:
         assert batched.backend == "scalar"
         assert batched.pdb.worlds == scalar.pdb.worlds
 
-    def test_record_trace_and_parallel_fall_back(self):
+    def test_parallel_batches_and_scalar_runs_it(self):
+        # Theorem 5.6: the parallel chase has the sequential law, so
+        # the batch stands for it; backend="scalar" runs it.
         session = repro.compile(example_3_5_program()).on(
             example_3_5_instance(), seed=0)
-        assert session.sample(
-            10, record_trace=True).backend == "scalar"
-        assert session.sample(10, parallel=True).backend == "scalar"
+        assert session.sample(10, parallel=True).backend == "batched"
+        parallel = session.sample(10, parallel=True, backend="scalar")
+        assert parallel.backend == "scalar"
+        assert parallel.diagnostics["fallback_reason"] \
+            == "backend='scalar' was requested"
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValidationError):

@@ -48,7 +48,7 @@ class TestRunChase:
     def test_instances_grow_monotonically(self, earthquake_program,
                                           earthquake_instance):
         run = repro.compile(earthquake_program).on(
-            earthquake_instance, record_trace=True).run(rng=2)
+            earthquake_instance).run(rng=2)
         assert run.terminated
         current = earthquake_instance
         for step in run.trace:
@@ -57,7 +57,7 @@ class TestRunChase:
         assert current == run.instance
 
     def test_steps_equal_trace_length(self, g0):
-        run = repro.compile(g0).on(record_trace=True).run(rng=3)
+        run = repro.compile(g0).on().run(rng=3)
         assert run.steps == len(run.trace)
 
     def test_truncation_flagged(self):
@@ -74,9 +74,8 @@ class TestRunChase:
     def test_policy_changes_trace_not_result_distribution(self, g0):
         # Same seed, different policies may produce different traces.
         compiled = repro.compile(g0)
-        first = compiled.on(record_trace=True).run(rng=6)
-        last = compiled.on(policy=LastPolicy(),
-                           record_trace=True).run(rng=6)
+        first = compiled.on().run(rng=6)
+        last = compiled.on(policy=LastPolicy()).run(rng=6)
         assert first.terminated and last.terminated
         # traces touch the two aux relations in opposite orders
         first_rels = [s.fact.relation for s in first.trace]

@@ -254,6 +254,23 @@ class TestErrorPaths:
         code, _ = run_cli(["exact", g0_file, "--data", "nonsense"])
         assert code == 2
 
+    @pytest.mark.parametrize("payload,message", [
+        ('{"S": [[[1]]]}', "must hold scalar values"),
+        ('{"S": 5}', "lists of argument rows"),
+    ], ids=["nested_value", "rows_not_a_list"])
+    def test_malformed_instance_json(self, tmp_path, capsys, payload,
+                                     message):
+        # The codec the server validates wire instances with.
+        program = tmp_path / "p.gdl"
+        program.write_text("T(x) :- S(x).\n")
+        data = tmp_path / "bad.json"
+        data.write_text(payload)
+        code, output = run_cli(["sample", str(program), "--data",
+                                str(data)])
+        assert code == 2 and output == ""
+        error = capsys.readouterr().err
+        assert error.startswith("error: ") and message in error
+
 
 #: The documented JSON keys of every subcommand (the CLI contract the
 #: fuzz corpus and CI scripts rely on).

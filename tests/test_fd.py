@@ -60,7 +60,7 @@ class TestInducedFds:
                         Fact("City", ("d", 0.25)),
                         Fact("Unit", ("u1", "n")),
                         Fact("Unit", ("u2", "d")))
-        session = repro.compile(translated).on(D, record_trace=True)
+        session = repro.compile(translated).on(D)
         for seed in range(15):
             run = session.run(rng=seed)
             assert run.terminated

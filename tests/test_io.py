@@ -75,6 +75,15 @@ class TestJsonRoundTrip:
         save_instance_json(instance, path)
         assert load_instance_json(path) == instance
 
+    def test_saved_bytes(self, tmp_path, instance):
+        path = tmp_path / "db.json"
+        save_instance_json(instance, path)
+        assert path.read_text() == (
+            '{\n  "City": [\n    [\n      "Davis",\n      0.01\n    ],\n'
+            '    [\n      "Napa",\n      0.03\n    ]\n  ],\n'
+            '  "Flag": [\n    [\n      0\n    ],\n    [\n      1\n'
+            '    ]\n  ]\n}\n')
+
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("[1, 2, 3]")

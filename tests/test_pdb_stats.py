@@ -110,6 +110,59 @@ class TestRelationSummary:
             summary.max_cardinality <= 2
 
 
+class TestColumnarSummaries:
+    """Summaries read columnar ensembles without materializing them."""
+
+    @pytest.fixture
+    def batched(self, earthquake_program, earthquake_instance):
+        result = repro.compile(earthquake_program).on(
+            earthquake_instance, seed=3).sample(400)
+        assert result.backend == "batched"
+        return result.pdb
+
+    @staticmethod
+    def _materialized_twin(pdb):
+        return MonteCarloPDB(list(pdb.worlds), pdb.truncated)
+
+    def test_batched_sample_summaries_stay_columnar(self, batched):
+        summaries = {relation: relation_summary(batched, relation)
+                     for relation in ("Alarm", "Trig", "Earthquake")}
+        text = summarize_pdb(batched)
+        assert batched.materializations == 0
+        twin = self._materialized_twin(batched)
+        for relation, summary in summaries.items():
+            assert summary == relation_summary(twin, relation)
+        assert text == summarize_pdb(twin)
+        assert "Monte-Carlo PDB: 400 worlds, 0 truncated" in text
+
+    def test_likelihood_posterior_gets_a_summary(self):
+        from repro.core.observe import observe
+        session = repro.compile("""
+            R(Flip<0.5>) :- true.
+            S(x, Flip<0.5>) :- R(x).
+            T(1) :- R(x).
+        """).on(seed=0)
+        result = session.observe(observe("S", 1, 1)).posterior(
+            method="likelihood", n=300)
+        pdb = result.pdb
+        summaries = {relation: relation_summary(pdb, relation)
+                     for relation in ("R", "S", "T")}
+        text = summarize_pdb(pdb)
+        assert pdb._columnar.materializations == 0
+        assert summaries["R"].min_cardinality == 1
+        assert summaries["R"].max_cardinality == 1
+        assert summaries["T"].certain_facts == 1
+        assert "weighted PDB: 300 worlds" in text
+        twin = repro.WeightedPDB(list(pdb.worlds), list(pdb.weights))
+        for relation, summary in summaries.items():
+            twin_summary = relation_summary(twin, relation)
+            assert summary.expected_cardinality == pytest.approx(
+                twin_summary.expected_cardinality)
+            assert summary.min_cardinality == twin_summary.min_cardinality
+            assert summary.max_cardinality == twin_summary.max_cardinality
+            assert summary.certain_facts == twin_summary.certain_facts
+
+
 class TestSummarizePdb:
     def test_exact_summary_text(self, flip_pdb):
         text = summarize_pdb(flip_pdb)

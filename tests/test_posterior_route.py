@@ -15,7 +15,7 @@ import pytest
 
 import repro
 from repro.core.observe import observe
-from repro.core.policies import FirstPolicy
+from repro.core.policies import LastPolicy
 from repro.errors import StreamingUnsupported, ValidationError
 from repro.pdb.events import (AtLeastEvent, ContainsFactEvent, FactSet,
                               Interval)
@@ -24,7 +24,11 @@ from repro.pdb.instances import Instance
 from repro.serving.protocol import posterior_payload
 from repro.workloads.paper import discrete_cycle_program, trigger_instance
 
-BACKENDS = ("auto", "scalar")
+#: The two routes every contract below holds on, by the config they
+#: add: ``"auto"`` keeps the default backend, which batches wherever
+#: the gate admits the call and the engine keeps the batch, and
+#: ``"scalar"`` pins the scalar loop.
+BACKENDS = {"auto": {}, "scalar": {"backend": "scalar"}}
 
 CASCADE = """
     Trig(x, Flip<0.6>) :- Site(x).
@@ -59,19 +63,19 @@ class TestStepBudget:
         return session.observe(lambda world: True).posterior(
             method="rejection", n=20)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("verb", ["sample", "likelihood",
                                       "rejection"])
     def test_run_ending_at_the_budget_terminates(self, verb, backend):
         session = repro.compile(self.PROGRAM).on(
-            seed=1, max_steps=2, backend=backend)
+            seed=1, max_steps=2, **BACKENDS[backend])
         assert self._run(verb, session).n_truncated == 0
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("verb", ["likelihood", "rejection"])
     def test_every_run_truncated_names_the_budget(self, verb, backend):
         session = repro.compile(self.PROGRAM).on(
-            seed=1, max_steps=1, backend=backend)
+            seed=1, max_steps=1, **BACKENDS[backend])
         with pytest.raises(ValidationError, match="increase max_steps"):
             self._run(verb, session)
 
@@ -80,7 +84,7 @@ class TestZeroDensityObservation:
     """An observed value the law cannot produce weighs its worlds zero;
     worlds that never draw it keep their weight."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("method", ["likelihood", "guided", "auto"])
     @pytest.mark.parametrize("program,value", [
         (CASCADE, 2),
@@ -90,7 +94,7 @@ class TestZeroDensityObservation:
     def test_only_worlds_without_the_draw_survive(self, program, value,
                                                   method, backend):
         session = repro.compile(program).on(SITE, seed=3,
-                                            backend=backend)
+                                            **BACKENDS[backend])
         result = session.observe(observe("Alarm", "a", value)) \
             .posterior(method=method, n=200)
         assert result.marginal(TRIG) == 0.0
@@ -98,31 +102,67 @@ class TestZeroDensityObservation:
 
 
 class TestOneEligibilityAnswer:
-    """``sample``, every posterior method and ``stream`` ask one check."""
+    """``sample``, every posterior method and ``stream`` ask one check.
 
-    class Unsafe(FirstPolicy):
-        batch_safe = False
+    It asks two questions - ``backend="scalar"``, and a program the
+    capability report refuses - and the chase order is neither.
+    """
 
-    REFUSALS = {"backend": {"backend": "scalar"},
-                "policy": {"policy": Unsafe()}}
+    #: CASCADE plus a Poisson cycle that never fires on SITE: the
+    #: program is not weakly acyclic, so the report refuses it.
+    CYCLIC = CASCADE + """
+        Chain(v, Poisson<1.0>) :- Trigger(v).
+        Trigger(w) :- Chain(v, w).
+    """
+
+    REFUSALS = {"backend": (CASCADE, {"backend": "scalar"}),
+                "program": (CYCLIC, {})}
+
+    ORDERS = {"policy": {"policy": LastPolicy()},
+              "parallel": {"parallel": True}}
+
+    VERBS = ["sample", "likelihood", "rejection", "guided", "auto",
+             "stream"]
+
+    @staticmethod
+    def _run(session, verb):
+        if verb == "sample":
+            return session.sample(50)
+        evidence = ContainsFactEvent(TRIG) if verb == "rejection" \
+            else observe("Alarm", "a", 1)
+        return session.observe(evidence).posterior(method=verb, n=50)
 
     @pytest.mark.parametrize("refusal", sorted(REFUSALS))
-    @pytest.mark.parametrize("verb", ["sample", "likelihood", "rejection",
-                                      "guided", "auto", "stream"])
+    @pytest.mark.parametrize("verb", VERBS)
     def test_refused_call_runs_the_scalar_loop(self, verb, refusal):
-        session = _cascade(seed=5, **self.REFUSALS[refusal])
+        program, overrides = self.REFUSALS[refusal]
+        session = repro.compile(program).on(SITE, seed=5, **overrides)
         if verb == "stream":
             with pytest.raises(StreamingUnsupported):
                 session.stream(50)
             return
-        if verb == "sample":
-            assert session.sample(50).backend == "scalar"
-            return
-        evidence = ContainsFactEvent(TRIG) if verb == "rejection" \
-            else observe("Alarm", "a", 1)
-        result = session.observe(evidence).posterior(method=verb, n=50)
+        result = self._run(session, verb)
         assert result.backend == "scalar"
-        assert result.diagnostics["fallback_reason"]
+        reason = result.diagnostics["fallback_reason"]
+        if refusal == "backend":
+            assert reason == "backend='scalar' was requested"
+        else:
+            assert reason == repro.compile(program).analyze(
+                deep=True).capabilities.batched.reasons[0]
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_chase_order_never_refuses_the_batch(self, verb, order):
+        # Theorems 6.1 and 5.6: every policy and the parallel chase
+        # share the output law the batch samples.
+        session = _cascade(seed=5, **self.ORDERS[order])
+        if verb == "stream":
+            session.stream(50)
+            return
+        result = self._run(session, verb)
+        assert result.backend == ("guided" if verb in ("guided", "auto")
+                                  else "batched")
+        assert "fallback_reason" not in result.diagnostics
 
     def test_eligible_call_batches_every_method(self):
         session = _cascade(seed=5)
@@ -189,26 +229,26 @@ class TestAuto:
 class TestWeightScale:
     """Every path reports weights on the likelihood scale."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("method", ["likelihood", "guided", "auto"])
     def test_mean_weight_is_the_evidence_probability(self, method,
                                                      backend):
         result = repro.compile("A(Flip<0.3>) :- true.").on(
-            seed=0, backend=backend).observe(observe("A", 1)).posterior(
+            seed=0, **BACKENDS[backend]).observe(observe("A", 1)).posterior(
             method=method, n=500)
         assert result.diagnostics["mean_weight"] == pytest.approx(0.3)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_density_is_the_weight(self, backend):
         result = repro.compile("X(Normal<0, 1>) :- true.").on(
-            seed=5, backend=backend).observe(observe("X", 0.0)).posterior(
+            seed=5, **BACKENDS[backend]).observe(observe("X", 0.0)).posterior(
             method="likelihood", n=30)
         peak = 1.0 / math.sqrt(2 * math.pi)
         assert all(w == pytest.approx(peak) for w in result.pdb.weights)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     def test_batched_likelihood_answers_the_weighted_api(self, backend):
-        result = _cascade(seed=4, backend=backend).observe(
+        result = _cascade(seed=4, **BACKENDS[backend]).observe(
             observe("Alarm", "a", 1)).posterior(method="likelihood",
                                                 n=300)
         pdb = result.pdb

@@ -52,8 +52,9 @@ class TestShardValidation:
 
     def test_config_field_validation(self):
         names = [field.name for field in dataclasses.fields(ChaseConfig)]
-        assert len(names) == 11
+        assert len(names) == 10
         assert "shards" not in names and "engine" not in names
+        assert "record_trace" not in names
         with pytest.raises(ValidationError, match=self.SHARDS):
             ChaseConfig().replace(shards=2)
 

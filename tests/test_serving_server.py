@@ -270,6 +270,13 @@ class TestProgramServer:
         # A truthy string must not switch on the parallel chase.
         ({"op": "sample", "program": COIN,
           "config": {"parallel": "no"}}, "parallel must be a bool"),
+        # Session.run records its trace and "batched" is the default
+        # backend: neither setting is left to pick.
+        ({"op": "sample", "program": COIN,
+          "config": {"record_trace": True}}, "record_trace"),
+        ({"op": "sample", "program": COIN,
+          "config": {"backend": "auto"}},
+         "unknown sampling backend 'auto'"),
     ])
     def test_errors_become_replies_not_exceptions(self, request_payload,
                                                   needle):

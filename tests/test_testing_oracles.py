@@ -10,6 +10,7 @@ from repro.measures.discrete import DiscreteMeasure
 from repro.pdb.database import DiscretePDB, MonteCarloPDB
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
+from repro.pdb.weighted import WeightedPDB
 from repro.testing import (ChaseOrderOracle, ExactVsSampleOracle,
                            FixpointOracle, FuzzCase, InducedFDOracle,
                            PdbInputOracle, TerminationOracle,
@@ -132,6 +133,49 @@ class TestComparisonHelpers:
         sampled = MonteCarloPDB([inside] * 52
                                 + [Instance.empty()] * 48)
         assert worlds_agree_chi_squared(exact, sampled) is None
+
+    def test_marginals_agree_sizes_sigma_by_ess(self):
+        world = Instance.of(Fact("R", (1,)))
+        exact = DiscretePDB.from_worlds([(world, 0.5),
+                                         (Instance.empty(), 0.5)])
+        worlds = [world] * 8 + [Instance.empty()] * 292
+        # Ten live worlds of 300: worth an ESS of 10, so 0.8 against
+        # 0.5 is inside 6 sigma; uniform weights make 0.8 gross bias.
+        sparse = WeightedPDB(worlds, [1.0] * 10 + [0.0] * 290)
+        assert sparse.effective_sample_size() == pytest.approx(10.0)
+        assert marginals_agree(exact, sparse) is None
+        uniform = WeightedPDB([world] * 240 + [Instance.empty()] * 60,
+                              [1.0] * 300)
+        detail = marginals_agree(exact, uniform)
+        assert detail is not None and "ess=300.0" in detail
+
+    def test_chi_squared_pools_sparse_cells(self):
+        # One draw in a cell expected 0.0006 times: unpooled, that
+        # cell alone adds ~1666 against a limit of 26.
+        common = Instance.of(Fact("R", (0,)))
+        other = Instance.of(Fact("R", (1,)))
+        rare = Instance.of(Fact("R", (2,)))
+        p_rare = 0.0006 / 250
+        exact = DiscretePDB.from_worlds([(common, 0.6),
+                                         (other, 0.4 - p_rare),
+                                         (rare, p_rare)])
+        sampled = MonteCarloPDB([common] * 150 + [other] * 99 + [rare])
+        assert worlds_agree_chi_squared(exact, sampled) is None
+
+    def test_chi_squared_flags_a_large_cell_moved_by_ten_sigma(self):
+        big = Instance.of(Fact("R", (0,)))
+        next_big = Instance.of(Fact("R", (1,)))
+        rare = [Instance.of(Fact("S", (i,))) for i in range(50)]
+        exact = DiscretePDB.from_worlds(
+            [(big, 0.5), (next_big, 0.495)]
+            + [(world, 1e-4) for world in rare])
+        # n=400: the big cell expects 200 draws with sigma 10.
+        faithful = MonteCarloPDB([big] * 200 + [next_big] * 199
+                                 + rare[:1])
+        assert worlds_agree_chi_squared(exact, faithful) is None
+        moved = MonteCarloPDB([big] * 300 + [next_big] * 99 + rare[:1])
+        detail = worlds_agree_chi_squared(exact, moved)
+        assert detail is not None and "chi-squared" in detail
 
     def test_ks_agreement_separates_shifted_samples(self):
         rng = np.random.default_rng(0)

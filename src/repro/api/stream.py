@@ -16,9 +16,9 @@ updates it in place per evidence item, O(evidence):
   single :class:`~repro.pdb.facts.Fact`) becomes a boolean world mask
   (rejection-style conditioning on the already-sampled ensemble);
 * :meth:`~StreamingPosterior.retract` undoes either kind exactly -
-  evidence records carry their weight delta and the pre-forcing column
-  arrays - and ``max_window`` turns the stream into a sliding window
-  by auto-retracting the oldest evidence.
+  evidence records carry their weight delta and the firings they
+  forced, as they were - and ``max_window`` turns the stream into a
+  sliding window by auto-retracting the oldest evidence.
 
 Exactness is policed, not assumed: when forcing an observed value into
 the pre-sampled worlds would change their cascade (the value would
@@ -43,7 +43,7 @@ is reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -229,15 +229,12 @@ class StreamingPosterior:
                 self._outcome, self._translated, aux_relation,
                 carried, value))
         delta = np.zeros(self._n)
-        saved: list[tuple[int, int, np.ndarray]] = []
+        saved: list = []
         for effect in effects:
-            members = \
-                self._outcome.groups[effect.group_index].members
-            delta[members] += effect.log_density
+            fired = self._outcome.firings[effect.firing_index]
+            delta[fired.worlds] += effect.log_density
             if effect.force:
-                group = self._outcome.groups[effect.group_index]
-                saved.append((effect.group_index, effect.column_index,
-                              group.columns[effect.column_index][1]))
+                saved.append((effect.firing_index, fired))
         if saved:
             self._force_columns(saved, obs.value)
         self._log_weights += delta
@@ -279,7 +276,7 @@ class StreamingPosterior:
         if record.kind == "observation":
             self._log_weights -= record.log_delta
             if record.saved_columns:
-                self._restore_columns(record.saved_columns)
+                self._replace_firings(record.saved_columns)
         else:
             self._recompute_alive()
 
@@ -292,40 +289,23 @@ class StreamingPosterior:
     # -- outcome mutation ----------------------------------------------------
 
     def _force_columns(self, saved, value) -> None:
-        """Overwrite the listed sample columns with the observed value.
+        """Overwrite the listed firings' draws with the observed value.
 
-        Rebuilds the (frozen) outcome with structure sharing: only the
-        forced groups get new column tuples, and only the forced
-        columns get new arrays - snapshots taken by earlier callers
-        keep the originals.
+        Each forced firing gets a new values array, and the (frozen)
+        outcome a new ``firings`` tuple sharing everything else: the
+        arrays are never written in place, so snapshots taken by
+        earlier callers keep the draws they read.
         """
-        by_group: dict[int, dict[int, np.ndarray]] = {}
-        for group_index, column_index, old_values in saved:
-            forced = np.full(len(old_values), value)
-            by_group.setdefault(group_index, {})[column_index] = forced
-        self._replace_columns(by_group)
+        self._replace_firings(
+            (index, replace(fired, values=np.full(len(fired.worlds),
+                                                  value)))
+            for index, fired in saved)
 
-    def _restore_columns(self, saved) -> None:
-        by_group: dict[int, dict[int, np.ndarray]] = {}
-        for group_index, column_index, old_values in saved:
-            by_group.setdefault(group_index, {})[column_index] = \
-                old_values
-        self._replace_columns(by_group)
-
-    def _replace_columns(self, by_group: dict) -> None:
-        from repro.engine.batched import BatchOutcome, _ColumnarGroup
-        groups = list(self._outcome.groups)
-        for group_index, replacements in by_group.items():
-            group = groups[group_index]
-            columns = tuple(
-                (firing, replacements.get(column_index, values))
-                for column_index, (firing, values)
-                in enumerate(group.columns))
-            groups[group_index] = _ColumnarGroup(
-                group.members, group.shared, columns)
-        self._outcome = BatchOutcome(
-            self._outcome.size, tuple(groups), self._outcome.diagnostics,
-            base=self._outcome.base, growable=self._outcome.growable)
+    def _replace_firings(self, replacements) -> None:
+        firings = list(self._outcome.firings)
+        for index, fired in replacements:
+            firings[index] = fired
+        self._outcome = replace(self._outcome, firings=tuple(firings))
         self._pdb = self._wrap(self._outcome)
         self._refresh_masks()
 

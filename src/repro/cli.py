@@ -570,7 +570,8 @@ def cmd_fuzz(args, out) -> int:
         print(f"\nDISCREPANCY [{discrepancy.oracle}] "
               f"{discrepancy.case.describe()}", file=out)
         print(f"  {discrepancy.detail}", file=out)
-        print("  shrunk reproducer:", file=out)
+        print("  reproducer (not shrunk):" if args.no_shrink
+              else "  shrunk reproducer:", file=out)
         for line in discrepancy.shrunk.program.pretty().splitlines():
             print(f"    {line}", file=out)
         if discrepancy.corpus_path is not None:

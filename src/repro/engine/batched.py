@@ -20,16 +20,18 @@ exploits the structure with a *multi-round* cascade:
    firings *and* across signature groups - pool into one call whose
    flat result is sliced back per request (the draws are iid, so the
    product law is unchanged).  The per-world sampled values live in
-   columnar numpy arrays - the batch's fact store - and are only
-   materialized into :class:`Fact` objects on demand
-   (:class:`ColumnarMonteCarloPDB` answers marginal queries straight
-   off the columns).  Both the auxiliary fact ``R_i(ā, y)`` and its
-   (3.B) companion heads are emitted columnar: under the per-rule
-   (grohe) translation the single companion head is fully determined
-   by the firing's ground prefix, and under the Bárány translation the
-   shared ``Sample#`` auxiliary's fan-out - every companion rule body
-   matched against the round's fact source - is enumerated once per
-   firing into head templates that every draw scatters into.
+   columnar numpy arrays - the batch's fact store, one array per
+   firing of a round's group, kept once however many signature groups
+   the group later splits into - and are only materialized into
+   :class:`Fact` objects on demand (:class:`ColumnarMonteCarloPDB`
+   answers marginal queries straight off the arrays).  Both the
+   auxiliary fact ``R_i(ā, y)`` and its (3.B) companion heads are
+   emitted columnar: under the per-rule (grohe) translation the
+   single companion head is fully determined by the firing's ground
+   prefix, and under the Bárány translation the shared ``Sample#``
+   auxiliary's fan-out - every companion rule body matched against
+   the round's fact source - is enumerated once per firing into head
+   templates that every draw scatters into.
 3. **Cascading signature groups.**  A sampled fact may enable further
    firings (e.g. ``Trig(x, ...) :- ..., Earthquake(c, 1)``).  A static
    *trigger analysis* over the translated rule bodies classifies each
@@ -196,20 +198,41 @@ class _LayerFiring:
         return facts
 
 
+@dataclass(frozen=True, eq=False)
+class _Fired:
+    """One layer firing's draws in one round of a batch.
+
+    ``worlds`` are the ascending batch world indices of the signature
+    group that fired it in that round, ``values`` their sampled values
+    (aligned with ``worlds``).  Every group the round's worlds end in
+    holds the firing, so its draws are kept once, however many groups
+    read them.  ``twins`` are the earlier firings on the same path
+    that emit one of ``firing.heads`` too (two rules with one head
+    shape, say): a world holds both facts, which the merged scan keeps
+    in separate rows.
+    """
+
+    firing: _LayerFiring
+    worlds: np.ndarray
+    values: np.ndarray
+    twins: tuple
+
+
 @dataclass(frozen=True)
 class _ColumnarGroup:
     """Worlds that finished the cascade together, still columnar.
 
-    ``members`` are the batch-wide world indices; ``shared`` is the
-    instance every member holds in common (closed fixpoint + all
-    signature-bound trigger facts + deterministic cascade facts);
-    ``columns`` pair each fired layer firing with the members' sampled
-    values (arrays aligned with ``members``).
+    ``members`` are the batch-wide world indices, ascending; ``shared``
+    is the instance every member holds in common (closed fixpoint +
+    all signature-bound trigger facts + deterministic cascade facts);
+    ``firings`` index :attr:`BatchOutcome.firings` with the firings
+    the group's path fired, in firing order - a member's sampled value
+    of each is at its position in that firing's ``worlds``.
     """
 
     members: np.ndarray
     shared: Instance
-    columns: tuple
+    firings: tuple
 
 
 @dataclass(frozen=True)
@@ -218,6 +241,10 @@ class BatchOutcome:
 
     ``groups`` hold every world, each vectorized to termination: every
     world index in ``range(size)`` is a member of exactly one group.
+    ``firings`` keep every draw of the batch once, one
+    :class:`_Fired` per (round group, layer firing), in firing order:
+    a firing's ``worlds`` are exactly the members of the groups that
+    list it, and a path lists earlier rounds' firings first.
 
     ``base``/``growable`` carry the chase's stable-relation analysis
     (:func:`~repro.analysis.capabilities.collect_growable`) forward to
@@ -234,6 +261,7 @@ class BatchOutcome:
     diagnostics: dict
     base: Instance
     growable: frozenset
+    firings: tuple = ()
 
 
 #: Cache-miss marker of :meth:`BatchedChase._transition`.
@@ -288,11 +316,17 @@ class _RoundNode:
 
 @dataclass
 class _Round:
-    """One pending vectorized round of a world group (internal)."""
+    """One pending vectorized round of a world group (internal).
+
+    ``path`` indexes the batch's firings the group fired so far;
+    ``emitted`` maps each head template those firings emit to the
+    firings emitting it (the source of :attr:`_Fired.twins`).
+    """
 
     node: _RoundNode
     members: np.ndarray
-    columns: tuple
+    path: tuple
+    emitted: dict
 
     @property
     def layer(self) -> tuple:
@@ -718,13 +752,14 @@ class BatchedChase:
                                 growable=self._growable)
 
         groups: list[_ColumnarGroup] = []
+        firings: list[_Fired] = []
         # Firing preparations of rounds that cannot recur, kept for
         # this batch only (see _next_round).
         batch_memo: dict = {}
         # Rounds advance as breadth-first waves: every signature group
         # at the same cascade depth draws in the same wave, which is
         # what lets same-key draws pool across groups.
-        wave = [_Round(root, all_members, ())]
+        wave = [_Round(root, all_members, (), {})]
         while wave:
             diagnostics["n_rounds"] += 1
             wave_draws = self._draw_wave(wave, batch_rng, diagnostics,
@@ -734,23 +769,19 @@ class BatchedChase:
                 diagnostics["n_group_rounds"] += 1
                 node = task.node
                 members = task.members
-                columns = task.columns + tuple(zip(node.layer, draws))
+                path, emitted = self._record(task, draws, firings)
                 order, partition = _partition(node.layer, draws,
                                               len(members))
                 if order is not None:
                     # One permutation makes every group a contiguous
-                    # run; groups then take views, never copies.
+                    # run of ascending worlds.
                     members = members[order]
-                    columns = tuple((firing, values[order])
-                                    for firing, values in columns)
                 for sig, start, stop in partition:
                     sub_members = members[start:stop]
-                    sub_columns = tuple((firing, values[start:stop])
-                                        for firing, values in columns)
                     if all(c is None for c in sig):
                         # No sampled value enabled anything: terminal.
                         groups.append(_ColumnarGroup(
-                            sub_members, node.shared, sub_columns))
+                            sub_members, node.shared, path))
                         diagnostics["n_groups"] += 1
                         continue
                     child = self._transition(node, sig, diagnostics,
@@ -759,14 +790,39 @@ class BatchedChase:
                         return None
                     if child.layer:
                         next_wave.append(_Round(child, sub_members,
-                                                sub_columns))
+                                                path, emitted))
                     else:
                         groups.append(_ColumnarGroup(
-                            sub_members, child.shared, sub_columns))
+                            sub_members, child.shared, path))
                         diagnostics["n_groups"] += 1
             wave = next_wave
         return BatchOutcome(size, tuple(groups), diagnostics,
-                            base=self.closed, growable=self._growable)
+                            base=self.closed, growable=self._growable,
+                            firings=tuple(firings))
+
+    @staticmethod
+    def _record(task: _Round, draws: list,
+                firings: list) -> tuple[tuple, dict]:
+        """Keep a drawn round's firings once; the path and heads after.
+
+        Appends one :class:`_Fired` per layer firing to ``firings``
+        and returns the round's path (the task's, then the new
+        indices) and its ``emitted`` map, both shared by every group
+        the round's worlds go on in.
+        """
+        start = len(firings)
+        emitted = dict(task.emitted)
+        for firing, values in zip(task.layer, draws):
+            index = len(firings)
+            twins: tuple = ()
+            for head in firing.heads:
+                earlier = emitted.get(head, ())
+                twins += earlier
+                emitted[head] = earlier + (index,)
+            if len(firing.heads) > 1:
+                twins = tuple(sorted(set(twins)))
+            firings.append(_Fired(firing, task.members, values, twins))
+        return task.path + tuple(range(start, len(firings))), emitted
 
     def _transition(self, node: _RoundNode, sig: tuple,
                     diagnostics: dict,
@@ -1348,29 +1404,25 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
     def _materialize_slots(self) -> list[Instance]:
         self.materializations += 1
         outcome = self._outcome
+        # Each world's sampled facts, in firing order (its path's).
+        sampled_facts: list[list[Fact]] = [[] for _ in range(outcome.size)]
+        for fired in outcome.firings:
+            firing = fired.firing
+            for world, sampled in zip(fired.worlds.tolist(),
+                                      fired.values.tolist()):
+                facts = sampled_facts[world]
+                if self._keep_aux:
+                    facts.append(Fact(firing.aux_relation,
+                                      firing.prefix + (sampled,)))
+                    facts.extend(firing.head_facts(sampled))
+                else:
+                    facts.extend(f for f in firing.head_facts(sampled)
+                                 if f.relation in self._visible_set)
         slots: list = [_PENDING] * outcome.size
         for group in outcome.groups:
             base = self._view(group.shared)
-            members = group.members.tolist()
-            if not group.columns:
-                for world in members:
-                    slots[world] = base
-                continue
-            listed = [(firing, values.tolist())
-                      for firing, values in group.columns]
-            for position, world in enumerate(members):
-                facts: list[Fact] = []
-                for firing, values in listed:
-                    sampled = values[position]
-                    if self._keep_aux:
-                        facts.append(Fact(firing.aux_relation,
-                                          firing.prefix + (sampled,)))
-                        facts.extend(firing.head_facts(sampled))
-                    else:
-                        facts.extend(
-                            f for f in firing.head_facts(sampled)
-                            if f.relation in self._visible_set)
-                slots[world] = base.add_all(facts)
+            for world in group.members.tolist():
+                slots[world] = base.add_all(sampled_facts[world])
         missing = sum(1 for slot in slots if slot is _PENDING)
         if missing:
             raise ChaseError(
@@ -1417,19 +1469,19 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
 
 @dataclass(frozen=True)
 class ObservedColumn:
-    """One sample column an observation touches in a finished batch.
+    """One fired firing an observation touches in a finished batch.
 
-    ``log_density`` is the per-member log importance factor
-    ``log ψ⟨ā⟩(v)`` (``-inf`` when the observed value has zero
-    density).  ``force`` says whether the column's sampled values must
-    be overwritten with the observed value to match what a
-    likelihood-weighted chase would have emitted; when False the
-    column already holds the observed value in every member (it was
-    bound into the group signature), so only the weight applies.
+    ``firing_index`` indexes :attr:`BatchOutcome.firings`.
+    ``log_density`` is the log importance factor ``log ψ⟨ā⟩(v)`` of
+    each of the firing's worlds (``-inf`` when the observed value has
+    zero density).  ``force`` says whether the firing's sampled values
+    must be overwritten with the observed value to match what a
+    likelihood-weighted chase would have emitted; when False every
+    world already holds the observed value (it was bound into the
+    group signatures), so only the weight applies.
     """
 
-    group_index: int
-    column_index: int
+    firing_index: int
     log_density: float
     force: bool
 
@@ -1442,60 +1494,59 @@ def observation_effects(outcome: BatchOutcome,
 
     This is the batched counterpart of the scalar loop's forced
     observed draws (:func:`repro.core.chase.run_chase_prepared`): for
-    each columnar group column whose firing matches ``(aux_relation,
-    carried)``, decide whether forcing the
-    observed ``value`` into the already-sampled worlds reproduces the
-    likelihood-weighted chase *exactly*.  It does iff the value's
-    trigger status matches what the worlds actually cascaded on:
+    each fired firing matching ``(aux_relation, carried)``, decide
+    whether forcing the observed ``value`` into its already-sampled
+    worlds reproduces the likelihood-weighted chase *exactly*.  It
+    does iff the value's trigger status matches what the worlds
+    actually cascaded on:
 
     * ``NEVER`` trigger - no sampled value ever enables a downstream
       firing, so forcing is always exact;
-    * ``PINNED``, column unbound (sampled values outside the pin set)
-      and ``value`` also outside - forcing is exact; ``value`` inside
-      the pin set would have enabled firings these worlds never ran;
-    * ``PINNED``/``ALWAYS``, column bound into the signature - the
-      cascade already reflects the constant sampled value, so the
-      observation is exact iff it *equals* that value (weight-only).
+    * ``PINNED``, sampled values outside the pin set (unbound) and
+      ``value`` also outside - forcing is exact; ``value`` inside the
+      pin set would have enabled firings these worlds never ran;
+    * ``PINNED``/``ALWAYS``, sampled values bound into the signatures
+      - the cascade already reflects them, so the observation is exact
+      iff it *equals* each of them (weight-only).
 
-    Any other combination raises :class:`StreamingUnsupported`;
-    callers fall back to the one-shot weighted chase.  Worlds in
-    groups without a matching column never fired the observation's
-    sample and keep factor 1, exactly like the scalar scheme.
+    A pinned firing's worlds are all bound or all unbound whenever no
+    rule above refuses: a bound world holds a pin, which only a
+    refused observation equals.  Any other combination raises
+    :class:`StreamingUnsupported`; callers fall back to the one-shot
+    weighted chase.  Worlds that never fired a matching firing keep
+    factor 1, exactly like the scalar scheme.
     """
     info = translated.aux_info[aux_relation]
     effects: list[ObservedColumn] = []
-    for group_index, group in enumerate(outcome.groups):
-        for column_index, (firing, values) in enumerate(group.columns):
-            if firing.aux_relation != aux_relation \
-                    or firing.prefix[:info.n_carried] != carried:
-                continue
-            _name, params = firing.distribution_key
-            density = float(info.distribution.density(params, value))
-            log_density = math.log(density) if density > 0 \
-                else -math.inf
-            if firing.trigger == NEVER:
-                bound = False
-            elif firing.trigger == ALWAYS:
-                bound = True
-            else:
-                # Pinned columns are uniform by construction: a pinned
-                # sampled value is bound into the group signature, so
-                # either every member holds it (bound) or none does.
-                bound = values[0] in firing.pinned
-            if bound:
-                if value == values[0]:
-                    effects.append(ObservedColumn(
-                        group_index, column_index, log_density, False))
-                    continue
+    for index, fired in enumerate(outcome.firings):
+        firing = fired.firing
+        if firing.aux_relation != aux_relation \
+                or firing.prefix[:info.n_carried] != carried:
+            continue
+        _name, params = firing.distribution_key
+        density = float(info.distribution.density(params, value))
+        log_density = math.log(density) if density > 0 \
+            else -math.inf
+        values = fired.values
+        if firing.trigger == NEVER:
+            bound = values[:0]
+        elif firing.trigger == ALWAYS:
+            bound = values
+        else:
+            bound = values[np.isin(values, firing.pin_array)]
+        for sampled in np.unique(bound):
+            if not value == sampled:
                 raise StreamingUnsupported(
                     f"observed {aux_relation!r}{carried!r} = {value!r} "
                     f"contradicts the signature-bound sample "
-                    f"{values[0]!r}; these worlds cascaded on it")
-            if firing.trigger == PINNED and value in firing.pinned:
-                raise StreamingUnsupported(
-                    f"observed {aux_relation!r}{carried!r} = {value!r} "
-                    "is a trigger value; forcing it would enable "
-                    "firings the sampled worlds never ran")
-            effects.append(ObservedColumn(
-                group_index, column_index, log_density, True))
+                    f"{sampled!r}; these worlds cascaded on it")
+        if len(bound) == len(values):
+            effects.append(ObservedColumn(index, log_density, False))
+            continue
+        if firing.trigger == PINNED and value in firing.pinned:
+            raise StreamingUnsupported(
+                f"observed {aux_relation!r}{carried!r} = {value!r} "
+                "is a trigger value; forcing it would enable "
+                "firings the sampled worlds never ran")
+        effects.append(ObservedColumn(index, log_density, True))
     return effects

@@ -2,15 +2,16 @@
 
 The batched engine (:mod:`repro.engine.batched`) keeps an ``n``-world
 ensemble columnar - a shared closed instance per signature group plus
-one numpy array of sampled values per layer firing.  Instead of
-forcing ``.worlds`` (materializing ``n`` instances) and evaluating a
-plan per world, this module *compiles* a
-:class:`~repro.query.relalg.Query` tree down to numpy operations that
-run **once per plan over the whole batch**:
+one numpy array of sampled values per firing, kept once for every
+group that fired it.  Instead of forcing ``.worlds`` (materializing
+``n`` instances) and evaluating a plan per world, this module
+*compiles* a :class:`~repro.query.relalg.Query` tree down to numpy
+operations that run **once per plan over the whole batch**:
 
 * a scan merges the rows of every group into cells laid across all
-  grouped worlds - a constant, or an array of sampled values - each
-  row with a presence mask over those worlds;
+  grouped worlds - a constant, or an array of sampled values put in
+  place with one gather or scatter per row - each row with a presence
+  mask over those worlds;
 * selections (:meth:`Query.where`'s structural equalities) become
   boolean masks over the sample columns;
 * equality joins compare columns elementwise, keyed by world;
@@ -282,15 +283,38 @@ def _dedup(rows: list) -> list:
     For every world, among rows equal *in that world*, only the first
     stays present - exactly the dedup a per-world ``frozenset`` of
     rows performs.  Two constant rows are equal in a world exactly
-    when their values are, so they meet through a dict keyed by value;
-    only rows holding sample arrays are compared pairwise.
+    when their values are, so they meet through a dict keyed by value.
+    A row holding sample arrays is compared only with the earlier rows
+    it can equal: rows of its arity whose first cell is the same
+    constant or a sample cell, and every row of its arity when its own
+    first cell is a sample cell (the join's constant-key index, kept
+    as the rows arrive).
     """
     out: list = []
-    sampled: list = []
     constant_masks: dict[tuple, Any] = {}
+    # Positions in ``out``: rows with samples by (arity, first cell),
+    # constant rows likewise, and rows opening with a sample cell by
+    # arity.
+    sampled_heads: dict[tuple, list[int]] = {}
+    constant_heads: dict[tuple, list[int]] = {}
+    sampled_open: dict[int, list[int]] = {}
     for cells, mask in rows:
         constant = not _has_sample(cells)
-        for prev_cells, prev_mask in (sampled if constant else out):
+        arity = len(cells)
+        head = (arity, cells[0]) if arity \
+            and not isinstance(cells[0], np.ndarray) else None
+        if constant:
+            candidates = sampled_heads.get(head, []) \
+                + sampled_open.get(arity, [])
+        elif head is None:
+            candidates = [position for position, (prev_cells, _)
+                          in enumerate(out) if len(prev_cells) == arity]
+        else:
+            candidates = sampled_heads.get(head, []) \
+                + constant_heads.get(head, []) \
+                + sampled_open.get(arity, [])
+        for position in candidates:
+            prev_cells, prev_mask = out[position]
             dup = _and(_row_eq(cells, prev_cells), prev_mask)
             mask = _prune(_minus(mask, dup))
             if mask is False:
@@ -299,12 +323,16 @@ def _dedup(rows: list) -> list:
             mask = _prune(_minus(mask, constant_masks.get(cells, False)))
         if mask is False:
             continue
+        position = len(out)
         out.append((cells, mask))
         if constant:
             constant_masks[cells] = _or(constant_masks.get(cells, False),
                                         mask)
+            constant_heads.setdefault(head, []).append(position)
+        elif head is None:
+            sampled_open.setdefault(arity, []).append(position)
         else:
-            sampled.append((cells, mask))
+            sampled_heads.setdefault(head, []).append(position)
     return out
 
 
@@ -351,15 +379,17 @@ class _BatchPlanner:
         groups = [pdb._outcome.groups[index] for index in group_indices]
         sizes = [len(group.members) for group in groups]
         self.pdb = pdb
+        self.groups = groups
         self.group_indices = group_indices
         self.relations = relations
         self.members = np.concatenate([group.members
                                        for group in groups])
         self.n = len(self.members)
-        self.starts = np.cumsum([0] + sizes).tolist()
         self.owner = np.repeat(np.arange(len(groups)), sizes)
         self._relations: dict[str, list] = {}
         self._columns: dict[str, list] | None = None
+        #: Each world's position, -1 outside the groups (built on use).
+        self._position: np.ndarray | None = None
 
     # -- node dispatch ------------------------------------------------------
 
@@ -395,73 +425,130 @@ class _BatchPlanner:
         return hit[self.owner]
 
     def _sample_columns(self) -> dict[str, list]:
-        """Every group's sample columns by scanned head relation.
+        """The sampled rows of every scanned relation, by relation.
 
-        Entries are ``(local group, template, values)`` in group, then
-        column order.
+        One row per (template, dtype, occurrence) - occurrence counts
+        the earlier firings of a group's path with that template and
+        dtype (:attr:`~repro.engine.batched._Fired.twins`) - in order
+        of first appearance, group by group and along each path.  A
+        row's ``n``-wide column holds its firings' draws
+        (:meth:`_sample_row`), and its mask covers their worlds; two
+        firings of one row never share a world.
         """
-        if self._columns is None:
-            self._columns = {}
-            templates_of: dict[int, list] = {}
-            for local, index in enumerate(self.group_indices):
-                for firing, values in \
-                        self.pdb._outcome.groups[index].columns:
-                    templates = templates_of.get(id(firing))
-                    if templates is None:
-                        templates = templates_of[id(firing)] = [
-                            template for template
-                            in self.pdb._column_templates(firing)
-                            if self.relations is None
-                            or template[0] in self.relations]
-                    for template in templates:
-                        self._columns.setdefault(template[0], []).append(
-                            (local, template, values))
+        if self._columns is not None:
+            return self._columns
+        firings = self.pdb._outcome.firings
+        templates_of: dict[int, list] = {}
+        rows: dict[tuple, tuple] = {}
+        for index in self._fired():
+            fired = firings[index]
+            templates = templates_of.get(id(fired.firing))
+            if templates is None:
+                templates = templates_of[id(fired.firing)] = [
+                    template for template
+                    in self.pdb._column_templates(fired.firing)
+                    if self.relations is None
+                    or template[0] in self.relations]
+            dtype = fired.values.dtype
+            for template in templates:
+                occurrence = sum(
+                    1 for twin in fired.twins
+                    if template in firings[twin].firing.heads
+                    and firings[twin].values.dtype == dtype) \
+                    if fired.twins else 0
+                key = (template, dtype, occurrence)
+                entry = rows.get(key)
+                if entry is None:
+                    entry = rows[key] = (template, [])
+                entry[1].append(fired)
+        self._columns = {}
+        for template, row_firings in rows.values():
+            self._columns.setdefault(template[0], []).append(
+                self._sample_row(template, row_firings))
         return self._columns
+
+    def _fired(self) -> list[int]:
+        """The firings the groups' paths fired, in first-seen order.
+
+        A firing an earlier group listed comes with its whole path
+        before it, so each path is new only past its last listed
+        firing.
+        """
+        listed: set = set()
+        order: list[int] = []
+        for group in self.groups:
+            path = group.firings
+            start = len(path)
+            while start and path[start - 1] not in listed:
+                start -= 1
+            fresh = path[start:]
+            listed.update(fresh)
+            order.extend(fresh)
+        return order
+
+    def _sample_row(self, template: tuple, firings: list) -> tuple:
+        """One sampled row: its firings' draws, put in place at once.
+
+        A firing over every world is its row's only one, and its
+        column is one gather at the planner's members.  Otherwise the
+        firings' worlds and draws are joined and scattered to the
+        planner positions of those worlds, where 0 fills the rest.
+        """
+        first = firings[0]
+        _, args, position = template
+        cells = list(args)
+        if len(first.worlds) == self.pdb._outcome.size:
+            cells[position] = first.values[self.members]
+            return tuple(cells), True
+        worlds = np.concatenate([fired.worlds for fired in firings])
+        values = np.concatenate([fired.values for fired in firings])
+        if self._position is None:
+            self._position = np.full(self.pdb._outcome.size, -1,
+                                     dtype=np.intp)
+            self._position[self.members] = np.arange(self.n)
+        where = self._position[worlds]
+        if len(self._position) > self.n:
+            # Worlds outside the planner's groups have no position.
+            kept = where >= 0
+            where, values = where[kept], values[kept]
+        column = np.zeros(self.n, dtype=first.values.dtype)
+        column[where] = values
+        cells[position] = column
+        if len(where) == self.n:
+            return tuple(cells), True
+        mask = np.zeros(self.n, dtype=bool)
+        mask[where] = True
+        return tuple(cells), mask
 
     def _relation_rows(self, relation: str) -> list:
         """Every row ``relation`` has in any group, dedup'd per world.
 
         Every group's ``shared`` holds the batch's base instance, so
         the base's rows are read once, present everywhere; each group
-        adds only the rest of its ``shared``.  Those tuples are keyed
-        by value (and type, so ``1`` and ``1.0`` stay apart);
-        sample-column templates by (template, dtype, occurrence within
-        the group), their values written into one ``n``-wide column.
-        Shared rows come first, as in a single group's scan.
+        adds only the rest of its ``shared``, which a relation outside
+        :attr:`BatchOutcome.growable` never has.  Those tuples are
+        keyed by value (and type, so ``1`` and ``1.0`` stay apart),
+        sampled rows come from :meth:`_sample_columns`.  Shared rows
+        come first, as in a single group's scan.
         """
         rows = self._relations.get(relation)
         if rows is not None:
             return rows
         shared: dict[tuple, tuple] = {}
         rows = []
+        outcome = self.pdb._outcome
         if self.pdb._shows(relation):
-            base = self.pdb._outcome.base.facts_of(relation)
+            base = outcome.base.facts_of(relation)
             rows = [(fact.args, True) for fact in base]
-            for local, index in enumerate(self.group_indices):
-                group = self.pdb._outcome.groups[index]
+            grows = relation in outcome.growable
+            for local, group in enumerate(self.groups if grows else ()):
                 for fact in group.shared.facts_of(relation) - base:
                     row = fact.args
                     key = (row, tuple(map(type, row)))
                     shared.setdefault(key, (row, []))[1].append(local)
-        sampled: dict[tuple, tuple] = {}
-        occurrences: dict[tuple, int] = {}
-        for local, template, values in \
-                self._sample_columns().get(relation, ()):
-            kind = (template, values.dtype)
-            occurrence = occurrences.get((local, kind), 0)
-            occurrences[local, kind] = occurrence + 1
-            entry = sampled.get((kind, occurrence))
-            if entry is None:
-                entry = sampled[kind, occurrence] = (
-                    template, np.zeros(self.n, dtype=values.dtype), [])
-            entry[1][self.starts[local]:self.starts[local + 1]] = values
-            entry[2].append(local)
         rows.extend((row, self._coverage(groups))
                     for row, groups in shared.values())
-        for (_, args, position), column, groups in sampled.values():
-            cells = list(args)
-            cells[position] = column
-            rows.append((tuple(cells), self._coverage(groups)))
+        rows.extend(self._sample_columns().get(relation, ()))
         rows = _dedup(rows)
         self._relations[relation] = rows
         return rows
@@ -937,9 +1024,10 @@ def _arities(pdb: ColumnarMonteCarloPDB, index: int,
     arities = {len(fact.args)
                for fact in group.shared.facts_of(relation)} \
         if pdb._shows(relation) else set()
-    for firing, _values in group.columns:
+    for fired in group.firings:
         arities.update(len(args) for name, args, _position
-                       in pdb._column_templates(firing)
+                       in pdb._column_templates(
+                           pdb._outcome.firings[fired].firing)
                        if name == relation)
     return frozenset(arities)
 

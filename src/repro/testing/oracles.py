@@ -649,9 +649,10 @@ class _FullCacheChase(_CheckedChase):
 def compare_batch_outcomes(first, second) -> str | None:
     """None if two ``run_batch`` outcomes are the same batch.
 
-    The same decline, or the same groups in the same order: equal
-    members, equal ``shared`` instances and equal columns (firings,
-    and sample arrays byte for byte).
+    The same decline, or the same groups in the same order (equal
+    members, equal ``shared`` instances, equal firing indices) over
+    the same firings (equal layer firings, worlds and twins, sample
+    arrays byte for byte).
     """
     if first is None or second is None:
         if first is second:
@@ -668,15 +669,19 @@ def compare_batch_outcomes(first, second) -> str | None:
             extra = sorted(one.shared.facts ^ other.shared.facts,
                            key=repr)[:3]
             return f"group {index}: shared differs on {extra!r}"
-        if len(one.columns) != len(other.columns):
-            return (f"group {index}: {len(one.columns)} columns vs "
-                    f"{len(other.columns)}")
-        for (firing, values), (twin, twin_values) in zip(one.columns,
-                                                         other.columns):
-            if firing != twin or values.dtype != twin_values.dtype \
-                    or values.tobytes() != twin_values.tobytes():
-                return (f"group {index}: column of {firing.aux_relation}"
-                        f"{firing.prefix!r} differs")
+        if one.firings != other.firings:
+            return (f"group {index}: firings {one.firings!r} vs "
+                    f"{other.firings!r}")
+    if len(first.firings) != len(second.firings):
+        return (f"{len(first.firings)} firings vs "
+                f"{len(second.firings)}")
+    for fired, other in zip(first.firings, second.firings):
+        if fired.firing != other.firing or fired.twins != other.twins \
+                or not np.array_equal(fired.worlds, other.worlds) \
+                or fired.values.dtype != other.values.dtype \
+                or fired.values.tobytes() != other.values.tobytes():
+            return (f"firing {fired.firing.aux_relation}"
+                    f"{fired.firing.prefix!r} differs")
     return None
 
 

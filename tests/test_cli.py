@@ -373,11 +373,9 @@ class TestFuzzCommand:
         code, _ = run_cli(["fuzz", "--budget", "1", "--seed", "-1"])
         assert code == 2
 
-    def test_corpus_written_on_discrepancy(self, tmp_path,
-                                           monkeypatch):
-        """Force a failure via a monkeypatched battery; the shrunk
-        reproducer must land in --corpus and flip the exit code."""
-        from repro import testing as rt
+    @pytest.fixture
+    def failing_battery(self, monkeypatch):
+        """A battery whose one oracle fails every case."""
         from repro.testing import Oracle, OracleOutcome
 
         class AlwaysFails(Oracle):
@@ -389,6 +387,24 @@ class TestFuzzCommand:
         monkeypatch.setattr(
             "repro.testing.oracles_by_name",
             lambda: {"fixpoint": AlwaysFails()})
+
+    @pytest.mark.parametrize("flags, label", [
+        ((), "shrunk reproducer:"),
+        (("--no-shrink",), "reproducer (not shrunk):")])
+    def test_reproducer_label_says_whether_it_was_shrunk(
+            self, failing_battery, flags, label):
+        code, output = run_cli(["fuzz", "--budget", "1", "--oracles",
+                                "fixpoint", *flags])
+        assert code == 1
+        labels = [line.strip() for line in output.splitlines()
+                  if line.strip() in ("shrunk reproducer:",
+                                      "reproducer (not shrunk):")]
+        assert labels == [label]
+
+    def test_corpus_written_on_discrepancy(self, tmp_path,
+                                           failing_battery):
+        """Force a failure via a monkeypatched battery; the shrunk
+        reproducer must land in --corpus and flip the exit code."""
         corpus = tmp_path / "corpus"
         code, output = run_cli(["fuzz", "--budget", "1", "--oracles",
                                 "fixpoint", "--corpus", str(corpus),

@@ -20,6 +20,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import QueryResult, compile as compile_program
 from repro.core.observe import observe
@@ -41,7 +43,7 @@ from repro.query.relalg import Scan
 from repro.serving import ProgramServer, protocol
 from repro.testing.oracles import ColumnarQueryOracle
 from repro.workloads.generators import earthquake_city_instance
-from repro.workloads.paper import example_3_4_program
+from repro.workloads.paper import example_3_4_instance, example_3_4_program
 
 TEMP_PROGRAM = "Temp(c, Normal<20.0, 4.0>) :- City(c)."
 COIN_PROGRAM = "Heads(x, Flip<0.5>) :- Coin(x)."
@@ -615,6 +617,17 @@ def _fact_batch(name):
         return sensor_pdb(n=300)
     if name == "cities":
         return cities_pdb()
+    if name == "cities-100":
+        return cities_pdb(n=100, seed=0)
+    if name == "cities-likelihood":
+        return compile_program(example_3_4_program()).on(
+            earthquake_city_instance(4, 4, seed=0), seed=0).observe(
+            observe("Earthquake", "city-1", 1)).posterior(
+            method="likelihood", n=100).pdb
+    if name == "barany":
+        return compile_program(example_3_4_program(),
+                               semantics="barany").on(
+            example_3_4_instance(), seed=2).sample(300).pdb
     return cities_pdb(n=100, max_steps=60)
 
 
@@ -682,12 +695,16 @@ class TestFactReaders:
 
     @pytest.mark.parametrize("name", [
         "mixed-arity", "shared-constant", "cross-position", "sensor",
-        "cities", "cities-truncated", "int-float", "interleaved",
-        "bool-dtype"])
+        "cities", "cities-100", "cities-likelihood", "barany",
+        "cities-truncated", "int-float", "interleaved", "bool-dtype"])
     def test_reads_equal_world_counts(self, name):
         from repro.pdb.stats import fact_marginals
         from repro.pdb.weighted import WeightedPDB
         pdb = _fact_batch(name)
+        weights = None
+        if isinstance(pdb, WeightedColumnarPDB):
+            # A likelihood posterior: its own batch and weights.
+            pdb, weights = pdb._columnar, pdb.weights
         if name == "cities-truncated":
             # Its budget truncates some worlds, which declines the
             # whole batch: the ensemble is the scalar loop's, world for
@@ -698,7 +715,8 @@ class TestFactReaders:
             assert pdb.truncated == scalar.truncated > 0
             return
         assert isinstance(pdb, ColumnarMonteCarloPDB)
-        weights = TestWholeBatchPlanner._weights(pdb)
+        if weights is None:
+            weights = TestWholeBatchPlanner._weights(pdb)
         weighted = WeightedColumnarPDB(pdb, weights)
         table = fact_marginals(pdb)
         weighted_table = fact_marginals(weighted)
@@ -833,3 +851,103 @@ class TestExpectedSizeColumnarIdentity:
         assert pdb.materializations == 0
         naive = pdb.expectation(len)
         assert columnar == naive
+
+
+def _pairwise_dedup(rows: list) -> list:
+    """The merged scan's dedup before it was indexed, as a reference.
+
+    Rows holding samples are compared with every earlier row; constant
+    rows meet earlier constant rows through a dict keyed by value.
+    """
+    _and, _minus, _or, _prune = (columnar._and, columnar._minus,
+                                 columnar._or, columnar._prune)
+    out: list = []
+    sampled: list = []
+    constant_masks: dict = {}
+    for cells, mask in rows:
+        constant = not columnar._has_sample(cells)
+        for prev_cells, prev_mask in (sampled if constant else out):
+            dup = _and(columnar._row_eq(cells, prev_cells), prev_mask)
+            mask = _prune(_minus(mask, dup))
+            if mask is False:
+                break
+        if constant and mask is not False:
+            mask = _prune(_minus(mask, constant_masks.get(cells, False)))
+        if mask is False:
+            continue
+        out.append((cells, mask))
+        if constant:
+            constant_masks[cells] = _or(constant_masks.get(cells, False),
+                                        mask)
+        else:
+            sampled.append((cells, mask))
+    return out
+
+
+_WORLDS = 6
+
+
+@st.composite
+def _scan_rows(draw):
+    """Rows of one or two arities: constants, ``1`` and ``1.0``
+    among them, sample columns in any position, partial and empty
+    masks."""
+    constants = st.sampled_from([0, 1, 1.0, 2, "a", "b"])
+    samples = st.builds(
+        np.array, st.lists(st.sampled_from([0, 1, 2]),
+                           min_size=_WORLDS, max_size=_WORLDS),
+        st.sampled_from([np.int64, np.float64]))
+    masks = st.one_of(
+        st.just(True),
+        st.builds(np.array, st.lists(st.booleans(), min_size=_WORLDS,
+                                     max_size=_WORLDS),
+                  st.just(bool)))
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2,
+                            unique=True))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        arity = draw(st.sampled_from(arities))
+        cells = tuple(draw(st.one_of(constants, samples))
+                      for _ in range(arity))
+        rows.append((cells, draw(masks)))
+    return rows
+
+
+def _present(rows: list) -> list:
+    """The rows present in some world.
+
+    A row whose mask array is empty is absent everywhere; the pairwise
+    scan keeps one only when no row came before it, the indexed one
+    when no row it can equal did.  The merged scan never makes one.
+    """
+    return [(cells, mask) for cells, mask in rows
+            if mask is True or mask.any()]
+
+
+class TestIndexedDedup:
+    @settings(max_examples=300, deadline=None)
+    @given(_scan_rows())
+    def test_equals_the_pairwise_dedup(self, rows):
+        indexed = _present(columnar._dedup(rows))
+        expected = _present(_pairwise_dedup(rows))
+        assert len(indexed) == len(expected)
+        for (cells, mask), (ref_cells, ref_mask) in zip(indexed,
+                                                        expected):
+            # The same input row (its cells object), present in the
+            # same worlds.
+            assert cells is ref_cells
+            assert np.broadcast_to(mask, _WORLDS).tolist() \
+                == np.broadcast_to(ref_mask, _WORLDS).tolist()
+
+    def test_compares_only_rows_that_can_be_equal(self, monkeypatch):
+        column = np.array([0, 1, 2, 1])
+        rows = [((f"u{i}", column), True) for i in range(40)]
+        rows += [((f"u{i}", 1), True) for i in range(40)]
+        calls = []
+        row_eq = columnar._row_eq
+        monkeypatch.setattr(columnar, "_row_eq", lambda a, b:
+                            calls.append(1) or row_eq(a, b))
+        deduped = columnar._dedup(rows)
+        assert len(calls) == 40
+        assert [cells for cells, _ in deduped] \
+            == [cells for cells, _ in _pairwise_dedup(rows)]

@@ -201,9 +201,9 @@ class TestDistributionKeys:
         """Keys carry (distribution name, params), not object ids."""
         session = repro.compile(CASCADE).on(_sites(3), seed=9)
         outcome = session.sample(40).pdb._outcome
-        keys = {firing.distribution_key
+        keys = {outcome.firings[index].firing.distribution_key
                 for group in outcome.groups
-                for firing, _values in group.columns}
+                for index in group.firings}
         assert keys
         assert keys <= {("Flip", (0.6,)), ("Flip", (0.5,))}
         # And they survive pickling unchanged - the property the old

@@ -326,6 +326,33 @@ class TestSingletonGroups:
                    for group in stream._outcome.groups) > 0
 
 
+class TestCopyOnWrite:
+    def test_snapshot_keeps_its_table_across_a_forced_observe(self):
+        # Observing Reading forces the observed value into that
+        # firing's draws.  The stream swaps in a forced copy; a
+        # posterior taken before keeps reading the draws it was taken
+        # over, byte for byte, through the observe and the retract.
+        from repro.serving import protocol
+        instance = repro.Instance.from_dict(
+            {"Sensor": [(f"t{i}", 18.0 + 0.5 * i) for i in range(8)]})
+        stream = repro.compile(SENSOR_PIPELINE).on(
+            instance, seed=0).stream(2000)
+        snapshot = stream.posterior()
+
+        def table(result):
+            return protocol.encode_line(
+                protocol.marginals_payload(result.pdb))
+
+        before = table(snapshot)
+        token = stream.observe(repro.observe("Reading", "t3", 19.0))
+        assert Fact("Reading", ("t3", 19.0)) \
+            in stream.posterior().fact_marginals()
+        assert table(snapshot) == before
+        stream.retract(token)
+        assert table(snapshot) == before
+        assert table(stream.posterior()) == before
+
+
 class TestSlidingWindow:
     def test_window_auto_retracts_oldest(self):
         windowed = cascade_session().stream(1500, max_window=1)

@@ -47,7 +47,11 @@ True
 Conditioning is a fluent step: ``session.observe(event)
 .posterior(method="rejection")`` (or ``method="likelihood"`` for
 sample-level observations, ``method="exact"`` for discrete programs).
-The session is the one entry point for every inference mode.
+The session is the one entry point for every inference mode, and the
+one conditioning facade (``session.stream(n)`` conditions the same
+evidence incrementally).  The fact event is
+:class:`~repro.pdb.events.ContainsFactEvent`; a bare :class:`Fact`
+passed as evidence is shorthand for it.
 
 The :mod:`repro.testing` subsystem differential-fuzzes all of the
 above: seeded random workloads spanning the grammar, oracles asserting
@@ -59,11 +63,10 @@ the command line).
 from repro.api import (DEFAULT_CONFIG, ChaseConfig, CompiledProgram,
                        InferenceResult, Session, StreamingPosterior,
                        compile)
-from repro.core import (Atom, ChasePolicy, ChaseRun,
-                        ConstrainedProgram, Const, ExistentialProgram,
-                        Firing, FirstPolicy, LastPolicy, PriorityPolicy,
-                        Program, RandomTerm, RandomTiePolicy,
-                        RejectionResult, RoundRobinPolicy, Rule,
+from repro.core import (Atom, ChasePolicy, ChaseRun, Const,
+                        ExistentialProgram, Firing, FirstPolicy,
+                        LastPolicy, PriorityPolicy, Program, RandomTerm,
+                        RandomTiePolicy, RoundRobinPolicy, Rule,
                         TerminationReport, Var, analyze_termination,
                         atom, chase_markov_process, chase_step_kernel,
                         normalize_program, observe,
@@ -87,8 +90,8 @@ __version__ = "2.0.0"
 
 __all__ = [
     "Atom", "ChaseConfig", "ChaseError", "ChasePolicy", "ChaseRun",
-    "CompiledProgram", "ConstrainedProgram", "Const", "DEFAULT_CONFIG",
-    "InferenceResult", "RejectionResult", "Session", "compile",
+    "CompiledProgram", "Const", "DEFAULT_CONFIG",
+    "InferenceResult", "Session", "compile",
     "observe", "program_to_source", "StreamingPosterior",
     "StreamingUnsupported", "WeightedColumnarPDB", "WeightedPDB",
     "AtLeastEvent", "ContainsFactEvent", "CountingEvent",

@@ -44,11 +44,10 @@ from repro.api.results import InferenceResult
 from repro.core.applicability import (IncrementalApplicability,
                                       overlay_fork)
 from repro.core.chase import ChaseRun, run_chase_prepared
-from repro.core.constraints import (ConstraintLike, _as_predicate,
-                                    _conjunction)
 from repro.core.exact import (exact_parallel_spdb,
                               exact_sequential_spdb)
-from repro.core.observe import Observation, _observation_index
+from repro.core.observe import (Evidence, Observation,
+                                _observation_index, as_evidence)
 from repro.core.parallel import run_parallel_chase_prepared
 from repro.core.policies import DEFAULT_POLICY
 from repro.core.program import Program
@@ -60,9 +59,10 @@ from repro.distributions.regions import Region
 from repro.errors import DistributionError, MeasureError, ValidationError
 from repro.pdb.database import (DiscretePDB, MonteCarloPDB,
                                 mixture_pdb)
-from repro.pdb.events import Event
+from repro.pdb.events import EventLike, conjunction
 from repro.pdb.instances import Instance
 from repro.pdb.weighted import WeightedColumnarPDB, WeightedPDB
+from repro.query.columnar import event_mask
 
 #: ``posterior(method="auto")`` keeps the unguided rejection batch when
 #: at least this share of its worlds accepts; below it, runs guided.
@@ -75,10 +75,6 @@ _BATCH_DECLINED = ("the batched engine declined the batch (a cascade "
                    "prepared)")
 
 SEMANTICS = ("grohe", "barany")
-
-#: Evidence accepted by :meth:`Session.observe`.
-Evidence = Observation | ConstraintLike
-
 
 def compile(program: str | Program | ExistentialProgram,
             *,
@@ -304,19 +300,17 @@ class Session:
         ``posterior(method="likelihood")``) or instance events /
         predicates (consumed by ``method="rejection"`` /
         ``method="exact"``); ``method="guided"`` and ``"auto"`` take
-        any mix of the two.
+        any mix of the two.  A bare :class:`~repro.pdb.facts.Fact` is
+        shorthand for its :class:`~repro.pdb.events.ContainsFactEvent`
+        (:func:`~repro.core.observe.as_evidence`, the check
+        :meth:`StreamingPosterior.observe
+        <repro.api.stream.StreamingPosterior.observe>` makes too).
         """
         if not evidence:
             raise ValidationError("observe() needs at least one "
                                   "observation or event")
-        for item in evidence:
-            if not isinstance(item, (Observation, Event)) \
-                    and not callable(item):
-                raise ValidationError(
-                    f"not evidence: {item!r} (expected an Observation, "
-                    "an Event, or a predicate on instances)")
         return Session(self.compiled, self.instance, self.config,
-                       self._evidence + tuple(evidence),
+                       self._evidence + tuple(map(as_evidence, evidence)),
                        self._engines, self._exact_cache)
 
     @property
@@ -708,15 +702,15 @@ class Session:
                 ".observe(...) first")
         observations = [item for item in self._evidence
                         if isinstance(item, Observation)]
-        constraints = [item for item in self._evidence
-                       if not isinstance(item, Observation)]
+        events = [item for item in self._evidence
+                  if not isinstance(item, Observation)]
         if method not in ("rejection", "likelihood", "exact", "guided",
                           "auto"):
             raise ValidationError(
                 f"unknown posterior method {method!r}; use "
                 "'rejection', 'likelihood', 'exact', 'guided' or "
                 "'auto'")
-        if method == "likelihood" and constraints:
+        if method == "likelihood" and events:
             raise ValidationError(
                 "likelihood weighting conditions on sample-level "
                 "Observations only; event evidence needs "
@@ -727,18 +721,18 @@ class Session:
                 "Observation evidence needs method='likelihood', "
                 "'guided' or 'auto'")
         if method == "exact":
-            return self._posterior_exact(cfg, constraints)
+            return self._posterior_exact(cfg, events)
         index = _observation_index(self.compiled.translated,
                                    observations)
         reason = self._batch_refusal(cfg)
         if reason is None:
             result = self._posterior_batched(cfg, method, index,
-                                             observations, constraints,
+                                             observations, events,
                                              n)
             if result is not None:
                 return result
             reason = _BATCH_DECLINED
-        result = self._posterior_scalar(cfg, index, constraints, n)
+        result = self._posterior_scalar(cfg, index, events, n)
         result.diagnostics["fallback_reason"] = reason
         if method == "auto":
             result.diagnostics["auto"] = result.kind
@@ -747,7 +741,7 @@ class Session:
     def _posterior_batched(self, cfg: ChaseConfig, method: str,
                            index: dict,
                            observations: Sequence[Observation],
-                           constraints: Sequence[ConstraintLike],
+                           events: Sequence[EventLike],
                            n: int) -> InferenceResult | None:
         """A Monte-Carlo posterior on the batched backend (None: declined).
 
@@ -775,8 +769,7 @@ class Session:
                     for key, value in index.items()}
             batch = self._posterior_batch(cfg, rng, n, pins, ())
         elif not observations and method in ("rejection", "auto"):
-            batch = self._posterior_batch(cfg, rng, n, None,
-                                          constraints)
+            batch = self._posterior_batch(cfg, rng, n, None, events)
             if batch is None:
                 return None
             unguided_rate = float(batch[2].mean())
@@ -789,14 +782,14 @@ class Session:
             plan = backward_plan(self.compiled.translated,
                                  batched.closed_source,
                                  batched.growable, observations,
-                                 constraints)
+                                 events)
             if not plan.satisfiable:
                 raise MeasureError(
                     "the evidence is unreachable: backward propagation "
                     "proved that no chase world can satisfy it, so the "
                     "conditioning event has probability zero")
             batch = self._posterior_batch(cfg, rng, n, plan.regions,
-                                          constraints)
+                                          events)
         if batch is None:
             return None
         pdb, log_weights, accepted, info = batch
@@ -820,15 +813,16 @@ class Session:
     def _posterior_batch(self, cfg: ChaseConfig,
                          rng: np.random.Generator, n: int,
                          regions: dict | None,
-                         constraints: Sequence[ConstraintLike]):
+                         events: Sequence[EventLike]):
         """One posterior batch, or None when the engine declines it.
 
         Returns ``(pdb, log_weights, accepted, info)``: the columnar
         ensemble, each world's log likelihood from its pinned and
         truncated draws (``regions``, see
         :meth:`~repro.engine.batched.BatchedChase.run_batch`), the
-        per-world event check (None without events) and the batch
-        diagnostics.
+        per-world event check (:func:`~repro.query.columnar.
+        event_mask`, columnar for fact events; None without events)
+        and the batch diagnostics.
         """
         from repro.engine.batched import ColumnarMonteCarloPDB
         chase = self._batched_chase()
@@ -848,12 +842,11 @@ class Session:
         pdb = ColumnarMonteCarloPDB(outcome,
                                     self.compiled.visible_relations,
                                     keep_aux=cfg.keep_aux)
-        accepted = _event_check(constraints, pdb.world_slots()) \
-            if constraints else None
+        accepted = event_mask(pdb, events) if events else None
         return pdb, log_weights, accepted, outcome.diagnostics
 
     def _posterior_scalar(self, cfg: ChaseConfig, index: dict,
-                          constraints: Sequence[ConstraintLike],
+                          events: Sequence[EventLike],
                           n: int) -> InferenceResult:
         """The Monte-Carlo posterior of the one scalar loop.
 
@@ -873,15 +866,15 @@ class Session:
             if index else None
         result = _posterior_result(
             "likelihood" if index else "rejection", worlds, weights,
-            _event_check(constraints, worlds) if constraints else None,
+            event_mask(worlds, events) if events else None,
             n, truncated, start)
         result.diagnostics["backend"] = "scalar"
         return result
 
     def _posterior_exact(self, cfg: ChaseConfig,
-                         constraints: Sequence[ConstraintLike],
+                         events: Sequence[EventLike],
                          ) -> InferenceResult:
-        satisfied = _conjunction(constraints)
+        satisfied = conjunction(events)
         start = time.perf_counter()
         prior = self.exact(**_config_kwargs(cfg)).pdb
         try:
@@ -938,13 +931,6 @@ class Session:
             if self._evidence else ""
         return (f"Session({self.compiled!r}, "
                 f"|D0|={len(self.instance)}{evidence})")
-
-
-def _event_check(constraints: Sequence[ConstraintLike],
-                 worlds: Sequence[Instance]) -> np.ndarray | None:
-    """Which worlds satisfy every event."""
-    return np.fromiter(map(_conjunction(constraints), worlds),
-                       dtype=bool, count=len(worlds))
 
 
 def _posterior_result(kind: str, worlds, weights, accepted, n: int,
@@ -1026,7 +1012,3 @@ def _config_kwargs(cfg: ChaseConfig) -> dict:
     import dataclasses
     return {f.name: getattr(cfg, f.name)
             for f in dataclasses.fields(cfg)}
-
-
-# Re-exported conveniences so ``repro.api`` is self-contained.
-as_predicate = _as_predicate

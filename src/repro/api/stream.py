@@ -12,9 +12,13 @@ updates it in place per evidence item, O(evidence):
   into the matching columns, exactly what a likelihood-weighted chase
   would have emitted (the scalar loop forces it in
   :func:`repro.core.chase.run_chase_prepared`);
-* an instance event (:class:`~repro.pdb.events.Event`, predicate, or a
-  single :class:`~repro.pdb.facts.Fact`) becomes a boolean world mask
-  (rejection-style conditioning on the already-sampled ensemble);
+* an instance event (:class:`~repro.pdb.events.Event` or predicate)
+  becomes a boolean world mask (rejection-style conditioning on the
+  already-sampled ensemble) from :func:`repro.query.columnar.
+  event_mask`, the posterior route's event check too.  A
+  :class:`~repro.pdb.events.ContainsFactEvent` - or a bare
+  :class:`~repro.pdb.facts.Fact`, shorthand for it - reads the batch
+  columnar and never materializes its worlds;
 * :meth:`~StreamingPosterior.retract` undoes either kind exactly -
   evidence records carry their weight delta and the firings they
   forced, as they were - and ``max_window`` turns the stream into a
@@ -44,21 +48,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
 from repro.api.config import ChaseConfig, world_rng
 from repro.api.results import InferenceResult
-from repro.core.observe import Observation, _observation_index
+from repro.core.observe import (Evidence, Observation,
+                                _observation_index, as_evidence)
 from repro.errors import (MeasureError, StreamingUnsupported,
                           ValidationError)
-from repro.pdb.events import Event
+from repro.pdb.events import EventLike
 from repro.pdb.facts import Fact
 from repro.pdb.weighted import WeightedColumnarPDB
-
-#: Evidence accepted by :meth:`StreamingPosterior.observe`.
-StreamEvidence = Observation | Fact | Event | Callable
+from repro.query.columnar import event_mask
 
 
 @dataclass
@@ -74,7 +76,7 @@ class _EvidenceRecord:
     log_delta: np.ndarray | None = None
     saved_columns: list = field(default_factory=list)
     # mask bookkeeping
-    predicate: Callable | None = None
+    event: EventLike | None = None
     mask: np.ndarray | None = None
 
 
@@ -182,32 +184,23 @@ class StreamingPosterior:
 
     # -- evidence ------------------------------------------------------------
 
-    def observe(self, evidence: StreamEvidence) -> int:
+    def observe(self, evidence: Evidence) -> int:
         """Apply one evidence item in place; returns a retraction token.
 
+        Takes what :meth:`repro.api.Session.observe` takes, checked by
+        the same :func:`~repro.core.observe.as_evidence`.
         :class:`Observation` evidence reweights (and forces) the
-        matching sample columns; a :class:`Fact`, :class:`Event` or
-        predicate masks out the worlds violating it.  Raises
+        matching sample columns; an event, a bare :class:`Fact`
+        (shorthand for its ``ContainsFactEvent``) or a predicate masks
+        out the worlds violating it.  Raises
         :class:`StreamingUnsupported` when the update cannot be exact
         (see the module docstring) - the stream is left untouched.
         """
+        evidence = as_evidence(evidence)
         if isinstance(evidence, Observation):
             record = self._observe_observation(evidence)
-        elif isinstance(evidence, Fact):
-            from repro.query.columnar import fact_mask
-            record = self._observe_mask(
-                evidence, lambda pdb: fact_mask(pdb, evidence))
-        elif isinstance(evidence, Event) or callable(evidence):
-            test = evidence.contains if isinstance(evidence, Event) \
-                else evidence
-            record = self._observe_mask(
-                evidence, lambda pdb: np.fromiter(
-                    (bool(test(world)) for world in pdb.world_slots()),
-                    dtype=bool, count=self._n))
         else:
-            raise ValidationError(
-                f"not evidence: {evidence!r} (expected an Observation, "
-                "a Fact, an Event, or a predicate on instances)")
+            record = self._observe_mask(evidence)
         self._records[record.token] = record
         self._enforce_window()
         self._maybe_resample()
@@ -246,13 +239,12 @@ class StreamingPosterior:
             self._resamples, key=key, log_delta=delta,
             saved_columns=saved)
 
-    def _observe_mask(self, evidence,
-                      compute: Callable) -> _EvidenceRecord:
-        mask = np.asarray(compute(self._pdb), dtype=bool)
+    def _observe_mask(self, event: EventLike) -> _EvidenceRecord:
+        mask = event_mask(self._pdb, [event])
         token = self._next_token
         self._next_token += 1
-        record = _EvidenceRecord(token, "mask", f"event {evidence!r}",
-                                 self._resamples, predicate=compute,
+        record = _EvidenceRecord(token, "mask", f"event {event!r}",
+                                 self._resamples, event=event,
                                  mask=mask)
         self._alive &= mask
         return record
@@ -313,8 +305,7 @@ class StreamingPosterior:
         """Re-evaluate active event masks against the mutated worlds."""
         for record in self._records.values():
             if record.kind == "mask":
-                record.mask = np.asarray(record.predicate(self._pdb),
-                                         dtype=bool)
+                record.mask = event_mask(self._pdb, [record.event])
         self._recompute_alive()
 
     def _recompute_alive(self) -> None:

@@ -353,13 +353,13 @@ def cmd_query(args, out) -> int:
     ``--observe``); ``--json`` emits the same document a
     :class:`~repro.serving.ProgramServer` ``query`` reply carries.
     """
-    from repro.serving.protocol import query_payload, session_evidence
+    from repro.serving.protocol import parse_evidence, query_payload
     compiled, instance = _load(args)
     plan = _parse_plan_arg(args.plan)
     session = compiled.on(instance, seed=args.seed,
                           max_steps=args.max_steps,
                           backend=args.backend)
-    evidence = [session_evidence(_parse_observe_arg(item))
+    evidence = [parse_evidence(_parse_observe_arg(item))
                 for item in args.observe]
     if evidence:
         session = session.observe(*evidence)
@@ -394,12 +394,11 @@ def cmd_posterior(args, out) -> int:
     the same payload a :class:`~repro.serving.ProgramServer` reply
     carries.
     """
-    from repro.serving.protocol import (posterior_payload,
-                                        session_evidence)
+    from repro.serving.protocol import parse_evidence, posterior_payload
     compiled, instance = _load(args)
     session = compiled.on(instance, seed=args.seed,
                           max_steps=args.max_steps)
-    evidence = [session_evidence(_parse_observe_arg(item))
+    evidence = [parse_evidence(_parse_observe_arg(item))
                 for item in args.observe]
     if evidence:
         session = session.observe(*evidence)

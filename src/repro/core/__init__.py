@@ -11,7 +11,6 @@ from repro.core.barany import (TaggedDistribution,
 from repro.core.chase import (ChaseRun, ChaseStep, chase_markov_process,
                               chase_step_kernel, fire,
                               run_chase_prepared)
-from repro.core.constraints import ConstrainedProgram, RejectionResult
 from repro.core.exact import (ChaseNode, enumerate_chase_tree,
                               exact_parallel_spdb, exact_sequential_spdb)
 from repro.core.fd import (FunctionalDependency, check_all_fds,
@@ -45,8 +44,7 @@ from repro.core.translate import (ExistentialProgram, is_aux_relation,
 
 __all__ = [
     "Atom", "ChaseNode", "ChasePolicy", "ChaseRun", "ChaseStep",
-    "ConstrainedProgram", "Observation", "RejectionResult",
-    "atom_to_source", "observe",
+    "Observation", "atom_to_source", "observe",
     "program_to_source", "rule_to_source", "term_to_source", "Const",
     "DEFAULT_POLICY", "ExistentialProgram", "Firing", "FirstPolicy",
     "FunctionalDependency", "IncrementalApplicability", "LastPolicy",

@@ -22,7 +22,10 @@ GDatalog:
 the scheme; this module holds the observation type and the index that
 both chase backends read: the scalar loop forces indexed draws in
 :func:`repro.core.chase.run_chase_prepared`, and the batched backend
-pins them as single-point regions (:mod:`repro.core.backward`).
+pins them as single-point regions (:mod:`repro.core.backward`).  It
+also holds :func:`as_evidence`, the one check of what the two
+conditioning entry points (``Session.observe`` and
+``StreamingPosterior.observe``) accept.
 
 For discrete programs this provably agrees with exact conditioning on
 the corresponding fact event (tested); for continuous programs it
@@ -37,7 +40,8 @@ from typing import Sequence
 
 from repro.core.translate import ExistentialProgram, ExtRule
 from repro.errors import ValidationError
-from repro.pdb.facts import normalize_value
+from repro.pdb.events import ContainsFactEvent, Event, EventLike
+from repro.pdb.facts import Fact, normalize_value
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,28 @@ def observe(relation: str, *carried_then_value) -> Observation:
         raise ValidationError("observe needs at least the value")
     return Observation(relation, tuple(carried_then_value[:-1]),
                        carried_then_value[-1])
+
+
+#: Evidence the conditioning entry points accept; a bare :class:`Fact`
+#: is shorthand for its :class:`~repro.pdb.events.ContainsFactEvent`.
+Evidence = Observation | Fact | EventLike
+
+
+def as_evidence(item: Evidence) -> Observation | EventLike:
+    """One evidence item, checked, with a bare fact as its event.
+
+    ``ContainsFactEvent`` is the one fact event: a :class:`Fact`
+    becomes ``ContainsFactEvent(fact)``, the event that the fact
+    holds.  Observations, events and predicates on instances pass as
+    they are; anything else raises :class:`ValidationError`.
+    """
+    if isinstance(item, Fact):
+        return ContainsFactEvent(item)
+    if isinstance(item, (Observation, Event)) or callable(item):
+        return item
+    raise ValidationError(
+        f"not evidence: {item!r} (expected an Observation, a Fact, an "
+        "Event, or a predicate on instances)")
 
 
 def _observation_index(translated: ExistentialProgram,

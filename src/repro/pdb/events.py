@@ -12,7 +12,10 @@ provides:
 * :class:`Event` combinators - :class:`CountingEvent` ``C(F, n)``,
   boolean algebra (:class:`AndEvent`, :class:`OrEvent`,
   :class:`NotEvent`), and threshold variants ``|D ∩ F| >= n`` which are
-  countable unions of counting events.
+  countable unions of counting events,
+* :data:`EventLike` - the instance evidence that conditioning takes
+  (an event or a predicate on instances) - with :func:`as_predicate`
+  and :func:`conjunction` to evaluate it on one instance.
 
 Events are *predicates on instances* here, but their structured form
 mirrors the generators of the σ-algebra: every event built from these
@@ -21,7 +24,7 @@ combinators denotes a measurable set of the paper's instance space.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from repro.errors import MeasureError
 from repro.pdb.facts import Fact, normalize_value
@@ -353,3 +356,24 @@ class PredicateEvent(Event):
 
     def __repr__(self) -> str:
         return f"Event<{self.description}>"
+
+
+#: Instance evidence: an :class:`Event`, or a predicate on instances
+#: (which must denote a measurable set, as :class:`PredicateEvent`'s).
+EventLike = Event | Callable[[Instance], bool]
+
+
+def as_predicate(event: EventLike) -> Callable[[Instance], bool]:
+    """The membership test of one event or predicate."""
+    if isinstance(event, Event):
+        return event.contains
+    if callable(event):
+        return event
+    raise TypeError(f"not an event: {event!r}")
+
+
+def conjunction(events: Sequence[EventLike],
+                ) -> Callable[[Instance], bool]:
+    """The membership test of the intersection of ``events``."""
+    predicates = [as_predicate(event) for event in events]
+    return lambda instance: all(p(instance) for p in predicates)

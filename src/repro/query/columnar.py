@@ -32,10 +32,13 @@ operations that run **once per plan over the whole batch**:
 The merged scan is also the only code that lists a batch's facts:
 :func:`fact_totals` (the per-fact counts behind marginal tables, plain
 or weighted, in canonical fact order) and :func:`fact_mask` (the
-worlds holding one fact, behind single-fact marginals and streamed
-``Fact`` evidence) read its rows, already deduplicated per world, so
-a fact marginal - the simplest query - can never disagree with the
-query path.
+worlds holding one fact, behind single-fact marginals) read its rows,
+already deduplicated per world, so a fact marginal - the simplest
+query - can never disagree with the query path.  :func:`event_mask`
+is the one event check of Monte-Carlo conditioning, for the posterior
+route and the stream alike: a
+:class:`~repro.pdb.events.ContainsFactEvent` reads :func:`fact_mask`,
+so fact evidence never materializes a batch's worlds.
 
 Plans the compiler cannot vectorize - opaque ``select(callable)``
 predicates, :class:`~repro.query.relalg.Extend`, nested aggregates -
@@ -59,7 +62,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -68,6 +71,7 @@ from repro.errors import SchemaError
 from repro.measures.discrete import DiscreteMeasure
 from repro.ordering import tuple_sort_key
 from repro.pdb.database import DiscretePDB, MonteCarloPDB, PDBBase
+from repro.pdb.events import ContainsFactEvent, EventLike, conjunction
 from repro.pdb.facts import Fact, normalize_value
 from repro.pdb.instances import Instance
 from repro.pdb.weighted import WeightedColumnarPDB, WeightedPDB
@@ -927,6 +931,34 @@ def fact_mask(pdb: ColumnarMonteCarloPDB, fact: Fact) -> np.ndarray:
             return mask
     if held is not False:
         mask[planner.members[held]] = True
+    return mask
+
+
+def event_mask(worlds: ColumnarMonteCarloPDB | Sequence[Instance],
+               events: Sequence[EventLike]) -> np.ndarray:
+    """Per-world-index: which worlds satisfy every event.
+
+    The one event check of Monte-Carlo conditioning (the posterior
+    route's and the stream's).  On a columnar ensemble each
+    :class:`~repro.pdb.events.ContainsFactEvent` reads
+    :func:`fact_mask`, so fact evidence never materializes the
+    worlds; any other event is tested on ``world_slots()``, and only
+    on the worlds still accepted.  On a list of worlds it is the
+    conjunction, world by world.
+    """
+    columnar = isinstance(worlds, ColumnarMonteCarloPDB)
+    mask = np.ones(worlds.n_runs if columnar else len(worlds), dtype=bool)
+    rest = []
+    for event in events:
+        if columnar and isinstance(event, ContainsFactEvent):
+            mask &= fact_mask(worlds, event.f)
+        else:
+            rest.append(event)
+    if rest and mask.any():
+        slots = worlds.world_slots() if columnar else worlds
+        satisfied = conjunction(rest)
+        for index in np.flatnonzero(mask).tolist():
+            mask[index] = satisfied(slots[index])
     return mask
 
 

@@ -138,7 +138,9 @@ class ServingClient:
 
         ``observe`` is a list of evidence items - wire payloads
         (dicts) or :class:`~repro.core.observe.Observation` /
-        :class:`~repro.pdb.facts.Fact` values, encoded transparently.
+        :class:`~repro.pdb.events.ContainsFactEvent` values (a bare
+        :class:`~repro.pdb.facts.Fact` is shorthand for the event),
+        encoded by :func:`~repro.serving.protocol.evidence_payload`.
         """
         return self.result({"op": "posterior", "program": program,
                             "semantics": semantics, "n": n,

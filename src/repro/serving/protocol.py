@@ -13,14 +13,13 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.core.observe import Observation
+from repro.core.observe import Observation, as_evidence
 from repro.errors import ValidationError
 from repro.io import _not_scalar, fact_payload, parse_fact
 # The instance codec lives with the instance files; the server and
 # servebench read it as protocol attributes.
 from repro.io import instance_payload, parse_instance  # noqa: F401
 from repro.pdb.events import ContainsFactEvent
-from repro.pdb.facts import Fact
 # Unused here: servebench's tracer wraps this module attribute by name.
 from repro.pdb.stats import fact_marginals  # noqa: F401
 from repro.pdb.stats import marginal_table
@@ -39,28 +38,39 @@ def json_default(value: Any):
 
 
 def evidence_payload(evidence) -> dict:
-    """The wire form of one evidence item (observation or fact)."""
+    """The wire form of one evidence item (observation or fact event).
+
+    Checked by :func:`~repro.core.observe.as_evidence`, as
+    ``Session.observe`` checks it, so a bare
+    :class:`~repro.pdb.facts.Fact` is shorthand for its
+    :class:`~repro.pdb.events.ContainsFactEvent`; both encode as
+    ``{"fact": ...}``.  Other events and predicates have no wire
+    form.
+    """
+    evidence = as_evidence(evidence)
     if isinstance(evidence, Observation):
         return {"relation": evidence.relation,
                 "carried": list(evidence.carried),
                 "value": evidence.value}
-    if isinstance(evidence, Fact):
-        return {"fact": fact_payload(evidence)}
+    if isinstance(evidence, ContainsFactEvent):
+        return {"fact": fact_payload(evidence.f)}
     raise ValidationError(
         f"cannot encode evidence {evidence!r}; expected an "
-        "Observation or a Fact")
+        "Observation, a ContainsFactEvent or a Fact")
 
 
-def parse_evidence(payload) -> Observation | Fact:
+def parse_evidence(payload) -> Observation | ContainsFactEvent:
     """Evidence from ``{"relation", "carried", "value"}`` or ``{"fact"}``.
 
-    Sample-level observations condition by likelihood weighting; a
-    fact payload conditions on the fact *holding* in the world
-    (rejection-style masking on streams).
+    The one evidence decoder of the ``posterior``, ``query`` and
+    ``stream_observe`` ops and their CLI commands.  Sample-level
+    observations condition by likelihood weighting; a fact payload is
+    the event that the fact *holds* in the world
+    (:class:`~repro.pdb.events.ContainsFactEvent`).
     """
     if isinstance(payload, dict):
         if "fact" in payload:
-            return parse_fact(payload["fact"])
+            return ContainsFactEvent(parse_fact(payload["fact"]))
         if "relation" in payload:
             carried = payload.get("carried", [])
             if not isinstance(payload["relation"], str) \
@@ -81,19 +91,6 @@ def parse_evidence(payload) -> Observation | Fact:
         f"cannot parse evidence payload {payload!r}; expected "
         "{'relation': .., 'carried': [..], 'value': ..} or "
         "{'fact': ..}")
-
-
-def session_evidence(payload) -> Observation | ContainsFactEvent:
-    """Evidence for :meth:`repro.api.Session.observe` from one payload.
-
-    A fact payload becomes the event that the fact holds
-    (:class:`~repro.pdb.events.ContainsFactEvent`); the ``posterior``
-    and ``query`` ops and their CLI commands read evidence this way.
-    Streams take :func:`parse_evidence`'s bare fact instead, which
-    they answer with a columnar mask.
-    """
-    item = parse_evidence(payload)
-    return ContainsFactEvent(item) if isinstance(item, Fact) else item
 
 
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ class ProgramServer:
             raise ValidationError(
                 "'observe' must be a non-empty list of evidence "
                 "payloads")
-        return [protocol.session_evidence(payload)
+        return [protocol.parse_evidence(payload)
                 for payload in payloads]
 
     # -- streaming ----------------------------------------------------------

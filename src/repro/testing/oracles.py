@@ -1006,10 +1006,12 @@ class ConditioningOracle(Oracle):
       same disintegrated posterior, so their marginals must agree
       within Monte-Carlo noise;
     * **event path** - a ``ContainsFactEvent`` on a sampled
-      random-head output fact; where exact enumeration is available
-      the guided posterior and the batched ``rejection`` posterior
-      must match the restrict-and-normalize SPDB marginal-for-marginal
-      (binomial sigma bounds), elsewhere both are compared against
+      random-head output fact, which the batched posteriors check
+      columnar (:func:`~repro.query.columnar.event_mask`); where
+      exact enumeration is available the guided posterior and the
+      batched ``rejection`` posterior must match the
+      restrict-and-normalize SPDB marginal-for-marginal (binomial
+      sigma bounds), elsewhere both are compared against
       ``rejection`` on the scalar loop - including a KS test of the
       sampled value columns whenever the guided weights are uniform
       (then the guided ensemble is an unweighted posterior sample and
@@ -1211,7 +1213,11 @@ class ColumnarQueryOracle(Oracle):
       planner runs);
     * the fact table (:func:`~repro.query.columnar.fact_totals`) is
       in canonical fact order and equals the fact counts over the
-      materialized worlds.
+      materialized worlds;
+    * the event check of conditioning
+      (:func:`~repro.query.columnar.event_mask`) reads a
+      ``ContainsFactEvent`` - alone, or two conjoined - as membership
+      in every materialized world, without materializing them.
 
     Plans are generated per case from the ensemble's own relations
     and constants: scans with explicit columns, structural ``where``
@@ -1352,6 +1358,36 @@ class ColumnarQueryOracle(Oracle):
                     "materialized worlds")
         return None
 
+    @staticmethod
+    def _check_fact_events(pdb, table) -> str | None:
+        """Fact-event masks equal membership, world for world.
+
+        Read on a fresh ensemble over the same batch, so the
+        no-materialization check is not vacuous: up to 24 facts spread
+        over the table, a fact no world holds, and the first and the
+        last fact conjoined.
+        """
+        from repro.engine.batched import ColumnarMonteCarloPDB
+        from repro.query.columnar import event_mask
+        fresh = ColumnarMonteCarloPDB(pdb._outcome, pdb._visible,
+                                      keep_aux=pdb._keep_aux)
+        facts = [Fact(relation, args) for relation, args, _ in table]
+        last = facts[-1]
+        groups = [[fact] for fact in facts[::max(1, len(facts) // 24)]]
+        groups.append([Fact(last.relation, last.args[:-1] + ("absent#",))])
+        groups.append([facts[0], last])
+        masks = [event_mask(fresh, [ContainsFactEvent(f) for f in group])
+                 for group in groups]
+        if fresh.materializations:
+            return "a fact-event mask materialized the grouped worlds"
+        slots = pdb.world_slots()
+        for group, mask in zip(groups, masks):
+            expected = [all(f in world for f in group) for world in slots]
+            if mask.tolist() != expected:
+                return (f"event mask of {group!r} differs from "
+                        "membership in the materialized worlds")
+        return None
+
     def _check_plain(self, pdb, plans) -> str | None:
         from repro.query.columnar import (plan_vectorizable,
                                           query_answers,
@@ -1429,7 +1465,8 @@ class ColumnarQueryOracle(Oracle):
         plans = [self._random_plan(rng, arities, constants)
                  for _ in range(self.n_plans)]
         detail = self._check_plain(pdb, plans) \
-            or self._check_table(pdb, table)
+            or self._check_table(pdb, table) \
+            or self._check_fact_events(pdb, table)
         if detail:
             return _fail(detail)
         detail = self._check_weighted(case, plans)

@@ -585,6 +585,23 @@ class TestDeprecationShims:
             assert not hasattr(repro.core, name)
         assert not hasattr(repro.api, "compiled_for")
 
+    def test_session_is_the_one_conditioning_facade(self):
+        for name in ("ConstrainedProgram", "RejectionResult"):
+            assert not hasattr(repro, name)
+            assert not hasattr(repro.core, name)
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.constraints")
+        session_module = importlib.import_module("repro.api.session")
+        assert not hasattr(session_module, "as_predicate")
+        events = importlib.import_module("repro.pdb.events")
+        both = events.conjunction([lambda world: True,
+                                   events.ContainsFactEvent(
+                                       repro.Fact("A", (1,)))])
+        assert both(repro.Instance.of(repro.Fact("A", (1,))))
+        assert not both(repro.Instance.empty())
+        with pytest.raises(TypeError, match="not an event"):
+            events.as_predicate("A(1)")
+
     def test_facade_emits_no_deprecation_warnings(self, earthquake):
         program, instance = earthquake
         with warnings.catch_warnings():

@@ -796,6 +796,58 @@ class TestFactReaders:
                 pdb, columnar.fact_totals(pdb)[::-1])
             assert "canonical order" in detail
 
+    @pytest.mark.parametrize("name", [
+        "mixed-arity", "shared-constant", "cross-position", "sensor",
+        "cities", "cities-100", "cities-likelihood", "barany",
+        "int-float", "interleaved", "bool-dtype"])
+    def test_event_mask_reads_fact_events(self, name):
+        """A fact event's mask is membership, world for world.
+
+        ``event_mask`` answers a ``ContainsFactEvent`` off the merged
+        scan - for every fact of the table, an absent fact and an
+        auxiliary-relation fact, hidden or kept - without
+        materializing; mixed with an event it has to test per world,
+        it is the per-world conjunction.
+        """
+        from repro.pdb.events import (ContainsFactEvent, CountingEvent,
+                                      FactSet)
+        from repro.pdb.stats import fact_marginals
+        pdb = _fact_batch(name)
+        if isinstance(pdb, WeightedColumnarPDB):
+            pdb = pdb._columnar
+        kept = ColumnarMonteCarloPDB(pdb._outcome, pdb._visible,
+                                     keep_aux=True)
+        facts = sorted(fact_marginals(pdb), key=Fact.sort_key)
+        relation, args = facts[-1].relation, facts[-1].args
+        absent = Fact(relation, args[:-1] + ("absent",))
+        aux = min((fact for fact in fact_marginals(kept)
+                   if not pdb._shows(fact.relation)),
+                  key=Fact.sort_key)
+        probes = facts + [absent, aux]
+        masks = [columnar.event_mask(pdb, [ContainsFactEvent(fact)])
+                 for fact in probes]
+        kept_mask = columnar.event_mask(kept, [ContainsFactEvent(aux)])
+        assert pdb.materializations == kept.materializations == 0
+
+        slots = pdb.world_slots()
+        for fact, mask in zip(probes, masks):
+            assert mask.tolist() == [fact in world for world in slots], \
+                fact
+        assert not masks[-1].any() and not masks[-2].any()
+        expected = [aux in world for world in kept.world_slots()]
+        assert kept_mask.tolist() == expected and any(expected)
+
+        table = fact_marginals(pdb)
+        fact = max(facts, key=lambda f: (table[f] < 1.0, table[f]))
+        block = FactSet(fact.relation, *[None] * len(fact.args))
+        holding = next(world for world in slots if fact in world)
+        events = [ContainsFactEvent(fact),
+                  CountingEvent(block, block.count_in(holding))]
+        expected = [all(event.contains(world) for event in events)
+                    for world in slots]
+        assert columnar.event_mask(pdb, events).tolist() == expected
+        assert any(expected)
+
     def test_equal_facts_keep_the_first_rows_args(self):
         """The constant R(1.0) row comes first; a sampled 1 joins it."""
         pdb = _fact_batch("int-float")

@@ -1,14 +1,13 @@
-"""Tests for the conditioning extension (repro.core.constraints).
+"""Tests for conditioning on instance events (PPDL's constraints).
 
 Exact and rejection conditioning run through
-``Session.observe(*constraints).posterior(method=...)``;
-:class:`ConstrainedProgram` packages a program with its constraints.
+``Session.observe(*events).posterior(method=...)``, the one
+conditioning facade.
 """
 
 import pytest
 
 import repro
-from repro.core.constraints import ConstrainedProgram
 from repro.core.program import Program
 from repro.errors import MeasureError
 from repro.pdb.events import ContainsFactEvent, FactSet, Interval, \
@@ -117,27 +116,3 @@ class TestRejectionSampling:
             <= result.diagnostics["n_proposed"]
         assert 0.0 < result.diagnostics["acceptance_rate"] <= 1.0
 
-
-class TestConstrainedProgram:
-    def test_observe_chain(self, two_coins):
-        package = ConstrainedProgram(two_coins)
-        package = package.observe(ContainsFactEvent(Fact("A", (1,))))
-        assert len(package.constraints) == 1
-        posterior = package.exact()
-        assert posterior.marginal(Fact("A", (1,))) == pytest.approx(1.0)
-
-    def test_prior_unchanged(self, two_coins):
-        package = ConstrainedProgram(
-            two_coins, [ContainsFactEvent(Fact("A", (1,)))])
-        assert package.prior().allclose(
-            repro.compile(two_coins).on().exact().pdb)
-
-    def test_sampling_interface(self, two_coins):
-        package = ConstrainedProgram(
-            two_coins, [ContainsFactEvent(Fact("A", (1,)))])
-        result = package.sample(n=500, rng=4)
-        assert result.posterior.marginal(Fact("A", (1,))) == 1.0
-
-    def test_repr(self, two_coins):
-        package = ConstrainedProgram(two_coins, [lambda D: True])
-        assert "2 rules" in repr(package)

@@ -6,7 +6,8 @@ refuses, or a batch the engine declines, runs the one scalar loop
 (:func:`repro.core.chase.run_chase_prepared`) and says why.  These
 tests pin the contracts that route shares across methods and
 backends: the step budget, zero-density observations, the
-eligibility answer, ``auto``'s choices and the weight scale.
+eligibility answer, ``auto``'s choices, the weight scale and the one
+fact event.
 """
 
 import math
@@ -16,6 +17,7 @@ import pytest
 import repro
 from repro.core.observe import observe
 from repro.core.policies import LastPolicy
+from repro.engine.batched import ColumnarMonteCarloPDB
 from repro.errors import StreamingUnsupported, ValidationError
 from repro.pdb.events import (AtLeastEvent, ContainsFactEvent, FactSet,
                               Interval)
@@ -277,3 +279,82 @@ class TestGuidedDiagnostics:
         assert payload["n_truncated"] == 0
         assert payload["diagnostics"]["n_truncated_regions"] == 1
         assert "n_truncated" not in payload["diagnostics"]
+
+
+#: The served 8-sensor pipeline: Flaky(t1, 1) holds in about 5 % of
+#: its worlds, so ``auto`` escalates to guided.
+SENSORS = """
+    Lifetime(s, Exponential<0.1>) :- Sensor(s, mu).
+    Reading(s, Normal<mu, 2.0>)   :- Sensor(s, mu).
+    Flaky(s, Flip<0.05>)          :- Sensor(s, mu).
+    Anomaly(s, Normal<mu, 50.0>)  :- Sensor(s, mu), Flaky(s, 1).
+"""
+SENSOR_DATA = Instance.from_dict(
+    {"Sensor": [(f"t{i}", 18.0 + 0.5 * i) for i in range(8)]})
+FLAKY = Fact("Flaky", ("t1", 1))
+
+
+class TestFactEvidence:
+    """One fact event: ``ContainsFactEvent``, read columnar on a batch.
+
+    A bare :class:`Fact` is shorthand for it at both conditioning
+    entry points, which check evidence alike; the posterior route's
+    event check reads it off the merged scan, so it never expands the
+    batch into worlds.
+    """
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        """Every ensemble whose worlds get materialized."""
+        expanded = []
+        materialize = ColumnarMonteCarloPDB._materialize_slots
+
+        def spy(pdb):
+            expanded.append(pdb)
+            return materialize(pdb)
+
+        monkeypatch.setattr(ColumnarMonteCarloPDB, "_materialize_slots",
+                            spy)
+        return expanded
+
+    @pytest.mark.parametrize("method", ["guided", "auto"])
+    def test_fact_event_posterior_never_materializes(self, method,
+                                                     expansions):
+        result = repro.compile(SENSORS).on(SENSOR_DATA, seed=3).observe(
+            ContainsFactEvent(FLAKY)).posterior(method=method, n=2000)
+        assert result.kind == "guided"
+        assert result.diagnostics["backend"] == "guided"
+        if method == "auto":
+            assert result.diagnostics["unguided_acceptance"] < 0.1
+        assert result.pdb._columnar.materializations == 0
+        assert expansions == []
+        assert result.diagnostics["acceptance_rate"] == 1.0
+        assert result.marginal(FLAKY) == 1.0
+
+    @pytest.mark.parametrize("method", ["rejection", "guided", "auto",
+                                        "exact"])
+    def test_bare_fact_is_its_event(self, method):
+        session = _cascade(seed=5)
+        by_fact = session.observe(TRIG)
+        by_event = session.observe(ContainsFactEvent(TRIG))
+        assert [type(item) for item in by_fact.evidence] \
+            == [ContainsFactEvent]
+        first = posterior_payload(by_fact.posterior(method=method,
+                                                    n=300))
+        second = posterior_payload(by_event.posterior(method=method,
+                                                      n=300))
+        first.pop("elapsed_seconds")
+        second.pop("elapsed_seconds")
+        assert first == second
+
+    def test_entry_points_reject_alike(self):
+        session = _cascade(seed=5)
+        stream = session.stream(50)
+        for junk in ("Trig(a, 1)", 7, None):
+            with pytest.raises(ValidationError) as by_session:
+                session.observe(junk)
+            with pytest.raises(ValidationError) as by_stream:
+                stream.observe(junk)
+            assert str(by_session.value) == str(by_stream.value)
+            assert str(by_session.value).startswith("not evidence")
+        assert stream.n_evidence == 0

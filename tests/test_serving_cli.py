@@ -21,7 +21,7 @@ import pytest
 import repro
 from repro.cli import main
 from repro.serving import ProgramServer, ServingClient
-from repro.serving.protocol import sample_payload
+from repro.serving.protocol import encode_line, sample_payload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -108,6 +108,48 @@ class TestCliMatchesServer:
         assert cli["backend"] == served["backend"] == "batched"
         assert cli["n_runs"] == served["n_runs"] == 200
         assert cli["marginals"] == served["marginals"]
+
+    #: Continuous past the coin, so a query under evidence samples.
+    SIZES = COIN + "\nSize(x, Normal<0.0, 1.0>) :- Heads(x, 1)."
+    HEADS = {"fact": {"relation": "Heads", "args": [0, 1]}}
+    PLAN = {"op": "scan", "relation": "Size", "columns": ["x", "v"]}
+
+    @pytest.mark.parametrize("command", ["posterior", "query"])
+    def test_fact_evidence_same_document(self, tmp_path, command):
+        # One evidence decoder: `--observe '{"fact": ...}'` and the
+        # served `observe` list condition on the same fact event.
+        program = tmp_path / "program.gdl"
+        program.write_text(self.SIZES)
+        coins = tmp_path / "coins.csv"
+        coins.write_text("0\n1\n")
+        argv = [command, str(program), "--data", f"Coin={coins}",
+                "-n", "300", "--seed", "6", "--observe",
+                json.dumps(self.HEADS), "--json"]
+        request = {"op": command, "program": self.SIZES,
+                   "instance": COINS, "n": 300,
+                   "observe": [self.HEADS], "config": {"seed": 6}}
+        if command == "posterior":
+            argv += ["--method", "guided"]
+            request["method"] = "guided"
+        else:
+            argv += ["--plan", json.dumps(self.PLAN)]
+            request["plan"] = self.PLAN
+        out = StringIO()
+        assert main(argv, out=out) == 0
+        cli = json.loads(out.getvalue())
+        reply = ProgramServer().handle(request)
+        assert reply["ok"], reply
+        # As it goes on the wire (tuples become lists).
+        served = json.loads(encode_line(reply))["result"]
+        cli.pop("elapsed_seconds")
+        served.pop("elapsed_seconds")
+        assert cli == served
+        if command == "posterior":
+            assert served["method"] == "guided"
+            assert served["diagnostics"]["backend"] == "guided"
+        else:
+            assert served["kind"] == "rejection"
+            assert served["boolean_probability"] == 1.0
 
 
 @pytest.fixture(scope="module")

@@ -16,11 +16,13 @@ import pytest
 import repro
 from repro.api.config import ChaseConfig
 from repro.errors import ValidationError
+from repro.pdb.events import ContainsFactEvent
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
 from repro.serving import (ProgramServer, ServingClient, serve_socket)
 from repro.serving.protocol import (decode_line, encode_line,
-                                    instance_payload, parse_fact,
+                                    evidence_payload, instance_payload,
+                                    parse_evidence, parse_fact,
                                     parse_instance)
 from repro.serving.server import program_sha, request_over_socket
 
@@ -78,6 +80,26 @@ class TestProtocol:
             decode_line("{nope")
         with pytest.raises(ValidationError, match="JSON object"):
             decode_line("[1, 2]")
+
+    def test_one_evidence_codec(self):
+        # One decoder: a fact payload is the event that the fact
+        # holds.  The encoder takes that event, or a bare Fact as its
+        # shorthand, and writes the one wire form back.
+        fact = Fact("Trig", ("a", 1))
+        wire = {"fact": {"relation": "Trig", "args": ["a", 1]}}
+        decoded = parse_evidence(wire)
+        assert isinstance(decoded, ContainsFactEvent)
+        assert decoded.f == fact
+        assert evidence_payload(decoded) == evidence_payload(fact) \
+            == wire
+        observation = repro.observe("Alarm", "a", 1)
+        assert parse_evidence(evidence_payload(observation)) \
+            == observation
+        with pytest.raises(ValidationError, match="cannot encode"):
+            evidence_payload(ContainsFactEvent(fact) | ContainsFactEvent(
+                Fact("Trig", ("a", 0))))
+        with pytest.raises(ValidationError, match="not evidence"):
+            evidence_payload("Trig(a, 1)")
 
     def test_program_sha_separates_semantics(self):
         assert program_sha(COIN, "grohe") \
@@ -679,3 +701,27 @@ class TestClientStreamVerbs:
             assert client.stream_posterior(stream_id)["diagnostics"][
                 "n_evidence"] == 0
             assert client.stream_close(stream_id)["closed"] is True
+
+    def test_fact_event_evidence_over_socket(self, running_server):
+        # The client encodes ContainsFactEvent, and a bare Fact as its
+        # shorthand, into the one wire form: the same reply either way.
+        _server, (host, port) = running_server
+        trig = Fact("Trig", ("a", 1))
+        with ServingClient(host, port) as client:
+            documents = [
+                _strip_elapsed(client.posterior(
+                    CASCADE, [evidence], n=600, method="guided",
+                    instance={"Site": [["a"]]}, seed=3))
+                for evidence in (ContainsFactEvent(trig), trig)]
+            assert documents[0] == documents[1]
+            assert documents[0]["method"] == "guided"
+            assert _marginal_of(documents[0], "Trig", ["a", 1]) == 1.0
+            stream_id = client.stream_open(
+                CASCADE, n=600, instance={"Site": [["a"]]},
+                seed=3)["stream_id"]
+            by_event = client.stream_observe(stream_id,
+                                             ContainsFactEvent(trig))
+            assert 0 < by_event["n_alive"] < 600
+            client.stream_retract(stream_id, by_event["token"])
+            by_fact = client.stream_observe(stream_id, trig)
+            assert by_fact["n_alive"] == by_event["n_alive"]

@@ -353,6 +353,33 @@ class TestCopyOnWrite:
         assert table(stream.posterior()) == before
 
 
+class TestFactEvent:
+    def test_fact_event_reads_the_batch_columnar(self):
+        # ContainsFactEvent is the one fact event; a bare Fact is its
+        # shorthand.  Either masks the same worlds off the merged scan
+        # and never expands the batch into worlds.
+        from repro.pdb.events import ContainsFactEvent
+        instance = repro.Instance.from_dict(
+            {"Sensor": [(f"t{i}", 18.0 + 0.5 * i) for i in range(8)]})
+        stream = repro.compile(SENSOR_PIPELINE).on(
+            instance, seed=0).stream(2000)
+        flaky = Fact("Flaky", ("t1", 1))
+        prior = stream._pdb
+        token = stream.observe(ContainsFactEvent(flaky))
+        by_event = stream.weights
+        assert 0 < stream.n_alive < 2000
+        stream.retract(token)
+        stream.observe(flaky)
+        np.testing.assert_array_equal(stream.weights, by_event)
+        assert prior.materializations == 0
+        # A forcing observation re-reads the active mask on the new
+        # ensemble, columnar too.
+        stream.observe(repro.observe("Reading", "t3", 19.0))
+        assert stream._pdb is not prior
+        assert stream.marginal(flaky) == pytest.approx(1.0, abs=1e-12)
+        assert stream._pdb.materializations == 0
+
+
 class TestSlidingWindow:
     def test_window_auto_retracts_oldest(self):
         windowed = cascade_session().stream(1500, max_window=1)

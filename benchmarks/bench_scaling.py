@@ -342,9 +342,10 @@ class TestE18GuidedConditioning:
     1-in-1000 discrete event into truncated proposals with acceptance
     1.0, so the cost of one posterior-effective world must undercut
     rejection's by far more than an order of magnitude - >= 20x is
-    the gate here, with >= 1000x the typical observed ratio - while
-    the importance-weighted marginals stay law-exact (anchored against
-    ``method="exact"`` on the same session, and against the
+    the gate here, with about 70-100x the typical observed ratio on a
+    warm session (rejection keeps its accepted worlds columnar) -
+    while the importance-weighted marginals stay law-exact (anchored
+    against ``method="exact"`` on the same session, and against the
     closed-form truncated normal on the continuous side).
     """
 
@@ -369,6 +370,10 @@ class TestE18GuidedConditioning:
 
     def test_guided_beats_rejection_20x(self):
         session = self._die_session()
+        # Untimed: the first call also builds the capability report,
+        # the batch sampler and the backward plan, which both timed
+        # calls then share.
+        session.posterior(method="guided", n=512, seed=3)
         start = time.perf_counter()
         guided = session.posterior(method="guided", n=512, seed=3)
         guided_cost = (time.perf_counter() - start) \

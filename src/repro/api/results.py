@@ -29,7 +29,9 @@ class InferenceResult:
     :class:`~repro.pdb.database.DiscretePDB` (``kind="exact"``), a
     :class:`~repro.pdb.database.MonteCarloPDB` (``kind="sample"``,
     lazy :class:`~repro.engine.batched.ColumnarMonteCarloPDB` when
-    batched; ``kind="rejection"``, the accepted worlds) or a
+    batched; ``kind="rejection"``, the accepted worlds - when batched,
+    the batch's :meth:`~repro.engine.batched.ColumnarMonteCarloPDB.
+    subset` of them, just as lazy) or a
     :class:`~repro.pdb.weighted.WeightedPDB` (``kind="likelihood"``,
     ``"guided"`` and ``"stream"``; the lazy
     :class:`~repro.pdb.weighted.WeightedColumnarPDB` over a batch).

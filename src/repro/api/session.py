@@ -587,8 +587,8 @@ class Session:
 
         Uses exact enumeration for discrete programs, Monte-Carlo
         sampling otherwise (``n`` runs, default 1000); with evidence
-        attached, the marginal is taken under the posterior (method
-        picked to match the evidence kind).
+        attached, the marginal is taken under the posterior
+        (:meth:`_inference` picks the method).
         """
         return self._inference(n).marginal(fact)
 
@@ -599,7 +599,7 @@ class Session:
         :meth:`marginal`'s convention: exact enumeration for discrete
         programs, Monte-Carlo sampling otherwise (``n`` runs, default
         1000); with evidence attached, the plan is answered under the
-        posterior (method picked to match the evidence kind).  Returns
+        posterior (:meth:`_inference` picks the method).  Returns
         a :class:`~repro.api.results.QueryResult`; over the batched
         backend's columnar ensembles the plan is compiled to numpy
         (:mod:`repro.query.columnar`) instead of materializing worlds.
@@ -609,24 +609,21 @@ class Session:
     def _inference(self, n: int | None) -> InferenceResult:
         """The result :meth:`marginal` and :meth:`query` read.
 
-        With evidence, the posterior whose method matches its kind:
-        likelihood weighting for Observations alone, otherwise exact
-        conditioning for discrete programs and rejection for the
-        rest.  Without evidence, exact enumeration for discrete
-        programs and ``n`` sampled runs (default 1000) for the rest.
+        Exact enumeration for a discrete program whose evidence, if
+        any, holds no observation (conditioned when there are
+        events); otherwise the posterior at :meth:`posterior`'s
+        default method over ``n`` runs (default 1000), or ``n``
+        sampled runs without evidence.
         """
         n = 1000 if n is None else _check_runs(n)
-        if self._evidence:
-            if all(isinstance(item, Observation)
-                   for item in self._evidence):
-                method = "likelihood"
-            elif self.compiled.is_discrete():
-                method = "exact"
-            else:
-                method = "rejection"
-            return self.posterior(method=method, n=n)
-        if self.compiled.is_discrete():
+        observed = any(isinstance(item, Observation)
+                       for item in self._evidence)
+        if self.compiled.is_discrete() and not observed:
+            if self._evidence:
+                return self.posterior(method="exact")
             return self.exact()
+        if self._evidence:
+            return self.posterior(n=n)
         return self.sample(n)
 
     # -- conditioning -------------------------------------------------------
@@ -654,9 +651,17 @@ class Session:
         cfg = self.config.replace(**overrides)
         return StreamingPosterior(self, cfg, n, max_window)
 
-    def posterior(self, method: str = "rejection", n: int = 1000,
+    def posterior(self, method: str | None = None, n: int = 1000,
                   **overrides) -> InferenceResult:
         """Posterior inference given the session's observed evidence.
+
+        Without a ``method``, the evidence picks it: ``likelihood``
+        for observations only, ``rejection`` for events only and
+        ``auto`` for a mix - the one default of every surface (the
+        server's ``posterior`` op, ``repro posterior`` and
+        :meth:`ServingClient.posterior
+        <repro.serving.client.ServingClient.posterior>` pass the
+        method on, None included).
 
         ``method="exact"`` restricts and normalizes the exact SPDB on
         instance events (discrete programs).  The Monte-Carlo methods
@@ -676,7 +681,11 @@ class Session:
         ``method="rejection"`` - instance events only (positive
         probability, any program); the batch runs unguided and keeps
         the worlds satisfying the events, a
-        :class:`~repro.pdb.database.MonteCarloPDB`;
+        :class:`~repro.pdb.database.MonteCarloPDB` - on the batched
+        backend the batch restricted to them
+        (:meth:`ColumnarMonteCarloPDB.subset
+        <repro.engine.batched.ColumnarMonteCarloPDB.subset>`), still
+        columnar;
         ``method="likelihood"`` - :class:`Observation` evidence only
         (sound for continuous, measure-zero observations); observed
         draws are pinned, a :class:`~repro.pdb.weighted.WeightedPDB`
@@ -704,6 +713,9 @@ class Session:
                         if isinstance(item, Observation)]
         events = [item for item in self._evidence
                   if not isinstance(item, Observation)]
+        if method is None:
+            method = "auto" if observations and events \
+                else "likelihood" if observations else "rejection"
         if method not in ("rejection", "likelihood", "exact", "guided",
                           "auto"):
             raise ValidationError(
@@ -941,9 +953,10 @@ def _posterior_result(kind: str, worlds, weights, accepted, n: int,
     batch's :class:`~repro.engine.batched.ColumnarMonteCarloPDB`;
     ``accepted`` is their event check (None without events).
     Without ``weights`` the accepted worlds form a
-    :class:`~repro.pdb.database.MonteCarloPDB`; with them, rejected
-    worlds weigh zero in a :class:`~repro.pdb.weighted.WeightedPDB`
-    (lazy over a batch).
+    :class:`~repro.pdb.database.MonteCarloPDB` (a batch's
+    :meth:`~repro.engine.batched.ColumnarMonteCarloPDB.subset`, still
+    columnar); with them, rejected worlds weigh zero in a
+    :class:`~repro.pdb.weighted.WeightedPDB` (lazy over a batch).
     """
     diagnostics: dict = {}
     if accepted is not None:
@@ -952,15 +965,14 @@ def _posterior_result(kind: str, worlds, weights, accepted, n: int,
                            acceptance_rate=n_accepted / len(accepted))
     columnar = not isinstance(worlds, list)
     if weights is None:
-        slots = worlds.world_slots() if columnar else worlds
-        kept = [world for world, ok in zip(slots, accepted) if ok]
-        if not kept:
+        if not n_accepted:
             raise MeasureError(
                 f"no accepted samples in {n} proposals; the "
                 "constraints have (near-)zero probability - "
                 "conditioning on measure-zero events is undefined in "
                 "this semantics (paper, Section 7)")
-        pdb = MonteCarloPDB(kept, 0)
+        pdb = worlds.subset(accepted) if columnar else MonteCarloPDB(
+            [world for world, ok in zip(worlds, accepted) if ok], 0)
     else:
         if accepted is not None:
             weights = np.where(accepted, weights, 0.0)

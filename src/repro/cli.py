@@ -11,7 +11,8 @@ Subcommands (``python -m repro <command>`` or the ``repro`` script):
   output PDB: exact for discrete programs, compiled to numpy over the
   columnar ensemble otherwise, posterior with ``--observe``;
 * ``posterior`` - conditioned marginals given ``--observe`` evidence
-  (likelihood weighting, rejection, or exact conditioning) - the same
+  (likelihood weighting, rejection, guided, auto or exact
+  conditioning; without ``--method`` the evidence picks it) - the same
   document a :class:`~repro.serving.ProgramServer` ``posterior`` reply
   carries;
 * ``analyze``   - static report: translation summary, weak acyclicity,
@@ -146,7 +147,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
     posterior.add_argument("--method",
                            choices=("likelihood", "rejection", "exact",
                                     "guided", "auto"),
-                           default="likelihood")
+                           help="default: picked from the evidence - "
+                                "likelihood for observations only, "
+                                "rejection for facts only, auto for "
+                                "a mix")
     posterior.add_argument("-n", type=int, default=1000,
                            help="number of chase runs (sampling "
                                 "methods)")

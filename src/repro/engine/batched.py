@@ -102,7 +102,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -1457,6 +1457,45 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
         size = self._outcome.size
         return [(relation, args, count / size) for relation, args, count
                 in fact_totals(self, relations)]
+
+    def subset(self, keep: np.ndarray) -> "ColumnarMonteCarloPDB":
+        """The ensemble of the worlds ``keep`` marks, still columnar.
+
+        ``keep`` is one bool per world index, at least one of them
+        True.  The kept worlds are renumbered ``0..k-1`` in their
+        order, in every group's ``members`` and every firing's
+        ``worlds`` (``values`` stay aligned); a group left without
+        members is dropped, and a firing without worlds stays, empty,
+        so the groups' firing indices and the twins keep their
+        meaning.  World ``i`` of the result is the ``i``-th kept
+        world, fact for fact, so the result equals a
+        :class:`~repro.pdb.database.MonteCarloPDB` over the kept
+        ``world_slots()`` without building any of them.  Rejection
+        posteriors are this restriction of their batch.
+        """
+        outcome = self._outcome
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != (outcome.size,) or not keep.any():
+            raise ValidationError(
+                f"subset needs a mask of {outcome.size} worlds with "
+                "at least one kept")
+        # A kept world's new index: how many kept worlds precede it.
+        rank = np.cumsum(keep) - 1
+        groups = []
+        for group in outcome.groups:
+            held = keep[group.members]
+            if held.any():
+                groups.append(replace(group,
+                                      members=rank[group.members[held]]))
+        firings = []
+        for fired in outcome.firings:
+            held = keep[fired.worlds]
+            firings.append(replace(fired, worlds=rank[fired.worlds[held]],
+                                   values=fired.values[held]))
+        kept = replace(outcome, size=int(np.count_nonzero(keep)),
+                       groups=tuple(groups), firings=tuple(firings))
+        return ColumnarMonteCarloPDB(kept, self._visible,
+                                     keep_aux=self._keep_aux)
 
     def __repr__(self) -> str:
         state = "materialized" if self.materialized else "columnar"

@@ -131,7 +131,7 @@ class ServingClient:
                 for item in evidence]
 
     def posterior(self, program: str, observe, n: int = 1000,
-                  method: str = "likelihood",
+                  method: str | None = None,
                   instance: dict | None = None,
                   semantics: str = "grohe", **config) -> dict:
         """One-shot posterior document given evidence payloads.
@@ -141,6 +141,9 @@ class ServingClient:
         :class:`~repro.pdb.events.ContainsFactEvent` values (a bare
         :class:`~repro.pdb.facts.Fact` is shorthand for the event),
         encoded by :func:`~repro.serving.protocol.evidence_payload`.
+        Without ``method`` the server picks it from the evidence, as
+        :meth:`Session.posterior
+        <repro.api.session.Session.posterior>` does.
         """
         return self.result({"op": "posterior", "program": program,
                             "semantics": semantics, "n": n,

@@ -21,6 +21,14 @@ Request objects carry ``op`` plus op-specific fields::
               "aggregates": {"n": {"fn": "count", "column": null}},
               "source": {"op": "scan", "relation": "R"}}}
     {"op": "mass_report", "program": "...", "budgets": [1, 2, 4]}
+    {"op": "posterior", "program": "...", "n": 1000,
+     "observe": [{"fact": ["R", [1]]}], "method": "rejection"}
+
+A ``posterior`` without ``method`` takes :meth:`Session.posterior
+<repro.api.session.Session.posterior>`'s default: ``likelihood`` for
+observations only, ``rejection`` for ``{"fact": ...}`` events only and
+``auto`` for a mix; a ``query`` with ``observe`` conditions the same
+way.
 
 Responses are ``{"ok": true, "result": ..., "program_sha": ...,
 "compile_cached": ...}`` or ``{"ok": false, "error": ...}`` - the
@@ -252,9 +260,8 @@ class ProgramServer:
                 session.query(plan, n=self._n(request)))
         if op == "posterior":
             evidence = self._evidence(request)
-            method = request.get("method", "likelihood")
             result = session.observe(*evidence).posterior(
-                method=method, n=self._n(request))
+                method=request.get("method"), n=self._n(request))
             return protocol.posterior_payload(result)
         if op == "stream_open":
             return self._open_stream(request, session, lock)

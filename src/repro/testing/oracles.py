@@ -1217,7 +1217,12 @@ class ColumnarQueryOracle(Oracle):
     * the event check of conditioning
       (:func:`~repro.query.columnar.event_mask`) reads a
       ``ContainsFactEvent`` - alone, or two conjoined - as membership
-      in every materialized world, without materializing them.
+      in every materialized world, without materializing them;
+    * the batch restricted to a keep mask drawn from the case seed,
+      and to the all-kept mask
+      (:meth:`~repro.engine.batched.ColumnarMonteCarloPDB.subset`, a
+      batched rejection posterior), lists the fact table of the kept
+      materialized worlds and answers a plan as each of them does.
 
     Plans are generated per case from the ensemble's own relations
     and constants: scans with explicit columns, structural ``where``
@@ -1338,8 +1343,11 @@ class ColumnarQueryOracle(Oracle):
                                 for point, mass in masses.items()})
 
     @staticmethod
-    def _check_table(pdb, table) -> str | None:
-        """The fact table is in canonical order and counts the worlds."""
+    def _check_table(pdb, table, worlds=None) -> str | None:
+        """The fact table is in canonical order and counts the worlds.
+
+        ``worlds`` default to ``pdb``'s own materialized slots.
+        """
         keys = [(relation, tuple_sort_key(args))
                 for relation, args, _total in table]
         for number, (left, right) in enumerate(zip(keys, keys[1:])):
@@ -1348,7 +1356,7 @@ class ColumnarQueryOracle(Oracle):
                         f"{number + 1}: {table[number][:2]!r} before "
                         f"{table[number + 1][:2]!r}")
         counts: dict[Fact, int] = {}
-        for world in pdb.world_slots():
+        for world in pdb.world_slots() if worlds is None else worlds:
             for fact in world.facts:
                 counts[fact] = counts.get(fact, 0) + 1
         listed = {Fact(relation, args): total
@@ -1356,6 +1364,34 @@ class ColumnarQueryOracle(Oracle):
         if len(listed) != len(table) or listed != counts:
             return ("fact table differs from the counts over the "
                     "materialized worlds")
+        return None
+
+    @staticmethod
+    def _check_subset(pdb, plan, seed: int) -> str | None:
+        """A restricted batch reads like the kept materialized worlds.
+
+        Over a keep mask drawn from ``seed`` (about half the worlds,
+        at least one) and over the all-kept mask; the fact table is
+        read without materializing the restriction.
+        """
+        from repro.query.columnar import fact_totals, query_answers
+        slots = pdb.world_slots()
+        drawn = np.random.default_rng(seed).random(len(slots)) < 0.5
+        drawn[seed % len(slots)] = True
+        for keep in (drawn, np.ones(len(slots), dtype=bool)):
+            subset = pdb.subset(keep)
+            kept = [world for world, ok in zip(slots, keep) if ok]
+            table = fact_totals(subset)
+            if subset.materializations:
+                return "a subset's fact table materialized its worlds"
+            detail = ColumnarQueryOracle._check_table(subset, table,
+                                                      kept)
+            if detail:
+                return f"subset of {len(kept)} worlds: {detail}"
+            answers = query_answers(subset, plan)
+            if answers != [plan.evaluate(world) for world in kept]:
+                return (f"subset of {len(kept)} worlds answers plan "
+                        "#0 unlike the kept materialized worlds")
         return None
 
     @staticmethod
@@ -1466,7 +1502,8 @@ class ColumnarQueryOracle(Oracle):
                  for _ in range(self.n_plans)]
         detail = self._check_plain(pdb, plans) \
             or self._check_table(pdb, table) \
-            or self._check_fact_events(pdb, table)
+            or self._check_fact_events(pdb, table) \
+            or self._check_subset(pdb, plans[0], case.seed)
         if detail:
             return _fail(detail)
         detail = self._check_weighted(case, plans)

@@ -848,6 +848,81 @@ class TestFactReaders:
         assert columnar.event_mask(pdb, events).tolist() == expected
         assert any(expected)
 
+    @staticmethod
+    def _keep_masks(pdb) -> dict:
+        """Seeded random masks, one group's members and one world."""
+        size = pdb.n_runs
+        masks = {}
+        for seed, share in ((1, 0.5), (2, 0.1), (3, 0.9)):
+            mask = np.random.default_rng(seed).random(size) < share
+            mask[seed % size] = True
+            masks[f"random-{share}"] = mask
+        masks["first-group"] = np.zeros(size, dtype=bool)
+        masks["first-group"][pdb._outcome.groups[0].members] = True
+        masks["one-world"] = np.zeros(size, dtype=bool)
+        masks["one-world"][size // 2] = True
+        return masks
+
+    @pytest.mark.parametrize("name", [
+        "int-float", "bool-dtype", "mixed-arity", "cities-100",
+        "barany", "sensor"])
+    def test_subset_equals_the_kept_worlds(self, name):
+        """A batch restricted to a mask reads like its kept worlds.
+
+        ``subset`` renumbers the kept worlds in every group and
+        firing; its fact table, fact masks and one plan's answers
+        equal those of a :class:`MonteCarloPDB` over the kept
+        ``world_slots`` - read columnar, without materializing - and
+        its own slots are those worlds, in order.
+        """
+        import random
+
+        from repro.pdb.database import MonteCarloPDB
+        from repro.pdb.stats import marginal_table
+        pdb = _fact_batch(name)
+        table = columnar.fact_totals(pdb)
+        oracle = ColumnarQueryOracle()
+        plan = oracle._random_plan(random.Random(7),
+                                   oracle._arities(table),
+                                   oracle._constants(table))
+        slots = pdb.world_slots()
+        outcome = pdb._outcome
+        for label, keep in self._keep_masks(pdb).items():
+            sub = pdb.subset(keep)
+            kept = [world for world, ok in zip(slots, keep) if ok]
+            reference = MonteCarloPDB(kept)
+            facts = [Fact(relation, args) for relation, args, _
+                     in marginal_table(reference)]
+            probes = facts[::max(1, len(facts) // 20)] + [
+                Fact("Nowhere", (0,))]
+            assert sub.n_runs == len(kept)
+            assert sub.marginal_table() == marginal_table(reference)
+            for fact in probes:
+                assert columnar.fact_mask(sub, fact).tolist() \
+                    == [fact in world for world in kept], fact
+            assert query_answers(sub, plan) \
+                == [plan.evaluate(world) for world in kept]
+            assert query_distribution(sub, plan) \
+                == query_distribution(reference, plan)
+            assert sub.materializations == 0
+            assert sub.world_slots() == kept
+            if label == "first-group" and len(outcome.groups) > 1:
+                # One group kept: the others go, and so do the draws
+                # of every firing off its path, emptied in place.
+                assert len(sub._outcome.groups) == 1
+                path = set(outcome.groups[0].firings)
+                assert [len(fired.worlds) == 0
+                        for fired in sub._outcome.firings] \
+                    == [index not in path
+                        for index in range(len(outcome.firings))]
+
+    def test_subset_rejects_a_bad_mask(self):
+        pdb = _fact_batch("int-float")
+        for keep in (np.zeros(pdb.n_runs, dtype=bool),
+                     np.ones(pdb.n_runs - 1, dtype=bool)):
+            with pytest.raises(ValidationError, match="subset needs"):
+                pdb.subset(keep)
+
     def test_equal_facts_keep_the_first_rows_args(self):
         """The constant R(1.0) row comes first; a sampled 1 joins it."""
         pdb = _fact_batch("int-float")

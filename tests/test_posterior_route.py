@@ -19,11 +19,18 @@ from repro.core.observe import observe
 from repro.core.policies import LastPolicy
 from repro.engine.batched import ColumnarMonteCarloPDB
 from repro.errors import StreamingUnsupported, ValidationError
+from repro.pdb.database import MonteCarloPDB
 from repro.pdb.events import (AtLeastEvent, ContainsFactEvent, FactSet,
                               Interval)
 from repro.pdb.facts import Fact
 from repro.pdb.instances import Instance
-from repro.serving.protocol import posterior_payload
+from repro.query import (Aggregate, agg_count, query_distribution,
+                         scan)
+from repro.serving import ProgramServer
+from repro.serving.protocol import (encode_line, evidence_payload,
+                                    instance_payload, marginals_payload,
+                                    plan_payload, posterior_payload,
+                                    query_payload)
 from repro.workloads.paper import discrete_cycle_program, trigger_instance
 
 #: The two routes every contract below holds on, by the config they
@@ -358,3 +365,153 @@ class TestFactEvidence:
             assert str(by_session.value) == str(by_stream.value)
             assert str(by_session.value).startswith("not evidence")
         assert stream.n_evidence == 0
+
+
+#: count(Flaky(s, 1) joined with Anomaly(s, a)): the anomalous sensors.
+ANOMALY_COUNT = Aggregate(
+    scan("Flaky", "s", "f").where(f=1).join(scan("Anomaly", "s", "a")),
+    (), {"n": agg_count()})
+READING = observe("Reading", "t3", 19.0)
+
+
+def _sensors(seed=3):
+    return repro.compile(SENSORS).on(SENSOR_DATA, seed=seed)
+
+
+class TestColumnarRejection:
+    """A batched rejection posterior is its batch, restricted.
+
+    ``rejection``, and ``auto`` when it keeps the unguided batch,
+    return :meth:`ColumnarMonteCarloPDB.subset` of the batch over the
+    accepted worlds: the same accepted worlds, fact tables and query
+    answers the list of them gave, read without materializing.
+    """
+
+    @pytest.fixture
+    def restrictions(self, monkeypatch):
+        """Every (batch, mask) a posterior restricts."""
+        seen = []
+        subset = ColumnarMonteCarloPDB.subset
+
+        def spy(pdb, keep):
+            seen.append((pdb, keep))
+            return subset(pdb, keep)
+
+        monkeypatch.setattr(ColumnarMonteCarloPDB, "subset", spy)
+        return seen
+
+    @pytest.mark.parametrize("method, fact", [
+        ("rejection", FLAKY), ("auto", Fact("Flaky", ("t1", 0)))],
+        ids=["rejection", "auto"])
+    def test_accepted_worlds_stay_columnar(self, method, fact,
+                                           restrictions):
+        result = _sensors().observe(fact).posterior(method=method,
+                                                    n=10_000)
+        assert result.kind == "rejection"
+        assert result.backend == "batched"
+        pdb = result.pdb
+        assert isinstance(pdb, ColumnarMonteCarloPDB)
+        assert pdb.n_runs == result.diagnostics["n_accepted"] < 10_000
+        listed = marginals_payload(pdb)
+        assert pdb.materializations == 0
+        assert pdb.marginal(fact) == 1.0
+        (batch, keep), = restrictions
+        assert batch.n_runs == 10_000
+        kept = [world for world, ok in zip(batch.world_slots(), keep)
+                if ok]
+        assert encode_line({"marginals": listed}) == encode_line(
+            {"marginals": marginals_payload(MonteCarloPDB(kept))})
+
+    def test_event_query_reads_columnar(self):
+        answered = _sensors().observe(FLAKY).query(ANOMALY_COUNT,
+                                                   n=10_000)
+        assert answered.result.kind == "rejection"
+        assert answered.strategy() == "columnar"
+        payload = query_payload(answered)
+        pdb = answered.pdb
+        assert pdb.materializations == 0
+        # Every accepted world holds Flaky(t1, 1), so an anomaly.
+        assert payload["boolean_probability"] == 1.0
+        assert answered.distribution() == query_distribution(
+            MonteCarloPDB(pdb.world_slots()), ANOMALY_COUNT)
+
+    def test_scalar_rejection_keeps_its_list(self):
+        result = _sensors().observe(FLAKY).posterior(
+            method="rejection", n=300, backend="scalar")
+        assert type(result.pdb) is MonteCarloPDB
+        assert result.pdb.n_runs == result.diagnostics["n_accepted"]
+
+
+class TestOneMethodRule:
+    """Without a method, the evidence picks it, on every surface.
+
+    Observations only take ``likelihood``, events only
+    ``rejection`` and a mix ``auto``; ``marginal`` and ``query`` take
+    the same posterior, except that a discrete program whose evidence
+    holds no observation conditions exactly.
+    """
+
+    @pytest.mark.parametrize("evidence, kind, auto", [
+        ((READING,), "likelihood", None), ((FLAKY,), "rejection", None),
+        ((READING, FLAKY), "guided", "guided")],
+        ids=["observation", "event", "mix"])
+    def test_the_evidence_picks_the_method(self, evidence, kind, auto):
+        result = _sensors().observe(*evidence).posterior(n=500)
+        assert result.kind == kind
+        assert result.diagnostics.get("auto") == auto
+
+    def test_mixed_evidence_marginal_and_query_take_auto(self):
+        session = _sensors().observe(READING, FLAKY)
+        assert session.marginal(FLAKY, n=500) == 1.0
+        answered = session.query(ANOMALY_COUNT, n=500)
+        assert answered.result.kind == "guided"
+        assert answered.result.diagnostics["auto"] == "guided"
+        assert answered.boolean_probability() == pytest.approx(1.0)
+
+    def test_discrete_programs_condition_events_exactly(self):
+        session = _cascade(seed=5)
+        assert session.observe(TRIG).query(
+            scan("Trig", "x", "v")).result.kind == "exact"
+        mixed = session.observe(observe("Alarm", "a", 1), TRIG)
+        answered = mixed.query(scan("Trig", "x", "v"), n=300)
+        assert answered.result.diagnostics["auto"] == "guided"
+        assert mixed.marginal(TRIG, n=300) == 1.0
+
+    @staticmethod
+    def _posterior(evidence, method=None):
+        request = {"op": "posterior", "program": SENSORS,
+                   "instance": instance_payload(SENSOR_DATA),
+                   "n": 1000, "observe": evidence,
+                   "config": {"seed": 4}}
+        if method is not None:
+            request["method"] = method
+        return ProgramServer().handle(request)
+
+    def test_served_fact_posterior_takes_rejection(self):
+        reply = self._posterior([evidence_payload(FLAKY)])
+        assert reply["ok"], reply
+        assert reply["result"]["method"] == "rejection"
+        assert reply["result"]["diagnostics"]["backend"] == "batched"
+
+    def test_served_observation_reply_equals_likelihoods(self):
+        default = self._posterior([evidence_payload(READING)])
+        named = self._posterior([evidence_payload(READING)],
+                                "likelihood")
+        assert default["ok"] and default["result"]["method"] \
+            == "likelihood"
+        default["result"].pop("elapsed_seconds")
+        named["result"].pop("elapsed_seconds")
+        assert encode_line(default) == encode_line(named)
+
+    def test_served_mixed_query_answers(self):
+        reply = ProgramServer().handle({
+            "op": "query", "program": SENSORS,
+            "instance": instance_payload(SENSOR_DATA), "n": 500,
+            "plan": plan_payload(ANOMALY_COUNT),
+            "observe": [evidence_payload(READING),
+                        evidence_payload(FLAKY)],
+            "config": {"seed": 4}})
+        assert reply["ok"], reply
+        assert reply["result"]["kind"] == "guided"
+        assert reply["result"]["boolean_probability"] \
+            == pytest.approx(1.0)

@@ -114,10 +114,14 @@ class TestCliMatchesServer:
     HEADS = {"fact": {"relation": "Heads", "args": [0, 1]}}
     PLAN = {"op": "scan", "relation": "Size", "columns": ["x", "v"]}
 
-    @pytest.mark.parametrize("command", ["posterior", "query"])
-    def test_fact_evidence_same_document(self, tmp_path, command):
+    @pytest.mark.parametrize("command, method", [
+        ("posterior", "guided"), ("posterior", None), ("query", None)],
+        ids=["posterior", "posterior-default", "query"])
+    def test_fact_evidence_same_document(self, tmp_path, command,
+                                         method):
         # One evidence decoder: `--observe '{"fact": ...}'` and the
-        # served `observe` list condition on the same fact event.
+        # served `observe` list condition on the same fact event, and
+        # without a method both take rejection for it.
         program = tmp_path / "program.gdl"
         program.write_text(self.SIZES)
         coins = tmp_path / "coins.csv"
@@ -128,10 +132,10 @@ class TestCliMatchesServer:
         request = {"op": command, "program": self.SIZES,
                    "instance": COINS, "n": 300,
                    "observe": [self.HEADS], "config": {"seed": 6}}
-        if command == "posterior":
-            argv += ["--method", "guided"]
-            request["method"] = "guided"
-        else:
+        if method is not None:
+            argv += ["--method", method]
+            request["method"] = method
+        if command == "query":
             argv += ["--plan", json.dumps(self.PLAN)]
             request["plan"] = self.PLAN
         out = StringIO()
@@ -145,8 +149,9 @@ class TestCliMatchesServer:
         served.pop("elapsed_seconds")
         assert cli == served
         if command == "posterior":
-            assert served["method"] == "guided"
-            assert served["diagnostics"]["backend"] == "guided"
+            assert served["method"] == (method or "rejection")
+            assert served["diagnostics"]["backend"] \
+                == ("guided" if method else "batched")
         else:
             assert served["kind"] == "rejection"
             assert served["boolean_probability"] == 1.0

@@ -725,3 +725,16 @@ class TestClientStreamVerbs:
             client.stream_retract(stream_id, by_event["token"])
             by_fact = client.stream_observe(stream_id, trig)
             assert by_fact["n_alive"] == by_event["n_alive"]
+
+    def test_posterior_method_follows_the_evidence(self, running_server):
+        # No method: the server picks it as Session.posterior does.
+        _server, (host, port) = running_server
+        trig = Fact("Trig", ("a", 1))
+        alarm = {"relation": "Alarm", "carried": ["a"], "value": 1}
+        with ServingClient(host, port) as client:
+            methods = [
+                client.posterior(CASCADE, evidence, n=300,
+                                 instance={"Site": [["a"]]},
+                                 seed=3)["method"]
+                for evidence in ([alarm], [trig], [alarm, trig])]
+        assert methods == ["likelihood", "rejection", "guided"]

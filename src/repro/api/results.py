@@ -152,8 +152,10 @@ class QueryResult:
     by :mod:`repro.query.columnar` - including a lifted fast path when
     the plan only reads stable relations - so no accessor here
     materializes worlds unless the plan genuinely cannot be vectorized.
-    The plan is evaluated once per (ensemble, plan object): every
-    accessor reduces over the same memoized answer index.
+    A columnar ensemble keeps the answer index of the plan object it
+    answered last, so every accessor reduces over one evaluation; a
+    stream's ensemble keeps it across weights, masks and forced draws
+    of relations the plan does not read (:mod:`repro.api.stream`).
     """
 
     pdb: PDBBase

@@ -726,7 +726,8 @@ class Session:
             raise ValidationError(
                 "likelihood weighting conditions on sample-level "
                 "Observations only; event evidence needs "
-                "method='rejection' or method='exact'")
+                "method='rejection', 'guided' or 'auto', or "
+                "method='exact' on a discrete program")
         if method in ("rejection", "exact") and observations:
             raise ValidationError(
                 f"method={method!r} conditions on instance events; "

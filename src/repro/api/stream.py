@@ -24,6 +24,16 @@ updates it in place per evidence item, O(evidence):
   forced, as they were - and ``max_window`` turns the stream into a
   sliding window by auto-retracting the oldest evidence.
 
+A query's answer is a function of the world, and conditioning only
+reweights the worlds.  So a plan's answer index lives on the ensemble
+(:func:`repro.query.columnar._answer_index`) and outlasts weights,
+masks, resampling and the forced draws of relations the plan does not
+read: a forced observation and its retract swap firings through
+:meth:`~repro.engine.batched.ColumnarMonteCarloPDB.with_firings`,
+which keeps the index unless a swapped firing emits a relation the
+plan scanned.  A stream evaluates a plan once per state of the
+relations it reads.
+
 Exactness is policed, not assumed: when forcing an observed value into
 the pre-sampled worlds would change their cascade (the value would
 have enabled rule firings the worlds never ran),
@@ -126,8 +136,9 @@ class StreamingPosterior:
                 "round overruns the step budget or cannot be "
                 "prepared); raise max_steps or use "
                 "posterior(method='likelihood')")
-        self._outcome = outcome
-        self._pdb = self._wrap(outcome)
+        from repro.engine.batched import ColumnarMonteCarloPDB
+        self._pdb = ColumnarMonteCarloPDB(outcome, self._visible,
+                                          keep_aux=cfg.keep_aux)
         self._log_weights = np.zeros(n)
         self._counts = np.ones(n)
         self._alive = np.ones(n, dtype=bool)
@@ -139,14 +150,12 @@ class StreamingPosterior:
         for item in session.evidence:
             self.observe(item)
 
-    # -- construction helpers ------------------------------------------------
-
-    def _wrap(self, outcome):
-        from repro.engine.batched import ColumnarMonteCarloPDB
-        return ColumnarMonteCarloPDB(outcome, self._visible,
-                                     keep_aux=self._cfg.keep_aux)
-
     # -- state ---------------------------------------------------------------
+
+    @property
+    def _outcome(self):
+        """The batch behind the current ensemble (forced draws in)."""
+        return self._pdb._outcome
 
     @property
     def n_worlds(self) -> int:
@@ -284,9 +293,10 @@ class StreamingPosterior:
         """Overwrite the listed firings' draws with the observed value.
 
         Each forced firing gets a new values array, and the (frozen)
-        outcome a new ``firings`` tuple sharing everything else: the
-        arrays are never written in place, so snapshots taken by
-        earlier callers keep the draws they read.
+        outcome a new ``firings`` tuple sharing everything else
+        (:meth:`~repro.engine.batched.ColumnarMonteCarloPDB.
+        with_firings`): the arrays are never written in place, so
+        snapshots taken by earlier callers keep the draws they read.
         """
         self._replace_firings(
             (index, replace(fired, values=np.full(len(fired.worlds),
@@ -294,11 +304,7 @@ class StreamingPosterior:
             for index, fired in saved)
 
     def _replace_firings(self, replacements) -> None:
-        firings = list(self._outcome.firings)
-        for index, fired in replacements:
-            firings[index] = fired
-        self._outcome = replace(self._outcome, firings=tuple(firings))
-        self._pdb = self._wrap(self._outcome)
+        self._pdb = self._pdb.with_firings(replacements)
         self._refresh_masks()
 
     def _refresh_masks(self) -> None:

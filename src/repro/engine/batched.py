@@ -1331,6 +1331,11 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
         #: materialize: stays 0 as long as only columnar reads (marginal
         #: scans, compiled queries) touch this PDB.
         self.materializations = 0
+        #: The last plan's answer index, ``(plan, relations read, ids,
+        #: answers)``, read and written by :func:`repro.query.columnar.
+        #: _answer_index`; relations read is None when the plan was
+        #: answered world by world.
+        self._answers: tuple | None = None
 
     # -- columnar plumbing --------------------------------------------------
 
@@ -1496,6 +1501,35 @@ class ColumnarMonteCarloPDB(MonteCarloPDB):
                        groups=tuple(groups), firings=tuple(firings))
         return ColumnarMonteCarloPDB(kept, self._visible,
                                      keep_aux=self._keep_aux)
+
+    def with_firings(self, replacements) -> "ColumnarMonteCarloPDB":
+        """The ensemble with some firings' draws swapped, still columnar.
+
+        ``replacements`` are ``(index, fired)`` pairs naming the
+        :attr:`BatchOutcome.firings` to swap; the groups and every
+        other firing are shared, never copied or written.  A stream's
+        forced observation and its retract go through here.  The
+        answer index carries over when no swapped firing emits a
+        relation the indexed plan read (:meth:`_column_templates`,
+        old and new): a world's answer is a function of those
+        relations' facts alone, so it cannot have moved.  An index
+        answered world by world read everything and starts over.
+        """
+        firings = list(self._outcome.firings)
+        touched = set()
+        for index, fired in replacements:
+            for swapped in (firings[index], fired):
+                touched.update(template[0] for template
+                               in self._column_templates(swapped.firing))
+            firings[index] = fired
+        pdb = ColumnarMonteCarloPDB(
+            replace(self._outcome, firings=tuple(firings)),
+            self._visible, keep_aux=self._keep_aux)
+        held = self._answers
+        if held is not None and held[1] is not None \
+                and held[1].isdisjoint(touched):
+            pdb._answers = held
+        return pdb
 
     def __repr__(self) -> str:
         state = "materialized" if self.materialized else "columnar"

@@ -48,11 +48,14 @@ of a batch is columnar: the batched engine declines a batch it cannot
 keep vectorized to the end.
 
 A query's push-forward (Remark 4.9) needs each world's answer exactly
-once, so the answer index is memoized per (columnar ensemble, plan
-object): every accessor of one
+once, so the ensemble keeps the answer index of the last plan object
+it answered: every accessor of one
 :class:`~repro.api.results.QueryResult` reduces over a single
-evaluation with numpy.  The module also hosts the unified push-forward
-implementation behind :meth:`repro.api.Session.query`: one dispatch
+evaluation with numpy, and a stream keeps the index across evidence
+that forces no relation the plan reads
+(:meth:`ColumnarMonteCarloPDB.with_firings`).  The module also hosts
+the unified push-forward implementation behind
+:meth:`repro.api.Session.query`: one dispatch
 covering exact PDBs, plain and columnar Monte-Carlo ensembles, and
 weighted (posterior) ensembles including the streamed
 :class:`WeightedColumnarPDB`.
@@ -61,7 +64,6 @@ weighted (posterior) ensembles including the streamed
 from __future__ import annotations
 
 import math
-import weakref
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -967,29 +969,28 @@ def event_mask(worlds: ColumnarMonteCarloPDB | Sequence[Instance],
 # ---------------------------------------------------------------------------
 
 
-#: The last plan evaluated per columnar ensemble: pdb -> (plan, ids,
-#: answers).  Ensembles are immutable, so an entry stays valid for as
-#: long as its pdb lives.
-_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
 def _answer_index(pdb: ColumnarMonteCarloPDB,
                   query: Query) -> tuple[np.ndarray, list[Relation]]:
     """The plan's answer in every world slot, as an index.
 
     Returns ``(ids, answers)``: ``ids[i]`` is world ``i``'s position in
     ``answers``, and ``answers`` lists the distinct answer relations in
-    order of first world.  Evaluated once per (ensemble, plan object)
-    pair and memoized - the lifted fast path when the plan only
-    touches stable relations, one vectorized pass over every
-    signature group when each node is supported, the transparent
-    per-world fallback otherwise.
+    order of first world.  Evaluated by :func:`_evaluate` - the lifted
+    fast path when the plan only touches stable relations, one
+    vectorized pass over every signature group when each node is
+    supported, the transparent per-world fallback otherwise - and
+    kept on the ensemble (``pdb._answers``) for the plan object that
+    asked last.  :meth:`ColumnarMonteCarloPDB.with_firings` hands the
+    index on to the ensemble with swapped draws when the plan read
+    none of their relations, so a stream evaluates a plan once per
+    state of the relations it reads; weights and masks enter after
+    the index (:func:`_live_answers`).
     """
-    memo = _MEMO.get(pdb)
-    if memo is not None and memo[0] is query:
-        return memo[1], memo[2]
-    ids, answers = _evaluate(pdb, query)
-    _MEMO[pdb] = (query, ids, answers)
+    held = pdb._answers
+    if held is not None and held[0] is query:
+        return held[2], held[3]
+    read, ids, answers = _evaluate(pdb, query)
+    pdb._answers = (query, read, ids, answers)
     return ids, answers
 
 
@@ -1004,18 +1005,25 @@ def query_answers(pdb: ColumnarMonteCarloPDB,
     return [answers[answer] for answer in ids.tolist()]
 
 
-def _evaluate(pdb: ColumnarMonteCarloPDB,
-              query: Query) -> tuple[np.ndarray, list[Relation]]:
+def _evaluate(pdb: ColumnarMonteCarloPDB, query: Query,
+              ) -> tuple[frozenset | None, np.ndarray, list[Relation]]:
+    """``(relations read, ids, answers)`` of one evaluation of the plan.
+
+    The lifted and the vectorized strategies read the plan's scanned
+    relations only; the per-world fallback reads whole worlds (None).
+    """
     size = pdb._outcome.size
-    lifted = _lifted_answer(pdb, query)
-    if lifted is not None:
-        return _index(np.zeros(size, dtype=np.int64), [lifted])
+    scanned = scanned_relations(query)
+    if scanned is not None and not (scanned & pdb.growable_relations):
+        # Lifted: the plan reads stable data, one answer for all.
+        lifted = query.evaluate(pdb.stable_view())
+        return (scanned,
+                *_index(np.zeros(size, dtype=np.int64), [lifted]))
     if not plan_vectorizable(query):
-        return _fallback(pdb, query)
+        return (None, *_fallback(pdb, query))
     # Every world is a member of one group, so every code is set.
     codes = np.empty(size, dtype=np.int64)
     relations: list[Relation] = []
-    scanned = scanned_relations(query)
     try:
         for groups in _schema_classes(pdb, query):
             planner = _BatchPlanner(pdb, groups, scanned)
@@ -1023,8 +1031,8 @@ def _evaluate(pdb: ColumnarMonteCarloPDB,
             codes[planner.members] = keys + len(relations)
             relations.extend(answers)
     except _Unsupported:
-        return _fallback(pdb, query)
-    return _index(codes, relations)
+        return (None, *_fallback(pdb, query))
+    return (scanned, *_index(codes, relations))
 
 
 def _schema_classes(pdb: ColumnarMonteCarloPDB,
@@ -1062,15 +1070,6 @@ def _arities(pdb: ColumnarMonteCarloPDB, index: int,
                            pdb._outcome.firings[fired].firing)
                        if name == relation)
     return frozenset(arities)
-
-
-def _lifted_answer(pdb: ColumnarMonteCarloPDB,
-                   query: Query) -> Relation | None:
-    """The one answer of every world, when the plan reads stable data."""
-    scanned = scanned_relations(query)
-    if scanned is None or (scanned & pdb.growable_relations):
-        return None
-    return query.evaluate(pdb.stable_view())
 
 
 def _fallback(pdb: ColumnarMonteCarloPDB,

@@ -78,14 +78,19 @@ class ServingClient:
                             "config": config or None})
 
     def marginal(self, program: str, fact, n: int = 1000,
-                 instance: dict | None = None,
+                 instance: dict | None = None, observe=None,
                  semantics: str = "grohe", **config) -> float:
-        """Marginal probability of one output fact."""
-        result = self.result({"op": "marginal", "program": program,
-                              "semantics": semantics, "fact": fact,
-                              "n": n, "instance": instance,
-                              "config": config or None})
-        return result["probability"]
+        """Marginal probability of one output fact.
+
+        With ``observe`` (evidence items, as :meth:`posterior` takes
+        them), the marginal is taken under the posterior.
+        """
+        payload = {"op": "marginal", "program": program,
+                   "semantics": semantics, "fact": fact, "n": n,
+                   "instance": instance, "config": config or None}
+        if observe is not None:
+            payload["observe"] = self._evidence_payloads(observe)
+        return self.result(payload)["probability"]
 
     def query(self, program: str, plan, n: int = 1000,
               instance: dict | None = None, observe=None,

@@ -27,8 +27,10 @@ Request objects carry ``op`` plus op-specific fields::
 A ``posterior`` without ``method`` takes :meth:`Session.posterior
 <repro.api.session.Session.posterior>`'s default: ``likelihood`` for
 observations only, ``rejection`` for ``{"fact": ...}`` events only and
-``auto`` for a mix; a ``query`` with ``observe`` conditions the same
-way.
+``auto`` for a mix; a ``marginal`` or ``query`` with ``observe``
+conditions the same way.  A stream reuses its last ``stream_query``
+plan while the plan's wire text stays the same, so its ensemble's
+answer index still serves it (:mod:`repro.api.stream`).
 
 Responses are ``{"ok": true, "result": ..., "program_sha": ...,
 "compile_cached": ...}`` or ``{"ok": false, "error": ...}`` - the
@@ -84,7 +86,8 @@ class ProgramServer:
     serialize against each other.
 
     Streaming sessions (``stream_open`` ..) are held in a bounded
-    registry keyed by server-issued ``stream_id``.
+    registry keyed by the ``stream_id`` the server hands out, each
+    with its session's lock and the last plan it was queried with.
     """
 
     def __init__(self, max_programs: int = 32,
@@ -248,6 +251,8 @@ class ProgramServer:
                 session.sample(self._n(request)))
         if op == "marginal":
             fact = protocol.parse_fact(request.get("fact"))
+            if "observe" in request:
+                session = session.observe(*self._evidence(request))
             probability = session.marginal(fact, n=self._n(request))
             return {"command": "marginal",
                     "fact": protocol.fact_payload(fact),
@@ -294,7 +299,9 @@ class ProgramServer:
         with self._lock:
             self._stream_counter += 1
             stream_id = f"s{self._stream_counter}"
-            self._streams[stream_id] = (stream, lock)
+            # The third slot is the stream's last parsed plan, as
+            # [wire text, plan] (see _stream_plan).
+            self._streams[stream_id] = (stream, lock, [None, None])
             self.stats["streams_opened"] += 1
             while len(self._streams) > self.max_streams:
                 self._streams.popitem(last=False)
@@ -314,7 +321,7 @@ class ProgramServer:
             raise ValidationError(
                 f"unknown stream_id {stream_id!r}; it was never "
                 "opened, or was closed or evicted")
-        stream, lock = entry
+        stream, lock, last_plan = entry
         if op == "stream_close":
             with self._lock:
                 self._streams.pop(stream_id, None)
@@ -328,7 +335,7 @@ class ProgramServer:
                 # The streamed posterior stays a weighted *columnar*
                 # ensemble; the plan compiles over its arrays without
                 # collapsing the weights into materialized worlds.
-                plan = protocol.parse_plan(request.get("plan"))
+                plan = self._stream_plan(last_plan, request.get("plan"))
                 result = protocol.query_payload(
                     stream.posterior().query(plan))
             elif "retract" in request:
@@ -350,6 +357,22 @@ class ProgramServer:
                           **self._stream_state(stream)}
         return {"ok": True, "op": op, "stream_id": stream_id,
                 "result": result}
+
+    @staticmethod
+    def _stream_plan(last_plan: list, payload):
+        """The plan of a ``stream_query``: the last one, if unchanged.
+
+        ``last_plan`` is the stream's ``[wire text, plan]`` slot.  The
+        ensemble keeps the answer index of the plan *object* it last
+        answered, so a stream asked the same plan again must be
+        handed the same object; equal canonical wire text
+        (:func:`protocol.encode_line`) means an equal plan.  Other
+        text parses as a new plan, which then takes the slot.
+        """
+        text = protocol.encode_line(payload)
+        if last_plan[0] != text:
+            last_plan[:] = [text, protocol.parse_plan(payload)]
+        return last_plan[1]
 
     @staticmethod
     def _stream_state(stream) -> dict:

@@ -932,6 +932,14 @@ class StreamingBatchOracle(Oracle):
     likelihood is never zero - and cases the streaming safety gate
     declines (trigger-valued or signature-contradicting observations)
     skip rather than fail.
+
+    The stream's answer index is checked around one observe and its
+    retract: a ``Scan`` of the observed relation and of another
+    visible relation (when the case has one) must answer on the
+    stream's ensemble exactly as on a fresh ensemble of its current
+    batch, which holds no index.  The observed scan is the plan held
+    across each swap of forced draws whenever the other plan is not,
+    so an index carried past a forced relation shows.
     """
 
     name = "streaming-batch"
@@ -955,6 +963,9 @@ class StreamingBatchOracle(Oracle):
         if evidence is None:
             return _skip("prior sampled no observable fact")
         try:
+            detail = self._check_index(stream, evidence, prior)
+            if detail:
+                return _fail(detail)
             stream.observe(evidence)
             streamed = stream.posterior()
         except StreamingUnsupported as decline:
@@ -977,6 +988,43 @@ class StreamingBatchOracle(Oracle):
             return _fail(f"streamed vs one-shot likelihood ({evidence!r}): "
                          f"{detail}")
         return _ok()
+
+    @classmethod
+    def _check_index(cls, stream, evidence: Observation,
+                     prior) -> str | None:
+        """Index-held answers vs a fresh ensemble, across observe/retract.
+
+        Each step queries the plan the stream's ensemble holds first;
+        the observed relation's scan is held into the observe, and
+        into the retract when it is the only plan.
+        """
+        from repro.query.relalg import Scan
+        others = sorted({fact.relation for fact in prior}
+                        - {evidence.relation})
+        plans = [Scan(evidence.relation)] + [Scan(name)
+                                             for name in others[:1]]
+        detail = cls._answers_agree(stream, plans[::-1], "prior")
+        if detail:
+            return detail
+        token = stream.observe(evidence)
+        detail = cls._answers_agree(stream, plans, f"after {evidence!r}")
+        stream.retract(token)
+        return detail or cls._answers_agree(stream, plans[::-1],
+                                            "after its retract")
+
+    @staticmethod
+    def _answers_agree(stream, plans, when: str) -> str | None:
+        from repro.engine.batched import ColumnarMonteCarloPDB
+        from repro.query.columnar import query_answers
+        fresh = ColumnarMonteCarloPDB(stream._outcome, stream._visible,
+                                      keep_aux=stream._cfg.keep_aux)
+        for plan in plans:
+            if query_answers(stream._pdb, plan) \
+                    != query_answers(fresh, plan):
+                return (f"stream answer index of scan "
+                        f"{plan.relation!r} {when} differs from a "
+                        "fresh ensemble's")
+        return None
 
     @staticmethod
     def _evidence_from_prior(prior, positions) -> Observation | None:

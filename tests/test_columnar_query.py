@@ -16,6 +16,7 @@ import io
 import json
 import math
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -357,6 +358,72 @@ class TestWholeBatchPlanner:
         stream.observe(observe("Temp", "amsterdam", 24.0))
         protocol.query_payload(stream.posterior().query(avg_plan()))
         assert len(calls) == 1
+
+
+class TestAnswerIndexLifetime:
+    """An ensemble keeps the answer index of the plan it answered last.
+
+    ``with_firings`` hands it on while no swapped firing emits a
+    relation the plan read; ``subset`` and a plan answered world by
+    world start over.
+    """
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        calls = []
+        evaluate = columnar._evaluate
+        monkeypatch.setattr(columnar, "_evaluate", lambda pdb, query:
+                            calls.append(query) or evaluate(pdb, query))
+        return calls
+
+    @staticmethod
+    def _forced(pdb, relation):
+        """``pdb`` with every draw of ``relation``'s first firing 0.5."""
+        index, fired = next(
+            (index, fired) for index, fired
+            in enumerate(pdb._outcome.firings)
+            if fired.firing.heads[0][0] == relation)
+        return pdb.with_firings([(index, replace(
+            fired, values=np.full(len(fired.worlds), 0.5)))])
+
+    def test_swaps_of_other_relations_carry_the_index(self,
+                                                      evaluations):
+        pdb = sensor_pdb(n=300)
+        flaky, reading = SENSOR_PLANS[0], SENSOR_PLANS[5]
+        query_answers(pdb, flaky)
+        forced = self._forced(pdb, "Reading")
+        assert query_answers(forced, flaky) == query_answers(pdb, flaky)
+        assert evaluations == [flaky]
+        fresh = ColumnarMonteCarloPDB(forced._outcome, forced._visible)
+        assert query_answers(forced, flaky) \
+            == query_answers(fresh, SENSOR_PLANS[0])
+        query_answers(forced, reading)
+        again = self._forced(forced, "Reading")
+        assert query_answers(again, reading) \
+            == [reading.evaluate(world) for world in again.world_slots()]
+        assert [query for query in evaluations if query is reading] \
+            == [reading, reading]
+
+    def test_subset_starts_without_an_index(self, evaluations):
+        pdb = sensor_pdb(n=300)
+        plan = SENSOR_PLANS[0]
+        full = query_answers(pdb, plan)
+        keep = np.arange(pdb.n_runs) % 3 != 0
+        kept = pdb.subset(keep)
+        assert kept._answers is None
+        assert query_answers(kept, plan) \
+            == [full[index] for index in np.flatnonzero(keep)]
+        assert evaluations == [plan, plan]
+
+    def test_a_fallback_index_is_never_carried(self, evaluations):
+        pdb = sensor_pdb(n=300)
+        plan = scan("Flaky", "s", "f").select(lambda row: row["f"] == 1)
+        assert explain(pdb, plan) == "fallback"
+        answers = query_answers(pdb, plan)
+        forced = self._forced(pdb, "Reading")
+        assert forced._answers is None
+        assert query_answers(forced, plan) == answers
+        assert evaluations == [plan, plan]
 
 
 class TestServedQueries:

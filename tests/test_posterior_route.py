@@ -515,3 +515,12 @@ class TestOneMethodRule:
         assert reply["result"]["kind"] == "guided"
         assert reply["result"]["boolean_probability"] \
             == pytest.approx(1.0)
+
+    def test_a_method_mismatch_names_every_method_for_events(self):
+        with pytest.raises(ValidationError) as raised:
+            _sensors().observe(FLAKY).posterior(method="likelihood",
+                                                n=100)
+        message = str(raised.value)
+        for method in ("rejection", "guided", "auto", "exact"):
+            assert f"'{method}'" in message, message
+        assert "discrete program" in message

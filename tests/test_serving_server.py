@@ -33,6 +33,16 @@ Alarm(x, Flip<0.5>) :- Trig(x, 1).
 """
 
 
+#: The served 8-sensor pipeline (servebench's sensor-stream program).
+SENSORS = """
+Lifetime(s, Exponential<0.1>) :- Sensor(s, mu).
+Reading(s, Normal<mu, 2.0>) :- Sensor(s, mu).
+Flaky(s, Flip<0.05>) :- Sensor(s, mu).
+Anomaly(s, Normal<mu, 50.0>) :- Sensor(s, mu), Flaky(s, 1).
+"""
+SENSOR_DATA = {"Sensor": [[f"s{i}", 18.0 + 0.5 * i] for i in range(8)]}
+
+
 def _coins(k: int = 2) -> dict:
     return {"Coin": [[i] for i in range(k)]}
 
@@ -602,6 +612,25 @@ class TestPosteriorOp:
         assert reply["ok"] is False
         assert "observe" in reply["error"]
 
+    def test_marginal_conditions_on_observe(self):
+        # Flaky(s1, 1) given itself is certain; the prior reads
+        # 146/3000 = 0.0487 at this seed.
+        request = {"op": "marginal", "program": SENSORS,
+                   "instance": SENSOR_DATA, "n": 3000,
+                   "fact": ["Flaky", ["s1", 1]],
+                   "config": {"seed": 1}}
+        server = ProgramServer()
+        prior = server.handle(request)
+        assert prior["ok"], prior
+        assert prior["result"]["probability"] == 146 / 3000
+        given = server.handle({**request, "observe": [
+            {"fact": {"relation": "Flaky", "args": ["s1", 1]}}]})
+        assert given["ok"], given
+        assert given["result"]["probability"] == 1.0
+        for junk in ("junk", [], ["junk"]):
+            reply = server.handle({**request, "observe": junk})
+            assert reply["ok"] is False and reply["error"]
+
 
 class TestStreamOps:
     def _open(self, server, n=1500, **extra):
@@ -665,6 +694,47 @@ class TestStreamOps:
         assert server.handle({"op": "stream_posterior",
                               "stream_id": stream_id})["ok"]
 
+    def test_equal_plan_text_evaluates_once(self, monkeypatch):
+        # The server hands a stream its last plan object while the
+        # canonical wire text stays equal (key order aside), so the
+        # ensemble's answer index serves the repeat; other text parses
+        # and evaluates anew, and a malformed plan is still an error.
+        from repro.query import columnar
+        calls = []
+        evaluate = columnar._evaluate
+        monkeypatch.setattr(columnar, "_evaluate", lambda pdb, query:
+                            calls.append(query) or evaluate(pdb, query))
+        server = ProgramServer()
+        stream_id = self._open(server)["result"]["stream_id"]
+
+        def query(plan):
+            reply = server.handle({"op": "stream_query",
+                                   "stream_id": stream_id,
+                                   "plan": plan})
+            if reply["ok"]:
+                reply["result"].pop("elapsed_seconds")
+            return reply
+
+        count = {"op": "aggregate", "group_by": [],
+                 "aggregates": {"n": {"fn": "count", "column": None}},
+                 "source": {"op": "scan", "relation": "Alarm",
+                            "columns": ["x", "v"]}}
+        reordered = dict(reversed(list(count.items())))
+        first = query(count)
+        assert first["ok"], first
+        assert query(reordered) == first
+        assert len(calls) == 1
+        trig = {"op": "scan", "relation": "Trig", "columns": ["x", "v"]}
+        assert query(trig)["ok"]
+        assert len(calls) == 2
+        for malformed in ("junk", {"op": "scan"}, None):
+            reply = query(malformed)
+            assert reply["ok"] is False and reply["error"]
+        assert query(trig)["ok"]
+        assert len(calls) == 2
+        assert query(count) == first
+        assert len(calls) == 3
+
     def test_stream_lru_eviction(self):
         server = ProgramServer(max_streams=1)
         first = self._open(server, n=100)["result"]["stream_id"]
@@ -725,6 +795,14 @@ class TestClientStreamVerbs:
             client.stream_retract(stream_id, by_event["token"])
             by_fact = client.stream_observe(stream_id, trig)
             assert by_fact["n_alive"] == by_event["n_alive"]
+
+    def test_marginal_verb_takes_observe(self, running_server):
+        _server, (host, port) = running_server
+        trig = Fact("Trig", ("a", 1))
+        with ServingClient(host, port) as client:
+            assert client.marginal(CASCADE, ["Trig", ["a", 1]], n=400,
+                                   instance={"Site": [["a"]]},
+                                   observe=[trig], seed=3) == 1.0
 
     def test_posterior_method_follows_the_evidence(self, running_server):
         # No method: the server picks it as Session.posterior does.

@@ -11,10 +11,14 @@ import pytest
 
 import repro
 from repro.api.stream import StreamingPosterior
+from repro.engine.batched import ColumnarMonteCarloPDB
 from repro.errors import (MeasureError, StreamingUnsupported,
                           ValidationError)
 from repro.pdb.facts import Fact
 from repro.pdb.stats import fact_marginals
+from repro.pdb.weighted import WeightedColumnarPDB
+from repro.query import Aggregate, agg_count, agg_max, columnar, scan
+from repro.serving import protocol
 
 CASCADE = """
     Trig(x, Flip<0.6>) :- Site(x).
@@ -378,6 +382,116 @@ class TestFactEvent:
         assert stream._pdb is not prior
         assert stream.marginal(flaky) == pytest.approx(1.0, abs=1e-12)
         assert stream._pdb.materializations == 0
+
+
+def sensor_stream(n=2000):
+    instance = repro.Instance.from_dict(
+        {"Sensor": [(f"t{i}", 18.0 + 0.5 * i) for i in range(8)]})
+    return repro.compile(SENSOR_PIPELINE).on(instance, seed=0).stream(n)
+
+
+def anomaly_plan():
+    """count(Flaky(s, 1) joined with Anomaly): reads no Reading."""
+    return Aggregate(scan("Flaky", "s", "f").where(f=1)
+                     .join(scan("Anomaly", "s", "a")), (),
+                     {"n": agg_count()})
+
+
+def reading_plan():
+    """max(Reading(t3)): reads the relation an observation forces."""
+    return Aggregate(scan("Reading", "s", "v").where(s="t3"), (),
+                     {"m": agg_max("v")})
+
+
+def answered(stream, plan) -> dict:
+    payload = protocol.query_payload(stream.posterior().query(plan))
+    del payload["elapsed_seconds"]
+    return payload
+
+
+def reread(stream, plan) -> dict:
+    """The push-forward over a fresh ensemble, which holds no index."""
+    fresh = ColumnarMonteCarloPDB(stream._outcome, stream._visible)
+    return dict(columnar.query_distribution(
+        WeightedColumnarPDB(fresh, stream.weights), plan).items())
+
+
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every plan the columnar planner evaluates, in call order."""
+    calls = []
+    evaluate = columnar._evaluate
+
+    def counted(pdb, query):
+        calls.append(query)
+        return evaluate(pdb, query)
+
+    monkeypatch.setattr(columnar, "_evaluate", counted)
+    return calls
+
+
+class TestAnswerIndex:
+    """A streamed plan is evaluated once per state of what it reads."""
+
+    def test_cycles_over_other_relations_evaluate_once(self,
+                                                       evaluations):
+        # Observing Reading forces Reading's draws only; the anomaly
+        # count reads Flaky and Anomaly, so 50 observe/query/retract
+        # cycles share one evaluation and answer as a fresh stream
+        # given the same reading does.
+        stream = sensor_stream()
+        plan = anomaly_plan()
+        rng = np.random.default_rng(1)
+        for cycle in range(50):
+            sensor = f"t{cycle % 8}"
+            value = float(rng.normal(18.0 + 0.5 * (cycle % 8), 1.4))
+            evidence = repro.observe("Reading", sensor, value)
+            token = stream.observe(evidence)
+            payload = answered(stream, plan)
+            stream.retract(token)
+            if cycle % 10 == 0:
+                fresh = sensor_stream()
+                fresh.observe(evidence)
+                assert answered(fresh, anomaly_plan()) == payload
+        assert sum(1 for query in evaluations if query is plan) == 1
+
+    def test_a_plan_over_the_forced_relation_reads_each_state(
+            self, evaluations):
+        stream = sensor_stream()
+        plan = reading_plan()
+        prior = stream.posterior().query(plan).expected_aggregate()
+        assert prior != 19.25
+        token = stream.observe(repro.observe("Reading", "t3", 19.25))
+        assert stream.posterior().query(plan).expected_aggregate() \
+            == pytest.approx(19.25, abs=1e-12)
+        assert len(evaluations) == 2
+        stream.retract(token)
+        assert stream.posterior().query(plan).expected_aggregate() \
+            == prior
+        assert len(evaluations) == 3
+        stream.observe(repro.observe("Reading", "t3", 18.0))
+        assert stream.posterior().query(plan).expected_aggregate() \
+            == pytest.approx(18.0, abs=1e-12)
+        assert len(evaluations) == 4
+
+    def test_masks_and_resampling_keep_the_index(self, evaluations):
+        stream = sensor_stream()
+        plan = anomaly_plan()
+        prior = answered(stream, plan)
+        token = stream.observe(Fact("Flaky", ("t1", 1)))
+        masked = answered(stream, plan)
+        assert masked != prior
+        assert dict(stream.posterior().query(plan).distribution()
+                    .items()) == reread(stream, anomaly_plan())
+        stream.retract(token)
+        assert answered(stream, plan) == prior
+        stream.observe(Fact("Flaky", ("t2", 1)))
+        stream.observe(repro.observe("Reading", "t2", 19.0))
+        stream.resample()
+        assert stream.resamples == 1
+        assert dict(stream.posterior().query(plan).distribution()
+                    .items()) == reread(stream, anomaly_plan())
+        assert sum(1 for query in evaluations if query is plan) == 1
 
 
 class TestSlidingWindow:
